@@ -10,6 +10,7 @@ duality gap and equality residual, and the worst oracle disagreement.
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -17,36 +18,13 @@ from gpchoice import (
     NoFeasiblePointError,
     Status,
     brute_force_oracle,
-    make_problem,
     solve,
     standardize,
 )
 
-
-def random_feasible_gp(rng):
-    n = int(rng.integers(1, 4))
-    t0 = int(rng.integers(2, 4))
-    m = int(rng.integers(1, 3))
-
-    def coeff():
-        return float(10.0 ** rng.uniform(-1.0, 1.0))
-
-    obj = [(coeff(), rng.uniform(0.3, 2.5, n)), (coeff(), rng.uniform(-2.5, -0.3, n))]
-    for _ in range(t0 - 2):
-        obj.append((coeff(), rng.uniform(-3.0, 3.0, n)))
-
-    budget = 6 - len(obj)
-    cons = []
-    x_bar = np.exp(rng.uniform(-0.3, 0.3, n))
-    for _ in range(m):
-        k = int(rng.integers(1, min(2, budget) + 1)) if budget > 0 else 0
-        if k == 0:
-            break
-        budget -= k
-        terms = [(coeff(), rng.uniform(-3.0, 3.0, n)) for _ in range(k)]
-        value_at_bar = sum(c * np.prod(x_bar ** np.asarray(e)) for c, e in terms)
-        cons.append((terms, value_at_bar * (1.0 + rng.uniform(0.3, 2.0))))
-    return make_problem(obj, cons)
+# one generator for the sweep and the test suite
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import random_feasible_gp  # noqa: E402
 
 
 def main() -> int:

@@ -7,8 +7,16 @@ safeguard; equality residuals stay at rounding level because iterates never
 leave the affine set.  An interior stationary point is accepted outright
 (global by concavity).  When the maximum lies on the boundary, a log-barrier
 continuation rides the central path to the optimal face, since plain Newton
-can lock onto a suboptimal face.  With degree of difficulty zero the unique
-algebraic solution is obtained by a direct linear solve.
+can lock onto a suboptimal face.  The barrier leaves the weights of an
+inactive constraint near its last mu rather than at zero; if the final pass
+stalls there, those blocks are dropped and the reduced dual is re-solved.
+With degree of difficulty zero the unique algebraic solution is obtained by
+a direct linear solve.
+
+Linear algebra is numpy only (an SVD null space, a Cholesky Newton step), so
+importing the package does not load scipy; scipy.optimize.linprog is
+imported on first use by the two LP fallbacks, the phase-one start point and
+the reduction of weights forced to zero.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -21,8 +29,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linprog
 
 from .dual import (
     DualProgram,
@@ -36,6 +42,9 @@ from .posynomial import GpDomainError, StandardGp, evaluate
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
 _INTERIOR_MIN = 1e-9
+# a stalled constraint block with lambda at or below this is inactive: the
+# barrier leaves inactive blocks near 1e-9 and active ones above 1e-3
+_INACTIVE_LAMBDA = 1e-6
 # weights may converge to a boundary face; flooring them far below
 # boundary_eps keeps the Hessian finite without affecting any contract
 _WEIGHT_FLOOR = 1e-150
@@ -99,6 +108,18 @@ class SolveReport:
     kkt_residuals: KktResiduals | None
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a, as columns.
+
+    Keeps the rank rule of scipy.linalg.null_space: singular values above
+    max(s) * eps * max(a.shape) count toward the rank.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    rank = int(np.sum(s > tol))
+    return vh[rank:].T
+
+
 def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     delta, *_ = np.linalg.lstsq(a, b - a @ w, rcond=None)
     return w + delta
@@ -107,6 +128,9 @@ def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.
 def _face_norm(face_basis: np.ndarray, grad: np.ndarray, active: np.ndarray) -> float:
     if face_basis.shape[1] == 0:
         return 0.0
+    # frozen coordinates leave the face; a zero weight has gradient +inf,
+    # which would turn the projection into inf * 0 = nan
+    grad = np.where(active, 0.0, grad)
     proj = face_basis @ (face_basis.T @ grad)
     mask = ~active
     if not mask.any():
@@ -130,7 +154,7 @@ def _stationarity_measure(
     """
     active = w <= boundary_eps
     if active.any():
-        nullsp = scipy.linalg.null_space(np.vstack([a, np.eye(len(w))[active]]))
+        nullsp = _null_space(np.vstack([a, np.eye(len(w))[active]]))
     return _face_norm(nullsp, grad, active)
 
 
@@ -143,6 +167,8 @@ def _equal_block_start(d: DualProgram) -> np.ndarray:
 
 def _phase_one(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Maximize the smallest weight over {A w = b, w >= 0}; None if empty."""
+    from scipy.optimize import linprog  # only the LP fallbacks need scipy
+
     k = a.shape[1]
     c = np.zeros(k + 1)
     c[-1] = -1.0
@@ -159,6 +185,8 @@ def _phase_one(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 def _coordinate_max(a: np.ndarray, b: np.ndarray, k: int) -> float:
+    from scipy.optimize import linprog  # only the LP fallbacks need scipy
+
     c = np.zeros(a.shape[1])
     c[k] = -1.0
     res = linprog(
@@ -208,17 +236,21 @@ def _starting_point(d: DualProgram) -> np.ndarray | str:
 
 
 def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
-    sizes = tuple(
+    """The program over the kept weights; emptied constraint blocks vanish."""
+    sizes = [
         int(np.count_nonzero(keep[d.block_slice(i)]))
         for i in range(len(d.block_sizes))
-    )
+    ]
+    blocks = [0] + [i for i in range(1, len(sizes)) if sizes[i]]
+    renumber = np.zeros(len(sizes), dtype=int)
+    renumber[blocks] = np.arange(len(blocks))
     return DualProgram(
         term_coefficients=d.term_coefficients[keep].copy(),
-        block_index=d.block_index[keep].copy(),
+        block_index=renumber[d.block_index[keep]],
         exponent_matrix=d.exponent_matrix[keep].copy(),
         equality_matrix=d.equality_matrix[:, keep].copy(),
         equality_rhs=d.equality_rhs.copy(),
-        block_sizes=sizes,
+        block_sizes=tuple(sizes[i] for i in blocks),
     )
 
 
@@ -236,6 +268,31 @@ def _solve_reduced(d: DualProgram, settings: SolverSettings) -> DualSolution:
     return _finish(d, weights, settings, inner.status, inner.iterations)
 
 
+def _drop_inactive_blocks(
+    d: DualProgram, ds: DualSolution, settings: SolverSettings
+) -> DualSolution | None:
+    """Re-solve without the constraint blocks whose lambda collapsed.
+
+    The barrier leaves the weights of an inactive constraint near its last
+    mu, above boundary_eps, so they are never frozen and stationarity stalls
+    near one.  Dropping those blocks and padding the reduced optimum with
+    zeros settles them on the face; None unless the reduced solve is
+    OPTIMAL.  solve() certifies the result against the full problem.
+    """
+    inactive = 1 + np.flatnonzero(ds.lambdas <= _INACTIVE_LAMBDA)
+    if inactive.size == 0:
+        return None
+    keep = ~np.isin(d.block_index, inactive)
+    inner = solve_dual(_reduced_program(d, keep), settings)
+    if inner.status is not Status.OPTIMAL:
+        return None
+    weights = np.zeros(d.term_count)
+    weights[keep] = inner.weights
+    return _finish(
+        d, weights, settings, Status.OPTIMAL, ds.iterations + inner.iterations
+    )
+
+
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     """Ascent direction from the (negative definite) reduced Hessian."""
     neg = -(hu + hu.T) / 2.0
@@ -243,8 +300,10 @@ def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(neg))))
     for _ in range(6):
         try:
-            factor = scipy.linalg.cho_factor(neg + ridge * np.eye(len(gu)))
-            return scipy.linalg.cho_solve(factor, gu)
+            if not np.all(np.isfinite(neg)):
+                raise ValueError("reduced Hessian is not finite")
+            lower = np.linalg.cholesky(neg + ridge * np.eye(len(gu)))
+            return np.linalg.solve(lower.T, np.linalg.solve(lower, gu))
         except (np.linalg.LinAlgError, ValueError):
             ridge = max(10.0 * ridge, 1e-12 * scale)
     return gu  # steepest ascent fallback
@@ -274,7 +333,7 @@ def _finish(
     residual = float(np.max(np.abs(a @ w - b)))
     value, grad = log_dual_objective(d, w)
     if nullsp is None:
-        nullsp = scipy.linalg.null_space(a)
+        nullsp = _null_space(a)
     stationarity = _stationarity_measure(a, nullsp, grad, w, settings.boundary_eps)
     if status is Status.OPTIMAL and (
         residual > settings.feasibility_tol
@@ -335,9 +394,7 @@ def _newton_phase(
         if key != face_key:
             face_key = key
             if key:
-                face_basis = scipy.linalg.null_space(
-                    np.vstack([a, np.eye(k)[active]])
-                )
+                face_basis = _null_space(np.vstack([a, np.eye(k)[active]]))
             else:
                 face_basis = nullsp
 
@@ -434,7 +491,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
             return _failure(d, Status.INFEASIBLE)
         return _solve_reduced(d, settings)
 
-    nullsp = scipy.linalg.null_space(a)
+    nullsp = _null_space(a)
     w = _project_onto_equalities(a, b, start)
     if nullsp.shape[1] == 0:
         # affine set is at most a single point
@@ -477,7 +534,10 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     iterations += used
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
-    return _finish(d, w, settings, status, iterations, nullsp)
+    result = _finish(d, w, settings, status, iterations, nullsp)
+    if result.status is not Status.OPTIMAL:
+        return _drop_inactive_blocks(d, result, settings) or result
+    return result
 
 
 def recover_primal(
@@ -488,7 +548,8 @@ def recover_primal(
     Solves, in least squares over y = log x, the stacked log-linear relations
     of objective terms and of terms in active constraint blocks; weights at or
     below boundary_eps contribute no equation.  Raises ReconstructionError
-    when the residual of the stacked system exceeds 1e-6.
+    when the residual of the stacked system exceeds 1e-6 or when exp(y)
+    overflows.
     """
     settings = settings or SolverSettings()
     d = build_dual(s)
@@ -522,7 +583,11 @@ def recover_primal(
         raise ReconstructionError(
             f"log-linear recovery system inconsistent (residual {residual:.3e})"
         )
-    return np.exp(y)
+    with np.errstate(over="ignore"):
+        x = np.exp(y)
+    if not np.all(np.isfinite(x)):
+        raise ReconstructionError("recovered point overflows (x = exp(y) is inf)")
+    return x
 
 
 def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +18,12 @@ from gpchoice import (
     solve_dual,
     standardize,
 )
-from gpchoice.solver import DualSolution, ReconstructionError
+from gpchoice.solver import (
+    DualSolution,
+    ReconstructionError,
+    _newton_step,
+    _null_space,
+)
 from helpers import (
     EX1_W,
     EX1_X,
@@ -190,3 +200,123 @@ class TestSolverSettings:
         ds = solve_dual(build_dual(standardize(example1_problem())), loose)
         assert ds.status is Status.OPTIMAL
         assert ds.stationarity <= 1e-4
+
+
+class TestNumpyLinearAlgebra:
+    """The numpy null space and Newton step agree with their scipy originals."""
+
+    @staticmethod
+    def _rank_deficient(rng):
+        rows, cols = int(rng.integers(2, 8)), int(rng.integers(2, 9))
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        if rng.random() < 0.5:  # stacked unit rows, as for frozen weights
+            a = np.vstack([a, np.eye(cols)[rng.random(cols) < 0.3]])
+        return a
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_null_space_matches_scipy(self, seed):
+        import scipy.linalg
+
+        a = self._rank_deficient(np.random.default_rng(seed))
+        mine = _null_space(a)
+        ref = scipy.linalg.null_space(a)
+        assert mine.shape == ref.shape
+        np.testing.assert_allclose(mine.T @ mine, np.eye(mine.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(a @ mine, 0.0, atol=1e-12 * max(1.0, np.abs(a).max()))
+        np.testing.assert_allclose(mine @ mine.T, ref @ ref.T, atol=1e-12)
+
+    def test_null_space_of_full_column_rank_is_empty(self):
+        assert _null_space(np.eye(3)).shape == (3, 0)
+
+    @staticmethod
+    def _scipy_newton_step(hu, gu):
+        """The Newton step as computed before, through scipy's Cholesky."""
+        import scipy.linalg
+
+        neg = -(hu + hu.T) / 2.0
+        ridge = 0.0
+        scale = max(1.0, float(np.max(np.abs(neg))))
+        for _ in range(6):
+            try:
+                factor = scipy.linalg.cho_factor(neg + ridge * np.eye(len(gu)))
+                return scipy.linalg.cho_solve(factor, gu)
+            except (np.linalg.LinAlgError, ValueError):
+                ridge = max(10.0 * ridge, 1e-12 * scale)
+        return gu
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_newton_step_matches_scipy_cholesky(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        root = rng.normal(size=(n, n))
+        hu = -(root @ root.T) - 1e-3 * np.eye(n)
+        hu += 1e-9 * rng.normal(size=(n, n))  # asymmetric rounding noise
+        gu = rng.normal(size=n)
+        np.testing.assert_allclose(
+            _newton_step(hu, gu), self._scipy_newton_step(hu, gu), rtol=1e-9
+        )
+
+    def test_newton_step_ridge_and_fallback_match_scipy(self):
+        singular = -np.diag([1.0, 0.0])  # needs the ridge retry
+        indefinite = np.diag([-1.0, 1.0])  # no ridge in the loop helps
+        non_finite = np.array([[-1.0, np.nan], [np.nan, -1.0]])
+        gu = np.array([0.5, -2.0])
+        for hu in (singular, indefinite, non_finite):
+            np.testing.assert_allclose(
+                _newton_step(hu, gu), self._scipy_newton_step(hu, gu), rtol=1e-12
+            )
+        np.testing.assert_array_equal(_newton_step(non_finite, gu), gu)
+
+    def test_import_loads_no_scipy(self):
+        src = Path(__import__("gpchoice").__file__).resolve().parent.parent
+        code = (
+            "import sys, gpchoice.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "[]"
+
+
+STRESS_SEED = 20260808
+
+
+@lru_cache(maxsize=1)
+def _stress_problems(count=1200):
+    rng = np.random.default_rng(STRESS_SEED)
+    return tuple(random_feasible_gp(rng) for _ in range(count))
+
+
+class TestStressRegressions:
+    """Problems of the stress sweep (random_feasible_gp at seed 20260808)."""
+
+    # every constraint block is inactive at the optimum; the barrier used to
+    # leave those weights near 1e-10 and stall in ITERATION_LIMIT
+    STALLS = (55, 129, 218, 374, 378, 482, 528, 649, 717, 865, 908, 934,
+              1102, 1109, 1113)
+    # OPTIMAL only by a hair before the stall fix; rounding could flip them
+    KNIFE_EDGE = (131, 230, 412, 756)
+    # independent primal SLSQP optima in log space
+    SLSQP = {55: 1.2220566, 129: 13.314045, 218: 6.4653102}
+
+    @pytest.mark.parametrize("index", STALLS + KNIFE_EDGE)
+    def test_inactive_constraints_reach_a_certified_optimum(self, index):
+        s = standardize(_stress_problems()[index])
+        report = solve(s)
+        assert report.status is Status.OPTIMAL
+        assert report.duality_gap <= 1e-6
+        assert report.kkt_residuals.primal_feasibility <= 1e-8
+        if index in self.SLSQP:
+            assert report.objective_value == pytest.approx(
+                self.SLSQP[index], rel=1e-6
+            )
+
+    def test_overflowing_primal_recovery_gives_a_report(self):
+        # recover_primal overflows x = exp(y) to inf on this problem
+        report = solve(standardize(_stress_problems()[791]))
+        assert report.status is Status.ITERATION_LIMIT
+        assert report.primal_x is None
