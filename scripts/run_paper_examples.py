@@ -10,6 +10,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
+# run from a checkout: import this tree's package, installed or not
+sys.path.insert(0, str(REPO / "src"))
 
 from gpchoice import (  # noqa: E402
     brute_force_oracle,

@@ -14,16 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from gpchoice import (
+REPO = Path(__file__).resolve().parent.parent
+# run from a checkout: import this tree's package, installed or not, and the
+# test suite's generator, so the sweep and the tests share one
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+
+from gpchoice import (  # noqa: E402
     NoFeasiblePointError,
     Status,
     brute_force_oracle,
     solve,
     standardize,
 )
-
-# one generator for the sweep and the test suite
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import random_feasible_gp  # noqa: E402
 
 

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .posynomial import GpDomainError, GpProblem, make_problem, standardize
-from .solver import SolverSettings, SolveReport, Status, solve
+import numpy as np
+
+from .dual import build_dual, log_dual_objective
+from .posynomial import GpDomainError, GpProblem, StandardGp, make_problem, standardize
+from .solver import GAP_TOL, SolverSettings, SolveReport, Status, solve
 
 BitPattern = tuple[int, ...]
 
@@ -290,6 +294,60 @@ def _bit_string(combo: tuple[BitPattern, ...]) -> str:
     return "".join(str(b) for bits in combo for b in bits)
 
 
+# objective values within this relative distance are tied
+_TIE_WINDOW = 1e-9
+# solve() certifies z against the expansion's own dual value D with a gap of
+# at most GAP_TOL, and D is at least any sibling bound B, so z >= B / (1 +
+# GAP_TOL).  Skipping needs that floor beyond the tie window above the
+# incumbent, z > incumbent / (1 - _TIE_WINDOW): then the expansion can
+# neither win nor tie.
+_PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
+
+Sibling = tuple[np.ndarray, np.ndarray]  # equality matrix, optimal weights
+
+
+def _seed_combos(
+    cg: ChoiceGp, pattern_lists: Sequence[tuple[BitPattern, ...]]
+) -> list[tuple[BitPattern, ...]]:
+    """One combination per exponent assignment, at the smallest positive
+    candidate of every coefficient set.
+
+    The optimal value never decreases as a coefficient grows, so these are
+    the best expansions of their exponent assignments.
+    """
+    per_set: list[tuple[BitPattern, ...]] = []
+    for cs, patterns in zip(cg.sets, pattern_lists):
+        if cs.role is Role.EXPONENT:
+            first = {}  # one pattern per distinct value
+            for value, bits in zip(cs.candidates, patterns):
+                first.setdefault(value, bits)
+            per_set.append(tuple(first.values()))
+        else:
+            positive = [
+                (v, bits) for v, bits in zip(cs.candidates, patterns) if v > 0.0
+            ]
+            if not positive:
+                return []  # every expansion is rejected
+            per_set.append((min(positive)[1],))
+    return list(itertools.product(*per_set))
+
+
+def _cannot_win(s: StandardGp, sibling: Sibling | None, incumbent: float) -> bool:
+    """Weak-duality test against an optimal sibling with the same equalities.
+
+    The sibling's weights are feasible for this expansion's dual, so their
+    dual value here bounds this expansion's optimum from below.
+    """
+    if sibling is None or not 0.0 < incumbent < math.inf:
+        return False
+    matrix, weights = sibling
+    d = build_dual(s)
+    if not np.array_equal(d.equality_matrix, matrix):
+        return False
+    bound, _ = log_dual_objective(d, weights)
+    return bound > math.log(incumbent) + _PRUNE_LOG_MARGIN
+
+
 def solve_choice(
     cg: ChoiceGp,
     settings: SolverSettings | None = None,
@@ -304,6 +362,18 @@ def solve_choice(
     smallest concatenated bit string.  Expansions whose selected coefficients
     are non-positive are rejected and counted.  Overall status is INFEASIBLE
     when no expansion solves to optimality.
+
+    Expansions that cannot win are skipped unsolved.  Exponent values fix
+    the dual's equality matrix (standardize never merges terms), so the
+    optimal weights of a solved sibling with the same exponent values are
+    dual feasible and, by weak duality, bound the optimum from below.  An
+    expansion is skipped when that bound exceeds the lowest optimal z so far
+    by more than the tie window plus solve()'s 1e-6 certified gap.  Each
+    exponent assignment is first solved at its smallest positive
+    coefficients, which gives a strong incumbent early.  With
+    keep_assignments every expansion is solved, since the table reports
+    every z.  ``solved`` counts the non-rejected combinations, skipped ones
+    included.
     """
     problems = validate_choice_gp(cg)
     if problems:
@@ -319,6 +389,38 @@ def solve_choice(
         )
 
     cache: dict[tuple[float, ...], tuple[str, float | None, SolveReport | None]] = {}
+    prune = not keep_assignments
+    incumbent = math.inf  # lowest optimal z solved so far
+    siblings: dict[tuple[float, ...], Sibling] = {}  # by exponent values
+
+    def evaluate_combo(combo: tuple[BitPattern, ...]):
+        nonlocal incumbent
+        choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
+        values = tuple(selector_polynomial(cs, choice[cs.name]) for cs in cg.sets)
+        if values in cache:
+            return values, cache[values]
+        try:
+            expanded = expand(cg, choice)
+        except ExpansionRejected:
+            outcome = ("rejected", None, None)
+        else:
+            s = standardize(expanded)
+            key = tuple(
+                v for cs, v in zip(cg.sets, values) if cs.role is Role.EXPONENT
+            )
+            if prune and _cannot_win(s, siblings.get(key), incumbent):
+                outcome = ("pruned", None, None)
+            else:
+                report = solve(s, settings)
+                outcome = (report.status.value, report.objective_value, report)
+                if prune and report.status is Status.OPTIMAL:
+                    incumbent = min(incumbent, report.objective_value)
+                    siblings.setdefault(
+                        key, (build_dual(s).equality_matrix, report.dual.weights)
+                    )
+        cache[values] = outcome
+        return values, outcome
+
     outcomes: list[AssignmentOutcome] = []
     best: tuple[float, str, tuple[BitPattern, ...], SolveReport] | None = None
     last_report: SolveReport | None = None
@@ -326,21 +428,11 @@ def solve_choice(
     rejected = 0
 
     pattern_lists = [valid_assignments(cs) for cs in cg.sets]
+    if prune:
+        for combo in _seed_combos(cg, pattern_lists):
+            evaluate_combo(combo)
     for combo in itertools.product(*pattern_lists) if cg.sets else [()]:
-        choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
-        values = tuple(selector_polynomial(cs, choice[cs.name]) for cs in cg.sets)
-        if values in cache:
-            status_str, z, report = cache[values]
-        else:
-            try:
-                expanded = expand(cg, choice)
-            except ExpansionRejected:
-                status_str, z, report = "rejected", None, None
-            else:
-                report = solve(standardize(expanded), settings)
-                status_str = report.status.value
-                z = report.objective_value
-            cache[values] = (status_str, z, report)
+        values, (status_str, z, report) = evaluate_combo(combo)
         if status_str == "rejected":
             rejected += 1
         else:
@@ -355,7 +447,7 @@ def solve_choice(
                 best = (z, bit_str, combo, report)
             else:
                 best_z = best[0]
-                tied = abs(z - best_z) <= 1e-9 * max(abs(z), abs(best_z))
+                tied = abs(z - best_z) <= _TIE_WINDOW * max(abs(z), abs(best_z))
                 if (not tied and z < best_z) or (tied and bit_str < best[1]):
                     best = (z, bit_str, combo, report)
 

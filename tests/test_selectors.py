@@ -1,8 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gpchoice.selectors
 from gpchoice import (
     CandidateSet,
     ChoiceGp,
@@ -274,3 +276,103 @@ class TestSolveChoice:
         assert len(result.assignments) == 27
         statuses = {a.status for a in result.assignments}
         assert statuses == {"optimal"}
+
+
+def _same_choice_result(pruned, exhaustive):
+    assert pruned.status is exhaustive.status
+    assert pruned.chosen_bits == exhaustive.chosen_bits
+    assert pruned.chosen_values == exhaustive.chosen_values
+    assert (pruned.solved, pruned.rejected) == (exhaustive.solved, exhaustive.rejected)
+    if exhaustive.report is None:
+        assert pruned.report is None
+        return
+    assert pruned.report.objective_value == exhaustive.report.objective_value
+    assert pruned.report.primal_x == exhaustive.report.primal_x
+    assert np.array_equal(pruned.report.dual.weights, exhaustive.report.dual.weights)
+
+
+def candidates(pool, max_size):
+    # drawn from a small pool, so duplicate candidates (exact ties) are
+    # common; zero comes last because Hypothesis favours early entries, and
+    # most draws should have expansions that are not rejected
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=max_size).map(
+        lambda values: tuple(float(v) for v in values)
+    )
+
+
+@st.composite
+def small_choice_gps(draw):
+    """min c*x1^p + k*x2^-3 + x1*x2  s.t.  a*x1 + x2^q <= 1,  b*x1 <= B.
+
+    A zero c, a or b is rejected; the second constraint is often inactive,
+    so its candidates tie up to rounding.
+    """
+    k = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    loose = draw(st.sampled_from([2.0, 100.0]))
+    sets = (
+        CandidateSet("c", Role.OBJECTIVE_COEFFICIENT,
+                     draw(candidates([1, 2, 0.5, 5, 0], 3))),
+        CandidateSet("p", Role.EXPONENT, draw(candidates([-1, -2, -3, -0.5], 3))),
+        CandidateSet("a", Role.CONSTRAINT_COEFFICIENT,
+                     draw(candidates([1, 2, 4, 0], 3))),
+        CandidateSet("q", Role.EXPONENT, draw(candidates([1, 0.5, 2], 2))),
+        CandidateSet("b", Role.CONSTRAINT_COEFFICIENT,
+                     draw(candidates([1, 3, 0], 2))),
+    )
+    return ChoiceGp(
+        variable_names=("x1", "x2"),
+        objective=(
+            TermTemplate(SetRef("c"), (SetRef("p"), 0.0)),
+            TermTemplate(k, (0.0, -3.0)),
+            TermTemplate(1.0, (1.0, 1.0)),
+        ),
+        constraints=(
+            ((TermTemplate(SetRef("a"), (1.0, 0.0)),
+              TermTemplate(1.0, (0.0, SetRef("q")))), 1.0),
+            ((TermTemplate(SetRef("b"), (1.0, 0.0)),), loose),
+        ),
+        sets=sets,
+    )
+
+
+@given(small_choice_gps())
+def test_pruned_enumeration_matches_exhaustive(cg):
+    _same_choice_result(solve_choice(cg), solve_choice(cg, keep_assignments=True))
+
+
+def test_expansions_tied_with_the_incumbent_are_solved():
+    # b only scales an inactive constraint, so both b values give the same z
+    # to rounding; the tie goes to b = 3 (bits 00), which is not the seed's
+    # smallest coefficient b = 1 (bits 10)
+    cg = ChoiceGp(
+        variable_names=("x1",),
+        objective=(TermTemplate(SetRef("c"), (1.0,)), TermTemplate(1.0, (-1.0,))),
+        constraints=(((TermTemplate(SetRef("b"), (1.0,)),), 100.0),),
+        sets=(
+            CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1.0, 2.0)),
+            CandidateSet("b", Role.CONSTRAINT_COEFFICIENT, (1.0, 3.0)),
+        ),
+    )
+    pruned = solve_choice(cg)
+    _same_choice_result(pruned, solve_choice(cg, keep_assignments=True))
+    assert pruned.chosen_values == (("c", 1.0), ("b", 3.0))
+
+
+def test_pruning_skips_most_fixture_solves(monkeypatch):
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gpchoice.selectors, "solve", counting_solve)
+    fixtures = sorted(PROBLEM_DIR.glob("*.json"))
+    assert len(fixtures) == 12
+    models = [parse_problem(path) for path in fixtures]
+    pruned = [solve_choice(cg) for cg in models]
+    pruned_calls = len(calls)
+    exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
+    assert pruned_calls <= 70
+    assert len(calls) - pruned_calls == 1002
+    for p, e in zip(pruned, exhaustive):
+        _same_choice_result(p, e)

@@ -286,7 +286,7 @@ STRESS_SEED = 20260808
 
 
 @lru_cache(maxsize=1)
-def _stress_problems(count=1200):
+def _stress_problems(count=1600):
     rng = np.random.default_rng(STRESS_SEED)
     return tuple(random_feasible_gp(rng) for _ in range(count))
 
@@ -314,6 +314,16 @@ class TestStressRegressions:
             assert report.objective_value == pytest.approx(
                 self.SLSQP[index], rel=1e-6
             )
+
+    def test_certificate_missed_by_a_hair_is_re_solved(self):
+        # the dual stops at stationarity 9.9e-9, just inside its tolerance,
+        # and the recovered x violates a constraint by 1.04e-8; one re-solve
+        # at a tighter stationarity certifies it
+        report = solve(standardize(_stress_problems()[1522]))
+        assert report.status is Status.OPTIMAL
+        assert report.duality_gap <= 1e-6
+        assert report.kkt_residuals.primal_feasibility <= 1e-8
+        assert report.dual.stationarity <= 1e-10
 
     def test_overflowing_primal_recovery_gives_a_report(self):
         # recover_primal overflows x = exp(y) to inf on this problem
