@@ -10,13 +10,17 @@ continuation rides the central path to the optimal face, since plain Newton
 can lock onto a suboptimal face.  The barrier leaves the weights of an
 inactive constraint near its last mu rather than at zero; if the final pass
 stalls there, those blocks are dropped and the reduced dual is re-solved.
-With degree of difficulty zero the unique algebraic solution is obtained by
-a direct linear solve.
+When the equality system leaves no freedom (an empty null space, as with
+degree of difficulty zero) its single solution is the answer.
 
-Linear algebra is numpy only (an SVD null space, a Cholesky Newton step), so
-importing the package does not load scipy; scipy.optimize.linprog is
-imported on first use by the two LP fallbacks, the phase-one start point and
-the reduction of weights forced to zero.
+The start point is the projection of equal block weights onto the affine
+set, else one pass of alternating projections (POCS) toward the interior,
+else one LP that finds a feasible point positive on every weight some
+feasible point can make positive.  Weights that LP leaves at zero are zero
+at every feasible point; they are dropped and the dual is re-solved on the
+rest.  Linear algebra is numpy only (an SVD null space, a Cholesky Newton
+step), so importing the package does not load scipy; scipy.optimize.linprog
+is imported on first use by that one LP.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -41,7 +45,6 @@ from .posynomial import GpDomainError, StandardGp, evaluate
 
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
-_INTERIOR_MIN = 1e-9
 # a stalled constraint block with lambda at or below this is inactive: the
 # barrier leaves inactive blocks near 1e-9 and active ones above 1e-3
 _INACTIVE_LAMBDA = 1e-6
@@ -170,34 +173,35 @@ def _equal_block_start(d: DualProgram) -> np.ndarray:
     return w
 
 
-def _phase_one(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Maximize the smallest weight over {A w = b, w >= 0}; None if empty."""
-    from scipy.optimize import linprog  # only the LP fallbacks need scipy
+def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Feasible point of {A w = b, w >= 0} with the largest support; None if empty.
 
-    k = a.shape[1]
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    a_eq = np.hstack([a, np.zeros((a.shape[0], 1))])
-    a_ub = np.hstack([-np.eye(k), np.ones((k, 1))])  # s - w_k <= 0
-    bounds = [(0.0, None)] * k + [(None, 1.0)]
+    One LP (Freund, Roundy and Todd, 1985): maximize sum(t) subject to
+    A w = b tau, t <= w, 0 <= t <= 1, w >= 0, tau >= 1.  Scaling (w, tau)
+    up lets t_k reach 1 on every weight that some feasible point makes
+    positive, so the support is {t > 1/2}; off it the weights are zero at
+    every feasible point.
+    """
+    from scipy.optimize import linprog  # only this fallback needs scipy
+
+    m, k = a.shape
+    c = np.concatenate([np.zeros(k), -np.ones(k), [0.0]])
+    a_eq = np.hstack([a, np.zeros((m, k)), -b[:, None]])
+    a_ub = np.hstack([-np.eye(k), np.eye(k), np.zeros((k, 1))])  # t - w <= 0
+    bounds = [(0.0, None)] * k + [(0.0, 1.0)] * k + [(1.0, None)]
     res = linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=b, bounds=bounds,
-        method="highs",
+        c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=np.zeros(m),
+        bounds=bounds, method="highs",
     )
     if not res.success:
         return None
-    return res.x
-
-
-def _coordinate_max(a: np.ndarray, b: np.ndarray, k: int) -> float:
-    from scipy.optimize import linprog  # only the LP fallbacks need scipy
-
-    c = np.zeros(a.shape[1])
-    c[k] = -1.0
-    res = linprog(
-        c, A_eq=a, b_eq=b, bounds=[(0.0, 1e6)] * a.shape[1], method="highs"
+    support = res.x[k:2 * k] > 0.5
+    w = np.zeros(k)
+    # linprog meets the equalities only to its own tolerance
+    w[support] = _project_onto_equalities(
+        a[:, support], b, res.x[:k][support] / res.x[-1]
     )
-    return float(-res.fun) if res.success else 0.0
+    return w
 
 
 def _pocs_interior(
@@ -212,32 +216,6 @@ def _pocs_interior(
         if np.min(w) >= 0.5 * margin:
             return w
     return None
-
-
-def _starting_point(d: DualProgram) -> np.ndarray | str:
-    """Strictly feasible interior start, or 'infeasible' / 'reduce'."""
-    a, b = d.equality_matrix, d.equality_rhs
-    w = _project_onto_equalities(a, b, _equal_block_start(d))
-    if np.min(w) >= 1e-6:
-        return w
-    for margin in (1e-2, 1e-4, 1e-6):
-        found = _pocs_interior(a, b, w, margin)
-        if found is not None:
-            return found
-    sol = _phase_one(a, b)
-    if sol is None:
-        return "infeasible"
-    w, slack = sol[:-1], sol[-1]
-    if slack <= _INTERIOR_MIN:
-        return "reduce"
-    # linprog satisfies equalities only to its own tolerance; tighten by
-    # alternating projection and clipping
-    for _ in range(5):
-        w = _project_onto_equalities(a, b, w)
-        if np.min(w) >= 0.1 * slack:
-            return w
-        w = np.maximum(w, 0.25 * slack)
-    return "reduce"
 
 
 def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
@@ -259,43 +237,33 @@ def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
     )
 
 
-def _solve_reduced(d: DualProgram, settings: SolverSettings) -> DualSolution:
-    """Drop weights that every feasible point forces to zero, then re-solve."""
-    a, b = d.equality_matrix, d.equality_rhs
-    keep = np.array(
-        [_coordinate_max(a, b, k) > _INTERIOR_MIN for k in range(d.term_count)]
-    )
-    if keep.all() or not keep.any():
-        return _failure(d, Status.ITERATION_LIMIT)
+def _solve_on_support(
+    d: DualProgram, keep: np.ndarray, settings: SolverSettings, iterations: int = 0
+) -> DualSolution:
+    """Re-solve the dual over the kept weights and pad the rest with zeros."""
     inner = solve_dual(_reduced_program(d, keep), settings)
     weights = np.zeros(d.term_count)
     weights[keep] = inner.weights
-    return _finish(d, weights, settings, inner.status, inner.iterations)
+    return _finish(d, weights, settings, inner.status, iterations + inner.iterations)
 
 
 def _drop_inactive_blocks(
     d: DualProgram, ds: DualSolution, settings: SolverSettings
-) -> DualSolution | None:
+) -> DualSolution:
     """Re-solve without the constraint blocks whose lambda collapsed.
 
     The barrier leaves the weights of an inactive constraint near its last
     mu, above boundary_eps, so they are never frozen and stationarity stalls
     near one.  Dropping those blocks and padding the reduced optimum with
-    zeros settles them on the face; None unless the reduced solve is
-    OPTIMAL.  solve() certifies the result against the full problem.
+    zeros settles them on the face; ds is kept unless that gives OPTIMAL.
+    solve() certifies the result against the full problem.
     """
     inactive = 1 + np.flatnonzero(ds.lambdas <= _INACTIVE_LAMBDA)
     if inactive.size == 0:
-        return None
+        return ds
     keep = ~np.isin(d.block_index, inactive)
-    inner = solve_dual(_reduced_program(d, keep), settings)
-    if inner.status is not Status.OPTIMAL:
-        return None
-    weights = np.zeros(d.term_count)
-    weights[keep] = inner.weights
-    return _finish(
-        d, weights, settings, Status.OPTIMAL, ds.iterations + inner.iterations
-    )
+    padded = _solve_on_support(d, keep, settings, ds.iterations)
+    return padded if padded.status is Status.OPTIMAL else ds
 
 
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
@@ -473,38 +441,26 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     """
     settings = settings or SolverSettings()
     a, b = d.equality_matrix, d.equality_rhs
-    k = d.term_count
-
-    # degree of difficulty zero: the equality system is square
-    if k == a.shape[0]:
-        try:
-            w = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            w = None
-        if w is not None and np.max(np.abs(a @ w - b)) <= 1e-8:
-            if np.min(w) < -1e-9:
-                return _failure(d, Status.INFEASIBLE)
-            w = np.maximum(w, 0.0)
-            w = _project_onto_equalities(a, b, w)
-            if np.min(w) < 0.0:
-                w = np.maximum(w, 0.0)
-            return _finish(d, w, settings, Status.OPTIMAL, 0)
-
-    start = _starting_point(d)
-    if isinstance(start, str):
-        if start == "infeasible":
-            return _failure(d, Status.INFEASIBLE)
-        return _solve_reduced(d, settings)
-
+    w = _project_onto_equalities(a, b, _equal_block_start(d))
+    if np.max(np.abs(a @ w - b)) > 1e-8:
+        return _failure(d, Status.INFEASIBLE)  # A w = b has no solution
     nullsp = _null_space(a)
-    w = _project_onto_equalities(a, b, start)
     if nullsp.shape[1] == 0:
-        # affine set is at most a single point
-        if np.max(np.abs(a @ w - b)) > 1e-8:
-            return _failure(d, Status.INFEASIBLE)
+        # the affine set is the single point w
         if np.min(w) < -1e-9:
             return _failure(d, Status.INFEASIBLE)
         return _finish(d, np.maximum(w, 0.0), settings, Status.OPTIMAL, 0, nullsp)
+
+    if np.min(w) < 1e-6:
+        w = _pocs_interior(a, b, w, 1e-2)
+        if w is None:
+            w = _support_point(a, b)
+            if w is None:
+                return _failure(d, Status.INFEASIBLE)
+            keep = w > 0.0
+            if not keep.all():  # the rest are zero at every feasible point
+                return _solve_on_support(d, keep, settings)
+    w = _project_onto_equalities(a, b, w)
 
     # fast path: plain Newton from the interior start; an interior stationary
     # point is the global maximum by concavity, so it can be accepted outright
@@ -541,7 +497,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
         return _failure(d, Status.UNBOUNDED, iterations)
     result = _finish(d, w, settings, status, iterations, nullsp)
     if result.status is not Status.OPTIMAL:
-        return _drop_inactive_blocks(d, result, settings) or result
+        return _drop_inactive_blocks(d, result, settings)
     return result
 
 

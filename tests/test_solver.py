@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gpchoice.solver
 from gpchoice import (
     GpDomainError,
     SolverSettings,
@@ -23,6 +24,7 @@ from gpchoice.solver import (
     ReconstructionError,
     _newton_step,
     _null_space,
+    _support_point,
 )
 from helpers import (
     EX1_W,
@@ -31,6 +33,7 @@ from helpers import (
     EX2_W,
     EX2_X,
     EX2_Z,
+    PROBLEM_DIR,
     example1_problem,
     example2_problem,
     random_feasible_gp,
@@ -95,6 +98,72 @@ class TestSolveDual:
         # the primal infimum (2, as x2 -> 0) is not attained, and the full
         # solve must not report a spurious optimum
         assert solve(standardize(g)).status is not Status.OPTIMAL
+
+    @pytest.mark.parametrize(
+        "constraint, reduced",
+        [
+            # one y term: the affine set is the single point (0.5, 0.5, 0)
+            ([(1, (0, 1))], False),
+            # two y terms: the support LP finds w_y = 0 and the reduced
+            # program loses the constraint block
+            ([(0.25, (0, 1)), (0.25, (0, 2))], True),
+        ],
+    )
+    def test_emptied_constraint_block_on_the_forced_zero_path(
+        self, monkeypatch, constraint, reduced
+    ):
+        # min x + 1/x s.t. a posynomial in y alone <= 1: y appears only with
+        # positive exponents, so every feasible point zeroes its weights
+        reduced_sizes = []
+        original = gpchoice.solver._reduced_program
+
+        def spy(d, keep):
+            program = original(d, keep)
+            reduced_sizes.append(program.block_sizes)
+            return program
+
+        monkeypatch.setattr(gpchoice.solver, "_reduced_program", spy)
+        s = standardize(make_problem([(1, (1, 0)), (1, (-1, 0))], [(constraint, 1.0)]))
+        ds = solve_dual(build_dual(s))
+        assert ds.status is Status.OPTIMAL
+        padding = [0.0] * len(constraint)
+        np.testing.assert_allclose(ds.weights, [0.5, 0.5] + padding, atol=1e-12)
+        np.testing.assert_array_equal(ds.lambdas, [0.0])
+        assert ds.objective_value == pytest.approx(2.0, rel=1e-12)
+        assert reduced_sizes == ([(2,)] if reduced else [])
+        report = solve(s)
+        assert report.status is Status.OPTIMAL
+        np.testing.assert_allclose(report.primal_x, (1.0, 1.0), rtol=1e-9)
+
+    def test_inconsistent_equality_system_is_infeasible_at_once(self):
+        # x's orthogonality row equals the normality row, so A w = e1 has no
+        # solution: the least-squares projection leaves residual 0.5
+        g = make_problem([(1, (1, 1)), (1, (1, -1))], [([(1, (0, 1))], 1.0)])
+        ds = solve_dual(build_dual(standardize(g)))
+        assert ds.status is Status.INFEASIBLE
+        assert ds.iterations == 0
+        assert solve(standardize(g)).status is not Status.OPTIMAL
+
+
+class TestSupportPoint:
+    def test_forced_zeros_are_exact_and_the_rest_positive(self):
+        # the last row zeroes w3 and w4; w0 = w1 and w2 = 1 - 2 w0 leave a
+        # segment whose relative interior is positive on w0, w1, w2
+        a = np.array(
+            [[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0, 2.0]]
+        )
+        b = np.array([1.0, 0.0, 0.0])
+        w = _support_point(a, b)
+        assert np.all(w[:3] > 0.0)
+        np.testing.assert_array_equal(w[3:], [0.0, 0.0])
+        np.testing.assert_allclose(a @ w, b, rtol=0, atol=1e-9)
+
+    def test_empty_set_gives_none(self):
+        # min x1*x2 with x1*x2 <= 1: orthogonality forces a negative weight
+        g = make_problem([(1, (1, 1))], [([(1, (1, 1))], 1.0)])
+        d = build_dual(standardize(g))
+        assert _support_point(d.equality_matrix, d.equality_rhs) is None
 
 
 class TestRecoverPrimal:
@@ -281,6 +350,24 @@ class TestNumpyLinearAlgebra:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_shipped_problems_never_reach_the_lp(self):
+        # every expansion of the 12 fixtures starts from the projection or
+        # from alternating projections, so a cold CLI never loads scipy
+        src = Path(__import__("gpchoice").__file__).resolve().parent.parent
+        code = (
+            "import sys, pathlib; "
+            "from gpchoice import parse_problem, solve_choice; "
+            f"paths = sorted(pathlib.Path({str(PROBLEM_DIR)!r}).glob('*.json')); "
+            "assert len(paths) == 12; "
+            "[solve_choice(parse_problem(p), keep_assignments=True) for p in paths]; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
+
 
 STRESS_SEED = 20260808
 
@@ -324,6 +411,19 @@ class TestStressRegressions:
         assert report.duality_gap <= 1e-6
         assert report.kkt_residuals.primal_feasibility <= 1e-8
         assert report.dual.stationarity <= 1e-10
+
+    # the projection and alternating projections find no interior start;
+    # the support LP does
+    LP_STARTS = (23, 27, 33, 85, 148, 149, 289, 312, 372, 428, 540, 559, 565,
+                 630, 637, 694, 897, 1057, 1065, 1124, 1158, 1262, 1340, 1357,
+                 1362, 1387, 1393, 1472, 1477, 1546)
+
+    @pytest.mark.parametrize("index", LP_STARTS)
+    def test_lp_start_reaches_a_certified_optimum(self, index):
+        report = solve(standardize(_stress_problems()[index]))
+        assert report.status is Status.OPTIMAL
+        assert report.duality_gap <= 1e-6
+        assert report.kkt_residuals.primal_feasibility <= 1e-8
 
     def test_overflowing_primal_recovery_gives_a_report(self):
         # recover_primal overflows x = exp(y) to inf on this problem
