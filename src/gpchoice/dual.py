@@ -159,7 +159,11 @@ def log_dual_objective(d: DualProgram, w) -> tuple[float, np.ndarray]:
     log(c_k) - log(w_k) + log(lambda_i) on constraint block i; they diverge
     to +inf as w_k -> 0.
     """
-    w = _check_weights(d, w)
+    return _log_dual_objective(d, _check_weights(d, w))
+
+
+def _log_dual_objective(d: DualProgram, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """log_dual_objective on a weight vector the caller has already checked."""
     c = d.term_coefficients
     with np.errstate(divide="ignore"):
         logw = np.log(w)
@@ -183,6 +187,11 @@ def log_dual_hessian(d: DualProgram, w) -> np.ndarray:
     w = _check_weights(d, w)
     if np.any(w == 0.0):
         raise GpDomainError("hessian requires strictly positive weights")
+    return _log_dual_hessian(d, w)
+
+
+def _log_dual_hessian(d: DualProgram, w: np.ndarray) -> np.ndarray:
+    """log_dual_hessian on a strictly positive weight vector of the right shape."""
     h = np.diag(-1.0 / w)
     for i in range(1, len(d.block_sizes)):
         sl = d.block_slice(i)

@@ -15,13 +15,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .dual import build_dual, log_dual_objective
-from .posynomial import GpDomainError, GpProblem, StandardGp, make_problem, standardize
+from .posynomial import GpDomainError, GpProblem, make_problem, standardize
 from .solver import GAP_TOL, SolverSettings, SolveReport, Status, solve
 
 BitPattern = tuple[int, ...]
@@ -73,10 +70,6 @@ class CandidateSet:
     @property
     def size(self) -> int:
         return len(self.candidates)
-
-    @property
-    def bit_count(self) -> int:
-        return 2 if self.size <= 4 else 3
 
 
 @dataclass(frozen=True)
@@ -228,17 +221,20 @@ def validate_choice_gp(cg: ChoiceGp) -> list[str]:
     if len(set(names)) != len(names):
         out.append("candidate set names are not unique")
     for cs in cg.sets:
-        if cs.role in COEFFICIENT_ROLES:
-            for v in cs.candidates:
-                if v < 0.0:
-                    out.append(
-                        f"set {cs.name!r}: negative coefficient candidate {v}"
-                    )
+        for v in cs.candidates:
+            if not math.isfinite(v):
+                out.append(f"set {cs.name!r}: candidate {v} is not finite")
+            elif cs.role in COEFFICIENT_ROLES and v < 0.0:
+                out.append(f"set {cs.name!r}: negative coefficient candidate {v}")
 
     referenced: set[str] = set()
 
     def check_slot(slot: Slot, where: str, coefficient: bool) -> None:
         if not isinstance(slot, SetRef):
+            if not math.isfinite(slot):
+                out.append(f"{where}: literal {slot} is not finite")
+            elif coefficient and slot <= 0.0:
+                out.append(f"{where}: literal coefficient {slot} is not positive")
             return
         referenced.add(slot.name)
         if slot.name not in names:
@@ -285,14 +281,6 @@ class ChoiceSolveReport:
     rejected: int
     assignments: tuple[AssignmentOutcome, ...] | None
 
-    def chosen_value(self, name: str) -> float:
-        assert self.chosen_values is not None
-        return dict(self.chosen_values)[name]
-
-
-def _bit_string(combo: tuple[BitPattern, ...]) -> str:
-    return "".join(str(b) for bits in combo for b in bits)
-
 
 # objective values within this relative distance are tied
 _TIE_WINDOW = 1e-9
@@ -303,49 +291,91 @@ _TIE_WINDOW = 1e-9
 # neither win nor tie.
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
 
-Sibling = tuple[np.ndarray, np.ndarray]  # equality matrix, optimal weights
+Combo = tuple[int, ...]  # one candidate index per set, in declared order
+Evaluated = tuple[AssignmentOutcome, SolveReport | None]
 
 
-def _seed_combos(
-    cg: ChoiceGp, pattern_lists: Sequence[tuple[BitPattern, ...]]
-) -> list[tuple[BitPattern, ...]]:
-    """One combination per exponent assignment, at the smallest positive
-    candidate of every coefficient set.
+@dataclass(frozen=True)
+class _Skeleton:
+    """One optimal expansion's dual, compiled to bound its siblings' optima.
 
-    The optimal value never decreases as a coefficient grows, so these are
-    the best expansions of their exponent assignments.
+    Exponent values fix the dual's equality matrix, so the optimal weights w
+    are dual feasible for every sibling with the same exponent values.  At w
+    the log dual is linear in log c, and a coefficient set scales all of its
+    terms alike, so a sibling with coefficient values v' has log dual
+    base + sum_s W_s (log v'_s - log v_s) there, W_s the weight on set s's
+    terms: by weak duality an O(K) lower bound on its optimum.
     """
-    per_set: list[tuple[BitPattern, ...]] = []
-    for cs, patterns in zip(cg.sets, pattern_lists):
-        if cs.role is Role.EXPONENT:
-            first = {}  # one pattern per distinct value
-            for value, bits in zip(cs.candidates, patterns):
-                first.setdefault(value, bits)
-            per_set.append(tuple(first.values()))
-        else:
-            positive = [
-                (v, bits) for v, bits in zip(cs.candidates, patterns) if v > 0.0
-            ]
-            if not positive:
-                return []  # every expansion is rejected
-            per_set.append((min(positive)[1],))
-    return list(itertools.product(*per_set))
+
+    base: float  # log dual value of the expansion itself
+    weight: tuple[float, ...]  # W_s >= 0, one per coefficient set
+    log_value: tuple[float, ...]  # log v_s, one per coefficient set
+
+    @classmethod
+    def of(cls, cg: ChoiceGp, coefficient_sets, report: SolveReport, log_values):
+        position = {cg.sets[i].name: s for s, i in enumerate(coefficient_sets)}
+        # dual terms in build_dual order: objective first, then constraints
+        templates = [*cg.objective, *(t for ts, _ in cg.constraints for t in ts)]
+        weight = [0.0] * len(coefficient_sets)
+        for tpl, w in zip(templates, report.dual.weights):
+            if isinstance(tpl.coefficient, SetRef):
+                weight[position[tpl.coefficient.name]] += float(w)
+        base = math.log(report.dual.objective_value)
+        return cls(base, tuple(weight), tuple(log_values))
+
+    def bound(self, log_values: Sequence[float]) -> float:
+        steps = zip(self.weight, log_values, self.log_value)
+        return self.base + sum(w * (new - old) for w, new, old in steps)
 
 
-def _cannot_win(s: StandardGp, sibling: Sibling | None, incumbent: float) -> bool:
-    """Weak-duality test against an optimal sibling with the same equalities.
+def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
+    """Evaluate every expansion that may win or tie, each value tuple once.
 
-    The sibling's weights are feasible for this expansion's dual, so their
-    dual value here bounds this expansion's optimum from below.
+    Each exponent assignment is solved first at its best expansion, the
+    smallest positive value of every coefficient set, then walked depth
+    first over those sets' distinct positive values, ascending.  W_s >= 0,
+    so the bound at a node, with the sets below at their smallest values,
+    covers its sub-product and every larger value of its set.
     """
-    if sibling is None or not 0.0 < incumbent < math.inf:
-        return False
-    matrix, weights = sibling
-    d = build_dual(s)
-    if not np.array_equal(d.equality_matrix, matrix):
-        return False
-    bound, _ = log_dual_objective(d, weights)
-    return bound > math.log(incumbent) + _PRUNE_LOG_MARGIN
+    choices = []  # per set: distinct values, each at its smallest pattern
+    for i, cs in enumerate(cg.sets):
+        first: dict[float, int] = {}
+        for j in sorted(range(cs.size), key=lambda j: PATTERNS[cs.size][j]):
+            first.setdefault(table[i][j], j)
+        if i in coefficient_sets:
+            first = dict(sorted(item for item in first.items() if item[0] > 0.0))
+        choices.append(list(first.values()))
+    skeletons: dict[Combo, _Skeleton] = {}  # by seed
+    incumbent = math.inf  # lowest optimal z so far
+
+    def logs(combo: Sequence[int]) -> list[float]:
+        return [math.log(table[i][combo[i]]) for i in coefficient_sets]
+
+    def walk(combo: list[int], seed: Combo, depth: int, log_values: list[float]):
+        nonlocal incumbent
+        if depth == len(coefficient_sets):
+            outcome, report = evaluate(tuple(combo))
+            if outcome.status != Status.OPTIMAL.value:
+                return
+            incumbent = min(incumbent, outcome.objective_value)
+            if seed not in skeletons:
+                skeletons[seed] = _Skeleton.of(cg, coefficient_sets, report, log_values)
+            return
+        i = coefficient_sets[depth]
+        for j in choices[i]:
+            combo[i], log_values[depth] = j, math.log(table[i][j])
+            sk = skeletons.get(seed)
+            if sk and sk.bound(log_values) > math.log(incumbent) + _PRUNE_LOG_MARGIN:
+                break  # and so can no larger value of set i
+            walk(combo, seed, depth + 1, log_values)
+        combo[i], log_values[depth] = seed[i], math.log(table[i][seed[i]])
+
+    firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
+    seeds = list(itertools.product(*firsts))
+    for seed in seeds:
+        walk(list(seed), seed, len(coefficient_sets), logs(seed))
+    for seed in seeds:
+        walk(list(seed), seed, 0, logs(seed))
 
 
 def solve_choice(
@@ -363,109 +393,79 @@ def solve_choice(
     are non-positive are rejected and counted.  Overall status is INFEASIBLE
     when no expansion solves to optimality.
 
-    Expansions that cannot win are skipped unsolved.  Exponent values fix
-    the dual's equality matrix (standardize never merges terms), so the
-    optimal weights of a solved sibling with the same exponent values are
-    dual feasible and, by weak duality, bound the optimum from below.  An
-    expansion is skipped when that bound exceeds the lowest optimal z so far
-    by more than the tie window plus solve()'s 1e-6 certified gap.  Each
-    exponent assignment is first solved at its smallest positive
-    coefficients, which gives a strong incumbent early.  With
-    keep_assignments every expansion is solved, since the table reports
-    every z.  ``solved`` counts the non-rejected combinations, skipped ones
-    included.
+    Pattern i selects candidate i, so the values come from a table built
+    once.  Expansions that weak duality proves can neither win nor tie are
+    skipped unsolved, whole sub-products at a time (_search, _Skeleton);
+    keep_assignments solves them all, as its table reports every z.  Equal
+    value tuples are solved once, at their smallest pattern per set.
+    ``solved`` counts the non-rejected combinations, skipped ones included.
     """
     problems = validate_choice_gp(cg)
     if problems:
         raise GpDomainError("invalid template: " + "; ".join(problems))
     settings = settings or SolverSettings()
 
-    total = 1
-    for cs in cg.sets:
-        total *= cs.size
+    total = math.prod(cs.size for cs in cg.sets)
     if total > combination_cap:
         raise GpDomainError(
             f"{total} assignment combinations exceed the cap of {combination_cap}"
         )
 
-    cache: dict[tuple[float, ...], tuple[str, float | None, SolveReport | None]] = {}
-    prune = not keep_assignments
-    incumbent = math.inf  # lowest optimal z solved so far
-    siblings: dict[tuple[float, ...], Sibling] = {}  # by exponent values
-
-    def evaluate_combo(combo: tuple[BitPattern, ...]):
-        nonlocal incumbent
-        choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
-        values = tuple(selector_polynomial(cs, choice[cs.name]) for cs in cg.sets)
-        if values in cache:
-            return values, cache[values]
-        try:
-            expanded = expand(cg, choice)
-        except ExpansionRejected:
-            outcome = ("rejected", None, None)
-        else:
-            s = standardize(expanded)
-            key = tuple(
-                v for cs, v in zip(cg.sets, values) if cs.role is Role.EXPONENT
-            )
-            if prune and _cannot_win(s, siblings.get(key), incumbent):
-                outcome = ("pruned", None, None)
-            else:
-                report = solve(s, settings)
-                outcome = (report.status.value, report.objective_value, report)
-                if prune and report.status is Status.OPTIMAL:
-                    incumbent = min(incumbent, report.objective_value)
-                    siblings.setdefault(
-                        key, (build_dual(s).equality_matrix, report.dual.weights)
-                    )
-        cache[values] = outcome
-        return values, outcome
-
-    outcomes: list[AssignmentOutcome] = []
-    best: tuple[float, str, tuple[BitPattern, ...], SolveReport] | None = None
-    last_report: SolveReport | None = None
-    solved = 0
-    rejected = 0
-
-    pattern_lists = [valid_assignments(cs) for cs in cg.sets]
-    if prune:
-        for combo in _seed_combos(cg, pattern_lists):
-            evaluate_combo(combo)
-    for combo in itertools.product(*pattern_lists) if cg.sets else [()]:
-        values, (status_str, z, report) = evaluate_combo(combo)
-        if status_str == "rejected":
-            rejected += 1
-        else:
-            solved += 1
-            last_report = report
-        if keep_assignments:
-            outcomes.append(AssignmentOutcome(combo, values, status_str, z))
-        if status_str == Status.OPTIMAL.value and report is not None:
-            assert z is not None
-            bit_str = _bit_string(combo)
-            if best is None:
-                best = (z, bit_str, combo, report)
-            else:
-                best_z = best[0]
-                tied = abs(z - best_z) <= _TIE_WINDOW * max(abs(z), abs(best_z))
-                if (not tied and z < best_z) or (tied and bit_str < best[1]):
-                    best = (z, bit_str, combo, report)
-
-    kept = tuple(outcomes) if keep_assignments else None
-    if best is None:
-        if total == 1 and last_report is not None:
-            # degenerate enumeration behaves exactly like a plain solve
-            return ChoiceSolveReport(
-                last_report.status, last_report, None, None, solved, rejected, kept
-            )
-        return ChoiceSolveReport(
-            Status.INFEASIBLE, None, None, None, solved, rejected, kept
-        )
-    _, _, combo, report = best
-    chosen_bits = tuple((cs.name, bits) for cs, bits in zip(cg.sets, combo))
-    chosen_values = tuple(
-        (cs.name, selector_polynomial(cs, bits)) for cs, bits in zip(cg.sets, combo)
+    names = [cs.name for cs in cg.sets]
+    table = [
+        tuple(selector_polynomial(cs, p) for p in PATTERNS[cs.size]) for cs in cg.sets
+    ]
+    coefficient_sets = [
+        i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT
+    ]
+    # an expansion is rejected exactly when a coefficient set selects v <= 0
+    solved = math.prod(
+        sum(v > 0.0 for v in values) if i in coefficient_sets else len(values)
+        for i, values in enumerate(table)
     )
+    cache: dict[tuple[float, ...], Evaluated] = {}
+
+    def evaluate(combo: Combo) -> Evaluated:
+        bits = tuple(PATTERNS[cs.size][j] for cs, j in zip(cg.sets, combo))
+        values = tuple(t[j] for t, j in zip(table, combo))
+        if values not in cache:
+            report, status, z = None, "rejected", None
+            if all(values[i] > 0.0 for i in coefficient_sets):
+                expanded = expand(cg, dict(zip(names, bits)))
+                report = solve(standardize(expanded), settings)
+                status, z = report.status.value, report.objective_value
+            cache[values] = AssignmentOutcome(bits, values, status, z), report
+        first, report = cache[values]
+        return replace(first, bits=bits), report
+
+    if keep_assignments:
+        combos = itertools.product(*(range(cs.size) for cs in cg.sets))
+        rows = [evaluate(combo)[0] for combo in combos]
+    else:
+        _search(cg, table, coefficient_sets, evaluate)
+        rows = [first for first, _ in cache.values()]
+
+    best: tuple[float, str, AssignmentOutcome] | None = None
+    for row in rows:
+        z = row.objective_value
+        if row.status != Status.OPTIMAL.value or z is None:
+            continue
+        bit_str = "".join(str(b) for bits in row.bits for b in bits)
+        if best is None:
+            best = (z, bit_str, row)
+            continue
+        tied = abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
+        if (not tied and z < best[0]) or (tied and bit_str < best[1]):
+            best = (z, bit_str, row)
+
+    kept, rejected = tuple(rows) if keep_assignments else None, total - solved
+    if best is None:
+        # a single combination behaves exactly like a plain solve
+        report = cache[rows[0].values][1] if total == 1 and rows else None
+        status = Status.INFEASIBLE if report is None else report.status
+        return ChoiceSolveReport(status, report, None, None, solved, rejected, kept)
+    row = best[2]
     return ChoiceSolveReport(
-        Status.OPTIMAL, report, chosen_bits, chosen_values, solved, rejected, kept
+        Status.OPTIMAL, cache[row.values][1], tuple(zip(names, row.bits)),
+        tuple(zip(names, row.values)), solved, rejected, kept,
     )

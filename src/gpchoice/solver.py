@@ -36,9 +36,10 @@ import numpy as np
 
 from .dual import (
     DualProgram,
+    _log_dual_hessian,
+    _log_dual_objective,
     block_lambdas,
     build_dual,
-    log_dual_hessian,
     log_dual_objective,
 )
 from .posynomial import GpDomainError, StandardGp, evaluate
@@ -328,7 +329,8 @@ def _barrier_eval(
     d: DualProgram, w: np.ndarray, mu: float
 ) -> tuple[float, float, np.ndarray]:
     """(raw log dual value, barrier-augmented value, augmented gradient)."""
-    raw, grad = log_dual_objective(d, w)
+    # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
+    raw, grad = _log_dual_objective(d, w)
     if mu == 0.0:
         return raw, raw, grad
     return raw, raw + mu * float(np.sum(np.log(w))), grad + mu / w
@@ -378,7 +380,7 @@ def _newton_phase(
         if face_basis.shape[1] == 0:
             status = Status.OPTIMAL
             break
-        hess = log_dual_hessian(d, w)
+        hess = _log_dual_hessian(d, w)
         if mu > 0.0:
             hess[np.diag_indices_from(hess)] -= mu / w**2
         gu = face_basis.T @ grad

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from gpchoice import (
     SetRef,
     Status,
     TermTemplate,
+    build_dual,
     case_constraint_violations,
     expand,
+    log_dual_objective,
     parse_problem,
     resolve_choice,
     selector_polynomial,
@@ -185,6 +188,47 @@ class TestValidateChoiceGp:
     def test_negative_coefficient_candidate_is_flagged(self):
         cg = simple_choice_gp(candidates=(-1.0, 1.0, 3.0))
         assert any("negative" in v for v in validate_choice_gp(cg))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_coefficient_candidate_is_flagged(self, bad):
+        # inf * 0 = nan in the selector polynomial poisoned every assignment,
+        # c = 2 included, and the choice ended INFEASIBLE
+        cg = simple_choice_gp(candidates=(2.0, bad))
+        assert any("not finite" in v for v in validate_choice_gp(cg))
+        with pytest.raises(GpDomainError, match="invalid template"):
+            solve_choice(cg)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_candidate_is_flagged(self, bad):
+        # used to raise LinAlgError from the dual solver
+        cg = ChoiceGp(
+            variable_names=("x1",),
+            objective=(TermTemplate(1.0, (SetRef("p"),)), TermTemplate(1.0, (-1.0,))),
+            constraints=(),
+            sets=(CandidateSet("p", Role.EXPONENT, (1.0, bad)),),
+        )
+        assert any("not finite" in v for v in validate_choice_gp(cg))
+        with pytest.raises(GpDomainError, match="invalid template"):
+            solve_choice(cg)
+
+    @pytest.mark.parametrize(
+        "coefficient, exponent, message",
+        [(1.0, math.nan, "not finite"), (math.inf, 1.0, "not finite"),
+         (0.0, 1.0, "not positive"), (-2.0, 1.0, "not positive")],
+    )
+    def test_bad_literal_slots_are_flagged(self, coefficient, exponent, message):
+        cg = ChoiceGp(
+            variable_names=("x1",),
+            objective=(
+                TermTemplate(SetRef("c"), (1.0,)),
+                TermTemplate(coefficient, (-exponent,)),
+            ),
+            constraints=(),
+            sets=(CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1.0, 2.0)),),
+        )
+        assert any(message in v for v in validate_choice_gp(cg))
+        with pytest.raises(GpDomainError, match="invalid template"):
+            solve_choice(cg)
 
 
 class TestSolveChoice:
@@ -358,21 +402,149 @@ def test_expansions_tied_with_the_incumbent_are_solved():
     assert pruned.chosen_values == (("c", 1.0), ("b", 3.0))
 
 
-def test_pruning_skips_most_fixture_solves(monkeypatch):
+def _count_calls(monkeypatch, module, name):
     calls = []
+    original = getattr(module, name)
 
-    def counting_solve(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(gpchoice.selectors, "solve", counting_solve)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pruning_skips_most_fixture_solves(monkeypatch):
+    calls = _count_calls(monkeypatch, gpchoice.selectors, "solve")
+    expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
     fixtures = sorted(PROBLEM_DIR.glob("*.json"))
     assert len(fixtures) == 12
     models = [parse_problem(path) for path in fixtures]
     pruned = [solve_choice(cg) for cg in models]
     pruned_calls = len(calls)
+    # skipped expansions are never expanded, let alone solved
+    assert len(expands) == pruned_calls
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
-    assert pruned_calls <= 70
+    assert pruned_calls <= 49
     assert len(calls) - pruned_calls == 1002
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
+
+
+def _coefficient_sets(cg):
+    return [i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT]
+
+
+def _expansions(cg):
+    """(exponent values, coefficient log values, standardized GP) for every
+    combination whose coefficients are all positive, in product order."""
+    coefficient_sets = _coefficient_sets(cg)
+    for combo in itertools.product(*[valid_assignments(cs) for cs in cg.sets]):
+        choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
+        values = [resolve_choice(cg, choice)[cs.name] for cs in cg.sets]
+        if any(values[i] <= 0.0 for i in coefficient_sets):
+            continue
+        key = tuple(v for i, v in enumerate(values) if i not in coefficient_sets)
+        logs = [math.log(values[i]) for i in coefficient_sets]
+        yield key, logs, standardize(expand(cg, choice))
+
+
+def _assert_bounds_match_the_dual(cg, all_siblings):
+    """The O(K) skeleton bound against build_dual and log_dual_objective.
+
+    The siblings of an expansion are the optimal expansions with its
+    exponent values: all of them, or only the first in product order, which
+    is the one solve_choice keeps.
+    """
+    siblings = {}
+    expansions = list(_expansions(cg))
+    for key, logs, s in expansions:
+        if all_siblings or key not in siblings:
+            report = solve(s)
+            if report.status is Status.OPTIMAL:
+                skeleton = gpchoice.selectors._Skeleton.of(
+                    cg, _coefficient_sets(cg), report, logs
+                )
+                siblings.setdefault(key, []).append((skeleton, report.dual.weights))
+    checked = 0
+    for key, logs, s in expansions:
+        dual = build_dual(s)
+        for skeleton, weights in siblings.get(key, []):
+            expected, _ = log_dual_objective(dual, weights)
+            assert skeleton.bound(logs) == pytest.approx(expected, rel=1e-12)
+            checked += 1
+    return checked
+
+
+def test_skeleton_bound_matches_the_dual_on_every_fixture():
+    checked = 0
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        checked += _assert_bounds_match_the_dual(parse_problem(path), False)
+    assert checked == 2574  # every fixture expansion has an optimal sibling
+
+
+def test_skeleton_bound_with_a_set_in_two_terms_and_a_scaled_bound():
+    # c fills an objective and a constraint term; the constraint bound is 3
+    cg = ChoiceGp(
+        variable_names=("x1", "x2"),
+        objective=(
+            TermTemplate(SetRef("c"), (SetRef("p"), 0.0)),
+            TermTemplate(2.0, (0.0, -1.0)),
+            TermTemplate(1.0, (1.0, 1.0)),
+        ),
+        constraints=(
+            ((TermTemplate(SetRef("c"), (1.0, 0.0)),
+              TermTemplate(SetRef("a"), (0.0, SetRef("q")))), 3.0),
+        ),
+        sets=(
+            CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1.0, 2.0, 0.5)),
+            CandidateSet("p", Role.EXPONENT, (-1.0, -2.0)),
+            CandidateSet("a", Role.CONSTRAINT_COEFFICIENT, (1.0, 4.0)),
+            CandidateSet("q", Role.EXPONENT, (1.0, 0.5)),
+        ),
+    )
+    assert _assert_bounds_match_the_dual(cg, True) == 4 * 6 * 6
+
+
+def product_template(coefficients, exponents):
+    """min c1*x1 + c2*x2 + c3/x1 + c4/x2 + c5*x1^p*x2: five coefficient sets
+    and one exponent set; every dual weight is positive at the optimum."""
+    names = ("c1", "c2", "c3", "c4", "c5")
+    monomials = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    objective = tuple(
+        TermTemplate(SetRef(name), exps) for name, exps in zip(names, monomials)
+    ) + (TermTemplate(SetRef("c5"), (SetRef("p"), 1.0)),)
+    sets = tuple(
+        CandidateSet(name, Role.OBJECTIVE_COEFFICIENT, values)
+        for name, values in zip(names, coefficients)
+    ) + (CandidateSet("p", Role.EXPONENT, exponents),)
+    return ChoiceGp(("x1", "x2"), objective, (), sets)
+
+
+def test_sub_product_pruning_visits_a_fraction_of_the_combinations(monkeypatch):
+    values = (3.0, 1.0, 5.0, 2.0, 8.0, 0.5, 6.0, 4.0)
+    cg = product_template([values] * 5, (-2.0, -1.0, -3.0))
+    solves = _count_calls(monkeypatch, gpchoice.selectors, "solve")
+    expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
+    bounds = _count_calls(monkeypatch, gpchoice.selectors._Skeleton, "bound")
+    result = solve_choice(cg)
+    assert (result.solved, result.rejected) == (8**5 * 3, 0)
+    assert result.status is Status.OPTIMAL
+    assert result.chosen_values[:5] == tuple((f"c{k}", 0.5) for k in range(1, 6))
+    # every value tuple is distinct, so a per-combination walk would bound
+    # each of the 98304; sub-products are dropped whole instead
+    assert len(solves) == len(expands) <= 20
+    assert len(bounds) <= 100
+
+
+def test_sub_product_pruning_matches_exhaustive_enumeration():
+    # zero candidates are rejected, repeated ones tie exactly
+    cg = product_template(
+        [(2.0, 1.0, 0.0, 1.0), (1.0, 3.0, 2.0, 0.5), (1.0, 1.0, 2.0, 4.0),
+         (0.5, 2.0, 0.0, 1.0), (2.0, 2.0)],
+        (-1.0, -2.0),
+    )
+    pruned = solve_choice(cg)
+    exhaustive = solve_choice(cg, keep_assignments=True)
+    assert len(exhaustive.assignments) == 4**4 * 2 * 2
+    _same_choice_result(pruned, exhaustive)
