@@ -32,16 +32,8 @@ PATTERNS: dict[int, tuple[BitPattern, ...]] = {
     5: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (1, 1, 1)),
     6: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)),
     7: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)),
-    8: (
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 1, 0),
-        (1, 0, 1),
-        (0, 1, 1),
-        (0, 0, 0),
-        (1, 1, 1),
-    ),
+    8: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0),
+        (1, 1, 1)),
 }
 
 
@@ -70,6 +62,10 @@ class CandidateSet:
     @property
     def size(self) -> int:
         return len(self.candidates)
+
+    @property
+    def bit_count(self) -> int:
+        return 2 if self.size <= 4 else 3
 
 
 @dataclass(frozen=True)
@@ -206,12 +202,25 @@ def expand(cg: ChoiceGp, choice: Mapping[str, Sequence[int]]) -> GpProblem:
             out.append((coeff, exps))
         return out
 
-    objective = build_terms(cg.objective, "objective")
-    constraints = [
-        (build_terms(templates, f"constraint {i}"), bound)
-        for i, (templates, bound) in enumerate(cg.constraints)
+    posys = [(build_terms(ts, where), bound) for where, ts, bound in _sections(cg)]
+    return make_problem(posys[0][0], posys[1:], cg.variable_names)
+
+
+def _sections(cg: ChoiceGp):
+    """(label, term templates, bound) of the objective, then each constraint:
+    the term order of expand, standardize and build_dual alike."""
+    yield "objective", cg.objective, None
+    for i, (templates, bound) in enumerate(cg.constraints):
+        yield f"constraint {i}", templates, bound
+
+
+def _term_sets(cg: ChoiceGp, coefficient_sets: Sequence[int]) -> list[int | None]:
+    """Per dual term, its coefficient set's index in coefficient_sets, or None."""
+    position = {cg.sets[i].name: s for s, i in enumerate(coefficient_sets)}
+    return [
+        position[t.coefficient.name] if isinstance(t.coefficient, SetRef) else None
+        for _, templates, _ in _sections(cg) for t in templates
     ]
-    return make_problem(objective, constraints, cg.variable_names)
 
 
 def validate_choice_gp(cg: ChoiceGp) -> list[str]:
@@ -281,6 +290,10 @@ class ChoiceSolveReport:
     rejected: int
     assignments: tuple[AssignmentOutcome, ...] | None
 
+    def chosen_value(self, name: str) -> float:
+        assert self.chosen_values is not None
+        return dict(self.chosen_values)[name]
+
 
 # objective values within this relative distance are tied
 _TIE_WINDOW = 1e-9
@@ -312,14 +325,11 @@ class _Skeleton:
     log_value: tuple[float, ...]  # log v_s, one per coefficient set
 
     @classmethod
-    def of(cls, cg: ChoiceGp, coefficient_sets, report: SolveReport, log_values):
-        position = {cg.sets[i].name: s for s, i in enumerate(coefficient_sets)}
-        # dual terms in build_dual order: objective first, then constraints
-        templates = [*cg.objective, *(t for ts, _ in cg.constraints for t in ts)]
-        weight = [0.0] * len(coefficient_sets)
-        for tpl, w in zip(templates, report.dual.weights):
-            if isinstance(tpl.coefficient, SetRef):
-                weight[position[tpl.coefficient.name]] += float(w)
+    def of(cls, term_sets: Sequence[int | None], report: SolveReport, log_values):
+        weight = [0.0] * len(log_values)
+        for s, w in zip(term_sets, report.dual.weights, strict=True):
+            if s is not None:
+                weight[s] += float(w)
         base = math.log(report.dual.objective_value)
         return cls(base, tuple(weight), tuple(log_values))
 
@@ -332,10 +342,9 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
     """Evaluate every expansion that may win or tie, each value tuple once.
 
     Each exponent assignment is solved first at its best expansion, the
-    smallest positive value of every coefficient set, then walked depth
-    first over those sets' distinct positive values, ascending.  W_s >= 0,
-    so the bound at a node, with the sets below at their smallest values,
-    covers its sub-product and every larger value of its set.
+    smallest positive value of every coefficient set.  Then every choice of
+    its coefficient sets' distinct positive values is bounded by the
+    assignment's skeleton and solved only when the bound misses the margin.
     """
     choices = []  # per set: distinct values, each at its smallest pattern
     for i, cs in enumerate(cg.sets):
@@ -345,37 +354,31 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
         if i in coefficient_sets:
             first = dict(sorted(item for item in first.items() if item[0] > 0.0))
         choices.append(list(first.values()))
+    term_sets = _term_sets(cg, coefficient_sets)
     skeletons: dict[Combo, _Skeleton] = {}  # by seed
-    incumbent = math.inf  # lowest optimal z so far
+    limit = math.inf  # log of the lowest optimal z so far, plus the margin
 
-    def logs(combo: Sequence[int]) -> list[float]:
-        return [math.log(table[i][combo[i]]) for i in coefficient_sets]
-
-    def walk(combo: list[int], seed: Combo, depth: int, log_values: list[float]):
-        nonlocal incumbent
-        if depth == len(coefficient_sets):
-            outcome, report = evaluate(tuple(combo))
-            if outcome.status != Status.OPTIMAL.value:
-                return
-            incumbent = min(incumbent, outcome.objective_value)
-            if seed not in skeletons:
-                skeletons[seed] = _Skeleton.of(cg, coefficient_sets, report, log_values)
+    def visit(seed: Combo, picks: Sequence[int]) -> None:
+        nonlocal limit
+        combo = dict(zip(coefficient_sets, picks))
+        log_values = [math.log(table[i][j]) for i, j in combo.items()]
+        sk = skeletons.get(seed)
+        if sk and sk.bound(log_values) > limit:
             return
-        i = coefficient_sets[depth]
-        for j in choices[i]:
-            combo[i], log_values[depth] = j, math.log(table[i][j])
-            sk = skeletons.get(seed)
-            if sk and sk.bound(log_values) > math.log(incumbent) + _PRUNE_LOG_MARGIN:
-                break  # and so can no larger value of set i
-            walk(combo, seed, depth + 1, log_values)
-        combo[i], log_values[depth] = seed[i], math.log(table[i][seed[i]])
+        outcome, report = evaluate(tuple(combo.get(i, j) for i, j in enumerate(seed)))
+        z = outcome.objective_value
+        if outcome.status == Status.OPTIMAL.value and z > 0.0:
+            limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
+            if seed not in skeletons:
+                skeletons[seed] = _Skeleton.of(term_sets, report, log_values)
 
     firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
     seeds = list(itertools.product(*firsts))
     for seed in seeds:
-        walk(list(seed), seed, len(coefficient_sets), logs(seed))
+        visit(seed, [seed[i] for i in coefficient_sets])
     for seed in seeds:
-        walk(list(seed), seed, 0, logs(seed))
+        for picks in itertools.product(*(choices[i] for i in coefficient_sets)):
+            visit(seed, picks)
 
 
 def solve_choice(
@@ -395,10 +398,10 @@ def solve_choice(
 
     Pattern i selects candidate i, so the values come from a table built
     once.  Expansions that weak duality proves can neither win nor tie are
-    skipped unsolved, whole sub-products at a time (_search, _Skeleton);
-    keep_assignments solves them all, as its table reports every z.  Equal
-    value tuples are solved once, at their smallest pattern per set.
-    ``solved`` counts the non-rejected combinations, skipped ones included.
+    skipped unsolved (_search, _Skeleton); keep_assignments solves them all,
+    as its table reports every z.  Equal value tuples are solved once, at
+    their smallest pattern per set.  ``solved`` counts the non-rejected
+    combinations, skipped ones included.
     """
     problems = validate_choice_gp(cg)
     if problems:
@@ -431,8 +434,8 @@ def solve_choice(
         if values not in cache:
             report, status, z = None, "rejected", None
             if all(values[i] > 0.0 for i in coefficient_sets):
-                expanded = expand(cg, dict(zip(names, bits)))
-                report = solve(standardize(expanded), settings)
+                choice = dict(zip(names, bits))
+                report = solve(standardize(expand(cg, choice)), settings)
                 status, z = report.status.value, report.objective_value
             cache[values] = AssignmentOutcome(bits, values, status, z), report
         first, report = cache[values]
@@ -451,11 +454,8 @@ def solve_choice(
         if row.status != Status.OPTIMAL.value or z is None:
             continue
         bit_str = "".join(str(b) for bits in row.bits for b in bits)
-        if best is None:
-            best = (z, bit_str, row)
-            continue
-        tied = abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
-        if (not tied and z < best[0]) or (tied and bit_str < best[1]):
+        tied = best and abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
+        if not best or (not tied and z < best[0]) or (tied and bit_str < best[1]):
             best = (z, bit_str, row)
 
     kept, rejected = tuple(rows) if keep_assignments else None, total - solved

@@ -462,9 +462,8 @@ def _assert_bounds_match_the_dual(cg, all_siblings):
         if all_siblings or key not in siblings:
             report = solve(s)
             if report.status is Status.OPTIMAL:
-                skeleton = gpchoice.selectors._Skeleton.of(
-                    cg, _coefficient_sets(cg), report, logs
-                )
+                term_sets = gpchoice.selectors._term_sets(cg, _coefficient_sets(cg))
+                skeleton = gpchoice.selectors._Skeleton.of(term_sets, report, logs)
                 siblings.setdefault(key, []).append((skeleton, report.dual.weights))
     checked = 0
     for key, logs, s in expansions:
@@ -521,23 +520,30 @@ def product_template(coefficients, exponents):
     return ChoiceGp(("x1", "x2"), objective, (), sets)
 
 
-def test_sub_product_pruning_visits_a_fraction_of_the_combinations(monkeypatch):
+def test_skeleton_refuses_a_term_map_of_the_wrong_length():
+    cg = simple_choice_gp()
+    report = solve(standardize(expand(cg, {"c": (1, 0)})))
+    term_sets = gpchoice.selectors._term_sets(cg, [0])
+    assert len(term_sets) == len(report.dual.weights)
+    with pytest.raises(ValueError):
+        gpchoice.selectors._Skeleton.of(term_sets[1:], report, [0.0])
+
+
+def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
     values = (3.0, 1.0, 5.0, 2.0, 8.0, 0.5, 6.0, 4.0)
     cg = product_template([values] * 5, (-2.0, -1.0, -3.0))
     solves = _count_calls(monkeypatch, gpchoice.selectors, "solve")
     expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
-    bounds = _count_calls(monkeypatch, gpchoice.selectors._Skeleton, "bound")
     result = solve_choice(cg)
     assert (result.solved, result.rejected) == (8**5 * 3, 0)
     assert result.status is Status.OPTIMAL
     assert result.chosen_values[:5] == tuple((f"c{k}", 0.5) for k in range(1, 6))
-    # every value tuple is distinct, so a per-combination walk would bound
-    # each of the 98304; sub-products are dropped whole instead
+    # every value tuple of the 98304 is distinct; the O(K) bound skips the
+    # rest unexpanded
     assert len(solves) == len(expands) <= 20
-    assert len(bounds) <= 100
 
 
-def test_sub_product_pruning_matches_exhaustive_enumeration():
+def test_bound_pruning_matches_exhaustive_enumeration():
     # zero candidates are rejected, repeated ones tie exactly
     cg = product_template(
         [(2.0, 1.0, 0.0, 1.0), (1.0, 3.0, 2.0, 0.5), (1.0, 1.0, 2.0, 4.0),
