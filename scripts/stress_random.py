@@ -3,8 +3,9 @@
 
 Generates small problems (feasible by construction at a known interior
 point), solves each through the dual path, and cross-checks a sample of the
-optima against the brute-force grid oracle.  Prints status counts, the worst
-duality gap and equality residual, and the worst oracle disagreement.
+optima against the brute-force grid oracle.  Prints the Newton iterations of
+the reported dual solves and the solve time per iteration, status counts, the
+worst duality gap and equality residual, and the worst oracle disagreement.
 """
 
 import argparse
@@ -42,11 +43,16 @@ def main() -> int:
     worst_residual = 0.0
     worst_oracle = 0.0
     oracle_checked = 0
+    iterations = 0
+    solving = 0.0
 
     started = time.perf_counter()
     for _ in range(args.count):
         s = standardize(random_feasible_gp(rng))
+        tick = time.perf_counter()
         report = solve(s)
+        solving += time.perf_counter() - tick
+        iterations += report.dual.iterations
         statuses[report.status.value] = statuses.get(report.status.value, 0) + 1
         if report.status is not Status.OPTIMAL:
             continue
@@ -65,6 +71,9 @@ def main() -> int:
     elapsed = time.perf_counter() - started
 
     print(f"{args.count} problems in {elapsed:.1f}s (seed {args.seed})")
+    per_iteration = solving / iterations * 1e6 if iterations else float("nan")
+    print(f"  {iterations} Newton iterations, {per_iteration:.1f} us each "
+          f"({solving:.2f}s in solve)")
     for name in sorted(statuses):
         print(f"  {name:16s} {statuses[name]}")
     print(f"worst duality gap        {worst_gap:.3e}")

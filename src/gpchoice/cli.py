@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Sequence
@@ -31,6 +32,17 @@ EXIT_SYNTAX = 2
 EXIT_SEMANTIC = 3
 EXIT_NOT_SOLVED = 4
 EXIT_NO_CONVERGENCE = 5
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -337,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser("solve", help="solve a problem file")
     solve_p.add_argument("problem", help="path to a problem file")
     solve_p.add_argument(
-        "--tolerance", type=float, default=SolverSettings().stationarity_tol,
+        "--tolerance", type=_positive_float,
+        default=SolverSettings().stationarity_tol,
         help="stationarity tolerance for the dual maximizer",
     )
     solve_p.add_argument(
@@ -365,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fix a candidate set to a bit pattern, e.g. --assign c=01",
     )
     dual_p.add_argument(
-        "--tolerance", type=float, default=SolverSettings().stationarity_tol,
+        "--tolerance", type=_positive_float,
+        default=SolverSettings().stationarity_tol,
         help="stationarity tolerance for the dual maximizer",
     )
     dual_p.add_argument(

@@ -10,15 +10,26 @@ exponent-weighted sum over all terms, objective block included, must vanish
 with c_k the standardized term coefficients and lambda_i the weight sum of
 constraint block i.  Factors with w_k = 0 or lambda_i = 0 take their
 continuous limit, one.
+
+Each DualProgram computes its block layout once; the kernels use it to treat
+all blocks at once, adding in the order of a block-by-block loop.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .posynomial import GpDomainError, StandardGp
+
+
+# offsets: block starts, then K; scatter and starts: slots of the weights and
+# of a 0 before each block; con_block: block of each constraint term; same:
+# (K, K), True within one constraint block
+_Layout = namedtuple("_Layout", "offsets scatter starts con_block log_c same")
 
 
 @dataclass(frozen=True)
@@ -67,9 +78,21 @@ class DualProgram:
     def orthogonality_rows(self) -> np.ndarray:
         return self.equality_matrix[1:]
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        offsets = (0, *np.cumsum(self.block_sizes).tolist())
+        block = self.block_index
+        return _Layout(
+            offsets=offsets,
+            scatter=np.arange(offsets[-1]) + block + 1,
+            starts=np.array(offsets[:-1]) + np.arange(len(self.block_sizes)),
+            con_block=block[offsets[1]:],
+            log_c=np.log(self.term_coefficients),
+            same=(block[:, None] == block) & (block > 0),
+        )
+
     def block_slice(self, i: int) -> slice:
-        start = sum(self.block_sizes[:i])
-        return slice(start, start + self.block_sizes[i])
+        return slice(*self._layout.offsets[i:i + 2])
 
     def weight_labels(self) -> tuple[str, ...]:
         """Labels w{block}{term}, objective block first, 1-based term index."""
@@ -84,12 +107,11 @@ def build_dual(s: StandardGp) -> DualProgram:
     coeffs: list[float] = []
     blocks: list[int] = []
     exps: list[tuple[float, ...]] = []
-    sizes = [s.objective.term_count]
-    for term in s.objective.terms:
-        coeffs.append(term.coefficient)
-        blocks.append(0)
-        exps.append(term.exponents)
-    for i, posy in enumerate(s.constraints, start=1):
+    sizes: list[int] = []
+    for i, posy in enumerate((s.objective, *s.constraints)):
+        if not posy.term_count:
+            where = f"constraint {i - 1}" if i else "objective"
+            raise GpDomainError(f"{where} has no terms")
         sizes.append(posy.term_count)
         for term in posy.terms:
             coeffs.append(term.coefficient)
@@ -131,12 +153,18 @@ def _check_weights(d: DualProgram, w) -> np.ndarray:
     return w
 
 
+def _block_sums(d: DualProgram, w: np.ndarray) -> np.ndarray:
+    """Weight sum of every block, objective first, in w[block].sum()'s order."""
+    lay = d._layout
+    buf = np.zeros(lay.scatter.size + lay.starts.size)
+    buf[lay.scatter] = w
+    # reduceat alone adds w0 + (w1 + w2); from a 0 it adds as sum() does
+    return np.add.reduceat(buf, lay.starts)
+
+
 def block_lambdas(d: DualProgram, w) -> np.ndarray:
     """Per-constraint-block weight sums lambda_i, i = 1..m."""
-    w = np.asarray(w, dtype=float)
-    return np.array(
-        [w[d.block_slice(i)].sum() for i in range(1, len(d.block_sizes))]
-    )
+    return _block_sums(d, np.asarray(w, dtype=float))[1:]
 
 
 def dual_objective(d: DualProgram, w) -> float:
@@ -159,27 +187,33 @@ def log_dual_objective(d: DualProgram, w) -> tuple[float, np.ndarray]:
     log(c_k) - log(w_k) + log(lambda_i) on constraint block i; they diverge
     to +inf as w_k -> 0.
     """
-    return _log_dual_objective(d, _check_weights(d, w))
+    return _log_dual_objective(d, _check_weights(d, w))[:2]
 
 
-def _log_dual_objective(d: DualProgram, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """log_dual_objective on a weight vector the caller has already checked."""
-    c = d.term_coefficients
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-        logc = np.log(c)
-        pos = w > 0.0
-        value = float(np.sum(w[pos] * (logc[pos] - logw[pos])))
-        grad = logc - logw - 1.0
-        for i in range(1, len(d.block_sizes)):
-            sl = d.block_slice(i)
-            lam = float(w[sl].sum())
-            if lam > 0.0:
-                value += lam * np.log(lam)
-                grad[sl] += np.log(lam) + 1.0
-            else:
-                grad[sl] = np.inf
-    return value, grad
+def _log_dual_objective(
+    d: DualProgram, w: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """log_dual_objective and log w, on a weight vector already checked."""
+    lay = d._layout
+    lam = _block_sums(d, w)
+    pos = w > 0.0
+    if pos.all():
+        logw, log_lam = np.log(w), np.log(lam)
+        value = float((w * (lay.log_c - logw)).sum())
+        terms = (lam * log_lam)[1:]
+    else:  # 0 log 0 = 0: zero weights and emptied blocks add nothing
+        with np.errstate(divide="ignore"):
+            logw, log_lam = np.log(w), np.log(lam)
+        value = float((w[pos] * (lay.log_c[pos] - logw[pos])).sum())
+        live = lam > 0.0
+        live[0] = False  # the objective block has no lambda term
+        terms = lam[live] * log_lam[live]
+        log_lam[~live] = np.inf  # an emptied block's gradient is +inf
+    for term in terms.tolist():  # block by block, left to right
+        value += term
+    grad = lay.log_c - logw - 1.0
+    grad[lay.offsets[1]:] += (log_lam + 1.0)[lay.con_block]
+    return value, grad, logw
 
 
 def log_dual_hessian(d: DualProgram, w) -> np.ndarray:
@@ -192,9 +226,7 @@ def log_dual_hessian(d: DualProgram, w) -> np.ndarray:
 
 def _log_dual_hessian(d: DualProgram, w: np.ndarray) -> np.ndarray:
     """log_dual_hessian on a strictly positive weight vector of the right shape."""
-    h = np.diag(-1.0 / w)
-    for i in range(1, len(d.block_sizes)):
-        sl = d.block_slice(i)
-        lam = float(w[sl].sum())
-        h[sl, sl] += 1.0 / lam
+    inv_lam = 1.0 / _block_sums(d, w)
+    h = np.where(d._layout.same, inv_lam[d.block_index], 0.0)
+    h.reshape(-1)[:: w.size + 1] -= 1.0 / w  # the diagonal, 1/lambda - 1/w
     return h

@@ -4,14 +4,16 @@ The dual of a posynomial GP maximizes a concave function over
 {A w = e1, w >= 0}.  We parameterize the affine set through an orthonormal
 null-space basis and run a damped Newton ascent with a fraction-to-boundary
 safeguard; equality residuals stay at rounding level because iterates never
-leave the affine set.  An interior stationary point is accepted outright
-(global by concavity).  When the maximum lies on the boundary, a log-barrier
-continuation rides the central path to the optimal face, since plain Newton
-can lock onto a suboptimal face.  The barrier leaves the weights of an
-inactive constraint near its last mu rather than at zero; if the final pass
-stalls there, those blocks are dropped and the reduced dual is re-solved.
-When the equality system leaves no freedom (an empty null space, as with
-degree of difficulty zero) its single solution is the answer.
+leave the affine set.  Each step runs the dual's vectorized kernels; a face
+of active bounds is tracked only once a weight reaches boundary_eps.  An interior
+stationary point is accepted outright (global by concavity).  When the
+maximum lies on the boundary, a log-barrier continuation rides the central
+path to the optimal face, since plain Newton can lock onto a suboptimal face.
+The barrier leaves the weights of an inactive constraint near its last mu
+rather than at zero; if the final pass stalls there, those blocks are dropped
+and the reduced dual is re-solved.  When the equality system leaves no
+freedom (an empty null space, as with degree of difficulty zero) its single
+solution is the answer.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -79,10 +81,10 @@ class SolverSettings:
 
     def __post_init__(self):
         for name in ("feasibility_tol", "stationarity_tol", "boundary_eps"):
-            if getattr(self, name) <= 0.0:
-                raise GpDomainError(f"{name} must be positive")
-        if self.max_iterations <= 0:
-            raise GpDomainError("max_iterations must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise GpDomainError(f"{name} must be finite and positive")
+        if not isinstance(n := self.max_iterations, (int, np.integer)) or n <= 0:
+            raise GpDomainError("max_iterations must be a positive int")
 
 
 @dataclass(frozen=True)
@@ -134,44 +136,39 @@ def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.
     return w + delta
 
 
-def _face_norm(face_basis: np.ndarray, grad: np.ndarray, active: np.ndarray) -> float:
+def _face_basis(a: np.ndarray, nullsp: np.ndarray, active) -> np.ndarray:
+    """Null space of the equalities together with the active bounds w_k = 0."""
+    if active is None or not active.any():
+        return nullsp
+    return _null_space(np.vstack([a, np.eye(active.size)[active]]))
+
+
+def _face_norm(face_basis: np.ndarray, grad: np.ndarray, active) -> float:
+    """Largest projected-gradient entry off the active bounds (None: none)."""
     if face_basis.shape[1] == 0:
         return 0.0
-    # frozen coordinates leave the face; a zero weight has gradient +inf,
-    # which would turn the projection into inf * 0 = nan
-    grad = np.where(active, 0.0, grad)
-    proj = face_basis @ (face_basis.T @ grad)
-    mask = ~active
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(proj[mask])))
+    if active is not None:
+        if active.all():
+            return 0.0
+        # frozen coordinates leave the face; a zero weight has gradient +inf,
+        # which would turn the projection into inf * 0 = nan
+        grad = np.where(active, 0.0, grad)
+    proj = np.abs(face_basis @ (face_basis.T @ grad))
+    return float((proj if active is None else proj[~active]).max())
 
 
 def _stationarity_measure(
-    a: np.ndarray,
-    nullsp: np.ndarray,
-    grad: np.ndarray,
-    w: np.ndarray,
-    boundary_eps: float,
+    a: np.ndarray, nullsp: np.ndarray, grad: np.ndarray, w: np.ndarray, eps: float
 ) -> float:
     """Infinity norm of the projected gradient on interior coordinates.
 
     The projection is onto the null space of the equality system together
-    with the bounds active at w (coordinates at or below boundary_eps), the
+    with the bounds active at w (coordinates at or below eps), the
     face the iterate lives on; at a constrained maximizer this projection
     vanishes on the interior coordinates.
     """
-    active = w <= boundary_eps
-    if active.any():
-        nullsp = _null_space(np.vstack([a, np.eye(len(w))[active]]))
-    return _face_norm(nullsp, grad, active)
-
-
-def _equal_block_start(d: DualProgram) -> np.ndarray:
-    w = np.empty(d.term_count)
-    for i, size in enumerate(d.block_sizes):
-        w[d.block_slice(i)] = 1.0 / size
-    return w
+    active = w <= eps
+    return _face_norm(_face_basis(a, nullsp, active), grad, active)
 
 
 def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -221,10 +218,7 @@ def _pocs_interior(
 
 def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
     """The program over the kept weights; emptied constraint blocks vanish."""
-    sizes = [
-        int(np.count_nonzero(keep[d.block_slice(i)]))
-        for i in range(len(d.block_sizes))
-    ]
+    sizes = np.bincount(d.block_index[keep], minlength=len(d.block_sizes)).tolist()
     blocks = [0] + [i for i in range(1, len(sizes)) if sizes[i]]
     renumber = np.zeros(len(sizes), dtype=int)
     renumber[blocks] = np.arange(len(blocks))
@@ -270,17 +264,16 @@ def _drop_inactive_blocks(
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     """Ascent direction from the (negative definite) reduced Hessian."""
     neg = -(hu + hu.T) / 2.0
+    if not np.isfinite(neg).all():
+        return gu  # steepest ascent fallback
     ridge = 0.0
-    scale = max(1.0, float(np.max(np.abs(neg))))
     for _ in range(6):
         try:
-            if not np.all(np.isfinite(neg)):
-                raise ValueError("reduced Hessian is not finite")
             lower = np.linalg.cholesky(neg + ridge * np.eye(len(gu)))
             return np.linalg.solve(lower.T, np.linalg.solve(lower, gu))
-        except (np.linalg.LinAlgError, ValueError):
-            ridge = max(10.0 * ridge, 1e-12 * scale)
-    return gu  # steepest ascent fallback
+        except np.linalg.LinAlgError:
+            ridge = max(10.0 * ridge, 1e-12 * max(1.0, float(np.abs(neg).max())))
+    return gu
 
 
 def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolution:
@@ -330,10 +323,10 @@ def _barrier_eval(
 ) -> tuple[float, float, np.ndarray]:
     """(raw log dual value, barrier-augmented value, augmented gradient)."""
     # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
-    raw, grad = _log_dual_objective(d, w)
+    raw, grad, logw = _log_dual_objective(d, w)
     if mu == 0.0:
         return raw, raw, grad
-    return raw, raw + mu * float(np.sum(np.log(w))), grad + mu / w
+    return raw, raw + mu * float(logw.sum()), grad + mu / w
 
 
 def _newton_phase(
@@ -357,21 +350,20 @@ def _newton_phase(
     raw, value, grad = _barrier_eval(d, w, mu)
     status = Status.ITERATION_LIMIT
     iterations = 0
-    k = d.term_count
+    diagonal = slice(None, None, d.term_count + 1)
     face_key: tuple[int, ...] | None = None
     face_basis = nullsp
     for iterations in range(1, max_iterations + 1):
         if raw > _LOG_VALUE_UNBOUNDED:
             return w, Status.UNBOUNDED, iterations
 
-        active = (w <= settings.boundary_eps) if mu == 0.0 else (w < 0)
-        key = tuple(np.flatnonzero(active))
+        active, key = None, ()
+        if mu == 0.0 and w.min() <= settings.boundary_eps:
+            active = w <= settings.boundary_eps
+            key = tuple(np.flatnonzero(active))
         if key != face_key:
             face_key = key
-            if key:
-                face_basis = _null_space(np.vstack([a, np.eye(k)[active]]))
-            else:
-                face_basis = nullsp
+            face_basis = _face_basis(a, nullsp, active)
 
         stationarity = _face_norm(face_basis, grad, active)
         if stationarity <= tol:
@@ -382,7 +374,7 @@ def _newton_phase(
             break
         hess = _log_dual_hessian(d, w)
         if mu > 0.0:
-            hess[np.diag_indices_from(hess)] -= mu / w**2
+            hess.reshape(-1)[diagonal] -= mu / w**2
         gu = face_basis.T @ grad
         du = _newton_step(face_basis.T @ hess @ face_basis, gu)
         if float(gu @ du) <= 0.0:
@@ -400,7 +392,7 @@ def _newton_phase(
             shrinking = dw < 0.0
             if shrinking.any():
                 step = min(
-                    step, 0.9995 * float(np.min(-w[shrinking] / dw[shrinking]))
+                    step, 0.9995 * float((-w[shrinking] / dw[shrinking]).min())
                 )
             # once the predicted gain sinks below value resolution,
             # sufficient decrease cannot be observed; judge trial steps by
@@ -408,7 +400,7 @@ def _newton_phase(
             plateau = 1e-13 * (1.0 + abs(value))
             for _ in range(60):
                 trial = np.maximum(w + step * dw, _WEIGHT_FLOOR)
-                if np.min(trial) > 0.0:
+                if trial.min() > 0.0:
                     t_raw, t_value, t_grad = _barrier_eval(d, trial, mu)
                     predicted = 1e-4 * step * slope
                     if predicted > plateau:
@@ -443,7 +435,8 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     """
     settings = settings or SolverSettings()
     a, b = d.equality_matrix, d.equality_rhs
-    w = _project_onto_equalities(a, b, _equal_block_start(d))
+    equal_blocks = 1.0 / np.array(d.block_sizes, dtype=float)[d.block_index]
+    w = _project_onto_equalities(a, b, equal_blocks)
     if np.max(np.abs(a @ w - b)) > 1e-8:
         return _failure(d, Status.INFEASIBLE)  # A w = b has no solution
     nullsp = _null_space(a)
@@ -520,20 +513,14 @@ def recover_primal(
     z = ds.objective_value
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    sl = d.block_slice(0)
-    for k in range(sl.start, sl.stop):
-        if w[k] > settings.boundary_eps:
-            rows.append(d.exponent_matrix[k])
-            rhs.append(np.log(w[k] * z) - np.log(d.term_coefficients[k]))
-    for i in range(1, len(d.block_sizes)):
-        lam = ds.lambdas[i - 1]
-        if lam <= settings.boundary_eps:
+    for k, i in enumerate(d.block_index.tolist()):
+        if w[k] <= settings.boundary_eps:
+            continue
+        if i and ds.lambdas[i - 1] <= settings.boundary_eps:
             continue  # inactive constraint, complementary slackness
-        sl = d.block_slice(i)
-        for k in range(sl.start, sl.stop):
-            if w[k] > settings.boundary_eps:
-                rows.append(d.exponent_matrix[k])
-                rhs.append(np.log(w[k] / lam) - np.log(d.term_coefficients[k]))
+        rows.append(d.exponent_matrix[k])
+        share = w[k] / ds.lambdas[i - 1] if i else w[k] * z
+        rhs.append(np.log(share) - np.log(d.term_coefficients[k]))
 
     n = s.variable_count
     if n == 0:

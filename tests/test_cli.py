@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gpchoice.cli import main
 from helpers import PROBLEM_DIR
 
@@ -79,6 +81,17 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", EX1_CASE1, "--tolerance", "1e-6")
         assert code == 0
         assert "z: 11.01098" in out
+
+    @pytest.mark.parametrize("command", ["solve", "dual"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, EX1_CASE1, "--tolerance", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "--tolerance" in captured.err
 
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "no_such_file.json")

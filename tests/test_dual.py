@@ -8,10 +8,12 @@ from gpchoice import (
     dual_objective,
     log_dual_objective,
     make_problem,
+    solve,
     solve_dual,
     standardize,
 )
-from gpchoice.solver import Status, _project_onto_equalities
+from gpchoice.dual import _log_dual_hessian, _log_dual_objective, log_dual_hessian
+from gpchoice.solver import Status, _barrier_eval, _project_onto_equalities
 from helpers import (
     EX1_W,
     EX1_Z,
@@ -72,6 +74,21 @@ class TestBuildDual:
         d = build_dual(standardize(example1_problem()))
         residual = d.equality_matrix @ np.array(EX1_W) - d.equality_rhs
         assert np.max(np.abs(residual)) <= 2e-6
+
+    @pytest.mark.parametrize(
+        "objective, constraints, where",
+        [
+            ([(1, (1,)), (1, (-1,))], [([], 1.0)], "constraint 0"),
+            ([(1, (1,)), (1, (-1,))], [([(1, (1,))], 2.0), ([], 1.0)], "constraint 1"),
+            ([], [([(1, (1,))], 1.0)], "objective"),
+        ],
+    )
+    def test_empty_posynomial_is_a_domain_error(self, objective, constraints, where):
+        s = standardize(make_problem(objective, constraints, variable_names=["x"]))
+        with pytest.raises(GpDomainError, match=f"^{where} has no terms$"):
+            build_dual(s)
+        with pytest.raises(GpDomainError, match=where):
+            solve(s)
 
     def test_residual_at_reference_weights_example2(self):
         d = build_dual(standardize(example2_problem()))
@@ -236,3 +253,148 @@ def test_log_dual_is_midpoint_concave_on_feasible_segments():
             vm, _ = log_dual_objective(d, mid)
             assert vm >= 0.5 * (v1 + v2) - 1e-9
         checked += 1
+
+
+def _random_program(rng, sizes):
+    """A dual with random terms in blocks of the given sizes, objective first."""
+
+    def terms(count):
+        return [
+            (float(10.0 ** rng.uniform(-1.0, 1.0)), tuple(rng.uniform(-2.0, 2.0, 2)))
+            for _ in range(count)
+        ]
+
+    cons = [(terms(size), 1.0) for size in sizes[1:]]
+    return build_dual(standardize(make_problem(terms(sizes[0]), cons)))
+
+
+# 0, 1 and 2 constraint blocks; blocks of 3 or more terms, which np.add.reduceat
+# alone adds in another order than sum(), and of 8 or more, which sum() pairs
+BLOCK_SIZES = [(3,), (9,), (2, 1), (1, 3), (4, 9), (2, 3, 2), (3, 1, 12)]
+
+
+def _slices(d):
+    starts = np.cumsum((0,) + d.block_sizes)
+    return [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+
+
+def _loop_log_dual_objective(d, w):
+    """The log dual and its gradient block by block: the kernels' reference."""
+    c = d.term_coefficients
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+        logc = np.log(c)
+        pos = w > 0.0
+        value = float(np.sum(w[pos] * (logc[pos] - logw[pos])))
+        grad = logc - logw - 1.0
+        for sl in _slices(d)[1:]:
+            lam = float(w[sl].sum())
+            if lam > 0.0:
+                value += lam * np.log(lam)
+                grad[sl] += np.log(lam) + 1.0
+            else:
+                grad[sl] = np.inf
+    return value, grad
+
+
+def _loop_log_dual_hessian(d, w):
+    """The Hessian block by block: the kernel's reference."""
+    h = np.diag(-1.0 / w)
+    for sl in _slices(d)[1:]:
+        lam = float(w[sl].sum())
+        h[sl, sl] += 1.0 / lam
+    return h
+
+
+def _loop_barrier_eval(d, w, mu):
+    raw, grad = _loop_log_dual_objective(d, w)
+    if mu == 0.0:
+        return raw, raw, grad
+    return raw, raw + mu * float(np.sum(np.log(w))), grad + mu / w
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _positive_weights(rng, k):
+    w = 10.0 ** rng.uniform(-12.0, 1.0, k)
+    w[rng.random(k) < 0.1] = 1e-150  # the Newton loop's weight floor
+    return w
+
+
+class TestKernelsMatchBlockLoops:
+    """The vectorized kernels add in the block loops' order, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", BLOCK_SIZES)
+    def test_positive_weights(self, sizes):
+        rng = np.random.default_rng(sum(sizes) * 31 + len(sizes))
+        d = _random_program(rng, sizes)
+        for _ in range(40):
+            w = _positive_weights(rng, d.term_count)
+            value, grad, logw = _log_dual_objective(d, w)
+            assert _bits(value, grad, logw) == _bits(
+                *_loop_log_dual_objective(d, w), np.log(w)
+            )
+            hess = _log_dual_hessian(d, w)
+            assert _bits(hess) == _bits(_loop_log_dual_hessian(d, w))
+            for mu in (0.0, 1e-6, 1.0):
+                assert _bits(*_barrier_eval(d, w, mu)) == _bits(
+                    *_loop_barrier_eval(d, w, mu)
+                )
+
+    @pytest.mark.parametrize("sizes", BLOCK_SIZES)
+    def test_zero_weights(self, sizes):
+        rng = np.random.default_rng(sum(sizes) * 17 + len(sizes))
+        d = _random_program(rng, sizes)
+        blocks = _slices(d)
+        for trial in range(40):
+            w = _positive_weights(rng, d.term_count)
+            w[rng.random(d.term_count) < 0.3] = 0.0
+            if trial % 2 and len(blocks) > 1:
+                w[blocks[1 + trial % (len(blocks) - 1)]] = 0.0  # an emptied block
+            if w.all():
+                w[0] = 0.0
+            value, grad = log_dual_objective(d, w)
+            ref_value, ref_grad = _loop_log_dual_objective(d, w)
+            assert _bits(value, grad) == _bits(ref_value, ref_grad)
+            assert np.all(np.isposinf(grad[w == 0.0]))
+            assert _bits(*_barrier_eval(d, w, 0.0)) == _bits(
+                ref_value, ref_value, ref_grad
+            )
+
+
+class TestLogDualHessian:
+    @pytest.mark.parametrize("sizes", [(3,), (2, 3), (3, 2, 4)])
+    def test_matches_central_differences_of_the_gradient(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        d = _random_program(rng, sizes)
+        h = 1e-6
+        for _ in range(10):
+            w = rng.uniform(0.2, 2.0, d.term_count)
+            hess = log_dual_hessian(d, w)
+            for k in range(d.term_count):
+                wp, wm = w.copy(), w.copy()
+                wp[k] += h
+                wm[k] -= h
+                fd = log_dual_objective(d, wp)[1] - log_dual_objective(d, wm)[1]
+                fd /= 2 * h
+                np.testing.assert_allclose(hess[:, k], fd, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("sizes", [(3,), (2, 3), (3, 2, 4)])
+    def test_is_symmetric(self, sizes):
+        rng = np.random.default_rng(5 + len(sizes))
+        d = _random_program(rng, sizes)
+        hess = log_dual_hessian(d, _positive_weights(rng, d.term_count))
+        np.testing.assert_array_equal(hess, hess.T)
+
+    def test_zero_weight_is_rejected(self):
+        d = build_dual(standardize(example1_problem()))
+        with pytest.raises(GpDomainError):
+            log_dual_hessian(d, [0.5, 0.25, 0.25, 0.0, 0.5])
+
+    @pytest.mark.parametrize("w", [[0.5, 0.5], [0.2] * 6, [[0.2] * 5]])
+    def test_wrong_shape_is_rejected(self, w):
+        d = build_dual(standardize(example1_problem()))
+        with pytest.raises(GpDomainError):
+            log_dual_hessian(d, w)

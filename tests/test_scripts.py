@@ -1,6 +1,7 @@
 """The scripts run from a checkout with no PYTHONPATH and no install."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,16 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+# what each script's output must contain; the stress sweep reports its
+# iteration count and solve time per iteration, so a kernel change reads as
+# "same iterations, less time each"
+EXPECTED = {
+    "run_paper_examples.py": r"\S",
+    "stress_random.py": r"\n  [1-9]\d* Newton iterations, \d+\.\d us each "
+    r"\(\d+\.\d\ds in solve\)\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -24,4 +35,4 @@ def test_script_runs_without_pythonpath(script, args):
         capture_output=True, text=True, env=env, cwd=REPO / "scripts",
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout
+    assert re.search(EXPECTED[script], out.stdout), out.stdout

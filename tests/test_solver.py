@@ -258,6 +258,13 @@ class TestSolverSettings:
             {"stationarity_tol": -1.0},
             {"boundary_eps": 0.0},
             {"max_iterations": 0},
+            {"feasibility_tol": float("nan")},
+            {"stationarity_tol": float("nan")},
+            {"boundary_eps": float("inf")},
+            {"stationarity_tol": float("inf")},
+            {"feasibility_tol": -float("inf")},
+            {"max_iterations": 10.5},
+            {"max_iterations": float("nan")},
         ],
     )
     def test_rejects_non_positive_settings(self, kwargs):
