@@ -20,9 +20,12 @@ set, else one pass of alternating projections (POCS) toward the interior,
 else one LP that finds a feasible point positive on every weight some
 feasible point can make positive.  Weights that LP leaves at zero are zero
 at every feasible point; they are dropped and the dual is re-solved on the
-rest.  Linear algebra is numpy only (an SVD null space, a Cholesky Newton
-step), so importing the package does not load scipy; scipy.optimize.linprog
-is imported on first use by that one LP.
+rest.  The start and the null space depend only on the equality system,
+which exponent values alone fix, so they are computed once per system and
+shared, through a bounded cache, by every dual with that system.  Linear
+algebra is numpy only (an SVD null space, a Cholesky Newton step), so
+importing the package does not load scipy; scipy.optimize.linprog is
+imported on first use by that one LP.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -32,7 +35,9 @@ active constraint block satisfy term_value = w_it / lambda_i.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +64,8 @@ VIOLATION_TOL = 1e-8
 # weights may converge to a boundary face; flooring them far below
 # boundary_eps keeps the Hessian finite without affecting any contract
 _WEIGHT_FLOOR = 1e-150
+# equality systems whose start is kept; the shipped problems have 10 in all
+_START_CACHE_SIZE = 256
 
 
 class Status(str, enum.Enum):
@@ -157,20 +164,6 @@ def _face_norm(face_basis: np.ndarray, grad: np.ndarray, active) -> float:
     return float((proj if active is None else proj[~active]).max())
 
 
-def _stationarity_measure(
-    a: np.ndarray, nullsp: np.ndarray, grad: np.ndarray, w: np.ndarray, eps: float
-) -> float:
-    """Infinity norm of the projected gradient on interior coordinates.
-
-    The projection is onto the null space of the equality system together
-    with the bounds active at w (coordinates at or below eps), the
-    face the iterate lives on; at a constrained maximizer this projection
-    vanishes on the interior coordinates.
-    """
-    active = w <= eps
-    return _face_norm(_face_basis(a, nullsp, active), grad, active)
-
-
 def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Feasible point of {A w = b, w >= 0} with the largest support; None if empty.
 
@@ -214,6 +207,46 @@ def _pocs_interior(
         if np.min(w) >= 0.5 * margin:
             return w
     return None
+
+
+# w: start point, None when {A w = b, w >= 0} is empty or support is set;
+# support: the weights some feasible point makes positive, if not all
+_Start = namedtuple("_Start", "w nullsp support")
+
+
+def _dual_start(d: DualProgram) -> _Start:
+    """The start of d's equality system, computed once for every dual sharing it."""
+    arrays = (d.equality_matrix, d.equality_rhs, d.block_index)
+    keys = ((x.shape, x.dtype.str, x.tobytes()) for x in arrays)
+    return _equality_start(*keys, d.block_sizes)
+
+
+@lru_cache(maxsize=_START_CACHE_SIZE)
+def _equality_start(a_key, b_key, block_key, block_sizes) -> _Start:
+    """Start point and null space of {A w = b, w >= 0}, read from the key alone."""
+    a, b, block = (
+        np.frombuffer(data, dtype).reshape(shape)
+        for shape, dtype, data in (a_key, b_key, block_key)
+    )
+    w = _project_onto_equalities(a, b, 1.0 / np.array(block_sizes, dtype=float)[block])
+    if np.max(np.abs(a @ w - b)) > 1e-8:
+        return _Start(None, None, None)  # A w = b has no solution
+    nullsp, support = _null_space(a), None
+    if nullsp.shape[1] == 0:  # the affine set is the single point w
+        w = np.maximum(w, 0.0) if np.min(w) >= -1e-9 else None
+    else:
+        if np.min(w) < 1e-6:
+            w = _pocs_interior(a, b, w, 1e-2)
+            if w is None:
+                w = _support_point(a, b)
+        if w is not None and (w > 0.0).all():
+            w = _project_onto_equalities(a, b, w)
+        elif w is not None:  # the rest are zero at every feasible point
+            w, support = None, w > 0.0
+    # lru_cache is thread-safe; what it keeps is shared, hence read-only
+    for arr in (arr for arr in (w, nullsp, support) if arr is not None):
+        arr.flags.writeable = False
+    return _Start(w, nullsp, support)
 
 
 def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
@@ -266,13 +299,14 @@ def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     neg = -(hu + hu.T) / 2.0
     if not np.isfinite(neg).all():
         return gu  # steepest ascent fallback
-    ridge = 0.0
+    ridge, matrix = 0.0, neg
     for _ in range(6):
         try:
-            lower = np.linalg.cholesky(neg + ridge * np.eye(len(gu)))
+            lower = np.linalg.cholesky(matrix)
             return np.linalg.solve(lower.T, np.linalg.solve(lower, gu))
         except np.linalg.LinAlgError:
             ridge = max(10.0 * ridge, 1e-12 * max(1.0, float(np.abs(neg).max())))
+            matrix = neg + ridge * np.eye(len(gu))
     return gu
 
 
@@ -294,14 +328,15 @@ def _finish(
     settings: SolverSettings,
     status: Status,
     iterations: int,
-    nullsp: np.ndarray | None = None,
 ) -> DualSolution:
     a, b = d.equality_matrix, d.equality_rhs
     residual = float(np.max(np.abs(a @ w - b)))
     value, grad = log_dual_objective(d, w)
-    if nullsp is None:
-        nullsp = _null_space(a)
-    stationarity = _stationarity_measure(a, nullsp, grad, w, settings.boundary_eps)
+    # the gradient projected onto the face w lives on (the equalities and the
+    # bounds at or below boundary_eps) vanishes off the bounds at a maximizer
+    active = w <= settings.boundary_eps
+    face = _face_basis(a, _dual_start(d).nullsp, active)
+    stationarity = _face_norm(face, grad, active)
     if status is Status.OPTIMAL and (
         residual > settings.feasibility_tol
         or stationarity > settings.stationarity_tol
@@ -339,13 +374,14 @@ def _newton_phase(
     mu: float,
     tol: float,
     max_iterations: int,
+    stop_at_boundary: bool = False,
 ) -> tuple[np.ndarray, Status, int]:
     """Damped Newton ascent of the (optionally barrier-augmented) log dual.
 
     With mu > 0 iterates stay strictly interior.  With mu = 0 weights at
     boundary_eps are frozen and Newton works on the open face, which keeps
     the huge -1/w curvatures of frozen coordinates out of the reduced
-    Hessian.
+    Hessian; stop_at_boundary ends the pass there instead.
     """
     raw, value, grad = _barrier_eval(d, w, mu)
     status = Status.ITERATION_LIMIT
@@ -359,6 +395,8 @@ def _newton_phase(
 
         active, key = None, ()
         if mu == 0.0 and w.min() <= settings.boundary_eps:
+            if stop_at_boundary:
+                return w, status, iterations
             active = w <= settings.boundary_eps
             key = tuple(np.flatnonzero(active))
         if key != face_key:
@@ -434,40 +472,28 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     grows without bound along the feasible set, and ITERATION_LIMIT otherwise.
     """
     settings = settings or SolverSettings()
-    a, b = d.equality_matrix, d.equality_rhs
-    equal_blocks = 1.0 / np.array(d.block_sizes, dtype=float)[d.block_index]
-    w = _project_onto_equalities(a, b, equal_blocks)
-    if np.max(np.abs(a @ w - b)) > 1e-8:
-        return _failure(d, Status.INFEASIBLE)  # A w = b has no solution
-    nullsp = _null_space(a)
+    start = _dual_start(d)
+    if start.support is not None:
+        return _solve_on_support(d, start.support, settings)
+    if start.w is None:
+        return _failure(d, Status.INFEASIBLE)
+    a, b, nullsp, w = d.equality_matrix, d.equality_rhs, start.nullsp, start.w
     if nullsp.shape[1] == 0:
-        # the affine set is the single point w
-        if np.min(w) < -1e-9:
-            return _failure(d, Status.INFEASIBLE)
-        return _finish(d, np.maximum(w, 0.0), settings, Status.OPTIMAL, 0, nullsp)
+        return _finish(d, w, settings, Status.OPTIMAL, 0)  # the single point
 
-    if np.min(w) < 1e-6:
-        w = _pocs_interior(a, b, w, 1e-2)
-        if w is None:
-            w = _support_point(a, b)
-            if w is None:
-                return _failure(d, Status.INFEASIBLE)
-            keep = w > 0.0
-            if not keep.all():  # the rest are zero at every feasible point
-                return _solve_on_support(d, keep, settings)
-    w = _project_onto_equalities(a, b, w)
-
-    # fast path: plain Newton from the interior start; an interior stationary
-    # point is the global maximum by concavity, so it can be accepted outright
+    # fast path: plain Newton from the interior start, ended once a weight
+    # reaches boundary_eps; an interior stationary point is the global
+    # maximum by concavity, so it can be accepted outright
     w_fast, status, used = _newton_phase(
         d, a, b, nullsp, w, settings,
         mu=0.0, tol=settings.stationarity_tol, max_iterations=200,
+        stop_at_boundary=True,
     )
     iterations = used
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
-    if status is Status.OPTIMAL and np.min(w_fast) > settings.boundary_eps:
-        return _finish(d, w_fast, settings, status, iterations, nullsp)
+    if status is Status.OPTIMAL:
+        return _finish(d, w_fast, settings, status, iterations)
 
     # the fast path touched the boundary, where aggressive early steps can
     # lock onto a suboptimal face; rerun with barrier continuation, whose
@@ -490,7 +516,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     iterations += used
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
-    result = _finish(d, w, settings, status, iterations, nullsp)
+    result = _finish(d, w, settings, status, iterations)
     if result.status is not Status.OPTIMAL:
         return _drop_inactive_blocks(d, result, settings)
     return result

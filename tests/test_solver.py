@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,9 +20,13 @@ from gpchoice import (
     solve_dual,
     standardize,
 )
+from gpchoice.problem_io import as_choice_gp, parse_problem
+from gpchoice.selectors import solve_choice
 from gpchoice.solver import (
     DualSolution,
     ReconstructionError,
+    _dual_start,
+    _equality_start,
     _newton_step,
     _null_space,
     _support_point,
@@ -437,3 +442,165 @@ class TestStressRegressions:
         report = solve(standardize(_stress_problems()[791]))
         assert report.status is Status.ITERATION_LIMIT
         assert report.primal_x is None
+
+
+def _solution_bytes(ds: DualSolution) -> tuple:
+    floats = (ds.objective_value, ds.equality_residual, ds.stationarity)
+    return (ds.status, ds.weights.tobytes(), ds.lambdas.tobytes(),
+            tuple(float(v).hex() for v in floats), ds.iterations)
+
+
+class TestSharedStart:
+    """One start point and null space per equality system, for every dual."""
+
+    # start kind: (problem, POCS calls, LP calls when the cache is cold)
+    KINDS = {
+        "projection": (example1_problem(), 0, 0),
+        "pocs": (example2_problem(), 1, 0),
+        "single point": (make_problem([(1, (1,)), (1, (-1,))]), 0, 0),
+        # x's orthogonality row equals the normality row
+        "inconsistent": (
+            make_problem([(1, (1, 1)), (1, (1, -1))], [([(1, (0, 1))], 1.0)]), 0, 0
+        ),
+        # x2 appears only with positive exponents: its weights are forced to zero
+        "support": (
+            make_problem([(1, (1, 0)), (1, (-1, 0)), (1, (1, 1)), (1, (-1, 1))]), 1, 1
+        ),
+    }
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch) -> list[str]:
+        calls = []
+        for name in ("_pocs_interior", "_support_point"):
+            original = getattr(gpchoice.solver, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(gpchoice.solver, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_start_equals_cold_start(self, monkeypatch, kind):
+        problem, pocs, lp = self.KINDS[kind]
+        d = build_dual(standardize(problem))
+        calls = self._count_fallbacks(monkeypatch)
+        _equality_start.cache_clear()
+        cold = solve_dual(d)
+        assert calls.count("_pocs_interior") == pocs
+        assert calls.count("_support_point") == lp
+        misses = _equality_start.cache_info().misses
+        calls.clear()
+        warm = solve_dual(d)
+        assert calls == []
+        assert _equality_start.cache_info().misses == misses
+        assert _solution_bytes(warm) == _solution_bytes(cold)
+        expected = Status.INFEASIBLE if kind == "inconsistent" else Status.OPTIMAL
+        assert cold.status is expected
+        if kind == "inconsistent":
+            assert cold.iterations == 0
+
+    def test_duals_with_one_equality_matrix_share_the_start(self):
+        first = build_dual(standardize(example1_problem(c=1.0)))
+        second = build_dual(standardize(example1_problem(c=5.0)))
+        assert np.array_equal(first.equality_matrix, second.equality_matrix)
+        _equality_start.cache_clear()
+        cold = solve_dual(second)
+        _equality_start.cache_clear()
+        solve_dual(first)
+        misses = _equality_start.cache_info().misses
+        warm = solve_dual(second)
+        assert _equality_start.cache_info().misses == misses
+        assert _solution_bytes(warm) == _solution_bytes(cold)
+        assert _dual_start(first) is _dual_start(second)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cached_arrays_are_read_only(self, kind):
+        start = _dual_start(build_dual(standardize(self.KINDS[kind][0])))
+        arrays = [arr for arr in start if arr is not None]
+        assert arrays or kind == "inconsistent"
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_keep_all_pass_computes_each_start_once(self, monkeypatch):
+        # 1002 duals over the 12 fixtures; exponent values alone fix each
+        # equality system, so there are 10 distinct ones, 46 fixture by fixture
+        paths = sorted(PROBLEM_DIR.glob("*.json"))
+        models = [as_choice_gp(parse_problem(p)) for p in paths]
+        duals = []
+        original = gpchoice.solver.solve_dual
+
+        def spy(d, settings=None):
+            duals.append(d)
+            return original(d, settings)
+
+        monkeypatch.setattr(gpchoice.solver, "solve_dual", spy)
+        _equality_start.cache_clear()
+        for cg in models:
+            solve_choice(cg, keep_assignments=True)
+        assert len(duals) == 1002
+        assert _equality_start.cache_info().misses <= 10
+        misses = _equality_start.cache_info().misses
+        for cg in models:
+            solve_choice(cg, keep_assignments=True)
+        assert _equality_start.cache_info().misses == misses
+        per_fixture = 0
+        for cg in models:
+            _equality_start.cache_clear()
+            solve_choice(cg, keep_assignments=True)
+            per_fixture += _equality_start.cache_info().misses
+        assert per_fixture <= 46
+
+    def test_cache_stays_within_its_bound(self):
+        size = _equality_start.cache_info().maxsize
+        problems = _stress_problems()[:size + 20]
+        _equality_start.cache_clear()
+        for problem in problems:
+            _dual_start(build_dual(standardize(problem)))
+        info = _equality_start.cache_info()
+        assert info.misses > size  # more distinct systems than the cache holds
+        assert info.currsize <= size
+
+    def test_threads_share_the_cache_and_get_cold_results(self):
+        duals = [build_dual(standardize(p)) for p, _, _ in self.KINDS.values()]
+        duals += [build_dual(standardize(p)) for p in _stress_problems()[:10]]
+        _equality_start.cache_clear()
+        cold = [_solution_bytes(solve_dual(d)) for d in duals]
+        systems = _equality_start.cache_info().currsize
+        _equality_start.cache_clear()
+        results = {}
+
+        def work(offset):
+            order = duals[offset:] + duals[:offset]
+            results[offset] = [_solution_bytes(solve_dual(d)) for d in order]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(0, 15, 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for offset, got in results.items():
+            assert got == cold[offset:] + cold[:offset]
+        assert len(results) == len(threads)
+        assert _equality_start.cache_info().currsize == systems
+
+    def test_fast_pass_stops_at_the_first_boundary_touch(self):
+        # the fast pass reaches the boundary and the barrier takes over from
+        # the start; these are the weights bit for bit of the solver whose
+        # fast pass ran on along the face, in 72 iterations
+        ds = solve_dual(build_dual(standardize(_stress_problems()[3])))
+        assert ds.status is Status.OPTIMAL
+        weights = ("0x1.315229aa0af87p-1", "0x1.a19c1983ce2c4p-4",
+                   "0x1.34f4a64af683fp-2", "0x1.4c44ed12ab89dp-5",
+                   "0x1.35a4e98cce189p-2", "0x1.9a87497555800p-44")
+        assert [w.hex() for w in ds.weights.tolist()] == list(weights)
+        assert ds.iterations < 72
