@@ -12,7 +12,9 @@ constraint block i.  Factors with w_k = 0 or lambda_i = 0 take their
 continuous limit, one.
 
 Each DualProgram computes its block layout once; the kernels use it to treat
-all blocks at once, adding in the order of a block-by-block loop.
+all blocks at once.  The log dual, its gradient and the full Hessian add in
+the order of a block-by-block loop; the Hessian on a basis B is assembled
+from B's sums over each block, without the full matrix.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .posynomial import GpDomainError, StandardGp
 
 
 # offsets: block starts, then K; scatter and starts: slots of the weights and
-# of a 0 before each block; con_block: block of each constraint term; same:
-# (K, K), True within one constraint block
-_Layout = namedtuple("_Layout", "offsets scatter starts con_block log_c same")
+# of a 0 before each block; con_block: block of each constraint term; member:
+# (m, K), 1.0 where term k lies in constraint block i + 1
+_Layout = namedtuple("_Layout", "offsets scatter starts con_block log_c member")
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class DualProgram:
             starts=np.array(offsets[:-1]) + np.arange(len(self.block_sizes)),
             con_block=block[offsets[1]:],
             log_c=np.log(self.term_coefficients),
-            same=(block[:, None] == block) & (block > 0),
+            member=(block == np.arange(1, len(self.block_sizes))[:, None]) * 1.0,
         )
 
     def block_slice(self, i: int) -> slice:
@@ -192,8 +194,8 @@ def log_dual_objective(d: DualProgram, w) -> tuple[float, np.ndarray]:
 
 def _log_dual_objective(
     d: DualProgram, w: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """log_dual_objective and log w, on a weight vector already checked."""
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """log_dual_objective, log w and the block sums, on checked weights."""
     lay = d._layout
     lam = _block_sums(d, w)
     pos = w > 0.0
@@ -213,7 +215,7 @@ def _log_dual_objective(
         value += term
     grad = lay.log_c - logw - 1.0
     grad[lay.offsets[1]:] += (log_lam + 1.0)[lay.con_block]
-    return value, grad, logw
+    return value, grad, logw, lam
 
 
 def log_dual_hessian(d: DualProgram, w) -> np.ndarray:
@@ -226,7 +228,22 @@ def log_dual_hessian(d: DualProgram, w) -> np.ndarray:
 
 def _log_dual_hessian(d: DualProgram, w: np.ndarray) -> np.ndarray:
     """log_dual_hessian on a strictly positive weight vector of the right shape."""
-    inv_lam = 1.0 / _block_sums(d, w)
-    h = np.where(d._layout.same, inv_lam[d.block_index], 0.0)
-    h.reshape(-1)[:: w.size + 1] -= 1.0 / w  # the diagonal, 1/lambda - 1/w
-    return h
+    return _reduced_hessian(np.eye(w.size), d._layout.member, _block_sums(d, w), w)
+
+
+def _reduced_hessian(
+    basis: np.ndarray,
+    basis_sums: np.ndarray,
+    lam: np.ndarray,
+    w: np.ndarray,
+    mu: float = 0.0,
+) -> np.ndarray:
+    """B^T H B for the Hessian H of the log dual, less mu / w^2 on its diagonal.
+
+    H is sum_i s_i s_i^T / lambda_i - diag(1 / w), with s_i the indicator of
+    constraint block i; basis_sums = member @ B stacks the s_i^T B, and lam
+    holds the block sums, objective first.  At B = I only exact zeros join
+    each entry's one term, so the result is the entrywise formula bit for bit.
+    """
+    curvature = 1.0 / w if mu == 0.0 else 1.0 / w + mu / w**2
+    return (basis_sums.T / lam[1:]) @ basis_sums - (basis.T * curvature) @ basis

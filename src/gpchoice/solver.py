@@ -4,8 +4,9 @@ The dual of a posynomial GP maximizes a concave function over
 {A w = e1, w >= 0}.  We parameterize the affine set through an orthonormal
 null-space basis and run a damped Newton ascent with a fraction-to-boundary
 safeguard; equality residuals stay at rounding level because iterates never
-leave the affine set.  Each step runs the dual's vectorized kernels; a face
-of active bounds is tracked only once a weight reaches boundary_eps.  An interior
+leave the affine set.  Each step runs the dual's vectorized kernels and
+assembles the reduced Hessian directly on the face basis; a face of active
+bounds is tracked only once a weight reaches boundary_eps.  An interior
 stationary point is accepted outright (global by concavity).  When the
 maximum lies on the boundary, a log-barrier continuation rides the central
 path to the optimal face, since plain Newton can lock onto a suboptimal face.
@@ -23,7 +24,8 @@ at every feasible point; they are dropped and the dual is re-solved on the
 rest.  The start and the null space depend only on the equality system,
 which exponent values alone fix, so they are computed once per system and
 shared, through a bounded cache, by every dual with that system.  Linear
-algebra is numpy only (an SVD null space, a Cholesky Newton step), so
+algebra is numpy only (an SVD null space; a Newton step that runs a
+Cholesky factorization only as its definiteness test, then one solve), so
 importing the package does not load scipy; scipy.optimize.linprog is
 imported on first use by that one LP.
 
@@ -43,8 +45,8 @@ import numpy as np
 
 from .dual import (
     DualProgram,
-    _log_dual_hessian,
     _log_dual_objective,
+    _reduced_hessian,
     block_lambdas,
     build_dual,
     log_dual_objective,
@@ -90,7 +92,8 @@ class SolverSettings:
         for name in ("feasibility_tol", "stationarity_tol", "boundary_eps"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise GpDomainError(f"{name} must be finite and positive")
-        if not isinstance(n := self.max_iterations, (int, np.integer)) or n <= 0:
+        n = self.max_iterations
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
             raise GpDomainError("max_iterations must be a positive int")
 
 
@@ -151,7 +154,10 @@ def _face_basis(a: np.ndarray, nullsp: np.ndarray, active) -> np.ndarray:
 
 
 def _face_norm(face_basis: np.ndarray, grad: np.ndarray, active) -> float:
-    """Largest projected-gradient entry off the active bounds (None: none)."""
+    """Largest entry of grad projected onto the face, off its active bounds.
+
+    active masks the weights frozen at their bound, or is None when none is.
+    """
     if face_basis.shape[1] == 0:
         return 0.0
     if active is not None:
@@ -302,8 +308,10 @@ def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     ridge, matrix = 0.0, neg
     for _ in range(6):
         try:
-            lower = np.linalg.cholesky(matrix)
-            return np.linalg.solve(lower.T, np.linalg.solve(lower, gu))
+            # the factorization only tests definiteness: on systems of a few
+            # unknowns one solve costs less than two on the factor
+            np.linalg.cholesky(matrix)
+            return np.linalg.solve(matrix, gu)
         except np.linalg.LinAlgError:
             ridge = max(10.0 * ridge, 1e-12 * max(1.0, float(np.abs(neg).max())))
             matrix = neg + ridge * np.eye(len(gu))
@@ -355,13 +363,13 @@ def _finish(
 
 def _barrier_eval(
     d: DualProgram, w: np.ndarray, mu: float
-) -> tuple[float, float, np.ndarray]:
-    """(raw log dual value, barrier-augmented value, augmented gradient)."""
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(raw log dual value, barrier-augmented value, its gradient, block sums)."""
     # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
-    raw, grad, logw = _log_dual_objective(d, w)
+    raw, grad, logw, lam = _log_dual_objective(d, w)
     if mu == 0.0:
-        return raw, raw, grad
-    return raw, raw + mu * float(logw.sum()), grad + mu / w
+        return raw, raw, grad, lam
+    return raw, raw + mu * float(logw.sum()), grad + mu / w, lam
 
 
 def _newton_phase(
@@ -381,14 +389,17 @@ def _newton_phase(
     With mu > 0 iterates stay strictly interior.  With mu = 0 weights at
     boundary_eps are frozen and Newton works on the open face, which keeps
     the huge -1/w curvatures of frozen coordinates out of the reduced
-    Hessian; stop_at_boundary ends the pass there instead.
+    Hessian; stop_at_boundary ends the pass there instead.  The reduced
+    Hessian is assembled on the face basis B from B's sums over each
+    constraint block, computed once per face.
     """
-    raw, value, grad = _barrier_eval(d, w, mu)
+    raw, value, grad, lam = _barrier_eval(d, w, mu)
     status = Status.ITERATION_LIMIT
     iterations = 0
-    diagonal = slice(None, None, d.term_count + 1)
+    member = d._layout.member
     face_key: tuple[int, ...] | None = None
-    face_basis = nullsp
+    # the stationarity of w on face_key when a plateau trial has measured it
+    known_norm: float | None = None
     for iterations in range(1, max_iterations + 1):
         if raw > _LOG_VALUE_UNBOUNDED:
             return w, Status.UNBOUNDED, iterations
@@ -400,21 +411,22 @@ def _newton_phase(
             active = w <= settings.boundary_eps
             key = tuple(np.flatnonzero(active))
         if key != face_key:
-            face_key = key
+            face_key, known_norm = key, None
             face_basis = _face_basis(a, nullsp, active)
+            face_sums = member @ face_basis
 
-        stationarity = _face_norm(face_basis, grad, active)
-        if stationarity <= tol:
-            status = Status.OPTIMAL
-            break
-        if face_basis.shape[1] == 0:
-            status = Status.OPTIMAL
-            break
-        hess = _log_dual_hessian(d, w)
-        if mu > 0.0:
-            hess.reshape(-1)[diagonal] -= mu / w**2
         gu = face_basis.T @ grad
-        du = _newton_step(face_basis.T @ hess @ face_basis, gu)
+        if known_norm is not None:
+            stationarity = known_norm
+        elif active is None:  # _face_norm's projection, from gu
+            stationarity = float(np.abs(face_basis @ gu).max())
+        else:
+            stationarity = _face_norm(face_basis, grad, active)
+        if stationarity <= tol or face_basis.shape[1] == 0:
+            status = Status.OPTIMAL
+            break
+        hu = _reduced_hessian(face_basis, face_sums, lam, w, mu)
+        du = _newton_step(hu, gu)
         if float(gu @ du) <= 0.0:
             du = gu
 
@@ -439,14 +451,17 @@ def _newton_phase(
             for _ in range(60):
                 trial = np.maximum(w + step * dw, _WEIGHT_FLOOR)
                 if trial.min() > 0.0:
-                    t_raw, t_value, t_grad = _barrier_eval(d, trial, mu)
+                    t_raw, t_value, t_grad, t_lam = _barrier_eval(d, trial, mu)
                     predicted = 1e-4 * step * slope
+                    t_norm = None
                     if predicted > plateau:
                         ok = t_value >= value + predicted
                     else:
-                        ok = _face_norm(face_basis, t_grad, active) < stationarity
+                        t_norm = _face_norm(face_basis, t_grad, active)
+                        ok = t_norm < stationarity
                     if ok:
-                        w, raw, value, grad = trial, t_raw, t_value, t_grad
+                        w, raw, value, grad, lam = trial, t_raw, t_value, t_grad, t_lam
+                        known_norm = t_norm
                         accepted = True
                         break
                 step *= 0.5

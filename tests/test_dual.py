@@ -12,8 +12,19 @@ from gpchoice import (
     solve_dual,
     standardize,
 )
-from gpchoice.dual import _log_dual_hessian, _log_dual_objective, log_dual_hessian
-from gpchoice.solver import Status, _barrier_eval, _project_onto_equalities
+from gpchoice.dual import (
+    _log_dual_hessian,
+    _log_dual_objective,
+    _reduced_hessian,
+    log_dual_hessian,
+)
+from gpchoice.solver import (
+    Status,
+    _barrier_eval,
+    _face_basis,
+    _null_space,
+    _project_onto_equalities,
+)
 from helpers import (
     EX1_W,
     EX1_Z,
@@ -332,14 +343,14 @@ class TestKernelsMatchBlockLoops:
         d = _random_program(rng, sizes)
         for _ in range(40):
             w = _positive_weights(rng, d.term_count)
-            value, grad, logw = _log_dual_objective(d, w)
+            value, grad, logw, _ = _log_dual_objective(d, w)
             assert _bits(value, grad, logw) == _bits(
                 *_loop_log_dual_objective(d, w), np.log(w)
             )
             hess = _log_dual_hessian(d, w)
             assert _bits(hess) == _bits(_loop_log_dual_hessian(d, w))
             for mu in (0.0, 1e-6, 1.0):
-                assert _bits(*_barrier_eval(d, w, mu)) == _bits(
+                assert _bits(*_barrier_eval(d, w, mu)[:3]) == _bits(
                     *_loop_barrier_eval(d, w, mu)
                 )
 
@@ -359,9 +370,39 @@ class TestKernelsMatchBlockLoops:
             ref_value, ref_grad = _loop_log_dual_objective(d, w)
             assert _bits(value, grad) == _bits(ref_value, ref_grad)
             assert np.all(np.isposinf(grad[w == 0.0]))
-            assert _bits(*_barrier_eval(d, w, 0.0)) == _bits(
+            assert _bits(*_barrier_eval(d, w, 0.0)[:3]) == _bits(
                 ref_value, ref_value, ref_grad
             )
+
+
+class TestReducedHessian:
+    """The Hessian assembled on a face basis B equals B^T H B."""
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 2), (3, 1, 4), (2, 2, 2, 2), (4, 9, 1)])
+    def test_matches_the_projected_full_hessian(self, sizes):
+        rng = np.random.default_rng(sum(sizes) * 13 + len(sizes))
+        d = _random_program(rng, sizes)
+        a = d.equality_matrix
+        nullsp = _null_space(a)
+        for trial in range(40):
+            w = 10.0 ** rng.uniform(-3.0, 1.0, d.term_count)
+            active = None
+            if trial % 2:  # a frozen face, at most nullity - 2 bounds
+                count = int(rng.integers(1, nullsp.shape[1] - 1))
+                active = np.zeros(d.term_count, dtype=bool)
+                active[rng.choice(d.term_count, count, replace=False)] = True
+                w[active] = 1e-12  # frozen at boundary_eps
+            basis = _face_basis(a, nullsp, active)
+            assert basis.shape[1] > 0
+            lam = _log_dual_objective(d, w)[3]
+            for mu in (0.0, 1e-6, 1.0):
+                got = _reduced_hessian(basis, d._layout.member @ basis, lam, w, mu)
+                full = log_dual_hessian(d, w) - np.diag(mu / w**2)
+                want = basis.T @ full @ basis
+                # entries that cancel to near zero carry the rounding of
+                # their largest terms, so the error is measured on the scale
+                # of the largest entry
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLogDualHessian:
