@@ -4,8 +4,9 @@
 Generates small problems (feasible by construction at a known interior
 point), solves each through the dual path, and cross-checks a sample of the
 optima against the brute-force grid oracle.  Prints the Newton iterations of
-the reported dual solves and the solve time per iteration, status counts, the
-worst duality gap and equality residual, and the worst oracle disagreement.
+the reported dual solves and the solve time per iteration, status counts (with
+the indices of the ITERATION_LIMIT problems), the worst duality gap and
+equality residual, and the worst oracle disagreement.
 """
 
 import argparse
@@ -38,7 +39,8 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    statuses: dict[str, int] = {}
+    # problem indices by status
+    statuses: dict[str, list[int]] = {}
     worst_gap = 0.0
     worst_residual = 0.0
     worst_oracle = 0.0
@@ -47,13 +49,13 @@ def main() -> int:
     solving = 0.0
 
     started = time.perf_counter()
-    for _ in range(args.count):
+    for index in range(args.count):
         s = standardize(random_feasible_gp(rng))
         tick = time.perf_counter()
         report = solve(s)
         solving += time.perf_counter() - tick
         iterations += report.dual.iterations
-        statuses[report.status.value] = statuses.get(report.status.value, 0) + 1
+        statuses.setdefault(report.status.value, []).append(index)
         if report.status is not Status.OPTIMAL:
             continue
         worst_gap = max(worst_gap, report.duality_gap)
@@ -74,8 +76,11 @@ def main() -> int:
     per_iteration = solving / iterations * 1e6 if iterations else float("nan")
     print(f"  {iterations} Newton iterations, {per_iteration:.1f} us each "
           f"({solving:.2f}s in solve)")
-    for name in sorted(statuses):
-        print(f"  {name:16s} {statuses[name]}")
+    for name, indices in sorted(statuses.items()):
+        listed = ""
+        if name == Status.ITERATION_LIMIT.value:
+            listed = f" (problems {', '.join(map(str, indices))})"
+        print(f"  {name:16s} {len(indices)}{listed}")
     print(f"worst duality gap        {worst_gap:.3e}")
     print(f"worst equality residual  {worst_residual:.3e}")
     print(f"worst oracle difference  {worst_oracle:.3e} "

@@ -4,17 +4,21 @@ The dual of a posynomial GP maximizes a concave function over
 {A w = e1, w >= 0}.  We parameterize the affine set through an orthonormal
 null-space basis and run a damped Newton ascent with a fraction-to-boundary
 safeguard; equality residuals stay at rounding level because iterates never
-leave the affine set.  Each step runs the dual's vectorized kernels and
-assembles the reduced Hessian directly on the face basis; a face of active
-bounds is tracked only once a weight reaches boundary_eps.  An interior
-stationary point is accepted outright (global by concavity).  When the
-maximum lies on the boundary, a log-barrier continuation rides the central
-path to the optimal face, since plain Newton can lock onto a suboptimal face.
-The barrier leaves the weights of an inactive constraint near its last mu
-rather than at zero; if the final pass stalls there, those blocks are dropped
-and the reduced dual is re-solved.  When the equality system leaves no
-freedom (an empty null space, as with degree of difficulty zero) its single
-solution is the answer.
+leave the affine set, and every pass stays strictly inside its program.  Each
+step runs the dual's vectorized kernels and assembles the reduced Hessian
+directly on the null-space basis.  A plain Newton pass runs from the start
+and ends at its first boundary touch; an interior stationary point is
+accepted outright (global by concavity).  When the maximum lies on the
+boundary, a log-barrier continuation rides the central path to the optimal
+face, since plain Newton can lock onto a suboptimal face.
+A zero weight at the optimum marks an inactive term, so a boundary optimum
+is the interior optimum of a smaller dual: the weights the barrier leaves
+near zero (single weights, and every block of an inactive constraint) are
+dropped, the iterate is projected onto the reduced equalities, the plain
+pass finishes there, and the dropped weights are padded with zeros.  All
+passes of one solve share settings.max_iterations.  When the equality system
+leaves no freedom (an empty null space, as with degree of difficulty zero)
+its single solution is the answer.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -55,16 +59,19 @@ from .posynomial import GpDomainError, StandardGp, evaluate
 
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
-# a stalled constraint block with lambda at or below this is inactive: the
-# barrier leaves inactive blocks near 1e-9 and active ones above 1e-3
+# after the barrier, a constraint block with lambda at or below this is
+# inactive (the barrier leaves inactive blocks near 1e-9 and active ones
+# above 1e-3), and a single weight at or below _DROPPED_WEIGHT is zero at the
+# optimum; both are dropped from the program before its last pass
 _INACTIVE_LAMBDA = 1e-6
+_DROPPED_WEIGHT = 1e-8
 # solve() certifies an OPTIMAL result only within these: the relative gap
 # between the recovered primal value and the dual value, and the largest
 # constraint violation f_i(x) - 1 at the recovered x
 GAP_TOL = 1e-6
 VIOLATION_TOL = 1e-8
-# weights may converge to a boundary face; flooring them far below
-# boundary_eps keeps the Hessian finite without affecting any contract
+# a trial weight that rounding takes to zero is floored far below
+# boundary_eps, which keeps the log dual finite without affecting any contract
 _WEIGHT_FLOOR = 1e-150
 # equality systems whose start is kept; the shipped problems have 10 in all
 _START_CACHE_SIZE = 256
@@ -146,28 +153,9 @@ def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.
     return w + delta
 
 
-def _face_basis(a: np.ndarray, nullsp: np.ndarray, active) -> np.ndarray:
-    """Null space of the equalities together with the active bounds w_k = 0."""
-    if active is None or not active.any():
-        return nullsp
-    return _null_space(np.vstack([a, np.eye(active.size)[active]]))
-
-
-def _face_norm(face_basis: np.ndarray, grad: np.ndarray, active) -> float:
-    """Largest entry of grad projected onto the face, off its active bounds.
-
-    active masks the weights frozen at their bound, or is None when none is.
-    """
-    if face_basis.shape[1] == 0:
-        return 0.0
-    if active is not None:
-        if active.all():
-            return 0.0
-        # frozen coordinates leave the face; a zero weight has gradient +inf,
-        # which would turn the projection into inf * 0 = nan
-        grad = np.where(active, 0.0, grad)
-    proj = np.abs(face_basis @ (face_basis.T @ grad))
-    return float((proj if active is None else proj[~active]).max())
+def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> float:
+    """Largest entry of grad projected onto the span of basis's columns."""
+    return float(np.abs(basis @ (basis.T @ grad)).max())
 
 
 def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -271,33 +259,11 @@ def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
     )
 
 
-def _solve_on_support(
-    d: DualProgram, keep: np.ndarray, settings: SolverSettings, iterations: int = 0
-) -> DualSolution:
-    """Re-solve the dual over the kept weights and pad the rest with zeros."""
-    inner = solve_dual(_reduced_program(d, keep), settings)
+def _pad(d: DualProgram, keep: np.ndarray, inner: DualSolution) -> DualSolution:
+    """inner, solved over d's kept weights, with the rest of d's weights zero."""
     weights = np.zeros(d.term_count)
     weights[keep] = inner.weights
-    return _finish(d, weights, settings, inner.status, iterations + inner.iterations)
-
-
-def _drop_inactive_blocks(
-    d: DualProgram, ds: DualSolution, settings: SolverSettings
-) -> DualSolution:
-    """Re-solve without the constraint blocks whose lambda collapsed.
-
-    The barrier leaves the weights of an inactive constraint near its last
-    mu, above boundary_eps, so they are never frozen and stationarity stalls
-    near one.  Dropping those blocks and padding the reduced optimum with
-    zeros settles them on the face; ds is kept unless that gives OPTIMAL.
-    solve() certifies the result against the full problem.
-    """
-    inactive = 1 + np.flatnonzero(ds.lambdas <= _INACTIVE_LAMBDA)
-    if inactive.size == 0:
-        return ds
-    keep = ~np.isin(d.block_index, inactive)
-    padded = _solve_on_support(d, keep, settings, ds.iterations)
-    return padded if padded.status is Status.OPTIMAL else ds
+    return replace(inner, weights=weights, lambdas=block_lambdas(d, weights))
 
 
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
@@ -332,19 +298,16 @@ def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolutio
 
 def _finish(
     d: DualProgram,
+    nullsp: np.ndarray,
     w: np.ndarray,
     settings: SolverSettings,
     status: Status,
     iterations: int,
 ) -> DualSolution:
-    a, b = d.equality_matrix, d.equality_rhs
-    residual = float(np.max(np.abs(a @ w - b)))
+    residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
     value, grad = log_dual_objective(d, w)
-    # the gradient projected onto the face w lives on (the equalities and the
-    # bounds at or below boundary_eps) vanishes off the bounds at a maximizer
-    active = w <= settings.boundary_eps
-    face = _face_basis(a, _dual_start(d).nullsp, active)
-    stationarity = _face_norm(face, grad, active)
+    # at a maximizer inside the program the gradient vanishes on its null space
+    stationarity = _projected_norm(nullsp, grad)
     if status is Status.OPTIMAL and (
         residual > settings.feasibility_tol
         or stationarity > settings.stationarity_tol
@@ -374,58 +337,40 @@ def _barrier_eval(
 
 def _newton_phase(
     d: DualProgram,
-    a: np.ndarray,
-    b: np.ndarray,
     nullsp: np.ndarray,
     w: np.ndarray,
     settings: SolverSettings,
     mu: float,
     tol: float,
     max_iterations: int,
-    stop_at_boundary: bool = False,
 ) -> tuple[np.ndarray, Status, int]:
     """Damped Newton ascent of the (optionally barrier-augmented) log dual.
 
-    With mu > 0 iterates stay strictly interior.  With mu = 0 weights at
-    boundary_eps are frozen and Newton works on the open face, which keeps
-    the huge -1/w curvatures of frozen coordinates out of the reduced
-    Hessian; stop_at_boundary ends the pass there instead.  The reduced
-    Hessian is assembled on the face basis B from B's sums over each
-    constraint block, computed once per face.
+    Iterates stay strictly inside the program: with mu > 0 the barrier keeps
+    them there, and with mu = 0 the pass ends at the first weight that
+    reaches boundary_eps, or _DROPPED_WEIGHT if that is lower, since a
+    weight above it is never dropped.  The reduced Hessian is assembled on
+    the null-space basis B from B's sums over each constraint block.
     """
     raw, value, grad, lam = _barrier_eval(d, w, mu)
     status = Status.ITERATION_LIMIT
     iterations = 0
-    member = d._layout.member
-    face_key: tuple[int, ...] | None = None
-    # the stationarity of w on face_key when a plateau trial has measured it
-    known_norm: float | None = None
+    basis_sums = d._layout.member @ nullsp
+    # the stationarity of w once measured; a plateau trial measures it
+    stationarity: float | None = None
     for iterations in range(1, max_iterations + 1):
         if raw > _LOG_VALUE_UNBOUNDED:
             return w, Status.UNBOUNDED, iterations
+        if mu == 0.0 and w.min() <= min(settings.boundary_eps, _DROPPED_WEIGHT):
+            break
 
-        active, key = None, ()
-        if mu == 0.0 and w.min() <= settings.boundary_eps:
-            if stop_at_boundary:
-                return w, status, iterations
-            active = w <= settings.boundary_eps
-            key = tuple(np.flatnonzero(active))
-        if key != face_key:
-            face_key, known_norm = key, None
-            face_basis = _face_basis(a, nullsp, active)
-            face_sums = member @ face_basis
-
-        gu = face_basis.T @ grad
-        if known_norm is not None:
-            stationarity = known_norm
-        elif active is None:  # _face_norm's projection, from gu
-            stationarity = float(np.abs(face_basis @ gu).max())
-        else:
-            stationarity = _face_norm(face_basis, grad, active)
-        if stationarity <= tol or face_basis.shape[1] == 0:
+        gu = nullsp.T @ grad
+        if stationarity is None:  # _projected_norm, from gu
+            stationarity = float(np.abs(nullsp @ gu).max())
+        if stationarity <= tol:
             status = Status.OPTIMAL
             break
-        hu = _reduced_hessian(face_basis, face_sums, lam, w, mu)
+        hu = _reduced_hessian(nullsp, basis_sums, lam, w, mu)
         du = _newton_step(hu, gu)
         if float(gu @ du) <= 0.0:
             du = gu
@@ -437,7 +382,7 @@ def _newton_phase(
             slope = float(gu @ direction)
             if slope <= 0.0:
                 continue
-            dw = face_basis @ direction
+            dw = nullsp @ direction
             step = 1.0
             shrinking = dw < 0.0
             if shrinking.any():
@@ -457,11 +402,11 @@ def _newton_phase(
                     if predicted > plateau:
                         ok = t_value >= value + predicted
                     else:
-                        t_norm = _face_norm(face_basis, t_grad, active)
+                        t_norm = _projected_norm(nullsp, t_grad)
                         ok = t_norm < stationarity
                     if ok:
                         w, raw, value, grad, lam = trial, t_raw, t_value, t_grad, t_lam
-                        known_norm = t_norm
+                        stationarity = t_norm
                         accepted = True
                         break
                 step *= 0.5
@@ -484,57 +429,63 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     Returns a DualSolution whose status is OPTIMAL when the equality residual
     and the projected-gradient stationarity measure meet the settings,
     INFEASIBLE when the feasible set is empty, UNBOUNDED when the objective
-    grows without bound along the feasible set, and ITERATION_LIMIT otherwise.
+    grows without bound along the feasible set, and ITERATION_LIMIT otherwise,
+    including when the Newton passes together reach settings.max_iterations.
     """
     settings = settings or SolverSettings()
     start = _dual_start(d)
     if start.support is not None:
-        return _solve_on_support(d, start.support, settings)
+        inner = solve_dual(_reduced_program(d, start.support), settings)
+        return _pad(d, start.support, inner)
     if start.w is None:
         return _failure(d, Status.INFEASIBLE)
-    a, b, nullsp, w = d.equality_matrix, d.equality_rhs, start.nullsp, start.w
-    if nullsp.shape[1] == 0:
-        return _finish(d, w, settings, Status.OPTIMAL, 0)  # the single point
+    nullsp, w, tol = start.nullsp, start.w, settings.stationarity_tol
+    if nullsp.shape[1] == 0:  # the affine set is the single point w
+        return _finish(d, nullsp, w, settings, Status.OPTIMAL, 0)
+    budget = settings.max_iterations
 
-    # fast path: plain Newton from the interior start, ended once a weight
-    # reaches boundary_eps; an interior stationary point is the global
-    # maximum by concavity, so it can be accepted outright
-    w_fast, status, used = _newton_phase(
-        d, a, b, nullsp, w, settings,
-        mu=0.0, tol=settings.stationarity_tol, max_iterations=200,
-        stop_at_boundary=True,
+    # fast path: plain Newton from the interior start, ended at its first
+    # boundary touch; an interior stationary point is the global maximum by
+    # concavity, so it can be accepted outright
+    w_fast, status, iterations = _newton_phase(
+        d, nullsp, w, settings, 0.0, tol, min(200, budget)
     )
-    iterations = used
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
     if status is Status.OPTIMAL:
-        return _finish(d, w_fast, settings, status, iterations)
+        return _finish(d, nullsp, w_fast, settings, status, iterations)
 
     # the fast path touched the boundary, where aggressive early steps can
     # lock onto a suboptimal face; rerun with barrier continuation, whose
     # central path reaches the optimal face before any weight hits zero
     for mu in _BARRIER_SCHEDULE:
         w, status, used = _newton_phase(
-            d, a, b, nullsp, w, settings,
-            mu=mu, tol=max(mu, settings.stationarity_tol),
-            max_iterations=60,
+            d, nullsp, w, settings, mu, max(mu, tol),
+            min(60, budget - iterations),
         )
         iterations += used
         if status is Status.UNBOUNDED:
             return _failure(d, Status.UNBOUNDED, iterations)
 
+    # the barrier leaves the weights that are zero at the optimum near its
+    # last mu; on their face the optimum is interior to the program without
+    # them, so drop them and finish there with the fast path's pass
+    inactive = 1 + np.flatnonzero(block_lambdas(d, w) <= _INACTIVE_LAMBDA)
+    keep = (w > _DROPPED_WEIGHT) & ~np.isin(d.block_index, inactive)
+    program = d
+    if not keep.all():
+        program = _reduced_program(d, keep)
+        a, b = program.equality_matrix, program.equality_rhs
+        nullsp = _null_space(a)
+        w = _project_onto_equalities(a, b, w[keep])
     w, status, used = _newton_phase(
-        d, a, b, nullsp, w, settings,
-        mu=0.0, tol=settings.stationarity_tol,
-        max_iterations=max(60, settings.max_iterations - iterations),
+        program, nullsp, w, settings, 0.0, tol, budget - iterations
     )
     iterations += used
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
-    result = _finish(d, w, settings, status, iterations)
-    if result.status is not Status.OPTIMAL:
-        return _drop_inactive_blocks(d, result, settings)
-    return result
+    result = _finish(program, nullsp, w, settings, status, iterations)
+    return result if program is d else _pad(d, keep, result)
 
 
 def recover_primal(

@@ -277,6 +277,33 @@ class TestSolverSettings:
         with pytest.raises(GpDomainError):
             SolverSettings(**kwargs)
 
+    # example 1 takes the fast path; stress problem 3 adds the barrier and a
+    # reduced last pass, 23 the support LP, 55 the drop of inactive blocks
+    @pytest.mark.parametrize("index", [None, 3, 23, 55])
+    def test_max_iterations_bounds_every_pass_of_a_solve(self, index):
+        g = example1_problem() if index is None else _stress_problems()[index]
+        d = build_dual(standardize(g))
+        full = solve_dual(d)
+        assert full.status is Status.OPTIMAL
+        n = full.iterations
+        exact = solve_dual(d, SolverSettings(max_iterations=n))
+        assert _solution_bytes(exact) == _solution_bytes(full)
+        for budget in (1, n // 2, n - 1):
+            ds = solve_dual(d, SolverSettings(max_iterations=budget))
+            assert ds.status is Status.ITERATION_LIMIT
+            assert ds.iterations <= budget
+        short = solve(standardize(g), SolverSettings(max_iterations=1))
+        assert short.status is Status.ITERATION_LIMIT
+
+    @pytest.mark.parametrize("index", [21, 312])
+    def test_weights_below_a_large_boundary_eps_stay_positive(self, index):
+        # each optimum has a weight of 3e-8 to 6e-8 in an active block; a
+        # Newton pass that ended at boundary_eps would leave it to the drop,
+        # and the zero it gets there violates that term's constraint
+        settings = SolverSettings(boundary_eps=1e-6)
+        report = solve(standardize(_stress_problems()[index]), settings)
+        assert report.status is Status.OPTIMAL
+
     def test_custom_tolerance_is_respected(self):
         loose = SolverSettings(stationarity_tol=1e-4)
         ds = solve_dual(build_dual(standardize(example1_problem())), loose)
@@ -292,7 +319,7 @@ class TestNumpyLinearAlgebra:
         rows, cols = int(rng.integers(2, 8)), int(rng.integers(2, 9))
         rank = int(rng.integers(1, min(rows, cols) + 1))
         a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-        if rng.random() < 0.5:  # stacked unit rows, as for frozen weights
+        if rng.random() < 0.5:  # stacked unit rows, as for a face of zero weights
             a = np.vstack([a, np.eye(cols)[rng.random(cols) < 0.3]])
         return a
 
@@ -386,7 +413,7 @@ STRESS_SEED = 20260808
 
 
 @lru_cache(maxsize=1)
-def _stress_problems(count=1600):
+def _stress_problems(count=2000):
     rng = np.random.default_rng(STRESS_SEED)
     return tuple(random_feasible_gp(rng) for _ in range(count))
 
@@ -400,10 +427,13 @@ class TestStressRegressions:
               1102, 1109, 1113)
     # OPTIMAL only by a hair before the stall fix; rounding could flip them
     KNIFE_EDGE = (131, 230, 412, 756)
+    # a weight of 1e-15 to 1e-13 inside an active block: dropping inactive
+    # blocks alone leaves them in ITERATION_LIMIT
+    TINY_WEIGHTS = (289, 474, 1393, 1434)
     # independent primal SLSQP optima in log space
     SLSQP = {55: 1.2220566, 129: 13.314045, 218: 6.4653102}
 
-    @pytest.mark.parametrize("index", STALLS + KNIFE_EDGE)
+    @pytest.mark.parametrize("index", STALLS + KNIFE_EDGE + TINY_WEIGHTS)
     def test_inactive_constraints_reach_a_certified_optimum(self, index):
         s = standardize(_stress_problems()[index])
         report = solve(s)
@@ -438,23 +468,73 @@ class TestStressRegressions:
         assert report.duality_gap <= 1e-6
         assert report.kkt_residuals.primal_feasibility <= 1e-8
 
-    # of the first 300 problems these are INFEASIBLE (feasible by
-    # construction, but the infimum is not attained) and the other 215 OPTIMAL
-    NOT_OPTIMAL = (0, 1, 7, 17, 20, 28, 29, 31, 32, 38, 39, 40, 41, 44, 50, 51,
-                   57, 58, 73, 77, 79, 86, 87, 88, 91, 93, 108, 110, 111, 112,
-                   113, 115, 118, 133, 135, 136, 140, 153, 156, 157, 164, 169,
-                   174, 181, 183, 189, 195, 196, 199, 205, 206, 212, 213, 215,
-                   219, 221, 224, 225, 227, 231, 233, 236, 239, 241, 249, 254,
-                   255, 260, 261, 262, 264, 268, 269, 270, 272, 275, 278, 280,
-                   283, 285, 286, 290, 294, 295, 297)
+    # these are INFEASIBLE (feasible by construction, but the infimum is not
+    # attained), 791 is ITERATION_LIMIT and the other 1428 are OPTIMAL
+    INFEASIBLE = (0, 1, 7, 17, 20, 28, 29, 31, 32, 38, 39, 40, 41, 44, 50, 51,
+                  57, 58, 73, 77, 79, 86, 87, 88, 91, 93, 108, 110, 111, 112,
+                  113, 115, 118, 133, 135, 136, 140, 153, 156, 157, 164, 169,
+                  174, 181, 183, 189, 195, 196, 199, 205, 206, 212, 213, 215,
+                  219, 221, 224, 225, 227, 231, 233, 236, 239, 241, 249, 254,
+                  255, 260, 261, 262, 264, 268, 269, 270, 272, 275, 278, 280,
+                  283, 285, 286, 290, 294, 295, 297, 301, 302, 309, 310, 316,
+                  319, 321, 324, 327, 329, 337, 343, 352, 356, 360, 364, 365,
+                  366, 367, 380, 382, 393, 394, 395, 396, 397, 398, 407, 410,
+                  420, 421, 422, 432, 433, 443, 448, 449, 453, 465, 467, 473,
+                  477, 478, 480, 487, 488, 489, 490, 493, 496, 499, 504, 505,
+                  506, 509, 510, 511, 512, 513, 515, 516, 518, 520, 527, 535,
+                  543, 545, 546, 550, 552, 563, 566, 572, 578, 580, 583, 587,
+                  593, 594, 596, 600, 603, 606, 607, 610, 611, 612, 613, 616,
+                  618, 619, 621, 622, 627, 635, 636, 644, 646, 648, 654, 655,
+                  658, 662, 667, 670, 671, 673, 680, 683, 685, 686, 688, 689,
+                  691, 700, 705, 707, 708, 715, 720, 726, 736, 739, 740, 741,
+                  744, 745, 747, 749, 750, 751, 752, 754, 761, 762, 765, 766,
+                  772, 774, 778, 786, 787, 789, 792, 794, 795, 796, 798, 804,
+                  809, 815, 819, 820, 824, 827, 839, 848, 850, 853, 854, 855,
+                  857, 859, 862, 864, 877, 878, 879, 887, 906, 910, 911, 912,
+                  913, 914, 922, 924, 925, 927, 932, 933, 940, 942, 943, 946,
+                  947, 956, 957, 966, 968, 969, 970, 973, 975, 977, 978, 981,
+                  988, 992, 993, 996, 999, 1001, 1003, 1004, 1005, 1011, 1015,
+                  1016, 1017, 1025, 1027, 1031, 1036, 1040, 1041, 1052, 1054,
+                  1056, 1058, 1059, 1062, 1068, 1069, 1074, 1079, 1086, 1087,
+                  1089, 1094, 1104, 1106, 1108, 1115, 1119, 1120, 1122, 1128,
+                  1130, 1131, 1136, 1142, 1143, 1144, 1145, 1153, 1168, 1172,
+                  1174, 1177, 1178, 1180, 1182, 1183, 1184, 1188, 1189, 1192,
+                  1197, 1201, 1204, 1213, 1215, 1217, 1222, 1225, 1234, 1243,
+                  1246, 1255, 1257, 1267, 1271, 1274, 1275, 1279, 1281, 1282,
+                  1286, 1287, 1292, 1298, 1299, 1301, 1314, 1315, 1317, 1318,
+                  1322, 1323, 1326, 1332, 1338, 1345, 1351, 1353, 1355, 1356,
+                  1358, 1363, 1367, 1371, 1372, 1373, 1375, 1378, 1379, 1380,
+                  1381, 1391, 1396, 1397, 1402, 1412, 1413, 1414, 1415, 1418,
+                  1420, 1422, 1427, 1428, 1432, 1436, 1437, 1438, 1441, 1444,
+                  1445, 1453, 1455, 1460, 1461, 1462, 1463, 1466, 1467, 1468,
+                  1469, 1473, 1476, 1478, 1479, 1482, 1484, 1488, 1491, 1495,
+                  1496, 1497, 1502, 1504, 1509, 1513, 1514, 1516, 1523, 1526,
+                  1529, 1532, 1533, 1539, 1540, 1542, 1544, 1547, 1555, 1559,
+                  1562, 1564, 1568, 1573, 1575, 1576, 1578, 1590, 1597, 1603,
+                  1604, 1607, 1613, 1616, 1625, 1626, 1628, 1637, 1644, 1645,
+                  1646, 1647, 1649, 1651, 1656, 1658, 1659, 1663, 1670, 1671,
+                  1673, 1683, 1684, 1685, 1690, 1695, 1701, 1703, 1704, 1705,
+                  1706, 1709, 1710, 1714, 1720, 1730, 1738, 1740, 1741, 1744,
+                  1746, 1749, 1751, 1753, 1755, 1758, 1766, 1767, 1768, 1769,
+                  1777, 1782, 1788, 1791, 1795, 1796, 1805, 1813, 1814, 1816,
+                  1817, 1822, 1827, 1831, 1835, 1837, 1838, 1842, 1849, 1857,
+                  1865, 1868, 1876, 1880, 1883, 1888, 1898, 1906, 1908, 1910,
+                  1912, 1914, 1915, 1918, 1920, 1922, 1926, 1927, 1931, 1945,
+                  1948, 1949, 1950, 1952, 1956, 1957, 1960, 1963, 1970, 1974,
+                  1983, 1985, 1988, 1990, 1991, 1993, 1995, 1997)
 
-    def test_status_of_each_of_the_first_300_problems(self):
-        statuses = [solve(standardize(g)).status for g in _stress_problems()[:300]]
-        expected = [Status.OPTIMAL] * 300
-        for index in self.NOT_OPTIMAL:
+    def test_status_of_each_of_the_first_2000_problems(self):
+        reports = [solve(standardize(g)) for g in _stress_problems()]
+        expected = [Status.OPTIMAL] * 2000
+        for index in self.INFEASIBLE:
             expected[index] = Status.INFEASIBLE
-        assert len(self.NOT_OPTIMAL) == 85
-        assert statuses == expected
+        expected[791] = Status.ITERATION_LIMIT
+        assert len(self.INFEASIBLE) == 571
+        assert [report.status for report in reports] == expected
+        for report in reports:
+            if report.status is Status.OPTIMAL:
+                assert report.duality_gap <= 1e-6
+                assert report.kkt_residuals.primal_feasibility <= 1e-8
 
     def test_overflowing_primal_recovery_gives_a_report(self):
         # recover_primal overflows x = exp(y) to inf on this problem
@@ -614,20 +694,24 @@ class TestSharedStart:
 
     def test_fast_pass_stops_at_the_first_boundary_touch(self):
         # the fast pass reaches the boundary and the barrier takes over from
-        # the start; `before` holds the weights, bit for bit, of the solver
+        # the start; the weight the barrier leaves near 1e-13 is dropped and
+        # the last pass runs inside the reduced program, so it ends at an
+        # exact 0.0. `before` holds the weights, bit for bit, of the solver
         # whose fast pass ran on along the face (72 iterations) and whose
-        # reduced Hessian was the projected full one; assembling it on the
-        # face basis moves them by rounding only
+        # last pass froze that weight at 9.1e-14
         ds = solve_dual(build_dual(standardize(_stress_problems()[3])))
         assert ds.status is Status.OPTIMAL
-        weights = ("0x1.315229aa0af87p-1", "0x1.a19c1983ce2c8p-4",
-                   "0x1.34f4a64af6843p-2", "0x1.4c44ed12ab89cp-5",
-                   "0x1.35a4e98cce18cp-2", "0x1.9a87497555800p-44")
+        weights = ("0x1.315229aa0af51p-1", "0x1.a19c1983ce350p-4",
+                   "0x1.34f4a64af6889p-2", "0x1.4c44ed12ab68bp-5",
+                   "0x1.35a4e98cce1f8p-2", "0x0.0p+0")
         assert [w.hex() for w in ds.weights.tolist()] == list(weights)
-        before = ("0x1.315229aa0af87p-1", "0x1.a19c1983ce2c4p-4",
-                  "0x1.34f4a64af683fp-2", "0x1.4c44ed12ab89dp-5",
-                  "0x1.35a4e98cce189p-2", "0x1.9a87497555800p-44")
+        before = np.array([float.fromhex(h) for h in (
+            "0x1.315229aa0af87p-1", "0x1.a19c1983ce2c4p-4",
+            "0x1.34f4a64af683fp-2", "0x1.4c44ed12ab89dp-5",
+            "0x1.35a4e98cce189p-2", "0x1.9a87497555800p-44")])
+        kept = before > 1e-8
         np.testing.assert_allclose(
-            ds.weights, [float.fromhex(h) for h in before], rtol=1e-12, atol=0.0
+            ds.weights[kept], before[kept], rtol=1e-12, atol=0.0
         )
+        assert ds.weights[~kept].tolist() == [0.0]
         assert ds.iterations < 72
