@@ -72,14 +72,6 @@ class DualProgram:
     def constraint_count(self) -> int:
         return len(self.block_sizes) - 1
 
-    @property
-    def normality_row(self) -> np.ndarray:
-        return self.equality_matrix[0]
-
-    @property
-    def orthogonality_rows(self) -> np.ndarray:
-        return self.equality_matrix[1:]
-
     @cached_property
     def _layout(self) -> _Layout:
         offsets = (0, *np.cumsum(self.block_sizes).tolist())
@@ -92,9 +84,6 @@ class DualProgram:
             log_c=np.log(self.term_coefficients),
             member=(block == np.arange(1, len(self.block_sizes))[:, None]) * 1.0,
         )
-
-    def block_slice(self, i: int) -> slice:
-        return slice(*self._layout.offsets[i:i + 2])
 
     def weight_labels(self) -> tuple[str, ...]:
         """Labels w{block}{term}, objective block first, 1-based term index."""

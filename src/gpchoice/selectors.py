@@ -164,7 +164,7 @@ def case_constraint_violations(k: int, bits: Sequence[int]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _resolve(slot: Slot, cg: ChoiceGp, values: Mapping[str, float]) -> float:
+def _resolve(slot: Slot, values: Mapping[str, float]) -> float:
     if isinstance(slot, SetRef):
         return values[slot.name]
     return float(slot)
@@ -193,12 +193,12 @@ def expand(cg: ChoiceGp, choice: Mapping[str, Sequence[int]]) -> GpProblem:
     def build_terms(templates: tuple[TermTemplate, ...], where: str):
         out = []
         for t, tpl in enumerate(templates):
-            coeff = _resolve(tpl.coefficient, cg, values)
+            coeff = _resolve(tpl.coefficient, values)
             if coeff <= 0.0:
                 raise ExpansionRejected(
                     f"{where} term {t}: coefficient resolves to {coeff}"
                 )
-            exps = tuple(_resolve(e, cg, values) for e in tpl.exponents)
+            exps = tuple(_resolve(e, values) for e in tpl.exponents)
             out.append((coeff, exps))
         return out
 

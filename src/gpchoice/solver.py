@@ -28,10 +28,10 @@ at every feasible point; they are dropped and the dual is re-solved on the
 rest.  The start and the null space depend only on the equality system,
 which exponent values alone fix, so they are computed once per system and
 shared, through a bounded cache, by every dual with that system.  Linear
-algebra is numpy only (an SVD null space; a Newton step that runs a
-Cholesky factorization only as its definiteness test, then one solve), so
-importing the package does not load scipy; scipy.optimize.linprog is
-imported on first use by that one LP.
+algebra is numpy only (an SVD null space; a Newton step from one symmetric
+eigendecomposition of the reduced Hessian, its eigenvalues floored so that
+the step always ascends), so importing the package does not load scipy;
+scipy.optimize.linprog is imported on first use by that one LP.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -70,8 +70,10 @@ _DROPPED_WEIGHT = 1e-8
 # constraint violation f_i(x) - 1 at the recovered x
 GAP_TOL = 1e-6
 VIOLATION_TOL = 1e-8
-# a trial weight that rounding takes to zero is floored far below
-# boundary_eps, which keeps the log dual finite without affecting any contract
+# a plain Newton pass ends at a weight this small; recovery ignores its term
+_BOUNDARY_WEIGHT = 1e-12
+# trial weights are floored here, far below _BOUNDARY_WEIGHT, so that rounding
+# to zero keeps the log dual finite without affecting any contract
 _WEIGHT_FLOOR = 1e-150
 # equality systems whose start is kept; the shipped problems have 10 in all
 _START_CACHE_SIZE = 256
@@ -92,11 +94,10 @@ class ReconstructionError(RuntimeError):
 class SolverSettings:
     feasibility_tol: float = 1e-10
     stationarity_tol: float = 1e-8
-    boundary_eps: float = 1e-12
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "stationarity_tol", "boundary_eps"):
+        for name in ("feasibility_tol", "stationarity_tol"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise GpDomainError(f"{name} must be finite and positive")
         n = self.max_iterations
@@ -267,21 +268,16 @@ def _pad(d: DualProgram, keep: np.ndarray, inner: DualSolution) -> DualSolution:
 
 
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
-    """Ascent direction from the (negative definite) reduced Hessian."""
-    neg = -(hu + hu.T) / 2.0
-    if not np.isfinite(neg).all():
-        return gu  # steepest ascent fallback
-    ridge, matrix = 0.0, neg
-    for _ in range(6):
-        try:
-            # the factorization only tests definiteness: on systems of a few
-            # unknowns one solve costs less than two on the factor
-            np.linalg.cholesky(matrix)
-            return np.linalg.solve(matrix, gu)
-        except np.linalg.LinAlgError:
-            ridge = max(10.0 * ridge, 1e-12 * max(1.0, float(np.abs(neg).max())))
-            matrix = neg + ridge * np.eye(len(gu))
-    return gu
+    """Newton ascent direction, the eigenvalues of -hu floored.
+
+    -hu is positive semidefinite up to rounding, the log dual being concave;
+    the floor, 1e-12 * max(1, max|eigenvalue|) (Nocedal and Wright, Numerical
+    Optimization, 2006, 3.4), makes the step finite and ascending (gu @ step
+    > 0 for nonzero gu) for every finite symmetric hu.
+    """
+    lam, vec = np.linalg.eigh(-(hu + hu.T) / 2.0)
+    floor = 1e-12 * max(1.0, float(np.abs(lam).max()))
+    return vec @ ((vec.T @ gu) / np.maximum(lam, floor))
 
 
 def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolution:
@@ -339,7 +335,6 @@ def _newton_phase(
     d: DualProgram,
     nullsp: np.ndarray,
     w: np.ndarray,
-    settings: SolverSettings,
     mu: float,
     tol: float,
     max_iterations: int,
@@ -348,9 +343,10 @@ def _newton_phase(
 
     Iterates stay strictly inside the program: with mu > 0 the barrier keeps
     them there, and with mu = 0 the pass ends at the first weight that
-    reaches boundary_eps, or _DROPPED_WEIGHT if that is lower, since a
-    weight above it is never dropped.  The reduced Hessian is assembled on
-    the null-space basis B from B's sums over each constraint block.
+    reaches _BOUNDARY_WEIGHT.  The reduced Hessian, assembled on the
+    null-space basis B from B's sums over each constraint block, is finite:
+    weights are floored at _WEIGHT_FLOOR and no block of an interior iterate
+    is empty.  So each iteration takes one ascending _newton_step direction.
     """
     raw, value, grad, lam = _barrier_eval(d, w, mu)
     status = Status.ITERATION_LIMIT
@@ -361,7 +357,7 @@ def _newton_phase(
     for iterations in range(1, max_iterations + 1):
         if raw > _LOG_VALUE_UNBOUNDED:
             return w, Status.UNBOUNDED, iterations
-        if mu == 0.0 and w.min() <= min(settings.boundary_eps, _DROPPED_WEIGHT):
+        if mu == 0.0 and w.min() <= _BOUNDARY_WEIGHT:
             break
 
         gu = nullsp.T @ grad
@@ -370,49 +366,31 @@ def _newton_phase(
         if stationarity <= tol:
             status = Status.OPTIMAL
             break
-        hu = _reduced_hessian(nullsp, basis_sums, lam, w, mu)
-        du = _newton_step(hu, gu)
-        if float(gu @ du) <= 0.0:
-            du = gu
-
-        accepted = False
-        # the Newton direction can be ruined by near-boundary curvature;
-        # plain ascent along the gradient still makes progress there
-        for direction in (du, gu):
-            slope = float(gu @ direction)
-            if slope <= 0.0:
-                continue
-            dw = nullsp @ direction
-            step = 1.0
-            shrinking = dw < 0.0
-            if shrinking.any():
-                step = min(
-                    step, 0.9995 * float((-w[shrinking] / dw[shrinking]).min())
-                )
-            # once the predicted gain sinks below value resolution,
-            # sufficient decrease cannot be observed; judge trial steps by
-            # stationarity instead
-            plateau = 1e-13 * (1.0 + abs(value))
-            for _ in range(60):
-                trial = np.maximum(w + step * dw, _WEIGHT_FLOOR)
-                if trial.min() > 0.0:
-                    t_raw, t_value, t_grad, t_lam = _barrier_eval(d, trial, mu)
-                    predicted = 1e-4 * step * slope
-                    t_norm = None
-                    if predicted > plateau:
-                        ok = t_value >= value + predicted
-                    else:
-                        t_norm = _projected_norm(nullsp, t_grad)
-                        ok = t_norm < stationarity
-                    if ok:
-                        w, raw, value, grad, lam = trial, t_raw, t_value, t_grad, t_lam
-                        stationarity = t_norm
-                        accepted = True
-                        break
-                step *= 0.5
-            if accepted:
+        du = _newton_step(_reduced_hessian(nullsp, basis_sums, lam, w, mu), gu)
+        slope = float(gu @ du)
+        dw = nullsp @ du
+        shrinking = dw < 0.0  # fraction to the boundary, at most a full step
+        ratio = -w[shrinking] / dw[shrinking]
+        step = min(1.0, 0.9995 * float(ratio.min(initial=np.inf)))
+        # once the predicted gain sinks below value resolution, sufficient
+        # decrease cannot be observed; judge trial steps by stationarity instead
+        plateau = 1e-13 * (1.0 + abs(value))
+        for _ in range(60):
+            trial = np.maximum(w + step * dw, _WEIGHT_FLOOR)
+            t_raw, t_value, t_grad, t_lam = _barrier_eval(d, trial, mu)
+            predicted = 1e-4 * step * slope
+            t_norm = None
+            if predicted > plateau:
+                ok = t_value >= value + predicted
+            else:
+                t_norm = _projected_norm(nullsp, t_grad)
+                ok = t_norm < stationarity
+            if ok:
+                w, raw, value, grad, lam = trial, t_raw, t_value, t_grad, t_lam
+                stationarity = t_norm
                 break
-        if not accepted:
+            step *= 0.5
+        else:
             break  # no further progress at floating precision
 
     return w, status, iterations
@@ -448,7 +426,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
     w_fast, status, iterations = _newton_phase(
-        d, nullsp, w, settings, 0.0, tol, min(200, budget)
+        d, nullsp, w, 0.0, tol, min(200, budget)
     )
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
@@ -460,7 +438,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     # central path reaches the optimal face before any weight hits zero
     for mu in _BARRIER_SCHEDULE:
         w, status, used = _newton_phase(
-            d, nullsp, w, settings, mu, max(mu, tol),
+            d, nullsp, w, mu, max(mu, tol),
             min(60, budget - iterations),
         )
         iterations += used
@@ -479,7 +457,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
         nullsp = _null_space(a)
         w = _project_onto_equalities(a, b, w[keep])
     w, status, used = _newton_phase(
-        program, nullsp, w, settings, 0.0, tol, budget - iterations
+        program, nullsp, w, 0.0, tol, budget - iterations
     )
     iterations += used
     if status is Status.UNBOUNDED:
@@ -488,27 +466,24 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     return result if program is d else _pad(d, keep, result)
 
 
-def recover_primal(
-    s: StandardGp, ds: DualSolution, settings: SolverSettings | None = None
-) -> np.ndarray:
+def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     """Recover the primal point from near-optimal dual weights.
 
     Solves, in least squares over y = log x, the stacked log-linear relations
     of objective terms and of terms in active constraint blocks; weights at or
-    below boundary_eps contribute no equation.  Raises ReconstructionError
+    below _BOUNDARY_WEIGHT contribute no equation.  Raises ReconstructionError
     when the residual of the stacked system exceeds 1e-6 or when exp(y)
     overflows.
     """
-    settings = settings or SolverSettings()
     d = build_dual(s)
     w = ds.weights
     z = ds.objective_value
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     for k, i in enumerate(d.block_index.tolist()):
-        if w[k] <= settings.boundary_eps:
+        if w[k] <= _BOUNDARY_WEIGHT:
             continue
-        if i and ds.lambdas[i - 1] <= settings.boundary_eps:
+        if i and ds.lambdas[i - 1] <= _BOUNDARY_WEIGHT:
             continue  # inactive constraint, complementary slackness
         rows.append(d.exponent_matrix[k])
         share = w[k] / ds.lambdas[i - 1] if i else w[k] * z
@@ -532,12 +507,12 @@ def recover_primal(
     return x
 
 
-def _certify(s: StandardGp, ds: DualSolution, settings: SolverSettings) -> SolveReport:
+def _certify(s: StandardGp, ds: DualSolution) -> SolveReport:
     """Recover x from an optimal dual and check the gap and primal feasibility."""
     if ds.status is not Status.OPTIMAL:
         return SolveReport(ds.status, None, ds, None, None, None)
     try:
-        x = recover_primal(s, ds, settings)
+        x = recover_primal(s, ds)
     except ReconstructionError:
         return SolveReport(Status.ITERATION_LIMIT, None, ds, None, None, None)
 
@@ -569,14 +544,17 @@ def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
 
     A dual optimum that only just meets stationarity_tol can recover an x
     that misses the certificate by a hair; such a result is re-solved once
-    at stationarity_tol / 100 and kept if that certifies.
+    at stationarity_tol / 100, kept if that certifies, and counted in full.
     """
     settings = settings or SolverSettings()
     d = build_dual(s)
-    report = _certify(s, solve_dual(d, settings), settings)
+    report = _certify(s, solve_dual(d, settings))
     if report.status is Status.ITERATION_LIMIT and report.primal_x is not None:
         tight = replace(settings, stationarity_tol=settings.stationarity_tol / 100)
-        retry = _certify(s, solve_dual(d, tight), tight)
+        ds = solve_dual(d, tight)
+        iterations = report.dual.iterations + ds.iterations
+        retry = _certify(s, replace(ds, iterations=iterations))
         if retry.status is Status.OPTIMAL:
             return retry
+        report = replace(report, dual=replace(report.dual, iterations=iterations))
     return report

@@ -388,8 +388,8 @@ class TestReducedHessian:
             basis = nullsp
             if trial % 2:
                 # the null space of [A; I_active], the face of up to
-                # nullity - 2 weights at boundary_eps: the kernel takes any
-                # basis, not just a null space of A
+                # nullity - 2 weights at the 1e-12 boundary: the kernel takes
+                # any basis, not just a null space of A
                 count = int(rng.integers(1, nullsp.shape[1] - 1))
                 active = rng.choice(d.term_count, count, replace=False)
                 w[active] = 1e-12
