@@ -18,14 +18,16 @@ from typing import Sequence
 from .dual import DualProgram, build_dual
 from .oracle import NoFeasiblePointError, brute_force_oracle
 from .posynomial import GpDomainError, GpProblem, standardize
-from .problem_io import (
-    ProblemSemanticError,
-    ProblemSyntaxError,
+from .problem_io import ProblemSemanticError, ProblemSyntaxError, parse_problem
+from .selectors import (
+    ChoiceGp,
+    ChoiceSolveReport,
+    ExpansionRejected,
     as_choice_gp,
-    parse_problem,
+    expand,
+    solve_choice,
 )
-from .selectors import ChoiceGp, ChoiceSolveReport, is_valid_assignment, solve_choice
-from .solver import SolverSettings, Status, solve_dual
+from .solver import DualSolution, SolverSettings, Status, solve_dual
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
@@ -49,12 +51,18 @@ def _fmt(value: float) -> str:
     return format(value, ".7g")
 
 
-def _status_exit(status: Status) -> int:
+def _status_exit(status: Status, ds: DualSolution | None) -> int:
+    """Exit code of a status; ITERATION_LIMIT also prints ds's residuals."""
     if status is Status.OPTIMAL:
         return EXIT_OK
-    if status is Status.ITERATION_LIMIT:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_NOT_SOLVED
+    if status is not Status.ITERATION_LIMIT:
+        return EXIT_NOT_SOLVED
+    if ds is not None:
+        sys.stderr.write(
+            f"solver did not converge: equality residual {ds.equality_residual:.3e},"
+            f" stationarity {ds.stationarity:.3e}\n"
+        )
+    return EXIT_NO_CONVERGENCE
 
 
 def _equality_row_strings(d: DualProgram) -> list[str]:
@@ -188,25 +196,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # keep machine stdout a single JSON document
         sink = sys.stderr if args.format == "machine" else sys.stdout
         _append_oracle_check(cg, result, sink)
-
-    if result.status is Status.OPTIMAL:
-        return EXIT_OK
-    if result.status is Status.ITERATION_LIMIT and result.report is not None:
-        ds = result.report.dual
-        sys.stderr.write(
-            "solver did not converge: equality residual "
-            f"{ds.equality_residual:.3e}, stationarity {ds.stationarity:.3e}\n"
-        )
-        return EXIT_NO_CONVERGENCE
-    return _status_exit(result.status)
+    return _status_exit(result.status, result.report and result.report.dual)
 
 
 _ORACLE_GRID_BY_DIM = {1: 2001, 2: 201, 3: 81, 4: 41}
 
 
 def _append_oracle_check(cg: ChoiceGp, result: ChoiceSolveReport, sink) -> None:
-    from .selectors import expand
-
     n = len(cg.variable_names)
     if n > 4:
         sys.stderr.write("oracle: skipped, more than 4 variables\n")
@@ -249,38 +245,17 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     assigns = _parse_assigns(args.assign)
     if assigns is None:
         return EXIT_SEMANTIC
-    choice: dict[str, tuple[int, ...]] = {}
-    for cs in cg.sets:
-        if cs.size == 1:
-            choice[cs.name] = (0, 0)
-        elif cs.name in assigns:
-            bits = assigns[cs.name]
-            if not is_valid_assignment(cs, bits):
-                sys.stderr.write(
-                    f"error: bit pattern {''.join(map(str, bits))!r} is not "
-                    f"admissible for set {cs.name!r} ({cs.size} candidates)\n"
-                )
-                return EXIT_SEMANTIC
-            choice[cs.name] = bits
-        else:
-            sys.stderr.write(
-                f"error: set {cs.name!r} needs --assign {cs.name}=<bits> "
-                "(only singleton sets may be left unassigned)\n"
-            )
-            return EXIT_SEMANTIC
     unknown = set(assigns) - {cs.name for cs in cg.sets}
     if unknown:
         sys.stderr.write(f"error: --assign for unknown set(s) {sorted(unknown)}\n")
         return EXIT_SEMANTIC
-
-    from .selectors import ExpansionRejected, expand
-
+    # only singleton sets may be left unassigned
+    choice = {cs.name: (0, 0) for cs in cg.sets if cs.size == 1} | assigns
     try:
-        problem = expand(cg, choice) if cg.sets else model
-    except ExpansionRejected as e:
+        problem = expand(cg, choice)
+    except (GpDomainError, ExpansionRejected) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SEMANTIC
-    assert isinstance(problem, GpProblem)
 
     settings = SolverSettings(stationarity_tol=args.tolerance)
     started = time.perf_counter()
@@ -322,12 +297,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
         out.append(f"timing_ms: {timing_ms:.3f}")
         sys.stdout.write("\n".join(out) + "\n")
 
-    if ds.status is Status.ITERATION_LIMIT:
-        sys.stderr.write(
-            f"solver did not converge: equality residual {ds.equality_residual:.3e},"
-            f" stationarity {ds.stationarity:.3e}\n"
-        )
-    return _status_exit(ds.status)
+    return _status_exit(ds.status, ds)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -364,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument(
         "--oracle", action="store_true",
         help="append a brute-force grid check (up to 4 variables)",
-    )
-    solve_p.add_argument(
-        "--seed", type=int, default=None,
-        help="accepted for script compatibility; ignored",
     )
     solve_p.set_defaults(func=_cmd_solve)
 

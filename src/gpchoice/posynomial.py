@@ -145,40 +145,3 @@ def standardize(g: GpProblem) -> StandardGp:
         )
     return StandardGp(g.variables, g.objective, tuple(scaled))
 
-
-def _check_posynomial(posy: Posynomial, n: int, where: str, out: list[str]) -> None:
-    if not posy.terms:
-        out.append(f"{where}: has no terms")
-    for t, term in enumerate(posy.terms):
-        if not math.isfinite(term.coefficient) or term.coefficient <= 0.0:
-            out.append(
-                f"{where} term {t}: coefficient {term.coefficient!r} is not positive"
-            )
-        if len(term.exponents) != n:
-            out.append(
-                f"{where} term {t}: {len(term.exponents)} exponents for {n} variables"
-            )
-        for j, e in enumerate(term.exponents):
-            if not math.isfinite(e):
-                out.append(f"{where} term {t}: exponent {j} is not finite")
-
-
-def validate(g: GpProblem) -> list[str]:
-    """Collect invariant violations; an empty list means the problem is well formed.
-
-    Diagnostics only: nothing is raised here.
-    """
-    out: list[str] = []
-    n = g.variable_count
-    for pos, var in enumerate(g.variables):
-        if var.index != pos:
-            out.append(f"variable {var.name!r}: index {var.index} at position {pos}")
-    names = [v.name for v in g.variables]
-    if len(set(names)) != len(names):
-        out.append("variable names are not unique")
-    _check_posynomial(g.objective, n, "objective", out)
-    for i, (posy, bound) in enumerate(g.constraints):
-        _check_posynomial(posy, n, f"constraint {i}", out)
-        if not math.isfinite(bound) or bound <= 0.0:
-            out.append(f"constraint {i}: bound {bound!r} is not positive")
-    return out

@@ -5,16 +5,20 @@ expression syntax.  Coefficient and exponent slots are either numeric
 literals or references of the form {"set": "<name>"} into the declared
 candidate sets.  Unknown fields are rejected so files stay diffable and
 mistakes surface early.
+
+The parser checks the document's shape only: JSON syntax, types, known and
+required fields, the format tag, variable and role names.  The values (signs,
+finiteness, uniqueness, shapes of the model) are checked by
+validate_choice_gp, which reports every problem of a file at once.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any
 
-from .posynomial import GpProblem, make_problem
+from .posynomial import GpDomainError, GpProblem
 from .selectors import (
     CandidateSet,
     ChoiceGp,
@@ -22,6 +26,8 @@ from .selectors import (
     SetRef,
     Slot,
     TermTemplate,
+    as_choice_gp,
+    expand,
     validate_choice_gp,
 )
 
@@ -50,8 +56,6 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemSemanticError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ProblemSemanticError(f"{where}: {value!r} is not finite")
     return float(value)
 
 
@@ -69,10 +73,6 @@ def _term(obj: Any, variables: list[str], where: str) -> TermTemplate:
         raise ProblemSemanticError(f"{where}: expected an object")
     _require_keys(obj, {"coefficient", "exponents"}, {"coefficient"}, where)
     coefficient = _slot(obj["coefficient"], f"{where}.coefficient")
-    if isinstance(coefficient, float) and coefficient <= 0.0:
-        raise ProblemSemanticError(
-            f"{where}.coefficient: literal coefficient must be positive"
-        )
     exponents = obj.get("exponents", {})
     if not isinstance(exponents, dict):
         raise ProblemSemanticError(f"{where}.exponents: expected an object")
@@ -99,30 +99,23 @@ def _candidate_set(obj: Any, where: str) -> CandidateSet:
         raise ProblemSemanticError(
             f"{where}.role: {obj['role']!r} is not one of {sorted(_ROLES)}"
         )
-    if not isinstance(obj["values"], list) or not obj["values"]:
-        raise ProblemSemanticError(f"{where}.values: expected a non-empty list")
+    if not isinstance(obj["values"], list):
+        raise ProblemSemanticError(f"{where}.values: expected a list")
     values = tuple(
         _number(v, f"{where}.values[{i}]") for i, v in enumerate(obj["values"])
     )
-    if not 1 <= len(values) <= 8:
-        raise ProblemSemanticError(
-            f"{where}.values: {len(values)} candidates, supported sizes are 1..8"
-        )
-    role = _ROLES[obj["role"]]
-    if role is not Role.EXPONENT:
-        for i, v in enumerate(values):
-            if v < 0.0:
-                raise ProblemSemanticError(
-                    f"{where}.values[{i}]: negative coefficient candidate {v}"
-                )
-    return CandidateSet(obj["name"], role, values)
+    try:
+        return CandidateSet(obj["name"], _ROLES[obj["role"]], values)
+    except GpDomainError as e:
+        raise ProblemSemanticError(f"{where}.values: {e}") from None
 
 
 def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProblem:
     """Parse a problem document; returns a plain GpProblem when no sets exist.
 
     Raises ProblemSyntaxError for malformed JSON and ProblemSemanticError for
-    schema violations; messages carry the offending location.
+    a schema violation or, all listed together, invalid values; messages
+    carry the offending location.
     """
     if not text.strip():
         raise ProblemSyntaxError(f"{source}: file is empty")
@@ -154,11 +147,8 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
         raise ProblemSemanticError(
             f"{source}.variables: expected a non-empty list of names"
         )
-    if len(set(variables)) != len(variables):
-        raise ProblemSemanticError(f"{source}.variables: names are not unique")
-
-    if not isinstance(doc["objective"], list) or not doc["objective"]:
-        raise ProblemSemanticError(f"{source}.objective: expected a non-empty list")
+    if not isinstance(doc["objective"], list):
+        raise ProblemSemanticError(f"{source}.objective: expected a list")
     objective = tuple(
         _term(t, variables, f"{source}.objective[{i}]")
         for i, t in enumerate(doc["objective"])
@@ -170,16 +160,13 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
         if not isinstance(obj, dict):
             raise ProblemSemanticError(f"{where}: expected an object")
         _require_keys(obj, {"terms", "bound"}, {"terms"}, where)
-        if not isinstance(obj["terms"], list) or not obj["terms"]:
-            raise ProblemSemanticError(f"{where}.terms: expected a non-empty list")
+        if not isinstance(obj["terms"], list):
+            raise ProblemSemanticError(f"{where}.terms: expected a list")
         terms = tuple(
             _term(t, variables, f"{where}.terms[{j}]")
             for j, t in enumerate(obj["terms"])
         )
-        bound = _number(obj.get("bound", 1.0), f"{where}.bound")
-        if bound <= 0.0:
-            raise ProblemSemanticError(f"{where}.bound: must be positive")
-        constraints.append((terms, bound))
+        constraints.append((terms, _number(obj.get("bound", 1.0), f"{where}.bound")))
 
     sets = tuple(
         _candidate_set(s, f"{source}.candidate_sets[{i}]")
@@ -189,41 +176,12 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
     problems = validate_choice_gp(cg)
     if problems:
         raise ProblemSemanticError(f"{source}: " + "; ".join(problems))
-    if not sets:
-        return _as_plain_problem(cg)
-    return cg
+    return cg if sets else expand(cg, {})
 
 
 def parse_problem(path: str | Path) -> ChoiceGp | GpProblem:
     path = Path(path)
     return parse_problem_text(path.read_text(), source=str(path))
-
-
-def _as_plain_problem(cg: ChoiceGp) -> GpProblem:
-    def literal_terms(templates):
-        return [
-            (float(t.coefficient), [float(e) for e in t.exponents]) for t in templates
-        ]
-
-    return make_problem(
-        literal_terms(cg.objective),
-        [(literal_terms(ts), b) for ts, b in cg.constraints],
-        cg.variable_names,
-    )
-
-
-def as_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
-    """View any parsed model as a template (plain problems get no sets)."""
-    if isinstance(model, ChoiceGp):
-        return model
-    objective = tuple(
-        TermTemplate(t.coefficient, t.exponents) for t in model.objective.terms
-    )
-    constraints = tuple(
-        (tuple(TermTemplate(t.coefficient, t.exponents) for t in posy.terms), bound)
-        for posy, bound in model.constraints
-    )
-    return ChoiceGp(model.variable_names, objective, constraints, ())
 
 
 def serialize_problem(model: ChoiceGp | GpProblem, name: str | None = None) -> dict:

@@ -93,12 +93,6 @@ class ChoiceGp:
     constraints: tuple[tuple[tuple[TermTemplate, ...], float], ...]
     sets: tuple[CandidateSet, ...]
 
-    def set_named(self, name: str) -> CandidateSet:
-        for cs in self.sets:
-            if cs.name == name:
-                return cs
-        raise GpDomainError(f"unknown candidate set {name!r}")
-
 
 class ExpansionRejected(Exception):
     """A selected value cannot appear where the template places it."""
@@ -224,10 +218,16 @@ def _term_sets(cg: ChoiceGp, coefficient_sets: Sequence[int]) -> list[int | None
 
 
 def validate_choice_gp(cg: ChoiceGp) -> list[str]:
-    """Structural diagnostics for a template; empty list means well formed."""
+    """Every value problem of a template; an empty list means each expansion
+    is a posynomial GP (a non-positive coefficient candidate is rejected at
+    expansion instead).  Parsed files and plain problems are checked here too.
+    """
+    n = len(cg.variable_names)
     out: list[str] = []
-    names = [cs.name for cs in cg.sets]
-    if len(set(names)) != len(names):
+    if len(set(cg.variable_names)) != n:
+        out.append("variable names are not unique")
+    roles = {cs.name: cs.role for cs in cg.sets}
+    if len(roles) != len(cg.sets):
         out.append("candidate set names are not unique")
     for cs in cg.sets:
         for v in cs.candidates:
@@ -246,30 +246,56 @@ def validate_choice_gp(cg: ChoiceGp) -> list[str]:
                 out.append(f"{where}: literal coefficient {slot} is not positive")
             return
         referenced.add(slot.name)
-        if slot.name not in names:
+        role = roles.get(slot.name)
+        if role is None:
             out.append(f"{where}: reference to undefined set {slot.name!r}")
-            return
-        role = cg.set_named(slot.name).role
-        if coefficient and role not in COEFFICIENT_ROLES:
+        elif coefficient and role not in COEFFICIENT_ROLES:
             out.append(f"{where}: set {slot.name!r} with role {role.value} "
                        "used as a coefficient")
-        if not coefficient and role is not Role.EXPONENT:
+        elif not coefficient and role is not Role.EXPONENT:
             out.append(f"{where}: set {slot.name!r} with role {role.value} "
                        "used as an exponent")
 
-    def check_terms(templates, where):
+    for where, templates, bound in _sections(cg):
+        if not templates:
+            out.append(f"{where}: has no terms")
         for t, tpl in enumerate(templates):
+            if len(tpl.exponents) != n:
+                out.append(f"{where} term {t}: {len(tpl.exponents)} exponents "
+                           f"for {n} variables")
             check_slot(tpl.coefficient, f"{where} term {t}", coefficient=True)
             for j, e in enumerate(tpl.exponents):
                 check_slot(e, f"{where} term {t} exponent {j}", coefficient=False)
-
-    check_terms(cg.objective, "objective")
-    for i, (templates, _) in enumerate(cg.constraints):
-        check_terms(templates, f"constraint {i}")
-    for name in names:
+        if bound is not None and not 0.0 < bound < math.inf:
+            out.append(f"{where}: bound {bound} is not finite and positive")
+    for name in roles:
         if name not in referenced:
             out.append(f"set {name!r} is never referenced")
     return out
+
+
+def as_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
+    """View any model as a template (plain problems get no sets)."""
+    if isinstance(model, ChoiceGp):
+        return model
+
+    def templates(posy):
+        return tuple(TermTemplate(t.coefficient, t.exponents) for t in posy.terms)
+
+    constraints = tuple((templates(posy), b) for posy, b in model.constraints)
+    return ChoiceGp(model.variable_names, templates(model.objective), constraints, ())
+
+
+def validate(g: GpProblem) -> list[str]:
+    """Invariant violations of a plain problem; an empty list means well formed.
+
+    Diagnostics only: nothing is raised here.
+    """
+    out = [
+        f"variable {v.name!r}: index {v.index} at position {pos}"
+        for pos, v in enumerate(g.variables) if v.index != pos
+    ]
+    return out + validate_choice_gp(as_choice_gp(g))
 
 
 @dataclass(frozen=True)

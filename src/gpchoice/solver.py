@@ -70,6 +70,8 @@ _DROPPED_WEIGHT = 1e-8
 # constraint violation f_i(x) - 1 at the recovered x
 GAP_TOL = 1e-6
 VIOLATION_TOL = 1e-8
+# solve_dual reports OPTIMAL only with every equality met within this
+FEASIBILITY_TOL = 1e-10
 # a plain Newton pass ends at a weight this small; recovery ignores its term
 _BOUNDARY_WEIGHT = 1e-12
 # trial weights are floored here, far below _BOUNDARY_WEIGHT, so that rounding
@@ -92,14 +94,12 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    feasibility_tol: float = 1e-10
     stationarity_tol: float = 1e-8
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        for name in ("feasibility_tol", "stationarity_tol"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise GpDomainError(f"{name} must be finite and positive")
+        if not 0.0 < self.stationarity_tol < np.inf:
+            raise GpDomainError("stationarity_tol must be finite and positive")
         n = self.max_iterations
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
             raise GpDomainError("max_iterations must be a positive int")
@@ -305,8 +305,7 @@ def _finish(
     # at a maximizer inside the program the gradient vanishes on its null space
     stationarity = _projected_norm(nullsp, grad)
     if status is Status.OPTIMAL and (
-        residual > settings.feasibility_tol
-        or stationarity > settings.stationarity_tol
+        residual > FEASIBILITY_TOL or stationarity > settings.stationarity_tol
     ):
         status = Status.ITERATION_LIMIT
     return DualSolution(

@@ -73,10 +73,6 @@ class TestSolveCommand:
         assert code == 0
         assert "oracle:" in out
 
-    def test_seed_flag_is_accepted_and_ignored(self, capsys):
-        code, _, _ = run(capsys, "solve", EX1_CASE1, "--seed", "123")
-        assert code == 0
-
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "solve", EX1_CASE1, "--tolerance", "1e-6")
         assert code == 0
@@ -206,6 +202,18 @@ class TestDualCommand:
         )
         assert code == 3
         assert "zz" in err
+
+    def test_inadmissible_bits_on_a_singleton_set_exit_3(self, capsys, tmp_path):
+        doc = json.loads((PROBLEM_DIR / "example1_case1.json").read_text())
+        for cs in doc["candidate_sets"]:
+            cs["values"] = cs["values"][:1]
+        path = tmp_path / "singletons.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "dual", str(path))[0] == 0
+        code, out, err = run(capsys, "dual", str(path), "--assign", "c=11")
+        assert code == 3
+        assert out == ""
+        assert "not admissible" in err
 
     def test_malformed_assign_exits_3(self, capsys):
         code, _, _ = run(capsys, "dual", EX1_CASE1, "--assign", "c:01")

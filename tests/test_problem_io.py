@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import gpchoice
+import gpchoice.problem_io
 from gpchoice import (
     ChoiceGp,
     GpProblem,
@@ -183,3 +185,40 @@ def test_missing_bound_defaults_to_one():
     del doc["constraints"][0]["bound"]
     model = parse_doc(doc)
     assert model.constraints[0][1] == 1.0
+
+
+def test_every_value_error_is_named_at_once():
+    doc = json.loads(json.dumps(PLAIN_DOC))
+    doc["objective"][0]["coefficient"] = -1
+    doc["constraints"][0]["bound"] = 0
+    with pytest.raises(ProblemSemanticError) as err:
+        parse_doc(doc)
+    message = str(err.value)
+    assert "objective term 0: literal coefficient -1.0 is not positive" in message
+    assert "constraint 0: bound 0.0 is not finite and positive" in message
+
+
+@pytest.mark.parametrize("where", ["coefficient", "exponent", "bound", "candidate"])
+def test_json_nan_literal_is_rejected(where):
+    doc = json.loads(json.dumps(PLAIN_DOC))
+    if where == "coefficient":
+        doc["objective"][0]["coefficient"] = float("nan")
+    elif where == "exponent":
+        doc["objective"][0]["exponents"]["x1"] = float("nan")
+    elif where == "bound":
+        doc["constraints"][0]["bound"] = float("nan")
+    else:
+        doc["objective"][0]["coefficient"] = {"set": "c"}
+        doc["candidate_sets"] = [
+            {"name": "c", "role": "objective_coefficient", "values": [1, float("nan")]}
+        ]
+    text = json.dumps(doc)
+    assert "NaN" in text
+    with pytest.raises(ProblemSemanticError, match="not finite"):
+        parse_problem_text(text)
+
+
+def test_public_names_resolve():
+    for name in gpchoice.__all__:
+        assert hasattr(gpchoice, name), name
+    assert gpchoice.problem_io.as_choice_gp is gpchoice.as_choice_gp

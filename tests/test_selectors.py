@@ -230,6 +230,36 @@ class TestValidateChoiceGp:
         with pytest.raises(GpDomainError, match="invalid template"):
             solve_choice(cg)
 
+    @pytest.mark.parametrize(
+        "variables, objective, constraints, message",
+        [
+            # a ragged term used to reach numpy ("inhomogeneous shape")
+            (("x1", "x2"), ((1.0, 1.0), (-1.0,)), (), "1 exponents for 2 variables"),
+            (("x1",), ((1.0,), (-1.0,)), ((((1.0,),), 0.0),),
+             "bound 0.0 is not finite and positive"),
+            (("x1",), ((1.0,), (-1.0,)), ((((1.0,),), math.nan),),
+             "bound nan is not finite and positive"),
+            (("x", "x"), ((1.0, 1.0), (-1.0, -1.0)), (), "variable names are not unique"),
+            (("x1",), (), (), "objective: has no terms"),
+            (("x1",), ((1.0,), (-1.0,)), (((), 1.0),), "constraint 0: has no terms"),
+        ],
+        ids=["ragged", "zero-bound", "nan-bound", "duplicate-names", "empty-objective",
+             "empty-constraint"],
+    )
+    def test_malformed_model_is_flagged(self, variables, objective, constraints, message):
+        def terms(exponent_rows):
+            return tuple(TermTemplate(1.0, row) for row in exponent_rows)
+
+        cg = ChoiceGp(
+            variable_names=variables,
+            objective=terms(objective),
+            constraints=tuple((terms(rows), b) for rows, b in constraints),
+            sets=(),
+        )
+        assert any(message in v for v in validate_choice_gp(cg))
+        with pytest.raises(GpDomainError, match="invalid template"):
+            solve_choice(cg)
+
 
 class TestSolveChoice:
     def test_matches_independent_enumeration(self):

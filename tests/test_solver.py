@@ -24,6 +24,7 @@ from gpchoice import (
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import solve_choice
 from gpchoice.solver import (
+    FEASIBILITY_TOL,
     DualSolution,
     ReconstructionError,
     _dual_start,
@@ -75,7 +76,7 @@ class TestSolveDual:
         for g in (example1_problem(), example2_problem()):
             ds = solve_dual(build_dual(standardize(g)), settings)
             assert ds.status is Status.OPTIMAL
-            assert ds.equality_residual <= settings.feasibility_tol
+            assert ds.equality_residual <= FEASIBILITY_TOL
             assert ds.stationarity <= settings.stationarity_tol
 
     def test_empty_feasible_set_is_infeasible(self):
@@ -260,13 +261,10 @@ class TestSolverSettings:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"feasibility_tol": 0.0},
             {"stationarity_tol": -1.0},
             {"max_iterations": 0},
-            {"feasibility_tol": float("nan")},
             {"stationarity_tol": float("nan")},
             {"stationarity_tol": float("inf")},
-            {"feasibility_tol": -float("inf")},
             {"max_iterations": 10.5},
             {"max_iterations": float("nan")},
             {"max_iterations": True},  # a bool is an int, but not a count
