@@ -56,7 +56,12 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemSemanticError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond double range
+        raise ProblemSemanticError(
+            f"{where}: integer is too large for a double"
+        ) from None
 
 
 def _slot(value: Any, where: str) -> Slot:

@@ -18,8 +18,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
-from .solver import GAP_TOL, SolverSettings, SolveReport, Status, solve
+from .solver import FEASIBILITY_TOL, GAP_TOL, SolverSettings, SolveReport, Status, solve
+from .solver import _project_onto_equalities
 
 BitPattern = tuple[int, ...]
 
@@ -182,7 +186,11 @@ def expand(cg: ChoiceGp, choice: Mapping[str, Sequence[int]]) -> GpProblem:
     Raises ExpansionRejected when a coefficient slot resolves to a
     non-positive value (no posynomial exists for that choice).
     """
-    values = resolve_choice(cg, choice)
+    return _expanded(cg, resolve_choice(cg, choice))
+
+
+def _expanded(cg: ChoiceGp, values: Mapping[str, float]) -> GpProblem:
+    """expand at the selected value of every set, by name."""
 
     def build_terms(templates: tuple[TermTemplate, ...], where: str):
         out = []
@@ -324,10 +332,12 @@ class ChoiceSolveReport:
 # objective values within this relative distance are tied
 _TIE_WINDOW = 1e-9
 # solve() certifies z against the expansion's own dual value D with a gap of
-# at most GAP_TOL, and D is at least any sibling bound B, so z >= B / (1 +
-# GAP_TOL).  Skipping needs that floor beyond the tie window above the
-# incumbent, z > incumbent / (1 - _TIE_WINDOW): then the expansion can
-# neither win nor tie.
+# at most GAP_TOL, and D is at least any bound B: a log dual value at weights
+# feasible for the expansion's equality system, whether they are a sibling's
+# optimal weights (_Skeleton) or another system's projected onto it
+# (_SeedDuals).  So z >= B / (1 + GAP_TOL).  Skipping needs that floor beyond
+# the tie window above the incumbent, z > incumbent / (1 - _TIE_WINDOW): then
+# the expansion can neither win nor tie.
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
 
 Combo = tuple[int, ...]  # one candidate index per set, in declared order
@@ -336,27 +346,33 @@ Evaluated = tuple[AssignmentOutcome, SolveReport | None]
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """One optimal expansion's dual, compiled to bound its siblings' optima.
+    """Dual feasible weights of one expansion, compiled to bound its siblings.
 
-    Exponent values fix the dual's equality matrix, so the optimal weights w
-    are dual feasible for every sibling with the same exponent values.  At w
-    the log dual is linear in log c, and a coefficient set scales all of its
-    terms alike, so a sibling with coefficient values v' has log dual
-    base + sum_s W_s (log v'_s - log v_s) there, W_s the weight on set s's
-    terms: by weak duality an O(K) lower bound on its optimum.
+    Exponent values fix the dual's equality matrix, so weights w feasible for
+    one expansion are feasible for every sibling with the same exponent
+    values: the expansion's optimal weights, or for a seed skipped by
+    _SeedDuals its projected ones.  At w the log dual is linear in log c, and
+    a coefficient set scales all of its terms alike, so a sibling with
+    coefficient values v' has log dual base + sum_s W_s (log v'_s - log v_s)
+    there, W_s the weight on set s's terms: by weak duality an O(K) lower
+    bound on its optimum.
     """
 
-    base: float  # log dual value of the expansion itself
+    base: float  # log dual value at w of the expansion itself
     weight: tuple[float, ...]  # W_s >= 0, one per coefficient set
     log_value: tuple[float, ...]  # log v_s, one per coefficient set
 
     @classmethod
     def of(cls, term_sets: Sequence[int | None], report: SolveReport, log_values):
+        base = math.log(report.dual.objective_value)
+        return cls.at(term_sets, report.dual.weights, base, log_values)
+
+    @classmethod
+    def at(cls, term_sets: Sequence[int | None], weights, base: float, log_values):
         weight = [0.0] * len(log_values)
-        for s, w in zip(term_sets, report.dual.weights, strict=True):
+        for s, w in zip(term_sets, weights, strict=True):
             if s is not None:
                 weight[s] += float(w)
-        base = math.log(report.dual.objective_value)
         return cls(base, tuple(weight), tuple(log_values))
 
     def bound(self, log_values: Sequence[float]) -> float:
@@ -364,13 +380,68 @@ class _Skeleton:
         return self.base + sum(w * (new - old) for w, new, old in steps)
 
 
+@dataclass(frozen=True)
+class _SeedDuals:
+    """The duals of all seeds of a template, compiled once to bound seeds.
+
+    Every seed takes the same coefficient values, so the seeds share their
+    standardized coefficients and block layout, and with them the log dual;
+    their equality matrices differ only in the (row, term) slots that
+    exponent sets fill.  The least-squares correction w' = w + A'^+ (b - A'w)
+    of another system's optimal weights w is dual feasible for a seed with
+    equality matrix A' when w' >= 0 and A'w' = b within FEASIBILITY_TOL; its
+    log dual value is then a lower bound on the seed's optimum by weak
+    duality.
+    """
+
+    dual: DualProgram  # of one seed; bound fills a copy of its equality matrix
+    slots: dict[int, tuple[list[int], list[int]]]  # set index: its rows, terms
+
+    @classmethod
+    def of(cls, cg: ChoiceGp, values: Sequence[float]) -> _SeedDuals:
+        """Compile at one seed's values, one per set in declared order."""
+        dual = build_dual(standardize(_expanded(
+            cg, {cs.name: v for cs, v in zip(cg.sets, values)}
+        )))
+        index = {cs.name: i for i, cs in enumerate(cg.sets)}
+        slots: dict[int, tuple[list[int], list[int]]] = {}
+        templates = (t for _, ts, _ in _sections(cg) for t in ts)
+        for k, tpl in enumerate(templates):
+            for j, e in enumerate(tpl.exponents):
+                if isinstance(e, SetRef):
+                    rows, terms = slots.setdefault(index[e.name], ([], []))
+                    rows.append(j + 1)  # row 0 is normality
+                    terms.append(k)
+        return cls(dual, slots)
+
+    def bound(
+        self, values: Sequence[float], weights
+    ) -> tuple[float, np.ndarray] | None:
+        """The best log dual value over the given optimal weight vectors
+        projected onto the equality system of the seed with these values,
+        with its weights; None when no projection is dual feasible there."""
+        a = self.dual.equality_matrix.copy()
+        for i, (rows, terms) in self.slots.items():
+            a[rows, terms] = values[i]
+        b = self.dual.equality_rhs[:, None]
+        w = _project_onto_equalities(a, b, np.array(weights).T)  # one column each
+        residual = np.abs(a @ w - b).max(axis=0)
+        kept = w.T[(w >= 0.0).all(axis=0) & (residual <= FEASIBILITY_TOL)]
+        bounds = ((log_dual_objective(self.dual, v)[0], v) for v in kept)
+        return max(bounds, key=lambda pair: pair[0], default=None)
+
+
 def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
     """Evaluate every expansion that may win or tie, each value tuple once.
 
-    Each exponent assignment is solved first at its best expansion, the
-    smallest positive value of every coefficient set.  Then every choice of
-    its coefficient sets' distinct positive values is bounded by the
-    assignment's skeleton and solved only when the bound misses the margin.
+    Each exponent assignment has a seed: its expansion at the smallest
+    positive value of every coefficient set.  Seeds go in product order.  A
+    seed is bounded first by the optimal weights of the seeds solved before
+    it, projected onto its equality system (_SeedDuals); it is solved only
+    when that bound misses the margin, and skipped otherwise, with the
+    projected weights as its skeleton.  Then every choice of its coefficient
+    sets' distinct positive values is bounded by the assignment's skeleton
+    and solved only when the bound misses the margin.
     """
     choices = []  # per set: distinct values, each at its smallest pattern
     for i, cs in enumerate(cg.sets):
@@ -384,24 +455,40 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
     skeletons: dict[Combo, _Skeleton] = {}  # by seed
     limit = math.inf  # log of the lowest optimal z so far, plus the margin
 
-    def visit(seed: Combo, picks: Sequence[int]) -> None:
+    def visit(seed: Combo, picks: Sequence[int]) -> SolveReport | None:
+        """The expansion's report when it is solved to a positive optimum."""
         nonlocal limit
         combo = dict(zip(coefficient_sets, picks))
         log_values = [math.log(table[i][j]) for i, j in combo.items()]
         sk = skeletons.get(seed)
         if sk and sk.bound(log_values) > limit:
-            return
+            return None
         outcome, report = evaluate(tuple(combo.get(i, j) for i, j in enumerate(seed)))
         z = outcome.objective_value
-        if outcome.status == Status.OPTIMAL.value and z > 0.0:
-            limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
-            if seed not in skeletons:
-                skeletons[seed] = _Skeleton.of(term_sets, report, log_values)
+        if outcome.status != Status.OPTIMAL.value or z <= 0.0:
+            return None
+        limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
+        if seed not in skeletons:
+            skeletons[seed] = _Skeleton.of(term_sets, report, log_values)
+        return report
 
     firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
     seeds = list(itertools.product(*firsts))
+    duals = None
+    optimal = []  # the weights of every seed solved to a positive optimum
     for seed in seeds:
-        visit(seed, [seed[i] for i in coefficient_sets])
+        if optimal:
+            # compiled at the first seed, which is always solved
+            duals = duals or _SeedDuals.of(cg, [t[j] for t, j in zip(table, seeds[0])])
+            values = [t[j] for t, j in zip(table, seed)]
+            base, w = duals.bound(values, optimal) or (-math.inf, None)
+            if base > limit:
+                log_values = [math.log(values[i]) for i in coefficient_sets]
+                skeletons[seed] = _Skeleton.at(term_sets, w, base, log_values)
+                continue
+        report = visit(seed, [seed[i] for i in coefficient_sets])
+        if report:
+            optimal.append(report.dual.weights)
     for seed in seeds:
         for picks in itertools.product(*(choices[i] for i in coefficient_sets)):
             visit(seed, picks)
@@ -424,10 +511,10 @@ def solve_choice(
 
     Pattern i selects candidate i, so the values come from a table built
     once.  Expansions that weak duality proves can neither win nor tie are
-    skipped unsolved (_search, _Skeleton); keep_assignments solves them all,
-    as its table reports every z.  Equal value tuples are solved once, at
-    their smallest pattern per set.  ``solved`` counts the non-rejected
-    combinations, skipped ones included.
+    skipped unsolved (_search, _Skeleton, _SeedDuals); keep_assignments
+    solves them all, as its table reports every z.  Equal value tuples are
+    solved once, at their smallest pattern per set.  ``solved`` counts the
+    non-rejected combinations, skipped ones included.
     """
     problems = validate_choice_gp(cg)
     if problems:

@@ -249,3 +249,13 @@ class TestValidateCommand:
                                     "objective": [], "mystery": 1}))
         code, _, _ = run(capsys, "validate", str(path))
         assert code == 3
+
+    def test_integer_beyond_double_range_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "format": "gp-problem/1", "variables": ["x"],
+            "objective": [{"coefficient": 10**400, "exponents": {"x": 1}}],
+        }))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3
+        assert "coefficient: integer is too large for a double" in err

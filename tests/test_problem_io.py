@@ -218,6 +218,15 @@ def test_json_nan_literal_is_rejected(where):
         parse_problem_text(text)
 
 
+def test_integer_beyond_double_range_is_rejected_with_its_position():
+    doc = json.loads(json.dumps(PLAIN_DOC))
+    doc["objective"][1]["coefficient"] = 10**400
+    text = json.dumps(doc)
+    with pytest.raises(ProblemSemanticError,
+                       match=r"objective\[1\]\.coefficient: integer is too large"):
+        parse_problem_text(text)
+
+
 def test_public_names_resolve():
     for name in gpchoice.__all__:
         assert hasattr(gpchoice, name), name

@@ -28,6 +28,7 @@ from gpchoice import (
     valid_assignments,
     validate_choice_gp,
 )
+from gpchoice.solver import FEASIBILITY_TOL
 from helpers import PROBLEM_DIR, example1_problem
 
 
@@ -455,7 +456,7 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     # skipped expansions are never expanded, let alone solved
     assert len(expands) == pruned_calls
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
-    assert pruned_calls <= 49
+    assert pruned_calls <= 26
     assert len(calls) - pruned_calls == 1002
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
@@ -535,6 +536,64 @@ def test_skeleton_bound_with_a_set_in_two_terms_and_a_scaled_bound():
     assert _assert_bounds_match_the_dual(cg, True) == 4 * 6 * 6
 
 
+def _seeds(cg):
+    """(choice, values) of every seed: the smallest positive value of each
+    coefficient set with each distinct value of each exponent set."""
+    options = []
+    for cs in cg.sets:
+        first = {}
+        for bits in valid_assignments(cs):
+            first.setdefault(selector_polynomial(cs, bits), bits)
+        if cs.role is not Role.EXPONENT:
+            smallest = min(v for v in first if v > 0.0)
+            first = {smallest: first[smallest]}
+        options.append(first.items())
+    for combo in itertools.product(*options):
+        yield ({cs.name: bits for cs, (_, bits) in zip(cg.sets, combo)},
+               [v for v, _ in combo])
+
+
+def test_projected_seed_bounds_are_sound_on_every_fixture():
+    qualified = pairs = 0
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        cg = parse_problem(path)
+        seeds = []
+        for choice, values in _seeds(cg):
+            s = standardize(expand(cg, choice))
+            report = solve(s)
+            if report.status is Status.OPTIMAL:
+                seeds.append((values, build_dual(s), report))
+        duals = gpchoice.selectors._SeedDuals.of(cg, seeds[0][0])
+        for (_, _, source), (values, dual, target) in itertools.permutations(seeds, 2):
+            pairs += 1
+            found = duals.bound(values, [source.dual.weights])
+            if found is None:
+                continue
+            qualified += 1
+            bound, w = found
+            # w is dual feasible for the target, and bound is its log dual there
+            assert np.all(w >= 0.0)
+            residual = np.abs(dual.equality_matrix @ w - dual.equality_rhs).max()
+            assert residual <= FEASIBILITY_TOL
+            expected, _ = log_dual_objective(dual, w)
+            assert bound == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert bound <= math.log(target.objective_value) + 1e-12
+    assert (qualified, pairs) == (93, 138)
+
+
+def test_a_projection_that_misses_the_equalities_gives_no_bound():
+    # min x^p: at p = 0 the one weight is 1 and z = 1; at p = 1 normality
+    # and orthogonality ask w = 1 and w = 0, so least squares leaves a
+    # residual of 1/2
+    cg = ChoiceGp(("x",), (TermTemplate(1.0, (SetRef("p"),)),), (),
+                  (cset([0.0, 1.0], name="p"),))
+    duals = gpchoice.selectors._SeedDuals.of(cg, [0.0])
+    weights = [np.array([1.0])]
+    bound, w = duals.bound([0.0], weights)
+    assert (bound, w.tolist()) == (0.0, [1.0])
+    assert duals.bound([1.0], weights) is None
+
+
 def product_template(coefficients, exponents):
     """min c1*x1 + c2*x2 + c3/x1 + c4/x2 + c5*x1^p*x2: five coefficient sets
     and one exponent set; every dual weight is positive at the optimum."""
@@ -568,9 +627,10 @@ def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
     assert (result.solved, result.rejected) == (8**5 * 3, 0)
     assert result.status is Status.OPTIMAL
     assert result.chosen_values[:5] == tuple((f"c{k}", 0.5) for k in range(1, 6))
-    # every value tuple of the 98304 is distinct; the O(K) bound skips the
-    # rest unexpanded
-    assert len(solves) == len(expands) <= 20
+    # every value tuple of the 98304 is distinct; the first seed's projected
+    # weights bound the other two seeds, and the O(K) bound skips the rest,
+    # all unexpanded
+    assert len(solves) == len(expands) == 1
 
 
 def test_bound_pruning_matches_exhaustive_enumeration():
