@@ -7,9 +7,15 @@ optima against the brute-force grid oracle.  Prints the Newton iterations of
 the reported dual solves and the solve time per iteration, status counts (with
 the indices of the ITERATION_LIMIT problems), the worst duality gap and
 equality residual, and the worst oracle disagreement.
+
+The last line is a SHA-256 over every problem's index, status, z, x, dual
+weight bytes and iteration count: two commits that print the same digest on
+one machine gave bit-identical results.  The digest is not portable across
+BLAS builds.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -47,6 +53,7 @@ def main() -> int:
     oracle_checked = 0
     iterations = 0
     solving = 0.0
+    digest = hashlib.sha256()
 
     started = time.perf_counter()
     for index in range(args.count):
@@ -56,6 +63,9 @@ def main() -> int:
         solving += time.perf_counter() - tick
         iterations += report.dual.iterations
         statuses.setdefault(report.status.value, []).append(index)
+        digest.update(repr((index, report.status.value, report.objective_value,
+                            report.primal_x, report.dual.iterations)).encode())
+        digest.update(report.dual.weights.tobytes())
         if report.status is not Status.OPTIMAL:
             continue
         worst_gap = max(worst_gap, report.duality_gap)
@@ -85,6 +95,7 @@ def main() -> int:
     print(f"worst equality residual  {worst_residual:.3e}")
     print(f"worst oracle difference  {worst_oracle:.3e} "
           f"({oracle_checked} checks)")
+    print(f"sweep digest             {digest.hexdigest()}")
     return 0
 
 

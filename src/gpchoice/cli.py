@@ -315,21 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
         "coefficient/exponent selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve_p = sub.add_parser("solve", help="solve a problem file")
-    solve_p.add_argument("problem", help="path to a problem file")
-    solve_p.add_argument(
+    # arguments shared by the subcommands, each declared once
+    file_p = argparse.ArgumentParser(add_help=False)
+    file_p.add_argument("problem", help="path to a problem file")
+    solver_p = argparse.ArgumentParser(add_help=False, parents=[file_p])
+    solver_p.add_argument(
         "--tolerance", type=_positive_float,
         default=SolverSettings().stationarity_tol,
         help="stationarity tolerance for the dual maximizer",
     )
+    solver_p.add_argument(
+        "--format", choices=("text", "machine"), default="text",
+        help="report format",
+    )
+
+    solve_p = sub.add_parser("solve", parents=[solver_p], help="solve a problem file")
     solve_p.add_argument(
         "--all-assignments", action="store_true",
         help="include the per-assignment table in the report",
-    )
-    solve_p.add_argument(
-        "--format", choices=("text", "machine"), default="text",
-        help="report format",
     )
     solve_p.add_argument(
         "--oracle", action="store_true",
@@ -337,25 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve_p.set_defaults(func=_cmd_solve)
 
-    dual_p = sub.add_parser("dual", help="print the dual system and its solution")
-    dual_p.add_argument("problem", help="path to a problem file")
+    dual_p = sub.add_parser(
+        "dual", parents=[solver_p], help="print the dual system and its solution"
+    )
     dual_p.add_argument(
         "--assign", action="append", default=[], metavar="NAME=BITS",
         help="fix a candidate set to a bit pattern, e.g. --assign c=01",
     )
-    dual_p.add_argument(
-        "--tolerance", type=_positive_float,
-        default=SolverSettings().stationarity_tol,
-        help="stationarity tolerance for the dual maximizer",
-    )
-    dual_p.add_argument(
-        "--format", choices=("text", "machine"), default="text",
-        help="report format",
-    )
     dual_p.set_defaults(func=_cmd_dual)
 
-    validate_p = sub.add_parser("validate", help="check a problem file")
-    validate_p.add_argument("problem", help="path to a problem file")
+    validate_p = sub.add_parser(
+        "validate", parents=[file_p], help="check a problem file"
+    )
     validate_p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -11,10 +11,11 @@ with c_k the standardized term coefficients and lambda_i the weight sum of
 constraint block i.  Factors with w_k = 0 or lambda_i = 0 take their
 continuous limit, one.
 
-Each DualProgram computes its block layout once; the kernels use it to treat
-all blocks at once.  The log dual, its gradient and the full Hessian add in
-the order of a block-by-block loop; the Hessian on a basis B is assembled
-from B's sums over each block, without the full matrix.
+Each DualProgram stores its terms alone and derives its equality system and
+block layout from them once; the kernels use the layout to treat all blocks
+at once.  The log dual, its gradient and the full Hessian add in the order of
+a block-by-block loop; the Hessian on a basis B is assembled from B's sums
+over each block, without the full matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,33 +34,46 @@ from .posynomial import GpDomainError, StandardGp
 # of a 0 before each block; con_block: block of each constraint term; member:
 # (m, K), 1.0 where term k lies in constraint block i + 1
 _Layout = namedtuple("_Layout", "offsets scatter starts con_block log_c member")
+# A, b and (T_0, T_1, ..., T_m) of the dual's equalities A w = b
+_Equalities = namedtuple("_Equalities", "matrix rhs block_sizes")
+
+
+def _equality_system(exponents: np.ndarray, block_index: np.ndarray) -> _Equalities:
+    """A w = b: the normality row over the objective block on top of one
+    orthogonality row per variable, objective included; b = e1."""
+    k, n = exponents.shape
+    matrix = np.zeros((n + 1, k))
+    matrix[0, block_index == 0] = 1.0
+    matrix[1:, :] = exponents.T
+    rhs = np.zeros(n + 1)
+    rhs[0] = 1.0
+    matrix.flags.writeable = rhs.flags.writeable = False
+    return _Equalities(matrix, rhs, tuple(np.bincount(block_index).tolist()))
 
 
 @dataclass(frozen=True)
 class DualProgram:
     """Flattened dual data: one entry per primal term, objective block first.
 
-    ``equality_matrix @ w = equality_rhs`` stacks the normality row on top of
-    one orthogonality row per variable; ``equality_rhs`` is the first unit
-    vector.
+    Only the terms are stored; ``equality_matrix @ w = equality_rhs`` and
+    ``block_sizes``, read-only, are derived from them by _equality_system.
     """
 
     term_coefficients: np.ndarray  # (K,), strictly positive
     block_index: np.ndarray  # (K,), 0 for objective, i for constraint i
     exponent_matrix: np.ndarray  # (K, n)
-    equality_matrix: np.ndarray  # (n + 1, K)
-    equality_rhs: np.ndarray  # (n + 1,)
-    block_sizes: tuple[int, ...]  # (T_0, T_1, ..., T_m)
 
     def __post_init__(self):
-        for arr in (
-            self.term_coefficients,
-            self.block_index,
-            self.exponent_matrix,
-            self.equality_matrix,
-            self.equality_rhs,
-        ):
+        for arr in (self.term_coefficients, self.block_index, self.exponent_matrix):
             arr.flags.writeable = False
+
+    @cached_property
+    def _equalities(self) -> _Equalities:
+        return _equality_system(self.exponent_matrix, self.block_index)
+
+    equality_matrix = property(attrgetter("_equalities.matrix"))  # (n + 1, K)
+    equality_rhs = property(attrgetter("_equalities.rhs"))  # (n + 1,)
+    block_sizes = property(attrgetter("_equalities.block_sizes"))  # (T_0, ..., T_m)
 
     @property
     def term_count(self) -> int:
@@ -98,33 +113,20 @@ def build_dual(s: StandardGp) -> DualProgram:
     coeffs: list[float] = []
     blocks: list[int] = []
     exps: list[tuple[float, ...]] = []
-    sizes: list[int] = []
     for i, posy in enumerate((s.objective, *s.constraints)):
         if not posy.term_count:
             where = f"constraint {i - 1}" if i else "objective"
             raise GpDomainError(f"{where} has no terms")
-        sizes.append(posy.term_count)
         for term in posy.terms:
             coeffs.append(term.coefficient)
             blocks.append(i)
             exps.append(term.exponents)
-
-    n = s.variable_count
-    k = len(coeffs)
-    exponent_matrix = np.array(exps, dtype=float).reshape(k, n)
-    block_index = np.array(blocks, dtype=int)
-    equality = np.zeros((n + 1, k))
-    equality[0, block_index == 0] = 1.0  # normality over the objective block
-    equality[1:, :] = exponent_matrix.T  # orthogonality, objective included
-    rhs = np.zeros(n + 1)
-    rhs[0] = 1.0
     return DualProgram(
         term_coefficients=np.array(coeffs, dtype=float),
-        block_index=block_index,
-        exponent_matrix=exponent_matrix,
-        equality_matrix=equality,
-        equality_rhs=rhs,
-        block_sizes=tuple(sizes),
+        block_index=np.array(blocks, dtype=int),
+        exponent_matrix=np.array(exps, dtype=float).reshape(
+            len(coeffs), s.variable_count
+        ),
     )
 
 

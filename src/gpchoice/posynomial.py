@@ -19,12 +19,6 @@ class GpDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class VariableIndex:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
 class Monomial:
     """One product term: coefficient * prod_j x_j**exponents[j]."""
 
@@ -45,42 +39,30 @@ class Posynomial:
 class GpProblem:
     """min objective(x) subject to constraint_i(x) <= bound_i, x > 0."""
 
-    variables: tuple[VariableIndex, ...]
+    variable_names: tuple[str, ...]
     objective: Posynomial
     constraints: tuple[tuple[Posynomial, float], ...]
 
     @property
     def variable_count(self) -> int:
-        return len(self.variables)
-
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return len(self.variable_names)
 
 
 @dataclass(frozen=True)
 class StandardGp:
     """Same shape as GpProblem with every constraint bound fixed to one."""
 
-    variables: tuple[VariableIndex, ...]
+    variable_names: tuple[str, ...]
     objective: Posynomial
     constraints: tuple[Posynomial, ...]
 
     @property
     def variable_count(self) -> int:
-        return len(self.variables)
+        return len(self.variable_names)
 
     @property
     def term_count(self) -> int:
         return self.objective.term_count + sum(c.term_count for c in self.constraints)
-
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-
-def make_variables(names: Sequence[str]) -> tuple[VariableIndex, ...]:
-    return tuple(VariableIndex(i, name) for i, name in enumerate(names))
 
 
 def make_posynomial(terms: Iterable[tuple[float, Sequence[float]]]) -> Posynomial:
@@ -101,7 +83,7 @@ def make_problem(
     if variable_names is None:
         n = len(obj.terms[0].exponents) if obj.terms else 0
         variable_names = [f"x{j + 1}" for j in range(n)]
-    return GpProblem(make_variables(variable_names), obj, cons)
+    return GpProblem(tuple(variable_names), obj, cons)
 
 
 def evaluate(p: Posynomial, x: Sequence[float]) -> float:
@@ -143,5 +125,5 @@ def standardize(g: GpProblem) -> StandardGp:
                 tuple(Monomial(t.coefficient / bound, t.exponents) for t in posy.terms)
             )
         )
-    return StandardGp(g.variables, g.objective, tuple(scaled))
+    return StandardGp(g.variable_names, g.objective, tuple(scaled))
 

@@ -15,6 +15,7 @@ validate_choice_gp, which reports every problem of a file at once.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -129,6 +130,11 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
     except json.JSONDecodeError as e:
         raise ProblemSyntaxError(
             f"{source}:{e.lineno}:{e.colno}: {e.msg}"
+        ) from None
+    except ValueError:  # an integer literal beyond Python's digit limit
+        raise ProblemSemanticError(
+            f"{source}: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
         ) from None
     if not isinstance(doc, dict):
         raise ProblemSemanticError(f"{source}: top level must be an object")

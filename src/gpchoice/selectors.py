@@ -299,11 +299,7 @@ def validate(g: GpProblem) -> list[str]:
 
     Diagnostics only: nothing is raised here.
     """
-    out = [
-        f"variable {v.name!r}: index {v.index} at position {pos}"
-        for pos, v in enumerate(g.variables) if v.index != pos
-    ]
-    return out + validate_choice_gp(as_choice_gp(g))
+    return validate_choice_gp(as_choice_gp(g))
 
 
 @dataclass(frozen=True)
@@ -386,7 +382,7 @@ class _SeedDuals:
 
     Every seed takes the same coefficient values, so the seeds share their
     standardized coefficients and block layout, and with them the log dual;
-    their equality matrices differ only in the (row, term) slots that
+    their exponent matrices differ only in the (term, variable) slots that
     exponent sets fill.  The least-squares correction w' = w + A'^+ (b - A'w)
     of another system's optimal weights w is dual feasible for a seed with
     equality matrix A' when w' >= 0 and A'w' = b within FEASIBILITY_TOL; its
@@ -394,8 +390,8 @@ class _SeedDuals:
     duality.
     """
 
-    dual: DualProgram  # of one seed; bound fills a copy of its equality matrix
-    slots: dict[int, tuple[list[int], list[int]]]  # set index: its rows, terms
+    dual: DualProgram  # of one seed; at fills a copy of its exponent matrix
+    slots: dict[int, tuple[list[int], list[int]]]  # set index: terms, variables
 
     @classmethod
     def of(cls, cg: ChoiceGp, values: Sequence[float]) -> _SeedDuals:
@@ -409,10 +405,17 @@ class _SeedDuals:
         for k, tpl in enumerate(templates):
             for j, e in enumerate(tpl.exponents):
                 if isinstance(e, SetRef):
-                    rows, terms = slots.setdefault(index[e.name], ([], []))
-                    rows.append(j + 1)  # row 0 is normality
+                    terms, variables = slots.setdefault(index[e.name], ([], []))
                     terms.append(k)
+                    variables.append(j)
         return cls(dual, slots)
+
+    def at(self, values: Sequence[float]) -> DualProgram:
+        """The dual of the seed with these values, one per set."""
+        exponents = self.dual.exponent_matrix.copy()
+        for i, slot in self.slots.items():
+            exponents[slot] = values[i]
+        return replace(self.dual, exponent_matrix=exponents)
 
     def bound(
         self, values: Sequence[float], weights
@@ -420,10 +423,8 @@ class _SeedDuals:
         """The best log dual value over the given optimal weight vectors
         projected onto the equality system of the seed with these values,
         with its weights; None when no projection is dual feasible there."""
-        a = self.dual.equality_matrix.copy()
-        for i, (rows, terms) in self.slots.items():
-            a[rows, terms] = values[i]
-        b = self.dual.equality_rhs[:, None]
+        seed = self.at(values)
+        a, b = seed.equality_matrix, seed.equality_rhs[:, None]
         w = _project_onto_equalities(a, b, np.array(weights).T)  # one column each
         residual = np.abs(a @ w - b).max(axis=0)
         kept = w.T[(w >= 0.0).all(axis=0) & (residual <= FEASIBILITY_TOL)]

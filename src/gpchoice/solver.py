@@ -26,12 +26,12 @@ else one LP that finds a feasible point positive on every weight some
 feasible point can make positive.  Weights that LP leaves at zero are zero
 at every feasible point; they are dropped and the dual is re-solved on the
 rest.  The start and the null space depend only on the equality system,
-which exponent values alone fix, so they are computed once per system and
-shared, through a bounded cache, by every dual with that system.  Linear
-algebra is numpy only (an SVD null space; a Newton step from one symmetric
-eigendecomposition of the reduced Hessian, its eigenvalues floored so that
-the step always ascends), so importing the package does not load scipy;
-scipy.optimize.linprog is imported on first use by that one LP.
+which the exponents and blocks of the terms fix, so they are computed once
+per system and shared, through a bounded cache, by every dual with that
+system.  Linear algebra is numpy only (an SVD null space; a Newton step from
+one symmetric eigendecomposition of the reduced Hessian, its eigenvalues
+floored so that the step always ascends), so importing the package does not
+load scipy; scipy.optimize.linprog is imported on first use by that one LP.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -49,6 +49,7 @@ import numpy as np
 
 from .dual import (
     DualProgram,
+    _equality_system,
     _log_dual_objective,
     _reduced_hessian,
     block_lambdas,
@@ -210,19 +211,20 @@ _Start = namedtuple("_Start", "w nullsp support")
 
 
 def _dual_start(d: DualProgram) -> _Start:
-    """The start of d's equality system, computed once for every dual sharing it."""
-    arrays = (d.equality_matrix, d.equality_rhs, d.block_index)
-    keys = ((x.shape, x.dtype.str, x.tobytes()) for x in arrays)
-    return _equality_start(*keys, d.block_sizes)
+    """The start of d's equality system, computed once for every dual sharing
+    it; d's exponents and blocks fix the system, so they are the key."""
+    arrays = (d.exponent_matrix, d.block_index)
+    return _equality_start(*((x.shape, x.dtype.str, x.tobytes()) for x in arrays))
 
 
 @lru_cache(maxsize=_START_CACHE_SIZE)
-def _equality_start(a_key, b_key, block_key, block_sizes) -> _Start:
+def _equality_start(exponent_key, block_key) -> _Start:
     """Start point and null space of {A w = b, w >= 0}, read from the key alone."""
-    a, b, block = (
+    exponents, block = (
         np.frombuffer(data, dtype).reshape(shape)
-        for shape, dtype, data in (a_key, b_key, block_key)
+        for shape, dtype, data in (exponent_key, block_key)
     )
+    a, b, block_sizes = _equality_system(exponents, block)
     w = _project_onto_equalities(a, b, 1.0 / np.array(block_sizes, dtype=float)[block])
     if np.max(np.abs(a @ w - b)) > 1e-8:
         return _Start(None, None, None)  # A w = b has no solution
@@ -246,17 +248,12 @@ def _equality_start(a_key, b_key, block_key, block_sizes) -> _Start:
 
 def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
     """The program over the kept weights; emptied constraint blocks vanish."""
-    sizes = np.bincount(d.block_index[keep], minlength=len(d.block_sizes)).tolist()
-    blocks = [0] + [i for i in range(1, len(sizes)) if sizes[i]]
-    renumber = np.zeros(len(sizes), dtype=int)
-    renumber[blocks] = np.arange(len(blocks))
+    live = np.bincount(d.block_index[keep], minlength=len(d.block_sizes)) > 0
+    renumber = np.cumsum(live) - live[0]  # the objective block stays block 0
     return DualProgram(
-        term_coefficients=d.term_coefficients[keep].copy(),
+        term_coefficients=d.term_coefficients[keep],
         block_index=renumber[d.block_index[keep]],
-        exponent_matrix=d.exponent_matrix[keep].copy(),
-        equality_matrix=d.equality_matrix[:, keep].copy(),
-        equality_rhs=d.equality_rhs.copy(),
-        block_sizes=tuple(sizes[i] for i in blocks),
+        exponent_matrix=d.exponent_matrix[keep],
     )
 
 

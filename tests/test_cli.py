@@ -259,3 +259,15 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 3
         assert "coefficient: integer is too large for a double" in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "dual"])
+    def test_integer_beyond_the_digit_limit_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "format": "gp-problem/1", "variables": ["x"],
+            "objective": [{"coefficient": "HUGE", "exponents": {"x": 1}}],
+        }).replace('"HUGE"', "1" + "0" * 5000))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: an integer literal has more than 4300 digits\n"

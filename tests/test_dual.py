@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,11 @@ class TestBuildDual:
         np.testing.assert_array_equal(d.equality_rhs, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(d.term_coefficients, [1, 3, 1, 1, 1])
         assert d.block_sizes == (3, 2)
+        # only the terms are stored; the equality system is derived from them
+        names = [f.name for f in dataclasses.fields(d)]
+        assert names == ["term_coefficients", "block_index", "exponent_matrix"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.equality_matrix = EX1_ROWS
 
     def test_example2_equality_rows(self):
         d = build_dual(standardize(example2_problem()))

@@ -227,6 +227,17 @@ def test_integer_beyond_double_range_is_rejected_with_its_position():
         parse_problem_text(text)
 
 
+def test_integer_beyond_the_digit_limit_is_rejected_with_the_limit():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal longer than Python's int-string limit of 4300 digits
+    doc = json.loads(json.dumps(PLAIN_DOC))
+    doc["objective"][1]["coefficient"] = "HUGE"
+    text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000)
+    with pytest.raises(ProblemSemanticError, match=r"^huge\.json: an integer "
+                       r"literal has more than 4300 digits$"):
+        parse_problem_text(text, source="huge.json")
+
+
 def test_public_names_resolve():
     for name in gpchoice.__all__:
         assert hasattr(gpchoice, name), name

@@ -564,6 +564,11 @@ def test_projected_seed_bounds_are_sound_on_every_fixture():
             if report.status is Status.OPTIMAL:
                 seeds.append((values, build_dual(s), report))
         duals = gpchoice.selectors._SeedDuals.of(cg, seeds[0][0])
+        for values, dual, _ in seeds:
+            # each seed's system, filled in from the template, bit for bit
+            filled = duals.at(values).equality_matrix
+            assert filled.shape == dual.equality_matrix.shape
+            assert filled.tobytes() == dual.equality_matrix.tobytes()
         for (_, _, source), (values, dual, target) in itertools.permutations(seeds, 2):
             pairs += 1
             found = duals.bound(values, [source.dual.weights])

@@ -31,6 +31,7 @@ from gpchoice.solver import (
     _equality_start,
     _newton_step,
     _null_space,
+    _reduced_program,
     _support_point,
 )
 from helpers import (
@@ -628,13 +629,41 @@ class TestSharedStart:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cached_arrays_are_read_only(self, kind):
-        start = _dual_start(build_dual(standardize(self.KINDS[kind][0])))
+        d = build_dual(standardize(self.KINDS[kind][0]))
+        start = _dual_start(d)
         arrays = [arr for arr in start if arr is not None]
         assert arrays or kind == "inconsistent"
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
+        # the dual's derived equality system, shared by every reader, too;
+        # C order keeps lstsq and the SVD rounding as before
+        for arr in (d.equality_matrix, d.equality_rhs):
+            assert arr.flags.c_contiguous
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_reduced_program_derives_the_kept_columns(self):
+        rng = np.random.default_rng(STRESS_SEED)
+        emptied = 0
+        for problem in _stress_problems()[:200]:
+            d = build_dual(standardize(problem))
+            keep = rng.random(d.term_count) < 0.7
+            keep[0] = True  # normality keeps an objective weight
+            program = _reduced_program(d, keep)
+            a = program.equality_matrix
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.tobytes() == d.equality_matrix[:, keep].tobytes()
+            assert a.shape == (d.variable_count + 1, int(keep.sum()))
+            assert program.equality_rhs.tolist() == [1.0] + [0.0] * d.variable_count
+            counts = np.bincount(d.block_index[keep], minlength=len(d.block_sizes))
+            assert program.block_sizes == (
+                int(counts[0]), *(int(c) for c in counts[1:] if c)
+            )
+            emptied += program.constraint_count < d.constraint_count
+        assert emptied  # some masks empty a constraint block
 
     def test_keep_all_pass_computes_each_start_once(self, monkeypatch):
         # 1002 duals over the 12 fixtures; exponent values alone fix each
