@@ -8,10 +8,12 @@ the reported dual solves and the solve time per iteration, status counts (with
 the indices of the ITERATION_LIMIT problems), the worst duality gap and
 equality residual, and the worst oracle disagreement.
 
-The last line is a SHA-256 over every problem's index, status, z, x, dual
-weight bytes and iteration count: two commits that print the same digest on
-one machine gave bit-identical results.  The digest is not portable across
-BLAS builds.
+The last two lines are SHA-256 digests.  The status digest covers every
+problem's index and status alone, so two commits that print the same one
+agree on every status even where values moved.  The sweep digest covers
+every problem's index, status, z, x, dual weight bytes and iteration count:
+two commits that print the same one on one machine gave bit-identical
+results.  The sweep digest is not portable across BLAS builds.
 """
 
 import argparse
@@ -54,6 +56,7 @@ def main() -> int:
     iterations = 0
     solving = 0.0
     digest = hashlib.sha256()
+    status_digest = hashlib.sha256()
 
     started = time.perf_counter()
     for index in range(args.count):
@@ -63,6 +66,7 @@ def main() -> int:
         solving += time.perf_counter() - tick
         iterations += report.dual.iterations
         statuses.setdefault(report.status.value, []).append(index)
+        status_digest.update(repr((index, report.status.value)).encode())
         digest.update(repr((index, report.status.value, report.objective_value,
                             report.primal_x, report.dual.iterations)).encode())
         digest.update(report.dual.weights.tobytes())
@@ -95,6 +99,7 @@ def main() -> int:
     print(f"worst equality residual  {worst_residual:.3e}")
     print(f"worst oracle difference  {worst_oracle:.3e} "
           f"({oracle_checked} checks)")
+    print(f"status digest            {status_digest.hexdigest()}")
     print(f"sweep digest             {digest.hexdigest()}")
     return 0
 

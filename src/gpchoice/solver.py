@@ -10,7 +10,12 @@ directly on the null-space basis.  A plain Newton pass runs from the start
 and ends at its first boundary touch; an interior stationary point is
 accepted outright (global by concavity).  When the maximum lies on the
 boundary, a log-barrier continuation rides the central path to the optimal
-face, since plain Newton can lock onto a suboptimal face.
+face, since plain Newton can lock onto a suboptimal face.  Each barrier stage
+that ends centred hands the next stage a prediction along the central path's
+tangent, cut short of the boundary: a weight that is zero at the optimum sits
+near mu / v on the path, and from the last centre Newton could only about
+halve it per iteration after mu drops.  Predictions are not Newton
+iterations and do not count toward settings.max_iterations.
 A zero weight at the optimum marks an inactive term, so a boundary optimum
 is the interior optimum of a smaller dual: the weights the barrier leaves
 near zero (single weights, and every block of an inactive constraint) are
@@ -49,6 +54,7 @@ import numpy as np
 
 from .dual import (
     DualProgram,
+    _block_sums,
     _equality_system,
     _log_dual_objective,
     _reduced_hessian,
@@ -327,9 +333,18 @@ def _barrier_eval(
     return raw, raw + mu * float(logw.sum()), grad + mu / w, lam
 
 
+def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> float:
+    """The longest step along dw, at most 1, that keeps w strictly positive:
+    0.9995 of the fraction to the boundary."""
+    shrinking = dw < 0.0
+    ratio = -w[shrinking] / dw[shrinking]
+    return min(1.0, 0.9995 * float(ratio.min(initial=np.inf)))
+
+
 def _newton_phase(
     d: DualProgram,
     nullsp: np.ndarray,
+    basis_sums: np.ndarray,
     w: np.ndarray,
     mu: float,
     tol: float,
@@ -340,14 +355,14 @@ def _newton_phase(
     Iterates stay strictly inside the program: with mu > 0 the barrier keeps
     them there, and with mu = 0 the pass ends at the first weight that
     reaches _BOUNDARY_WEIGHT.  The reduced Hessian, assembled on the
-    null-space basis B from B's sums over each constraint block, is finite:
-    weights are floored at _WEIGHT_FLOOR and no block of an interior iterate
-    is empty.  So each iteration takes one ascending _newton_step direction.
+    null-space basis B from basis_sums, B's sums over each constraint block,
+    is finite: weights are floored at _WEIGHT_FLOOR and no block of an
+    interior iterate is empty.  So each iteration takes one ascending
+    _newton_step direction.
     """
     raw, value, grad, lam = _barrier_eval(d, w, mu)
     status = Status.ITERATION_LIMIT
     iterations = 0
-    basis_sums = d._layout.member @ nullsp
     # the stationarity of w once measured; a plateau trial measures it
     stationarity: float | None = None
     for iterations in range(1, max_iterations + 1):
@@ -365,9 +380,7 @@ def _newton_phase(
         du = _newton_step(_reduced_hessian(nullsp, basis_sums, lam, w, mu), gu)
         slope = float(gu @ du)
         dw = nullsp @ du
-        shrinking = dw < 0.0  # fraction to the boundary, at most a full step
-        ratio = -w[shrinking] / dw[shrinking]
-        step = min(1.0, 0.9995 * float(ratio.min(initial=np.inf)))
+        step = _boundary_fraction(w, dw)
         # once the predicted gain sinks below value resolution, sufficient
         # decrease cannot be observed; judge trial steps by stationarity instead
         plateau = 1e-13 * (1.0 + abs(value))
@@ -397,6 +410,28 @@ def _newton_phase(
 _BARRIER_SCHEDULE = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
+def _tangent_prediction(
+    d: DualProgram,
+    nullsp: np.ndarray,
+    basis_sums: np.ndarray,
+    w: np.ndarray,
+    mu: float,
+    mu_next: float,
+) -> np.ndarray:
+    """w, centred at mu, moved along the central path's tangent to mu_next.
+
+    Differentiating B^T grad phi_mu(w) = 0, for the barrier-augmented log
+    dual phi_mu and w = w0 + B u, gives du/dmu = (-H_u)^{-1} B^T (1 / w),
+    with H_u the reduced Hessian of phi_mu (Fiacco and McCormick, Nonlinear
+    Programming: Sequential Unconstrained Minimization Techniques, 1968,
+    ch. 5).  The step is cut by _boundary_fraction, so the prediction stays
+    strictly inside the program and on its affine set.
+    """
+    hu = _reduced_hessian(nullsp, basis_sums, _block_sums(d, w), w, mu)
+    dw = (mu_next - mu) * (nullsp @ _newton_step(hu, nullsp.T @ (1.0 / w)))
+    return w + _boundary_fraction(w, dw) * dw
+
+
 def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSolution:
     """Maximize the log dual objective over {A w = e1, w >= 0}.
 
@@ -417,12 +452,13 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     if nullsp.shape[1] == 0:  # the affine set is the single point w
         return _finish(d, nullsp, w, settings, Status.OPTIMAL, 0)
     budget = settings.max_iterations
+    basis_sums = d._layout.member @ nullsp
 
     # fast path: plain Newton from the interior start, ended at its first
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
     w_fast, status, iterations = _newton_phase(
-        d, nullsp, w, 0.0, tol, min(200, budget)
+        d, nullsp, basis_sums, w, 0.0, tol, min(200, budget)
     )
     if status is Status.UNBOUNDED:
         return _failure(d, Status.UNBOUNDED, iterations)
@@ -431,15 +467,19 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
 
     # the fast path touched the boundary, where aggressive early steps can
     # lock onto a suboptimal face; rerun with barrier continuation, whose
-    # central path reaches the optimal face before any weight hits zero
-    for mu in _BARRIER_SCHEDULE:
+    # central path reaches the optimal face before any weight hits zero; a
+    # stage that ends centred hands the next one its tangent prediction, which
+    # is no Newton iteration and so not counted
+    for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
         w, status, used = _newton_phase(
-            d, nullsp, w, mu, max(mu, tol),
+            d, nullsp, basis_sums, w, mu, max(mu, tol),
             min(60, budget - iterations),
         )
         iterations += used
         if status is Status.UNBOUNDED:
             return _failure(d, Status.UNBOUNDED, iterations)
+        if status is Status.OPTIMAL and mu_next is not None:
+            w = _tangent_prediction(d, nullsp, basis_sums, w, mu, mu_next)
 
     # the barrier leaves the weights that are zero at the optimum near its
     # last mu; on their face the optimum is interior to the program without
@@ -451,9 +491,10 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
         program = _reduced_program(d, keep)
         a, b = program.equality_matrix, program.equality_rhs
         nullsp = _null_space(a)
+        basis_sums = program._layout.member @ nullsp
         w = _project_onto_equalities(a, b, w[keep])
     w, status, used = _newton_phase(
-        program, nullsp, w, 0.0, tol, budget - iterations
+        program, nullsp, basis_sums, w, 0.0, tol, budget - iterations
     )
     iterations += used
     if status is Status.UNBOUNDED:

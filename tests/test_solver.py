@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import threading
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,13 +25,16 @@ from gpchoice import (
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import solve_choice
 from gpchoice.solver import (
+    _BARRIER_SCHEDULE,
     FEASIBILITY_TOL,
     DualSolution,
     ReconstructionError,
+    _barrier_eval,
     _dual_start,
     _equality_start,
     _newton_step,
     _null_space,
+    _projected_norm,
     _reduced_program,
     _support_point,
 )
@@ -548,6 +552,8 @@ class TestStressRegressions:
             if report.status is Status.OPTIMAL:
                 assert report.duality_gap <= 1e-6
                 assert report.kkt_residuals.primal_feasibility <= 1e-8
+        # 67382 when each barrier stage started from the last centre
+        assert sum(report.dual.iterations for report in reports) <= 45000
 
     def test_overflowing_primal_recovery_gives_a_report(self):
         # recover_primal overflows x = exp(y) to inf on this problem
@@ -739,12 +745,14 @@ class TestSharedStart:
         # the last pass runs inside the reduced program, so it ends at an
         # exact 0.0. `before` holds the weights, bit for bit, of the solver
         # whose fast pass ran on along the face (72 iterations) and whose
-        # last pass froze that weight at 9.1e-14
+        # last pass froze that weight at 9.1e-14. The pinned weights are those
+        # of barrier stages started from their tangent predictions (33
+        # iterations; 62 from the last centre)
         ds = solve_dual(build_dual(standardize(_stress_problems()[3])))
         assert ds.status is Status.OPTIMAL
-        weights = ("0x1.315229aa0af51p-1", "0x1.a19c1983ce34ep-4",
-                   "0x1.34f4a64af6889p-2", "0x1.4c44ed12ab682p-5",
-                   "0x1.35a4e98cce1f7p-2", "0x0.0p+0")
+        weights = ("0x1.315229aa0af4fp-1", "0x1.a19c1983ce359p-4",
+                   "0x1.34f4a64af688dp-2", "0x1.4c44ed12ab67bp-5",
+                   "0x1.35a4e98cce1f1p-2", "0x0.0p+0")
         assert [w.hex() for w in ds.weights.tolist()] == list(weights)
         before = np.array([float.fromhex(h) for h in (
             "0x1.315229aa0af87p-1", "0x1.a19c1983ce2c4p-4",
@@ -755,4 +763,66 @@ class TestSharedStart:
             ds.weights[kept], before[kept], rtol=1e-12, atol=0.0
         )
         assert ds.weights[~kept].tolist() == [0.0]
-        assert ds.iterations < 72
+        assert ds.iterations <= 35
+
+
+# one _newton_phase call: its null space, start, mu, end, status and count
+_Pass = namedtuple("_Pass", "nullsp start mu end status iterations")
+
+
+class TestBarrierPredictor:
+    """Each barrier stage after a centred one starts from the tangent
+    prediction of the central path, not from the last centre."""
+
+    @staticmethod
+    def _spy_passes(monkeypatch) -> list[_Pass]:
+        passes = []
+        original = gpchoice.solver._newton_phase
+
+        def spy(d, nullsp, basis_sums, w, mu, tol, max_iterations):
+            out = original(d, nullsp, basis_sums, w, mu, tol, max_iterations)
+            passes.append(_Pass(nullsp, w, mu, *out))
+            return out
+
+        monkeypatch.setattr(gpchoice.solver, "_newton_phase", spy)
+        return passes
+
+    def test_prediction_is_closer_to_the_next_centre(self, monkeypatch):
+        # a weight that is zero at the optimum sits near mu / v on the central
+        # path; the last centre misses the next stage's stationarity by about
+        # 0.54 at each of the last three transitions, and the prediction by
+        # 1.3e-2, 1.3e-4 and 1.3e-6
+        passes = self._spy_passes(monkeypatch)
+        d = build_dual(standardize(_stress_problems()[3]))
+        assert solve_dual(d).status is Status.OPTIMAL
+        stages = [p for p in passes if p.mu > 0.0]
+        assert [stage.mu for stage in stages] == list(_BARRIER_SCHEDULE)
+        for before, after in zip(stages[2:], stages[3:]):  # from mu = 1e-4 on
+            assert before.status is Status.OPTIMAL
+
+            def stationarity(w):
+                grad = _barrier_eval(d, w, after.mu)[2]
+                return _projected_norm(before.nullsp, grad)
+
+            assert stationarity(after.start) <= 0.1 * stationarity(before.end)
+
+    def test_every_stage_starts_strictly_inside(self, monkeypatch):
+        passes = self._spy_passes(monkeypatch)
+        predicted = 0
+        for problem in _stress_problems()[:100]:
+            d = build_dual(standardize(problem))
+            passes.clear()
+            ds = solve_dual(d)
+            # predictions are no Newton iterations: the passes sum to the count
+            assert sum(p.iterations for p in passes) == ds.iterations
+            stages = [p for p in passes if p.mu > 0.0]
+            for stage in stages:
+                assert stage.start.min() > 0.0
+                residual = d.equality_matrix @ stage.start - d.equality_rhs
+                assert np.abs(residual).max() <= FEASIBILITY_TOL
+            for before, after in zip(stages, stages[1:]):
+                # a centred stage hands on its prediction, a capped one its end
+                centred = before.status is Status.OPTIMAL
+                assert centred == (after.start is not before.end)
+                predicted += centred
+        assert predicted >= 200  # 240
