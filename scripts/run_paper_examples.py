@@ -2,6 +2,11 @@
 """Reproduce the two shipped design-selection examples across all six
 candidate-set sizes and print the selected constants, optima, and dual
 weights.  A brute-force grid check is appended for the first example.
+
+Each fixture's line gives the time of the pruned search, then the time of
+the keep-all pass (every expansion solved, as --all-assignments does) and
+its number of equality systems: the expansions that share exponent values
+share one, and keep-all solves each system's duals as one batch.
 """
 
 import sys
@@ -14,6 +19,7 @@ PROBLEMS = REPO / "problems"
 sys.path.insert(0, str(REPO / "src"))
 
 from gpchoice import (  # noqa: E402
+    Role,
     brute_force_oracle,
     build_dual,
     expand,
@@ -29,12 +35,21 @@ def run_fixture(path: Path):
     started = time.perf_counter()
     result = solve_choice(cg)
     elapsed = (time.perf_counter() - started) * 1e3
+    started = time.perf_counter()
+    table = solve_choice(cg, keep_assignments=True).assignments
+    keep_all = (time.perf_counter() - started) * 1e3
+    exponents = [i for i, cs in enumerate(cg.sets) if cs.role is Role.EXPONENT]
+    systems = {
+        tuple(row.values[i] for i in exponents)
+        for row in table if row.status != "rejected"
+    }
     chosen = dict(result.chosen_values or ())
     report = result.report
     print(
         f"{path.stem:18s} z = {report.objective_value:12.7g}  "
         f"(c, p, a) = ({chosen['c']:g}, {chosen['p']:g}, {chosen['a']:g})  "
-        f"combos = {result.solved + result.rejected:3d}  {elapsed:7.1f} ms"
+        f"combos = {result.solved + result.rejected:3d}  {elapsed:7.1f} ms  "
+        f"keep-all {keep_all:7.1f} ms  systems = {len(systems)}"
     )
     return cg, result
 
@@ -50,7 +65,7 @@ def show_dual(cg, result, label):
 
 def main() -> int:
     print("selected constants per fixture")
-    print("-" * 78)
+    print("-" * 118)
     last = {}
     for example in (1, 2):
         for case in range(1, 7):

@@ -30,10 +30,9 @@ import numpy as np
 from .posynomial import GpDomainError, StandardGp
 
 
-# offsets: block starts, then K; scatter and starts: slots of the weights and
-# of a 0 before each block; con_block: block of each constraint term; member:
-# (m, K), 1.0 where term k lies in constraint block i + 1
-_Layout = namedtuple("_Layout", "offsets scatter starts con_block log_c member")
+# scatter and starts: slots of the weights and of a 0 before each block;
+# member: (m, K), 1.0 where term k lies in constraint block i + 1
+_Layout = namedtuple("_Layout", "scatter starts log_c member")
 # A, b and (T_0, T_1, ..., T_m) of the dual's equalities A w = b
 _Equalities = namedtuple("_Equalities", "matrix rhs block_sizes")
 
@@ -89,13 +88,11 @@ class DualProgram:
 
     @cached_property
     def _layout(self) -> _Layout:
-        offsets = (0, *np.cumsum(self.block_sizes).tolist())
+        offsets = np.cumsum((0, *self.block_sizes[:-1]))
         block = self.block_index
         return _Layout(
-            offsets=offsets,
-            scatter=np.arange(offsets[-1]) + block + 1,
-            starts=np.array(offsets[:-1]) + np.arange(len(self.block_sizes)),
-            con_block=block[offsets[1]:],
+            scatter=np.arange(block.size) + block + 1,
+            starts=offsets + np.arange(len(self.block_sizes)),
             log_c=np.log(self.term_coefficients),
             member=(block == np.arange(1, len(self.block_sizes))[:, None]) * 1.0,
         )
@@ -147,12 +144,12 @@ def _check_weights(d: DualProgram, w) -> np.ndarray:
 
 
 def _block_sums(d: DualProgram, w: np.ndarray) -> np.ndarray:
-    """Weight sum of every block, objective first, in w[block].sum()'s order."""
+    """Block weight sums, objective first, in w[block].sum()'s order, per row."""
     lay = d._layout
-    buf = np.zeros(lay.scatter.size + lay.starts.size)
-    buf[lay.scatter] = w
+    buf = np.zeros((*w.shape[:-1], lay.scatter.size + lay.starts.size))
+    buf[..., lay.scatter] = w
     # reduceat alone adds w0 + (w1 + w2); from a 0 it adds as sum() does
-    return np.add.reduceat(buf, lay.starts)
+    return np.add.reduceat(buf, lay.starts, axis=-1)
 
 
 def block_lambdas(d: DualProgram, w) -> np.ndarray:
@@ -180,32 +177,44 @@ def log_dual_objective(d: DualProgram, w) -> tuple[float, np.ndarray]:
     log(c_k) - log(w_k) + log(lambda_i) on constraint block i; they diverge
     to +inf as w_k -> 0.
     """
-    return _log_dual_objective(d, _check_weights(d, w))[:2]
+    value, grad = _log_dual_objective(d, _check_weights(d, w))[:2]
+    return float(value), grad
 
 
 def _log_dual_objective(
-    d: DualProgram, w: np.ndarray
+    d: DualProgram, w: np.ndarray, log_c: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """log_dual_objective, log w and the block sums, on checked weights."""
+    """log_dual_objective, log w and the block sums, on checked weights; on
+    a (B, K) stack w, with log_c per row, each row bit for bit as alone."""
     lay = d._layout
+    log_c = lay.log_c if log_c is None else log_c
     lam = _block_sums(d, w)
     pos = w > 0.0
-    if pos.all():
+    if np.count_nonzero(pos) == pos.size:
         logw, log_lam = np.log(w), np.log(lam)
-        value = float((w * (lay.log_c - logw)).sum())
-        terms = (lam * log_lam)[1:]
+        ratio = log_c - logw
+        value = np.add.reduce(w * ratio, axis=-1)
+        terms = lam * log_lam
+    elif w.ndim > 1:  # zero weights compact each row apart
+        log_c = np.broadcast_to(log_c, w.shape)
+        rows = zip(*map(_log_dual_objective, [d] * len(w), w, log_c))
+        return tuple(np.array(x) for x in rows)
     else:  # 0 log 0 = 0: zero weights and emptied blocks add nothing
         with np.errstate(divide="ignore"):
             logw, log_lam = np.log(w), np.log(lam)
-        value = float((w[pos] * (lay.log_c[pos] - logw[pos])).sum())
+        ratio = log_c - logw
+        value = np.add.reduce(w[pos] * ratio[pos])
         live = lam > 0.0
-        live[0] = False  # the objective block has no lambda term
-        terms = lam[live] * log_lam[live]
+        terms = np.zeros_like(lam)
+        terms[live] = lam[live] * log_lam[live]
         log_lam[~live] = np.inf  # an emptied block's gradient is +inf
-    for term in terms.tolist():  # block by block, left to right
-        value += term
-    grad = lay.log_c - logw - 1.0
-    grad[lay.offsets[1]:] += (log_lam + 1.0)[lay.con_block]
+    # add each constraint block's term to value in turn, as accumulate does
+    terms[..., 0] = value
+    value = np.add.accumulate(terms, axis=-1).T[-1]
+    # constraint terms add log lambda + 1, objective terms an exact 0.0
+    shift = log_lam + 1.0
+    shift[..., 0] = 0.0
+    grad = ratio - 1.0 + shift.take(d.block_index, axis=-1)
     return value, grad, logw, lam
 
 
@@ -235,6 +244,8 @@ def _reduced_hessian(
     constraint block i; basis_sums = member @ B stacks the s_i^T B, and lam
     holds the block sums, objective first.  At B = I only exact zeros join
     each entry's one term, so the result is the entrywise formula bit for bit.
+    lam and w may stack rows along a leading axis, one reduced Hessian each.
     """
     curvature = 1.0 / w if mu == 0.0 else 1.0 / w + mu / w**2
-    return (basis_sums.T / lam[1:]) @ basis_sums - (basis.T * curvature) @ basis
+    sums = (basis_sums.T / lam[..., None, 1:]) @ basis_sums
+    return sums - (basis.T * curvature[..., None, :]) @ basis

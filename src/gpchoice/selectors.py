@@ -23,7 +23,7 @@ import numpy as np
 from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
 from .solver import FEASIBILITY_TOL, GAP_TOL, SolverSettings, SolveReport, Status, solve
-from .solver import _project_onto_equalities
+from .solver import _project_onto_equalities, _solve_all
 
 BitPattern = tuple[int, ...]
 
@@ -513,9 +513,10 @@ def solve_choice(
     Pattern i selects candidate i, so the values come from a table built
     once.  Expansions that weak duality proves can neither win nor tie are
     skipped unsolved (_search, _Skeleton, _SeedDuals); keep_assignments
-    solves them all, as its table reports every z.  Equal value tuples are
-    solved once, at their smallest pattern per set.  ``solved`` counts the
-    non-rejected combinations, skipped ones included.
+    solves them all, as its table reports every z, sharing one batch per
+    equality system (_solve_all).  Equal value tuples are solved once, at
+    their smallest pattern per set.  ``solved`` counts the non-rejected
+    combinations, skipped ones included.
     """
     problems = validate_choice_gp(cg)
     if problems:
@@ -542,8 +543,11 @@ def solve_choice(
     )
     cache: dict[tuple[float, ...], Evaluated] = {}
 
+    def bits_of(combo: Combo) -> tuple[BitPattern, ...]:
+        return tuple(PATTERNS[cs.size][j] for cs, j in zip(cg.sets, combo))
+
     def evaluate(combo: Combo) -> Evaluated:
-        bits = tuple(PATTERNS[cs.size][j] for cs, j in zip(cg.sets, combo))
+        bits = bits_of(combo)
         values = tuple(t[j] for t, j in zip(table, combo))
         if values not in cache:
             report, status, z = None, "rejected", None
@@ -556,7 +560,19 @@ def solve_choice(
         return replace(first, bits=bits), report
 
     if keep_assignments:
-        combos = itertools.product(*(range(cs.size) for cs in cg.sets))
+        combos = list(itertools.product(*(range(cs.size) for cs in cg.sets)))
+        # one _solve_all call solves each value tuple, evaluate reads them
+        firsts: dict[tuple[float, ...], tuple[BitPattern, ...]] = {}
+        for combo in combos:
+            values = tuple(t[j] for t, j in zip(table, combo))
+            if all(values[i] > 0.0 for i in coefficient_sets):
+                firsts.setdefault(values, bits_of(combo))
+        choices = [dict(zip(names, bits)) for bits in firsts.values()]
+        expansions = [standardize(expand(cg, choice)) for choice in choices]
+        reports = _solve_all(expansions, settings)
+        for (values, bits), rep in zip(firsts.items(), reports):
+            row = AssignmentOutcome(bits, values, rep.status.value, rep.objective_value)
+            cache[values] = row, rep
         rows = [evaluate(combo)[0] for combo in combos]
     else:
         _search(cg, table, coefficient_sets, evaluate)

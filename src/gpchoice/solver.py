@@ -21,7 +21,7 @@ is the interior optimum of a smaller dual: the weights the barrier leaves
 near zero (single weights, and every block of an inactive constraint) are
 dropped, the iterate is projected onto the reduced equalities, the plain
 pass finishes there, and the dropped weights are padded with zeros.  All
-passes of one solve share settings.max_iterations.  When the equality system
+passes of one dual share settings.max_iterations.  When the equality system
 leaves no freedom (an empty null space, as with degree of difficulty zero)
 its single solution is the answer.
 
@@ -33,10 +33,13 @@ at every feasible point; they are dropped and the dual is re-solved on the
 rest.  The start and the null space depend only on the equality system,
 which the exponents and blocks of the terms fix, so they are computed once
 per system and shared, through a bounded cache, by every dual with that
-system.  Linear algebra is numpy only (an SVD null space; a Newton step from
-one symmetric eigendecomposition of the reduced Hessian, its eigenvalues
-floored so that the step always ascends), so importing the package does not
-load scipy; scipy.optimize.linprog is imported on first use by that one LP.
+system.  Duals that differ only in their coefficients are solved as one
+batch, a row of a (B, K) weight array each, and each row ends bit for bit
+as it would alone; solve_dual is the batch of one.  Linear algebra is numpy
+only (an SVD null space; a Newton step from one symmetric eigendecomposition
+of the reduced Hessian, its eigenvalues floored so that the step always
+ascends), so importing the package does not load scipy;
+scipy.optimize.linprog is imported on first use by that one LP.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -46,11 +49,14 @@ active constraint block satisfy term_value = w_it / lambda_i.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dual import (
     DualProgram,
@@ -216,11 +222,15 @@ def _pocs_interior(
 _Start = namedtuple("_Start", "w nullsp support")
 
 
-def _dual_start(d: DualProgram) -> _Start:
-    """The start of d's equality system, computed once for every dual sharing
-    it; d's exponents and blocks fix the system, so they are the key."""
+def _system_key(d: DualProgram) -> tuple:
+    """d's exponents and blocks, which fix its equality system, as a key."""
     arrays = (d.exponent_matrix, d.block_index)
-    return _equality_start(*((x.shape, x.dtype.str, x.tobytes()) for x in arrays))
+    return tuple((x.shape, x.dtype.str, x.tobytes()) for x in arrays)
+
+
+def _dual_start(d: DualProgram) -> _Start:
+    """The start of d's equality system, computed once per _system_key."""
+    return _equality_start(*_system_key(d))
 
 
 @lru_cache(maxsize=_START_CACHE_SIZE)
@@ -276,11 +286,13 @@ def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     -hu is positive semidefinite up to rounding, the log dual being concave;
     the floor, 1e-12 * max(1, max|eigenvalue|) (Nocedal and Wright, Numerical
     Optimization, 2006, 3.4), makes the step finite and ascending (gu @ step
-    > 0 for nonzero gu) for every finite symmetric hu.
+    > 0 for nonzero gu) for every finite symmetric hu, or each of a stack.
+    It calls the gufunc under numpy.linalg.eigh, whose checks outcost the work.
     """
-    lam, vec = np.linalg.eigh(-(hu + hu.T) / 2.0)
-    floor = 1e-12 * max(1.0, float(np.abs(lam).max()))
-    return vec @ ((vec.T @ gu) / np.maximum(lam, floor))
+    lam, vec = _umath_linalg.eigh_lo((hu + hu.mT) / -2.0, signature="d->dd")
+    scale = np.maximum.reduce(np.abs(lam), axis=-1, keepdims=True)
+    floor = 1e-12 * np.maximum(1.0, scale)
+    return np.matvec(vec, np.matvec(vec.mT, gu) / np.maximum(lam, floor))
 
 
 def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolution:
@@ -323,86 +335,105 @@ def _finish(
 
 
 def _barrier_eval(
-    d: DualProgram, w: np.ndarray, mu: float
+    d: DualProgram, w: np.ndarray, mu: float, log_c: np.ndarray | None = None
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """(raw log dual value, barrier-augmented value, its gradient, block sums)."""
     # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
-    raw, grad, logw, lam = _log_dual_objective(d, w)
+    raw, grad, logw, lam = _log_dual_objective(d, w, log_c)
     if mu == 0.0:
         return raw, raw, grad, lam
-    return raw, raw + mu * float(logw.sum()), grad + mu / w, lam
+    return raw, raw + mu * np.add.reduce(logw, axis=-1), grad + mu / w, lam
 
 
-def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> float:
-    """The longest step along dw, at most 1, that keeps w strictly positive:
-    0.9995 of the fraction to the boundary."""
-    shrinking = dw < 0.0
-    ratio = -w[shrinking] / dw[shrinking]
-    return min(1.0, 0.9995 * float(ratio.min(initial=np.inf)))
+def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Per row, the longest step along dw, at most 1, that keeps w strictly
+    positive: 0.9995 of the fraction to the boundary."""
+    # -w / dw, exactly, where dw < 0, and inf elsewhere (w > 0)
+    ratio = np.where(dw < 0.0, w, np.inf) / np.abs(dw)
+    return np.minimum(1.0, 0.9995 * np.minimum.reduce(ratio, axis=-1))
 
 
 def _newton_phase(
-    d: DualProgram,
-    nullsp: np.ndarray,
-    basis_sums: np.ndarray,
-    w: np.ndarray,
-    mu: float,
-    tol: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, Status, int]:
+    d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, basis_sums: np.ndarray,
+    w: np.ndarray, mu: float, tol: float, max_iterations: list[int],
+) -> tuple[np.ndarray, list[Status], list[int]]:
     """Damped Newton ascent of the (optionally barrier-augmented) log dual.
 
-    Iterates stay strictly inside the program: with mu > 0 the barrier keeps
-    them there, and with mu = 0 the pass ends at the first weight that
-    reaches _BOUNDARY_WEIGHT.  The reduced Hessian, assembled on the
-    null-space basis B from basis_sums, B's sums over each constraint block,
-    is finite: weights are floored at _WEIGHT_FLOOR and no block of an
-    interior iterate is empty.  So each iteration takes one ascending
-    _newton_step direction.
+    Each row of w (B, K) is a dual of d's equality system with its row of
+    log_c, and has its own line search, end and iteration count (at most its
+    max_iterations); the rows share the null-space basis B, basis_sums (B's
+    sums over each constraint block) and one stacked eigh per iteration.  The
+    barrier keeps iterates inside; with mu = 0 a row ends at its first weight
+    at or below _BOUNDARY_WEIGHT.  Returns end weights, statuses and counts.
     """
-    raw, value, grad, lam = _barrier_eval(d, w, mu)
-    status = Status.ITERATION_LIMIT
-    iterations = 0
-    # the stationarity of w once measured; a plateau trial measures it
-    stationarity: float | None = None
-    for iterations in range(1, max_iterations + 1):
-        if raw > _LOG_VALUE_UNBOUNDED:
-            return w, Status.UNBOUNDED, iterations
-        if mu == 0.0 and w.min() <= _BOUNDARY_WEIGHT:
-            break
-
-        gu = nullsp.T @ grad
-        if stationarity is None:  # _projected_norm, from gu
-            stationarity = float(np.abs(nullsp @ gu).max())
-        if stationarity <= tol:
-            status = Status.OPTIMAL
-            break
-        du = _newton_step(_reduced_hessian(nullsp, basis_sums, lam, w, mu), gu)
-        slope = float(gu @ du)
-        dw = nullsp @ du
-        step = _boundary_fraction(w, dw)
-        # once the predicted gain sinks below value resolution, sufficient
-        # decrease cannot be observed; judge trial steps by stationarity instead
-        plateau = 1e-13 * (1.0 + abs(value))
-        for _ in range(60):
-            trial = np.maximum(w + step * dw, _WEIGHT_FLOOR)
-            t_raw, t_value, t_grad, t_lam = _barrier_eval(d, trial, mu)
-            predicted = 1e-4 * step * slope
-            t_norm = None
-            if predicted > plateau:
-                ok = t_value >= value + predicted
+    end, used = np.empty_like(w), [0] * len(w)
+    status = [Status.ITERATION_LIMIT] * len(w)
+    rows, limits, stuck = list(range(len(w))), list(max_iterations), []  # live rows
+    raw, value, grad, lam = _barrier_eval(d, w, mu, log_c)
+    for k in itertools.count(1):
+        gu = np.matvec(nullsp.T, grad)
+        # _projected_norm, from gu
+        norms = np.maximum.reduce(np.abs(np.matvec(nullsp, gu)), axis=1).tolist()
+        low = np.minimum.reduce(w, axis=1).tolist() if mu == 0.0 else None
+        live = []
+        for i, (j, r) in enumerate(zip(rows, raw.tolist())):
+            # past its budget or with no progress a row ends at k - 1, else at
+            # k: unbounded, at the boundary of a plain pass, or stationary
+            if k > limits[i] or i in stuck:
+                used[j] = k - 1
+            elif r > _LOG_VALUE_UNBOUNDED:
+                status[j], used[j] = Status.UNBOUNDED, k
+            elif low is not None and low[i] <= _BOUNDARY_WEIGHT:
+                used[j] = k
+            elif norms[i] <= tol:
+                status[j], used[j] = Status.OPTIMAL, k
             else:
-                t_norm = _projected_norm(nullsp, t_grad)
-                ok = t_norm < stationarity
-            if ok:
-                w, raw, value, grad, lam = trial, t_raw, t_value, t_grad, t_lam
-                stationarity = t_norm
-                break
-            step *= 0.5
-        else:
-            break  # no further progress at floating precision
+                live.append(i)
+                continue
+            end[j] = w[i]
+        if not live:
+            break
+        if len(live) < len(rows):
+            w, raw, value, grad, lam, log_c, gu = (
+                x[live] for x in (w, raw, value, grad, lam, log_c, gu)
+            )
+            rows, limits, norms = ([x[i] for i in live] for x in (rows, limits, norms))
 
-    return w, status, iterations
+        du = _newton_step(_reduced_hessian(nullsp, basis_sums, lam, w, mu), gu)
+        slopes, values = np.vecdot(gu, du).tolist(), value.tolist()
+        dw = np.matvec(nullsp, du)
+        step = _boundary_fraction(w, dw)
+        # each row halves its step until it takes its trial; a taken row's
+        # trial comes out the same at every later halving
+        taken, stuck = [False] * len(w), []  # stuck: no progress at all
+        for _ in range(60):
+            trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
+            evaluated = _barrier_eval(d, trial, mu, log_c)
+            t_norms, sizes, t_values = None, step.tolist(), evaluated[1].tolist()
+            for i, (size, t_value) in enumerate(zip(sizes, t_values)):
+                if taken[i]:
+                    continue
+                predicted = 1e-4 * size * slopes[i]
+                # once the predicted gain sinks below value resolution,
+                # sufficient decrease cannot be observed; judge trial steps
+                # by stationarity instead
+                if predicted > 1e-13 * (1.0 + abs(values[i])):
+                    taken[i] = t_value >= values[i] + predicted
+                    continue
+                if t_norms is None:
+                    t_norms = np.matvec(nullsp, np.matvec(nullsp.T, evaluated[2]))
+                    t_norms = np.maximum.reduce(np.abs(t_norms), axis=1).tolist()
+                taken[i] = t_norms[i] < norms[i]
+            if all(taken):
+                break
+            step = np.where(taken, step, 0.5 * step)
+        else:  # the rows that found no progress stay at w, and end
+            stuck = [i for i, t in enumerate(taken) if not t]
+            trial = np.where(np.array(taken)[:, None], trial, w)
+            evaluated = _barrier_eval(d, trial, mu, log_c)
+        w, (raw, value, grad, lam) = trial, evaluated
+
+    return end, status, used
 
 
 # continuation schedule for the interior barrier; the central path guides
@@ -411,14 +442,9 @@ _BARRIER_SCHEDULE = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
 def _tangent_prediction(
-    d: DualProgram,
-    nullsp: np.ndarray,
-    basis_sums: np.ndarray,
-    w: np.ndarray,
-    mu: float,
-    mu_next: float,
+    d: DualProgram, nullsp: np.ndarray, w: np.ndarray, mu: float, mu_next: float
 ) -> np.ndarray:
-    """w, centred at mu, moved along the central path's tangent to mu_next.
+    """Rows of w, centred at mu, moved along the central path's tangent to mu_next.
 
     Differentiating B^T grad phi_mu(w) = 0, for the barrier-augmented log
     dual phi_mu and w = w0 + B u, gives du/dmu = (-H_u)^{-1} B^T (1 / w),
@@ -427,9 +453,10 @@ def _tangent_prediction(
     ch. 5).  The step is cut by _boundary_fraction, so the prediction stays
     strictly inside the program and on its affine set.
     """
-    hu = _reduced_hessian(nullsp, basis_sums, _block_sums(d, w), w, mu)
-    dw = (mu_next - mu) * (nullsp @ _newton_step(hu, nullsp.T @ (1.0 / w)))
-    return w + _boundary_fraction(w, dw) * dw
+    hu = _reduced_hessian(nullsp, d._layout.member @ nullsp, _block_sums(d, w), w, mu)
+    du = _newton_step(hu, np.matvec(nullsp.T, 1.0 / w))
+    dw = (mu_next - mu) * np.matvec(nullsp, du)
+    return w + _boundary_fraction(w, dw)[:, None] * dw
 
 
 def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSolution:
@@ -441,29 +468,52 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     grows without bound along the feasible set, and ITERATION_LIMIT otherwise,
     including when the Newton passes together reach settings.max_iterations.
     """
-    settings = settings or SolverSettings()
-    start = _dual_start(d)
-    if start.support is not None:
-        inner = solve_dual(_reduced_program(d, start.support), settings)
-        return _pad(d, start.support, inner)
-    if start.w is None:
-        return _failure(d, Status.INFEASIBLE)
-    nullsp, w, tol = start.nullsp, start.w, settings.stationarity_tol
-    if nullsp.shape[1] == 0:  # the affine set is the single point w
-        return _finish(d, nullsp, w, settings, Status.OPTIMAL, 0)
-    budget = settings.max_iterations
-    basis_sums = d._layout.member @ nullsp
+    return _solve_duals([d], settings or SolverSettings())[0]
+
+
+def _solve_duals(
+    duals: Sequence[DualProgram], settings: SolverSettings
+) -> list[DualSolution]:
+    """solve_dual of each of duals, which share one equality system, as a batch."""
+    d, (start, nullsp, support) = duals[0], _dual_start(duals[0])
+    if support is not None:
+        inner = _solve_duals([_reduced_program(e, support) for e in duals], settings)
+        return [_pad(e, support, ds) for e, ds in zip(duals, inner)]
+    if start is None:
+        return [_failure(e, Status.INFEASIBLE) for e in duals]
+    if nullsp.shape[1] == 0:  # the affine set is the single point start
+        return [_finish(e, nullsp, start.copy(), settings, Status.OPTIMAL, 0)
+                for e in duals]
+    budget, tol = settings.max_iterations, settings.stationarity_tol
+    log_c = np.array([e._layout.log_c for e in duals])
+    out: list[DualSolution | None] = [None] * len(duals)
+    spent = [0] * len(duals)  # iterations of each dual so far
+
+    def phase(rows, w, mu, cap, program=d, nullsp=nullsp, keep=slice(None)):
+        """_newton_phase of these rows, capped; the rows, end weights and
+        statuses of all but the UNBOUNDED rows, which fail."""
+        ends, status, used = _newton_phase(
+            program, log_c[rows][:, keep], nullsp, program._layout.member @ nullsp,
+            w, mu, max(mu, tol), [min(cap, budget - spent[j]) for j in rows],
+        )
+        for j, st, n in zip(rows, status, used):
+            spent[j] += n
+            if st is Status.UNBOUNDED:
+                out[j] = _failure(duals[j], st, spent[j])
+        going = [i for i, st in enumerate(status) if st is not Status.UNBOUNDED]
+        if len(going) == len(rows):
+            return rows, ends, status
+        return [rows[i] for i in going], ends[going], [status[i] for i in going]
 
     # fast path: plain Newton from the interior start, ended at its first
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
-    w_fast, status, iterations = _newton_phase(
-        d, nullsp, basis_sums, w, 0.0, tol, min(200, budget)
-    )
-    if status is Status.UNBOUNDED:
-        return _failure(d, Status.UNBOUNDED, iterations)
-    if status is Status.OPTIMAL:
-        return _finish(d, nullsp, w_fast, settings, status, iterations)
+    w = start[None].repeat(len(duals), axis=0)
+    for j, end, st in zip(*phase(list(range(len(duals))), w, 0.0, 200)):
+        if st is Status.OPTIMAL:
+            out[j] = _finish(duals[j], nullsp, end.copy(), settings, st, spent[j])
+    rows = [j for j, ds in enumerate(out) if ds is None]
+    w = w[rows]
 
     # the fast path touched the boundary, where aggressive early steps can
     # lock onto a suboptimal face; rerun with barrier continuation, whose
@@ -471,36 +521,40 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     # stage that ends centred hands the next one its tangent prediction, which
     # is no Newton iteration and so not counted
     for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
-        w, status, used = _newton_phase(
-            d, nullsp, basis_sums, w, mu, max(mu, tol),
-            min(60, budget - iterations),
-        )
-        iterations += used
-        if status is Status.UNBOUNDED:
-            return _failure(d, Status.UNBOUNDED, iterations)
-        if status is Status.OPTIMAL and mu_next is not None:
-            w = _tangent_prediction(d, nullsp, basis_sums, w, mu, mu_next)
+        if not rows:
+            return out
+        rows, w, status = phase(rows, w, mu, 60)
+        centred = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
+        if mu_next is not None and centred:
+            w = w.copy()  # the phase's end weights stay as it returned them
+            w[centred] = _tangent_prediction(d, nullsp, w[centred], mu, mu_next)
+    if not rows:
+        return out
 
     # the barrier leaves the weights that are zero at the optimum near its
     # last mu; on their face the optimum is interior to the program without
-    # them, so drop them and finish there with the fast path's pass
-    inactive = 1 + np.flatnonzero(block_lambdas(d, w) <= _INACTIVE_LAMBDA)
-    keep = (w > _DROPPED_WEIGHT) & ~np.isin(d.block_index, inactive)
-    program = d
-    if not keep.all():
-        program = _reduced_program(d, keep)
-        a, b = program.equality_matrix, program.equality_rhs
-        nullsp = _null_space(a)
-        basis_sums = program._layout.member @ nullsp
-        w = _project_onto_equalities(a, b, w[keep])
-    w, status, used = _newton_phase(
-        program, nullsp, basis_sums, w, 0.0, tol, budget - iterations
-    )
-    iterations += used
-    if status is Status.UNBOUNDED:
-        return _failure(d, Status.UNBOUNDED, iterations)
-    result = _finish(program, nullsp, w, settings, status, iterations)
-    return result if program is d else _pad(d, keep, result)
+    # them, so drop them (normality keeps the objective block) and finish
+    # there with the fast path's pass, one batch per set of kept weights
+    inactive = _block_sums(d, w) <= _INACTIVE_LAMBDA
+    keeps = (w > _DROPPED_WEIGHT) & ~inactive[:, d.block_index]
+    groups: dict[bytes, list[int]] = {}
+    for i, keep in enumerate(keeps):
+        groups.setdefault(keep.tobytes(), []).append(i)
+    for group in groups.values():
+        keep, g_w, g_nullsp = keeps[group[0]], w[group], nullsp
+        programs = {rows[i]: duals[rows[i]] for i in group}
+        first = programs[rows[group[0]]]
+        if not keep.all():
+            programs = {j: _reduced_program(e, keep) for j, e in programs.items()}
+            first = programs[rows[group[0]]]
+            a, b = first.equality_matrix, first.equality_rhs
+            g_nullsp = _null_space(a)
+            g_w = np.array([_project_onto_equalities(a, b, v[keep]) for v in g_w])
+        ends = phase(list(programs), g_w, 0.0, budget, first, g_nullsp, keep)
+        for j, end, st in zip(*ends):
+            ds = _finish(programs[j], g_nullsp, end.copy(), settings, st, spent[j])
+            out[j] = ds if keep.all() else _pad(duals[j], keep, ds)
+    return out
 
 
 def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
@@ -576,16 +630,13 @@ def _certify(s: StandardGp, ds: DualSolution) -> SolveReport:
     )
 
 
-def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
-    """Full dual-based solve: build dual, maximize, recover, check the gap.
-
-    A dual optimum that only just meets stationarity_tol can recover an x
-    that misses the certificate by a hair; such a result is re-solved once
-    at stationarity_tol / 100, kept if that certifies, and counted in full.
-    """
-    settings = settings or SolverSettings()
-    d = build_dual(s)
-    report = _certify(s, solve_dual(d, settings))
+def _certified(
+    s: StandardGp, d: DualProgram, ds: DualSolution, settings: SolverSettings
+) -> SolveReport:
+    """_certify s at ds, solved from d = build_dual(s).  An optimum that just
+    meets stationarity_tol can miss the certificate by a hair; it is re-solved
+    once at stationarity_tol / 100, kept if certified, and counted in full."""
+    report = _certify(s, ds)
     if report.status is Status.ITERATION_LIMIT and report.primal_x is not None:
         tight = replace(settings, stationarity_tol=settings.stationarity_tol / 100)
         ds = solve_dual(d, tight)
@@ -595,3 +646,25 @@ def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
             return retry
         report = replace(report, dual=replace(report.dual, iterations=iterations))
     return report
+
+
+def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
+    """Full dual-based solve: build dual, maximize, recover, check the gap."""
+    settings = settings or SolverSettings()
+    d = build_dual(s)
+    return _certified(s, d, solve_dual(d, settings), settings)
+
+
+def _solve_all(
+    problems: Sequence[StandardGp], settings: SolverSettings
+) -> list[SolveReport]:
+    """solve of every problem, each equality system's duals as one batch."""
+    duals = [build_dual(s) for s in problems]
+    groups: dict[tuple, list[int]] = {}
+    for i, d in enumerate(duals):
+        groups.setdefault(_system_key(d), []).append(i)
+    reports = {}
+    for group in groups.values():
+        for i, ds in zip(group, _solve_duals([duals[i] for i in group], settings)):
+            reports[i] = _certified(problems[i], duals[i], ds, settings)
+    return [reports[i] for i in range(len(problems))]

@@ -15,6 +15,7 @@ from gpchoice import (
     standardize,
 )
 from gpchoice.dual import (
+    _block_sums,
     _log_dual_hessian,
     _log_dual_objective,
     _reduced_hessian,
@@ -340,8 +341,46 @@ def _positive_weights(rng, k):
     return w
 
 
+def _siblings(rng, d, count):
+    """count duals with d's terms and coefficients scaled row by row, and
+    their log coefficients as one (count, K) array."""
+    factors = 10.0 ** rng.uniform(-1.0, 1.0, (count, d.term_count))
+    coefficients = d.term_coefficients * factors
+    duals = [dataclasses.replace(d, term_coefficients=c) for c in coefficients]
+    return duals, np.log(coefficients)
+
+
+def _assert_rows_match_the_loops(d, batch, rng):
+    """Every row of the batched kernels equals the block loops on its own
+    dual, bit for bit; batch is a (B, K) weight array."""
+    duals, log_c = _siblings(rng, d, len(batch))
+    value, grad, logw, lam = _log_dual_objective(d, batch, log_c)
+    # the barrier runs on positive weights only
+    mus = (0.0, 1e-6, 1.0) if batch.all() else (0.0,)
+    barriers = {mu: _barrier_eval(d, batch, mu, log_c) for mu in mus}
+    sums = _block_sums(d, batch)
+    assert value.shape == (len(batch),) and grad.shape == batch.shape
+    for b, (sibling, w) in enumerate(zip(duals, batch)):
+        ref_value, ref_grad = _loop_log_dual_objective(sibling, w)
+        with np.errstate(divide="ignore"):
+            ref_logw = np.log(w)
+        assert _bits(value[b], grad[b], logw[b]) == _bits(ref_value, ref_grad, ref_logw)
+        ref_sums = [float(w[sl].sum()) for sl in _slices(d)]
+        assert _bits(sums[b], lam[b]) == _bits(ref_sums, ref_sums)
+        for mu, evaluated in barriers.items():
+            assert _bits(*(x[b] for x in evaluated[:3])) == _bits(
+                *_loop_barrier_eval(sibling, w, mu)
+            )
+    if batch.all():  # at B = I the batched Hessian is the entrywise loop's
+        eye = np.eye(d.term_count)
+        hess = _reduced_hessian(eye, d._layout.member, lam, batch)
+        for h, w in zip(hess, batch):
+            assert _bits(h) == _bits(_loop_log_dual_hessian(d, w))
+
+
 class TestKernelsMatchBlockLoops:
-    """The vectorized kernels add in the block loops' order, bit for bit."""
+    """The vectorized kernels add in the block loops' order, bit for bit,
+    on one weight vector and on every row of a (B, K) stack of them."""
 
     @pytest.mark.parametrize("sizes", BLOCK_SIZES)
     def test_positive_weights(self, sizes):
@@ -359,6 +398,10 @@ class TestKernelsMatchBlockLoops:
                 assert _bits(*_barrier_eval(d, w, mu)[:3]) == _bits(
                     *_loop_barrier_eval(d, w, mu)
                 )
+        for count in (1, 2, 7):
+            batch = np.array([_positive_weights(rng, d.term_count)
+                              for _ in range(count)])
+            _assert_rows_match_the_loops(d, batch, rng)
 
     @pytest.mark.parametrize("sizes", BLOCK_SIZES)
     def test_zero_weights(self, sizes):
@@ -379,6 +422,11 @@ class TestKernelsMatchBlockLoops:
             assert _bits(*_barrier_eval(d, w, 0.0)[:3]) == _bits(
                 ref_value, ref_value, ref_grad
             )
+        # zero weights in some rows of a batch, positive ones in the others
+        batch = np.array([_positive_weights(rng, d.term_count) for _ in range(6)])
+        batch[1::2][rng.random((3, d.term_count)) < 0.3] = 0.0
+        batch[1, blocks[-1]] = 0.0
+        _assert_rows_match_the_loops(d, batch, rng)
 
 
 class TestReducedHessian:
@@ -411,6 +459,16 @@ class TestReducedHessian:
                 # their largest terms, so the error is measured on the scale
                 # of the largest entry
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # a (B, K) stack: each row's reduced Hessian, bit for bit
+            batch = w * 10.0 ** rng.uniform(-1.0, 1.0, (5, d.term_count))
+            lams = _block_sums(d, batch)
+            sums = d._layout.member @ basis
+            for mu in (0.0, 1e-6, 1.0):
+                got = _reduced_hessian(basis, sums, lams, batch, mu)
+                assert got.shape == (5, basis.shape[1], basis.shape[1])
+                for h, row_lam, row in zip(got, lams, batch):
+                    want = _reduced_hessian(basis, sums, row_lam, row, mu)
+                    assert _bits(h) == _bits(want)
 
 
 class TestLogDualHessian:

@@ -11,12 +11,14 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-# what each script's output must contain; the stress sweep reports its
-# iteration count and solve time per iteration, so a kernel change reads as
-# "same iterations, less time each", and ends with a digest of its statuses
-# alone and a digest of its results
+# what each script's output must contain; the examples give each fixture's
+# pruned time beside its keep-all time and number of equality systems; the
+# stress sweep reports its iteration count and solve time per iteration, so
+# a kernel change reads as "same iterations, less time each", and ends with
+# a digest of its statuses alone and a digest of its results
 EXPECTED = {
-    "run_paper_examples.py": r"\S",
+    "run_paper_examples.py": r"(\nexample[12]_case[1-6] +z = .* \d+\.\d ms  "
+    r"keep-all +\d+\.\d ms  systems = [1-9]\d*){12}\n",
     "stress_random.py": r"\n  [1-9]\d* Newton iterations, \d+\.\d us each "
     r"\(\d+\.\d\ds in solve\)\n[\s\S]*\nstatus digest {12}[0-9a-f]{64}\n"
     r"sweep digest {13}[0-9a-f]{64}\n$",

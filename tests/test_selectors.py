@@ -448,6 +448,14 @@ def _count_calls(monkeypatch, module, name):
 def test_pruning_skips_most_fixture_solves(monkeypatch):
     calls = _count_calls(monkeypatch, gpchoice.selectors, "solve")
     expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
+    batched = []  # every problem keep-all passes to _solve_all
+    original = gpchoice.selectors._solve_all
+
+    def solve_all(problems, settings):
+        batched.extend(problems)
+        return original(problems, settings)
+
+    monkeypatch.setattr(gpchoice.selectors, "_solve_all", solve_all)
     fixtures = sorted(PROBLEM_DIR.glob("*.json"))
     assert len(fixtures) == 12
     models = [parse_problem(path) for path in fixtures]
@@ -455,9 +463,11 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     pruned_calls = len(calls)
     # skipped expansions are never expanded, let alone solved
     assert len(expands) == pruned_calls
+    assert batched == []
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
     assert pruned_calls <= 26
-    assert len(calls) - pruned_calls == 1002
+    assert len(calls) == pruned_calls  # keep-all solves through _solve_all
+    assert len(batched) == 1002
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
 

@@ -1,7 +1,9 @@
+import itertools
 import subprocess
 import sys
 import threading
 from collections import namedtuple
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from gpchoice import (
     solve_dual,
     standardize,
 )
+from gpchoice.posynomial import Posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import solve_choice
 from gpchoice.solver import (
@@ -36,6 +39,8 @@ from gpchoice.solver import (
     _null_space,
     _projected_norm,
     _reduced_program,
+    _solve_all,
+    _solve_duals,
     _support_point,
 )
 from helpers import (
@@ -673,21 +678,23 @@ class TestSharedStart:
 
     def test_keep_all_pass_computes_each_start_once(self, monkeypatch):
         # 1002 duals over the 12 fixtures; exponent values alone fix each
-        # equality system, so there are 10 distinct ones, 46 fixture by fixture
+        # equality system, so there are 10 distinct ones, 46 fixture by
+        # fixture, and keep-all solves each fixture's systems as one batch
         paths = sorted(PROBLEM_DIR.glob("*.json"))
         models = [as_choice_gp(parse_problem(p)) for p in paths]
-        duals = []
-        original = gpchoice.solver.solve_dual
+        batches = []
+        original = gpchoice.solver._solve_duals
 
-        def spy(d, settings=None):
-            duals.append(d)
-            return original(d, settings)
+        def spy(duals, settings):
+            batches.append(duals)
+            return original(duals, settings)
 
-        monkeypatch.setattr(gpchoice.solver, "solve_dual", spy)
+        monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
         _equality_start.cache_clear()
         for cg in models:
             solve_choice(cg, keep_assignments=True)
-        assert len(duals) == 1002
+        assert sum(len(duals) for duals in batches) == 1002
+        assert len(batches) == 46
         assert _equality_start.cache_info().misses <= 10
         misses = _equality_start.cache_info().misses
         for cg in models:
@@ -766,7 +773,8 @@ class TestSharedStart:
         assert ds.iterations <= 35
 
 
-# one _newton_phase call: its null space, start, mu, end, status and count
+# one _newton_phase call on a batch of one: its null space, start and end
+# weights, (1, K) each, mu, and row 0's status and count
 _Pass = namedtuple("_Pass", "nullsp start mu end status iterations")
 
 
@@ -779,9 +787,10 @@ class TestBarrierPredictor:
         passes = []
         original = gpchoice.solver._newton_phase
 
-        def spy(d, nullsp, basis_sums, w, mu, tol, max_iterations):
-            out = original(d, nullsp, basis_sums, w, mu, tol, max_iterations)
-            passes.append(_Pass(nullsp, w, mu, *out))
+        def spy(d, log_c, nullsp, basis_sums, w, mu, tol, max_iterations):
+            out = original(d, log_c, nullsp, basis_sums, w, mu, tol, max_iterations)
+            end, status, iterations = out  # a batch of one: read row 0
+            passes.append(_Pass(nullsp, w, mu, end, status[0], iterations[0]))
             return out
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", spy)
@@ -801,7 +810,7 @@ class TestBarrierPredictor:
             assert before.status is Status.OPTIMAL
 
             def stationarity(w):
-                grad = _barrier_eval(d, w, after.mu)[2]
+                grad = _barrier_eval(d, w[0], after.mu)[2]
                 return _projected_norm(before.nullsp, grad)
 
             assert stationarity(after.start) <= 0.1 * stationarity(before.end)
@@ -818,7 +827,7 @@ class TestBarrierPredictor:
             stages = [p for p in passes if p.mu > 0.0]
             for stage in stages:
                 assert stage.start.min() > 0.0
-                residual = d.equality_matrix @ stage.start - d.equality_rhs
+                residual = d.equality_matrix @ stage.start[0] - d.equality_rhs
                 assert np.abs(residual).max() <= FEASIBILITY_TOL
             for before, after in zip(stages, stages[1:]):
                 # a centred stage hands on its prediction, a capped one its end
@@ -826,3 +835,94 @@ class TestBarrierPredictor:
                 assert centred == (after.start is not before.end)
                 predicted += centred
         assert predicted >= 200  # 240
+
+
+def _scaled(s, rng):
+    """s with every term coefficient scaled by its own factor in [0.5, 2]:
+    the same exponents, so the same equality system."""
+
+    def scale(posy):
+        return Posynomial(tuple(
+            replace(t, coefficient=t.coefficient * float(rng.uniform(0.5, 2.0)))
+            for t in posy.terms
+        ))
+
+    return replace(s, objective=scale(s.objective),
+                   constraints=tuple(scale(p) for p in s.constraints))
+
+
+def _report_fields(report) -> tuple:
+    floats = (report.primal_x, report.objective_value, report.duality_gap,
+              report.kkt_residuals)
+    return (report.status, repr(floats), _solution_bytes(report.dual))
+
+
+class TestSiblingBatches:
+    """_solve_all solves the duals of one equality system as one batch, and
+    each row ends exactly as the same problem solved alone."""
+
+    @staticmethod
+    @lru_cache(maxsize=1)
+    def _families():
+        # the first 60 stress problems, 1522 (the certificate retry) and an
+        # infeasible primal (an unbounded dual), each with 6 scaled siblings
+        unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
+        problems = (*_stress_problems()[:60], _stress_problems()[1522], unbounded)
+        rng = np.random.default_rng(STRESS_SEED)
+        return tuple(
+            (s, *(_scaled(s, rng) for _ in range(6)))
+            for s in (standardize(g) for g in problems)
+        )
+
+    # the paths a family reaches, by the function that marks each
+    PATHS = {"_newton_phase": "barrier", "_reduced_program": "reduction",
+             "_support_point": "support LP", "solve_dual": "retry"}
+
+    @pytest.mark.parametrize("max_iterations", [10_000, 5])
+    def test_rows_end_as_solved_alone(self, monkeypatch, max_iterations):
+        settings = SolverSettings(max_iterations=max_iterations)
+        reached = dict.fromkeys(self.PATHS.values(), 0)
+        batched = [False]
+        for name, path in self.PATHS.items():
+            original = getattr(gpchoice.solver, name)
+
+            def spy(*args, _original=original, _path=path):
+                if batched[0] and (_path != "barrier" or args[5] > 0.0):
+                    reached[_path] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gpchoice.solver, name, spy)
+        _equality_start.cache_clear()
+        statuses, mixed, capped = [], 0, 0  # each family's; families that end apart
+        for family in self._families():
+            batched[0] = True
+            together = _solve_all(family, settings)
+            batched[0] = False
+            alone = [solve(s, settings) for s in family]
+            assert [_report_fields(r) for r in together] == [
+                _report_fields(r) for r in alone
+            ]
+            statuses.append({r.status for r in together})
+            # siblings that end apart: another status or iteration count
+            ends = {(r.status, r.dual.iterations) for r in together}
+            mixed += len(ends) > 1
+            capped += len(ends) > 1 and Status.ITERATION_LIMIT in dict(ends)
+        # an INFEASIBLE system, UNBOUNDED rows and OPTIMAL ones
+        assert {Status.INFEASIBLE} in statuses
+        assert {Status.UNBOUNDED, Status.OPTIMAL} <= set().union(*statuses)
+        if max_iterations == 5:
+            # rows stop at the budget while their siblings end otherwise
+            assert capped >= 5
+        else:
+            assert all(reached.values()), reached
+            assert mixed >= 30
+
+    def test_each_row_owns_its_arrays(self):
+        for family in self._families():
+            duals = [build_dual(s) for s in family]
+            solutions = _solve_duals(duals, SolverSettings())
+            arrays = [a for ds in solutions for a in (ds.weights, ds.lambdas)]
+            for a in arrays:
+                assert not a.flags.writeable
+            for a, b in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(a, b)
