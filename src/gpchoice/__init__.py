@@ -5,6 +5,8 @@ problems whose coefficients or exponents are picked from small candidate sets
 by enumerating binary selector assignments exactly.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dual import (
     DualProgram,
     block_lambdas,
@@ -67,56 +69,7 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssignmentOutcome",
-    "CandidateSet",
-    "ChoiceGp",
-    "ChoiceSolveReport",
-    "DualProgram",
-    "DualSolution",
-    "ExpansionRejected",
-    "FORMAT_TAG",
-    "GpDomainError",
-    "GpProblem",
-    "KktResiduals",
-    "Monomial",
-    "NoFeasiblePointError",
-    "OracleResult",
-    "Posynomial",
-    "ProblemSemanticError",
-    "ProblemSyntaxError",
-    "ReconstructionError",
-    "Role",
-    "SetRef",
-    "SolveReport",
-    "SolverSettings",
-    "StandardGp",
-    "Status",
-    "TermTemplate",
-    "as_choice_gp",
-    "block_lambdas",
-    "brute_force_oracle",
-    "build_dual",
-    "case_constraint_violations",
-    "degree_of_difficulty",
-    "dual_objective",
-    "evaluate",
-    "expand",
-    "is_valid_assignment",
-    "log_dual_objective",
-    "make_posynomial",
-    "make_problem",
-    "parse_problem",
-    "parse_problem_text",
-    "recover_primal",
-    "resolve_choice",
-    "selector_polynomial",
-    "serialize_problem",
-    "solve",
-    "solve_choice",
-    "solve_dual",
-    "standardize",
-    "valid_assignments",
-    "validate",
-    "validate_choice_gp",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -32,7 +32,7 @@ from .posynomial import GpDomainError, StandardGp
 
 # scatter and starts: slots of the weights and of a 0 before each block;
 # member: (m, K), 1.0 where term k lies in constraint block i + 1
-_Layout = namedtuple("_Layout", "scatter starts log_c member")
+_Layout = namedtuple("_Layout", "scatter starts member")
 # A, b and (T_0, T_1, ..., T_m) of the dual's equalities A w = b
 _Equalities = namedtuple("_Equalities", "matrix rhs block_sizes")
 
@@ -93,7 +93,6 @@ class DualProgram:
         return _Layout(
             scatter=np.arange(block.size) + block + 1,
             starts=offsets + np.arange(len(self.block_sizes)),
-            log_c=np.log(self.term_coefficients),
             member=(block == np.arange(1, len(self.block_sizes))[:, None]) * 1.0,
         )
 
@@ -132,11 +131,11 @@ def degree_of_difficulty(s: StandardGp) -> int:
     return s.term_count - s.variable_count - 1
 
 
-def _check_weights(d: DualProgram, w) -> np.ndarray:
+def _check_weights(d: DualProgram, w, *batch: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.shape != (d.term_count,):
+    if w.shape != (*batch, d.term_count):
         raise GpDomainError(
-            f"weight vector has shape {w.shape}, expected ({d.term_count},)"
+            f"weight vector has shape {w.shape}, expected {(*batch, d.term_count)}"
         )
     if np.any(w < 0.0) or not np.all(np.isfinite(w)):
         raise GpDomainError("weights must be finite and nonnegative")
@@ -153,8 +152,8 @@ def _block_sums(d: DualProgram, w: np.ndarray) -> np.ndarray:
 
 
 def block_lambdas(d: DualProgram, w) -> np.ndarray:
-    """Per-constraint-block weight sums lambda_i, i = 1..m."""
-    return _block_sums(d, np.asarray(w, dtype=float))[1:]
+    """Per-constraint-block weight sums lambda_i, i = 1..m (per row of a stack)."""
+    return _block_sums(d, np.asarray(w, dtype=float))[..., 1:]
 
 
 def dual_objective(d: DualProgram, w) -> float:
@@ -186,8 +185,7 @@ def _log_dual_objective(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """log_dual_objective, log w and the block sums, on checked weights; on
     a (B, K) stack w, with log_c per row, each row bit for bit as alone."""
-    lay = d._layout
-    log_c = lay.log_c if log_c is None else log_c
+    log_c = np.log(d.term_coefficients) if log_c is None else log_c
     lam = _block_sums(d, w)
     pos = w > 0.0
     if np.count_nonzero(pos) == pos.size:

@@ -101,10 +101,15 @@ def evaluate(p: Posynomial, x: Sequence[float]) -> float:
     for j, v in enumerate(xs):
         if not math.isfinite(v) or v <= 0.0:
             raise GpDomainError(f"x[{j}] = {v!r} is not a finite positive number")
+    return _sum_monomials(((t.coefficient, t.exponents) for t in p.terms), xs)
+
+
+def _sum_monomials(terms: Iterable[tuple[float, Sequence[float]]], xs) -> float:
+    """Sum of c * prod_j xs[j]**e_j over (c, e) pairs, term by term in Python
+    floats: numpy's power differs from ** in the last bit."""
     total = 0.0
-    for term in p.terms:
-        prod = term.coefficient
-        for e, v in zip(term.exponents, xs):
+    for prod, exponents in terms:
+        for e, v in zip(exponents, xs):
             if e != 0.0:
                 prod *= v**e
         total += prod

@@ -23,7 +23,7 @@ import numpy as np
 from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
 from .solver import FEASIBILITY_TOL, GAP_TOL, SolverSettings, SolveReport, Status, solve
-from .solver import _project_onto_equalities, _solve_all
+from .solver import _project_onto_equalities, _solve_rows
 
 BitPattern = tuple[int, ...]
 
@@ -331,7 +331,7 @@ _TIE_WINDOW = 1e-9
 # at most GAP_TOL, and D is at least any bound B: a log dual value at weights
 # feasible for the expansion's equality system, whether they are a sibling's
 # optimal weights (_Skeleton) or another system's projected onto it
-# (_SeedDuals).  So z >= B / (1 + GAP_TOL).  Skipping needs that floor beyond
+# (_Template).  So z >= B / (1 + GAP_TOL).  Skipping needs that floor beyond
 # the tie window above the incumbent, z > incumbent / (1 - _TIE_WINDOW): then
 # the expansion can neither win nor tie.
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
@@ -347,7 +347,7 @@ class _Skeleton:
     Exponent values fix the dual's equality matrix, so weights w feasible for
     one expansion are feasible for every sibling with the same exponent
     values: the expansion's optimal weights, or for a seed skipped by
-    _SeedDuals its projected ones.  At w the log dual is linear in log c, and
+    _Template its projected ones.  At w the log dual is linear in log c, and
     a coefficient set scales all of its terms alike, so a sibling with
     coefficient values v' has log dual base + sum_s W_s (log v'_s - log v_s)
     there, W_s the weight on set s's terms: by weak duality an O(K) lower
@@ -377,45 +377,58 @@ class _Skeleton:
 
 
 @dataclass(frozen=True)
-class _SeedDuals:
-    """The duals of all seeds of a template, compiled once to bound seeds.
+class _Template:
+    """A template's dual, compiled once, whose set slots take any values.
 
-    Every seed takes the same coefficient values, so the seeds share their
-    standardized coefficients and block layout, and with them the log dual;
-    their exponent matrices differ only in the (term, variable) slots that
-    exponent sets fill.  The least-squares correction w' = w + A'^+ (b - A'w)
-    of another system's optimal weights w is dual feasible for a seed with
-    equality matrix A' when w' >= 0 and A'w' = b within FEASIBILITY_TOL; its
-    log dual value is then a lower bound on the seed's optimum by weak
-    duality.
+    Exponent values fix the equality system (at); coefficient values fix the
+    standardized coefficients, a constraint term's over its bound as in
+    standardize, of a batch of siblings at once (coefficients).  Compiled at
+    one seed, at gives every seed's dual, as seeds share coefficient values.
+    The least-squares correction w' = w + A'^+ (b - A'w) of another system's
+    optimal weights w is dual feasible for a seed with equality matrix A'
+    when w' >= 0 and A'w' = b within FEASIBILITY_TOL; its log dual value is
+    then a lower bound on the seed's optimum by weak duality (bound).
     """
 
-    dual: DualProgram  # of one seed; at fills a copy of its exponent matrix
-    slots: dict[int, tuple[list[int], list[int]]]  # set index: terms, variables
+    dual: DualProgram  # at the compiled values; at fills a copy of its exponents
+    exponent_slots: dict[int, tuple[list[int], list[int]]]  # set: terms, variables
+    coefficient_slots: dict[int, list[int]]  # set: terms
+    bounds: np.ndarray  # per term, its constraint's bound; 1.0 in the objective
 
     @classmethod
-    def of(cls, cg: ChoiceGp, values: Sequence[float]) -> _SeedDuals:
-        """Compile at one seed's values, one per set in declared order."""
+    def of(cls, cg: ChoiceGp, values: Sequence[float]) -> _Template:
+        """Compile at one expansion's values, one per set in declared order."""
         dual = build_dual(standardize(_expanded(
             cg, {cs.name: v for cs, v in zip(cg.sets, values)}
         )))
         index = {cs.name: i for i, cs in enumerate(cg.sets)}
-        slots: dict[int, tuple[list[int], list[int]]] = {}
+        exponents: dict[int, tuple[list[int], list[int]]] = {}
+        coefficients: dict[int, list[int]] = {}
         templates = (t for _, ts, _ in _sections(cg) for t in ts)
         for k, tpl in enumerate(templates):
+            if isinstance(tpl.coefficient, SetRef):
+                coefficients.setdefault(index[tpl.coefficient.name], []).append(k)
             for j, e in enumerate(tpl.exponents):
                 if isinstance(e, SetRef):
-                    terms, variables = slots.setdefault(index[e.name], ([], []))
+                    terms, variables = exponents.setdefault(index[e.name], ([], []))
                     terms.append(k)
                     variables.append(j)
-        return cls(dual, slots)
+        bounds = np.array([1.0, *(b for _, b in cg.constraints)])[dual.block_index]
+        return cls(dual, exponents, coefficients, bounds)
 
     def at(self, values: Sequence[float]) -> DualProgram:
-        """The dual of the seed with these values, one per set."""
+        """The dual at these values, one per set, with the compiled coefficients."""
         exponents = self.dual.exponent_matrix.copy()
-        for i, slot in self.slots.items():
+        for i, slot in self.exponent_slots.items():
             exponents[slot] = values[i]
         return replace(self.dual, exponent_matrix=exponents)
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """(B, K) standardized term coefficients at each row of values (B, S)."""
+        out = self.dual.term_coefficients[None].repeat(len(values), axis=0)
+        for i, terms in self.coefficient_slots.items():
+            out[:, terms] = values[:, i, None] / self.bounds[terms]
+        return out
 
     def bound(
         self, values: Sequence[float], weights
@@ -438,7 +451,7 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
     Each exponent assignment has a seed: its expansion at the smallest
     positive value of every coefficient set.  Seeds go in product order.  A
     seed is bounded first by the optimal weights of the seeds solved before
-    it, projected onto its equality system (_SeedDuals); it is solved only
+    it, projected onto its equality system (_Template); it is solved only
     when that bound misses the margin, and skipped otherwise, with the
     projected weights as its skeleton.  Then every choice of its coefficient
     sets' distinct positive values is bounded by the assignment's skeleton
@@ -480,7 +493,7 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
     for seed in seeds:
         if optimal:
             # compiled at the first seed, which is always solved
-            duals = duals or _SeedDuals.of(cg, [t[j] for t, j in zip(table, seeds[0])])
+            duals = duals or _Template.of(cg, [t[j] for t, j in zip(table, seeds[0])])
             values = [t[j] for t, j in zip(table, seed)]
             base, w = duals.bound(values, optimal) or (-math.inf, None)
             if base > limit:
@@ -512,10 +525,12 @@ def solve_choice(
 
     Pattern i selects candidate i, so the values come from a table built
     once.  Expansions that weak duality proves can neither win nor tie are
-    skipped unsolved (_search, _Skeleton, _SeedDuals); keep_assignments
-    solves them all, as its table reports every z, sharing one batch per
-    equality system (_solve_all).  Equal value tuples are solved once, at
-    their smallest pattern per set.  ``solved`` counts the non-rejected
+    skipped unsolved (_search, _Skeleton, _Template); keep_assignments
+    solves them all, as its table reports every z: it compiles the dual once
+    (_Template), fills each equality system and its siblings' coefficients
+    from the table, and solves and certifies those siblings as one batch
+    (solver._solve_rows).  Equal value tuples are solved once, at their
+    smallest pattern per set.  ``solved`` counts the non-rejected
     combinations, skipped ones included.
     """
     problems = validate_choice_gp(cg)
@@ -536,6 +551,7 @@ def solve_choice(
     coefficient_sets = [
         i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT
     ]
+    exponent_sets = [i for i, cs in enumerate(cg.sets) if cs.role is Role.EXPONENT]
     # an expansion is rejected exactly when a coefficient set selects v <= 0
     solved = math.prod(
         sum(v > 0.0 for v in values) if i in coefficient_sets else len(values)
@@ -543,12 +559,14 @@ def solve_choice(
     )
     cache: dict[tuple[float, ...], Evaluated] = {}
 
+    patterns = [PATTERNS[cs.size] for cs in cg.sets]
+
     def bits_of(combo: Combo) -> tuple[BitPattern, ...]:
-        return tuple(PATTERNS[cs.size][j] for cs, j in zip(cg.sets, combo))
+        return tuple(map(tuple.__getitem__, patterns, combo))
 
     def evaluate(combo: Combo) -> Evaluated:
         bits = bits_of(combo)
-        values = tuple(t[j] for t, j in zip(table, combo))
+        values = tuple(map(tuple.__getitem__, table, combo))
         if values not in cache:
             report, status, z = None, "rejected", None
             if all(values[i] > 0.0 for i in coefficient_sets):
@@ -557,22 +575,30 @@ def solve_choice(
                 status, z = report.status.value, report.objective_value
             cache[values] = AssignmentOutcome(bits, values, status, z), report
         first, report = cache[values]
-        return replace(first, bits=bits), report
+        row = AssignmentOutcome(bits, first.values, first.status, first.objective_value)
+        return row, report
 
     if keep_assignments:
         combos = list(itertools.product(*(range(cs.size) for cs in cg.sets)))
-        # one _solve_all call solves each value tuple, evaluate reads them
-        firsts: dict[tuple[float, ...], tuple[BitPattern, ...]] = {}
+        # each value tuple is solved at its first combination, in the batch of
+        # its exponent values, which fix its equality system (the table holds
+        # no -0.0: selector_polynomial adds to 0.0)
+        systems: dict[tuple[float, ...], dict[tuple[float, ...], Combo]] = {}
         for combo in combos:
             values = tuple(t[j] for t, j in zip(table, combo))
             if all(values[i] > 0.0 for i in coefficient_sets):
-                firsts.setdefault(values, bits_of(combo))
-        choices = [dict(zip(names, bits)) for bits in firsts.values()]
-        expansions = [standardize(expand(cg, choice)) for choice in choices]
-        reports = _solve_all(expansions, settings)
-        for (values, bits), rep in zip(firsts.items(), reports):
-            row = AssignmentOutcome(bits, values, rep.status.value, rep.objective_value)
-            cache[values] = row, rep
+                key = tuple(values[i] for i in exponent_sets)
+                systems.setdefault(key, {}).setdefault(values, combo)
+        template = None
+        for batch in systems.values():
+            rows = np.array(list(batch))
+            template = template or _Template.of(cg, rows[0].tolist())
+            coefficients = template.coefficients(rows)
+            reports = _solve_rows(template.at(rows[0]), coefficients, settings)
+            for (values, combo), rep in zip(batch.items(), reports):
+                row = AssignmentOutcome(bits_of(combo), values, rep.status.value,
+                                        rep.objective_value)
+                cache[values] = row, rep
         rows = [evaluate(combo)[0] for combo in combos]
     else:
         _search(cg, table, coefficient_sets, evaluate)
@@ -583,9 +609,11 @@ def solve_choice(
         z = row.objective_value
         if row.status != Status.OPTIMAL.value or z is None:
             continue
-        bit_str = "".join(str(b) for bits in row.bits for b in bits)
         tied = best and abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
-        if not best or (not tied and z < best[0]) or (tied and bit_str < best[1]):
+        if best and not tied and not z < best[0]:
+            continue
+        bit_str = "".join(str(b) for bits in row.bits for b in bits)
+        if not best or not tied or bit_str < best[1]:
             best = (z, bit_str, row)
 
     kept, rejected = tuple(rows) if keep_assignments else None, total - solved

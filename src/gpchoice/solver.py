@@ -43,7 +43,9 @@ scipy.optimize.linprog is imported on first use by that one LP.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
-active constraint block satisfy term_value = w_it / lambda_i.
+active constraint block satisfy term_value = w_it / lambda_i.  Rows of a
+batch with the same such terms share one multi-column least-squares solve;
+solve_dual, recover_primal and solve are each the batch of one.
 """
 
 from __future__ import annotations
@@ -61,14 +63,14 @@ from numpy.linalg import _umath_linalg
 from .dual import (
     DualProgram,
     _block_sums,
+    _check_weights,
     _equality_system,
     _log_dual_objective,
     _reduced_hessian,
     block_lambdas,
     build_dual,
-    log_dual_objective,
 )
-from .posynomial import GpDomainError, StandardGp, evaluate
+from .posynomial import GpDomainError, StandardGp, _sum_monomials
 
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
@@ -167,9 +169,10 @@ def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.
     return w + delta
 
 
-def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> float:
-    """Largest entry of grad projected onto the span of basis's columns."""
-    return float(np.abs(basis @ (basis.T @ grad)).max())
+def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Largest entry of grad projected onto the span of basis's columns, per row."""
+    projected = np.matvec(basis, np.matvec(basis.T, grad))
+    return np.maximum.reduce(np.abs(projected), axis=-1)
 
 
 def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -273,11 +276,14 @@ def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
     )
 
 
-def _pad(d: DualProgram, keep: np.ndarray, inner: DualSolution) -> DualSolution:
+def _pad(
+    d: DualProgram, keep: np.ndarray, inner: list[DualSolution]
+) -> list[DualSolution]:
     """inner, solved over d's kept weights, with the rest of d's weights zero."""
-    weights = np.zeros(d.term_count)
-    weights[keep] = inner.weights
-    return replace(inner, weights=weights, lambdas=block_lambdas(d, weights))
+    weights = np.zeros((len(inner), d.term_count))
+    weights[:, keep] = [ds.weights for ds in inner]
+    rows = zip(inner, weights, block_lambdas(d, weights))
+    return [replace(ds, weights=w, lambdas=lam) for ds, w, lam in rows]
 
 
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
@@ -296,42 +302,28 @@ def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
 
 
 def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolution:
-    return DualSolution(
-        status=status,
-        weights=np.zeros(d.term_count),
-        lambdas=np.zeros(d.constraint_count),
-        objective_value=float("nan"),
-        equality_residual=float("inf"),
-        stationarity=float("inf"),
-        iterations=iterations,
-    )
+    return DualSolution(status, np.zeros(d.term_count), np.zeros(d.constraint_count),
+                        float("nan"), float("inf"), float("inf"), iterations)
 
 
 def _finish(
-    d: DualProgram,
-    nullsp: np.ndarray,
-    w: np.ndarray,
-    settings: SolverSettings,
-    status: Status,
-    iterations: int,
-) -> DualSolution:
-    residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
-    value, grad = log_dual_objective(d, w)
+    d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, w: np.ndarray,
+    settings: SolverSettings, status: list[Status], iterations: list[int],
+) -> list[DualSolution]:
+    """The DualSolution of each row of w (B, K), with its row of log_c; an
+    OPTIMAL row that misses a tolerance ends ITERATION_LIMIT."""
+    residual = np.abs(np.matvec(d.equality_matrix, w) - d.equality_rhs).max(axis=1)
+    value, grad = _log_dual_objective(d, _check_weights(d, w, len(w)), log_c)[:2]
     # at a maximizer inside the program the gradient vanishes on its null space
     stationarity = _projected_norm(nullsp, grad)
-    if status is Status.OPTIMAL and (
-        residual > FEASIBILITY_TOL or stationarity > settings.stationarity_tol
-    ):
-        status = Status.ITERATION_LIMIT
-    return DualSolution(
-        status=status,
-        weights=w,
-        lambdas=block_lambdas(d, w),
-        objective_value=float(np.exp(value)),
-        equality_residual=residual,
-        stationarity=stationarity,
-        iterations=iterations,
-    )
+    rows = zip(status, w.copy(), block_lambdas(d, w), np.exp(value).tolist(),
+               residual.tolist(), stationarity.tolist(), iterations)
+    out, tol = [], settings.stationarity_tol
+    for st, weights, lambdas, z, res, stat, n in rows:
+        if st is Status.OPTIMAL and (res > FEASIBILITY_TOL or stat > tol):
+            st = Status.ITERATION_LIMIT
+        out.append(DualSolution(st, weights, lambdas, z, res, stat, n))
+    return out
 
 
 def _barrier_eval(
@@ -421,8 +413,7 @@ def _newton_phase(
                     taken[i] = t_value >= values[i] + predicted
                     continue
                 if t_norms is None:
-                    t_norms = np.matvec(nullsp, np.matvec(nullsp.T, evaluated[2]))
-                    t_norms = np.maximum.reduce(np.abs(t_norms), axis=1).tolist()
+                    t_norms = _projected_norm(nullsp, evaluated[2]).tolist()
                 taken[i] = t_norms[i] < norms[i]
             if all(taken):
                 break
@@ -468,26 +459,28 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     grows without bound along the feasible set, and ITERATION_LIMIT otherwise,
     including when the Newton passes together reach settings.max_iterations.
     """
-    return _solve_duals([d], settings or SolverSettings())[0]
+    return _solve_duals(d, d.term_coefficients[None], settings or SolverSettings())[0]
 
 
 def _solve_duals(
-    duals: Sequence[DualProgram], settings: SolverSettings
+    d: DualProgram, coefficients: np.ndarray, settings: SolverSettings
 ) -> list[DualSolution]:
-    """solve_dual of each of duals, which share one equality system, as a batch."""
-    d, (start, nullsp, support) = duals[0], _dual_start(duals[0])
+    """solve_dual of d at each row of coefficients (B, K), as one batch: duals
+    of d's equality system that differ only in their terms' coefficients."""
+    start, nullsp, support = _dual_start(d)
     if support is not None:
-        inner = _solve_duals([_reduced_program(e, support) for e in duals], settings)
-        return [_pad(e, support, ds) for e, ds in zip(duals, inner)]
+        inner = _reduced_program(d, support), coefficients[:, support], settings
+        return _pad(d, support, _solve_duals(*inner))
     if start is None:
-        return [_failure(e, Status.INFEASIBLE) for e in duals]
+        return [_failure(d, Status.INFEASIBLE) for _ in coefficients]
+    log_c = np.log(coefficients)
+    w = start[None].repeat(len(log_c), axis=0)
     if nullsp.shape[1] == 0:  # the affine set is the single point start
-        return [_finish(e, nullsp, start.copy(), settings, Status.OPTIMAL, 0)
-                for e in duals]
+        return _finish(d, log_c, nullsp, w, settings, [Status.OPTIMAL] * len(w),
+                       [0] * len(w))
     budget, tol = settings.max_iterations, settings.stationarity_tol
-    log_c = np.array([e._layout.log_c for e in duals])
-    out: list[DualSolution | None] = [None] * len(duals)
-    spent = [0] * len(duals)  # iterations of each dual so far
+    out: list[DualSolution | None] = [None] * len(log_c)
+    spent = [0] * len(log_c)  # iterations of each dual so far
 
     def phase(rows, w, mu, cap, program=d, nullsp=nullsp, keep=slice(None)):
         """_newton_phase of these rows, capped; the rows, end weights and
@@ -499,19 +492,27 @@ def _solve_duals(
         for j, st, n in zip(rows, status, used):
             spent[j] += n
             if st is Status.UNBOUNDED:
-                out[j] = _failure(duals[j], st, spent[j])
+                out[j] = _failure(d, st, spent[j])
         going = [i for i, st in enumerate(status) if st is not Status.UNBOUNDED]
         if len(going) == len(rows):
             return rows, ends, status
         return [rows[i] for i in going], ends[going], [status[i] for i in going]
 
+    def finish(rows, w, status, program=d, nullsp=nullsp, keep=slice(None)):
+        """_finish these rows of a last pass over program, d's kept weights."""
+        if not rows:
+            return
+        ends = _finish(program, log_c[rows][:, keep], nullsp, w, settings, status,
+                       [spent[j] for j in rows])
+        for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
+            out[j] = ds
+
     # fast path: plain Newton from the interior start, ended at its first
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
-    w = start[None].repeat(len(duals), axis=0)
-    for j, end, st in zip(*phase(list(range(len(duals))), w, 0.0, 200)):
-        if st is Status.OPTIMAL:
-            out[j] = _finish(duals[j], nullsp, end.copy(), settings, st, spent[j])
+    rows, ends, status = phase(list(range(len(w))), w, 0.0, 200)
+    done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
+    finish([rows[i] for i in done], ends[done], [Status.OPTIMAL] * len(done))
     rows = [j for j, ds in enumerate(out) if ds is None]
     w = w[rows]
 
@@ -541,19 +542,51 @@ def _solve_duals(
     for i, keep in enumerate(keeps):
         groups.setdefault(keep.tobytes(), []).append(i)
     for group in groups.values():
-        keep, g_w, g_nullsp = keeps[group[0]], w[group], nullsp
-        programs = {rows[i]: duals[rows[i]] for i in group}
-        first = programs[rows[group[0]]]
+        keep, g_w, program, g_nullsp = keeps[group[0]], w[group], d, nullsp
         if not keep.all():
-            programs = {j: _reduced_program(e, keep) for j, e in programs.items()}
-            first = programs[rows[group[0]]]
-            a, b = first.equality_matrix, first.equality_rhs
+            program = _reduced_program(d, keep)
+            a, b = program.equality_matrix, program.equality_rhs
             g_nullsp = _null_space(a)
             g_w = np.array([_project_onto_equalities(a, b, v[keep]) for v in g_w])
-        ends = phase(list(programs), g_w, 0.0, budget, first, g_nullsp, keep)
-        for j, end, st in zip(*ends):
-            ds = _finish(programs[j], g_nullsp, end.copy(), settings, st, spent[j])
-            out[j] = ds if keep.all() else _pad(duals[j], keep, ds)
+        g_rows = [rows[i] for i in group]
+        finish(*phase(g_rows, g_w, 0.0, budget, program, g_nullsp, keep),
+               program, g_nullsp, keep)
+    return out
+
+
+def _recover(
+    d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution]
+) -> list[np.ndarray | ReconstructionError]:
+    """recover_primal of d at each row of coefficients, each with its optimal
+    dual: x, or the ReconstructionError it raises.  The rows whose terms
+    enter the same relations share one multi-column least-squares solve."""
+    if d.variable_count == 0:
+        return [np.empty(0) for _ in solutions]
+    w = np.array([ds.weights for ds in solutions])
+    z = np.array([[ds.objective_value] for ds in solutions])
+    # each term's block weight sum, 1 on the objective block; the terms of an
+    # inactive constraint relate nothing (complementary slackness)
+    lam = np.array([(1.0, *ds.lambdas) for ds in solutions])[:, d.block_index]
+    active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
+    share = w * z  # w / lambda on constraint terms
+    np.divide(w, lam, out=share, where=active & (d.block_index > 0))
+    groups: dict[bytes, list[int]] = {}
+    for i, mask in enumerate(active):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    out = [None] * len(w)
+    for group in groups.values():
+        mask = active[group[0]]
+        matrix = d.exponent_matrix[mask]
+        target = np.log(share[group][:, mask]) - np.log(coefficients[group][:, mask])
+        y = np.linalg.lstsq(matrix, target.T, rcond=None)[0].T
+        residual = np.abs(np.matvec(matrix, y) - target).max(axis=1, initial=0.0)
+        with np.errstate(over="ignore", under="ignore"):
+            x = np.exp(y)
+        inside = (np.isfinite(x) & (x > 0.0)).all(axis=1).tolist()
+        for i, res, ok, row in zip(group, residual.tolist(), inside, x):
+            out[i] = row if ok and res <= 1e-6 else ReconstructionError(
+                f"log-linear recovery system inconsistent (residual {res:.3e})"
+                if res > 1e-6 else "recovered x = exp(y) overflows or underflows")
     return out
 
 
@@ -563,108 +596,90 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     Solves, in least squares over y = log x, the stacked log-linear relations
     of objective terms and of terms in active constraint blocks; weights at or
     below _BOUNDARY_WEIGHT contribute no equation.  Raises ReconstructionError
-    when the residual of the stacked system exceeds 1e-6 or when exp(y)
-    overflows.
+    when the residual of the stacked system exceeds 1e-6 or when x = exp(y)
+    overflows to inf or underflows to 0.
     """
     d = build_dual(s)
-    w = ds.weights
-    z = ds.objective_value
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for k, i in enumerate(d.block_index.tolist()):
-        if w[k] <= _BOUNDARY_WEIGHT:
-            continue
-        if i and ds.lambdas[i - 1] <= _BOUNDARY_WEIGHT:
-            continue  # inactive constraint, complementary slackness
-        rows.append(d.exponent_matrix[k])
-        share = w[k] / ds.lambdas[i - 1] if i else w[k] * z
-        rhs.append(np.log(share) - np.log(d.term_coefficients[k]))
-
-    n = s.variable_count
-    if n == 0:
-        return np.empty(0)
-    matrix = np.array(rows).reshape(len(rows), n)
-    target = np.array(rhs)
-    y, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    residual = float(np.max(np.abs(matrix @ y - target))) if len(rhs) else 0.0
-    if residual > 1e-6:
-        raise ReconstructionError(
-            f"log-linear recovery system inconsistent (residual {residual:.3e})"
-        )
-    with np.errstate(over="ignore"):
-        x = np.exp(y)
-    if not np.all(np.isfinite(x)):
-        raise ReconstructionError("recovered point overflows (x = exp(y) is inf)")
+    x = _recover(d, d.term_coefficients[None], [ds])[0]
+    if isinstance(x, ReconstructionError):
+        raise x
     return x
 
 
-def _certify(s: StandardGp, ds: DualSolution) -> SolveReport:
-    """Recover x from an optimal dual and check the gap and primal feasibility."""
-    if ds.status is not Status.OPTIMAL:
-        return SolveReport(ds.status, None, ds, None, None, None)
-    try:
-        x = recover_primal(s, ds)
-    except ReconstructionError:
-        return SolveReport(Status.ITERATION_LIMIT, None, ds, None, None, None)
-
-    primal = evaluate(s.objective, x)
-    gap = abs(primal - ds.objective_value) / primal
-    worst = 0.0
-    for posy in s.constraints:
-        worst = max(worst, evaluate(posy, x) - 1.0)
-    residuals = KktResiduals(
-        equality=ds.equality_residual,
-        stationarity=ds.stationarity,
-        primal_feasibility=max(0.0, worst),
-    )
-    status = Status.OPTIMAL
-    if gap > GAP_TOL or worst > VIOLATION_TOL:
-        status = Status.ITERATION_LIMIT
-    return SolveReport(
-        status=status,
-        primal_x=tuple(float(v) for v in x),
-        dual=ds,
-        objective_value=float(primal),
-        duality_gap=float(gap),
-        kkt_residuals=residuals,
-    )
+def _certify(
+    d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution],
+    recover,
+) -> list[SolveReport]:
+    """Recover x from each optimal dual by recover, which maps its arguments
+    as _recover does, and check the gap and primal feasibility at x."""
+    reports = [SolveReport(ds.status, None, ds, None, None, None) for ds in solutions]
+    optimal = [i for i, ds in enumerate(solutions) if ds.status is Status.OPTIMAL]
+    if not optimal:
+        return reports
+    points = recover(d, coefficients[optimal], [solutions[i] for i in optimal])
+    starts = [0, *itertools.accumulate(d.block_sizes)]  # of each posynomial's terms
+    exponents = d.exponent_matrix.tolist()
+    for i, x in zip(optimal, points):
+        ds = solutions[i]
+        if isinstance(x, ReconstructionError):
+            reports[i] = SolveReport(Status.ITERATION_LIMIT, None, ds, None, None, None)
+            continue
+        xs, terms = x.tolist(), list(zip(coefficients[i].tolist(), exponents))
+        primal, *values = (
+            _sum_monomials(terms[a:b], xs) for a, b in zip(starts, starts[1:])
+        )  # as evaluate adds each posynomial at x
+        gap = abs(primal - ds.objective_value) / primal
+        worst = max([0.0, *(value - 1.0 for value in values)])
+        status = Status.OPTIMAL
+        if gap > GAP_TOL or worst > VIOLATION_TOL:
+            status = Status.ITERATION_LIMIT
+        kkt = KktResiduals(ds.equality_residual, ds.stationarity, worst)
+        reports[i] = SolveReport(status, tuple(xs), ds, primal, gap, kkt)
+    return reports
 
 
 def _certified(
-    s: StandardGp, d: DualProgram, ds: DualSolution, settings: SolverSettings
-) -> SolveReport:
-    """_certify s at ds, solved from d = build_dual(s).  An optimum that just
-    meets stationarity_tol can miss the certificate by a hair; it is re-solved
-    once at stationarity_tol / 100, kept if certified, and counted in full."""
-    report = _certify(s, ds)
-    if report.status is Status.ITERATION_LIMIT and report.primal_x is not None:
-        tight = replace(settings, stationarity_tol=settings.stationarity_tol / 100)
-        ds = solve_dual(d, tight)
-        iterations = report.dual.iterations + ds.iterations
-        retry = _certify(s, replace(ds, iterations=iterations))
-        if retry.status is Status.OPTIMAL:
-            return retry
-        report = replace(report, dual=replace(report.dual, iterations=iterations))
-    return report
+    d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution],
+    settings: SolverSettings, recover,
+) -> list[SolveReport]:
+    """_certify each row of coefficients at its dual solution.  An optimum that
+    just meets stationarity_tol can miss the certificate by a hair; it is
+    re-solved once at stationarity_tol / 100, kept if certified, and counted
+    in full."""
+    reports = _certify(d, coefficients, solutions, recover)
+    for i, report in enumerate(reports):
+        if report.status is Status.ITERATION_LIMIT and report.primal_x is not None:
+            tight = replace(settings, stationarity_tol=settings.stationarity_tol / 100)
+            row = replace(d, term_coefficients=coefficients[i])
+            ds = solve_dual(row, tight)
+            iterations = report.dual.iterations + ds.iterations
+            ds = replace(ds, iterations=iterations)
+            retry = _certify(row, coefficients[i:i + 1], [ds], recover)[0]
+            if retry.status is not Status.OPTIMAL:
+                ds = replace(report.dual, iterations=iterations)
+                retry = replace(report, dual=ds)
+            reports[i] = retry
+    return reports
 
 
 def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
     """Full dual-based solve: build dual, maximize, recover, check the gap."""
     settings = settings or SolverSettings()
     d = build_dual(s)
-    return _certified(s, d, solve_dual(d, settings), settings)
+    ds = solve_dual(d, settings)
+
+    def recover(_d, _coefficients, solutions):  # the batch of one, by name
+        try:
+            return [recover_primal(s, *solutions)]
+        except ReconstructionError as e:
+            return [e]
+
+    return _certified(d, d.term_coefficients[None], [ds], settings, recover)[0]
 
 
-def _solve_all(
-    problems: Sequence[StandardGp], settings: SolverSettings
+def _solve_rows(
+    d: DualProgram, coefficients: np.ndarray, settings: SolverSettings
 ) -> list[SolveReport]:
-    """solve of every problem, each equality system's duals as one batch."""
-    duals = [build_dual(s) for s in problems]
-    groups: dict[tuple, list[int]] = {}
-    for i, d in enumerate(duals):
-        groups.setdefault(_system_key(d), []).append(i)
-    reports = {}
-    for group in groups.values():
-        for i, ds in zip(group, _solve_duals([duals[i] for i in group], settings)):
-            reports[i] = _certified(problems[i], duals[i], ds, settings)
-    return [reports[i] for i in range(len(problems))]
+    """solve of d's problem at each row of coefficients (B, K), as one batch."""
+    solutions = _solve_duals(d, coefficients, settings)
+    return _certified(d, coefficients, solutions, settings, _recover)

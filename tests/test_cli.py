@@ -136,6 +136,22 @@ class TestSolveCommand:
         assert "iteration_limit" in out
         assert "stationarity" in err
 
+    def test_underflowing_primal_exits_5(self, capsys, tmp_path):
+        # min x^0.01 + 1e-20 / x^0.01: the optimal x = 1e-1000 underflows
+        doc = {
+            "format": "gp-problem/1",
+            "variables": ["x"],
+            "objective": [{"coefficient": 1, "exponents": {"x": 0.01}},
+                          {"coefficient": 1e-20, "exponents": {"x": -0.01}}],
+            "constraints": [],
+        }
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path), "--format", "machine")
+        assert code == 5
+        assert machine_doc(out)["status"] == "iteration_limit"
+        assert "did not converge" in err
+
     def test_infeasible_problem_exits_4(self, capsys, tmp_path):
         doc = {
             "format": "gp-problem/1",

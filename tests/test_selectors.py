@@ -448,14 +448,14 @@ def _count_calls(monkeypatch, module, name):
 def test_pruning_skips_most_fixture_solves(monkeypatch):
     calls = _count_calls(monkeypatch, gpchoice.selectors, "solve")
     expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
-    batched = []  # every problem keep-all passes to _solve_all
-    original = gpchoice.selectors._solve_all
+    batched = []  # every coefficient row keep-all passes to _solve_rows
+    original = gpchoice.selectors._solve_rows
 
-    def solve_all(problems, settings):
-        batched.extend(problems)
-        return original(problems, settings)
+    def solve_rows(d, coefficients, settings):
+        batched.extend(coefficients)
+        return original(d, coefficients, settings)
 
-    monkeypatch.setattr(gpchoice.selectors, "_solve_all", solve_all)
+    monkeypatch.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
     fixtures = sorted(PROBLEM_DIR.glob("*.json"))
     assert len(fixtures) == 12
     models = [parse_problem(path) for path in fixtures]
@@ -466,7 +466,8 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     assert batched == []
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
     assert pruned_calls <= 26
-    assert len(calls) == pruned_calls  # keep-all solves through _solve_all
+    # keep-all solves through _solve_rows and expands nothing
+    assert len(calls) == len(expands) == pruned_calls
     assert len(batched) == 1002
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
@@ -523,9 +524,9 @@ def test_skeleton_bound_matches_the_dual_on_every_fixture():
     assert checked == 2574  # every fixture expansion has an optimal sibling
 
 
-def test_skeleton_bound_with_a_set_in_two_terms_and_a_scaled_bound():
-    # c fills an objective and a constraint term; the constraint bound is 3
-    cg = ChoiceGp(
+def scaled_bound_template():
+    """c fills an objective and a constraint term; the constraint bound is 3."""
+    return ChoiceGp(
         variable_names=("x1", "x2"),
         objective=(
             TermTemplate(SetRef("c"), (SetRef("p"), 0.0)),
@@ -543,7 +544,65 @@ def test_skeleton_bound_with_a_set_in_two_terms_and_a_scaled_bound():
             CandidateSet("q", Role.EXPONENT, (1.0, 0.5)),
         ),
     )
-    assert _assert_bounds_match_the_dual(cg, True) == 4 * 6 * 6
+
+
+def test_skeleton_bound_with_a_set_in_two_terms_and_a_scaled_bound():
+    assert _assert_bounds_match_the_dual(scaled_bound_template(), True) == 4 * 6 * 6
+
+
+def _distinct_expansions(cg):
+    """(values, choice) of each distinct value tuple whose coefficients are
+    all positive, at its first combination in product order."""
+    coefficient_sets = _coefficient_sets(cg)
+    seen = {}
+    for combo in itertools.product(*[valid_assignments(cs) for cs in cg.sets]):
+        choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
+        values = tuple(resolve_choice(cg, choice)[cs.name] for cs in cg.sets)
+        if all(values[i] > 0.0 for i in coefficient_sets):
+            seen.setdefault(values, choice)
+    return list(seen.items())
+
+
+def test_compiled_template_matches_each_expansions_dual():
+    # keep-all fills every dual from one compiled template: the same bytes
+    # as expanding, standardizing and building it, bound division included
+    models = [parse_problem(p) for p in sorted(PROBLEM_DIR.glob("*.json"))]
+    checked = []
+    for cg in (*models, scaled_bound_template()):
+        expansions = _distinct_expansions(cg)
+        template = gpchoice.selectors._Template.of(cg, expansions[-1][0])
+        rows = template.coefficients(np.array([values for values, _ in expansions]))
+        for (values, choice), row in zip(expansions, rows):
+            expected = build_dual(standardize(expand(cg, choice)))
+            program = template.at(values)
+            for got, want in ((row, expected.term_coefficients),
+                              (program.block_index, expected.block_index),
+                              (program.exponent_matrix, expected.exponent_matrix)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+        checked.append(len(expansions))
+    assert sum(checked[:-1]) == 1002
+    assert checked[-1] == 3 * 2 * 2 * 2
+
+
+def test_keep_all_reports_a_row_whose_point_underflows():
+    # min x^0.01 + c / x^0.01 is optimal at x = c^50: 0 in doubles for
+    # c = 1e-20, so that row ends ITERATION_LIMIT and its siblings solve
+    cg = ChoiceGp(
+        ("x",),
+        (TermTemplate(1.0, (0.01,)), TermTemplate(SetRef("c"), (-0.01,))),
+        (),
+        (CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1e-20, 1e-3, 4.0)),),
+    )
+    result = solve_choice(cg, keep_assignments=True)
+    rows = {row.values[0]: row for row in result.assignments}
+    assert rows[1e-20].status == Status.ITERATION_LIMIT.value
+    assert rows[1e-20].objective_value is None
+    for c in (1e-3, 4.0):
+        assert rows[c].status == Status.OPTIMAL.value
+        assert rows[c].objective_value == pytest.approx(2.0 * c**0.5, rel=1e-9)
+    assert result.chosen_values == (("c", 1e-3),)
+    _same_choice_result(solve_choice(cg), result)
 
 
 def _seeds(cg):
@@ -573,7 +632,7 @@ def test_projected_seed_bounds_are_sound_on_every_fixture():
             report = solve(s)
             if report.status is Status.OPTIMAL:
                 seeds.append((values, build_dual(s), report))
-        duals = gpchoice.selectors._SeedDuals.of(cg, seeds[0][0])
+        duals = gpchoice.selectors._Template.of(cg, seeds[0][0])
         for values, dual, _ in seeds:
             # each seed's system, filled in from the template, bit for bit
             filled = duals.at(values).equality_matrix
@@ -602,7 +661,7 @@ def test_a_projection_that_misses_the_equalities_gives_no_bound():
     # residual of 1/2
     cg = ChoiceGp(("x",), (TermTemplate(1.0, (SetRef("p"),)),), (),
                   (cset([0.0, 1.0], name="p"),))
-    duals = gpchoice.selectors._SeedDuals.of(cg, [0.0])
+    duals = gpchoice.selectors._Template.of(cg, [0.0])
     weights = [np.array([1.0])]
     bound, w = duals.bound([0.0], weights)
     assert (bound, w.tolist()) == (0.0, [1.0])

@@ -39,8 +39,8 @@ from gpchoice.solver import (
     _null_space,
     _projected_norm,
     _reduced_program,
-    _solve_all,
     _solve_duals,
+    _solve_rows,
     _support_point,
 )
 from helpers import (
@@ -216,6 +216,19 @@ class TestRecoverPrimal:
 
 
 class TestSolve:
+    def test_underflowing_primal_recovery_gives_a_report(self):
+        # the dual is optimal at z = 2e-10, but x = 1e-1000 underflows to 0;
+        # the report says so as the overflowing twin does, instead of raising
+        for c in (1e-20, 1e20):
+            s = standardize(make_problem([(1, (0.01,)), (c, (-0.01,))]))
+            report = solve(s)
+            assert report.dual.status is Status.OPTIMAL
+            assert report.dual.objective_value == pytest.approx(2.0 * c**0.5)
+            assert report.status is Status.ITERATION_LIMIT
+            assert report.primal_x is None
+            with pytest.raises(ReconstructionError, match="overflows or underflows"):
+                recover_primal(s, report.dual)
+
     def test_example1_report(self):
         report = solve(standardize(example1_problem()))
         assert report.status is Status.OPTIMAL
@@ -685,15 +698,15 @@ class TestSharedStart:
         batches = []
         original = gpchoice.solver._solve_duals
 
-        def spy(duals, settings):
-            batches.append(duals)
-            return original(duals, settings)
+        def spy(d, coefficients, settings):
+            batches.append(coefficients)
+            return original(d, coefficients, settings)
 
         monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
         _equality_start.cache_clear()
         for cg in models:
             solve_choice(cg, keep_assignments=True)
-        assert sum(len(duals) for duals in batches) == 1002
+        assert sum(len(rows) for rows in batches) == 1002
         assert len(batches) == 46
         assert _equality_start.cache_info().misses <= 10
         misses = _equality_start.cache_info().misses
@@ -858,8 +871,9 @@ def _report_fields(report) -> tuple:
 
 
 class TestSiblingBatches:
-    """_solve_all solves the duals of one equality system as one batch, and
-    each row ends exactly as the same problem solved alone."""
+    """_solve_rows solves the duals of one equality system as one batch, and
+    certifies its rows together; each row ends exactly as the same problem
+    solved alone."""
 
     @staticmethod
     @lru_cache(maxsize=1)
@@ -869,10 +883,28 @@ class TestSiblingBatches:
         unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
         problems = (*_stress_problems()[:60], _stress_problems()[1522], unbounded)
         rng = np.random.default_rng(STRESS_SEED)
-        return tuple(
+        families = [
             (s, *(_scaled(s, rng) for _ in range(6)))
             for s in (standardize(g) for g in problems)
-        )
+        ]
+        # min x + 1/x s.t. c x <= 1: the constraint is active only for c > 1
+        families.append(tuple(
+            standardize(make_problem([(1, (1,)), (1, (-1,))], [([(c, (1,))], 1.0)]))
+            for c in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0, 8.0)
+        ))
+        # min x^0.01 + c / x^0.01 at x = c^50, which underflows for c = 1e-20
+        # and overflows for c = 1e20
+        families.append(tuple(
+            standardize(make_problem([(1, (0.01,)), (c, (-0.01,))]))
+            for c in (1e-20, 1e-3, 1.0, 4.0, 1e20)
+        ))
+        return tuple(families)
+
+    @staticmethod
+    def _batch(family, settings):
+        d = build_dual(family[0])
+        coefficients = np.array([build_dual(s).term_coefficients for s in family])
+        return _solve_rows(d, coefficients, settings)
 
     # the paths a family reaches, by the function that marks each
     PATHS = {"_newton_phase": "barrier", "_reduced_program": "reduction",
@@ -892,11 +924,25 @@ class TestSiblingBatches:
                 return _original(*args)
 
             monkeypatch.setattr(gpchoice.solver, name, spy)
+        # per recovery of a batch: its number of active sets and failed rows
+        recoveries = []
+        original_recover = gpchoice.solver._recover
+
+        def recover(d, coefficients, solutions):
+            points = original_recover(d, coefficients, solutions)
+            if batched[0]:
+                masks = ((ds.weights > 1e-12, ds.lambdas > 1e-12) for ds in solutions)
+                active = {w.tobytes() + lam.tobytes() for w, lam in masks}
+                failed = sum(isinstance(x, ReconstructionError) for x in points)
+                recoveries.append((len(active), failed))
+            return points
+
+        monkeypatch.setattr(gpchoice.solver, "_recover", recover)
         _equality_start.cache_clear()
         statuses, mixed, capped = [], 0, 0  # each family's; families that end apart
         for family in self._families():
             batched[0] = True
-            together = _solve_all(family, settings)
+            together = self._batch(family, settings)
             batched[0] = False
             alone = [solve(s, settings) for s in family]
             assert [_report_fields(r) for r in together] == [
@@ -916,11 +962,17 @@ class TestSiblingBatches:
         else:
             assert all(reached.values()), reached
             assert mixed >= 30
+            # a batch whose rows recover on several active sets, and one in
+            # which rows fail recovery (underflow, overflow) beside optimal ones
+            assert max(sets for sets, _ in recoveries) >= 2
+            assert (1, 2) in recoveries
+            assert statuses[-1] == {Status.OPTIMAL, Status.ITERATION_LIMIT}
 
     def test_each_row_owns_its_arrays(self):
         for family in self._families():
             duals = [build_dual(s) for s in family]
-            solutions = _solve_duals(duals, SolverSettings())
+            coefficients = np.array([d.term_coefficients for d in duals])
+            solutions = _solve_duals(duals[0], coefficients, SolverSettings())
             arrays = [a for ds in solutions for a in (ds.weights, ds.lambdas)]
             for a in arrays:
                 assert not a.flags.writeable
