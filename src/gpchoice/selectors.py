@@ -22,7 +22,7 @@ import numpy as np
 
 from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
-from .solver import FEASIBILITY_TOL, GAP_TOL, SolverSettings, SolveReport, Status, solve
+from .solver import FEASIBILITY_TOL, GAP_TOL, SolverSettings, SolveReport, Status
 from .solver import _project_onto_equalities, _solve_rows
 
 BitPattern = tuple[int, ...]
@@ -359,11 +359,6 @@ class _Skeleton:
     log_value: tuple[float, ...]  # log v_s, one per coefficient set
 
     @classmethod
-    def of(cls, term_sets: Sequence[int | None], report: SolveReport, log_values):
-        base = math.log(report.dual.objective_value)
-        return cls.at(term_sets, report.dual.weights, base, log_values)
-
-    @classmethod
     def at(cls, term_sets: Sequence[int | None], weights, base: float, log_values):
         weight = [0.0] * len(log_values)
         for s, w in zip(term_sets, weights, strict=True):
@@ -380,28 +375,25 @@ class _Skeleton:
 class _Template:
     """A template's dual, compiled once, whose set slots take any values.
 
-    Exponent values fix the equality system (at); coefficient values fix the
+    Exponent values fix the equality system; coefficient values fix the
     standardized coefficients, a constraint term's over its bound as in
-    standardize, of a batch of siblings at once (coefficients).  Compiled at
-    one seed, at gives every seed's dual, as seeds share coefficient values.
-    The least-squares correction w' = w + A'^+ (b - A'w) of another system's
-    optimal weights w is dual feasible for a seed with equality matrix A'
-    when w' >= 0 and A'w' = b within FEASIBILITY_TOL; its log dual value is
-    then a lower bound on the seed's optimum by weak duality (bound).
+    standardize, of one expansion (at) or of a batch of siblings
+    (coefficients).  The least-squares correction w' = w + A'^+ (b - A'w) of
+    another system's optimal weights w is dual feasible for a seed with
+    equality matrix A' when w' >= 0 and A'w' = b within FEASIBILITY_TOL;
+    its log dual value is then a lower bound on the seed's optimum by weak
+    duality (bound).
     """
 
-    dual: DualProgram  # at the compiled values; at fills a copy of its exponents
+    dual: DualProgram  # with every slot at 1.0; at fills a copy of the slots
     exponent_slots: dict[int, tuple[list[int], list[int]]]  # set: terms, variables
     coefficient_slots: dict[int, list[int]]  # set: terms
     bounds: np.ndarray  # per term, its constraint's bound; 1.0 in the objective
 
     @classmethod
-    def of(cls, cg: ChoiceGp, values: Sequence[float]) -> _Template:
-        """Compile at one expansion's values, one per set in declared order."""
-        dual = build_dual(standardize(_expanded(
-            cg, {cs.name: v for cs, v in zip(cg.sets, values)}
-        )))
+    def of(cls, cg: ChoiceGp) -> _Template:
         index = {cs.name: i for i, cs in enumerate(cg.sets)}
+        dual = build_dual(standardize(_expanded(cg, dict.fromkeys(index, 1.0))))
         exponents: dict[int, tuple[list[int], list[int]]] = {}
         coefficients: dict[int, list[int]] = {}
         templates = (t for _, ts, _ in _sections(cg) for t in ts)
@@ -417,11 +409,13 @@ class _Template:
         return cls(dual, exponents, coefficients, bounds)
 
     def at(self, values: Sequence[float]) -> DualProgram:
-        """The dual at these values, one per set, with the compiled coefficients."""
+        """The dual at these values, one per set."""
         exponents = self.dual.exponent_matrix.copy()
         for i, slot in self.exponent_slots.items():
             exponents[slot] = values[i]
-        return replace(self.dual, exponent_matrix=exponents)
+        coefficients = self.coefficients(np.array([values]))[0]
+        return replace(self.dual, exponent_matrix=exponents,
+                       term_coefficients=coefficients)
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """(B, K) standardized term coefficients at each row of values (B, S)."""
@@ -441,21 +435,22 @@ class _Template:
         w = _project_onto_equalities(a, b, np.array(weights).T)  # one column each
         residual = np.abs(a @ w - b).max(axis=0)
         kept = w.T[(w >= 0.0).all(axis=0) & (residual <= FEASIBILITY_TOL)]
-        bounds = ((log_dual_objective(self.dual, v)[0], v) for v in kept)
+        bounds = ((log_dual_objective(seed, v)[0], v) for v in kept)
         return max(bounds, key=lambda pair: pair[0], default=None)
 
 
-def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
-    """Evaluate every expansion that may win or tie, each value tuple once.
+def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
+    """Evaluate every expansion that may win or tie, one at a time.
 
     Each exponent assignment has a seed: its expansion at the smallest
     positive value of every coefficient set.  Seeds go in product order.  A
     seed is bounded first by the optimal weights of the seeds solved before
-    it, projected onto its equality system (_Template); it is solved only
-    when that bound misses the margin, and skipped otherwise, with the
-    projected weights as its skeleton.  Then every choice of its coefficient
-    sets' distinct positive values is bounded by the assignment's skeleton
-    and solved only when the bound misses the margin.
+    it, projected onto its equality system by the call's template; it is
+    solved only when that bound misses the margin, and skipped otherwise,
+    with the projected weights as its skeleton.  Then every choice of its
+    coefficient sets' distinct positive values is bounded by the
+    assignment's skeleton and solved only when the bound misses the margin.
+    Each solve is evaluate's batch of one, as the margin tightens after it.
     """
     choices = []  # per set: distinct values, each at its smallest pattern
     for i, cs in enumerate(cg.sets):
@@ -477,25 +472,24 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
         sk = skeletons.get(seed)
         if sk and sk.bound(log_values) > limit:
             return None
-        outcome, report = evaluate(tuple(combo.get(i, j) for i, j in enumerate(seed)))
+        pick = tuple(combo.get(i, j) for i, j in enumerate(seed))
+        [(outcome, report)] = evaluate([pick])
         z = outcome.objective_value
         if outcome.status != Status.OPTIMAL.value or z <= 0.0:
             return None
         limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
         if seed not in skeletons:
-            skeletons[seed] = _Skeleton.of(term_sets, report, log_values)
+            base, w = math.log(report.dual.objective_value), report.dual.weights
+            skeletons[seed] = _Skeleton.at(term_sets, w, base, log_values)
         return report
 
     firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
     seeds = list(itertools.product(*firsts))
-    duals = None
     optimal = []  # the weights of every seed solved to a positive optimum
     for seed in seeds:
         if optimal:
-            # compiled at the first seed, which is always solved
-            duals = duals or _Template.of(cg, [t[j] for t, j in zip(table, seeds[0])])
             values = [t[j] for t, j in zip(table, seed)]
-            base, w = duals.bound(values, optimal) or (-math.inf, None)
+            base, w = template.bound(values, optimal) or (-math.inf, None)
             if base > limit:
                 log_values = [math.log(values[i]) for i in coefficient_sets]
                 skeletons[seed] = _Skeleton.at(term_sets, w, base, log_values)
@@ -509,7 +503,7 @@ def _search(cg: ChoiceGp, table, coefficient_sets, evaluate) -> None:
 
 
 def solve_choice(
-    cg: ChoiceGp,
+    model: ChoiceGp | GpProblem,
     settings: SolverSettings | None = None,
     *,
     combination_cap: int = 10**6,
@@ -521,18 +515,20 @@ def solve_choice(
     within 1e-9 relative are tied and resolved toward the lexicographically
     smallest concatenated bit string.  Expansions whose selected coefficients
     are non-positive are rejected and counted.  Overall status is INFEASIBLE
-    when no expansion solves to optimality.
+    when no expansion solves to optimality.  A plain problem is a template
+    with no sets (as_choice_gp): its one expansion is solved as solve does.
 
     Pattern i selects candidate i, so the values come from a table built
-    once.  Expansions that weak duality proves can neither win nor tie are
-    skipped unsolved (_search, _Skeleton, _Template); keep_assignments
-    solves them all, as its table reports every z: it compiles the dual once
-    (_Template), fills each equality system and its siblings' coefficients
-    from the table, and solves and certifies those siblings as one batch
-    (solver._solve_rows).  Equal value tuples are solved once, at their
-    smallest pattern per set.  ``solved`` counts the non-rejected
-    combinations, skipped ones included.
+    once.  The template's dual is compiled once (_Template); every
+    expansion is solved on a program filled from it, the siblings that share
+    an equality system as one batch (solver._solve_rows), and equal value
+    tuples once, at their smallest pattern per set.  Expansions that weak
+    duality proves can neither win nor tie are skipped unsolved (_search,
+    _Skeleton, _Template.bound); keep_assignments solves them all, in one
+    batch per system, as its table reports every z.  ``solved`` counts the
+    non-rejected combinations, skipped ones included.
     """
+    cg = as_choice_gp(model)
     problems = validate_choice_gp(cg)
     if problems:
         raise GpDomainError("invalid template: " + "; ".join(problems))
@@ -557,6 +553,7 @@ def solve_choice(
         sum(v > 0.0 for v in values) if i in coefficient_sets else len(values)
         for i, values in enumerate(table)
     )
+    template = _Template.of(cg)
     cache: dict[tuple[float, ...], Evaluated] = {}
 
     patterns = [PATTERNS[cs.size] for cs in cg.sets]
@@ -564,44 +561,41 @@ def solve_choice(
     def bits_of(combo: Combo) -> tuple[BitPattern, ...]:
         return tuple(map(tuple.__getitem__, patterns, combo))
 
-    def evaluate(combo: Combo) -> Evaluated:
-        bits = bits_of(combo)
-        values = tuple(map(tuple.__getitem__, table, combo))
-        if values not in cache:
-            report, status, z = None, "rejected", None
-            if all(values[i] > 0.0 for i in coefficient_sets):
-                choice = dict(zip(names, bits))
-                report = solve(standardize(expand(cg, choice)), settings)
-                status, z = report.status.value, report.objective_value
-            cache[values] = AssignmentOutcome(bits, values, status, z), report
-        first, report = cache[values]
-        row = AssignmentOutcome(bits, first.values, first.status, first.objective_value)
-        return row, report
-
-    if keep_assignments:
-        combos = list(itertools.product(*(range(cs.size) for cs in cg.sets)))
-        # each value tuple is solved at its first combination, in the batch of
-        # its exponent values, which fix its equality system (the table holds
-        # no -0.0: selector_polynomial adds to 0.0)
+    def evaluate(combos: Sequence[Combo]) -> list[Evaluated]:
+        """The row and report of each combination's value tuple.  A tuple not
+        yet cached is solved at its first combination here, in the batch of
+        its exponent values, which fix its equality system (the table holds
+        no -0.0: selector_polynomial adds to 0.0)."""
+        tuples = [tuple(map(tuple.__getitem__, table, combo)) for combo in combos]
         systems: dict[tuple[float, ...], dict[tuple[float, ...], Combo]] = {}
-        for combo in combos:
-            values = tuple(t[j] for t, j in zip(table, combo))
+        for combo, values in zip(combos, tuples):
+            if values in cache:
+                continue
             if all(values[i] > 0.0 for i in coefficient_sets):
                 key = tuple(values[i] for i in exponent_sets)
                 systems.setdefault(key, {}).setdefault(values, combo)
-        template = None
+            else:
+                row = AssignmentOutcome(bits_of(combo), values, "rejected", None)
+                cache[values] = row, None
         for batch in systems.values():
             rows = np.array(list(batch))
-            template = template or _Template.of(cg, rows[0].tolist())
             coefficients = template.coefficients(rows)
             reports = _solve_rows(template.at(rows[0]), coefficients, settings)
-            for (values, combo), rep in zip(batch.items(), reports):
-                row = AssignmentOutcome(bits_of(combo), values, rep.status.value,
-                                        rep.objective_value)
-                cache[values] = row, rep
-        rows = [evaluate(combo)[0] for combo in combos]
+            for (values, combo), report in zip(batch.items(), reports):
+                row = AssignmentOutcome(bits_of(combo), values, report.status.value,
+                                        report.objective_value)
+                cache[values] = row, report
+        return [cache[values] for values in tuples]
+
+    if keep_assignments:
+        combos = list(itertools.product(*(range(cs.size) for cs in cg.sets)))
+        rows = [  # each at its own bit patterns
+            AssignmentOutcome(bits_of(combo), first.values, first.status,
+                              first.objective_value)
+            for combo, (first, _) in zip(combos, evaluate(combos))
+        ]
     else:
-        _search(cg, table, coefficient_sets, evaluate)
+        _search(cg, table, coefficient_sets, template, evaluate)
         rows = [first for first, _ in cache.values()]
 
     best: tuple[float, str, AssignmentOutcome] | None = None

@@ -570,10 +570,15 @@ def _recover(
     active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
     share = w * z  # w / lambda on constraint terms
     np.divide(w, lam, out=share, where=active & (d.block_index > 0))
+    # w * z underflows to 0 with z, and then has no log to fit
+    lost = (active & (share == 0.0)).any(axis=1)
+    out = [None] * len(w)
     groups: dict[bytes, list[int]] = {}
     for i, mask in enumerate(active):
-        groups.setdefault(mask.tobytes(), []).append(i)
-    out = [None] * len(w)
+        if lost[i]:
+            out[i] = ReconstructionError(f"w * z underflows at dual value {z[i, 0]}")
+        else:
+            groups.setdefault(mask.tobytes(), []).append(i)
     for group in groups.values():
         mask = active[group[0]]
         matrix = d.exponent_matrix[mask]
@@ -596,8 +601,8 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     Solves, in least squares over y = log x, the stacked log-linear relations
     of objective terms and of terms in active constraint blocks; weights at or
     below _BOUNDARY_WEIGHT contribute no equation.  Raises ReconstructionError
-    when the residual of the stacked system exceeds 1e-6 or when x = exp(y)
-    overflows to inf or underflows to 0.
+    when w z underflows to 0 on an objective term, when the residual of the
+    stacked system exceeds 1e-6 or when x = exp(y) leaves the doubles.
     """
     d = build_dual(s)
     x = _recover(d, d.term_coefficients[None], [ds])[0]

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpchoice
 from gpchoice.cli import main
 from helpers import PROBLEM_DIR
 
@@ -151,6 +155,31 @@ class TestSolveCommand:
         assert code == 5
         assert machine_doc(out)["status"] == "iteration_limit"
         assert "did not converge" in err
+
+    def test_underflowing_dual_value_exits_5_without_a_warning(self, tmp_path):
+        # min 1e-300 x s.t. 1e-30 / x <= 1: the dual value 1e-330 is 0 in
+        # doubles; the report says so, and stderr carries no numpy warning
+        doc = {
+            "format": "gp-problem/1",
+            "variables": ["x"],
+            "objective": [{"coefficient": 1e-300, "exponents": {"x": 1}}],
+            "constraints": [
+                {"terms": [{"coefficient": 1e-30, "exponents": {"x": -1}}],
+                 "bound": 1}
+            ],
+        }
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(doc))
+        src = Path(gpchoice.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-m", "gpchoice.cli", "solve", str(path),
+             "--format", "machine"],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 5
+        assert machine_doc(out.stdout)["status"] == "iteration_limit"
+        assert "Warning" not in out.stderr
+        assert "did not converge" in out.stderr
 
     def test_infeasible_problem_exits_4(self, capsys, tmp_path):
         doc = {

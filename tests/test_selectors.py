@@ -15,6 +15,7 @@ from gpchoice import (
     SetRef,
     Status,
     TermTemplate,
+    as_choice_gp,
     build_dual,
     case_constraint_violations,
     expand,
@@ -445,30 +446,34 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_pruning_skips_most_fixture_solves(monkeypatch):
-    calls = _count_calls(monkeypatch, gpchoice.selectors, "solve")
-    expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
-    batched = []  # every coefficient row keep-all passes to _solve_rows
+def _count_rows(monkeypatch):
+    """The number of coefficient rows of each _solve_rows batch."""
+    batches = []
     original = gpchoice.selectors._solve_rows
 
     def solve_rows(d, coefficients, settings):
-        batched.extend(coefficients)
+        batches.append(len(coefficients))
         return original(d, coefficients, settings)
 
     monkeypatch.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
+    return batches
+
+
+def test_pruning_skips_most_fixture_solves(monkeypatch):
+    # both modes solve every expansion through _solve_rows, expanding none
+    batches = _count_rows(monkeypatch)
+    expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
     fixtures = sorted(PROBLEM_DIR.glob("*.json"))
     assert len(fixtures) == 12
     models = [parse_problem(path) for path in fixtures]
     pruned = [solve_choice(cg) for cg in models]
-    pruned_calls = len(calls)
-    # skipped expansions are never expanded, let alone solved
-    assert len(expands) == pruned_calls
-    assert batched == []
+    # the pruned search solves one expansion at a time
+    assert set(batches) == {1}
+    assert len(batches) <= 26
+    batches.clear()
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
-    assert pruned_calls <= 26
-    # keep-all solves through _solve_rows and expands nothing
-    assert len(calls) == len(expands) == pruned_calls
-    assert len(batched) == 1002
+    assert (sum(batches), len(batches)) == (1002, 46)
+    assert expands == []
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
 
@@ -491,6 +496,14 @@ def _expansions(cg):
         yield key, logs, standardize(expand(cg, choice))
 
 
+def _skeleton(term_sets, report, log_values):
+    """The skeleton of a solved expansion, at its optimal weights."""
+    base = math.log(report.dual.objective_value)
+    return gpchoice.selectors._Skeleton.at(
+        term_sets, report.dual.weights, base, log_values
+    )
+
+
 def _assert_bounds_match_the_dual(cg, all_siblings):
     """The O(K) skeleton bound against build_dual and log_dual_objective.
 
@@ -505,7 +518,7 @@ def _assert_bounds_match_the_dual(cg, all_siblings):
             report = solve(s)
             if report.status is Status.OPTIMAL:
                 term_sets = gpchoice.selectors._term_sets(cg, _coefficient_sets(cg))
-                skeleton = gpchoice.selectors._Skeleton.of(term_sets, report, logs)
+                skeleton = _skeleton(term_sets, report, logs)
                 siblings.setdefault(key, []).append((skeleton, report.dual.weights))
     checked = 0
     for key, logs, s in expansions:
@@ -564,18 +577,19 @@ def _distinct_expansions(cg):
 
 
 def test_compiled_template_matches_each_expansions_dual():
-    # keep-all fills every dual from one compiled template: the same bytes
+    # solve_choice fills every dual from one compiled template: the same bytes
     # as expanding, standardizing and building it, bound division included
     models = [parse_problem(p) for p in sorted(PROBLEM_DIR.glob("*.json"))]
     checked = []
     for cg in (*models, scaled_bound_template()):
         expansions = _distinct_expansions(cg)
-        template = gpchoice.selectors._Template.of(cg, expansions[-1][0])
+        template = gpchoice.selectors._Template.of(cg)
         rows = template.coefficients(np.array([values for values, _ in expansions]))
         for (values, choice), row in zip(expansions, rows):
             expected = build_dual(standardize(expand(cg, choice)))
             program = template.at(values)
             for got, want in ((row, expected.term_coefficients),
+                              (program.term_coefficients, expected.term_coefficients),
                               (program.block_index, expected.block_index),
                               (program.exponent_matrix, expected.exponent_matrix)):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape)
@@ -605,6 +619,36 @@ def test_keep_all_reports_a_row_whose_point_underflows():
     _same_choice_result(solve_choice(cg), result)
 
 
+@pytest.mark.filterwarnings("error")
+def test_keep_all_reports_a_row_whose_dual_value_underflows():
+    # min c x s.t. 1e-30 / x <= 1 is optimal at z = c * 1e-30: 0 in doubles
+    # for c = 1e-300, so that row ends ITERATION_LIMIT in its batch, whose
+    # other rows solve
+    cg = ChoiceGp(
+        ("x",),
+        (TermTemplate(SetRef("c"), (1.0,)),),
+        (((TermTemplate(1e-30, (-1.0,)),), 1.0),),
+        (CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1e-300, 1.0, 2.0)),),
+    )
+    result = solve_choice(cg, keep_assignments=True)
+    rows = {row.values[0]: row for row in result.assignments}
+    assert rows[1e-300].status == Status.ITERATION_LIMIT.value
+    assert rows[1e-300].objective_value is None
+    for c in (1.0, 2.0):
+        assert rows[c].status == Status.OPTIMAL.value
+        assert rows[c].objective_value == pytest.approx(c * 1e-30, rel=1e-9)
+    assert result.chosen_values == (("c", 1.0),)
+
+
+def test_a_plain_problem_is_a_template_without_sets():
+    g = example1_problem()
+    result = solve_choice(g)
+    assert (result.solved, result.rejected) == (1, 0)
+    assert result.chosen_bits == result.chosen_values == ()
+    assert result.report.objective_value == solve(standardize(g)).objective_value
+    _same_choice_result(result, solve_choice(as_choice_gp(g), keep_assignments=True))
+
+
 def _seeds(cg):
     """(choice, values) of every seed: the smallest positive value of each
     coefficient set with each distinct value of each exponent set."""
@@ -632,7 +676,7 @@ def test_projected_seed_bounds_are_sound_on_every_fixture():
             report = solve(s)
             if report.status is Status.OPTIMAL:
                 seeds.append((values, build_dual(s), report))
-        duals = gpchoice.selectors._Template.of(cg, seeds[0][0])
+        duals = gpchoice.selectors._Template.of(cg)
         for values, dual, _ in seeds:
             # each seed's system, filled in from the template, bit for bit
             filled = duals.at(values).equality_matrix
@@ -661,7 +705,7 @@ def test_a_projection_that_misses_the_equalities_gives_no_bound():
     # residual of 1/2
     cg = ChoiceGp(("x",), (TermTemplate(1.0, (SetRef("p"),)),), (),
                   (cset([0.0, 1.0], name="p"),))
-    duals = gpchoice.selectors._Template.of(cg, [0.0])
+    duals = gpchoice.selectors._Template.of(cg)
     weights = [np.array([1.0])]
     bound, w = duals.bound([0.0], weights)
     assert (bound, w.tolist()) == (0.0, [1.0])
@@ -689,13 +733,13 @@ def test_skeleton_refuses_a_term_map_of_the_wrong_length():
     term_sets = gpchoice.selectors._term_sets(cg, [0])
     assert len(term_sets) == len(report.dual.weights)
     with pytest.raises(ValueError):
-        gpchoice.selectors._Skeleton.of(term_sets[1:], report, [0.0])
+        _skeleton(term_sets[1:], report, [0.0])
 
 
 def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
     values = (3.0, 1.0, 5.0, 2.0, 8.0, 0.5, 6.0, 4.0)
     cg = product_template([values] * 5, (-2.0, -1.0, -3.0))
-    solves = _count_calls(monkeypatch, gpchoice.selectors, "solve")
+    batches = _count_rows(monkeypatch)
     expands = _count_calls(monkeypatch, gpchoice.selectors, "expand")
     result = solve_choice(cg)
     assert (result.solved, result.rejected) == (8**5 * 3, 0)
@@ -704,7 +748,7 @@ def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
     # every value tuple of the 98304 is distinct; the first seed's projected
     # weights bound the other two seeds, and the O(K) bound skips the rest,
     # all unexpanded
-    assert len(solves) == len(expands) == 1
+    assert (batches, expands) == ([1], [])
 
 
 def test_bound_pruning_matches_exhaustive_enumeration():

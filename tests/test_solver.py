@@ -229,6 +229,19 @@ class TestSolve:
             with pytest.raises(ReconstructionError, match="overflows or underflows"):
                 recover_primal(s, report.dual)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_dual_value_gives_a_report(self):
+        # min 1e-300 x s.t. 1e-30 / x <= 1: the dual is optimal at z = 1e-330,
+        # which is 0 in doubles, so log(w z) has no finite value to recover x
+        s = standardize(make_problem([(1e-300, (1.0,))], [([(1e-30, (-1.0,))], 1.0)]))
+        report = solve(s)
+        assert report.dual.status is Status.OPTIMAL
+        assert report.dual.objective_value == 0.0
+        assert report.status is Status.ITERATION_LIMIT
+        assert report.primal_x is None
+        with pytest.raises(ReconstructionError, match="w \\* z underflows"):
+            recover_primal(s, report.dual)
+
     def test_example1_report(self):
         report = solve(standardize(example1_problem()))
         assert report.status is Status.OPTIMAL
@@ -578,6 +591,20 @@ class TestStressRegressions:
         report = solve(standardize(_stress_problems()[791]))
         assert report.status is Status.ITERATION_LIMIT
         assert report.primal_x is None
+
+    def test_choice_of_a_plain_problem_is_its_solve(self):
+        # solve_choice fills its one expansion from the compiled template and
+        # solves it as a batch of one: every field as solve, NaN included
+        indices = (*range(200), 791, 1522, *self.LP_STARTS)
+        statuses = set()
+        for index in indices:
+            g = _stress_problems()[index]
+            result = solve_choice(g)
+            alone = solve(standardize(g))
+            assert result.status is alone.status
+            assert _report_fields(result.report) == _report_fields(alone)
+            statuses.add(alone.status)
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.ITERATION_LIMIT}
 
 
 def _solution_bytes(ds: DualSolution) -> tuple:
