@@ -51,6 +51,10 @@ def _fmt(value: float) -> str:
     return format(value, ".7g")
 
 
+def _fmt_all(values) -> str:
+    return "  ".join(map(_fmt, values))
+
+
 def _status_exit(status: Status, ds: DualSolution | None) -> int:
     """Exit code of a status; ITERATION_LIMIT also prints ds's residuals."""
     if status is Status.OPTIMAL:
@@ -66,27 +70,19 @@ def _status_exit(status: Status, ds: DualSolution | None) -> int:
 
 
 def _equality_row_strings(d: DualProgram) -> list[str]:
+    """Each equality row as text, such as "-w01 + 3*w02 = 0"."""
     labels = d.weight_labels()
     rows = []
-    for r in range(d.equality_matrix.shape[0]):
-        parts = []
-        for coeff, label in zip(d.equality_matrix[r], labels):
-            if coeff == 0.0:
-                continue
-            if coeff == 1.0:
-                text = label
-            elif coeff == -1.0:
-                text = f"-{label}"
-            else:
-                text = f"{_fmt(coeff)}*{label}"
-            if parts and not text.startswith("-"):
-                parts.append(f"+ {text}")
-            elif parts:
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(text)
-        lhs = " ".join(parts) if parts else "0"
-        rows.append(f"{lhs} = {_fmt(d.equality_rhs[r])}")
+    for row, rhs in zip(d.equality_matrix, d.equality_rhs):
+        lhs = ""
+        for coeff, label in zip(row, labels):
+            if coeff != 0.0:
+                sign = "-" if coeff < 0.0 else "+"
+                scale = "" if abs(coeff) == 1.0 else f"{_fmt(abs(coeff))}*"
+                # a leading "+" is dropped, a leading "-" takes no space
+                lhs += f" {sign} " if lhs else sign.strip("+")
+                lhs += scale + label
+        rows.append(f"{lhs or '0'} = {_fmt(rhs)}")
     return rows
 
 
@@ -95,22 +91,17 @@ def _solve_document(
 ) -> dict:
     report = result.report
     doc: dict = {"status": result.status.value}
+    doc |= dict.fromkeys(("z", "x", "w", "lambda", "gap", "chosen"))
     if report is not None and report.status is Status.OPTIMAL:
         assert result.chosen_bits is not None and result.chosen_values is not None
         doc["z"] = report.objective_value
         doc["x"] = list(report.primal_x or ())
-        doc["w"] = [float(v) for v in report.dual.weights]
-        doc["lambda"] = [float(v) for v in report.dual.lambdas]
+        doc["w"] = report.dual.weights.tolist()
+        doc["lambda"] = report.dual.lambdas.tolist()
         doc["gap"] = report.duality_gap
-        doc["chosen"] = {
-            name: {"bits": "".join(map(str, bits)), "value": value}
-            for (name, bits), (_, value) in zip(
-                result.chosen_bits, result.chosen_values
-            )
-        }
-    else:
-        doc.update({"z": None, "x": None, "w": None, "lambda": None,
-                    "gap": None, "chosen": None})
+        chosen = zip(result.chosen_bits, result.chosen_values)
+        doc["chosen"] = {name: {"bits": "".join(map(str, bits)), "value": value}
+                         for (name, bits), (_, value) in chosen}
     if with_assignments and result.assignments is not None:
         doc["assignments"] = [
             {
@@ -129,25 +120,22 @@ def _print_machine(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _print_solve_text(result: ChoiceSolveReport, doc: dict) -> None:
+def _print_solve_text(doc: dict, solved: int, rejected: int) -> None:
     out = [f"status: {doc['status']}"]
-    report = result.report
-    if report is not None and report.status is Status.OPTIMAL:
-        out.append(f"z: {_fmt(report.objective_value)}")
-        out.append("x: " + "  ".join(_fmt(v) for v in report.primal_x))
-        if result.chosen_values:
+    if doc["z"] is not None:
+        out.append(f"z: {_fmt(doc['z'])}")
+        out.append(f"x: {_fmt_all(doc['x'])}")
+        if doc["chosen"]:
             chosen = ", ".join(
-                f"{name} = {_fmt(value)} (bits {''.join(map(str, bits))})"
-                for (name, bits), (_, value) in zip(
-                    result.chosen_bits, result.chosen_values
-                )
+                f"{name} = {_fmt(c['value'])} (bits {c['bits']})"
+                for name, c in doc["chosen"].items()
             )
             out.append(f"chosen: {chosen}")
-        out.append("w: " + "  ".join(_fmt(v) for v in report.dual.weights))
-        if len(report.dual.lambdas):
-            out.append("lambda: " + "  ".join(_fmt(v) for v in report.dual.lambdas))
-        out.append(f"duality gap: {_fmt(report.duality_gap)}")
-        out.append(f"solved: {result.solved}, rejected: {result.rejected}")
+        out.append(f"w: {_fmt_all(doc['w'])}")
+        if doc["lambda"]:
+            out.append(f"lambda: {_fmt_all(doc['lambda'])}")
+        out.append(f"duality gap: {_fmt(doc['gap'])}")
+        out.append(f"solved: {solved}, rejected: {rejected}")
     if "assignments" in doc:
         out.append("assignments:")
         for row in doc["assignments"]:
@@ -190,7 +178,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "machine":
         _print_machine(doc)
     else:
-        _print_solve_text(result, doc)
+        _print_solve_text(doc, result.solved, result.rejected)
 
     if result.status is Status.OPTIMAL and args.oracle:
         # keep machine stdout a single JSON document
@@ -236,6 +224,19 @@ def _parse_assigns(pairs: Sequence[str]) -> dict[str, tuple[int, ...]] | None:
     return out
 
 
+def _print_dual_text(doc: dict, labels: Sequence[str]) -> None:
+    out = [f"status: {doc['status']}", "equality system:"]
+    out.extend(f"  {row}" for row in doc["rows"])
+    if doc["z"] is not None:
+        out.append("weights:")
+        out.extend(f"  {label} = {_fmt(v)}" for label, v in zip(labels, doc["w"]))
+        if doc["lambda"]:
+            out.append(f"lambda: {_fmt_all(doc['lambda'])}")
+        out.append(f"dual value: {_fmt(doc['z'])}")
+    out.append(f"timing_ms: {doc['timing_ms']:.3f}")
+    sys.stdout.write("\n".join(out) + "\n")
+
+
 def _cmd_dual(args: argparse.Namespace) -> int:
     model = _load(args.problem)
     if isinstance(model, int):
@@ -263,40 +264,15 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     ds = solve_dual(d, settings)
     timing_ms = (time.perf_counter() - started) * 1e3
 
-    rows = _equality_row_strings(d)
+    doc: dict = {"status": ds.status.value, "z": None, "w": None, "lambda": None}
+    if ds.status is Status.OPTIMAL:
+        doc |= {"z": ds.objective_value, "w": ds.weights.tolist(),
+                "lambda": ds.lambdas.tolist()}
+    doc |= {"rows": _equality_row_strings(d), "timing_ms": timing_ms}
     if args.format == "machine":
-        doc = {
-            "status": ds.status.value,
-            "z": ds.objective_value if ds.status is Status.OPTIMAL else None,
-            "w": [float(v) for v in ds.weights]
-            if ds.status is Status.OPTIMAL
-            else None,
-            "lambda": [float(v) for v in ds.lambdas]
-            if ds.status is Status.OPTIMAL
-            else None,
-            "rows": rows,
-            "timing_ms": timing_ms,
-        }
         _print_machine(doc)
     else:
-        out = [f"status: {ds.status.value}"]
-        out.append("equality system:")
-        out.extend(f"  {row}" for row in rows)
-        if ds.status is Status.OPTIMAL:
-            labels = d.weight_labels()
-            out.append("weights:")
-            out.extend(
-                f"  {label} = {_fmt(v)}" for label, v in zip(labels, ds.weights)
-            )
-            if len(ds.lambdas):
-                out.append(
-                    "lambda: "
-                    + "  ".join(_fmt(v) for v in ds.lambdas)
-                )
-            out.append(f"dual value: {_fmt(ds.objective_value)}")
-        out.append(f"timing_ms: {timing_ms:.3f}")
-        sys.stdout.write("\n".join(out) + "\n")
-
+        _print_dual_text(doc, d.weight_labels())
     return _status_exit(ds.status, ds)
 
 

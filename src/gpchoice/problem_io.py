@@ -65,6 +65,12 @@ def _number(value: Any, where: str) -> float:
         ) from None
 
 
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ProblemSemanticError(f"{where}: expected a list")
+    return value
+
+
 def _slot(value: Any, where: str) -> Slot:
     if isinstance(value, dict):
         _require_keys(value, {"set"}, {"set"}, where)
@@ -105,10 +111,9 @@ def _candidate_set(obj: Any, where: str) -> CandidateSet:
         raise ProblemSemanticError(
             f"{where}.role: {obj['role']!r} is not one of {sorted(_ROLES)}"
         )
-    if not isinstance(obj["values"], list):
-        raise ProblemSemanticError(f"{where}.values: expected a list")
     values = tuple(
-        _number(v, f"{where}.values[{i}]") for i, v in enumerate(obj["values"])
+        _number(v, f"{where}.values[{i}]")
+        for i, v in enumerate(_list(obj["values"], f"{where}.values"))
     )
     try:
         return CandidateSet(obj["name"], _ROLES[obj["role"]], values)
@@ -158,30 +163,27 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
         raise ProblemSemanticError(
             f"{source}.variables: expected a non-empty list of names"
         )
-    if not isinstance(doc["objective"], list):
-        raise ProblemSemanticError(f"{source}.objective: expected a list")
     objective = tuple(
         _term(t, variables, f"{source}.objective[{i}]")
-        for i, t in enumerate(doc["objective"])
+        for i, t in enumerate(_list(doc["objective"], f"{source}.objective"))
     )
 
     constraints = []
-    for i, obj in enumerate(doc.get("constraints", [])):
+    for i, obj in enumerate(_list(doc.get("constraints", []), f"{source}.constraints")):
         where = f"{source}.constraints[{i}]"
         if not isinstance(obj, dict):
             raise ProblemSemanticError(f"{where}: expected an object")
         _require_keys(obj, {"terms", "bound"}, {"terms"}, where)
-        if not isinstance(obj["terms"], list):
-            raise ProblemSemanticError(f"{where}.terms: expected a list")
         terms = tuple(
             _term(t, variables, f"{where}.terms[{j}]")
-            for j, t in enumerate(obj["terms"])
+            for j, t in enumerate(_list(obj["terms"], f"{where}.terms"))
         )
         constraints.append((terms, _number(obj.get("bound", 1.0), f"{where}.bound")))
 
     sets = tuple(
         _candidate_set(s, f"{source}.candidate_sets[{i}]")
-        for i, s in enumerate(doc.get("candidate_sets", []))
+        for i, s in enumerate(
+            _list(doc.get("candidate_sets", []), f"{source}.candidate_sets"))
     )
     cg = ChoiceGp(tuple(variables), objective, tuple(constraints), sets)
     problems = validate_choice_gp(cg)

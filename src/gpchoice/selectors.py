@@ -216,15 +216,6 @@ def _sections(cg: ChoiceGp):
         yield f"constraint {i}", templates, bound
 
 
-def _term_sets(cg: ChoiceGp, coefficient_sets: Sequence[int]) -> list[int | None]:
-    """Per dual term, its coefficient set's index in coefficient_sets, or None."""
-    position = {cg.sets[i].name: s for s, i in enumerate(coefficient_sets)}
-    return [
-        position[t.coefficient.name] if isinstance(t.coefficient, SetRef) else None
-        for _, templates, _ in _sections(cg) for t in templates
-    ]
-
-
 def validate_choice_gp(cg: ChoiceGp) -> list[str]:
     """Every value problem of a template; an empty list means each expansion
     is a posynomial GP (a non-positive coefficient candidate is rejected at
@@ -351,20 +342,12 @@ class _Skeleton:
     a coefficient set scales all of its terms alike, so a sibling with
     coefficient values v' has log dual base + sum_s W_s (log v'_s - log v_s)
     there, W_s the weight on set s's terms: by weak duality an O(K) lower
-    bound on its optimum.
+    bound on its optimum.  _Template.skeleton builds each one.
     """
 
     base: float  # log dual value at w of the expansion itself
     weight: tuple[float, ...]  # W_s >= 0, one per coefficient set
     log_value: tuple[float, ...]  # log v_s, one per coefficient set
-
-    @classmethod
-    def at(cls, term_sets: Sequence[int | None], weights, base: float, log_values):
-        weight = [0.0] * len(log_values)
-        for s, w in zip(term_sets, weights, strict=True):
-            if s is not None:
-                weight[s] += float(w)
-        return cls(base, tuple(weight), tuple(log_values))
 
     def bound(self, log_values: Sequence[float]) -> float:
         steps = zip(self.weight, log_values, self.log_value)
@@ -387,7 +370,7 @@ class _Template:
 
     dual: DualProgram  # with every slot at 1.0; at fills a copy of the slots
     exponent_slots: dict[int, tuple[list[int], list[int]]]  # set: terms, variables
-    coefficient_slots: dict[int, list[int]]  # set: terms
+    coefficient_slots: dict[int, list[int]]  # set: terms, in set order
     bounds: np.ndarray  # per term, its constraint's bound; 1.0 in the objective
 
     @classmethod
@@ -395,11 +378,14 @@ class _Template:
         index = {cs.name: i for i, cs in enumerate(cg.sets)}
         dual = build_dual(standardize(_expanded(cg, dict.fromkeys(index, 1.0))))
         exponents: dict[int, tuple[list[int], list[int]]] = {}
-        coefficients: dict[int, list[int]] = {}
+        # validate_choice_gp has every coefficient set fill a coefficient slot
+        coefficients: dict[int, list[int]] = {
+            i: [] for i, cs in enumerate(cg.sets) if cs.role in COEFFICIENT_ROLES
+        }
         templates = (t for _, ts, _ in _sections(cg) for t in ts)
         for k, tpl in enumerate(templates):
             if isinstance(tpl.coefficient, SetRef):
-                coefficients.setdefault(index[tpl.coefficient.name], []).append(k)
+                coefficients[index[tpl.coefficient.name]].append(k)
             for j, e in enumerate(tpl.exponents):
                 if isinstance(e, SetRef):
                     terms, variables = exponents.setdefault(index[e.name], ([], []))
@@ -423,6 +409,15 @@ class _Template:
         for i, terms in self.coefficient_slots.items():
             out[:, terms] = values[:, i, None] / self.bounds[terms]
         return out
+
+    def skeleton(self, values: Sequence[float], weights, base: float) -> _Skeleton:
+        """The skeleton of dual feasible weights, with log dual value base,
+        at these values, one per set."""
+        if len(weights) != self.dual.term_count:
+            raise ValueError(f"{len(weights)} weights for {self.dual.term_count} terms")
+        slots = self.coefficient_slots
+        weight = (sum(float(weights[k]) for k in terms) for terms in slots.values())
+        return _Skeleton(base, tuple(weight), tuple(math.log(values[i]) for i in slots))
 
     def bound(
         self, values: Sequence[float], weights
@@ -460,7 +455,6 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
         if i in coefficient_sets:
             first = dict(sorted(item for item in first.items() if item[0] > 0.0))
         choices.append(list(first.values()))
-    term_sets = _term_sets(cg, coefficient_sets)
     skeletons: dict[Combo, _Skeleton] = {}  # by seed
     limit = math.inf  # log of the lowest optimal z so far, plus the margin
 
@@ -480,7 +474,7 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
         limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
         if seed not in skeletons:
             base, w = math.log(report.dual.objective_value), report.dual.weights
-            skeletons[seed] = _Skeleton.at(term_sets, w, base, log_values)
+            skeletons[seed] = template.skeleton(outcome.values, w, base)
         return report
 
     firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
@@ -491,8 +485,7 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
             values = [t[j] for t, j in zip(table, seed)]
             base, w = template.bound(values, optimal) or (-math.inf, None)
             if base > limit:
-                log_values = [math.log(values[i]) for i in coefficient_sets]
-                skeletons[seed] = _Skeleton.at(term_sets, w, base, log_values)
+                skeletons[seed] = template.skeleton(values, w, base)
                 continue
         report = visit(seed, [seed[i] for i in coefficient_sets])
         if report:

@@ -74,3 +74,45 @@ def random_feasible_gp(rng) -> GpProblem:
         bound = value_at_bar * (1.0 + rng.uniform(0.3, 2.0))
         cons.append((terms, bound))
     return make_problem(obj, cons)
+
+
+def primal_infeasible_gp(rng) -> GpProblem:
+    """Small random GP that is infeasible by construction.
+
+    Its constraints are c1*x^a <= 1, half the time with one more term, and
+    c2*x^-a <= 1 with c1*c2 > 1: multiplied together the two chosen terms
+    give c1*c2 <= 1.  infeasibility_witness_holds checks this with
+    multipliers (1, 1) on term 0 of each constraint.  The objective is
+    random, as in random_feasible_gp.
+    """
+    n = int(rng.integers(1, 4))
+
+    def coeff():
+        return float(10.0 ** rng.uniform(-1.0, 1.0))
+
+    obj = [(coeff(), rng.uniform(0.3, 2.5, n)), (coeff(), rng.uniform(-2.5, -0.3, n))]
+    for _ in range(int(rng.integers(0, 2))):
+        obj.append((coeff(), rng.uniform(-3.0, 3.0, n)))
+    a = rng.uniform(-3.0, 3.0, n)
+    c1 = coeff()
+    c2 = float(10.0 ** rng.uniform(0.01, 1.0)) / c1  # log(c1*c2) > 0
+    first = [(c1, a)]
+    if rng.integers(0, 2):
+        first.append((coeff(), rng.uniform(-3.0, 3.0, n)))
+    return make_problem(obj, [(first, 1.0), ([(c2, -a)], 1.0)])
+
+
+def infeasibility_witness_holds(g: GpProblem, terms, multipliers) -> bool:
+    """True when the multipliers prove g has no feasible point, solver-free.
+
+    Take one term c_i*x^a_i of each constraint, with bound b_i, and
+    multipliers mu_i >= 0.  Each term is at most its posynomial, so
+    (c_i/b_i)*x^a_i <= 1 at any feasible x, and so is their product
+    raised to mu_i.  If sum mu_i*a_i = 0 and sum mu_i*log(c_i/b_i) > 0 that
+    product is a constant above 1: no x is feasible.
+    """
+    mu = np.asarray(multipliers, dtype=float)
+    chosen = [posy.terms[t] for (posy, _), t in zip(g.constraints, terms, strict=True)]
+    exponents = np.array([m.exponents for m in chosen])
+    log_c = np.log([m.coefficient / b for m, (_, b) in zip(chosen, g.constraints)])
+    return bool((mu >= 0.0).all() and not (mu @ exponents).any() and mu @ log_c > 0.0)

@@ -305,6 +305,20 @@ class TestValidateCommand:
         assert code == 3
         assert "coefficient: integer is too large for a double" in err
 
+    @pytest.mark.parametrize("value", [5, None, {"terms": []}, "terms"],
+                             ids=["int", "null", "dict", "string"])
+    @pytest.mark.parametrize("field", ["constraints", "candidate_sets"])
+    def test_a_list_field_that_is_not_a_list_exits_3(
+        self, capsys, tmp_path, field, value
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "format": "gp-problem/1", "variables": ["x"],
+            "objective": [{"coefficient": 1, "exponents": {"x": 1}}], field: value,
+        }))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (3, "", f"error: {path}.{field}: expected a list\n")
+
     @pytest.mark.parametrize("command", ["validate", "solve", "dual"])
     def test_integer_beyond_the_digit_limit_exits_3(self, capsys, tmp_path, command):
         path = tmp_path / "huge.json"

@@ -238,6 +238,37 @@ def test_integer_beyond_the_digit_limit_is_rejected_with_the_limit():
         parse_problem_text(text, source="huge.json")
 
 
+NOT_LISTS = pytest.mark.parametrize(
+    "value", [5, None, {"terms": []}, "terms"], ids=["int", "null", "dict", "string"]
+)
+
+
+@NOT_LISTS
+@pytest.mark.parametrize("field", ["constraints", "candidate_sets"])
+def test_an_optional_list_field_that_is_not_a_list_is_rejected(field, value):
+    doc = dict(PLAIN_DOC, **{field: value})
+    message = rf"^p\.json\.{field}: expected a list$"
+    with pytest.raises(ProblemSemanticError, match=message):
+        parse_problem_text(json.dumps(doc), source="p.json")
+
+
+@pytest.mark.parametrize("where", ["objective", "terms", "values"])
+def test_a_required_list_field_that_is_not_a_list_names_itself(where):
+    doc = json.loads(json.dumps(PLAIN_DOC))
+    if where == "objective":
+        doc["objective"] = 5
+        expected = "p.json.objective"
+    elif where == "terms":
+        doc["constraints"][0]["terms"] = 5
+        expected = "p.json.constraints[0].terms"
+    else:
+        doc["candidate_sets"] = [{"name": "c", "role": "exponent", "values": 5}]
+        expected = "p.json.candidate_sets[0].values"
+    with pytest.raises(ProblemSemanticError) as err:
+        parse_problem_text(json.dumps(doc), source="p.json")
+    assert str(err.value) == f"{expected}: expected a list"
+
+
 def test_public_names_resolve():
     for name in gpchoice.__all__:
         assert hasattr(gpchoice, name), name

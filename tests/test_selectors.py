@@ -483,8 +483,8 @@ def _coefficient_sets(cg):
 
 
 def _expansions(cg):
-    """(exponent values, coefficient log values, standardized GP) for every
-    combination whose coefficients are all positive, in product order."""
+    """(exponent values, values, coefficient log values, standardized GP) for
+    every combination whose coefficients are all positive, in product order."""
     coefficient_sets = _coefficient_sets(cg)
     for combo in itertools.product(*[valid_assignments(cs) for cs in cg.sets]):
         choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
@@ -493,15 +493,13 @@ def _expansions(cg):
             continue
         key = tuple(v for i, v in enumerate(values) if i not in coefficient_sets)
         logs = [math.log(values[i]) for i in coefficient_sets]
-        yield key, logs, standardize(expand(cg, choice))
+        yield key, values, logs, standardize(expand(cg, choice))
 
 
-def _skeleton(term_sets, report, log_values):
-    """The skeleton of a solved expansion, at its optimal weights."""
+def _skeleton(template, values, weights, report):
+    """The skeleton of a solved expansion, at these weights."""
     base = math.log(report.dual.objective_value)
-    return gpchoice.selectors._Skeleton.at(
-        term_sets, report.dual.weights, base, log_values
-    )
+    return template.skeleton(values, weights, base)
 
 
 def _assert_bounds_match_the_dual(cg, all_siblings):
@@ -512,16 +510,17 @@ def _assert_bounds_match_the_dual(cg, all_siblings):
     is the one solve_choice keeps.
     """
     siblings = {}
+    template = gpchoice.selectors._Template.of(cg)
     expansions = list(_expansions(cg))
-    for key, logs, s in expansions:
+    for key, values, _, s in expansions:
         if all_siblings or key not in siblings:
             report = solve(s)
             if report.status is Status.OPTIMAL:
-                term_sets = gpchoice.selectors._term_sets(cg, _coefficient_sets(cg))
-                skeleton = _skeleton(term_sets, report, logs)
-                siblings.setdefault(key, []).append((skeleton, report.dual.weights))
+                weights = report.dual.weights
+                skeleton = _skeleton(template, values, weights, report)
+                siblings.setdefault(key, []).append((skeleton, weights))
     checked = 0
-    for key, logs, s in expansions:
+    for key, _, logs, s in expansions:
         dual = build_dual(s)
         for skeleton, weights in siblings.get(key, []):
             expected, _ = log_dual_objective(dual, weights)
@@ -727,13 +726,15 @@ def product_template(coefficients, exponents):
     return ChoiceGp(("x1", "x2"), objective, (), sets)
 
 
-def test_skeleton_refuses_a_term_map_of_the_wrong_length():
+def test_skeleton_refuses_weights_of_the_wrong_length():
     cg = simple_choice_gp()
     report = solve(standardize(expand(cg, {"c": (1, 0)})))
-    term_sets = gpchoice.selectors._term_sets(cg, [0])
-    assert len(term_sets) == len(report.dual.weights)
+    template = gpchoice.selectors._Template.of(cg)
+    weights = report.dual.weights
+    assert template.dual.term_count == len(weights)
+    _skeleton(template, [1.0], weights, report)
     with pytest.raises(ValueError):
-        _skeleton(term_sets[1:], report, [0.0])
+        _skeleton(template, [1.0], weights[1:], report)
 
 
 def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):

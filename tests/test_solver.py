@@ -53,6 +53,8 @@ from helpers import (
     PROBLEM_DIR,
     example1_problem,
     example2_problem,
+    infeasibility_witness_holds,
+    primal_infeasible_gp,
     random_feasible_gp,
 )
 
@@ -605,6 +607,60 @@ class TestStressRegressions:
             assert _report_fields(result.report) == _report_fields(alone)
             statuses.add(alone.status)
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE, Status.ITERATION_LIMIT}
+
+
+def _infeasible_draw(index: int):
+    return primal_infeasible_gp(np.random.default_rng((7, index)))
+
+
+# draws of primal_infeasible_gp whose dual has no feasible point either: solve
+# reports them INFEASIBLE, as it reports a feasible problem whose infimum is
+# not attained, instead of UNBOUNDED
+_INFEASIBLE_DRAWS = (6, 9, 11, 12, 18, 20, 21, 29, 34, 48, 49, 57, 58)
+
+
+class TestKnownWrongStatuses:
+    """Problems whose true status is known by construction.  Where solve
+    reports another, the test is a strict expected failure until ROADMAP
+    item 1 (primal statuses with certificates) lands."""
+
+    def test_primal_infeasible_draws_carry_a_witness_and_are_never_optimal(self):
+        for index in range(60):
+            g = _infeasible_draw(index)
+            assert infeasibility_witness_holds(g, (0, 0), (1, 1))
+            assert solve(standardize(g)).status is not Status.OPTIMAL
+
+    def test_the_witness_needs_cancelling_exponents_and_a_product_above_one(self):
+        # 2x <= 1 and 0.5/x <= 1 hold at x = 0.5
+        g = make_problem([(1, (1,))], [([(2, (1,))], 1.0), ([(0.5, (-1,))], 1.0)])
+        assert not infeasibility_witness_holds(g, (0, 0), (1, 1))
+        # 2x <= 1 and 3/x^2 <= 1 ask x <= 0.5 and x >= 1.73: the exponents
+        # cancel only with multipliers (2, 1), and negative ones prove nothing
+        g = make_problem([(1, (1,))], [([(2, (1,))], 1.0), ([(3, (-2,))], 1.0)])
+        assert not infeasibility_witness_holds(g, (0, 0), (1, 1))
+        assert infeasibility_witness_holds(g, (0, 0), (2, 1))
+        assert not infeasibility_witness_holds(g, (0, 0), (-2, -1))
+
+    @pytest.mark.parametrize("index", [
+        pytest.param(i, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: the dual is infeasible too, and "
+            "solve reports that as it reports an unattained infimum"))
+        if i in _INFEASIBLE_DRAWS else i
+        for i in range(60)
+    ])
+    def test_primal_infeasible_draw_is_unbounded(self, index):
+        assert solve(standardize(_infeasible_draw(index))).status is Status.UNBOUNDED
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: recover_primal takes "
+                       "the least-squares y = 0 for the free variable")
+    def test_free_variable_is_optimal(self):
+        # min x + 1/x s.t. y + y^2 <= 1: z = 2 at x = 1 and any y <= 0.618
+        s = standardize(make_problem([(1, (1, 0)), (1, (-1, 0))],
+                                     [([(1, (0, 1)), (1, (0, 2))], 1.0)]))
+        report = solve(s)
+        assert report.status is Status.OPTIMAL
+        assert report.objective_value == pytest.approx(2.0, abs=1e-9)
+        assert evaluate(s.constraints[0], report.primal_x) <= 1.0 + 1e-8
 
 
 def _solution_bytes(ds: DualSolution) -> tuple:
