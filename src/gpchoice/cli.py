@@ -1,16 +1,15 @@
 """Command line interface: solve, dual, validate.
 
-Exit codes: 0 solved to optimality (or validation passed), 2 malformed
-problem file, 3 semantic violation, 4 infeasible or unbounded, 5 solver did
-not converge.  Text reports print numbers to 7 significant digits; machine
-reports are a single JSON object and are only ever emitted whole.
+Exit codes: 0 solved to optimality (or validation passed), 2 unreadable or
+malformed problem file, 3 semantic violation, 4 infeasible or unbounded, 5
+solver did not converge.  Text reports print numbers to 7 significant
+digits; machine reports are a single JSON object, only ever emitted whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Sequence
@@ -36,15 +35,14 @@ EXIT_NOT_SOLVED = 4
 EXIT_NO_CONVERGENCE = 5
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for tolerances: a finite number above zero."""
+def _settings(text: str) -> SolverSettings:
+    """argparse type of --tolerance: the solver settings with that tolerance."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
-    return value
+        return SolverSettings(stationarity_tol=float(text))
+    except ValueError:  # not a number, or refused by SolverSettings
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a finite positive number"
+        ) from None
 
 
 def _fmt(value: float) -> str:
@@ -152,6 +150,9 @@ def _load(path: str) -> ChoiceGp | GpProblem | int:
     except FileNotFoundError:
         sys.stderr.write(f"error: no such file: {path}\n")
         return EXIT_SYNTAX
+    except OSError as e:  # a directory, say, or a file without read permission
+        sys.stderr.write(f"error: cannot read {path}: {e.strerror}\n")
+        return EXIT_SYNTAX
     except ProblemSyntaxError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SYNTAX
@@ -165,10 +166,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if isinstance(model, int):
         return model
     cg = as_choice_gp(model)
-    settings = SolverSettings(stationarity_tol=args.tolerance)
     started = time.perf_counter()
     try:
-        result = solve_choice(cg, settings, keep_assignments=args.all_assignments)
+        result = solve_choice(cg, args.settings, keep_assignments=args.all_assignments)
     except GpDomainError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SEMANTIC
@@ -258,10 +258,9 @@ def _cmd_dual(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SEMANTIC
 
-    settings = SolverSettings(stationarity_tol=args.tolerance)
     started = time.perf_counter()
     d = build_dual(standardize(problem))
-    ds = solve_dual(d, settings)
+    ds = solve_dual(d, args.settings)
     timing_ms = (time.perf_counter() - started) * 1e3
 
     doc: dict = {"status": ds.status.value, "z": None, "w": None, "lambda": None}
@@ -296,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     file_p.add_argument("problem", help="path to a problem file")
     solver_p = argparse.ArgumentParser(add_help=False, parents=[file_p])
     solver_p.add_argument(
-        "--tolerance", type=_positive_float,
-        default=SolverSettings().stationarity_tol,
-        help="stationarity tolerance for the dual maximizer",
+        "--tolerance", type=_settings, default=SolverSettings(), dest="settings",
+        metavar="TOLERANCE", help="stationarity tolerance for the dual maximizer",
     )
     solver_p.add_argument(
         "--format", choices=("text", "machine"), default="text",

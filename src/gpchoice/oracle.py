@@ -17,6 +17,8 @@ from .posynomial import GpDomainError, Posynomial, StandardGp
 
 _FEASIBILITY_SLACK = 1e-9
 _MAX_GRID_POINTS = 40_000_000
+# searches on a shrinking box around the incumbent, after the first grid
+_REFINEMENTS = 2
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -44,7 +46,6 @@ def brute_force_oracle(
     s: StandardGp,
     box_log_halfwidth: float,
     grid_points_per_dim: int,
-    refinements: int = 2,
 ) -> OracleResult:
     """Best feasible grid point of a standard-form GP, with grid refinement.
 
@@ -69,7 +70,7 @@ def brute_force_oracle(
     best_y: np.ndarray | None = None
     best_value = np.inf
 
-    for _ in range(refinements + 1):
+    for _ in range(_REFINEMENTS + 1):
         axes = [
             np.clip(
                 np.linspace(center[j] - half, center[j] + half, grid_points_per_dim),

@@ -43,10 +43,6 @@ class GpProblem:
     objective: Posynomial
     constraints: tuple[tuple[Posynomial, float], ...]
 
-    @property
-    def variable_count(self) -> int:
-        return len(self.variable_names)
-
 
 @dataclass(frozen=True)
 class StandardGp:

@@ -194,10 +194,14 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
 
 def parse_problem(path: str | Path) -> ChoiceGp | GpProblem:
     path = Path(path)
-    return parse_problem_text(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ProblemSyntaxError(f"{path}: not UTF-8 text") from None
+    return parse_problem_text(text, source=str(path))
 
 
-def serialize_problem(model: ChoiceGp | GpProblem, name: str | None = None) -> dict:
+def serialize_problem(model: ChoiceGp | GpProblem) -> dict:
     """Document form of a model; parse(serialize(m)) reproduces m."""
     cg = as_choice_gp(model)
     variables = list(cg.variable_names)
@@ -215,10 +219,7 @@ def serialize_problem(model: ChoiceGp | GpProblem, name: str | None = None) -> d
         }
         return {"coefficient": slot_doc(t.coefficient), "exponents": exps}
 
-    doc: dict = {"format": FORMAT_TAG}
-    if name:
-        doc["name"] = name
-    doc["variables"] = variables
+    doc: dict = {"format": FORMAT_TAG, "variables": variables}
     doc["objective"] = [term_doc(t) for t in cg.objective]
     doc["constraints"] = [
         {"terms": [term_doc(t) for t in ts], "bound": b} for ts, b in cg.constraints

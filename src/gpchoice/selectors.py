@@ -67,10 +67,6 @@ class CandidateSet:
     def size(self) -> int:
         return len(self.candidates)
 
-    @property
-    def bit_count(self) -> int:
-        return 2 if self.size <= 4 else 3
-
 
 @dataclass(frozen=True)
 class SetRef:
@@ -311,13 +307,11 @@ class ChoiceSolveReport:
     rejected: int
     assignments: tuple[AssignmentOutcome, ...] | None
 
-    def chosen_value(self, name: str) -> float:
-        assert self.chosen_values is not None
-        return dict(self.chosen_values)[name]
-
 
 # objective values within this relative distance are tied
 _TIE_WINDOW = 1e-9
+# solve_choice refuses a template with more assignment combinations
+_COMBINATION_CAP = 10**6
 # solve() certifies z against the expansion's own dual value D with a gap of
 # at most GAP_TOL, and D is at least any bound B: a log dual value at weights
 # feasible for the expansion's equality system, whether they are a sibling's
@@ -499,7 +493,6 @@ def solve_choice(
     model: ChoiceGp | GpProblem,
     settings: SolverSettings | None = None,
     *,
-    combination_cap: int = 10**6,
     keep_assignments: bool = False,
 ) -> ChoiceSolveReport:
     """Enumerate all admissible bit patterns, solve each expansion, keep the best.
@@ -528,9 +521,9 @@ def solve_choice(
     settings = settings or SolverSettings()
 
     total = math.prod(cs.size for cs in cg.sets)
-    if total > combination_cap:
+    if total > _COMBINATION_CAP:
         raise GpDomainError(
-            f"{total} assignment combinations exceed the cap of {combination_cap}"
+            f"{total} assignment combinations exceed the cap of {_COMBINATION_CAP}"
         )
 
     names = [cs.name for cs in cg.sets]

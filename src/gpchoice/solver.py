@@ -15,13 +15,13 @@ that ends centred hands the next stage a prediction along the central path's
 tangent, cut short of the boundary: a weight that is zero at the optimum sits
 near mu / v on the path, and from the last centre Newton could only about
 halve it per iteration after mu drops.  Predictions are not Newton
-iterations and do not count toward settings.max_iterations.
+iterations and do not count toward _MAX_ITERATIONS.
 A zero weight at the optimum marks an inactive term, so a boundary optimum
 is the interior optimum of a smaller dual: the weights the barrier leaves
 near zero (single weights, and every block of an inactive constraint) are
 dropped, the iterate is projected onto the reduced equalities, the plain
 pass finishes there, and the dropped weights are padded with zeros.  All
-passes of one dual share settings.max_iterations.  When the equality system
+passes of one dual share _MAX_ITERATIONS.  When the equality system
 leaves no freedom (an empty null space, as with degree of difficulty zero)
 its single solution is the answer.
 
@@ -94,6 +94,8 @@ _BOUNDARY_WEIGHT = 1e-12
 _WEIGHT_FLOOR = 1e-150
 # equality systems whose start is kept; the shipped problems have 10 in all
 _START_CACHE_SIZE = 256
+# Newton iterations of one dual, shared by all its passes
+_MAX_ITERATIONS = 10_000
 
 
 class Status(str, enum.Enum):
@@ -110,14 +112,10 @@ class ReconstructionError(RuntimeError):
 @dataclass(frozen=True)
 class SolverSettings:
     stationarity_tol: float = 1e-8
-    max_iterations: int = 10_000
 
     def __post_init__(self):
         if not 0.0 < self.stationarity_tol < np.inf:
             raise GpDomainError("stationarity_tol must be finite and positive")
-        n = self.max_iterations
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n <= 0:
-            raise GpDomainError("max_iterations must be a positive int")
 
 
 @dataclass(frozen=True)
@@ -457,7 +455,7 @@ def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSo
     and the projected-gradient stationarity measure meet the settings,
     INFEASIBLE when the feasible set is empty, UNBOUNDED when the objective
     grows without bound along the feasible set, and ITERATION_LIMIT otherwise,
-    including when the Newton passes together reach settings.max_iterations.
+    including when the Newton passes together reach _MAX_ITERATIONS.
     """
     return _solve_duals(d, d.term_coefficients[None], settings or SolverSettings())[0]
 
@@ -478,7 +476,7 @@ def _solve_duals(
     if nullsp.shape[1] == 0:  # the affine set is the single point start
         return _finish(d, log_c, nullsp, w, settings, [Status.OPTIMAL] * len(w),
                        [0] * len(w))
-    budget, tol = settings.max_iterations, settings.stationarity_tol
+    budget, tol = _MAX_ITERATIONS, settings.stationarity_tol
     out: list[DualSolution | None] = [None] * len(log_c)
     spent = [0] * len(log_c)  # iterations of each dual so far
 

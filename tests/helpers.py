@@ -1,10 +1,11 @@
 """Shared builders and reference values for the test suite."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from gpchoice import GpProblem, make_problem
+from gpchoice import GpProblem, Posynomial, make_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -76,6 +77,15 @@ def random_feasible_gp(rng) -> GpProblem:
     return make_problem(obj, cons)
 
 
+def first_term_split(g: GpProblem) -> GpProblem:
+    """g with its first objective term split into two equal halves: the same
+    problem, so the same status and optimum, written with a duplicate
+    monomial."""
+    first, *rest = g.objective.terms
+    half = replace(first, coefficient=first.coefficient / 2)
+    return replace(g, objective=Posynomial((half, half, *rest)))
+
+
 def primal_infeasible_gp(rng) -> GpProblem:
     """Small random GP that is infeasible by construction.
 
@@ -100,6 +110,27 @@ def primal_infeasible_gp(rng) -> GpProblem:
     if rng.integers(0, 2):
         first.append((coeff(), rng.uniform(-3.0, 3.0, n)))
     return make_problem(obj, [(first, 1.0), ([(c2, -a)], 1.0)])
+
+
+def free_variable_gp(rng) -> GpProblem:
+    """Small random GP over (x, y) whose y is free at the optimum.
+
+    min a*x + b/x subject to sum_k c_k*y0^-e_k*y^e_k <= sum_k c_k / u, with
+    u in [0.3, 0.9] and y0 != 1.  At y = y0 the constraint is sum_k c_k, so
+    y0 is strictly feasible; x appears in the objective only, so the optimum
+    is z = 2*sqrt(a*b) at x = sqrt(b/a), with y anywhere feasible.
+    """
+
+    def coeff():
+        return float(10.0 ** rng.uniform(-1.0, 1.0))
+
+    a, b = coeff(), coeff()
+    y0 = float(np.exp(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)))
+    c = [coeff() for _ in range(int(rng.integers(1, 4)))]
+    e = rng.uniform(-3.0, 3.0, len(c))
+    terms = [(ck * y0 ** -ek, (0.0, ek)) for ck, ek in zip(c, e)]
+    bound = sum(c) / rng.uniform(0.3, 0.9)
+    return make_problem([(a, (1.0, 0.0)), (b, (-1.0, 0.0))], [(terms, bound)])
 
 
 def infeasibility_witness_holds(g: GpProblem, terms, multipliers) -> bool:

@@ -97,6 +97,23 @@ class TestSolveCommand:
         code, out, err = run(capsys, "solve", "no_such_file.json")
         assert code == 2
         assert out == ""
+        assert err == "error: no such file: no_such_file.json\n"
+
+    # a file without read permission raises an OSError as a directory does,
+    # but cannot be tested when the tests run as root, who may read any file
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_file_exits_2_with_one_line(self, capsys, tmp_path, kind):
+        path = tmp_path / "problem.json"
+        if kind == "directory":
+            path.mkdir()
+            expected = f"error: cannot read {path}: "
+        else:
+            path.write_bytes(b"\xff\xfe\x00")
+            expected = f"error: {path}: not UTF-8 text"
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(expected) and err.count("\n") == 1
 
     def test_empty_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -126,6 +143,15 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", str(path))
         assert code == 0
         assert "z: 11.01098" in out
+
+    def test_enumeration_past_the_cap_exits_3(self, capsys, monkeypatch):
+        # example1_case1 has 27 combinations
+        monkeypatch.setattr(gpchoice.selectors, "_COMBINATION_CAP", 26)
+        code, out, err = run(capsys, "solve", EX1_CASE1)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceed the cap of 26" in err
 
     def test_unreachable_tolerance_exits_5_with_residuals(self, capsys, tmp_path):
         doc = json.loads((PROBLEM_DIR / "example1_case1.json").read_text())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gpchoice.oracle
 from gpchoice import (
     GpDomainError,
     NoFeasiblePointError,
@@ -45,10 +46,12 @@ def test_rejects_unsupported_dimension_and_grid():
         brute_force_oracle(s1, -1.0, 10)
 
 
-def test_refinement_tightens_the_estimate():
+def test_refinement_tightens_the_estimate(monkeypatch):
     s = standardize(example1_problem())
-    coarse = brute_force_oracle(s, 5.0, 60, refinements=0)
-    refined = brute_force_oracle(s, 5.0, 60, refinements=2)
+    monkeypatch.setattr(gpchoice.oracle, "_REFINEMENTS", 0)
+    coarse = brute_force_oracle(s, 5.0, 60)
+    monkeypatch.setattr(gpchoice.oracle, "_REFINEMENTS", 2)
+    refined = brute_force_oracle(s, 5.0, 60)
     assert refined.value <= coarse.value
     assert refined.value == pytest.approx(EX1_Z, rel=1e-3)
 

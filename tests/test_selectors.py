@@ -330,10 +330,11 @@ class TestSolveChoice:
         ratio = scaled.report.objective_value / base.report.objective_value
         assert ratio == pytest.approx(5.0, rel=1e-9)
 
-    def test_combination_cap_is_enforced(self):
+    def test_combination_cap_is_enforced(self, monkeypatch):
         cg = parse_problem(PROBLEM_DIR / "example1_case1.json")
+        monkeypatch.setattr(gpchoice.selectors, "_COMBINATION_CAP", 26)
         with pytest.raises(GpDomainError):
-            solve_choice(cg, combination_cap=26)
+            solve_choice(cg)
 
     def test_no_optimal_expansion_is_infeasible(self):
         cg = ChoiceGp(

@@ -1,8 +1,9 @@
 import itertools
+import math
 import subprocess
 import sys
 import threading
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -30,6 +31,7 @@ from gpchoice.selectors import solve_choice
 from gpchoice.solver import (
     _BARRIER_SCHEDULE,
     FEASIBILITY_TOL,
+    GAP_TOL,
     DualSolution,
     ReconstructionError,
     _barrier_eval,
@@ -53,6 +55,8 @@ from helpers import (
     PROBLEM_DIR,
     example1_problem,
     example2_problem,
+    first_term_split,
+    free_variable_gp,
     infeasibility_witness_holds,
     primal_infeasible_gp,
     random_feasible_gp,
@@ -300,12 +304,8 @@ class TestSolverSettings:
         "kwargs",
         [
             {"stationarity_tol": -1.0},
-            {"max_iterations": 0},
             {"stationarity_tol": float("nan")},
             {"stationarity_tol": float("inf")},
-            {"max_iterations": 10.5},
-            {"max_iterations": float("nan")},
-            {"max_iterations": True},  # a bool is an int, but not a count
         ],
     )
     def test_rejects_non_positive_settings(self, kwargs):
@@ -315,19 +315,22 @@ class TestSolverSettings:
     # example 1 takes the fast path; stress problem 3 adds the barrier and a
     # reduced last pass, 23 the support LP, 55 the drop of inactive blocks
     @pytest.mark.parametrize("index", [None, 3, 23, 55])
-    def test_max_iterations_bounds_every_pass_of_a_solve(self, index):
+    def test_max_iterations_bounds_every_pass_of_a_solve(self, monkeypatch, index):
         g = example1_problem() if index is None else _stress_problems()[index]
         d = build_dual(standardize(g))
         full = solve_dual(d)
         assert full.status is Status.OPTIMAL
         n = full.iterations
-        exact = solve_dual(d, SolverSettings(max_iterations=n))
+        monkeypatch.setattr(gpchoice.solver, "_MAX_ITERATIONS", n)
+        exact = solve_dual(d)
         assert _solution_bytes(exact) == _solution_bytes(full)
         for budget in (1, n // 2, n - 1):
-            ds = solve_dual(d, SolverSettings(max_iterations=budget))
+            monkeypatch.setattr(gpchoice.solver, "_MAX_ITERATIONS", budget)
+            ds = solve_dual(d)
             assert ds.status is Status.ITERATION_LIMIT
             assert ds.iterations <= budget
-        short = solve(standardize(g), SolverSettings(max_iterations=1))
+        monkeypatch.setattr(gpchoice.solver, "_MAX_ITERATIONS", 1)
+        short = solve(standardize(g))
         assert short.status is Status.ITERATION_LIMIT
 
     def test_custom_tolerance_is_respected(self):
@@ -619,6 +622,15 @@ def _infeasible_draw(index: int):
 _INFEASIBLE_DRAWS = (6, 9, 11, 12, 18, 20, 21, 29, 34, 48, 49, 57, 58)
 
 
+def _free_variable_draw(index: int):
+    return free_variable_gp(np.random.default_rng((11, index)))
+
+
+# draws of free_variable_gp that solve ends ITERATION_LIMIT: the dual is
+# OPTIMAL at z, but recovery sets y = 1, where the constraint is violated
+_FREE_VARIABLE_STALLS = (0, 6, 8, 11, 17, 24, 28, 29, 34, 36, 44, 46, 47, 53, 57)
+
+
 class TestKnownWrongStatuses:
     """Problems whose true status is known by construction.  Where solve
     reports another, the test is a strict expected failure until ROADMAP
@@ -661,6 +673,39 @@ class TestKnownWrongStatuses:
         assert report.status is Status.OPTIMAL
         assert report.objective_value == pytest.approx(2.0, abs=1e-9)
         assert evaluate(s.constraints[0], report.primal_x) <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("index", [
+        pytest.param(i, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: recover_primal takes the "
+            "least-squares y = 0 for the free variable"))
+        if i in _FREE_VARIABLE_STALLS else i
+        for i in range(60)
+    ])
+    def test_free_variable_draw_is_optimal(self, index):
+        g = _free_variable_draw(index)
+        a, b = (t.coefficient for t in g.objective.terms)
+        report = solve(standardize(g))
+        assert report.status is Status.OPTIMAL
+        assert report.objective_value == pytest.approx(
+            2.0 * math.sqrt(a * b), rel=2.0 * GAP_TOL
+        )
+
+    def test_a_duplicate_monomial_changes_neither_status_nor_optimum(self):
+        rng = np.random.default_rng(12)
+        statuses = Counter()
+        for _ in range(200):
+            g = random_feasible_gp(rng)
+            whole = solve(standardize(g))
+            split = solve(standardize(first_term_split(g)))
+            assert split.status is whole.status
+            if whole.status is Status.OPTIMAL:
+                # each is certified within GAP_TOL of the same dual value
+                assert split.objective_value == pytest.approx(
+                    whole.objective_value, rel=2.0 * GAP_TOL
+                )
+            statuses[whole.status] += 1
+        # the INFEASIBLE ones are feasible with an infimum that is not attained
+        assert statuses == {Status.OPTIMAL: 143, Status.INFEASIBLE: 57}
 
 
 def _solution_bytes(ds: DualSolution) -> tuple:
@@ -995,7 +1040,8 @@ class TestSiblingBatches:
 
     @pytest.mark.parametrize("max_iterations", [10_000, 5])
     def test_rows_end_as_solved_alone(self, monkeypatch, max_iterations):
-        settings = SolverSettings(max_iterations=max_iterations)
+        monkeypatch.setattr(gpchoice.solver, "_MAX_ITERATIONS", max_iterations)
+        settings = SolverSettings()
         reached = dict.fromkeys(self.PATHS.values(), 0)
         batched = [False]
         for name, path in self.PATHS.items():
