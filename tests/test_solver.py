@@ -304,6 +304,7 @@ class TestSolverSettings:
         "kwargs",
         [
             {"stationarity_tol": -1.0},
+            {"stationarity_tol": 0.0},
             {"stationarity_tol": float("nan")},
             {"stationarity_tol": float("inf")},
         ],
