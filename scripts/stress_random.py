@@ -2,11 +2,12 @@
 """Solver robustness sweep on randomly generated feasible GPs.
 
 Generates small problems (feasible by construction at a known interior
-point), solves each through the dual path, and cross-checks a sample of the
-optima against the brute-force grid oracle.  Prints the Newton iterations of
-the reported dual solves and the solve time per iteration, status counts (with
-the indices of the ITERATION_LIMIT problems), the worst duality gap and
-equality residual, and the worst oracle disagreement.
+point), solves each through the dual path, and checks every OPTIMAL report's
+x and dual weights against the optimal claim of gpchoice.certificate, built
+from the problem alone.  Prints the Newton iterations of the reported dual
+solves and the solve time per iteration, status counts (with the indices of
+the ITERATION_LIMIT problems), the worst duality gap and equality residual,
+and how many of the OPTIMAL reports' certificates held.
 
 The last two lines are SHA-256 digests.  The status digest covers every
 problem's index and status alone, so two commits that print the same one
@@ -30,9 +31,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from gpchoice import (  # noqa: E402
-    NoFeasiblePointError,
     Status,
-    brute_force_oracle,
+    optimal_claim,
+    problem_terms,
     solve,
     standardize,
 )
@@ -43,7 +44,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--seed", type=int, default=20260808)
-    parser.add_argument("--oracle-checks", type=int, default=60)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -51,8 +51,7 @@ def main() -> int:
     statuses: dict[str, list[int]] = {}
     worst_gap = 0.0
     worst_residual = 0.0
-    worst_oracle = 0.0
-    oracle_checked = 0
+    certified = 0
     iterations = 0
     solving = 0.0
     digest = hashlib.sha256()
@@ -74,16 +73,9 @@ def main() -> int:
             continue
         worst_gap = max(worst_gap, report.duality_gap)
         worst_residual = max(worst_residual, report.dual.equality_residual)
-        if oracle_checked < args.oracle_checks and s.variable_count <= 3:
-            half = max(2.0, 1.3 * float(np.max(np.abs(np.log(report.primal_x)))))
-            points = 81 if s.variable_count <= 2 else 61
-            try:
-                check = brute_force_oracle(s, half, points)
-            except NoFeasiblePointError:
-                continue
-            rel = abs(check.value - report.objective_value) / report.objective_value
-            worst_oracle = max(worst_oracle, rel)
-            oracle_checked += 1
+        claim = optimal_claim(problem_terms(s), [report.primal_x],
+                              [report.dual.weights])
+        certified += claim.holds[0]
     elapsed = time.perf_counter() - started
 
     print(f"{args.count} problems in {elapsed:.1f}s (seed {args.seed})")
@@ -97,8 +89,8 @@ def main() -> int:
         print(f"  {name:16s} {len(indices)}{listed}")
     print(f"worst duality gap        {worst_gap:.3e}")
     print(f"worst equality residual  {worst_residual:.3e}")
-    print(f"worst oracle difference  {worst_oracle:.3e} "
-          f"({oracle_checked} checks)")
+    optimal = len(statuses.get(Status.OPTIMAL.value, []))
+    print(f"certificates held {certified} of {optimal}")
     print(f"status digest            {status_digest.hexdigest()}")
     print(f"sweep digest             {digest.hexdigest()}")
     return 0

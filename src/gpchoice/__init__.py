@@ -7,6 +7,7 @@ by enumerating binary selector assignments exactly.
 
 from types import ModuleType as _ModuleType
 
+from .certificate import infeasible_claim, optimal_claim, problem_terms
 from .dual import (
     DualProgram,
     block_lambdas,
@@ -15,7 +16,6 @@ from .dual import (
     dual_objective,
     log_dual_objective,
 )
-from .oracle import NoFeasiblePointError, OracleResult, brute_force_oracle
 from .posynomial import (
     GpDomainError,
     GpProblem,

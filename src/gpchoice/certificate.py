@@ -1,0 +1,111 @@
+"""Solver-free certificates of a standard-form GP's status, from its data alone.
+
+Weak duality (Duffin, Peterson and Zener, Geometric Programming, 1967; Boyd
+and Vandenberghe, Convex Optimization, 2004, 5.8): weights w >= 0 meeting
+normality (the objective block sums to one) and orthogonality
+(sum_k w_k a_k = 0) bound every feasible f_0 below by
+v(w) = exp sum_k w_k log(c_k lambda_b(k) / w_k), with lambda_b(k) the weight
+sum of term k's constraint block (1 on the objective) and terms with w_k = 0
+adding nothing.  The theorem of alternatives: multipliers nu >= 0 on the
+constraint terms with sum_k nu_k a_k = 0 give prod_i f_i(x)^lambda_i >=
+exp sum_k nu_k log(c_k lambda_i / nu_k) at every x (weighted AM-GM), so a
+positive sum leaves no x with every f_i(x) <= 1.  Neither check solves a thing.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from .posynomial import StandardGp, _sum_monomials
+
+# an optimal claim holds within these: the relative gap between f_0(x) and
+# v(w), the largest constraint violation f_i(x) - 1, and each normality and
+# orthogonality equation of w
+GAP_TOL = 1e-6
+VIOLATION_TOL = 1e-8
+FEASIBILITY_TOL = 1e-10
+
+# a standard-form GP's terms, objective block first: coefficients (K,) or one
+# row per claim (B, K), exponents (K, n), blocks (K,), i on constraint i
+Terms = namedtuple("Terms", "coefficients exponents blocks")
+# one list entry per claim: f_0(x), the worst violation max(0, max_i f_i(x) - 1),
+# the gap |f_0(x) - v(w)| / f_0(x) and if the claim holds; nan where x is no point
+Optimality = namedtuple("Optimality", "objective violation gap holds")
+
+
+def problem_terms(s: StandardGp) -> Terms:
+    """The Terms of s, read apart from dual.build_dual, so that a test can
+    check a solve against terms the solver did not build."""
+    posynomials = (s.objective, *s.constraints)
+    pairs = [(i, t) for i, p in enumerate(posynomials) for t in p.terms]
+    exponents = np.array([t.exponents for _, t in pairs], dtype=float)
+    return Terms(np.array([t.coefficient for _, t in pairs]),
+                 exponents.reshape(len(pairs), s.variable_count),
+                 np.array([i for i, _ in pairs]))
+
+
+def optimal_claim(t: Terms, x, w) -> Optimality:
+    """Check, row by row, that x (B, n) is optimal with dual weights w (B, K).
+
+    A row holds when its x is finite and positive (and x has n columns), its
+    w is finite and nonnegative and meets normality and orthogonality within
+    FEASIBILITY_TOL, no f_i(x) exceeds 1 by more than VIOLATION_TOL, and
+    f_0(x) is within GAP_TOL of v(w), relative.  Each f_i(x) adds its terms
+    one by one in Python floats, as evaluate does.
+    """
+    w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
+    exponents, blocks = t.exponents, t.blocks
+    starts = [0, *itertools.accumulate(np.bincount(blocks).tolist())]
+    # the dual side, in one pass over the batch
+    lowest = w.min(axis=1).tolist()
+    lam = np.add.reduceat(w, starts[:-1], axis=1)
+    normality = lam[:, 0].tolist()
+    orthogonality = np.abs(w @ exponents).max(axis=1, initial=0.0).tolist()
+    lam[:, 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.log(t.coefficients * lam[:, blocks] / w)
+        dual_value = np.exp(np.add.reduce(w * ratio, axis=1, where=w > 0.0)).tolist()
+    # the primal side, each posynomial at each row's x, when x is a point
+    rows = np.broadcast_to(t.coefficients, w.shape).tolist()
+    positive = []  # one entry per row when x has one point per row
+    if x.shape == (len(w), exponents.shape[1]):
+        positive = ((x > 0.0) & (x < np.inf)).all(axis=1).tolist()
+    powers, nan = exponents.tolist(), math.nan
+    out = [(nan, nan, nan, False)] * len(w)
+    for i, (xs, coefficients, ok) in enumerate(zip(x.tolist(), rows, positive)):
+        if not ok:
+            continue
+        terms = list(zip(coefficients, powers))
+        try:
+            primal, *values = (
+                _sum_monomials(terms[a:b], xs) for a, b in zip(starts, starts[1:])
+            )
+            gap = abs(primal - dual_value[i]) / primal
+        except (OverflowError, ZeroDivisionError):  # beyond the doubles: no claim
+            continue
+        worst = max([0.0, *(value - 1.0 for value in values)])
+        # each test fails on nan; max skips a nan value, so the sum checks it
+        holds = (lowest[i] >= 0.0 and abs(normality[i] - 1.0) <= FEASIBILITY_TOL
+                 and orthogonality[i] <= FEASIBILITY_TOL and gap <= GAP_TOL
+                 and worst <= VIOLATION_TOL and sum(values) < math.inf)
+        out[i] = (primal, worst, gap, holds)
+    return Optimality(*map(list, zip(*out))) if out else Optimality([], [], [], [])
+
+
+def infeasible_claim(t: Terms, nu) -> bool:
+    """True when nu, one multiplier per constraint term in order, proves that
+    no x is feasible: nu >= 0, sum_k nu_k a_k = 0 exactly, and
+    sum_k nu_k log(c_k lambda_i / nu_k) > 0 with lambda_i the sum of nu over
+    constraint i's terms."""
+    nu, on = np.asarray(nu, dtype=float), t.blocks > 0
+    coefficients, exponents, blocks = t.coefficients[on], t.exponents[on], t.blocks[on]
+    if nu.shape != blocks.shape or not (np.isfinite(nu) & (nu >= 0.0)).all():
+        return False
+    if (nu @ exponents).any():
+        return False
+    lam, live = np.bincount(blocks, weights=nu)[blocks], nu > 0.0
+    return bool(nu[live] @ np.log(coefficients[live] * lam[live] / nu[live]) > 0.0)

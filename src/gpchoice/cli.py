@@ -15,7 +15,6 @@ import time
 from typing import Sequence
 
 from .dual import DualProgram, build_dual
-from .oracle import NoFeasiblePointError, brute_force_oracle
 from .posynomial import GpDomainError, GpProblem, standardize
 from .problem_io import ProblemSemanticError, ProblemSyntaxError, parse_problem
 from .selectors import (
@@ -179,38 +178,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         _print_machine(doc)
     else:
         _print_solve_text(doc, result.solved, result.rejected)
-
-    if result.status is Status.OPTIMAL and args.oracle:
-        # keep machine stdout a single JSON document
-        sink = sys.stderr if args.format == "machine" else sys.stdout
-        _append_oracle_check(cg, result, sink)
     return _status_exit(result.status, result.report and result.report.dual)
-
-
-_ORACLE_GRID_BY_DIM = {1: 2001, 2: 201, 3: 81, 4: 41}
-
-
-def _append_oracle_check(cg: ChoiceGp, result: ChoiceSolveReport, sink) -> None:
-    n = len(cg.variable_names)
-    if n > 4:
-        sys.stderr.write("oracle: skipped, more than 4 variables\n")
-        return
-    assert result.chosen_bits is not None and result.report is not None
-    expanded = expand(cg, dict(result.chosen_bits))
-    try:
-        check = brute_force_oracle(
-            standardize(expanded), box_log_halfwidth=6.0,
-            grid_points_per_dim=_ORACLE_GRID_BY_DIM[n],
-        )
-    except NoFeasiblePointError:
-        sink.write("oracle: no feasible grid point\n")
-        return
-    rel = abs(check.value - result.report.objective_value) / max(
-        abs(check.value), 1e-300
-    )
-    sink.write(
-        f"oracle: value {_fmt(check.value)} (relative difference {rel:.2e})\n"
-    )
 
 
 def _parse_assigns(pairs: Sequence[str]) -> dict[str, tuple[int, ...]] | None:
@@ -307,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument(
         "--all-assignments", action="store_true",
         help="include the per-assignment table in the report",
-    )
-    solve_p.add_argument(
-        "--oracle", action="store_true",
-        help="append a brute-force grid check (up to 4 variables)",
     )
     solve_p.set_defaults(func=_cmd_solve)
 

@@ -20,9 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .certificate import FEASIBILITY_TOL, GAP_TOL
 from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
-from .solver import FEASIBILITY_TOL, GAP_TOL, SolverSettings, SolveReport, Status
+from .solver import SolverSettings, SolveReport, Status
 from .solver import _project_onto_equalities, _solve_rows
 
 BitPattern = tuple[int, ...]

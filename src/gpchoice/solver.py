@@ -45,7 +45,9 @@ The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
 active constraint block satisfy term_value = w_it / lambda_i.  Rows of a
 batch with the same such terms share one multi-column least-squares solve;
-solve_dual, recover_primal and solve are each the batch of one.
+solve_dual, recover_primal and solve are each the batch of one.  solve
+reports OPTIMAL only where certificate.optimal_claim holds at the recovered
+x and the dual weights, a check from the problem's terms alone.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ from .dual import (
     block_lambdas,
     build_dual,
 )
-from .posynomial import GpDomainError, StandardGp, _sum_monomials
+from .certificate import FEASIBILITY_TOL, Terms, optimal_claim
+from .certificate import GAP_TOL, VIOLATION_TOL  # noqa: F401 (read from solver too)
+from .posynomial import GpDomainError, StandardGp
 
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
@@ -80,13 +84,6 @@ _LOG_VALUE_UNBOUNDED = 350.0
 # optimum; both are dropped from the program before its last pass
 _INACTIVE_LAMBDA = 1e-6
 _DROPPED_WEIGHT = 1e-8
-# solve() certifies an OPTIMAL result only within these: the relative gap
-# between the recovered primal value and the dual value, and the largest
-# constraint violation f_i(x) - 1 at the recovered x
-GAP_TOL = 1e-6
-VIOLATION_TOL = 1e-8
-# solve_dual reports OPTIMAL only with every equality met within this
-FEASIBILITY_TOL = 1e-10
 # a plain Newton pass ends at a weight this small; recovery ignores its term
 _BOUNDARY_WEIGHT = 1e-12
 # trial weights are floored here, far below _BOUNDARY_WEIGHT, so that rounding
@@ -614,30 +611,31 @@ def _certify(
     recover,
 ) -> list[SolveReport]:
     """Recover x from each optimal dual by recover, which maps its arguments
-    as _recover does, and check the gap and primal feasibility at x."""
-    reports = [SolveReport(ds.status, None, ds, None, None, None) for ds in solutions]
+    as _recover does; a row is OPTIMAL where certificate.optimal_claim holds
+    at x and the dual's weights."""
+    reports = []
+    for ds in solutions:  # an optimal dual's row is ITERATION_LIMIT until certified
+        status = Status.ITERATION_LIMIT if ds.status is Status.OPTIMAL else ds.status
+        reports.append(SolveReport(status, None, ds, None, None, None))
     optimal = [i for i, ds in enumerate(solutions) if ds.status is Status.OPTIMAL]
     if not optimal:
         return reports
     points = recover(d, coefficients[optimal], [solutions[i] for i in optimal])
-    starts = [0, *itertools.accumulate(d.block_sizes)]  # of each posynomial's terms
-    exponents = d.exponent_matrix.tolist()
-    for i, x in zip(optimal, points):
+    found = [(i, x) for i, x in zip(optimal, points)
+             if not isinstance(x, ReconstructionError)]
+    if not found:
+        return reports
+    rows, x = [i for i, _ in found], np.array([x for _, x in found])
+    terms = Terms(coefficients[rows], d.exponent_matrix, d.block_index)
+    check = optimal_claim(terms, x, [solutions[i].weights for i in rows])
+    for i, point, primal, worst, holds in zip(
+        rows, x.tolist(), check.objective, check.violation, check.holds
+    ):  # the reported gap stays against the solver's dual value
         ds = solutions[i]
-        if isinstance(x, ReconstructionError):
-            reports[i] = SolveReport(Status.ITERATION_LIMIT, None, ds, None, None, None)
-            continue
-        xs, terms = x.tolist(), list(zip(coefficients[i].tolist(), exponents))
-        primal, *values = (
-            _sum_monomials(terms[a:b], xs) for a, b in zip(starts, starts[1:])
-        )  # as evaluate adds each posynomial at x
         gap = abs(primal - ds.objective_value) / primal
-        worst = max([0.0, *(value - 1.0 for value in values)])
-        status = Status.OPTIMAL
-        if gap > GAP_TOL or worst > VIOLATION_TOL:
-            status = Status.ITERATION_LIMIT
         kkt = KktResiduals(ds.equality_residual, ds.stationarity, worst)
-        reports[i] = SolveReport(status, tuple(xs), ds, primal, gap, kkt)
+        status = Status.OPTIMAL if holds else Status.ITERATION_LIMIT
+        reports[i] = SolveReport(status, tuple(point), ds, primal, gap, kkt)
     return reports
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gpchoice import GpProblem, Posynomial, make_problem
+from gpchoice import GpProblem, Posynomial, StandardGp, make_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -91,7 +91,7 @@ def primal_infeasible_gp(rng) -> GpProblem:
 
     Its constraints are c1*x^a <= 1, half the time with one more term, and
     c2*x^-a <= 1 with c1*c2 > 1: multiplied together the two chosen terms
-    give c1*c2 <= 1.  infeasibility_witness_holds checks this with
+    give c1*c2 <= 1.  certificate.infeasible_claim checks this with
     multipliers (1, 1) on term 0 of each constraint.  The objective is
     random, as in random_feasible_gp.
     """
@@ -133,17 +133,28 @@ def free_variable_gp(rng) -> GpProblem:
     return make_problem([(a, (1.0, 0.0)), (b, (-1.0, 0.0))], [(terms, bound)])
 
 
-def infeasibility_witness_holds(g: GpProblem, terms, multipliers) -> bool:
-    """True when the multipliers prove g has no feasible point, solver-free.
+def first_term_multipliers(s: StandardGp, multipliers) -> list[float]:
+    """Multipliers on the constraint terms of s, in order: multipliers[i] on
+    the first term of constraint i and 0 on the others."""
+    nu = []
+    for posy, mu in zip(s.constraints, multipliers, strict=True):
+        nu += [float(mu)] + [0.0] * (posy.term_count - 1)
+    return nu
 
-    Take one term c_i*x^a_i of each constraint, with bound b_i, and
-    multipliers mu_i >= 0.  Each term is at most its posynomial, so
-    (c_i/b_i)*x^a_i <= 1 at any feasible x, and so is their product
-    raised to mu_i.  If sum mu_i*a_i = 0 and sum mu_i*log(c_i/b_i) > 0 that
-    product is a constant above 1: no x is feasible.
+
+def gate_sizing_chain(rng, n: int) -> GpProblem:
+    """Simplified gate-sizing chain (Boyd, Kim, Vandenberghe and Hassibi, A
+    tutorial on geometric programming, 2007, section 6) over x_1..x_n.
+
+    min sum_i a_i*x_{i+1}/x_i + b/x_n + x_1 subject to sum_i c_i*x_i <= 3n
+    and 1/x_i <= 1, with a_i, c_i in [0.5, 2] and b in [5, 20].  x = 1 is
+    strictly feasible, as sum_i c_i <= 2n.
     """
-    mu = np.asarray(multipliers, dtype=float)
-    chosen = [posy.terms[t] for (posy, _), t in zip(g.constraints, terms, strict=True)]
-    exponents = np.array([m.exponents for m in chosen])
-    log_c = np.log([m.coefficient / b for m, (_, b) in zip(chosen, g.constraints)])
-    return bool((mu >= 0.0).all() and not (mu @ exponents).any() and mu @ log_c > 0.0)
+    eye = np.eye(n)
+    a, c = rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n)
+    b = float(rng.uniform(5.0, 20.0))
+    objective = [(float(ai), eye[i + 1] - eye[i]) for i, ai in enumerate(a)]
+    objective += [(b, -eye[-1]), (1.0, eye[0])]
+    constraints = [([(float(ci), eye[i]) for i, ci in enumerate(c)], 3.0 * n)]
+    constraints += [([(1.0, -eye[i])], 1.0) for i in range(n)]
+    return make_problem(objective, constraints)

@@ -22,11 +22,12 @@ from gpchoice import (
     CandidateSet,
     Role,
     Status,
-    brute_force_oracle,
     build_dual,
     case_constraint_violations,
     log_dual_objective,
+    optimal_claim,
     parse_problem,
+    problem_terms,
     selector_polynomial,
     solve,
     solve_choice,
@@ -34,7 +35,6 @@ from gpchoice import (
     standardize,
     valid_assignments,
 )
-from gpchoice.oracle import NoFeasiblePointError
 from helpers import (
     EX1_W,
     EX1_X,
@@ -174,13 +174,19 @@ def test_criterion_4_duality_gap_on_random_feasible_problems():
     )
 
 
-def test_criterion_5_oracle_equivalence():
+def test_criterion_5_certificates_hold():
+    # each report's x and dual weights must pass the optimal claim built from
+    # the problem alone: x feasible within 1e-8 and z within 1e-6 of the dual
+    # value that bounds every feasible point from below
     failures = []
+
+    def certified(s, rep):
+        claim = optimal_claim(problem_terms(s), [rep.primal_x], [rep.dual.weights])
+        return rep.status is Status.OPTIMAL and bool(claim.holds[0])
+
     s1 = standardize(example1_problem())
-    rep1 = solve(s1)
-    check = brute_force_oracle(s1, box_log_halfwidth=5.0, grid_points_per_dim=200)
-    if abs(check.value - rep1.objective_value) > 1e-2 * rep1.objective_value:
-        failures.append(f"example 1: oracle {check.value}")
+    if not certified(s1, solve(s1)):
+        failures.append("example 1")
 
     rng = np.random.default_rng(2718)
     checked = 0
@@ -191,20 +197,11 @@ def test_criterion_5_oracle_equivalence():
         rep = solve(s)
         if rep.status is not Status.OPTIMAL:
             continue
-        half = max(2.0, 1.3 * float(np.max(np.abs(np.log(rep.primal_x)))))
-        points = 81 if s.variable_count <= 2 else 61
-        try:
-            oracle = brute_force_oracle(s, half, points)
-        except NoFeasiblePointError:
-            failures.append(f"random {checked}: no feasible grid point")
-            checked += 1
-            continue
-        rel = abs(oracle.value - rep.objective_value) / rep.objective_value
-        if rel > 1e-2:
-            failures.append(f"random {checked}: relative difference {rel:.2e}")
+        if not certified(s, rep):
+            failures.append(f"random {checked}")
         checked += 1
     report(5, not failures,
-           "; ".join(failures) or "example 1 + 20 random problems within 1e-2")
+           "; ".join(failures) or "example 1 + 20 random problems certified")
 
 
 def test_criterion_6_selector_bijection_and_exclusions():

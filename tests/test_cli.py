@@ -72,11 +72,6 @@ class TestSolveCommand:
         doc = machine_doc(out)
         assert len(doc["assignments"]) == 27
 
-    def test_oracle_flag_appends_check(self, capsys):
-        code, out, _ = run(capsys, "solve", EX1_CASE1, "--oracle")
-        assert code == 0
-        assert "oracle:" in out
-
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(capsys, "solve", EX1_CASE1, "--tolerance", "1e-6")
         assert code == 0

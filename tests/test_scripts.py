@@ -29,7 +29,7 @@ EXPECTED = {
     "script, args",
     [
         ("run_paper_examples.py", []),
-        ("stress_random.py", ["--count", "20", "--oracle-checks", "2"]),
+        ("stress_random.py", ["--count", "20"]),
     ],
 )
 def test_script_runs_without_pythonpath(script, args):

@@ -19,7 +19,10 @@ from gpchoice import (
     Status,
     build_dual,
     evaluate,
+    infeasible_claim,
     make_problem,
+    optimal_claim,
+    problem_terms,
     recover_primal,
     solve,
     solve_dual,
@@ -55,9 +58,10 @@ from helpers import (
     PROBLEM_DIR,
     example1_problem,
     example2_problem,
+    first_term_multipliers,
     first_term_split,
     free_variable_gp,
-    infeasibility_witness_holds,
+    gate_sizing_chain,
     primal_infeasible_gp,
     random_feasible_gp,
 )
@@ -598,6 +602,30 @@ class TestStressRegressions:
         assert report.status is Status.ITERATION_LIMIT
         assert report.primal_x is None
 
+    def test_optimal_exactly_when_the_certificate_holds(self):
+        # the claim is built from the problem, not from its dual program; the
+        # free-variable draws that stall end with an x that violates their
+        # constraint, so they are the reports with x that are not OPTIMAL
+        indices = sorted({*range(200), 791, 1522, *self.LP_STARTS})
+        problems = [_stress_problems()[i] for i in indices]
+        problems += [_free_variable_draw(i) for i in range(60)]
+        with_x = Counter()
+        for g in problems:
+            s = standardize(g)
+            report = solve(s)
+            if report.primal_x is None:
+                assert report.status is not Status.OPTIMAL
+                continue
+            claim = optimal_claim(problem_terms(s), [report.primal_x],
+                                  [report.dual.weights])
+            assert claim.holds[0] is (report.status is Status.OPTIMAL)
+            assert claim.objective[0] == report.objective_value
+            assert claim.violation[0] == report.kkt_residuals.primal_feasibility
+            with_x[report.status] += 1
+        # 176 of the stress problems and 45 of the free-variable draws
+        assert with_x == {Status.OPTIMAL: 176 + 45,
+                          Status.ITERATION_LIMIT: len(_FREE_VARIABLE_STALLS)}
+
     def test_choice_of_a_plain_problem_is_its_solve(self):
         # solve_choice fills its one expansion from the compiled template and
         # solves it as a batch of one: every field as solve, NaN included
@@ -639,20 +667,10 @@ class TestKnownWrongStatuses:
 
     def test_primal_infeasible_draws_carry_a_witness_and_are_never_optimal(self):
         for index in range(60):
-            g = _infeasible_draw(index)
-            assert infeasibility_witness_holds(g, (0, 0), (1, 1))
-            assert solve(standardize(g)).status is not Status.OPTIMAL
-
-    def test_the_witness_needs_cancelling_exponents_and_a_product_above_one(self):
-        # 2x <= 1 and 0.5/x <= 1 hold at x = 0.5
-        g = make_problem([(1, (1,))], [([(2, (1,))], 1.0), ([(0.5, (-1,))], 1.0)])
-        assert not infeasibility_witness_holds(g, (0, 0), (1, 1))
-        # 2x <= 1 and 3/x^2 <= 1 ask x <= 0.5 and x >= 1.73: the exponents
-        # cancel only with multipliers (2, 1), and negative ones prove nothing
-        g = make_problem([(1, (1,))], [([(2, (1,))], 1.0), ([(3, (-2,))], 1.0)])
-        assert not infeasibility_witness_holds(g, (0, 0), (1, 1))
-        assert infeasibility_witness_holds(g, (0, 0), (2, 1))
-        assert not infeasibility_witness_holds(g, (0, 0), (-2, -1))
+            s = standardize(_infeasible_draw(index))
+            nu = first_term_multipliers(s, (1, 1))
+            assert infeasible_claim(problem_terms(s), nu)
+            assert solve(s).status is not Status.OPTIMAL
 
     @pytest.mark.parametrize("index", [
         pytest.param(i, marks=pytest.mark.xfail(
@@ -707,6 +725,21 @@ class TestKnownWrongStatuses:
             statuses[whole.status] += 1
         # the INFEASIBLE ones are feasible with an infimum that is not attained
         assert statuses == {Status.OPTIMAL: 143, Status.INFEASIBLE: 57}
+
+
+class TestGateSizingChains:
+    """ROADMAP item 10's chain: n variables and 3n + 1 terms in n + 2
+    blocks, larger than any other problem tested."""
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chain_is_certified_optimal(self, n, seed):
+        s = standardize(gate_sizing_chain(np.random.default_rng((17, n, seed)), n))
+        report = solve(s)
+        assert report.status is Status.OPTIMAL
+        claim = optimal_claim(problem_terms(s), [report.primal_x],
+                              [report.dual.weights])
+        assert claim.holds[0]
 
 
 def _solution_bytes(ds: DualSolution) -> tuple:
