@@ -60,7 +60,6 @@ from .solver import (
     KktResiduals,
     ReconstructionError,
     SolveReport,
-    SolverSettings,
     Status,
     recover_primal,
     solve,

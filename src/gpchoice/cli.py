@@ -1,9 +1,11 @@
 """Command line interface: solve, dual, validate.
 
 Exit codes: 0 solved to optimality (or validation passed), 2 unreadable or
-malformed problem file, 3 semantic violation, 4 infeasible or unbounded, 5
-solver did not converge.  Text reports print numbers to 7 significant
-digits; machine reports are a single JSON object, only ever emitted whole.
+malformed problem file or a usage error, 3 semantic violation, 4 infeasible
+or unbounded, 5 solver did not converge (or a stalled expansion may beat the
+winner).  The solver takes no options: its tolerances are constants.  Text
+reports print numbers to 7 significant digits; machine reports are a single
+JSON object, only ever emitted whole.
 """
 
 from __future__ import annotations
@@ -25,23 +27,13 @@ from .selectors import (
     expand,
     solve_choice,
 )
-from .solver import DualSolution, SolverSettings, Status, solve_dual
+from .solver import DualSolution, Status, solve_dual
 
 EXIT_OK = 0
 EXIT_SYNTAX = 2
 EXIT_SEMANTIC = 3
 EXIT_NOT_SOLVED = 4
 EXIT_NO_CONVERGENCE = 5
-
-
-def _settings(text: str) -> SolverSettings:
-    """argparse type of --tolerance: the solver settings with that tolerance."""
-    try:
-        return SolverSettings(stationarity_tol=float(text))
-    except ValueError:  # not a number, or refused by SolverSettings
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a finite positive number"
-        ) from None
 
 
 def _fmt(value: float) -> str:
@@ -167,7 +159,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cg = as_choice_gp(model)
     started = time.perf_counter()
     try:
-        result = solve_choice(cg, args.settings, keep_assignments=args.all_assignments)
+        result = solve_choice(cg, keep_assignments=args.all_assignments)
     except GpDomainError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SEMANTIC
@@ -228,7 +220,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     d = build_dual(standardize(problem))
-    ds = solve_dual(d, args.settings)
+    ds = solve_dual(d)
     timing_ms = (time.perf_counter() - started) * 1e3
 
     doc: dict = {"status": ds.status.value, "z": None, "w": None, "lambda": None}
@@ -262,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     file_p = argparse.ArgumentParser(add_help=False)
     file_p.add_argument("problem", help="path to a problem file")
     solver_p = argparse.ArgumentParser(add_help=False, parents=[file_p])
-    solver_p.add_argument(
-        "--tolerance", type=_settings, default=SolverSettings(), dest="settings",
-        metavar="TOLERANCE", help="stationarity tolerance for the dual maximizer",
-    )
     solver_p.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="report format",

@@ -216,19 +216,6 @@ def _log_dual_objective(
     return value, grad, logw, lam
 
 
-def log_dual_hessian(d: DualProgram, w) -> np.ndarray:
-    """Hessian of log_dual_objective at a strictly positive weight vector."""
-    w = _check_weights(d, w)
-    if np.any(w == 0.0):
-        raise GpDomainError("hessian requires strictly positive weights")
-    return _log_dual_hessian(d, w)
-
-
-def _log_dual_hessian(d: DualProgram, w: np.ndarray) -> np.ndarray:
-    """log_dual_hessian on a strictly positive weight vector of the right shape."""
-    return _reduced_hessian(np.eye(w.size), d._layout.member, _block_sums(d, w), w)
-
-
 def _reduced_hessian(
     basis: np.ndarray,
     basis_sums: np.ndarray,

@@ -23,7 +23,7 @@ import numpy as np
 from .certificate import FEASIBILITY_TOL, GAP_TOL
 from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
-from .solver import SolverSettings, SolveReport, Status
+from .solver import SolveReport, Status
 from .solver import _project_onto_equalities, _solve_rows
 
 BitPattern = tuple[int, ...]
@@ -491,19 +491,21 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
 
 
 def solve_choice(
-    model: ChoiceGp | GpProblem,
-    settings: SolverSettings | None = None,
-    *,
-    keep_assignments: bool = False,
+    model: ChoiceGp | GpProblem, *, keep_assignments: bool = False
 ) -> ChoiceSolveReport:
     """Enumerate all admissible bit patterns, solve each expansion, keep the best.
 
     The winner is the minimum-objective optimal expansion; objective values
     within 1e-9 relative are tied and resolved toward the lexicographically
     smallest concatenated bit string.  Expansions whose selected coefficients
-    are non-positive are rejected and counted.  Overall status is INFEASIBLE
-    when no expansion solves to optimality.  A plain problem is a template
-    with no sets (as_choice_gp): its one expansion is solved as solve does.
+    are non-positive are rejected and counted.  An expansion that ends
+    ITERATION_LIMIT blocks the winner unless its dual value, a lower bound on
+    its optimum, exceeds the winner's z beyond the tie window; then the
+    status is ITERATION_LIMIT, with no choice and the report of the blocking
+    expansion with the lowest dual value (then the smallest bit string).
+    With no optimal expansion the status is the one every solved expansion
+    shares, else INFEASIBLE.  A plain problem is a template with no sets
+    (as_choice_gp): its one expansion is solved and reported as solve does.
 
     Pattern i selects candidate i, so the values come from a table built
     once.  The template's dual is compiled once (_Template); every
@@ -519,7 +521,6 @@ def solve_choice(
     problems = validate_choice_gp(cg)
     if problems:
         raise GpDomainError("invalid template: " + "; ".join(problems))
-    settings = settings or SolverSettings()
 
     total = math.prod(cs.size for cs in cg.sets)
     if total > _COMBINATION_CAP:
@@ -567,7 +568,7 @@ def solve_choice(
         for batch in systems.values():
             rows = np.array(list(batch))
             coefficients = template.coefficients(rows)
-            reports = _solve_rows(template.at(rows[0]), coefficients, settings)
+            reports = _solve_rows(template.at(rows[0]), coefficients)
             for (values, combo), report in zip(batch.items(), reports):
                 row = AssignmentOutcome(bits_of(combo), values, report.status.value,
                                         report.objective_value)
@@ -585,6 +586,9 @@ def solve_choice(
         _search(cg, table, coefficient_sets, template, evaluate)
         rows = [first for first, _ in cache.values()]
 
+    def bit_str(row: AssignmentOutcome) -> str:
+        return "".join(str(b) for bits in row.bits for b in bits)
+
     best: tuple[float, str, AssignmentOutcome] | None = None
     for row in rows:
         z = row.objective_value
@@ -593,18 +597,29 @@ def solve_choice(
         tied = best and abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
         if best and not tied and not z < best[0]:
             continue
-        bit_str = "".join(str(b) for bits in row.bits for b in bits)
-        if not best or not tied or bit_str < best[1]:
-            best = (z, bit_str, row)
+        if not best or not tied or bit_str(row) < best[1]:
+            best = (z, bit_str(row), row)
 
+    # a stalled expansion's dual value bounds its optimum from below (weak
+    # duality); unless it clears the winner beyond the tie window, that
+    # expansion may win, and the verdict is ITERATION_LIMIT
+    ceiling = best[0] / (1.0 - _TIE_WINDOW) if best else math.inf
+    blocking = [
+        (cache[row.values][1].dual.objective_value, bit_str(row), row.values)
+        for row in rows if row.status == Status.ITERATION_LIMIT.value
+    ]
+    blocking = [b for b in blocking if not b[0] > ceiling]
     kept, rejected = tuple(rows) if keep_assignments else None, total - solved
-    if best is None:
-        # a single combination behaves exactly like a plain solve
-        report = cache[rows[0].values][1] if total == 1 and rows else None
-        status = Status.INFEASIBLE if report is None else report.status
-        return ChoiceSolveReport(status, report, None, None, solved, rejected, kept)
-    row = best[2]
-    return ChoiceSolveReport(
-        Status.OPTIMAL, cache[row.values][1], tuple(zip(names, row.bits)),
-        tuple(zip(names, row.values)), solved, rejected, kept,
-    )
+    chosen = None, None
+    if blocking:
+        status, report = Status.ITERATION_LIMIT, cache[min(blocking)[2]][1]
+    elif best:
+        status, row = Status.OPTIMAL, best[2]
+        report = cache[row.values][1]
+        chosen = tuple(zip(names, row.bits)), tuple(zip(names, row.values))
+    else:  # every solved expansion is INFEASIBLE or UNBOUNDED
+        reports = [report for _, report in cache.values() if report is not None]
+        statuses = {report.status for report in reports}
+        status = statuses.pop() if len(statuses) == 1 else Status.INFEASIBLE
+        report = reports[0] if len(reports) == 1 else None  # as a plain solve
+    return ChoiceSolveReport(status, report, *chosen, solved, rejected, kept)

@@ -74,7 +74,7 @@ from .dual import (
 )
 from .certificate import FEASIBILITY_TOL, Terms, optimal_claim
 from .certificate import GAP_TOL, VIOLATION_TOL  # noqa: F401 (read from solver too)
-from .posynomial import GpDomainError, StandardGp
+from .posynomial import StandardGp
 
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
@@ -93,6 +93,8 @@ _WEIGHT_FLOOR = 1e-150
 _START_CACHE_SIZE = 256
 # Newton iterations of one dual, shared by all its passes
 _MAX_ITERATIONS = 10_000
+# largest projected gradient entry at which a dual is stationary
+_STATIONARITY_TOL = 1e-8
 
 
 class Status(str, enum.Enum):
@@ -104,15 +106,6 @@ class Status(str, enum.Enum):
 
 class ReconstructionError(RuntimeError):
     """Primal recovery system is inconsistent beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    stationarity_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.stationarity_tol < np.inf:
-            raise GpDomainError("stationarity_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -303,17 +296,18 @@ def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolutio
 
 def _finish(
     d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, w: np.ndarray,
-    settings: SolverSettings, status: list[Status], iterations: list[int],
+    tol: float, status: list[Status], iterations: list[int],
 ) -> list[DualSolution]:
     """The DualSolution of each row of w (B, K), with its row of log_c; an
-    OPTIMAL row that misses a tolerance ends ITERATION_LIMIT."""
+    OPTIMAL row that misses FEASIBILITY_TOL or stationarity tol ends
+    ITERATION_LIMIT."""
     residual = np.abs(np.matvec(d.equality_matrix, w) - d.equality_rhs).max(axis=1)
     value, grad = _log_dual_objective(d, _check_weights(d, w, len(w)), log_c)[:2]
     # at a maximizer inside the program the gradient vanishes on its null space
     stationarity = _projected_norm(nullsp, grad)
     rows = zip(status, w.copy(), block_lambdas(d, w), np.exp(value).tolist(),
                residual.tolist(), stationarity.tolist(), iterations)
-    out, tol = [], settings.stationarity_tol
+    out = []
     for st, weights, lambdas, z, res, stat, n in rows:
         if st is Status.OPTIMAL and (res > FEASIBILITY_TOL or stat > tol):
             st = Status.ITERATION_LIMIT
@@ -445,35 +439,37 @@ def _tangent_prediction(
     return w + _boundary_fraction(w, dw)[:, None] * dw
 
 
-def solve_dual(d: DualProgram, settings: SolverSettings | None = None) -> DualSolution:
+def solve_dual(d: DualProgram) -> DualSolution:
     """Maximize the log dual objective over {A w = e1, w >= 0}.
 
     Returns a DualSolution whose status is OPTIMAL when the equality residual
-    and the projected-gradient stationarity measure meet the settings,
-    INFEASIBLE when the feasible set is empty, UNBOUNDED when the objective
-    grows without bound along the feasible set, and ITERATION_LIMIT otherwise,
-    including when the Newton passes together reach _MAX_ITERATIONS.
+    is at most FEASIBILITY_TOL and the projected-gradient stationarity measure
+    at most _STATIONARITY_TOL, INFEASIBLE when the feasible set is empty,
+    UNBOUNDED when the objective grows without bound along the feasible set,
+    and ITERATION_LIMIT otherwise, including when the Newton passes together
+    reach _MAX_ITERATIONS.
     """
-    return _solve_duals(d, d.term_coefficients[None], settings or SolverSettings())[0]
+    return _solve_duals(d, d.term_coefficients[None], _STATIONARITY_TOL)[0]
 
 
 def _solve_duals(
-    d: DualProgram, coefficients: np.ndarray, settings: SolverSettings
+    d: DualProgram, coefficients: np.ndarray, tol: float
 ) -> list[DualSolution]:
-    """solve_dual of d at each row of coefficients (B, K), as one batch: duals
-    of d's equality system that differ only in their terms' coefficients."""
+    """solve_dual of d at each row of coefficients (B, K), as one batch, to
+    stationarity tol: duals of d's equality system that differ only in their
+    terms' coefficients."""
     start, nullsp, support = _dual_start(d)
     if support is not None:
-        inner = _reduced_program(d, support), coefficients[:, support], settings
+        inner = _reduced_program(d, support), coefficients[:, support], tol
         return _pad(d, support, _solve_duals(*inner))
     if start is None:
         return [_failure(d, Status.INFEASIBLE) for _ in coefficients]
     log_c = np.log(coefficients)
     w = start[None].repeat(len(log_c), axis=0)
     if nullsp.shape[1] == 0:  # the affine set is the single point start
-        return _finish(d, log_c, nullsp, w, settings, [Status.OPTIMAL] * len(w),
+        return _finish(d, log_c, nullsp, w, tol, [Status.OPTIMAL] * len(w),
                        [0] * len(w))
-    budget, tol = _MAX_ITERATIONS, settings.stationarity_tol
+    budget = _MAX_ITERATIONS
     out: list[DualSolution | None] = [None] * len(log_c)
     spent = [0] * len(log_c)  # iterations of each dual so far
 
@@ -497,7 +493,7 @@ def _solve_duals(
         """_finish these rows of a last pass over program, d's kept weights."""
         if not rows:
             return
-        ends = _finish(program, log_c[rows][:, keep], nullsp, w, settings, status,
+        ends = _finish(program, log_c[rows][:, keep], nullsp, w, tol, status,
                        [spent[j] for j in rows])
         for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
             out[j] = ds
@@ -641,21 +637,20 @@ def _certify(
 
 def _certified(
     d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution],
-    settings: SolverSettings, recover,
+    recover,
 ) -> list[SolveReport]:
     """_certify each row of coefficients at its dual solution.  An optimum that
-    just meets stationarity_tol can miss the certificate by a hair; it is
-    re-solved once at stationarity_tol / 100, kept if certified, and counted
+    just meets _STATIONARITY_TOL can miss the certificate by a hair; it is
+    re-solved once at _STATIONARITY_TOL / 100, kept if certified, and counted
     in full."""
     reports = _certify(d, coefficients, solutions, recover)
     for i, report in enumerate(reports):
         if report.status is Status.ITERATION_LIMIT and report.primal_x is not None:
-            tight = replace(settings, stationarity_tol=settings.stationarity_tol / 100)
-            row = replace(d, term_coefficients=coefficients[i])
-            ds = solve_dual(row, tight)
+            row = coefficients[i:i + 1]
+            [ds] = _solve_duals(d, row, _STATIONARITY_TOL / 100)
             iterations = report.dual.iterations + ds.iterations
             ds = replace(ds, iterations=iterations)
-            retry = _certify(row, coefficients[i:i + 1], [ds], recover)[0]
+            retry = _certify(d, row, [ds], recover)[0]
             if retry.status is not Status.OPTIMAL:
                 ds = replace(report.dual, iterations=iterations)
                 retry = replace(report, dual=ds)
@@ -663,11 +658,10 @@ def _certified(
     return reports
 
 
-def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
+def solve(s: StandardGp) -> SolveReport:
     """Full dual-based solve: build dual, maximize, recover, check the gap."""
-    settings = settings or SolverSettings()
     d = build_dual(s)
-    ds = solve_dual(d, settings)
+    ds = solve_dual(d)
 
     def recover(_d, _coefficients, solutions):  # the batch of one, by name
         try:
@@ -675,12 +669,10 @@ def solve(s: StandardGp, settings: SolverSettings | None = None) -> SolveReport:
         except ReconstructionError as e:
             return [e]
 
-    return _certified(d, d.term_coefficients[None], [ds], settings, recover)[0]
+    return _certified(d, d.term_coefficients[None], [ds], recover)[0]
 
 
-def _solve_rows(
-    d: DualProgram, coefficients: np.ndarray, settings: SolverSettings
-) -> list[SolveReport]:
+def _solve_rows(d: DualProgram, coefficients: np.ndarray) -> list[SolveReport]:
     """solve of d's problem at each row of coefficients (B, K), as one batch."""
-    solutions = _solve_duals(d, coefficients, settings)
-    return _certified(d, coefficients, solutions, settings, _recover)
+    solutions = _solve_duals(d, coefficients, _STATIONARITY_TOL)
+    return _certified(d, coefficients, solutions, _recover)

@@ -5,7 +5,21 @@ from pathlib import Path
 
 import numpy as np
 
-from gpchoice import GpProblem, Posynomial, StandardGp, make_problem
+from gpchoice import (
+    CandidateSet,
+    ChoiceGp,
+    GpProblem,
+    Posynomial,
+    Role,
+    SetRef,
+    StandardGp,
+    Status,
+    TermTemplate,
+    expand,
+    make_problem,
+    parse_problem,
+    solve_choice,
+)
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -158,3 +172,57 @@ def gate_sizing_chain(rng, n: int) -> GpProblem:
     constraints = [([(float(ci), eye[i]) for i, ci in enumerate(c)], 3.0 * n)]
     constraints += [([(1.0, -eye[i])], 1.0) for i in range(n)]
     return make_problem(objective, constraints)
+
+
+def stalled_choice_gp(kind: str) -> ChoiceGp:
+    """A template over (x, y) subject to y + y^2 <= 1.  An expansion whose
+    objective leaves y out ends ITERATION_LIMIT, as the free-variable
+    problem does (ROADMAP item 1), at a dual value that bounds its optimum:
+
+    - "wrong winner": min x + 1/x + y^q, q in {0, -1}.  q = 0 stalls at
+      dual value 3, below the optimum 2 + (1 + sqrt 5) / 2 of q = -1.
+    - "wrong infeasible": min c*x + 1/x, c in {1, 4}.  Both stall, at dual
+      values 2 and 4.
+    - "excluded": min x + 1/x + y^q + 10*x^q, q in {0, -1}.  q = 0 stalls at
+      dual value 13, above the optimum 2 sqrt 11 + (1 + sqrt 5) / 2 of
+      q = -1.
+    """
+    x, over_x = TermTemplate(1.0, (1.0, 0.0)), TermTemplate(1.0, (-1.0, 0.0))
+    y_q = TermTemplate(1.0, (0.0, SetRef("q")))
+    q = CandidateSet("q", Role.EXPONENT, (0.0, -1.0))
+    objective, sets = {
+        "wrong winner": ((x, over_x, y_q), (q,)),
+        "wrong infeasible": (
+            (TermTemplate(SetRef("c"), (1.0, 0.0)), over_x),
+            (CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1.0, 4.0)),),
+        ),
+        "excluded": ((x, over_x, y_q, TermTemplate(10.0, (SetRef("q"), 0.0))), (q,)),
+    }[kind]
+    y_terms = (TermTemplate(1.0, (0.0, 1.0)), TermTemplate(1.0, (0.0, 2.0)))
+    return ChoiceGp(("x", "y"), objective, ((y_terms, 1.0),), sets)
+
+
+def degenerate_minimax_gp(fixture: str) -> GpProblem:
+    """The worst case over a fixture's optimal expansions (ROADMAP item 10).
+
+    For every OPTIMAL keep-all row v of the fixture, with optimum z*(v),
+    min t subject to f_0(x; v) / (z*(v) t) <= 1, and each distinct constraint
+    of those expansions.  t* is about 1, and many blocks are active at once
+    with small lambda: a degenerate dual.
+    """
+    cg = parse_problem(PROBLEM_DIR / f"{fixture}.json")
+    names = [cs.name for cs in cg.sets]
+    constraints = {}  # (terms, bound): None, in first-seen order
+    for row in solve_choice(cg, keep_assignments=True).assignments:
+        if row.status != Status.OPTIMAL.value:
+            continue
+        g = expand(cg, dict(zip(names, row.bits)))
+        terms = ((m.coefficient / row.objective_value, (*m.exponents, -1.0))
+                 for m in g.objective.terms)
+        constraints.setdefault((tuple(terms), 1.0), None)
+        for posy, bound in g.constraints:
+            terms = ((m.coefficient, (*m.exponents, 0.0)) for m in posy.terms)
+            constraints.setdefault((tuple(terms), bound), None)
+    n = len(cg.variable_names)
+    return make_problem([(1.0, (0.0,) * n + (1.0,))], list(constraints),
+                        (*cg.variable_names, "t"))

@@ -30,7 +30,7 @@ from gpchoice import (
     validate_choice_gp,
 )
 from gpchoice.solver import FEASIBILITY_TOL
-from helpers import PROBLEM_DIR, example1_problem
+from helpers import PROBLEM_DIR, example1_problem, stalled_choice_gp
 
 
 def cset(values, role=Role.EXPONENT, name="s"):
@@ -452,9 +452,9 @@ def _count_rows(monkeypatch):
     batches = []
     original = gpchoice.selectors._solve_rows
 
-    def solve_rows(d, coefficients, settings):
+    def solve_rows(d, coefficients):
         batches.append(len(coefficients))
-        return original(d, coefficients, settings)
+        return original(d, coefficients)
 
     monkeypatch.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
     return batches
@@ -615,7 +615,10 @@ def test_keep_all_reports_a_row_whose_point_underflows():
     for c in (1e-3, 4.0):
         assert rows[c].status == Status.OPTIMAL.value
         assert rows[c].objective_value == pytest.approx(2.0 * c**0.5, rel=1e-9)
-    assert result.chosen_values == (("c", 1e-3),)
+    # its dual value 2e-10 bounds its optimum below the others': no choice
+    assert result.status is Status.ITERATION_LIMIT
+    assert result.chosen_values is None
+    assert result.report.dual.objective_value == pytest.approx(2e-10, rel=1e-9)
     _same_choice_result(solve_choice(cg), result)
 
 
@@ -637,7 +640,42 @@ def test_keep_all_reports_a_row_whose_dual_value_underflows():
     for c in (1.0, 2.0):
         assert rows[c].status == Status.OPTIMAL.value
         assert rows[c].objective_value == pytest.approx(c * 1e-30, rel=1e-9)
-    assert result.chosen_values == (("c", 1.0),)
+    # its optimum 1e-330 is below the others', so it blocks the choice
+    assert result.status is Status.ITERATION_LIMIT
+    assert result.chosen_values is None
+    assert result.report.dual.objective_value == 0.0
+
+
+@pytest.mark.parametrize("kind, dual_value", [("wrong winner", 3.0),
+                                              ("wrong infeasible", 2.0)])
+def test_a_stalled_expansion_that_may_win_blocks_the_choice(kind, dual_value):
+    # the stalled expansion with the lowest dual value is reported, as it
+    # ends alone: set bits 10 select its candidate 0
+    cg = stalled_choice_gp(kind)
+    pruned = solve_choice(cg)
+    _same_choice_result(pruned, solve_choice(cg, keep_assignments=True))
+    assert pruned.status is Status.ITERATION_LIMIT
+    assert pruned.chosen_bits is pruned.chosen_values is None
+    assert pruned.report.status is Status.ITERATION_LIMIT
+    assert pruned.report.dual.objective_value == pytest.approx(dual_value, rel=1e-9)
+    alone = solve(standardize(expand(cg, {cg.sets[0].name: (1, 0)})))
+    assert pruned.report.primal_x == alone.primal_x
+    assert np.array_equal(pruned.report.dual.weights, alone.dual.weights)
+
+
+def test_a_stalled_expansion_above_the_winner_is_excluded():
+    cg = stalled_choice_gp("excluded")
+    pruned = solve_choice(cg)
+    exhaustive = solve_choice(cg, keep_assignments=True)
+    _same_choice_result(pruned, exhaustive)
+    assert [row.status for row in exhaustive.assignments] == [
+        Status.ITERATION_LIMIT.value, Status.OPTIMAL.value
+    ]
+    assert pruned.status is Status.OPTIMAL
+    assert pruned.chosen_values == (("q", -1.0),)
+    assert pruned.report.objective_value == pytest.approx(
+        2.0 * math.sqrt(11.0) + (1.0 + math.sqrt(5.0)) / 2.0, rel=1e-9
+    )
 
 
 def test_a_plain_problem_is_a_template_without_sets():
