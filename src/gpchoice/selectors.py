@@ -570,8 +570,9 @@ def solve_choice(
             coefficients = template.coefficients(rows)
             reports = _solve_rows(template.at(rows[0]), coefficients)
             for (values, combo), report in zip(batch.items(), reports):
-                row = AssignmentOutcome(bits_of(combo), values, report.status.value,
-                                        report.objective_value)
+                # a row that is not OPTIMAL may carry f_0 at an infeasible x
+                z = report.objective_value if report.status is Status.OPTIMAL else None
+                row = AssignmentOutcome(bits_of(combo), values, report.status.value, z)
                 cache[values] = row, report
         return [cache[values] for values in tuples]
 

@@ -27,19 +27,22 @@ its single solution is the answer.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
-else one LP that finds a feasible point positive on every weight some
-feasible point can make positive.  Weights that LP leaves at zero are zero
-at every feasible point; they are dropped and the dual is re-solved on the
-rest.  The start and the null space depend only on the equality system,
-which the exponents and blocks of the terms fix, so they are computed once
-per system and shared, through a bounded cache, by every dual with that
-system.  Duals that differ only in their coefficients are solved as one
-batch, a row of a (B, K) weight array each, and each row ends bit for bit
-as it would alone; solve_dual is the batch of one.  Linear algebra is numpy
+else the support point: one non-negative least-squares solve decides
+whether {A w = b, w >= 0} is empty, its residual the witness, and only a
+nonempty set goes on to one LP that finds a feasible point positive on
+every weight some feasible point can make positive.  Weights that LP leaves
+at zero are zero at every feasible point; they are dropped and the dual is
+re-solved on the rest.  The start and the null space depend only on the
+equality system, which the exponents and blocks of the terms fix, so they
+are computed once per system and shared, through a bounded cache, by every
+dual with that system.  Duals that differ only in their coefficients are
+solved as one batch, a row of a (B, K) weight array each, and each row ends
+bit for bit as it would alone; solve_dual is the batch of one.  Linear algebra is numpy
 only (an SVD null space; a Newton step from one symmetric eigendecomposition
 of the reduced Hessian, its eigenvalues floored so that the step always
 ascends), so importing the package does not load scipy;
-scipy.optimize.linprog is imported on first use by that one LP.
+scipy.optimize's nnls and linprog are imported on first use by the support
+point.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
@@ -166,14 +169,25 @@ def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Feasible point of {A w = b, w >= 0} with the largest support; None if empty.
 
-    One LP (Freund, Roundy and Todd, 1985): maximize sum(t) subject to
-    A w = b tau, t <= w, 0 <= t <= 1, w >= 0, tau >= 1.  Scaling (w, tau)
-    up lets t_k reach 1 on every weight that some feasible point makes
-    positive, so the support is {t > 1/2}; off it the weights are zero at
-    every feasible point.
+    Non-negative least squares (Lawson and Hanson, Solving Least Squares
+    Problems, 1974, ch. 23) decides emptiness: its active-set method ends
+    finitely at the w >= 0 nearest to solving A w = b, and a residual above
+    1e-8 proves the set empty (y = A w - b has A^T y >= 0 and b^T y < 0,
+    a Farkas witness).  Otherwise one LP (Freund, Roundy and Todd, 1985)
+    finds the support: maximize sum(t) subject to A w = b tau, t <= w,
+    0 <= t <= 1, w >= 0, tau >= 1.  Scaling (w, tau) up lets t_k reach 1 on
+    every weight that some feasible point makes positive, so the support is
+    {t > 1/2}; off it the weights are zero at every feasible point.
     """
-    from scipy.optimize import linprog  # only this fallback needs scipy
+    from scipy.optimize import linprog, nnls  # only this fallback needs scipy
 
+    try:
+        w, _ = nnls(a, b)
+    except RuntimeError:  # past its iteration cap; the LP decides
+        pass
+    else:
+        if np.max(np.abs(a @ w - b)) > 1e-8:
+            return None
     m, k = a.shape
     c = np.concatenate([np.zeros(k), -np.ones(k), [0.0]])
     a_eq = np.hstack([a, np.zeros((m, k)), -b[:, None]])

@@ -91,6 +91,43 @@ def random_feasible_gp(rng) -> GpProblem:
     return make_problem(obj, cons)
 
 
+def zero_difficulty_gp(rng) -> tuple[GpProblem, np.ndarray]:
+    """Small random GP whose degree of difficulty is zero, with its dual point.
+
+    K = n + 1 terms, some in the objective and the rest in one or two
+    constraints with bound 1.  The dual weights w > 0 are drawn first, the
+    objective block summing to 1; then the exponents a_k of every term but
+    the last, in [-3, 3], and the last term's -sum_{k<K} w_k a_k / w_K, so
+    that sum_k w_k a_k = 0.  The equality system is square and nonsingular,
+    so w is the unique dual point and z* = prod_k (c_k / w_k)^w_k times
+    prod_i lambda_i^lambda_i, lambda_i the weight sum of constraint i.
+    Returns the problem and w in term order, objective terms first.
+    """
+    n = int(rng.integers(1, 4))
+    k = n + 1
+    t0 = int(rng.integers(1, k + 1))
+    w = rng.uniform(0.5, 1.5, k)
+    w[:t0] /= w[:t0].sum()
+    exponents = rng.uniform(-3.0, 3.0, (k, n))
+    exponents[-1] = -(w[:-1] @ exponents[:-1]) / w[-1]
+    terms = [(float(10.0 ** rng.uniform(-1.0, 1.0)), e) for e in exponents]
+    # the constraint terms split into one or two blocks
+    split = t0 + int(rng.integers(1, k - t0 + 1)) if t0 < k else k
+    blocks = [terms[t0:split], terms[split:]]
+    return make_problem(terms[:t0], [(b, 1.0) for b in blocks if b]), w
+
+
+def negative_difficulty_gp(rng) -> GpProblem:
+    """Small random GP with K <= n terms and generic exponents in [-3, 3]:
+    its dual equalities, n + 1 of them in K weights, have no solution."""
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, n + 1))
+    t0 = int(rng.integers(1, k + 1))
+    terms = [(float(10.0 ** rng.uniform(-1.0, 1.0)), rng.uniform(-3.0, 3.0, n))
+             for _ in range(k)]
+    return make_problem(terms[:t0], [(terms[t0:], 1.0)] if t0 < k else [])
+
+
 def first_term_split(g: GpProblem) -> GpProblem:
     """g with its first objective term split into two equal halves: the same
     problem, so the same status and optimum, written with a duplicate

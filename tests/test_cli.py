@@ -177,6 +177,18 @@ class TestSolveCommand:
                                               "iteration_limit")
         assert ("stationarity" in err) is (code == 5)
 
+    @pytest.mark.parametrize("kind", ["wrong winner", "excluded"])
+    def test_a_stalled_row_prints_no_z(self, capsys, tmp_path, kind):
+        path = tmp_path / "stalled.json"
+        path.write_text(json.dumps(serialize_problem(stalled_choice_gp(kind))))
+        _, out, _ = run(capsys, "solve", str(path), "--all-assignments")
+        assert "  [10] iteration_limit z=-\n" in out
+        _, out, _ = run(capsys, "solve", str(path), "--all-assignments",
+                        "--format", "machine")
+        row = machine_doc(out)["assignments"][0]
+        assert row["bits"] == ["10"]
+        assert (row["status"], row["z"]) == ("iteration_limit", None)
+
     def test_underflowing_primal_exits_5(self, capsys, tmp_path):
         # min x^0.01 + 1e-20 / x^0.01: the optimal x = 1e-1000 underflows
         doc = {

@@ -678,6 +678,17 @@ def test_a_stalled_expansion_above_the_winner_is_excluded():
     )
 
 
+@pytest.mark.parametrize("kind", ["wrong winner", "excluded"])
+def test_a_stalled_row_carries_no_objective_value(kind):
+    # the q = 0 row's recovered x = (1, 1) violates y + y^2 <= 1, so f_0
+    # there is no primal value
+    q0, q1 = solve_choice(stalled_choice_gp(kind), keep_assignments=True).assignments
+    assert (q0.values, q0.status, q0.objective_value) == (
+        (0.0,), Status.ITERATION_LIMIT.value, None
+    )
+    assert q1.status == Status.OPTIMAL.value and q1.objective_value > 0.0
+
+
 def test_a_plain_problem_is_a_template_without_sets():
     g = example1_problem()
     result = solve_choice(g)

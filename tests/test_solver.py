@@ -46,6 +46,7 @@ from gpchoice.solver import (
     _solve_duals,
     _solve_rows,
     _support_point,
+    _system_key,
 )
 from helpers import (
     EX1_W,
@@ -62,8 +63,10 @@ from helpers import (
     first_term_split,
     free_variable_gp,
     gate_sizing_chain,
+    negative_difficulty_gp,
     primal_infeasible_gp,
     random_feasible_gp,
+    zero_difficulty_gp,
 )
 
 
@@ -171,25 +174,141 @@ class TestSolveDual:
         assert solve(standardize(g)).status is not Status.OPTIMAL
 
 
+def _empty_set() -> tuple[np.ndarray, np.ndarray]:
+    # min x1*x2 with x1*x2 <= 1: orthogonality forces a negative weight
+    d = build_dual(standardize(make_problem([(1, (1, 1))], [([(1, (1, 1))], 1.0)])))
+    return d.equality_matrix, d.equality_rhs
+
+
+def _forced_zeros() -> tuple[np.ndarray, np.ndarray]:
+    # the last row zeroes w3 and w4; w0 = w1 and w2 = 1 - 2 w0 leave a
+    # segment whose relative interior is positive on w0, w1, w2
+    a = np.array(
+        [[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0, 2.0]]
+    )
+    return a, np.array([1.0, 0.0, 0.0])
+
+
+def _start_bytes(start) -> tuple:
+    return tuple(None if arr is None else arr.tobytes() for arr in start)
+
+
 class TestSupportPoint:
-    def test_forced_zeros_are_exact_and_the_rest_positive(self):
-        # the last row zeroes w3 and w4; w0 = w1 and w2 = 1 - 2 w0 leave a
-        # segment whose relative interior is positive on w0, w1, w2
-        a = np.array(
-            [[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0, 0.0],
-             [0.0, 0.0, 0.0, 1.0, 2.0]]
-        )
-        b = np.array([1.0, 0.0, 0.0])
+    """One NNLS solve proves {A w = b, w >= 0} empty; the LP finds the
+    support of the rest."""
+
+    @staticmethod
+    def _count_lp(monkeypatch) -> list[str]:
+        import scipy.optimize
+
+        calls = []
+        for name in ("linprog", "nnls"):
+            original = getattr(scipy.optimize, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.optimize, name, spy)
+        return calls
+
+    @staticmethod
+    def _replace_nnls(monkeypatch, nnls):
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+
+    @staticmethod
+    def _capped(a, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    @staticmethod
+    def _no_residual(a, b):
+        # a solution of A w = b that may be negative: the gate never fires,
+        # so the LP alone decides
+        return np.linalg.lstsq(a, b, rcond=None)[0], 0.0
+
+    @staticmethod
+    def _support_calls(monkeypatch, indices) -> list[tuple]:
+        """(system key, a, b, w) of each _support_point call that the cold
+        starts of these stress problems make."""
+        calls, original = [], gpchoice.solver._support_point
+
+        def spy(a, b):
+            w = original(a, b)
+            calls.append((a, b, w))
+            return w
+
+        monkeypatch.setattr(gpchoice.solver, "_support_point", spy)
+        out = []
+        for index in indices:
+            key = _system_key(build_dual(standardize(_stress_problems()[index])))
+            _equality_start.__wrapped__(*key)
+            out += [(key, *call) for call in calls]
+            calls.clear()
+        return out
+
+    def test_forced_zeros_are_exact_and_the_rest_positive(self, monkeypatch):
+        calls = self._count_lp(monkeypatch)
+        a, b = _forced_zeros()
         w = _support_point(a, b)
+        assert calls == ["nnls", "linprog"]
         assert np.all(w[:3] > 0.0)
         np.testing.assert_array_equal(w[3:], [0.0, 0.0])
         np.testing.assert_allclose(a @ w, b, rtol=0, atol=1e-9)
+        self._replace_nnls(monkeypatch, self._no_residual)
+        assert _support_point(a, b).tobytes() == w.tobytes()
 
-    def test_empty_set_gives_none(self):
-        # min x1*x2 with x1*x2 <= 1: orthogonality forces a negative weight
-        g = make_problem([(1, (1, 1))], [([(1, (1, 1))], 1.0)])
-        d = build_dual(standardize(g))
-        assert _support_point(d.equality_matrix, d.equality_rhs) is None
+    def test_empty_set_gives_none(self, monkeypatch):
+        calls = self._count_lp(monkeypatch)
+        assert _support_point(*_empty_set()) is None
+        assert calls == ["nnls"]
+
+    def test_the_nnls_residual_is_a_farkas_witness(self, monkeypatch):
+        # w >= 0 nearest to A w = b leaves y = A w - b with A^T y >= 0 and
+        # b^T y = -|y|^2 < 0, so no w >= 0 solves A w = b
+        from scipy.optimize import nnls
+
+        empty = [(a, b) for _, a, b, w in self._support_calls(monkeypatch, range(300))
+                 if w is None]
+        assert len(empty) == 44
+        for a, b in [_empty_set(), *empty]:
+            w, _ = nnls(a, b)
+            y = a @ w - b
+            y /= np.linalg.norm(y)
+            assert (a.T @ y).min() >= -1e-10
+            assert b @ y <= -1e-8
+
+    def test_an_nnls_past_its_iteration_cap_falls_back_to_the_lp(self, monkeypatch):
+        a, b = _forced_zeros()
+        gated = _support_point(a, b)
+        self._replace_nnls(monkeypatch, self._capped)
+        calls = self._count_lp(monkeypatch)
+        assert _support_point(a, b).tobytes() == gated.tobytes()
+        assert _support_point(*_empty_set()) is None
+        assert calls.count("linprog") == 2
+
+    def test_the_lp_alone_gives_the_same_starts(self, monkeypatch):
+        indices = [*range(300), *TestStressRegressions.LP_STARTS]
+        support = self._support_calls(monkeypatch, indices)
+        keys = {key: w is None for key, *_, w in support}
+        # 44 empty sets, the LP_STARTS and problem 125, also an LP start
+        assert sum(keys.values()) == 44
+        assert len(keys) == 44 + len(TestStressRegressions.LP_STARTS) + 1
+        gated = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
+        self._replace_nnls(monkeypatch, self._no_residual)
+        calls = self._count_lp(monkeypatch)
+        alone = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
+        assert alone == gated
+        assert calls.count("linprog") == len(keys)
+
+    def test_first_300_stress_problems_make_8_lp_calls(self, monkeypatch):
+        calls = self._count_lp(monkeypatch)
+        _equality_start.cache_clear()
+        for g in _stress_problems()[:300]:
+            solve(standardize(g))
+        assert Counter(calls) == {"nnls": 52, "linprog": 8}
 
 
 class TestRecoverPrimal:
@@ -707,6 +826,65 @@ class TestKnownWrongStatuses:
             statuses[whole.status] += 1
         # the INFEASIBLE ones are feasible with an infimum that is not attained
         assert statuses == {Status.OPTIMAL: 143, Status.INFEASIBLE: 57}
+
+
+def _zero_difficulty_draw(index: int):
+    return zero_difficulty_gp(np.random.default_rng((19, index)))
+
+
+# draws of zero_difficulty_gp whose log x reaches 1e2 to 1e3: the dual is
+# OPTIMAL at z, but x = exp(y) or its terms leave the doubles
+_ZERO_DIFFICULTY_STALLS = (53, 80, 140)
+
+
+class TestDegreeOfDifficulty:
+    """ROADMAP item 2's family of degree of difficulty zero or below: the
+    dual equalities have one solution or none."""
+
+    def test_zero_difficulty_dual_is_the_drawn_point(self):
+        for index in range(200):
+            g, w = _zero_difficulty_draw(index)
+            s = standardize(g)
+            d = build_dual(s)
+            lam = np.bincount(d.block_index, weights=w)[1:]
+            z = np.prod((d.term_coefficients / w) ** w) * np.prod(lam ** lam)
+            ds = solve_dual(d)
+            assert ds.status is Status.OPTIMAL
+            assert ds.iterations == 0
+            np.testing.assert_allclose(ds.weights, w, rtol=1e-12)
+            assert ds.objective_value == pytest.approx(z, rel=1e-12)
+            if index not in _ZERO_DIFFICULTY_STALLS:
+                report = solve(s)
+                assert report.status is Status.OPTIMAL
+                assert report.objective_value == pytest.approx(z, rel=1e-12)
+
+    @pytest.mark.parametrize("index", [
+        pytest.param(i, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: x lies beyond double range, "
+            "where only log-space certification can certify it"))
+        for i in _ZERO_DIFFICULTY_STALLS
+    ])
+    def test_zero_difficulty_draw_is_optimal(self, index):
+        g, _ = _zero_difficulty_draw(index)
+        assert solve(standardize(g)).status is Status.OPTIMAL
+
+    def test_negative_difficulty_is_infeasible_at_the_projection(self):
+        # K <= n weights cannot meet n + 1 generic equalities: the start's
+        # projection leaves a residual, and no Newton step is taken
+        for index in range(200):
+            d = build_dual(standardize(negative_difficulty_gp(
+                np.random.default_rng((23, index)))))
+            assert all(arr is None for arr in _dual_start(d))
+            ds = solve_dual(d)
+            assert ds.status is Status.INFEASIBLE
+            assert ds.iterations == 0
+
+    def test_a_variable_in_no_term_is_optimal(self):
+        # min x + 1/x over (x, y): y's orthogonality row is zero
+        report = solve(standardize(make_problem([(1, (1, 0)), (1, (-1, 0))])))
+        assert report.status is Status.OPTIMAL
+        assert report.objective_value == pytest.approx(2.0, rel=1e-12)
+        assert report.primal_x[0] == pytest.approx(1.0, rel=1e-9)
 
 
 class TestGateSizingChains:
