@@ -96,8 +96,9 @@ _WEIGHT_FLOOR = 1e-150
 _START_CACHE_SIZE = 256
 # Newton iterations of one dual, shared by all its passes
 _MAX_ITERATIONS = 10_000
-# largest projected gradient entry at which a dual is stationary
-_STATIONARITY_TOL = 1e-8
+# largest projected gradient entry at which a dual is stationary; at 1e-8 the
+# x recovered from stress problem 1522 misses VIOLATION_TOL by 4e-10
+_STATIONARITY_TOL = 1e-10
 
 
 class Status(str, enum.Enum):
@@ -310,10 +311,10 @@ def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolutio
 
 def _finish(
     d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, w: np.ndarray,
-    tol: float, status: list[Status], iterations: list[int],
+    status: list[Status], iterations: list[int],
 ) -> list[DualSolution]:
     """The DualSolution of each row of w (B, K), with its row of log_c; an
-    OPTIMAL row that misses FEASIBILITY_TOL or stationarity tol ends
+    OPTIMAL row that misses FEASIBILITY_TOL or _STATIONARITY_TOL ends
     ITERATION_LIMIT."""
     residual = np.abs(np.matvec(d.equality_matrix, w) - d.equality_rhs).max(axis=1)
     value, grad = _log_dual_objective(d, _check_weights(d, w, len(w)), log_c)[:2]
@@ -323,7 +324,7 @@ def _finish(
                residual.tolist(), stationarity.tolist(), iterations)
     out = []
     for st, weights, lambdas, z, res, stat, n in rows:
-        if st is Status.OPTIMAL and (res > FEASIBILITY_TOL or stat > tol):
+        if st is Status.OPTIMAL and (res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL):
             st = Status.ITERATION_LIMIT
         out.append(DualSolution(st, weights, lambdas, z, res, stat, n))
     return out
@@ -463,26 +464,22 @@ def solve_dual(d: DualProgram) -> DualSolution:
     and ITERATION_LIMIT otherwise, including when the Newton passes together
     reach _MAX_ITERATIONS.
     """
-    return _solve_duals(d, d.term_coefficients[None], _STATIONARITY_TOL)[0]
+    return _solve_duals(d, d.term_coefficients[None])[0]
 
 
-def _solve_duals(
-    d: DualProgram, coefficients: np.ndarray, tol: float
-) -> list[DualSolution]:
-    """solve_dual of d at each row of coefficients (B, K), as one batch, to
-    stationarity tol: duals of d's equality system that differ only in their
-    terms' coefficients."""
+def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]:
+    """solve_dual of d at each row of coefficients (B, K), as one batch: duals
+    of d's equality system that differ only in their terms' coefficients."""
     start, nullsp, support = _dual_start(d)
     if support is not None:
-        inner = _reduced_program(d, support), coefficients[:, support], tol
+        inner = _reduced_program(d, support), coefficients[:, support]
         return _pad(d, support, _solve_duals(*inner))
     if start is None:
         return [_failure(d, Status.INFEASIBLE) for _ in coefficients]
     log_c = np.log(coefficients)
     w = start[None].repeat(len(log_c), axis=0)
     if nullsp.shape[1] == 0:  # the affine set is the single point start
-        return _finish(d, log_c, nullsp, w, tol, [Status.OPTIMAL] * len(w),
-                       [0] * len(w))
+        return _finish(d, log_c, nullsp, w, [Status.OPTIMAL] * len(w), [0] * len(w))
     budget = _MAX_ITERATIONS
     out: list[DualSolution | None] = [None] * len(log_c)
     spent = [0] * len(log_c)  # iterations of each dual so far
@@ -492,7 +489,8 @@ def _solve_duals(
         statuses of all but the UNBOUNDED rows, which fail."""
         ends, status, used = _newton_phase(
             program, log_c[rows][:, keep], nullsp, program._layout.member @ nullsp,
-            w, mu, max(mu, tol), [min(cap, budget - spent[j]) for j in rows],
+            w, mu, max(mu, _STATIONARITY_TOL),
+            [min(cap, budget - spent[j]) for j in rows],
         )
         for j, st, n in zip(rows, status, used):
             spent[j] += n
@@ -507,7 +505,7 @@ def _solve_duals(
         """_finish these rows of a last pass over program, d's kept weights."""
         if not rows:
             return
-        ends = _finish(program, log_c[rows][:, keep], nullsp, w, tol, status,
+        ends = _finish(program, log_c[rows][:, keep], nullsp, w, status,
                        [spent[j] for j in rows])
         for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
             out[j] = ds
@@ -622,7 +620,9 @@ def _certify(
 ) -> list[SolveReport]:
     """Recover x from each optimal dual by recover, which maps its arguments
     as _recover does; a row is OPTIMAL where certificate.optimal_claim holds
-    at x and the dual's weights."""
+    at x and the dual's weights, and reports that claim's f_0(x), violation
+    and gap.  There is one solve per dual: a row whose claim fails ends
+    ITERATION_LIMIT."""
     reports = []
     for ds in solutions:  # an optimal dual's row is ITERATION_LIMIT until certified
         status = Status.ITERATION_LIMIT if ds.status is Status.OPTIMAL else ds.status
@@ -638,37 +638,11 @@ def _certify(
     rows, x = [i for i, _ in found], np.array([x for _, x in found])
     terms = Terms(coefficients[rows], d.exponent_matrix, d.block_index)
     check = optimal_claim(terms, x, [solutions[i].weights for i in rows])
-    for i, point, primal, worst, holds in zip(
-        rows, x.tolist(), check.objective, check.violation, check.holds
-    ):  # the reported gap stays against the solver's dual value
+    for i, point, primal, worst, gap, holds in zip(rows, x.tolist(), *check):
         ds = solutions[i]
-        gap = abs(primal - ds.objective_value) / primal
         kkt = KktResiduals(ds.equality_residual, ds.stationarity, worst)
         status = Status.OPTIMAL if holds else Status.ITERATION_LIMIT
         reports[i] = SolveReport(status, tuple(point), ds, primal, gap, kkt)
-    return reports
-
-
-def _certified(
-    d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution],
-    recover,
-) -> list[SolveReport]:
-    """_certify each row of coefficients at its dual solution.  An optimum that
-    just meets _STATIONARITY_TOL can miss the certificate by a hair; it is
-    re-solved once at _STATIONARITY_TOL / 100, kept if certified, and counted
-    in full."""
-    reports = _certify(d, coefficients, solutions, recover)
-    for i, report in enumerate(reports):
-        if report.status is Status.ITERATION_LIMIT and report.primal_x is not None:
-            row = coefficients[i:i + 1]
-            [ds] = _solve_duals(d, row, _STATIONARITY_TOL / 100)
-            iterations = report.dual.iterations + ds.iterations
-            ds = replace(ds, iterations=iterations)
-            retry = _certify(d, row, [ds], recover)[0]
-            if retry.status is not Status.OPTIMAL:
-                ds = replace(report.dual, iterations=iterations)
-                retry = replace(report, dual=ds)
-            reports[i] = retry
     return reports
 
 
@@ -683,10 +657,9 @@ def solve(s: StandardGp) -> SolveReport:
         except ReconstructionError as e:
             return [e]
 
-    return _certified(d, d.term_coefficients[None], [ds], recover)[0]
+    return _certify(d, d.term_coefficients[None], [ds], recover)[0]
 
 
 def _solve_rows(d: DualProgram, coefficients: np.ndarray) -> list[SolveReport]:
     """solve of d's problem at each row of coefficients (B, K), as one batch."""
-    solutions = _solve_duals(d, coefficients, _STATIONARITY_TOL)
-    return _certified(d, coefficients, solutions, _recover)
+    return _certify(d, coefficients, _solve_duals(d, coefficients), _recover)

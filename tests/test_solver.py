@@ -293,9 +293,9 @@ class TestSupportPoint:
         indices = [*range(300), *TestStressRegressions.LP_STARTS]
         support = self._support_calls(monkeypatch, indices)
         keys = {key: w is None for key, *_, w in support}
-        # 44 empty sets, the LP_STARTS and problem 125, also an LP start
+        # 44 empty sets and the LP_STARTS
         assert sum(keys.values()) == 44
-        assert len(keys) == 44 + len(TestStressRegressions.LP_STARTS) + 1
+        assert len(keys) == 44 + len(TestStressRegressions.LP_STARTS)
         gated = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
         self._replace_nnls(monkeypatch, self._no_residual)
         calls = self._count_lp(monkeypatch)
@@ -603,22 +603,32 @@ class TestStressRegressions:
                 self.SLSQP[index], rel=1e-6
             )
 
-    def test_certificate_missed_by_a_hair_is_re_solved(self):
-        # the dual stops at stationarity 9.9e-9, just inside its tolerance,
-        # and the recovered x violates a constraint by 1.04e-8; one re-solve
-        # at a tighter stationarity certifies it
+    def test_1522_certifies_in_its_first_solve(self, monkeypatch):
+        # at stationarity 1e-8 the dual stopped at 9.9e-9 after 6 iterations
+        # and the recovered x violated a constraint by 1.04e-8, so it took a
+        # second solve; at 1e-10 one solve of 7 iterations certifies
+        solves = []
+        original = gpchoice.solver._solve_duals
+
+        def spy(d, coefficients):
+            solves.append(coefficients)
+            return original(d, coefficients)
+
+        monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
         report = solve(standardize(_stress_problems()[1522]))
         assert report.status is Status.OPTIMAL
         assert report.duality_gap <= 1e-6
         assert report.kkt_residuals.primal_feasibility <= 1e-8
         assert report.dual.stationarity <= 1e-10
-        assert report.dual.iterations == 13  # 6 in the first solve, 7 in the retry
+        assert report.dual.iterations == 7
+        assert len(solves) == 1
 
     # the projection and alternating projections find no interior start;
     # the support LP does
-    LP_STARTS = (23, 27, 33, 85, 148, 149, 289, 312, 372, 428, 540, 559, 565,
-                 630, 637, 694, 897, 1057, 1065, 1124, 1158, 1262, 1340, 1357,
-                 1362, 1387, 1393, 1472, 1477, 1546)
+    LP_STARTS = (23, 27, 33, 85, 125, 148, 149, 289, 312, 325, 372, 428, 434,
+                 540, 559, 565, 588, 630, 637, 694, 897, 1057, 1065, 1124, 1158,
+                 1216, 1262, 1340, 1357, 1362, 1387, 1393, 1472, 1477, 1546,
+                 1558, 1605, 1633, 1652, 1772, 1901, 1921)
 
     @pytest.mark.parametrize("index", LP_STARTS)
     def test_lp_start_reaches_a_certified_optimum(self, index):
@@ -692,7 +702,8 @@ class TestStressRegressions:
         assert [report.status for report in reports] == expected
         for report in reports:
             if report.status is Status.OPTIMAL:
-                assert report.duality_gap <= 1e-6
+                # 8.65e-9 at stationarity 1e-8; 6.4e-11 at 1e-10
+                assert report.duality_gap <= 1e-9
                 assert report.kkt_residuals.primal_feasibility <= 1e-8
         # 67382 when each barrier stage started from the last centre
         assert sum(report.dual.iterations for report in reports) <= 45000
@@ -722,9 +733,10 @@ class TestStressRegressions:
             assert claim.holds[0] is (report.status is Status.OPTIMAL)
             assert claim.objective[0] == report.objective_value
             assert claim.violation[0] == report.kkt_residuals.primal_feasibility
+            assert report.duality_gap == claim.gap[0]
             with_x[report.status] += 1
-        # 176 of the stress problems and 45 of the free-variable draws
-        assert with_x == {Status.OPTIMAL: 176 + 45,
+        # 187 of the stress problems and 45 of the free-variable draws
+        assert with_x == {Status.OPTIMAL: 187 + 45,
                           Status.ITERATION_LIMIT: len(_FREE_VARIABLE_STALLS)}
 
     def test_choice_of_a_plain_problem_is_its_solve(self):
@@ -1049,9 +1061,9 @@ class TestSharedStart:
         batches = []
         original = gpchoice.solver._solve_duals
 
-        def spy(d, coefficients, tol):
+        def spy(d, coefficients):
             batches.append(coefficients)
-            return original(d, coefficients, tol)
+            return original(d, coefficients)
 
         monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
         _equality_start.cache_clear()
@@ -1114,24 +1126,22 @@ class TestSharedStart:
         # the fast pass reaches the boundary and the barrier takes over from
         # the start; the weight the barrier leaves near 1e-13 is dropped and
         # the last pass runs inside the reduced program, so it ends at an
-        # exact 0.0. `before` holds the weights, bit for bit, of the solver
-        # whose fast pass ran on along the face (72 iterations) and whose
-        # last pass froze that weight at 9.1e-14. The pinned weights are those
-        # of barrier stages started from their tangent predictions (33
-        # iterations; 62 from the last centre)
-        ds = solve_dual(build_dual(standardize(_stress_problems()[3])))
+        # exact 0.0. The pinned weights are those of barrier stages started
+        # from their tangent predictions (34 iterations; 62 from the last
+        # centre, 72 when the fast pass ran on along the face); an
+        # independent solve of the reduced program agrees with them
+        d = build_dual(standardize(_stress_problems()[3]))
+        ds = solve_dual(d)
         assert ds.status is Status.OPTIMAL
-        weights = ("0x1.315229aa0af4fp-1", "0x1.a19c1983ce359p-4",
-                   "0x1.34f4a64af688dp-2", "0x1.4c44ed12ab67bp-5",
-                   "0x1.35a4e98cce1f1p-2", "0x0.0p+0")
+        weights = ("0x1.315229a878730p-1", "0x1.a19c19823bfbap-4",
+                   "0x1.34f4a64e801b3p-2", "0x1.4c44ecf9b4177p-5",
+                   "0x1.35a4e9858554fp-2", "0x0.0p+0")
         assert [w.hex() for w in ds.weights.tolist()] == list(weights)
-        before = np.array([float.fromhex(h) for h in (
-            "0x1.315229aa0af87p-1", "0x1.a19c1983ce2c4p-4",
-            "0x1.34f4a64af683fp-2", "0x1.4c44ed12ab89dp-5",
-            "0x1.35a4e98cce189p-2", "0x1.9a87497555800p-44")])
-        kept = before > 1e-8
+        kept = ds.weights > 0.0
+        reduced = solve_dual(_reduced_program(d, kept))
+        assert reduced.status is Status.OPTIMAL
         np.testing.assert_allclose(
-            ds.weights[kept], before[kept], rtol=1e-12, atol=0.0
+            ds.weights[kept], reduced.weights, rtol=1e-12, atol=0.0
         )
         assert ds.weights[~kept].tolist() == [0.0]
         assert ds.iterations <= 35
@@ -1229,8 +1239,9 @@ class TestSiblingBatches:
     @staticmethod
     @lru_cache(maxsize=1)
     def _families():
-        # the first 60 stress problems, 1522 (the certificate retry) and an
-        # infeasible primal (an unbounded dual), each with 6 scaled siblings
+        # the first 60 stress problems, 1522 (whose x missed its certificate
+        # at a looser stationarity) and an infeasible primal (an unbounded
+        # dual), each with 6 scaled siblings
         unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
         problems = (*_stress_problems()[:60], _stress_problems()[1522], unbounded)
         rng = np.random.default_rng(STRESS_SEED)
@@ -1259,7 +1270,7 @@ class TestSiblingBatches:
 
     # the paths a family reaches, by the function that marks each
     PATHS = {"_newton_phase": "barrier", "_reduced_program": "reduction",
-             "_support_point": "support LP", "_solve_duals": "retry"}
+             "_support_point": "support LP"}
 
     @pytest.mark.parametrize("max_iterations", [10_000, 5])
     def test_rows_end_as_solved_alone(self, monkeypatch, max_iterations):
@@ -1269,11 +1280,9 @@ class TestSiblingBatches:
         for name, path in self.PATHS.items():
             original = getattr(gpchoice.solver, name)
 
-            # a barrier phase has mu > 0, a retry a tighter stationarity
+            # a barrier phase has mu > 0
             def spy(*args, _original=original, _path=path):
-                if batched[0] and (_path != "barrier" or args[5] > 0.0) and (
-                    _path != "retry" or args[2] < _STATIONARITY_TOL
-                ):
+                if batched[0] and (_path != "barrier" or args[5] > 0.0):
                     reached[_path] += 1
                 return _original(*args)
 
@@ -1326,7 +1335,7 @@ class TestSiblingBatches:
         for family in self._families():
             duals = [build_dual(s) for s in family]
             coefficients = np.array([d.term_coefficients for d in duals])
-            solutions = _solve_duals(duals[0], coefficients, _STATIONARITY_TOL)
+            solutions = _solve_duals(duals[0], coefficients)
             arrays = [a for ds in solutions for a in (ds.weights, ds.lambdas)]
             for a in arrays:
                 assert not a.flags.writeable
