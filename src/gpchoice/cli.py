@@ -24,6 +24,7 @@ from .selectors import (
     ChoiceSolveReport,
     ExpansionRejected,
     as_choice_gp,
+    checked_choice_gp,
     expand,
     solve_choice,
 )
@@ -156,13 +157,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     model = _load(args.problem)
     if isinstance(model, int):
         return model
-    cg = as_choice_gp(model)
-    started = time.perf_counter()
     try:
-        result = solve_choice(cg, keep_assignments=args.all_assignments)
+        cg = checked_choice_gp(model)
     except GpDomainError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SEMANTIC
+    started = time.perf_counter()
+    result = solve_choice(cg, keep_assignments=args.all_assignments)
     timing_ms = (time.perf_counter() - started) * 1e3
 
     doc = _solve_document(result, timing_ms, with_assignments=args.all_assignments)

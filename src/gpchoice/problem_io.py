@@ -107,7 +107,7 @@ def _candidate_set(obj: Any, where: str) -> CandidateSet:
     _require_keys(obj, {"name", "role", "values"}, {"name", "role", "values"}, where)
     if not isinstance(obj["name"], str) or not obj["name"]:
         raise ProblemSemanticError(f"{where}.name: expected a non-empty string")
-    if obj["role"] not in _ROLES:
+    if not isinstance(obj["role"], str) or obj["role"] not in _ROLES:
         raise ProblemSemanticError(
             f"{where}.role: {obj['role']!r} is not one of {sorted(_ROLES)}"
         )

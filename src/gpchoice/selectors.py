@@ -490,6 +490,21 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
             visit(seed, picks)
 
 
+def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
+    """as_choice_gp(model); raises GpDomainError when solve_choice cannot
+    enumerate it: an invalid template, or more combinations than the cap."""
+    cg = as_choice_gp(model)
+    problems = validate_choice_gp(cg)
+    if problems:
+        raise GpDomainError("invalid template: " + "; ".join(problems))
+    total = math.prod(cs.size for cs in cg.sets)
+    if total > _COMBINATION_CAP:
+        raise GpDomainError(
+            f"{total} assignment combinations exceed the cap of {_COMBINATION_CAP}"
+        )
+    return cg
+
+
 def solve_choice(
     model: ChoiceGp | GpProblem, *, keep_assignments: bool = False
 ) -> ChoiceSolveReport:
@@ -517,17 +532,8 @@ def solve_choice(
     batch per system, as its table reports every z.  ``solved`` counts the
     non-rejected combinations, skipped ones included.
     """
-    cg = as_choice_gp(model)
-    problems = validate_choice_gp(cg)
-    if problems:
-        raise GpDomainError("invalid template: " + "; ".join(problems))
-
+    cg = checked_choice_gp(model)
     total = math.prod(cs.size for cs in cg.sets)
-    if total > _COMBINATION_CAP:
-        raise GpDomainError(
-            f"{total} assignment combinations exceed the cap of {_COMBINATION_CAP}"
-        )
-
     names = [cs.name for cs in cg.sets]
     table = [
         tuple(selector_polynomial(cs, p) for p in PATTERNS[cs.size]) for cs in cg.sets

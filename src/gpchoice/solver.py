@@ -6,24 +6,34 @@ null-space basis and run a damped Newton ascent with a fraction-to-boundary
 safeguard; equality residuals stay at rounding level because iterates never
 leave the affine set, and every pass stays strictly inside its program.  Each
 step runs the dual's vectorized kernels and assembles the reduced Hessian
-directly on the null-space basis.  A plain Newton pass runs from the start
-and ends at its first boundary touch; an interior stationary point is
-accepted outright (global by concavity).  When the maximum lies on the
-boundary, a log-barrier continuation rides the central path to the optimal
-face, since plain Newton can lock onto a suboptimal face.  Each barrier stage
-that ends centred hands the next stage a prediction along the central path's
-tangent, cut short of the boundary: a weight that is zero at the optimum sits
-near mu / v on the path, and from the last centre Newton could only about
-halve it per iteration after mu drops.  Predictions are not Newton
-iterations and do not count toward _MAX_ITERATIONS.
-A zero weight at the optimum marks an inactive term, so a boundary optimum
-is the interior optimum of a smaller dual: the weights the barrier leaves
-near zero (single weights, and every block of an inactive constraint) are
-dropped, the iterate is projected onto the reduced equalities, the plain
-pass finishes there, and the dropped weights are padded with zeros.  All
-passes of one dual share _MAX_ITERATIONS.  When the equality system
-leaves no freedom (an empty null space, as with degree of difficulty zero)
-its single solution is the answer.
+directly on the null-space basis.  A plain Newton pass, the fast pass, runs
+from the start and ends at its first boundary touch; an interior stationary
+point is accepted outright (global by concavity).  A zero weight at the
+optimum marks an inactive term, so a boundary optimum is the interior optimum
+of a smaller dual.  A fast pass that ends on the boundary guesses its face:
+every constraint block holding a boundary weight is slack, so all its weights
+are zero (complementary slackness; Duffin, Peterson and Zener, Geometric
+Programming, 1967).  One plain pass solves the program without those blocks
+from its system's own start, and the guess stands where the x recovered from
+it and the zero-padded weights certify on the full problem's terms: dropping a
+constraint relaxes the primal, and a relaxed optimum that meets the dropped
+constraint is optimal (Boyd, Kim, Vandenberghe and Hassibi, A tutorial on
+geometric programming, 2007).  Where the guess fails, the fast pass may have
+locked onto a suboptimal face, and a log-barrier continuation from the start
+rides the central path to the optimal face.  Each barrier stage that ends
+centred hands the next stage a prediction along the central path's tangent,
+cut short of the boundary: a weight that is zero at the optimum sits near
+mu / v on the path, and from the last centre Newton could only about halve it
+per iteration after mu drops.  Predictions are not Newton iterations and do
+not count toward _MAX_ITERATIONS.  The weights the barrier leaves near zero
+(single weights, and every block of an inactive constraint) are dropped, the
+iterate is projected onto the reduced equalities, the plain pass finishes
+there, and the dropped weights are padded with zeros; a projection that is not
+strictly positive ends the dual ITERATION_LIMIT where the barrier left it.
+This reduction and the face guess share one helper and differ only in their
+start.  All passes of one dual share _MAX_ITERATIONS.  When the equality
+system leaves no freedom (an empty null space, as with degree of difficulty
+zero) its single solution is the answer.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -467,9 +477,24 @@ def solve_dual(d: DualProgram) -> DualSolution:
     return _solve_duals(d, d.term_coefficients[None])[0]
 
 
+def _guessed_faces(d: DualProgram, w: np.ndarray) -> np.ndarray:
+    """The weights each row of w (B, K), ended at the boundary, keeps on the
+    face it guesses: every constraint block holding a weight at or below
+    _BOUNDARY_WEIGHT is slack, so all its weights are zero at the optimum
+    (complementary slackness).  A row with such a weight in the objective
+    block has no face to guess, and keeps none."""
+    touched = _block_sums(d, (w <= _BOUNDARY_WEIGHT) * 1.0) > 0.0
+    touched[touched[:, 0]] = True
+    return ~touched[:, d.block_index]
+
+
 def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]:
     """solve_dual of d at each row of coefficients (B, K), as one batch: duals
-    of d's equality system that differ only in their terms' coefficients."""
+    of d's equality system that differ only in their terms' coefficients.
+
+    Each row runs the fast pass, then, if that ends on the boundary, one pass
+    on the face it guesses (_guessed_faces), kept where it certifies, then
+    the barrier from the start and one pass on the face the barrier leaves."""
     start, nullsp, support = _dual_start(d)
     if support is not None:
         inner = _reduced_program(d, support), coefficients[:, support]
@@ -510,20 +535,74 @@ def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]
         for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
             out[j] = ds
 
+    def on_faces(rows, keeps, w=None):
+        """One plain pass of each row over its face, the program of its kept
+        weights, one batch per face, finished there and padded.  Where w is
+        None a pass starts at the face system's own start, capped like the
+        fast pass, and a face whose start is missing or has forced zeros runs
+        none; else it starts at the row of w projected onto the face, and a
+        projection that is not finite and strictly positive ends it at w."""
+        groups: dict[bytes, list[int]] = {}
+        for i, keep in enumerate(keeps):
+            groups.setdefault(keep.tobytes(), []).append(i)
+        for group in groups.values():
+            keep, g_rows = keeps[group[0]], [rows[i] for i in group]
+            program, g_nullsp, cap = d, nullsp, budget
+            if not keep.all():
+                program = _reduced_program(d, keep)
+            if w is None:
+                g_w, g_nullsp, support = _dual_start(program)
+                if g_w is None or support is not None:
+                    continue
+                g_w, cap = g_w[None].repeat(len(group), axis=0), 200
+            elif keep.all():
+                g_w = w[group]
+            else:
+                a, b = program.equality_matrix, program.equality_rhs
+                g_nullsp = _null_space(a)
+                g_w = w[group][:, keep]
+                g_w = np.array([_project_onto_equalities(a, b, v) for v in g_w])
+                inside = ((g_w > 0.0) & (g_w < np.inf)).all(axis=1)
+                outside = np.flatnonzero(~inside)
+                finish([g_rows[i] for i in outside], w[group][outside],
+                       [Status.ITERATION_LIMIT] * len(outside))
+                g_rows, g_w = [j for j, ok in zip(g_rows, inside) if ok], g_w[inside]
+            if g_rows:
+                finish(*phase(g_rows, g_w, 0.0, cap, program, g_nullsp, keep),
+                       program, g_nullsp, keep)
+
     # fast path: plain Newton from the interior start, ended at its first
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
     rows, ends, status = phase(list(range(len(w))), w, 0.0, 200)
     done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
     finish([rows[i] for i in done], ends[done], [Status.OPTIMAL] * len(done))
+
+    # a row that ended at the boundary guesses the face it reached: the
+    # constraint blocks holding its boundary weights are slack, so the optimum
+    # is the interior one of the program without them; the guess is kept
+    # where it certifies on d's terms
+    touched = np.flatnonzero(np.minimum.reduce(ends, axis=1) <= _BOUNDARY_WEIGHT)
+    if len(touched):
+        keeps = _guessed_faces(d, ends[touched])
+        guessed = np.flatnonzero(keeps.any(axis=1))
+        on_faces([rows[i] for i in touched[guessed]], keeps[guessed])
+        faced = [rows[i] for i in touched if out[rows[i]] is not None]
+        if faced:  # _recover and the certificate read the padded weights
+            solutions = [out[j] for j in faced]
+            reports = _certify(d, coefficients[faced], solutions, _recover)
+            for j, report in zip(faced, reports):
+                if report.status is not Status.OPTIMAL:
+                    out[j] = None
     rows = [j for j, ds in enumerate(out) if ds is None]
     w = w[rows]
 
-    # the fast path touched the boundary, where aggressive early steps can
-    # lock onto a suboptimal face; rerun with barrier continuation, whose
-    # central path reaches the optimal face before any weight hits zero; a
-    # stage that ends centred hands the next one its tangent prediction, which
-    # is no Newton iteration and so not counted
+    # the rows left had no face to guess or guessed a wrong one: aggressive
+    # early steps can lock onto a suboptimal face; rerun from the start with
+    # barrier continuation, whose central path reaches the optimal face
+    # before any weight hits zero; a stage that ends centred hands the next
+    # one its tangent prediction, which is no Newton iteration and so not
+    # counted
     for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
         if not rows:
             return out
@@ -538,22 +617,9 @@ def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]
     # the barrier leaves the weights that are zero at the optimum near its
     # last mu; on their face the optimum is interior to the program without
     # them, so drop them (normality keeps the objective block) and finish
-    # there with the fast path's pass, one batch per set of kept weights
+    # there with the fast path's pass
     inactive = _block_sums(d, w) <= _INACTIVE_LAMBDA
-    keeps = (w > _DROPPED_WEIGHT) & ~inactive[:, d.block_index]
-    groups: dict[bytes, list[int]] = {}
-    for i, keep in enumerate(keeps):
-        groups.setdefault(keep.tobytes(), []).append(i)
-    for group in groups.values():
-        keep, g_w, program, g_nullsp = keeps[group[0]], w[group], d, nullsp
-        if not keep.all():
-            program = _reduced_program(d, keep)
-            a, b = program.equality_matrix, program.equality_rhs
-            g_nullsp = _null_space(a)
-            g_w = np.array([_project_onto_equalities(a, b, v[keep]) for v in g_w])
-        g_rows = [rows[i] for i in group]
-        finish(*phase(g_rows, g_w, 0.0, budget, program, g_nullsp, keep),
-               program, g_nullsp, keep)
+    on_faces(rows, (w > _DROPPED_WEIGHT) & ~inactive[:, d.block_index], w)
     return out
 
 

@@ -263,3 +263,16 @@ def degenerate_minimax_gp(fixture: str) -> GpProblem:
     n = len(cg.variable_names)
     return make_problem([(1.0, (0.0,) * n + (1.0,))], list(constraints),
                         (*cg.variable_names, "t"))
+
+
+def large_coefficient_gp() -> GpProblem:
+    """ROADMAP item 11's GP, whose optimum is attained: min x1 + 10 x2 + 4 x3
+    + 2 x4 s.t. 3e21 x1^-2 x4^-2 + x2^2 x4^-2 <= 1 and 100 / (x1 x2 x3) <= 1.
+    After the barrier, its iterate projected onto the reduced equalities is
+    not strictly positive."""
+    return make_problem(
+        [(1.0, (1, 0, 0, 0)), (10.0, (0, 1, 0, 0)), (4.0, (0, 0, 1, 0)),
+         (2.0, (0, 0, 0, 1))],
+        [([(3e21, (-2, 0, 0, -2)), (1.0, (0, 2, 0, -2))], 1.0),
+         ([(100.0, (-1, -1, -1, 0))], 1.0)],
+    )

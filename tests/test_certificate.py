@@ -84,6 +84,12 @@ class TestOptimalClaim:
         assert _claim(inside_violation, W).holds[0]
         assert _claim(X, (0.5 + 2e-11, 0.5 - 2e-11, 1e-3, 1e-3)).holds[0]
 
+    def test_the_gap_is_proven_to_1e_8(self):
+        # 1e-6 before: four orders above the worst gap the solver delivers
+        # (6.4e-11 over the stress sweep), so it proved less than it could;
+        # a face guess that certifies is proven to this gap
+        assert GAP_TOL <= 1e-8
+
     def test_rows_are_judged_apart(self):
         x = [X, (0.0, 1.0), X]
         w = [W, W, (0.5, 0.5, -1e-3, -1e-3)]

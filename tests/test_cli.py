@@ -10,7 +10,7 @@ import pytest
 import gpchoice
 from gpchoice import make_problem, serialize_problem
 from gpchoice.cli import build_parser, main
-from helpers import PROBLEM_DIR, stalled_choice_gp
+from helpers import PROBLEM_DIR, large_coefficient_gp, stalled_choice_gp
 
 EX1_CASE1 = str(PROBLEM_DIR / "example1_case1.json")
 EX2_CASE6 = str(PROBLEM_DIR / "example2_case6.json")
@@ -230,6 +230,17 @@ class TestSolveCommand:
         assert "Warning" not in out.stderr
         assert "did not converge" in out.stderr
 
+    # ROADMAP item 11: a valid GP that used to end in GpDomainError, exit 3
+    @pytest.mark.parametrize("command", ["solve", "dual"])
+    def test_large_coefficient_gp_never_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(serialize_problem(large_coefficient_gp())))
+        code, out, err = run(capsys, command, str(path), "--format", "machine")
+        assert code in (0, 5)
+        assert machine_doc(out)["status"] == ("optimal" if code == 0
+                                              else "iteration_limit")
+        assert "error" not in err
+
     def test_infeasible_problem_exits_4(self, capsys, tmp_path):
         doc = {
             "format": "gp-problem/1",
@@ -367,6 +378,20 @@ class TestValidateCommand:
         }))
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out, err) == (3, "", f"error: {path}.{field}: expected a list\n")
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "dual"])
+    @pytest.mark.parametrize("role", [[], {}], ids=["list", "object"])
+    def test_a_role_that_is_not_a_string_exits_3(self, capsys, tmp_path, command,
+                                                 role):
+        doc = json.loads((PROBLEM_DIR / "example1_case1.json").read_text())
+        doc["candidate_sets"][0]["role"] = role
+        path = tmp_path / "role.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}.candidate_sets[0].role: {role!r} is not one"
+                       " of ['constraint_coefficient', 'exponent',"
+                       " 'objective_coefficient']\n")
 
     @pytest.mark.parametrize("command", ["validate", "solve", "dual"])
     def test_integer_beyond_the_digit_limit_exits_3(self, capsys, tmp_path, command):

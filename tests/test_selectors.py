@@ -468,9 +468,10 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     assert len(fixtures) == 12
     models = [parse_problem(path) for path in fixtures]
     pruned = [solve_choice(cg) for cg in models]
-    # the pruned search solves one expansion at a time
+    # the pruned search solves one expansion at a time; 23 of them, 26 when
+    # GAP_TOL was 1e-6 and the pruning margin was wider by as much
     assert set(batches) == {1}
-    assert len(batches) <= 26
+    assert len(batches) == 23
     batches.clear()
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
     assert (sum(batches), len(batches)) == (1002, 46)
