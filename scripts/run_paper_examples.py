@@ -5,14 +5,18 @@ weights.  The last line checks the first example's winner against the
 optimal claim of gpchoice.certificate, built from its expansion alone.
 
 Each fixture's line gives the time of the pruned search, then the time of
-the keep-all pass (every expansion solved, as --all-assignments does) and
-its number of equality systems: the expansions that share exponent values
-share one, and keep-all solves each system's duals as one batch.
+the keep-all pass (every expansion solved, as --all-assignments does), its
+number of equality systems and its number of fast-pass batches: the
+expansions that share exponent values share one system, and keep-all runs
+the fast pass of all the systems that share a block layout and a
+null-space dimension as one batch.
 """
 
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -41,17 +45,24 @@ def run_fixture(path: Path):
     table = solve_choice(cg, keep_assignments=True).assignments
     keep_all = (time.perf_counter() - started) * 1e3
     exponents = [i for i, cs in enumerate(cg.sets) if cs.role is Role.EXPONENT]
-    systems = {
-        tuple(row.values[i] for i in exponents)
+    names = [cs.name for cs in cg.sets]
+    systems = {  # one expansion per system
+        tuple(row.values[i] for i in exponents): dict(zip(names, row.bits))
         for row in table if row.status != "rejected"
     }
+    batches = set()  # (block layout, null-space dimension) of each system
+    for choice in systems.values():
+        d = build_dual(standardize(expand(cg, choice)))
+        nullity = d.term_count - np.linalg.matrix_rank(d.equality_matrix)
+        batches.add((d.block_index.tobytes(), nullity))
     chosen = dict(result.chosen_values or ())
     report = result.report
     print(
         f"{path.stem:18s} z = {report.objective_value:12.7g}  "
         f"(c, p, a) = ({chosen['c']:g}, {chosen['p']:g}, {chosen['a']:g})  "
         f"combos = {result.solved + result.rejected:3d}  {elapsed:7.1f} ms  "
-        f"keep-all {keep_all:7.1f} ms  systems = {len(systems)}"
+        f"keep-all {keep_all:7.1f} ms  systems = {len(systems)}  "
+        f"batches = {len(batches)}"
     )
     return cg, result
 
@@ -67,7 +78,7 @@ def show_dual(cg, result, label):
 
 def main() -> int:
     print("selected constants per fixture")
-    print("-" * 118)
+    print("-" * 132)
     last = {}
     for example in (1, 2):
         for case in range(1, 7):

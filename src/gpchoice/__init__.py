@@ -10,10 +10,7 @@ from types import ModuleType as _ModuleType
 from .certificate import infeasible_claim, optimal_claim, problem_terms
 from .dual import (
     DualProgram,
-    block_lambdas,
     build_dual,
-    degree_of_difficulty,
-    dual_objective,
     log_dual_objective,
 )
 from .posynomial import (
@@ -47,7 +44,6 @@ from .selectors import (
     as_choice_gp,
     case_constraint_violations,
     expand,
-    is_valid_assignment,
     resolve_choice,
     selector_polynomial,
     solve_choice,
@@ -57,7 +53,6 @@ from .selectors import (
 )
 from .solver import (
     DualSolution,
-    KktResiduals,
     ReconstructionError,
     SolveReport,
     Status,

@@ -126,11 +126,6 @@ def build_dual(s: StandardGp) -> DualProgram:
     )
 
 
-def degree_of_difficulty(s: StandardGp) -> int:
-    """Total term count minus variable count minus one; may be negative."""
-    return s.term_count - s.variable_count - 1
-
-
 def _check_weights(d: DualProgram, w, *batch: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (*batch, d.term_count):
@@ -154,18 +149,6 @@ def _block_sums(d: DualProgram, w: np.ndarray) -> np.ndarray:
 def block_lambdas(d: DualProgram, w) -> np.ndarray:
     """Per-constraint-block weight sums lambda_i, i = 1..m (per row of a stack)."""
     return _block_sums(d, np.asarray(w, dtype=float))[..., 1:]
-
-
-def dual_objective(d: DualProgram, w) -> float:
-    """Product form of the dual objective; zero weights contribute factor one."""
-    w = _check_weights(d, w)
-    c = d.term_coefficients
-    pos = w > 0.0
-    value = float(np.prod((c[pos] / w[pos]) ** w[pos]))
-    for lam in block_lambdas(d, w):
-        if lam > 0.0:
-            value *= lam**lam
-    return value
 
 
 def log_dual_objective(d: DualProgram, w) -> tuple[float, np.ndarray]:
@@ -229,8 +212,9 @@ def _reduced_hessian(
     constraint block i; basis_sums = member @ B stacks the s_i^T B, and lam
     holds the block sums, objective first.  At B = I only exact zeros join
     each entry's one term, so the result is the entrywise formula bit for bit.
-    lam and w may stack rows along a leading axis, one reduced Hessian each.
+    lam and w may stack rows along a leading axis, one reduced Hessian each,
+    and so may basis and basis_sums, one basis per row.
     """
     curvature = 1.0 / w if mu == 0.0 else 1.0 / w + mu / w**2
-    sums = (basis_sums.T / lam[..., None, 1:]) @ basis_sums
-    return sums - (basis.T * curvature[..., None, :]) @ basis
+    sums = (basis_sums.mT / lam[..., None, 1:]) @ basis_sums
+    return sums - (basis.mT * curvature[..., None, :]) @ basis

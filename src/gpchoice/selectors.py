@@ -528,9 +528,10 @@ def solve_choice(
     an equality system as one batch (solver._solve_rows), and equal value
     tuples once, at their smallest pattern per set.  Expansions that weak
     duality proves can neither win nor tie are skipped unsolved (_search,
-    _Skeleton, _Template.bound); keep_assignments solves them all, in one
-    batch per system, as its table reports every z.  ``solved`` counts the
-    non-rejected combinations, skipped ones included.
+    _Skeleton, _Template.bound); keep_assignments solves them all, every
+    system in one _solve_rows call, whose fast pass is one batch for all
+    systems of one block layout and nullity, as its table reports every z.
+    ``solved`` counts the non-rejected combinations, skipped ones included.
     """
     cg = checked_choice_gp(model)
     total = math.prod(cs.size for cs in cg.sets)
@@ -557,9 +558,10 @@ def solve_choice(
 
     def evaluate(combos: Sequence[Combo]) -> list[Evaluated]:
         """The row and report of each combination's value tuple.  A tuple not
-        yet cached is solved at its first combination here, in the batch of
-        its exponent values, which fix its equality system (the table holds
-        no -0.0: selector_polynomial adds to 0.0)."""
+        yet cached is solved at its first combination here, with the tuples
+        that share its exponent values, which fix its equality system (the
+        table holds no -0.0: selector_polynomial adds to 0.0); every system
+        of one call goes to one _solve_rows batch."""
         tuples = [tuple(map(tuple.__getitem__, table, combo)) for combo in combos]
         systems: dict[tuple[float, ...], dict[tuple[float, ...], Combo]] = {}
         for combo, values in zip(combos, tuples):
@@ -571,11 +573,11 @@ def solve_choice(
             else:
                 row = AssignmentOutcome(bits_of(combo), values, "rejected", None)
                 cache[values] = row, None
-        for batch in systems.values():
-            rows = np.array(list(batch))
-            coefficients = template.coefficients(rows)
-            reports = _solve_rows(template.at(rows[0]), coefficients)
-            for (values, combo), report in zip(batch.items(), reports):
+        rows = [np.array(list(system)) for system in systems.values()]
+        batch = [(template.at(r[0]), template.coefficients(r)) for r in rows]
+        results = _solve_rows(batch) if batch else []
+        for system, reports in zip(systems.values(), results):
+            for (values, combo), report in zip(system.items(), reports):
                 # a row that is not OPTIMAL may carry f_0 at an infeasible x
                 z = report.objective_value if report.status is Status.OPTIMAL else None
                 row = AssignmentOutcome(bits_of(combo), values, report.status.value, z)

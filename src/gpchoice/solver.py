@@ -45,9 +45,19 @@ at zero are zero at every feasible point; they are dropped and the dual is
 re-solved on the rest.  The start and the null space depend only on the
 equality system, which the exponents and blocks of the terms fix, so they
 are computed once per system and shared, through a bounded cache, by every
-dual with that system.  Duals that differ only in their coefficients are
-solved as one batch, a row of a (B, K) weight array each, and each row ends
-bit for bit as it would alone; solve_dual is the batch of one.  Linear algebra is numpy
+dual with that system.  Duals are solved as one batch, a row of a (B, K)
+weight array each, and each row ends bit for bit as it would alone;
+solve_dual is the batch of one.  Duals that differ only in their
+coefficients share an equality system, and its start and null space.  The
+fast pass takes more: duals of several systems that share a block layout
+(so K and the kernels' block sums) and a nullity r are one batch, each row
+from its own system's start and with its own null-space basis, stacked
+(B, r, K) in C order so that each row's basis is laid out, and rounds, as
+it does alone.  The Newton kernels read the exponents only through the
+basis.  What else reads them stays per system: the start, the equality
+residual, the face guess, the reduction, recovery and the certificate; a
+row that ends the fast pass on the boundary goes on in its own system from
+where the fast pass left it.  Linear algebra is numpy
 only (an SVD null space; a Newton step from one symmetric eigendecomposition
 of the reduced Hessian, its eigenvalues floored so that the step always
 ascends), so importing the package does not load scipy;
@@ -172,8 +182,9 @@ def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.
 
 
 def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Largest entry of grad projected onto the span of basis's columns, per row."""
-    projected = np.matvec(basis, np.matvec(basis.T, grad))
+    """Largest entry of grad projected onto the span of basis's columns, per
+    row; basis (K, r) is shared, or (B, K, r) holds one per row."""
+    projected = np.matvec(basis, np.matvec(basis.mT, grad))
     return np.maximum.reduce(np.abs(projected), axis=-1)
 
 
@@ -360,26 +371,29 @@ def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 
 def _newton_phase(
-    d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, basis_sums: np.ndarray,
+    d: DualProgram, log_c: np.ndarray, bases: np.ndarray, basis_sums: np.ndarray,
     w: np.ndarray, mu: float, tol: float, max_iterations: list[int],
 ) -> tuple[np.ndarray, list[Status], list[int]]:
     """Damped Newton ascent of the (optionally barrier-augmented) log dual.
 
-    Each row of w (B, K) is a dual of d's equality system with its row of
-    log_c, and has its own line search, end and iteration count (at most its
-    max_iterations); the rows share the null-space basis B, basis_sums (B's
-    sums over each constraint block) and one stacked eigh per iteration.  The
-    barrier keeps iterates inside; with mu = 0 a row ends at its first weight
-    at or below _BOUNDARY_WEIGHT.  Returns end weights, statuses and counts.
+    Each row of w (B, K) is a dual with d's block layout, its row of log_c
+    and its own null-space basis, a slice of bases (B, K, r): the .mT view of
+    a C-ordered (B, r, K) stack, so that each slice is laid out as
+    _null_space returns it.  basis_sums (B, m, r) holds each basis's sums
+    over each constraint block.  A row has its own line search, end and
+    iteration count (at most its max_iterations); the rows share one stacked
+    eigh per iteration.  The barrier keeps iterates inside; with mu = 0 a row
+    ends at its first weight at or below _BOUNDARY_WEIGHT.  Returns end
+    weights, statuses and counts.
     """
     end, used = np.empty_like(w), [0] * len(w)
     status = [Status.ITERATION_LIMIT] * len(w)
     rows, limits, stuck = list(range(len(w))), list(max_iterations), []  # live rows
     raw, value, grad, lam = _barrier_eval(d, w, mu, log_c)
     for k in itertools.count(1):
-        gu = np.matvec(nullsp.T, grad)
+        gu = np.matvec(bases.mT, grad)
         # _projected_norm, from gu
-        norms = np.maximum.reduce(np.abs(np.matvec(nullsp, gu)), axis=1).tolist()
+        norms = np.maximum.reduce(np.abs(np.matvec(bases, gu)), axis=1).tolist()
         low = np.minimum.reduce(w, axis=1).tolist() if mu == 0.0 else None
         live = []
         for i, (j, r) in enumerate(zip(rows, raw.tolist())):
@@ -400,14 +414,15 @@ def _newton_phase(
         if not live:
             break
         if len(live) < len(rows):
-            w, raw, value, grad, lam, log_c, gu = (
-                x[live] for x in (w, raw, value, grad, lam, log_c, gu)
+            w, raw, value, grad, lam, log_c, gu, basis_sums = (
+                x[live] for x in (w, raw, value, grad, lam, log_c, gu, basis_sums)
             )
+            bases = bases.mT[live].mT  # compacted in the stack's own C order
             rows, limits, norms = ([x[i] for i in live] for x in (rows, limits, norms))
 
-        du = _newton_step(_reduced_hessian(nullsp, basis_sums, lam, w, mu), gu)
+        du = _newton_step(_reduced_hessian(bases, basis_sums, lam, w, mu), gu)
         slopes, values = np.vecdot(gu, du).tolist(), value.tolist()
-        dw = np.matvec(nullsp, du)
+        dw = np.matvec(bases, du)
         step = _boundary_fraction(w, dw)
         # each row halves its step until it takes its trial; a taken row's
         # trial comes out the same at every later halving
@@ -427,7 +442,7 @@ def _newton_phase(
                     taken[i] = t_value >= values[i] + predicted
                     continue
                 if t_norms is None:
-                    t_norms = _projected_norm(nullsp, evaluated[2]).tolist()
+                    t_norms = _projected_norm(bases, evaluated[2]).tolist()
                 taken[i] = t_norms[i] < norms[i]
             if all(taken):
                 break
@@ -474,7 +489,7 @@ def solve_dual(d: DualProgram) -> DualSolution:
     and ITERATION_LIMIT otherwise, including when the Newton passes together
     reach _MAX_ITERATIONS.
     """
-    return _solve_duals(d, d.term_coefficients[None])[0]
+    return _solve_duals([(d, d.term_coefficients[None])])[0][0]
 
 
 def _guessed_faces(d: DualProgram, w: np.ndarray) -> np.ndarray:
@@ -488,35 +503,77 @@ def _guessed_faces(d: DualProgram, w: np.ndarray) -> np.ndarray:
     return ~touched[:, d.block_index]
 
 
-def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]:
-    """solve_dual of d at each row of coefficients (B, K), as one batch: duals
-    of d's equality system that differ only in their terms' coefficients.
+def _solve_duals(
+    systems: Sequence[tuple[DualProgram, np.ndarray]],
+) -> list[list[DualSolution]]:
+    """solve_dual of each program d at each of its rows of coefficients
+    (B, K): per system, the duals of d's equality system that differ only in
+    their terms' coefficients.
 
-    Each row runs the fast pass, then, if that ends on the boundary, one pass
-    on the face it guesses (_guessed_faces), kept where it certifies, then
-    the barrier from the start and one pass on the face the barrier leaves."""
-    start, nullsp, support = _dual_start(d)
-    if support is not None:
-        inner = _reduced_program(d, support), coefficients[:, support]
-        return _pad(d, support, _solve_duals(*inner))
-    if start is None:
-        return [_failure(d, Status.INFEASIBLE) for _ in coefficients]
-    log_c = np.log(coefficients)
-    w = start[None].repeat(len(log_c), axis=0)
-    if nullsp.shape[1] == 0:  # the affine set is the single point start
-        return _finish(d, log_c, nullsp, w, [Status.OPTIMAL] * len(w), [0] * len(w))
+    The rows of every system with an interior start run the fast pass as one
+    batch per block layout and nullity, each row from its own system's start
+    and on its own null-space basis.  The rest is per system (_settle): a row
+    that ends on the boundary runs one pass on the face it guesses
+    (_guessed_faces), kept where it certifies, then the barrier from the
+    start and one pass on the face the barrier leaves."""
+    out: list[list[DualSolution] | None] = [None] * len(systems)
+    supported, fast = [], {}  # systems with forced zeros; fast pass groups
+    for s, (d, coefficients) in enumerate(systems):
+        start, nullsp, support = _dual_start(d)
+        n = len(coefficients)
+        if support is not None:
+            supported.append((s, support))
+        elif start is None:
+            out[s] = [_failure(d, Status.INFEASIBLE) for _ in range(n)]
+        elif nullsp.shape[1] == 0:  # the affine set is the single point start
+            out[s] = _finish(d, np.log(coefficients), nullsp, start[None].repeat(n, 0),
+                             [Status.OPTIMAL] * n, [0] * n)
+        else:
+            key = d.block_index.tobytes(), nullsp.shape[1]
+            fast.setdefault(key, []).append((s, start, nullsp))
+    if supported:
+        inner = [(_reduced_program(systems[s][0], support), systems[s][1][:, support])
+                 for s, support in supported]
+        for (s, support), solutions in zip(supported, _solve_duals(inner)):
+            out[s] = _pad(systems[s][0], support, solutions)
+
+    # fast path: plain Newton from the interior start, ended at its first
+    # boundary touch; an interior stationary point is the global maximum by
+    # concavity, so it can be accepted outright
+    for group in fast.values():
+        d = systems[group[0][0]][0]  # the layout and the kernels are shared
+        counts = [len(systems[s][1]) for s, _, _ in group]
+        pick = np.repeat(np.arange(len(group)), counts)
+        log_c = np.log(np.concatenate([systems[s][1] for s, _, _ in group]))
+        # (B, r, K) in C order: each row's basis.mT is laid out as its own
+        # _null_space's, so every row keeps the bits it gets alone
+        stack = np.array([nullsp.T for _, _, nullsp in group])[pick]
+        sums = np.array([d._layout.member @ nullsp for _, _, nullsp in group])[pick]
+        w = np.array([start for _, start, _ in group])[pick]
+        ends, status, used = _newton_phase(
+            d, log_c, stack.mT, sums, w, 0.0, _STATIONARITY_TOL,
+            [min(200, _MAX_ITERATIONS)] * len(w),
+        )
+        edges = np.cumsum([0, *counts]).tolist()
+        for (s, start, nullsp), i, j in zip(group, edges, edges[1:]):
+            out[s] = _settle(*systems[s], log_c[i:j], start, nullsp,
+                             ends[i:j], status[i:j], used[i:j])
+    return out
+
+
+def _settle(
+    d: DualProgram, coefficients: np.ndarray, log_c: np.ndarray, start: np.ndarray,
+    nullsp: np.ndarray, ends: np.ndarray, status: list[Status], used: list[int],
+) -> list[DualSolution]:
+    """The DualSolutions of d's rows of coefficients, whose fast pass from
+    start ended at ends with these statuses and iteration counts."""
     budget = _MAX_ITERATIONS
     out: list[DualSolution | None] = [None] * len(log_c)
     spent = [0] * len(log_c)  # iterations of each dual so far
 
-    def phase(rows, w, mu, cap, program=d, nullsp=nullsp, keep=slice(None)):
-        """_newton_phase of these rows, capped; the rows, end weights and
-        statuses of all but the UNBOUNDED rows, which fail."""
-        ends, status, used = _newton_phase(
-            program, log_c[rows][:, keep], nullsp, program._layout.member @ nullsp,
-            w, mu, max(mu, _STATIONARITY_TOL),
-            [min(cap, budget - spent[j]) for j in rows],
-        )
+    def record(rows, ends, status, used):
+        """Count the iterations of a pass over these rows; the rows, end
+        weights and statuses of all but the UNBOUNDED rows, which fail."""
         for j, st, n in zip(rows, status, used):
             spent[j] += n
             if st is Status.UNBOUNDED:
@@ -525,6 +582,15 @@ def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]
         if len(going) == len(rows):
             return rows, ends, status
         return [rows[i] for i in going], ends[going], [status[i] for i in going]
+
+    def phase(rows, w, mu, cap, program=d, nullsp=nullsp, keep=slice(None)):
+        """record of _newton_phase of these rows, capped."""
+        stack = nullsp.T[None].repeat(len(rows), axis=0)
+        sums = (program._layout.member @ nullsp)[None].repeat(len(rows), axis=0)
+        return record(rows, *_newton_phase(
+            program, log_c[rows][:, keep], stack.mT, sums, w, mu,
+            max(mu, _STATIONARITY_TOL), [min(cap, budget - spent[j]) for j in rows],
+        ))
 
     def finish(rows, w, status, program=d, nullsp=nullsp, keep=slice(None)):
         """_finish these rows of a last pass over program, d's kept weights."""
@@ -571,10 +637,7 @@ def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]
                 finish(*phase(g_rows, g_w, 0.0, cap, program, g_nullsp, keep),
                        program, g_nullsp, keep)
 
-    # fast path: plain Newton from the interior start, ended at its first
-    # boundary touch; an interior stationary point is the global maximum by
-    # concavity, so it can be accepted outright
-    rows, ends, status = phase(list(range(len(w))), w, 0.0, 200)
+    rows, ends, status = record(list(range(len(log_c))), ends, status, used)
     done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
     finish([rows[i] for i in done], ends[done], [Status.OPTIMAL] * len(done))
 
@@ -595,7 +658,7 @@ def _solve_duals(d: DualProgram, coefficients: np.ndarray) -> list[DualSolution]
                 if report.status is not Status.OPTIMAL:
                     out[j] = None
     rows = [j for j, ds in enumerate(out) if ds is None]
-    w = w[rows]
+    w = start[None].repeat(len(rows), axis=0)
 
     # the rows left had no face to guess or guessed a wrong one: aggressive
     # early steps can lock onto a suboptimal face; rerun from the start with
@@ -726,6 +789,10 @@ def solve(s: StandardGp) -> SolveReport:
     return _certify(d, d.term_coefficients[None], [ds], recover)[0]
 
 
-def _solve_rows(d: DualProgram, coefficients: np.ndarray) -> list[SolveReport]:
-    """solve of d's problem at each row of coefficients (B, K), as one batch."""
-    return _certify(d, coefficients, _solve_duals(d, coefficients), _recover)
+def _solve_rows(
+    systems: Sequence[tuple[DualProgram, np.ndarray]],
+) -> list[list[SolveReport]]:
+    """solve of each program d's problem at each of its rows of coefficients
+    (B, K), as one batch (_solve_duals), certified per system."""
+    return [_certify(d, coefficients, solutions, _recover)
+            for (d, coefficients), solutions in zip(systems, _solve_duals(systems))]

@@ -1,25 +1,44 @@
 """Shared builders and reference values for the test suite."""
 
+import copy
+import io
+import json
+import math
+import random
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from gpchoice import (
     CandidateSet,
     ChoiceGp,
+    ExpansionRejected,
+    GpDomainError,
     GpProblem,
     Posynomial,
+    ProblemSemanticError,
+    ProblemSyntaxError,
     Role,
     SetRef,
     StandardGp,
     Status,
     TermTemplate,
+    as_choice_gp,
     expand,
     make_problem,
+    optimal_claim,
     parse_problem,
+    parse_problem_text,
+    problem_terms,
     solve_choice,
+    standardize,
 )
+from gpchoice.cli import main as cli_main
+from gpchoice.selectors import PATTERNS, checked_choice_gp
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -276,3 +295,175 @@ def large_coefficient_gp() -> GpProblem:
         [([(3e21, (-2, 0, 0, -2)), (1.0, (0, 2, 0, -2))], 1.0),
          ([(100.0, (-1, -1, -1, 0))], 1.0)],
     )
+
+
+# what a CLI fuzz case puts in place of a value of a fixture (ROADMAP item 11)
+FUZZ_VALUES = (None, True, False, 0, -1, 1e308, -1e308, 1e-320, math.nan, math.inf,
+               "text", [], {}, [1], {"set": "undeclared"}, 10**400, -0.0)
+# the exit codes of the CLI; 2 and 3 only for a file that validation rejects
+CLI_EXITS = (0, 2, 3, 4, 5)
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every value below doc, depth first; a path holds the
+    keys and indices that lead to its value."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield (*path, key), value
+        yield from _nodes(value, (*path, key))
+
+
+def mutate_document(doc, rng: random.Random, count: int) -> tuple[object, list[str]]:
+    """A deep copy of a problem document mutated count times, and each
+    mutation as text.  A mutation replaces a value with one of FUZZ_VALUES,
+    deletes a key or list entry, duplicates a list entry, or scales a number
+    by 10^k for k in -40..40, by 0 or by -1."""
+    doc, done = copy.deepcopy(doc), []
+    for _ in range(count):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        kind = rng.choice(("replace", "delete", "duplicate", "scale"))
+        if kind == "duplicate":
+            chosen = [n for n in nodes if isinstance(n[1], list) and n[1]]
+        elif kind == "scale":  # beyond 1e300 an int would not convert
+            chosen = [n for n in nodes if type(n[1]) is float
+                      or type(n[1]) is int and abs(n[1]) < 10**300]
+        else:
+            chosen = nodes
+        if not chosen:
+            kind, chosen = "replace", nodes
+        path, value = rng.choice(chosen)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        where = "/".join(map(str, path))
+        if kind == "replace":
+            new = copy.deepcopy(rng.choice(FUZZ_VALUES))
+            parent[path[-1]] = new
+            done.append(f"replace {where} with {new!r:.40}")
+        elif kind == "delete":
+            del parent[path[-1]]
+            done.append(f"delete {where}")
+        elif kind == "duplicate":
+            i = rng.randrange(len(value))
+            value.insert(rng.randrange(len(value) + 1), copy.deepcopy(value[i]))
+            done.append(f"duplicate {where}/{i}")
+        else:
+            factor = rng.choice((0, -1, 10.0 ** rng.randint(-40, 40)))
+            parent[path[-1]] = value * factor
+            done.append(f"scale {where} by {factor!r}")
+    return doc, done
+
+
+def fuzz_cases(seed: int, count: int):
+    """count CLI fuzz cases drawn from seed, each (fixture name, file text,
+    --assign values, mutations): a fixture mutated 1 to 3 times.  The
+    assigns select every set of the fixture at its first pattern."""
+    rng = random.Random(seed)
+    paths = sorted(PROBLEM_DIR.glob("*.json"))
+    for _ in range(count):
+        path = rng.choice(paths)
+        doc = json.loads(path.read_text())
+        mutated, done = mutate_document(doc, rng, rng.randint(1, 3))
+        assigns = [
+            f"{cs['name']}={''.join(map(str, PATTERNS[len(cs['values'])][0]))}"
+            for cs in doc["candidate_sets"]
+        ]
+        yield path.stem, json.dumps(mutated), assigns, done
+
+
+def _refusal(model, command: str, assigns: Sequence[str]) -> int | None:
+    """3 where validation of a parsed model rejects it for this command on
+    its own, else None: solve's template check, or the expansion that dual
+    selects with assigns (each name=bits)."""
+    cg = as_choice_gp(model)
+    try:
+        if command.startswith("solve"):
+            checked_choice_gp(cg)
+        elif command == "dual":
+            names = {cs.name for cs in cg.sets}
+            choice = {name: tuple(map(int, bits))
+                      for name, bits in (a.split("=") for a in assigns)}
+            if set(choice) - names:
+                return 3
+            expand(cg, {cs.name: (0, 0) for cs in cg.sets if cs.size == 1} | choice)
+    except (GpDomainError, ExpansionRejected):
+        return 3
+    return None
+
+
+def _run_cli(argv: Sequence[str]):
+    """cli.main(argv) in-process: its exit code, or the exception it raised,
+    its stdout and the warnings it gave."""
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = cli_main(argv)
+        except SystemExit as e:  # argparse
+            code = e.code
+        except Exception as e:  # noqa: BLE001 (any traceback is a fault)
+            code = e
+    return code, out.getvalue(), caught
+
+
+def _claim_fault(model, report: dict) -> str | None:
+    """Why an exit-0 solve report fails certificate.optimal_claim on the
+    expansion its chosen bits name, or None when the claim holds."""
+    if report["status"] != "optimal":
+        return f"exit 0 with status {report['status']}"
+    choice = {name: tuple(map(int, c["bits"])) for name, c in report["chosen"].items()}
+    s = standardize(expand(as_choice_gp(model), choice))
+    claim = optimal_claim(problem_terms(s), [report["x"]], [report["w"]])
+    if not claim.holds[0]:
+        return f"exit 0, but the optimal claim fails: gap {claim.gap[0]:.3e}, " \
+               f"violation {claim.violation[0]:.3e}"
+    return None
+
+
+def cli_faults(text: str, path: Path, assigns: Sequence[str]) -> list[str]:
+    """The faults of the CLI on a problem file of this text, written to path
+    (ROADMAP item 11).  It runs validate, solve --format machine, the same
+    with --all-assignments, and dual --format machine with assigns.  A fault
+    is a traceback, a warning, an exit code outside CLI_EXITS, an exit code
+    other than the one parsing or validation gives the file on its own (2 or
+    3 exactly where they reject it), or an exit-0 solve report whose x and w
+    fail the optimal claim on the expansion it names."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        model, refused = parse_problem_text(text), None
+    except ProblemSyntaxError:
+        model, refused = None, 2
+    except ProblemSemanticError:
+        model, refused = None, 3
+    except Exception as e:  # noqa: BLE001 (the CLI would print its traceback)
+        return [f"parse_problem_text: {type(e).__name__}: {e}"]
+    commands = {
+        "validate": ["validate"],
+        "solve": ["solve", "--format", "machine"],
+        "solve --all-assignments": ["solve", "--format", "machine", "--all-assignments"],
+        "dual": ["dual", "--format", "machine", *(f"--assign={a}" for a in assigns)],
+    }
+    faults = []
+    for command, argv in commands.items():
+        code, out, caught = _run_cli([argv[0], str(path), *argv[1:]])
+        expected = refused if model is None else _refusal(model, command, assigns)
+        if isinstance(code, Exception):
+            faults.append(f"{command}: {type(code).__name__}: {code}")
+            continue
+        faults += [f"{command}: {w.category.__name__}: {w.message}" for w in caught]
+        if code not in CLI_EXITS:
+            faults.append(f"{command}: exit {code}")
+        elif (code in (2, 3) or expected is not None) and code != expected:
+            faults.append(f"{command}: exit {code} where validation gives {expected}")
+        elif code == 0 and command.startswith("solve"):
+            fault = _claim_fault(model, json.loads(out))
+            faults += [f"{command}: {fault}"] if fault else []
+    return faults

@@ -10,7 +10,13 @@ import pytest
 import gpchoice
 from gpchoice import make_problem, serialize_problem
 from gpchoice.cli import build_parser, main
-from helpers import PROBLEM_DIR, large_coefficient_gp, stalled_choice_gp
+from helpers import (
+    PROBLEM_DIR,
+    cli_faults,
+    fuzz_cases,
+    large_coefficient_gp,
+    stalled_choice_gp,
+)
 
 EX1_CASE1 = str(PROBLEM_DIR / "example1_case1.json")
 EX2_CASE6 = str(PROBLEM_DIR / "example2_case6.json")
@@ -423,3 +429,12 @@ def test_each_subcommand_takes_exactly_its_options():
     for command in synopsis.split("gpchoice ")[1:]:
         name = command.split()[0]
         assert set(re.findall(r"--[a-z-]+", command)) == expected[name]
+
+
+# ROADMAP item 11: 200 mutated fixtures, 10 per seed, in about 6 s; the
+# long sweeps are scripts/fuzz_cli.py's
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_fixtures_exit_as_validation_says(seed, tmp_path):
+    for fixture, text, assigns, mutations in fuzz_cases(seed, 10):
+        faults = cli_faults(text, tmp_path / "case.json", assigns)
+        assert not faults, (fixture, mutations, faults)

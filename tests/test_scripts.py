@@ -12,13 +12,15 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 # what each script's output must contain; the examples give each fixture's
-# pruned time beside its keep-all time and number of equality systems; the
+# pruned time beside its keep-all time, number of equality systems and
+# number of fast-pass batches, one per fixture on the shipped problems; the
 # stress sweep reports its iteration count and solve time per iteration, so
 # a kernel change reads as "same iterations, less time each", and ends with
 # a digest of its statuses alone and a digest of its results
 EXPECTED = {
     "run_paper_examples.py": r"(\nexample[12]_case[1-6] +z = .* \d+\.\d ms  "
-    r"keep-all +\d+\.\d ms  systems = [1-9]\d*){12}\n",
+    r"keep-all +\d+\.\d ms  systems = [1-9]\d*  batches = 1){12}\n",
+    "fuzz_cli.py": r"^20 cases at seed 1 in \d+\.\ds: 0 faulty\n$",
     "stress_random.py": r"\n  [1-9]\d* Newton iterations, \d+\.\d us each "
     r"\(\d+\.\d\ds in solve\)\n[\s\S]*\nstatus digest {12}[0-9a-f]{64}\n"
     r"sweep digest {13}[0-9a-f]{64}\n$",
@@ -28,6 +30,7 @@ EXPECTED = {
 @pytest.mark.parametrize(
     "script, args",
     [
+        ("fuzz_cli.py", ["--count", "20", "--seed", "1"]),
         ("run_paper_examples.py", []),
         ("stress_random.py", ["--count", "20"]),
     ],

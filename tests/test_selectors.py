@@ -448,13 +448,13 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _count_rows(monkeypatch):
-    """The number of coefficient rows of each _solve_rows batch."""
+    """Per _solve_rows call, the number of coefficient rows of each system."""
     batches = []
     original = gpchoice.selectors._solve_rows
 
-    def solve_rows(d, coefficients):
-        batches.append(len(coefficients))
-        return original(d, coefficients)
+    def solve_rows(systems):
+        batches.append([len(coefficients) for _, coefficients in systems])
+        return original(systems)
 
     monkeypatch.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
     return batches
@@ -470,11 +470,13 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     pruned = [solve_choice(cg) for cg in models]
     # the pruned search solves one expansion at a time; 23 of them, 26 when
     # GAP_TOL was 1e-6 and the pruning margin was wider by as much
-    assert set(batches) == {1}
-    assert len(batches) == 23
+    assert batches == [[1]] * 23
     batches.clear()
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
-    assert (sum(batches), len(batches)) == (1002, 46)
+    # keep-all solves 1002 expansions over 46 equality systems, every system
+    # of a fixture in one call
+    systems = [rows for call in batches for rows in call]
+    assert (sum(systems), len(systems), len(batches)) == (1002, 46, 12)
     assert expands == []
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
@@ -800,7 +802,7 @@ def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
     # every value tuple of the 98304 is distinct; the first seed's projected
     # weights bound the other two seeds, and the O(K) bound skips the rest,
     # all unexpanded
-    assert (batches, expands) == ([1], [])
+    assert (batches, expands) == ([[1]], [])
 
 
 def test_bound_pruning_matches_exhaustive_enumeration():

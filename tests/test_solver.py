@@ -611,9 +611,9 @@ class TestStressRegressions:
         solves = []
         original = gpchoice.solver._solve_duals
 
-        def spy(d, coefficients):
-            solves.append(coefficients)
-            return original(d, coefficients)
+        def spy(systems):
+            solves.extend(coefficients for _, coefficients in systems)
+            return original(systems)
 
         monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
         report = solve(standardize(_stress_problems()[1522]))
@@ -1096,22 +1096,38 @@ class TestSharedStart:
     def test_keep_all_pass_computes_each_start_once(self, monkeypatch):
         # 1002 duals over the 12 fixtures; exponent values alone fix each
         # equality system, so there are 10 distinct ones, 46 fixture by
-        # fixture, and keep-all solves each fixture's systems as one batch
+        # fixture, and keep-all solves each fixture's systems in one call,
+        # whose fast pass is one batch: the systems of a fixture share their
+        # block layout and nullity
         paths = sorted(PROBLEM_DIR.glob("*.json"))
         models = [as_choice_gp(parse_problem(p)) for p in paths]
-        batches = []
+        calls, passes = [], []
         original = gpchoice.solver._solve_duals
 
-        def spy(d, coefficients):
-            batches.append(coefficients)
-            return original(d, coefficients)
+        def spy(systems):
+            calls.append([coefficients for _, coefficients in systems])
+            return original(systems)
 
         monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
+        original_phase = gpchoice.solver._newton_phase
+
+        def phase_spy(d, log_c, bases, basis_sums, w, mu, tol, max_iterations):
+            passes.append((len(w), mu))
+            return original_phase(d, log_c, bases, basis_sums, w, mu, tol,
+                                  max_iterations)
+
+        monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase_spy)
         _equality_start.cache_clear()
         for cg in models:
             solve_choice(cg, keep_assignments=True)
-        assert sum(len(rows) for rows in batches) == 1002
-        assert len(batches) == 46
+        systems = [rows for call in calls for rows in call]
+        assert sum(len(rows) for rows in systems) == 1002
+        assert len(systems) == 46
+        assert len(calls) == 12
+        # no fixture row reaches the boundary: the 12 fast passes are all
+        assert [mu for _, mu in passes] == [0.0] * 12
+        assert [n for n, _ in passes] == [27, 64, 100, 180, 180, 180,
+                                          27, 64, 36, 48, 48, 48]
         assert _equality_start.cache_info().misses <= 10
         misses = _equality_start.cache_info().misses
         for cg in models:
@@ -1339,7 +1355,7 @@ class TestSiblingBatches:
     def _batch(family):
         d = build_dual(family[0])
         coefficients = np.array([build_dual(s).term_coefficients for s in family])
-        return _solve_rows(d, coefficients)
+        return _solve_rows([(d, coefficients)])[0]
 
     # the paths a family reaches, by the function that marks each
     PATHS = {"_newton_phase": "barrier", "_reduced_program": "reduction",
@@ -1408,9 +1424,112 @@ class TestSiblingBatches:
         for family in self._families():
             duals = [build_dual(s) for s in family]
             coefficients = np.array([d.term_coefficients for d in duals])
-            solutions = _solve_duals(duals[0], coefficients)
+            [solutions] = _solve_duals([(duals[0], coefficients)])
             arrays = [a for ds in solutions for a in (ds.weights, ds.lambdas)]
             for a in arrays:
                 assert not a.flags.writeable
             for a, b in itertools.combinations(arrays, 2):
                 assert not np.shares_memory(a, b)
+
+
+def _perturbed(s, rng):
+    """s with every nonzero exponent scaled by its own factor in [0.9, 1.1]:
+    the same blocks, so the same block layout, on another equality system."""
+
+    def perturb(posy):
+        return Posynomial(tuple(
+            replace(t, exponents=tuple(
+                e * float(rng.uniform(0.9, 1.1)) if e else e for e in t.exponents
+            ))
+            for t in posy.terms
+        ))
+
+    return replace(s, objective=perturb(s.objective),
+                   constraints=tuple(perturb(p) for p in s.constraints))
+
+
+class TestMergedBatches:
+    """_solve_rows runs the fast pass of every system of one call that shares
+    a block layout and a nullity as one batch, each row from its own start
+    and on its own null-space basis; each row ends exactly as the same
+    problem solved alone."""
+
+    @staticmethod
+    @lru_cache(maxsize=1)
+    def _families():
+        """Per family, its systems; per system, standardized problems with one
+        set of exponents.  A family is a problem and two perturbed copies,
+        each with two scaled siblings: the first 40 stress problems (the LP
+        starts 23, 27 and 33 among them) and an infeasible primal (an
+        unbounded dual).  One more family shares a block layout across two
+        nullities: y enters no term of its second system."""
+        rng = np.random.default_rng(STRESS_SEED + 27)
+        unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
+        families = []
+        for s in (standardize(g) for g in (*_stress_problems()[:40], unbounded)):
+            systems = (s, _perturbed(s, rng), _perturbed(s, rng))
+            families.append(tuple((t, _scaled(t, rng), _scaled(t, rng)) for t in systems))
+        families.append(tuple(
+            (standardize(make_problem([(1, (1, 0)), (1, (-1, 0)), *terms])),)
+            for terms in ([(1, (0, 1)), (1, (0, -1))], [(2, (1, 0)), (1, (-1, 0))])
+        ))
+        return tuple(families)
+
+    @pytest.mark.parametrize("max_iterations", [10_000, 5])
+    def test_rows_end_as_solved_alone(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(gpchoice.solver, "_MAX_ITERATIONS", max_iterations)
+        families = self._families()
+        reached, batched = Counter(), [False]
+        original_phase = gpchoice.solver._newton_phase
+
+        def phase(d, log_c, bases, basis_sums, w, mu, tol, max_iterations):
+            if batched[0] and mu > 0.0:
+                reached["barrier"] += 1
+            elif batched[0]:  # a plain pass whose rows hold several bases
+                reached["merged"] += len({b.tobytes() for b in bases.mT}) > 1
+                reached["largest"] = max(reached["largest"], len(w))
+            return original_phase(d, log_c, bases, basis_sums, w, mu, tol,
+                                  max_iterations)
+
+        monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
+        paths = {"_guessed_faces": "face guess", "_reduced_program": "reduction",
+                 "_support_point": "support LP"}
+        for name, path in paths.items():
+            original = getattr(gpchoice.solver, name)
+
+            def spy(*args, _original=original, _path=path):
+                reached[_path] += batched[0]
+                return _original(*args)
+
+            monkeypatch.setattr(gpchoice.solver, name, spy)
+        systems = [(build_dual(system[0]),
+                    np.array([build_dual(s).term_coefficients for s in system]))
+                   for family in families for system in family]
+        _equality_start.cache_clear()
+        batched[0] = True
+        together = iter(_solve_rows(systems))
+        batched[0] = False
+        # families whose rows end apart; those with a row at the budget
+        statuses, mixed, capped = Counter(), 0, 0
+        for family in families:
+            ends = set()
+            for system in family:
+                reports = next(together)
+                alone = [solve(s) for s in system]
+                assert [_report_fields(r) for r in reports] == [
+                    _report_fields(r) for r in alone
+                ]
+                statuses.update(r.status for r in reports)
+                ends |= {(r.status, r.dual.iterations) for r in reports}
+            mixed += len(ends) > 1
+            capped += len(ends) > 1 and Status.ITERATION_LIMIT in dict(ends)
+        assert {Status.INFEASIBLE, Status.UNBOUNDED, Status.OPTIMAL} <= set(statuses)
+        # families that share a layout and a nullity share fast-pass batches:
+        # 14 of them hold several bases, the largest 45 rows
+        assert reached["merged"] >= 10 and reached["largest"] >= 45
+        if max_iterations == 5:  # rows stop at the budget beside others
+            assert capped >= 3
+        else:
+            assert mixed >= 20
+            for path in ("barrier", "face guess", "reduction", "support LP"):
+                assert reached[path], path
