@@ -423,8 +423,8 @@ def _claim_fault(model, report: dict) -> str | None:
     s = standardize(expand(as_choice_gp(model), choice))
     claim = optimal_claim(problem_terms(s), [report["x"]], [report["w"]])
     if not claim.holds[0]:
-        return f"exit 0, but the optimal claim fails: gap {claim.gap[0]:.3e}, " \
-               f"violation {claim.violation[0]:.3e}"
+        return (f"exit 0, but the optimal claim fails: gap {claim.gap[0]:.3e}, "
+                f"violation {claim.violation[0]:.3e}")
     return None
 
 
@@ -465,5 +465,6 @@ def cli_faults(text: str, path: Path, assigns: Sequence[str]) -> list[str]:
             faults.append(f"{command}: exit {code} where validation gives {expected}")
         elif code == 0 and command.startswith("solve"):
             fault = _claim_fault(model, json.loads(out))
-            faults += [f"{command}: {fault}"] if fault else []
+            if fault:
+                faults.append(f"{command}: {fault}")
     return faults

@@ -30,9 +30,9 @@ EXPECTED = {
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("fuzz_cli.py", ["--count", "20", "--seed", "1"]),
         ("run_paper_examples.py", []),
         ("stress_random.py", ["--count", "20"]),
+        ("fuzz_cli.py", ["--count", "20", "--seed", "1"]),
     ],
 )
 def test_script_runs_without_pythonpath(script, args):
