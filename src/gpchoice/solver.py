@@ -9,29 +9,28 @@ step runs the dual's vectorized kernels and assembles the reduced Hessian
 directly on the null-space basis.  A plain Newton pass, the fast pass, runs
 from the start and ends at its first boundary touch; an interior stationary
 point is accepted outright (global by concavity).  A zero weight at the
-optimum marks an inactive term, so a boundary optimum is the interior optimum
-of a smaller dual.  A fast pass that ends on the boundary guesses its face:
-every constraint block holding a boundary weight is slack, so all its weights
-are zero (complementary slackness; Duffin, Peterson and Zener, Geometric
-Programming, 1967).  One plain pass solves the program without those blocks
-from its system's own start, and the guess stands where the x recovered from
-it and the zero-padded weights certify on the full problem's terms: dropping a
-constraint relaxes the primal, and a relaxed optimum that meets the dropped
-constraint is optimal (Boyd, Kim, Vandenberghe and Hassibi, A tutorial on
-geometric programming, 2007).  Where the guess fails, the fast pass may have
-locked onto a suboptimal face, and a log-barrier continuation from the start
-rides the central path to the optimal face.  Each barrier stage that ends
-centred hands the next stage a prediction along the central path's tangent,
-cut short of the boundary: a weight that is zero at the optimum sits near
-mu / v on the path, and from the last centre Newton could only about halve it
-per iteration after mu drops.  Predictions are not Newton iterations and do
-not count toward _MAX_ITERATIONS.  The weights the barrier leaves near zero
-(single weights, and every block of an inactive constraint) are dropped, the
-iterate is projected onto the reduced equalities, the plain pass finishes
-there, and the dropped weights are padded with zeros; a projection that is not
-strictly positive ends the dual ITERATION_LIMIT where the barrier left it.
-This reduction and the face guess share one helper and differ only in their
-start.  All passes of one dual share _MAX_ITERATIONS.  When the equality
+optimum marks an inactive term (complementary slackness; Duffin, Peterson and
+Zener, Geometric Programming, 1967), so a boundary optimum is the interior
+optimum of a smaller dual, its face.  One face step finds it: the weights an
+iterate leaves near zero (single weights, and every block of an inactive
+constraint) are dropped, the iterate is projected onto the reduced
+equalities, one plain pass runs there, and the dropped weights are padded
+with zeros; a projection that is not strictly positive ends the row
+ITERATION_LIMIT where the iterate was.  A fast pass that ends short of the
+optimum, on the boundary or with no ascent left, takes the face step from its
+end, and the face stands where the x recovered from it and the zero-padded
+weights certify on the full problem's terms: dropping a constraint relaxes
+the primal, and a relaxed optimum that meets the dropped constraint is
+optimal (Boyd, Kim, Vandenberghe and Hassibi, A tutorial on geometric
+programming, 2007).  Where it fails, the fast pass may have locked onto a
+suboptimal face, and a log-barrier continuation from the start rides the
+central path to the optimal face.  Each barrier stage that ends centred
+hands the next stage a prediction along the central path's tangent, cut
+short of the boundary: a weight that is zero at the optimum sits near mu / v
+on the path, and from the last centre Newton could only about halve it per
+iteration after mu drops.  Predictions are not Newton iterations and do not
+count toward _MAX_ITERATIONS.  The barrier's last iterate takes the face step
+too.  All passes of one dual share _MAX_ITERATIONS.  When the equality
 system leaves no freedom (an empty null space, as with degree of difficulty
 zero) its single solution is the answer.
 
@@ -55,9 +54,9 @@ from its own system's start and with its own null-space basis, stacked
 (B, r, K) in C order so that each row's basis is laid out, and rounds, as
 it does alone.  The Newton kernels read the exponents only through the
 basis.  What else reads them stays per system: the start, the equality
-residual, the face guess, the reduction, recovery and the certificate; a
-row that ends the fast pass on the boundary goes on in its own system from
-where the fast pass left it.  Linear algebra is numpy
+residual, the face step, recovery and the certificate; a row that ends the
+fast pass short of the optimum goes on in its own system from where the
+fast pass left it.  Linear algebra is numpy
 only (an SVD null space; a Newton step from one symmetric eigendecomposition
 of the reduced Hessian, its eigenvalues floored so that the step always
 ascends), so importing the package does not load scipy;
@@ -101,10 +100,10 @@ from .posynomial import StandardGp
 
 # log value beyond which the dual is declared unbounded (exp would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
-# after the barrier, a constraint block with lambda at or below this is
+# in the face step, a constraint block with lambda at or below this is
 # inactive (the barrier leaves inactive blocks near 1e-9 and active ones
 # above 1e-3), and a single weight at or below _DROPPED_WEIGHT is zero at the
-# optimum; both are dropped from the program before its last pass
+# optimum; both are dropped from the program before the step's pass
 _INACTIVE_LAMBDA = 1e-6
 _DROPPED_WEIGHT = 1e-8
 # a plain Newton pass ends at a weight this small; recovery ignores its term
@@ -341,7 +340,9 @@ def _finish(
     value, grad = _log_dual_objective(d, _check_weights(d, w, len(w)), log_c)[:2]
     # at a maximizer inside the program the gradient vanishes on its null space
     stationarity = _projected_norm(nullsp, grad)
-    rows = zip(status, w.copy(), block_lambdas(d, w), np.exp(value).tolist(),
+    with np.errstate(over="ignore"):  # a pass out of budget may end past exp's range
+        z = np.exp(value).tolist()
+    rows = zip(status, w.copy(), block_lambdas(d, w), z,
                residual.tolist(), stationarity.tolist(), iterations)
     out = []
     for st, weights, lambdas, z, res, stat, n in rows:
@@ -492,17 +493,6 @@ def solve_dual(d: DualProgram) -> DualSolution:
     return _solve_duals([(d, d.term_coefficients[None])])[0][0]
 
 
-def _guessed_faces(d: DualProgram, w: np.ndarray) -> np.ndarray:
-    """The weights each row of w (B, K), ended at the boundary, keeps on the
-    face it guesses: every constraint block holding a weight at or below
-    _BOUNDARY_WEIGHT is slack, so all its weights are zero at the optimum
-    (complementary slackness).  A row with such a weight in the objective
-    block has no face to guess, and keeps none."""
-    touched = _block_sums(d, (w <= _BOUNDARY_WEIGHT) * 1.0) > 0.0
-    touched[touched[:, 0]] = True
-    return ~touched[:, d.block_index]
-
-
 def _solve_duals(
     systems: Sequence[tuple[DualProgram, np.ndarray]],
 ) -> list[list[DualSolution]]:
@@ -513,9 +503,9 @@ def _solve_duals(
     The rows of every system with an interior start run the fast pass as one
     batch per block layout and nullity, each row from its own system's start
     and on its own null-space basis.  The rest is per system (_settle): a row
-    that ends on the boundary runs one pass on the face it guesses
-    (_guessed_faces), kept where it certifies, then the barrier from the
-    start and one pass on the face the barrier leaves."""
+    that ends short of the optimum takes the face step from its end, kept
+    where it certifies, then the barrier from the start and the face step
+    from the barrier's end."""
     out: list[list[DualSolution] | None] = [None] * len(systems)
     supported, fast = [], {}  # systems with forced zeros; fast pass groups
     for s, (d, coefficients) in enumerate(systems):
@@ -601,33 +591,27 @@ def _settle(
         for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
             out[j] = ds
 
-    def on_faces(rows, keeps, w=None):
-        """One plain pass of each row over its face, the program of its kept
-        weights, one batch per face, finished there and padded.  Where w is
-        None a pass starts at the face system's own start, capped like the
-        fast pass, and a face whose start is missing or has forced zeros runs
-        none; else it starts at the row of w projected onto the face, and a
-        projection that is not finite and strictly positive ends it at w."""
+    def on_faces(rows, w, cap):
+        """One plain pass of each row of w over its face, capped: the program
+        without the weights the row leaves near zero (single weights at or
+        below _DROPPED_WEIGHT, and every block whose lambda is at or below
+        _INACTIVE_LAMBDA), one batch per face, finished there and padded.  A
+        pass starts at the row projected onto its face's equalities, or at the
+        row itself where nothing is dropped; a projection that is not finite
+        and strictly positive ends the row ITERATION_LIMIT at w."""
+        inactive = _block_sums(d, w) <= _INACTIVE_LAMBDA
+        keeps = (w > _DROPPED_WEIGHT) & ~inactive[:, d.block_index]
         groups: dict[bytes, list[int]] = {}
         for i, keep in enumerate(keeps):
             groups.setdefault(keep.tobytes(), []).append(i)
         for group in groups.values():
-            keep, g_rows = keeps[group[0]], [rows[i] for i in group]
-            program, g_nullsp, cap = d, nullsp, budget
+            keep, g_rows, g_w = keeps[group[0]], [rows[i] for i in group], w[group]
+            program, g_nullsp = d, nullsp
             if not keep.all():
                 program = _reduced_program(d, keep)
-            if w is None:
-                g_w, g_nullsp, support = _dual_start(program)
-                if g_w is None or support is not None:
-                    continue
-                g_w, cap = g_w[None].repeat(len(group), axis=0), 200
-            elif keep.all():
-                g_w = w[group]
-            else:
                 a, b = program.equality_matrix, program.equality_rhs
                 g_nullsp = _null_space(a)
-                g_w = w[group][:, keep]
-                g_w = np.array([_project_onto_equalities(a, b, v) for v in g_w])
+                g_w = np.array([_project_onto_equalities(a, b, v) for v in g_w[:, keep]])
                 inside = ((g_w > 0.0) & (g_w < np.inf)).all(axis=1)
                 outside = np.flatnonzero(~inside)
                 finish([g_rows[i] for i in outside], w[group][outside],
@@ -641,31 +625,28 @@ def _settle(
     done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
     finish([rows[i] for i in done], ends[done], [Status.OPTIMAL] * len(done))
 
-    # a row that ended at the boundary guesses the face it reached: the
-    # constraint blocks holding its boundary weights are slack, so the optimum
-    # is the interior one of the program without them; the guess is kept
-    # where it certifies on d's terms
-    touched = np.flatnonzero(np.minimum.reduce(ends, axis=1) <= _BOUNDARY_WEIGHT)
-    if len(touched):
-        keeps = _guessed_faces(d, ends[touched])
-        guessed = np.flatnonzero(keeps.any(axis=1))
-        on_faces([rows[i] for i in touched[guessed]], keeps[guessed])
-        faced = [rows[i] for i in touched if out[rows[i]] is not None]
-        if faced:  # _recover and the certificate read the padded weights
-            solutions = [out[j] for j in faced]
-            reports = _certify(d, coefficients[faced], solutions, _recover)
-            for j, report in zip(faced, reports):
-                if report.status is not Status.OPTIMAL:
-                    out[j] = None
+    # a row the fast pass left short of the optimum, on the boundary or with
+    # no ascent left, takes the face step from where it ended, capped like the
+    # fast pass; the face it reaches is kept where it certifies on d's terms:
+    # dropping a constraint relaxes the primal, and a relaxed optimum that
+    # meets the dropped constraint is optimal
+    short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
+    left = [rows[i] for i in short]
+    if left:
+        on_faces(left, ends[short], 200)
+        # _recover and the certificate read the padded weights
+        reports = _certify(d, coefficients[left], [out[j] for j in left], _recover)
+        for j, report in zip(left, reports):
+            if report.status is not Status.OPTIMAL:
+                out[j] = None
     rows = [j for j, ds in enumerate(out) if ds is None]
     w = start[None].repeat(len(rows), axis=0)
 
-    # the rows left had no face to guess or guessed a wrong one: aggressive
-    # early steps can lock onto a suboptimal face; rerun from the start with
-    # barrier continuation, whose central path reaches the optimal face
-    # before any weight hits zero; a stage that ends centred hands the next
-    # one its tangent prediction, which is no Newton iteration and so not
-    # counted
+    # the rows left failed their face step: aggressive early steps can lock
+    # onto a suboptimal face; rerun from the start with barrier continuation,
+    # whose central path reaches the optimal face before any weight hits
+    # zero; a stage that ends centred hands the next one its tangent
+    # prediction, which is no Newton iteration and so not counted
     for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
         if not rows:
             return out
@@ -674,15 +655,10 @@ def _settle(
         if mu_next is not None and centred:
             w = w.copy()  # the phase's end weights stay as it returned them
             w[centred] = _tangent_prediction(d, nullsp, w[centred], mu, mu_next)
-    if not rows:
-        return out
 
     # the barrier leaves the weights that are zero at the optimum near its
-    # last mu; on their face the optimum is interior to the program without
-    # them, so drop them (normality keeps the objective block) and finish
-    # there with the fast path's pass
-    inactive = _block_sums(d, w) <= _INACTIVE_LAMBDA
-    on_faces(rows, (w > _DROPPED_WEIGHT) & ~inactive[:, d.block_index], w)
+    # last mu: the face step finishes there with the rest of the budget
+    on_faces(rows, w, budget)
     return out
 
 

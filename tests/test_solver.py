@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gpchoice.selectors
 import gpchoice.solver
 from gpchoice import (
     Status,
@@ -28,7 +29,7 @@ from gpchoice import (
 )
 from gpchoice.posynomial import Posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
-from gpchoice.selectors import solve_choice
+from gpchoice.selectors import expand, solve_choice
 from gpchoice.solver import (
     _BARRIER_SCHEDULE,
     _STATIONARITY_TOL,
@@ -426,8 +427,10 @@ class TestSolverSettings:
     """The solver's constants, read at call time."""
 
     # example 1 takes the fast path; stress problem 3 adds the barrier and a
-    # reduced last pass, 23 the support LP, 55 the drop of inactive blocks
-    @pytest.mark.parametrize("index", [None, 3, 23, 55])
+    # reduced last pass, 23 the support LP, 55 the drop of inactive blocks;
+    # 2 and 22 settle through the face step after the fast pass, 2 from the
+    # boundary and 22 from inside the program
+    @pytest.mark.parametrize("index", [None, 2, 3, 22, 23, 55])
     def test_max_iterations_bounds_every_pass_of_a_solve(self, monkeypatch, index):
         g = example1_problem() if index is None else _stress_problems()[index]
         d = build_dual(standardize(g))
@@ -707,8 +710,9 @@ class TestStressRegressions:
                 assert report.duality_gap <= 1e-9
                 assert report.kkt_residuals.primal_feasibility <= 1e-8
         # 67382 when each barrier stage started from the last centre, 41254
-        # before the face guess, 23929 with it
-        assert sum(report.dual.iterations for report in reports) <= 25125
+        # before the face step followed the fast pass, 23929 when it ran only
+        # from the boundary with a start of its own, 23330 now
+        assert sum(report.dual.iterations for report in reports) <= 24500
 
     def test_overflowing_primal_recovery_gives_a_report(self):
         # recover_primal overflows x = exp(y) to inf on this problem
@@ -916,9 +920,9 @@ class TestGateSizingChains:
         assert claim.holds[0]
 
     def test_chain_at_80_takes_91_iterations(self):
-        # 86 before the face guess, which fails on this chain and then leaves
-        # the barrier its weight bytes; a guess nested inside the guess, with
-        # its own barrier, took 1751
+        # 86 before the face step followed the fast pass; it fails on this
+        # chain and then leaves the barrier its weight bytes; a face guess
+        # nested inside another, with its own barrier, took 1751
         s = standardize(gate_sizing_chain(np.random.default_rng((17, 80, 0)), 80))
         report = solve(s)
         assert report.status is Status.OPTIMAL
@@ -926,10 +930,12 @@ class TestGateSizingChains:
 
 
 class TestLargeCoefficients:
-    """ROADMAP item 11's large-coefficient GP.  The projection of its
+    """ROADMAP item 11's large coefficients.  The projection of the GP's
     barrier iterate onto the reduced equalities used to start the last pass
     outside the program, where the pass made a NaN weight and solve raised
-    GpDomainError, the error of bad input."""
+    GpDomainError, the error of bad input; later that row ended
+    ITERATION_LIMIT after 79 iterations.  The face step after the fast pass
+    now certifies it in 15, without the barrier."""
 
     @pytest.mark.filterwarnings("error")
     def test_solve_ends_with_a_status_and_no_warning(self):
@@ -944,15 +950,51 @@ class TestLargeCoefficients:
             assert report.dual.weights.min() > 0.0
             assert report.dual.equality_residual <= FEASIBILITY_TOL
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the reduction after "
-                       "the barrier finds no start inside the reduced program")
     def test_is_certified_optimal(self):
         s = standardize(large_coefficient_gp())
         report = solve(s)
         assert report.status is Status.OPTIMAL
+        assert report.dual.iterations == 15
         claim = optimal_claim(problem_terms(s), [report.primal_x],
                               [report.dual.weights])
         assert claim.holds[0]
+
+    # 60, 60, 56 and 56 of the 64 rows were OPTIMAL when only the barrier's
+    # iterate was reduced to its face
+    @pytest.mark.parametrize("largest", [3e15, 3e16, 3e19, 3e21])
+    def test_keep_all_rows_with_a_large_candidate_are_certified(
+        self, monkeypatch, largest
+    ):
+        cg = parse_problem(PROBLEM_DIR / "example2_case2.json")
+        sets = tuple(
+            replace(cs, candidates=(*cs.candidates[:-1], largest))
+            if cs.name == "a" else cs for cs in cg.sets
+        )
+        cg = replace(cg, sets=sets)
+        # each report of the batch, by its expansion's exponents and coefficients
+        reports = {}
+        original = gpchoice.selectors._solve_rows
+
+        def spy(systems):
+            out = original(systems)
+            for (d, coefficients), rows in zip(systems, out):
+                for c, report in zip(coefficients, rows):
+                    reports[d.exponent_matrix.tobytes(), c.tobytes()] = report
+            return out
+
+        monkeypatch.setattr(gpchoice.selectors, "_solve_rows", spy)
+        rows = solve_choice(cg, keep_assignments=True).assignments
+        assert len(rows) == 64
+        assert {row.status for row in rows} == {Status.OPTIMAL.value}
+        names = [cs.name for cs in cg.sets]
+        for row in rows:
+            s = standardize(expand(cg, dict(zip(names, row.bits))))
+            d = build_dual(s)
+            report = reports[d.exponent_matrix.tobytes(), d.term_coefficients.tobytes()]
+            claim = optimal_claim(problem_terms(s), [report.primal_x],
+                                  [report.dual.weights])
+            assert claim.holds[0]
+            assert claim.objective[0] == row.objective_value
 
 
 class TestDegenerateMinimax:
@@ -1181,15 +1223,15 @@ class TestSharedStart:
 
     def test_fast_pass_stops_at_the_first_boundary_touch(self, monkeypatch):
         # a wrong face: the fast pass ends on block 1, but at the optimum
-        # block 2 is slack (lambda = (0.343, 0)), so the face guess without
+        # block 2 is slack (lambda = (0.343, 0)), so the face step without
         # block 1 fails its certificate in 5 iterations and the barrier takes
         # over from the start; the weight the barrier leaves near 1e-13 is
         # dropped and the last pass runs inside the reduced program, so it
         # ends at an exact 0.0. The pinned weights are those of barrier
         # stages started from their tangent predictions (34 iterations
-        # besides the guess; 62 from the last centre, 72 when the fast pass
-        # ran on along the face); an independent solve of the reduced program
-        # agrees with them
+        # besides the first face step; 62 from the last centre, 72 when the
+        # fast pass ran on along the face); an independent solve of the
+        # reduced program agrees with them
         passes = TestBarrierPredictor._spy_passes(monkeypatch)
         d = build_dual(standardize(_stress_problems()[3]))
         ds = solve_dual(d)
@@ -1199,13 +1241,14 @@ class TestSharedStart:
                    "0x1.35a4e9858554fp-2", "0x0.0p+0")
         assert [w.hex() for w in ds.weights.tolist()] == list(weights)
         assert ds.lambdas[1] == 0.0 < ds.lambdas[0]
-        # the fast pass, the guess on its face, six barrier stages, the last pass
+        # the fast pass, the face step from its end, six barrier stages, the
+        # face step from the barrier's end
         assert [p.mu for p in passes] == [0.0, 0.0, *_BARRIER_SCHEDULE, 0.0]
-        guess = passes[1]
-        assert guess.start.shape[1] < d.term_count  # block 1 dropped
-        assert guess.iterations == 5
+        face = passes[1]
+        assert face.start.shape[1] < d.term_count  # block 1 dropped
+        assert face.iterations == 5
         assert ds.iterations == 39
-        assert ds.iterations - guess.iterations <= 35
+        assert ds.iterations - face.iterations <= 35
         kept = ds.weights > 0.0
         reduced = solve_dual(_reduced_program(d, kept))
         assert reduced.status is Status.OPTIMAL
@@ -1216,9 +1259,9 @@ class TestSharedStart:
 
     def test_a_face_guess_that_certifies_settles_the_dual(self, monkeypatch):
         # stress problem 2's fast pass ends with its one constraint block at
-        # the boundary; the pass on the program without it certifies on the
-        # full problem's terms, so no barrier runs (33 iterations with the
-        # barrier, 5 + 5 now)
+        # the boundary; the face step's pass on the program without it
+        # certifies on the full problem's terms, so no barrier runs (33
+        # iterations with the barrier, 5 + 5 now)
         passes = TestBarrierPredictor._spy_passes(monkeypatch)
         d = build_dual(standardize(_stress_problems()[2]))
         ds = solve_dual(d)
@@ -1229,9 +1272,33 @@ class TestSharedStart:
         dropped = d.block_index == 1
         assert ds.weights[dropped].tolist() == [0.0]
         assert ds.lambdas.tolist() == [0.0]
-        # the barrier's dual value, before the guess
+        # the barrier's dual value, before the face step followed the fast pass
         barrier = float.fromhex("0x1.2332391c41381p+2")
         assert ds.objective_value == pytest.approx(barrier, rel=1e-9, abs=0.0)
+
+    def test_a_fast_pass_with_no_ascent_left_takes_the_face_step(self, monkeypatch):
+        # stress problem 22's fast pass stops inside the program after 4
+        # iterations: its line search finds no ascent with block 1's one
+        # weight at 1.07e-10, above the boundary; the face step drops that
+        # block and certifies in 4 more, where the barrier took 37
+        passes = TestBarrierPredictor._spy_passes(monkeypatch)
+        d = build_dual(standardize(_stress_problems()[22]))
+        ds = solve_dual(d)
+        assert ds.status is Status.OPTIMAL
+        assert [p.mu for p in passes] == [0.0, 0.0]
+        fast, face = passes
+        assert fast.status is Status.ITERATION_LIMIT and fast.iterations == 4
+        assert 1e-12 < fast.end.min() <= 1e-9
+        assert face.start.shape[1] == d.term_count - 1
+        assert ds.iterations == 8
+        assert ds.weights[d.block_index == 1].tolist() == [0.0]
+
+    def test_the_face_step_computes_no_start_of_its_own(self):
+        # the face step starts from where the fast pass ended, projected onto
+        # its face, so stress problem 2 caches only its own system's start
+        _equality_start.cache_clear()
+        assert solve(standardize(_stress_problems()[2])).status is Status.OPTIMAL
+        assert _equality_start.cache_info().currsize == 1
 
 
 # one _newton_phase call on a batch of one: its null space, start and end
@@ -1279,9 +1346,10 @@ class TestBarrierPredictor:
     def test_every_stage_starts_strictly_inside(self, monkeypatch):
         passes = self._spy_passes(monkeypatch)
         predicted = 0
-        # the face guess settles most boundary optima without the barrier:
-        # 85 predictions in the first 100 problems (240 before it)
-        for problem in _stress_problems()[:250]:
+        # the face step after the fast pass settles most boundary optima
+        # without the barrier: 215 predictions in the first 300 problems, 190
+        # in the first 250 (240 in the first 100 before any face step)
+        for problem in _stress_problems()[:300]:
             d = build_dual(standardize(problem))
             passes.clear()
             ds = solve_dual(d)
@@ -1297,7 +1365,7 @@ class TestBarrierPredictor:
                 centred = before.status is Status.OPTIMAL
                 assert centred == (after.start is not before.end)
                 predicted += centred
-        assert predicted >= 200  # 220
+        assert predicted >= 200  # 215
 
 
 def _scaled(s, rng):
@@ -1318,6 +1386,33 @@ def _report_fields(report) -> tuple:
     floats = (report.primal_x, report.objective_value, report.duality_gap,
               report.kkt_residuals)
     return (report.status, repr(floats), _solution_bytes(report.dual))
+
+
+def _spy_face_steps(monkeypatch, counting) -> list[int]:
+    """Count, while counting[0] holds, the face steps after a fast pass: the
+    plain _newton_phase passes of one _settle call on a program with fewer
+    terms than its own, before any barrier stage of that call."""
+    steps, settling = [0], []  # settling: the open call's term count, barrier
+    original_settle = gpchoice.solver._settle
+    original_phase = gpchoice.solver._newton_phase
+
+    def settle(d, *args):
+        settling[:] = [d.term_count, False]
+        try:
+            return original_settle(d, *args)
+        finally:
+            settling.clear()
+
+    def phase(d, log_c, bases, basis_sums, w, mu, tol, max_iterations):
+        if settling and mu > 0.0:
+            settling[1] = True
+        elif settling and not settling[1] and d.term_count < settling[0]:
+            steps[0] += counting[0]
+        return original_phase(d, log_c, bases, basis_sums, w, mu, tol, max_iterations)
+
+    monkeypatch.setattr(gpchoice.solver, "_settle", settle)
+    monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
+    return steps
 
 
 class TestSiblingBatches:
@@ -1357,9 +1452,10 @@ class TestSiblingBatches:
         coefficients = np.array([build_dual(s).term_coefficients for s in family])
         return _solve_rows([(d, coefficients)])[0]
 
-    # the paths a family reaches, by the function that marks each
+    # the paths a family reaches, by the function that marks each, besides
+    # the face step after the fast pass
     PATHS = {"_newton_phase": "barrier", "_reduced_program": "reduction",
-             "_support_point": "support LP", "_guessed_faces": "face guess"}
+             "_support_point": "support LP"}
 
     @pytest.mark.parametrize("max_iterations", [10_000, 5])
     def test_rows_end_as_solved_alone(self, monkeypatch, max_iterations):
@@ -1376,6 +1472,7 @@ class TestSiblingBatches:
                 return _original(*args)
 
             monkeypatch.setattr(gpchoice.solver, name, spy)
+        faces = _spy_face_steps(monkeypatch, batched)
         # per recovery of a batch: its number of active sets and failed rows
         recoveries = []
         original_recover = gpchoice.solver._recover
@@ -1412,6 +1509,7 @@ class TestSiblingBatches:
             # rows stop at the budget while their siblings end otherwise
             assert capped >= 5
         else:
+            reached["face step"] = faces[0]
             assert all(reached.values()), reached
             assert mixed >= 30
             # a batch whose rows recover on several active sets, and one in
@@ -1492,8 +1590,7 @@ class TestMergedBatches:
                                   max_iterations)
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
-        paths = {"_guessed_faces": "face guess", "_reduced_program": "reduction",
-                 "_support_point": "support LP"}
+        paths = {"_reduced_program": "reduction", "_support_point": "support LP"}
         for name, path in paths.items():
             original = getattr(gpchoice.solver, name)
 
@@ -1502,6 +1599,7 @@ class TestMergedBatches:
                 return _original(*args)
 
             monkeypatch.setattr(gpchoice.solver, name, spy)
+        faces = _spy_face_steps(monkeypatch, batched)
         systems = [(build_dual(system[0]),
                     np.array([build_dual(s).term_coefficients for s in system]))
                    for family in families for system in family]
@@ -1531,5 +1629,6 @@ class TestMergedBatches:
             assert capped >= 3
         else:
             assert mixed >= 20
-            for path in ("barrier", "face guess", "reduction", "support LP"):
+            assert faces[0]
+            for path in ("barrier", "reduction", "support LP"):
                 assert reached[path], path
