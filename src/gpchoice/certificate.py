@@ -36,7 +36,8 @@ VIOLATION_TOL = 1e-8
 FEASIBILITY_TOL = 1e-10
 
 # a standard-form GP's terms, objective block first: coefficients (K,) or one
-# row per claim (B, K), exponents (K, n), blocks (K,), i on constraint i
+# row per claim (B, K), exponents (K, n) or one matrix per claim (B, K, n),
+# blocks (K,), i on constraint i
 Terms = namedtuple("Terms", "coefficients exponents blocks")
 # one list entry per claim: f_0(x), the worst violation max(0, max_i f_i(x) - 1),
 # the gap |f_0(x) - v(w)| / f_0(x) and if the claim holds; nan where x is no point
@@ -57,35 +58,43 @@ def problem_terms(s: StandardGp) -> Terms:
 def optimal_claim(t: Terms, x, w) -> Optimality:
     """Check, row by row, that x (B, n) is optimal with dual weights w (B, K).
 
-    A row holds when its x is finite and positive (and x has n columns), its
-    w is finite and nonnegative and meets normality and orthogonality within
-    FEASIBILITY_TOL, no f_i(x) exceeds 1 by more than VIOLATION_TOL, and
-    f_0(x) is within GAP_TOL of v(w), relative.  Each f_i(x) adds its terms
-    one by one in Python floats, as evaluate does.
+    The terms' coefficients and exponents are shared by every row, or hold
+    one row each.  A row holds when its x is finite and positive (and x has
+    n columns), its w is finite and nonnegative and meets normality and
+    orthogonality within FEASIBILITY_TOL, no f_i(x) exceeds 1 by more than
+    VIOLATION_TOL, and f_0(x) is within GAP_TOL of v(w), relative.  Each
+    f_i(x) adds its terms one by one in Python floats, as evaluate does.
     """
     w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
-    exponents, blocks = t.exponents, t.blocks
+    coefficients = np.asarray(t.coefficients, dtype=float)
+    exponents, blocks = np.asarray(t.exponents, dtype=float), t.blocks
     starts = [0, *itertools.accumulate(np.bincount(blocks).tolist())]
-    # the dual side, in one pass over the batch
-    lowest = w.min(axis=1).tolist()
+    # the dual side, in one pass over the batch; each row's orthogonality
+    # sums alone, as it does in a batch of one
+    lowest = np.minimum.reduce(w, axis=1).tolist()
     lam = np.add.reduceat(w, starts[:-1], axis=1)
     normality = lam[:, 0].tolist()
-    orthogonality = np.abs(w @ exponents).max(axis=1, initial=0.0).tolist()
+    orthogonality = np.maximum.reduce(np.abs(np.vecmat(w, exponents)), axis=1,
+                                      initial=0.0).tolist()
     lam[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.log(t.coefficients * lam[:, blocks] / w)
+        ratio = np.log(coefficients * lam[:, blocks] / w)
         dual_value = np.exp(np.add.reduce(w * ratio, axis=1, where=w > 0.0)).tolist()
     # the primal side, each posynomial at each row's x, when x is a point
-    rows = np.broadcast_to(t.coefficients, w.shape).tolist()
+    rows, powers = coefficients.tolist(), exponents.tolist()
+    if coefficients.ndim == 1:
+        rows = itertools.repeat(rows)
+    if exponents.ndim == 2:
+        powers = itertools.repeat(powers)
     positive = []  # one entry per row when x has one point per row
-    if x.shape == (len(w), exponents.shape[1]):
-        positive = ((x > 0.0) & (x < np.inf)).all(axis=1).tolist()
-    powers, nan = exponents.tolist(), math.nan
+    if x.shape == (len(w), exponents.shape[-1]):
+        positive = np.logical_and.reduce((x > 0.0) & (x < np.inf), axis=1).tolist()
+    nan = math.nan
     out = [(nan, nan, nan, False)] * len(w)
-    for i, (xs, coefficients, ok) in enumerate(zip(x.tolist(), rows, positive)):
+    for i, (xs, row, ok, row_powers) in enumerate(zip(x.tolist(), rows, positive, powers)):
         if not ok:
             continue
-        terms = list(zip(coefficients, powers))
+        terms = list(zip(row, row_powers))
         try:
             primal, *values = (
                 _sum_monomials(terms[a:b], xs) for a, b in zip(starts, starts[1:])

@@ -323,7 +323,8 @@ _COMBINATION_CAP = 10**6
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
 
 Combo = tuple[int, ...]  # one candidate index per set, in declared order
-Evaluated = tuple[AssignmentOutcome, SolveReport | None]
+# an expansion's status value or "rejected", its z when OPTIMAL and its report
+Evaluated = tuple[str, float | None, SolveReport | None]
 
 
 @dataclass(frozen=True)
@@ -429,8 +430,11 @@ class _Template:
         return max(bounds, key=lambda pair: pair[0], default=None)
 
 
-def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
-    """Evaluate every expansion that may win or tie, one at a time.
+def _search(
+    cg: ChoiceGp, table, coefficient_sets, template, evaluate
+) -> list[AssignmentOutcome]:
+    """Evaluate every expansion that may win or tie, one at a time; the row
+    of each, at the bit patterns it is first evaluated at.
 
     Each exponent assignment has a seed: its expansion at the smallest
     positive value of every coefficient set.  Seeds go in product order.  A
@@ -452,6 +456,8 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
         choices.append(list(first.values()))
     skeletons: dict[Combo, _Skeleton] = {}  # by seed
     limit = math.inf  # log of the lowest optimal z so far, plus the margin
+    rows: dict[tuple[float, ...], AssignmentOutcome] = {}  # by value tuple
+    patterns = [PATTERNS[cs.size] for cs in cg.sets]
 
     def visit(seed: Combo, picks: Sequence[int]) -> SolveReport | None:
         """The expansion's report when it is solved to a positive optimum."""
@@ -462,14 +468,17 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
         if sk and sk.bound(log_values) > limit:
             return None
         pick = tuple(combo.get(i, j) for i, j in enumerate(seed))
-        [(outcome, report)] = evaluate([pick])
-        z = outcome.objective_value
-        if outcome.status != Status.OPTIMAL.value or z <= 0.0:
+        values = tuple(map(tuple.__getitem__, table, pick))
+        [(status, z, report)] = evaluate([values])
+        if values not in rows:
+            bits = tuple(map(tuple.__getitem__, patterns, pick))
+            rows[values] = AssignmentOutcome(bits, values, status, z)
+        if z is None or z <= 0.0:  # z is set on OPTIMAL rows alone
             return None
         limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
         if seed not in skeletons:
             base, w = math.log(report.dual.objective_value), report.dual.weights
-            skeletons[seed] = template.skeleton(outcome.values, w, base)
+            skeletons[seed] = template.skeleton(values, w, base)
         return report
 
     firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
@@ -488,6 +497,7 @@ def _search(cg: ChoiceGp, table, coefficient_sets, template, evaluate) -> None:
     for seed in seeds:
         for picks in itertools.product(*(choices[i] for i in coefficient_sets)):
             visit(seed, picks)
+    return list(rows.values())
 
 
 def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
@@ -550,50 +560,47 @@ def solve_choice(
     )
     template = _Template.of(cg)
     cache: dict[tuple[float, ...], Evaluated] = {}
+    # the status strings, read once: Status.value goes through the enum
+    optimal, stalled = Status.OPTIMAL.value, Status.ITERATION_LIMIT.value
+    status_values = {status: status.value for status in Status}
 
-    patterns = [PATTERNS[cs.size] for cs in cg.sets]
-
-    def bits_of(combo: Combo) -> tuple[BitPattern, ...]:
-        return tuple(map(tuple.__getitem__, patterns, combo))
-
-    def evaluate(combos: Sequence[Combo]) -> list[Evaluated]:
-        """The row and report of each combination's value tuple.  A tuple not
-        yet cached is solved at its first combination here, with the tuples
-        that share its exponent values, which fix its equality system (the
-        table holds no -0.0: selector_polynomial adds to 0.0); every system
-        of one call goes to one _solve_rows batch."""
-        tuples = [tuple(map(tuple.__getitem__, table, combo)) for combo in combos]
-        systems: dict[tuple[float, ...], dict[tuple[float, ...], Combo]] = {}
-        for combo, values in zip(combos, tuples):
+    def evaluate(tuples: Sequence[tuple[float, ...]]) -> list[Evaluated]:
+        """The status, z and report of each value tuple.  A tuple not yet
+        cached is solved here, with the tuples that share its exponent
+        values, which fix its equality system (the table holds no -0.0:
+        selector_polynomial adds to 0.0); every system of one call goes to
+        one _solve_rows batch."""
+        systems: dict[tuple[float, ...], dict[tuple[float, ...], None]] = {}
+        for values in tuples:
             if values in cache:
                 continue
             if all(values[i] > 0.0 for i in coefficient_sets):
                 key = tuple(values[i] for i in exponent_sets)
-                systems.setdefault(key, {}).setdefault(values, combo)
+                systems.setdefault(key, {})[values] = None
             else:
-                row = AssignmentOutcome(bits_of(combo), values, "rejected", None)
-                cache[values] = row, None
+                cache[values] = "rejected", None, None
         rows = [np.array(list(system)) for system in systems.values()]
         batch = [(template.at(r[0]), template.coefficients(r)) for r in rows]
         results = _solve_rows(batch) if batch else []
         for system, reports in zip(systems.values(), results):
-            for (values, combo), report in zip(system.items(), reports):
+            for values, report in zip(system, reports):
+                status = status_values[report.status]
                 # a row that is not OPTIMAL may carry f_0 at an infeasible x
-                z = report.objective_value if report.status is Status.OPTIMAL else None
-                row = AssignmentOutcome(bits_of(combo), values, report.status.value, z)
-                cache[values] = row, report
+                z = report.objective_value if status == optimal else None
+                cache[values] = status, z, report
         return [cache[values] for values in tuples]
 
-    if keep_assignments:
-        combos = list(itertools.product(*(range(cs.size) for cs in cg.sets)))
-        rows = [  # each at its own bit patterns
-            AssignmentOutcome(bits_of(combo), first.values, first.status,
-                              first.objective_value)
-            for combo, (first, _) in zip(combos, evaluate(combos))
+    if keep_assignments:  # each combination at its own bit patterns
+        tuples = list(itertools.product(*table))
+        rows = [
+            AssignmentOutcome(bits, values, status, z)
+            for bits, values, (status, z, _) in zip(
+                itertools.product(*(PATTERNS[cs.size] for cs in cg.sets)),
+                tuples, evaluate(tuples),
+            )
         ]
     else:
-        _search(cg, table, coefficient_sets, template, evaluate)
-        rows = [first for first, _ in cache.values()]
+        rows = _search(cg, table, coefficient_sets, template, evaluate)
 
     def bit_str(row: AssignmentOutcome) -> str:
         return "".join(str(b) for bits in row.bits for b in bits)
@@ -601,7 +608,7 @@ def solve_choice(
     best: tuple[float, str, AssignmentOutcome] | None = None
     for row in rows:
         z = row.objective_value
-        if row.status != Status.OPTIMAL.value or z is None:
+        if row.status != optimal or z is None:
             continue
         tied = best and abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
         if best and not tied and not z < best[0]:
@@ -614,20 +621,20 @@ def solve_choice(
     # expansion may win, and the verdict is ITERATION_LIMIT
     ceiling = best[0] / (1.0 - _TIE_WINDOW) if best else math.inf
     blocking = [
-        (cache[row.values][1].dual.objective_value, bit_str(row), row.values)
-        for row in rows if row.status == Status.ITERATION_LIMIT.value
+        (cache[row.values][2].dual.objective_value, bit_str(row), row.values)
+        for row in rows if row.status == stalled
     ]
     blocking = [b for b in blocking if not b[0] > ceiling]
     kept, rejected = tuple(rows) if keep_assignments else None, total - solved
     chosen = None, None
     if blocking:
-        status, report = Status.ITERATION_LIMIT, cache[min(blocking)[2]][1]
+        status, report = Status.ITERATION_LIMIT, cache[min(blocking)[2]][2]
     elif best:
         status, row = Status.OPTIMAL, best[2]
-        report = cache[row.values][1]
+        report = cache[row.values][2]
         chosen = tuple(zip(names, row.bits)), tuple(zip(names, row.values))
     else:  # every solved expansion is INFEASIBLE or UNBOUNDED
-        reports = [report for _, report in cache.values() if report is not None]
+        reports = [report for _, _, report in cache.values() if report is not None]
         statuses = {report.status for report in reports}
         status = statuses.pop() if len(statuses) == 1 else Status.INFEASIBLE
         report = reports[0] if len(reports) == 1 else None  # as a plain solve

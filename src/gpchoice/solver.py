@@ -49,27 +49,32 @@ weight array each, and each row ends bit for bit as it would alone;
 solve_dual is the batch of one.  Duals that differ only in their
 coefficients share an equality system, and its start and null space.  The
 fast pass takes more: duals of several systems that share a block layout
-(so K and the kernels' block sums) and a nullity r are one batch, each row
+(so K and the kernels' block sums), a variable count and a nullity r are
+one batch, each row
 from its own system's start and with its own null-space basis, stacked
 (B, r, K) in C order so that each row's basis is laid out, and rounds, as
 it does alone.  The Newton kernels read the exponents only through the
-basis.  What else reads them stays per system: the start, the equality
-residual, the face step, recovery and the certificate; a row that ends the
-fast pass short of the optimum goes on in its own system from where the
-fast pass left it.  Linear algebra is numpy
-only (an SVD null space; a Newton step from one symmetric eigendecomposition
-of the reduced Hessian, its eigenvalues floored so that the step always
-ascends), so importing the package does not load scipy;
-scipy.optimize's nnls and linprog are imported on first use by the support
-point.
+basis.  The rows the fast pass ends OPTIMAL are finished as the same batch,
+each row's equality residual taken against its own system's matrix; what
+stays per system is the start and, for a row that ends the fast pass short
+of the optimum, all that follows: it goes on in its own system from where
+the fast pass left it.  A batch's solutions carry their weights, lambdas
+and dual values as arrays (_Duals).  Linear algebra is numpy only (an SVD
+null space; a Newton step from one symmetric eigendecomposition of the
+reduced Hessian, its eigenvalues floored so that the step always ascends),
+so importing the package does not load scipy; scipy.optimize's nnls and
+linprog are imported on first use by the support point.
 
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
-active constraint block satisfy term_value = w_it / lambda_i.  Rows of a
-batch with the same such terms share one multi-column least-squares solve;
-solve_dual, recover_primal and solve are each the batch of one.  solve
-reports OPTIMAL only where certificate.optimal_claim holds at the recovered
-x and the dual weights, a check from the problem's terms alone.
+active constraint block satisfy term_value = w_it / lambda_i.  The rows of
+all systems of one call with one block layout and variable count are
+recovered and certified as one batch: rows of one system with the same such
+terms share one multi-column least-squares solve, and one
+certificate.optimal_claim call, with one exponent matrix per row, checks
+them all; solve_dual, recover_primal and solve are each the batch of one.
+solve reports OPTIMAL only where that claim holds at the recovered x and the
+dual weights, a check from the problem's terms alone.
 """
 
 from __future__ import annotations
@@ -144,6 +149,47 @@ class DualSolution:
     def __post_init__(self):
         self.weights.flags.writeable = False
         self.lambdas.flags.writeable = False
+
+
+@dataclass(eq=False)
+class _Duals:
+    """The DualSolutions of a batch, and their weights (B, K), lambdas (B, m)
+    and objective values (B,) as arrays, which the batch's recovery reads;
+    the rows _finish makes hold views of these arrays."""
+
+    solutions: list[DualSolution]
+    weights: np.ndarray
+    lambdas: np.ndarray
+    objective_value: np.ndarray
+
+    @classmethod
+    def of(cls, solutions: Sequence[DualSolution]) -> _Duals:
+        """The batch of DualSolutions made apart, stacked."""
+        return cls(list(solutions), np.array([ds.weights for ds in solutions]),
+                   np.array([ds.lambdas for ds in solutions]),
+                   np.array([ds.objective_value for ds in solutions]))
+
+    @staticmethod
+    def concat(parts: Sequence[_Duals]) -> _Duals:
+        if len(parts) == 1:
+            return parts[0]
+        return _Duals([ds for p in parts for ds in p.solutions],
+                      np.concatenate([p.weights for p in parts]),
+                      np.concatenate([p.lambdas for p in parts]),
+                      np.concatenate([p.objective_value for p in parts]))
+
+    def take(self, rows: slice | list[int]) -> _Duals:
+        """The duals at rows, a slice or a list of rows."""
+        solutions = (self.solutions[rows] if isinstance(rows, slice)
+                     else [self.solutions[i] for i in rows])
+        return _Duals(solutions, self.weights[rows], self.lambdas[rows],
+                      self.objective_value[rows])
+
+    def __len__(self) -> int:
+        return len(self.solutions)
+
+    def __iter__(self):
+        return iter(self.solutions)
 
 
 @dataclass(frozen=True)
@@ -299,14 +345,14 @@ def _reduced_program(d: DualProgram, keep: np.ndarray) -> DualProgram:
     )
 
 
-def _pad(
-    d: DualProgram, keep: np.ndarray, inner: list[DualSolution]
-) -> list[DualSolution]:
+def _pad(d: DualProgram, keep: np.ndarray, inner: _Duals) -> _Duals:
     """inner, solved over d's kept weights, with the rest of d's weights zero."""
     weights = np.zeros((len(inner), d.term_count))
-    weights[:, keep] = [ds.weights for ds in inner]
-    rows = zip(inner, weights, block_lambdas(d, weights))
-    return [replace(ds, weights=w, lambdas=lam) for ds, w, lam in rows]
+    weights[:, keep] = inner.weights
+    lambdas = block_lambdas(d, weights)
+    rows = zip(inner, weights, lambdas)
+    return _Duals([replace(ds, weights=w, lambdas=lam) for ds, w, lam in rows],
+                  weights, lambdas, inner.objective_value)
 
 
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
@@ -330,26 +376,29 @@ def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolutio
 
 
 def _finish(
-    d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, w: np.ndarray,
-    status: list[Status], iterations: list[int],
-) -> list[DualSolution]:
-    """The DualSolution of each row of w (B, K), with its row of log_c; an
-    OPTIMAL row that misses FEASIBILITY_TOL or _STATIONARITY_TOL ends
-    ITERATION_LIMIT."""
-    residual = np.abs(np.matvec(d.equality_matrix, w) - d.equality_rhs).max(axis=1)
+    d: DualProgram, log_c: np.ndarray, bases: np.ndarray, equalities: np.ndarray,
+    w: np.ndarray, status: list[Status], iterations: list[int],
+) -> _Duals:
+    """The duals of the rows of w (B, K), each with d's block layout and its
+    row of log_c, null-space basis and equality matrix: bases (K, r) and
+    equalities (n + 1, K) are shared, or (B, K, r) and (B, n + 1, K) hold
+    one per row.  An OPTIMAL row that misses FEASIBILITY_TOL or
+    _STATIONARITY_TOL ends ITERATION_LIMIT."""
+    residual = np.maximum.reduce(np.abs(np.matvec(equalities, w) - d.equality_rhs), axis=1)
     value, grad = _log_dual_objective(d, _check_weights(d, w, len(w)), log_c)[:2]
     # at a maximizer inside the program the gradient vanishes on its null space
-    stationarity = _projected_norm(nullsp, grad)
+    stationarity = _projected_norm(bases, grad)
     with np.errstate(over="ignore"):  # a pass out of budget may end past exp's range
-        z = np.exp(value).tolist()
-    rows = zip(status, w.copy(), block_lambdas(d, w), z,
+        z = np.exp(value)
+    weights, lambdas = w.copy(), block_lambdas(d, w)
+    rows = zip(status, weights, lambdas, z.tolist(),
                residual.tolist(), stationarity.tolist(), iterations)
     out = []
-    for st, weights, lambdas, z, res, stat, n in rows:
+    for st, weights_row, lambdas_row, objective, res, stat, n in rows:
         if st is Status.OPTIMAL and (res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL):
             st = Status.ITERATION_LIMIT
-        out.append(DualSolution(st, weights, lambdas, z, res, stat, n))
-    return out
+        out.append(DualSolution(st, weights_row, lambdas_row, objective, res, stat, n))
+    return _Duals(out, weights, lambdas, z)
 
 
 def _barrier_eval(
@@ -490,23 +539,24 @@ def solve_dual(d: DualProgram) -> DualSolution:
     and ITERATION_LIMIT otherwise, including when the Newton passes together
     reach _MAX_ITERATIONS.
     """
-    return _solve_duals([(d, d.term_coefficients[None])])[0][0]
+    return _solve_duals([(d, d.term_coefficients[None])])[0].solutions[0]
 
 
 def _solve_duals(
     systems: Sequence[tuple[DualProgram, np.ndarray]],
-) -> list[list[DualSolution]]:
+) -> list[_Duals]:
     """solve_dual of each program d at each of its rows of coefficients
     (B, K): per system, the duals of d's equality system that differ only in
     their terms' coefficients.
 
     The rows of every system with an interior start run the fast pass as one
-    batch per block layout and nullity, each row from its own system's start
-    and on its own null-space basis.  The rest is per system (_settle): a row
-    that ends short of the optimum takes the face step from its end, kept
-    where it certifies, then the barrier from the start and the face step
-    from the barrier's end."""
-    out: list[list[DualSolution] | None] = [None] * len(systems)
+    batch per block layout, variable count and nullity, each row from its
+    own system's start and on its own null-space basis, and the rows it ends
+    OPTIMAL are finished as one batch.  The rest is per system (_settle): a
+    row that ends short of the optimum takes the face step from its end,
+    kept where it certifies, then the barrier from the start and the face
+    step from the barrier's end."""
+    out: list[_Duals | None] = [None] * len(systems)
     supported, fast = [], {}  # systems with forced zeros; fast pass groups
     for s, (d, coefficients) in enumerate(systems):
         start, nullsp, support = _dual_start(d)
@@ -514,12 +564,12 @@ def _solve_duals(
         if support is not None:
             supported.append((s, support))
         elif start is None:
-            out[s] = [_failure(d, Status.INFEASIBLE) for _ in range(n)]
+            out[s] = _Duals.of([_failure(d, Status.INFEASIBLE) for _ in range(n)])
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
-            out[s] = _finish(d, np.log(coefficients), nullsp, start[None].repeat(n, 0),
-                             [Status.OPTIMAL] * n, [0] * n)
+            out[s] = _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
+                             start[None].repeat(n, 0), [Status.OPTIMAL] * n, [0] * n)
         else:
-            key = d.block_index.tobytes(), nullsp.shape[1]
+            key = d.block_index.tobytes(), d.variable_count, nullsp.shape[1]
             fast.setdefault(key, []).append((s, start, nullsp))
     if supported:
         inner = [(_reduced_program(systems[s][0], support), systems[s][1][:, support])
@@ -534,7 +584,8 @@ def _solve_duals(
         d = systems[group[0][0]][0]  # the layout and the kernels are shared
         counts = [len(systems[s][1]) for s, _, _ in group]
         pick = np.repeat(np.arange(len(group)), counts)
-        log_c = np.log(np.concatenate([systems[s][1] for s, _, _ in group]))
+        coefficients = np.concatenate([systems[s][1] for s, _, _ in group])
+        log_c = np.log(coefficients)
         # (B, r, K) in C order: each row's basis.mT is laid out as its own
         # _null_space's, so every row keeps the bits it gets alone
         stack = np.array([nullsp.T for _, _, nullsp in group])[pick]
@@ -544,19 +595,38 @@ def _solve_duals(
             d, log_c, stack.mT, sums, w, 0.0, _STATIONARITY_TOL,
             [min(200, _MAX_ITERATIONS)] * len(w),
         )
-        edges = np.cumsum([0, *counts]).tolist()
+        done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
+        parts, order = [], []  # finished rows, and the batch row of each
+        if done:
+            # every row done, as most often: views, not copies
+            rows = slice(None) if len(done) == len(status) else done
+            equalities = np.array([systems[s][0].equality_matrix for s, _, _ in group])
+            parts.append(_finish(d, log_c[rows], stack[rows].mT, equalities[pick[rows]],
+                                 ends[rows], [status[i] for i in done],
+                                 [used[i] for i in done]))
+            order += done
+        edges = [0, *itertools.accumulate(counts)]
         for (s, start, nullsp), i, j in zip(group, edges, edges[1:]):
-            out[s] = _settle(*systems[s], log_c[i:j], start, nullsp,
-                             ends[i:j], status[i:j], used[i:j])
+            short = [k for k in range(i, j) if status[k] is not Status.OPTIMAL]
+            if short:
+                parts.append(_settle(
+                    systems[s][0], coefficients[short], log_c[short], start, nullsp,
+                    ends[short], [status[k] for k in short], [used[k] for k in short],
+                ))
+                order += short
+        batch = (_Duals.concat(parts).take(np.argsort(order).tolist()) if len(parts) > 1
+                 else parts[0])
+        for (s, _, _), i, j in zip(group, edges, edges[1:]):
+            out[s] = batch.take(slice(i, j))
     return out
 
 
 def _settle(
     d: DualProgram, coefficients: np.ndarray, log_c: np.ndarray, start: np.ndarray,
     nullsp: np.ndarray, ends: np.ndarray, status: list[Status], used: list[int],
-) -> list[DualSolution]:
-    """The DualSolutions of d's rows of coefficients, whose fast pass from
-    start ended at ends with these statuses and iteration counts."""
+) -> _Duals:
+    """The duals of d's rows of coefficients whose fast pass from start ended
+    short of the optimum, at ends with these statuses and iteration counts."""
     budget = _MAX_ITERATIONS
     out: list[DualSolution | None] = [None] * len(log_c)
     spent = [0] * len(log_c)  # iterations of each dual so far
@@ -586,8 +656,8 @@ def _settle(
         """_finish these rows of a last pass over program, d's kept weights."""
         if not rows:
             return
-        ends = _finish(program, log_c[rows][:, keep], nullsp, w, status,
-                       [spent[j] for j in rows])
+        ends = _finish(program, log_c[rows][:, keep], nullsp, program.equality_matrix,
+                       w, status, [spent[j] for j in rows])
         for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
             out[j] = ds
 
@@ -621,25 +691,23 @@ def _settle(
                 finish(*phase(g_rows, g_w, 0.0, cap, program, g_nullsp, keep),
                        program, g_nullsp, keep)
 
-    rows, ends, status = record(list(range(len(log_c))), ends, status, used)
-    done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
-    finish([rows[i] for i in done], ends[done], [Status.OPTIMAL] * len(done))
-
-    # a row the fast pass left short of the optimum, on the boundary or with
-    # no ascent left, takes the face step from where it ended, capped like the
-    # fast pass; the face it reaches is kept where it certifies on d's terms:
-    # dropping a constraint relaxes the primal, and a relaxed optimum that
-    # meets the dropped constraint is optimal
-    short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
-    left = [rows[i] for i in short]
-    if left:
-        on_faces(left, ends[short], 200)
-        # _recover and the certificate read the padded weights
-        reports = _certify(d, coefficients[left], [out[j] for j in left], _recover)
-        for j, report in zip(left, reports):
-            if report.status is not Status.OPTIMAL:
-                out[j] = None
-    rows = [j for j, ds in enumerate(out) if ds is None]
+    # the fast pass left each row short of the optimum, on the boundary or
+    # with no ascent left: it takes the face step from where it ended, capped
+    # like the fast pass; the face it reaches is kept where it certifies on
+    # d's terms: dropping a constraint relaxes the primal, and a relaxed
+    # optimum that meets the dropped constraint is optimal
+    rows, ends, _ = record(list(range(len(log_c))), ends, status, used)
+    on_faces(rows, ends, 200)
+    # _recover and the certificate read the padded weights; the UNBOUNDED
+    # rows make no claim
+    settled = _Duals.of(out)
+    reports = _certify(_terms(d, coefficients), np.zeros(len(out), dtype=int), settled,
+                       _recover)
+    rows = [j for j in rows if reports[j].status is not Status.OPTIMAL]
+    if not rows:
+        return settled
+    for j in rows:
+        out[j] = None
     w = start[None].repeat(len(rows), axis=0)
 
     # the rows left failed their face step: aggressive early steps can lock
@@ -649,7 +717,7 @@ def _settle(
     # prediction, which is no Newton iteration and so not counted
     for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
         if not rows:
-            return out
+            return _Duals.of(out)
         rows, w, status = phase(rows, w, mu, 60)
         centred = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
         if mu_next is not None and centred:
@@ -659,44 +727,52 @@ def _settle(
     # the barrier leaves the weights that are zero at the optimum near its
     # last mu: the face step finishes there with the rest of the budget
     on_faces(rows, w, budget)
-    return out
+    return _Duals.of(out)
+
+
+def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:
+    """d's terms at each row of coefficients (B, K), each with d's exponents."""
+    exponents = d.exponent_matrix[None].repeat(len(coefficients), axis=0)
+    return Terms(coefficients, exponents, d.block_index)
 
 
 def _recover(
-    d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution]
+    t: Terms, system: np.ndarray, duals: _Duals
 ) -> list[np.ndarray | ReconstructionError]:
-    """recover_primal of d at each row of coefficients, each with its optimal
-    dual: x, or the ReconstructionError it raises.  The rows whose terms
-    enter the same relations share one multi-column least-squares solve."""
-    if d.variable_count == 0:
-        return [np.empty(0) for _ in solutions]
-    w = np.array([ds.weights for ds in solutions])
-    z = np.array([[ds.objective_value] for ds in solutions])
+    """recover_primal at each row of t, with its optimal dual in duals: x, or
+    the ReconstructionError it raises.  The rows of one system (equal entries
+    of system, which share their exponents) whose terms enter the same
+    relations share one multi-column least-squares solve."""
+    w, z = duals.weights, duals.objective_value[:, None]
+    if t.exponents.shape[-1] == 0:
+        return [np.empty(0) for _ in w]
     # each term's block weight sum, 1 on the objective block; the terms of an
     # inactive constraint relate nothing (complementary slackness)
-    lam = np.array([(1.0, *ds.lambdas) for ds in solutions])[:, d.block_index]
+    lam = np.concatenate((np.ones_like(z), duals.lambdas), axis=1)[:, t.blocks]
     active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
     share = w * z  # w / lambda on constraint terms
-    np.divide(w, lam, out=share, where=active & (d.block_index > 0))
+    np.divide(w, lam, out=share, where=active & (t.blocks > 0))
     # w * z underflows to 0 with z, and then has no log to fit
-    lost = (active & (share == 0.0)).any(axis=1)
-    out = [None] * len(w)
-    groups: dict[bytes, list[int]] = {}
-    for i, mask in enumerate(active):
-        if lost[i]:
-            out[i] = ReconstructionError(f"w * z underflows at dual value {z[i, 0]}")
-        else:
-            groups.setdefault(mask.tobytes(), []).append(i)
-    for group in groups.values():
-        mask = active[group[0]]
-        matrix = d.exponent_matrix[mask]
-        target = np.log(share[group][:, mask]) - np.log(coefficients[group][:, mask])
-        y = np.linalg.lstsq(matrix, target.T, rcond=None)[0].T
-        residual = np.abs(np.matvec(matrix, y) - target).max(axis=1, initial=0.0)
-        with np.errstate(over="ignore", under="ignore"):
+    lost = np.logical_or.reduce(active & (share == 0.0), axis=1)
+    out: list = [ReconstructionError(f"w * z underflows at dual value {v}") if gone
+                 else None for v, gone in zip(z[:, 0].tolist(), lost.tolist())]
+    left = (~lost).nonzero()[0]
+    while left.size:  # the rows of one system and active set
+        first, mask = system[left[0]], active[left[0]]
+        same = (system[left] == first) & np.logical_and.reduce(active[left] == mask, axis=1)
+        group, left = left[same], left[~same]
+        matrix = t.exponents[group[0]][mask]
+        target = np.log(share[group][:, mask]) - np.log(t.coefficients[group][:, mask])
+        # the gufunc under numpy.linalg.lstsq, at its rcond, whose checks
+        # outcost the work; like lstsq, a failed SVD raises
+        rcond = np.finfo(float).eps * max(matrix.shape)
+        with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
+            y = _umath_linalg.lstsq(matrix, target.T, rcond, signature="ddd->ddid")[0].T
             x = np.exp(y)
-        inside = (np.isfinite(x) & (x > 0.0)).all(axis=1).tolist()
-        for i, res, ok, row in zip(group, residual.tolist(), inside, x):
+        residual = np.maximum.reduce(np.abs(np.matvec(matrix, y) - target), axis=1,
+                                     initial=0.0)
+        inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1).tolist()
+        for i, res, ok, row in zip(group.tolist(), residual.tolist(), inside, x):
             out[i] = row if ok and res <= 1e-6 else ReconstructionError(
                 f"log-linear recovery system inconsistent (residual {res:.3e})"
                 if res > 1e-6 else "recovered x = exp(y) overflows or underflows")
@@ -713,41 +789,48 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     stacked system exceeds 1e-6 or when x = exp(y) leaves the doubles.
     """
     d = build_dual(s)
-    x = _recover(d, d.term_coefficients[None], [ds])[0]
+    x = _recover(_terms(d, d.term_coefficients[None]), np.zeros(1, dtype=int),
+                 _Duals.of([ds]))[0]
     if isinstance(x, ReconstructionError):
         raise x
     return x
 
 
 def _certify(
-    d: DualProgram, coefficients: np.ndarray, solutions: Sequence[DualSolution],
-    recover,
+    t: Terms, system: np.ndarray, duals: _Duals, recover
 ) -> list[SolveReport]:
     """Recover x from each optimal dual by recover, which maps its arguments
     as _recover does; a row is OPTIMAL where certificate.optimal_claim holds
     at x and the dual's weights, and reports that claim's f_0(x), violation
     and gap.  There is one solve per dual: a row whose claim fails ends
     ITERATION_LIMIT."""
-    reports = []
-    for ds in solutions:  # an optimal dual's row is ITERATION_LIMIT until certified
-        status = Status.ITERATION_LIMIT if ds.status is Status.OPTIMAL else ds.status
-        reports.append(SolveReport(status, None, ds, None, None, None))
+    solutions = duals.solutions
     optimal = [i for i, ds in enumerate(solutions) if ds.status is Status.OPTIMAL]
-    if not optimal:
-        return reports
-    points = recover(d, coefficients[optimal], [solutions[i] for i in optimal])
-    found = [(i, x) for i, x in zip(optimal, points)
-             if not isinstance(x, ReconstructionError)]
-    if not found:
-        return reports
-    rows, x = [i for i, _ in found], np.array([x for _, x in found])
-    terms = Terms(coefficients[rows], d.exponent_matrix, d.block_index)
-    check = optimal_claim(terms, x, [solutions[i].weights for i in rows])
-    for i, point, primal, worst, gap, holds in zip(rows, x.tolist(), *check):
-        ds = solutions[i]
+    claims = {}  # by row: x, f_0(x), the worst violation, the gap and if it holds
+    if optimal:
+        # every row optimal, as most often: views, not copies
+        rows = slice(None) if len(optimal) == len(solutions) else optimal
+        terms = Terms(t.coefficients[rows], t.exponents[rows], t.blocks)
+        picked = duals.take(rows)
+        points = recover(terms, system[rows], picked)
+        found = [not isinstance(point, ReconstructionError) for point in points]
+        if any(found):
+            # a row with no point claims nothing: its x is nan
+            nan = np.full(t.exponents.shape[-1], np.nan)
+            x = np.array([point if ok else nan for point, ok in zip(points, found)])
+            check = optimal_claim(terms, x, picked.weights)
+            entries = zip(optimal, found, map(tuple, x.tolist()), *check)
+            claims = {i: claim for i, ok, *claim in entries if ok}
+    reports = []
+    for i, ds in enumerate(solutions):
+        if i not in claims:  # an optimal dual's row is ITERATION_LIMIT uncertified
+            status = Status.ITERATION_LIMIT if ds.status is Status.OPTIMAL else ds.status
+            reports.append(SolveReport(status, None, ds, None, None, None))
+            continue
+        point, primal, worst, gap, holds = claims[i]
         kkt = KktResiduals(ds.equality_residual, ds.stationarity, worst)
         status = Status.OPTIMAL if holds else Status.ITERATION_LIMIT
-        reports[i] = SolveReport(status, tuple(point), ds, primal, gap, kkt)
+        reports.append(SolveReport(status, point, ds, primal, gap, kkt))
     return reports
 
 
@@ -756,19 +839,36 @@ def solve(s: StandardGp) -> SolveReport:
     d = build_dual(s)
     ds = solve_dual(d)
 
-    def recover(_d, _coefficients, solutions):  # the batch of one, by name
+    def recover(_terms, _system, _duals):  # the batch of one, by name
         try:
-            return [recover_primal(s, *solutions)]
+            return [recover_primal(s, ds)]
         except ReconstructionError as e:
             return [e]
 
-    return _certify(d, d.term_coefficients[None], [ds], recover)[0]
+    coefficients = d.term_coefficients[None]
+    return _certify(_terms(d, coefficients), np.zeros(1, dtype=int), _Duals.of([ds]),
+                    recover)[0]
 
 
 def _solve_rows(
     systems: Sequence[tuple[DualProgram, np.ndarray]],
 ) -> list[list[SolveReport]]:
     """solve of each program d's problem at each of its rows of coefficients
-    (B, K), as one batch (_solve_duals), certified per system."""
-    return [_certify(d, coefficients, solutions, _recover)
-            for (d, coefficients), solutions in zip(systems, _solve_duals(systems))]
+    (B, K), as one batch (_solve_duals); the rows of all systems with one
+    block layout and variable count are recovered and certified together."""
+    solved = _solve_duals(systems)
+    groups: dict[tuple, list[int]] = {}
+    for s, (d, _) in enumerate(systems):
+        groups.setdefault((d.block_index.tobytes(), d.variable_count), []).append(s)
+    out: list[list[SolveReport]] = [[] for _ in systems]
+    for group in groups.values():
+        counts = [len(solved[s]) for s in group]
+        pick = np.repeat(np.arange(len(group)), counts)
+        exponents = np.array([systems[s][0].exponent_matrix for s in group])[pick]
+        coefficients = np.concatenate([systems[s][1] for s in group])
+        terms = Terms(coefficients, exponents, systems[group[0]][0].block_index)
+        reports = _certify(terms, pick, _Duals.concat([solved[s] for s in group]), _recover)
+        edges = [0, *itertools.accumulate(counts)]
+        for s, i, j in zip(group, edges, edges[1:]):
+            out[s] = reports[i:j]
+    return out

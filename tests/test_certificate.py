@@ -6,9 +6,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpchoice.certificate
+import test_solver
 from gpchoice import (
     infeasible_claim,
     make_problem,
@@ -17,7 +19,7 @@ from gpchoice import (
     solve,
     standardize,
 )
-from gpchoice.certificate import GAP_TOL, VIOLATION_TOL
+from gpchoice.certificate import GAP_TOL, VIOLATION_TOL, Terms
 from helpers import example1_problem, example2_problem, first_term_multipliers
 
 # min x + 1/x s.t. 0.5*y + 0.5/y <= 1: z = 2 at x = y = 1; for any a >= 0
@@ -32,6 +34,12 @@ W = (0.5, 0.5, 1e-3, 1e-3)
 
 def _claim(x, w, s=PROBLEM):
     return optimal_claim(problem_terms(s), [x], [w])
+
+
+def _claim_bits(claim) -> list[tuple]:
+    """Per row, the claim's objective, violation and gap as hex, and holds."""
+    return [(*(float(v).hex() for v in floats), holds)
+            for *floats, holds in zip(*claim)]
 
 
 def _objective_at(value):
@@ -96,6 +104,39 @@ class TestOptimalClaim:
         claim = optimal_claim(problem_terms(PROBLEM), x, w)
         assert claim.holds == [True, False, False]
         assert math.isnan(claim.objective[1]) and math.isnan(claim.gap[1])
+
+    def test_per_row_exponents_judge_each_row_as_alone(self):
+        # the perturbed systems of the merged-batch test: each family's
+        # systems share a block layout, not their exponents
+        batches = 0
+        for family in test_solver.TestMergedBatches._families():
+            problems = [s for system in family for s in system]
+            terms = [problem_terms(s) for s in problems]
+            if len({t.exponents.shape for t in terms}) > 1:
+                continue
+            reports = [solve(s) for s in problems]
+            rows = [i for i, r in enumerate(reports) if r.primal_x is not None]
+            if len({terms[i].exponents.tobytes() for i in rows}) < 2:
+                continue
+            batches += 1
+            x = np.array([reports[i].primal_x for i in rows])
+            w = np.array([reports[i].dual.weights for i in rows])
+            w[-1, 0] = -w[-1, 0]  # a negative weight fails its own row alone
+            batch = Terms(np.array([terms[i].coefficients for i in rows]),
+                          np.array([terms[i].exponents for i in rows]),
+                          terms[rows[0]].blocks)
+            alone = [optimal_claim(terms[i], x[j:j + 1], w[j:j + 1])
+                     for j, i in enumerate(rows)]
+            together = optimal_claim(batch, x, w)
+            assert _claim_bits(together) == [
+                bits for claim in alone for bits in _claim_bits(claim)
+            ]
+            assert together.holds[:-1] == [True] * (len(rows) - 1)
+            assert not together.holds[-1]
+            # an x of the wrong length is no point for any row
+            longer = np.hstack([x, np.ones((len(x), 1))])
+            assert optimal_claim(batch, longer, w).holds == [False] * len(rows)
+        assert batches >= 25  # 29 families, 251 rows
 
     def test_an_overflowing_term_is_no_certificate(self):
         s = standardize(make_problem([(1, (300,)), (1, (-1,))]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gpchoice.selectors
+import gpchoice.solver
 from gpchoice import (
     CandidateSet,
     ChoiceGp,
@@ -480,6 +481,36 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     assert expands == []
     for p, e in zip(pruned, exhaustive):
         _same_choice_result(p, e)
+
+
+def test_keep_all_finishes_and_certifies_each_fixture_in_one_batch(monkeypatch):
+    # keep-all solves each fixture's systems in one fast-pass batch, and
+    # finishes and certifies that batch with one call each, 12 in all, where
+    # one call per equality system would make 46
+    claims, finishes = [], []
+    original_claim = gpchoice.solver.optimal_claim
+    original_finish = gpchoice.solver._finish
+
+    def claim(terms, x, w):
+        claims.append(len(w))
+        return original_claim(terms, x, w)
+
+    def finish(d, log_c, *args):
+        finishes.append(len(log_c))
+        return original_finish(d, log_c, *args)
+
+    monkeypatch.setattr(gpchoice.solver, "optimal_claim", claim)
+    monkeypatch.setattr(gpchoice.solver, "_finish", finish)
+    models = [parse_problem(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
+    for cg in models:
+        solve_choice(cg, keep_assignments=True)
+    assert (len(claims), sum(claims)) == (12, 1002)
+    assert (len(finishes), sum(finishes)) == (12, 1002)
+    claims.clear()
+    for cg in models:
+        solve_choice(cg)
+    # the pruned search solves, and certifies, one expansion at a time
+    assert claims == [1] * 23
 
 
 def _coefficient_sets(cg):

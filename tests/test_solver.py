@@ -998,15 +998,16 @@ class TestLargeCoefficients:
 
 
 class TestDegenerateMinimax:
-    """ROADMAP item 10's degenerate minimax GP on example2_case1: 128 terms
-    in 38 blocks over 5 variables.  Its optimum lies in [1.0751382,
-    1.0751386]: the last dual iterate bounds it from below, and a feasible
-    point of a log-form solve from above."""
+    """ROADMAP item 10's degenerate minimax GPs: on example2_case1, 128 terms
+    in 38 blocks over 5 variables, with its optimum in [1.0751382,
+    1.0751386]; on example2_case6, 218 terms in 62 blocks, with its optimum
+    in [1.0759840, 1.0759846].  The last dual iterate bounds each from below,
+    and a feasible point of a log-form solve from above."""
 
     @staticmethod
-    @lru_cache(maxsize=1)
-    def _solved():
-        s = standardize(degenerate_minimax_gp("example2_case1"))
+    @lru_cache(maxsize=2)
+    def _solved(fixture="example2_case1"):
+        s = standardize(degenerate_minimax_gp(fixture))
         return s, solve(s)
 
     def test_stalls_at_a_dual_value_below_the_optimum(self):
@@ -1024,6 +1025,23 @@ class TestDegenerateMinimax:
                               [report.dual.weights])
         assert claim.holds[0]
         assert 1.0751382 <= report.objective_value <= 1.0751386
+
+    def test_case6_stalls_at_a_dual_value_below_the_optimum(self):
+        # 198 iterations, ending at dual value 1.0759840253
+        s, report = self._solved("example2_case6")
+        assert (s.variable_count, s.term_count, len(s.constraints)) == (5, 218, 61)
+        assert report.status is Status.ITERATION_LIMIT
+        assert 1.0759840 <= report.dual.objective_value <= 1.0759846
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the barrier does not "
+                       "centre at mu <= 1e-8, and the reduction keeps a wrong support")
+    def test_case6_is_certified_optimal(self):
+        s, report = self._solved("example2_case6")
+        assert report.status is Status.OPTIMAL
+        claim = optimal_claim(problem_terms(s), [report.primal_x],
+                              [report.dual.weights])
+        assert claim.holds[0]
+        assert 1.0759840 <= report.objective_value <= 1.0759846
 
 
 def _solution_bytes(ds: DualSolution) -> tuple:
