@@ -7,9 +7,9 @@ optimal claim of gpchoice.certificate, built from its expansion alone.
 Each fixture's line gives the time of the pruned search, then the time of
 the keep-all pass (every expansion solved, as --all-assignments does), its
 number of equality systems and its number of fast-pass batches: the
-expansions that share exponent values share one system, and keep-all runs
-the fast pass of all the systems that share a block layout and a
-null-space dimension as one batch.
+expansions that share exponent values share one system, the systems of a
+fixture share one block layout, and keep-all runs the fast pass of all the
+systems that share a null-space dimension as one batch.
 """
 
 import sys
@@ -50,11 +50,10 @@ def run_fixture(path: Path):
         tuple(row.values[i] for i in exponents): dict(zip(names, row.bits))
         for row in table if row.status != "rejected"
     }
-    batches = set()  # (block layout, null-space dimension) of each system
+    batches = set()  # the null-space dimension of each system
     for choice in systems.values():
         d = build_dual(standardize(expand(cg, choice)))
-        nullity = d.term_count - np.linalg.matrix_rank(d.equality_matrix)
-        batches.add((d.block_index.tobytes(), nullity))
+        batches.add(d.term_count - np.linalg.matrix_rank(d.equality_matrix))
     chosen = dict(result.chosen_values or ())
     report = result.report
     print(

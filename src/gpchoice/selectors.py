@@ -539,8 +539,9 @@ def solve_choice(
     tuples once, at their smallest pattern per set.  Expansions that weak
     duality proves can neither win nor tie are skipped unsolved (_search,
     _Skeleton, _Template.bound); keep_assignments solves them all, every
-    system in one _solve_rows call, whose fast pass is one batch for all
-    systems of one block layout and nullity, as its table reports every z.
+    system in one _solve_rows call (the systems of a template share one
+    block layout), whose fast pass is one batch for all systems of one
+    nullity, as its table reports every z.
     ``solved`` counts the non-rejected combinations, skipped ones included.
     """
     cg = checked_choice_gp(model)

@@ -48,18 +48,20 @@ dual with that system.  Duals are solved as one batch, a row of a (B, K)
 weight array each, and each row ends bit for bit as it would alone;
 solve_dual is the batch of one.  Duals that differ only in their
 coefficients share an equality system, and its start and null space.  The
-fast pass takes more: duals of several systems that share a block layout
-(so K and the kernels' block sums), a variable count and a nullity r are
-one batch, each row
-from its own system's start and with its own null-space basis, stacked
-(B, r, K) in C order so that each row's basis is laid out, and rounds, as
-it does alone.  The Newton kernels read the exponents only through the
-basis.  The rows the fast pass ends OPTIMAL are finished as the same batch,
-each row's equality residual taken against its own system's matrix; what
-stays per system is the start and, for a row that ends the fast pass short
-of the optimum, all that follows: it goes on in its own system from where
-the fast pass left it.  A batch's solutions carry their weights, lambdas
-and dual values as arrays (_Duals).  Linear algebra is numpy only (an SVD
+systems of one call share one block layout (so K and the kernels' block
+sums) and variable count: a template's selectors change the values in its
+slots, never which terms sit in which posynomial.  The fast pass takes
+more: the duals of the call's systems that share a nullity r are one
+batch, each row from its own system's start and with its own null-space
+basis, stacked (B, r, K) in C order so that each row's basis is laid out,
+and rounds, as it does alone.  The Newton kernels read the exponents only
+through the basis.  The rows the fast pass ends OPTIMAL are finished as
+the same batch, each row's equality residual taken against its own
+system's matrix; what stays per system is the start and, for a row that
+ends the fast pass short of the optimum, all that follows: it goes on in
+its own system from where the fast pass left it.  The call's solutions
+come back as one batch, in call order, with their weights, lambdas and
+dual values as arrays (_Duals).  Linear algebra is numpy only (an SVD
 null space; a Newton step from one symmetric eigendecomposition of the
 reduced Hessian, its eigenvalues floored so that the step always ascends),
 so importing the package does not load scipy; scipy.optimize's nnls and
@@ -68,9 +70,8 @@ linprog are imported on first use by the support point.
 The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
 active constraint block satisfy term_value = w_it / lambda_i.  The rows of
-all systems of one call with one block layout and variable count are
-recovered and certified as one batch: rows of one system with the same such
-terms share one multi-column least-squares solve, and one
+one call are recovered and certified as one batch: rows of one system with
+the same such terms share one multi-column least-squares solve, and one
 certificate.optimal_claim call, with one exponent matrix per row, checks
 them all; solve_dual, recover_primal and solve are each the batch of one.
 solve reports OPTIMAL only where that claim holds at the recovered x and the
@@ -168,15 +169,6 @@ class _Duals:
         return cls(list(solutions), np.array([ds.weights for ds in solutions]),
                    np.array([ds.lambdas for ds in solutions]),
                    np.array([ds.objective_value for ds in solutions]))
-
-    @staticmethod
-    def concat(parts: Sequence[_Duals]) -> _Duals:
-        if len(parts) == 1:
-            return parts[0]
-        return _Duals([ds for p in parts for ds in p.solutions],
-                      np.concatenate([p.weights for p in parts]),
-                      np.concatenate([p.lambdas for p in parts]),
-                      np.concatenate([p.objective_value for p in parts]))
 
     def take(self, rows: slice | list[int]) -> _Duals:
         """The duals at rows, a slice or a list of rows."""
@@ -539,51 +531,55 @@ def solve_dual(d: DualProgram) -> DualSolution:
     and ITERATION_LIMIT otherwise, including when the Newton passes together
     reach _MAX_ITERATIONS.
     """
-    return _solve_duals([(d, d.term_coefficients[None])])[0].solutions[0]
+    return _solve_duals([(d, d.term_coefficients[None])]).solutions[0]
 
 
-def _solve_duals(
-    systems: Sequence[tuple[DualProgram, np.ndarray]],
-) -> list[_Duals]:
+def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
     """solve_dual of each program d at each of its rows of coefficients
     (B, K): per system, the duals of d's equality system that differ only in
-    their terms' coefficients.
+    their terms' coefficients.  Every system of one call has one block
+    layout and variable count, else ValueError; the duals come back as one
+    batch, in call order.
 
     The rows of every system with an interior start run the fast pass as one
-    batch per block layout, variable count and nullity, each row from its
-    own system's start and on its own null-space basis, and the rows it ends
-    OPTIMAL are finished as one batch.  The rest is per system (_settle): a
-    row that ends short of the optimum takes the face step from its end,
-    kept where it certifies, then the barrier from the start and the face
-    step from the barrier's end."""
-    out: list[_Duals | None] = [None] * len(systems)
-    supported, fast = [], {}  # systems with forced zeros; fast pass groups
+    batch per nullity, each row from its own system's start and on its own
+    null-space basis, and the rows it ends OPTIMAL are finished as one batch.
+    The rest is per system (_settle): a row that ends short of the optimum
+    takes the face step from its end, kept where it certifies, then the
+    barrier from the start and the face step from the barrier's end.  A
+    system with forced zeros is solved over the rest of its weights, as a
+    call of its own."""
+    layout, variables = systems[0][0].block_index, systems[0][0].variable_count
+    if any(d.variable_count != variables or not np.array_equal(d.block_index, layout)
+           for d, _ in systems[1:]):
+        raise ValueError("the systems of one call must share one block layout "
+                         "and variable count")
+    edges = [0, *itertools.accumulate(len(coefficients) for _, coefficients in systems)]
+    parts: list[tuple[list[int], _Duals]] = []  # the call's rows and their duals
+    fast: dict[int, list] = {}  # fast pass batches, by nullity
     for s, (d, coefficients) in enumerate(systems):
         start, nullsp, support = _dual_start(d)
-        n = len(coefficients)
+        rows, n = list(range(edges[s], edges[s + 1])), len(coefficients)
         if support is not None:
-            supported.append((s, support))
+            inner = _reduced_program(d, support), coefficients[:, support]
+            parts.append((rows, _pad(d, support, _solve_duals([inner]))))
         elif start is None:
-            out[s] = _Duals.of([_failure(d, Status.INFEASIBLE) for _ in range(n)])
+            parts.append((rows, _Duals.of([_failure(d, Status.INFEASIBLE) for _ in rows])))
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
-            out[s] = _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
-                             start[None].repeat(n, 0), [Status.OPTIMAL] * n, [0] * n)
+            parts.append((rows, _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
+                                        start[None].repeat(n, 0), [Status.OPTIMAL] * n,
+                                        [0] * n)))
         else:
-            key = d.block_index.tobytes(), d.variable_count, nullsp.shape[1]
-            fast.setdefault(key, []).append((s, start, nullsp))
-    if supported:
-        inner = [(_reduced_program(systems[s][0], support), systems[s][1][:, support])
-                 for s, support in supported]
-        for (s, support), solutions in zip(supported, _solve_duals(inner)):
-            out[s] = _pad(systems[s][0], support, solutions)
+            fast.setdefault(nullsp.shape[1], []).append((s, start, nullsp))
 
     # fast path: plain Newton from the interior start, ended at its first
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
+    d = systems[0][0]  # the layout and the kernels are shared
     for group in fast.values():
-        d = systems[group[0][0]][0]  # the layout and the kernels are shared
         counts = [len(systems[s][1]) for s, _, _ in group]
         pick = np.repeat(np.arange(len(group)), counts)
+        rows = [j for s, _, _ in group for j in range(edges[s], edges[s + 1])]
         coefficients = np.concatenate([systems[s][1] for s, _, _ in group])
         log_c = np.log(coefficients)
         # (B, r, K) in C order: each row's basis.mT is laid out as its own
@@ -596,29 +592,28 @@ def _solve_duals(
             [min(200, _MAX_ITERATIONS)] * len(w),
         )
         done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
-        parts, order = [], []  # finished rows, and the batch row of each
         if done:
             # every row done, as most often: views, not copies
-            rows = slice(None) if len(done) == len(status) else done
+            picked = slice(None) if len(done) == len(status) else done
             equalities = np.array([systems[s][0].equality_matrix for s, _, _ in group])
-            parts.append(_finish(d, log_c[rows], stack[rows].mT, equalities[pick[rows]],
-                                 ends[rows], [status[i] for i in done],
-                                 [used[i] for i in done]))
-            order += done
-        edges = [0, *itertools.accumulate(counts)]
-        for (s, start, nullsp), i, j in zip(group, edges, edges[1:]):
+            parts.append(([rows[i] for i in done], _finish(
+                d, log_c[picked], stack[picked].mT, equalities[pick[picked]],
+                ends[picked], [status[i] for i in done], [used[i] for i in done])))
+        edges_in = [0, *itertools.accumulate(counts)]
+        for (s, start, nullsp), i, j in zip(group, edges_in, edges_in[1:]):
             short = [k for k in range(i, j) if status[k] is not Status.OPTIMAL]
             if short:
-                parts.append(_settle(
+                parts.append(([rows[k] for k in short], _settle(
                     systems[s][0], coefficients[short], log_c[short], start, nullsp,
                     ends[short], [status[k] for k in short], [used[k] for k in short],
-                ))
-                order += short
-        batch = (_Duals.concat(parts).take(np.argsort(order).tolist()) if len(parts) > 1
-                 else parts[0])
-        for (s, _, _), i, j in zip(group, edges, edges[1:]):
-            out[s] = batch.take(slice(i, j))
-    return out
+                )))
+    if len(parts) == 1:  # it holds every row, in order
+        return parts[0][1]
+    out: list[DualSolution | None] = [None] * edges[-1]
+    for rows, duals in parts:
+        for j, ds in zip(rows, duals):
+            out[j] = ds
+    return _Duals.of(out)
 
 
 def _settle(
@@ -854,21 +849,14 @@ def _solve_rows(
     systems: Sequence[tuple[DualProgram, np.ndarray]],
 ) -> list[list[SolveReport]]:
     """solve of each program d's problem at each of its rows of coefficients
-    (B, K), as one batch (_solve_duals); the rows of all systems with one
-    block layout and variable count are recovered and certified together."""
-    solved = _solve_duals(systems)
-    groups: dict[tuple, list[int]] = {}
-    for s, (d, _) in enumerate(systems):
-        groups.setdefault((d.block_index.tobytes(), d.variable_count), []).append(s)
-    out: list[list[SolveReport]] = [[] for _ in systems]
-    for group in groups.values():
-        counts = [len(solved[s]) for s in group]
-        pick = np.repeat(np.arange(len(group)), counts)
-        exponents = np.array([systems[s][0].exponent_matrix for s in group])[pick]
-        coefficients = np.concatenate([systems[s][1] for s in group])
-        terms = Terms(coefficients, exponents, systems[group[0]][0].block_index)
-        reports = _certify(terms, pick, _Duals.concat([solved[s] for s in group]), _recover)
-        edges = [0, *itertools.accumulate(counts)]
-        for s, i, j in zip(group, edges, edges[1:]):
-            out[s] = reports[i:j]
-    return out
+    (B, K), as one batch (_solve_duals, so one block layout and variable
+    count), recovered and certified together."""
+    duals = _solve_duals(systems)
+    counts = [len(coefficients) for _, coefficients in systems]
+    pick = np.repeat(np.arange(len(systems)), counts)
+    exponents = np.array([d.exponent_matrix for d, _ in systems])[pick]
+    coefficients = np.concatenate([coefficients for _, coefficients in systems])
+    terms = Terms(coefficients, exponents, systems[0][0].block_index)
+    reports = _certify(terms, pick, duals, _recover)
+    edges = [0, *itertools.accumulate(counts)]
+    return [reports[i:j] for i, j in zip(edges, edges[1:])]

@@ -122,10 +122,30 @@ def zero_difficulty_gp(rng) -> tuple[GpProblem, np.ndarray]:
     prod_i lambda_i^lambda_i, lambda_i the weight sum of constraint i.
     Returns the problem and w in term order, objective terms first.
     """
+    return _zero_difficulty(rng, lambda k: rng.uniform(0.5, 1.5, k))
+
+
+def tiny_weight_gp(rng) -> tuple[GpProblem, np.ndarray]:
+    """zero_difficulty_gp with optimal weights down to 1e-30, and its dual point.
+
+    The first K - 1 weights are log-uniform in [1e-30, 1] before the
+    objective block is scaled to sum to 1; the last, whose term's exponents
+    close orthogonality, is uniform in [0.5, 1.5], so those exponents stay
+    within a few units (a tiny last weight would give exponents near 1e30).
+    The optimum keeps its closed form, z* = prod_k (c_k / w_k)^w_k times
+    prod_i lambda_i^lambda_i.
+    """
+    return _zero_difficulty(rng, lambda k: np.append(
+        10.0 ** rng.uniform(-30.0, 0.0, k - 1), rng.uniform(0.5, 1.5)))
+
+
+def _zero_difficulty(rng, draw_weights) -> tuple[GpProblem, np.ndarray]:
+    """The GP of zero_difficulty_gp at weights draw_weights(K), and those
+    weights with the objective block scaled to sum to 1."""
     n = int(rng.integers(1, 4))
     k = n + 1
     t0 = int(rng.integers(1, k + 1))
-    w = rng.uniform(0.5, 1.5, k)
+    w = draw_weights(k)
     w[:t0] /= w[:t0].sum()
     exponents = rng.uniform(-3.0, 3.0, (k, n))
     exponents[-1] = -(w[:-1] @ exponents[:-1]) / w[-1]
