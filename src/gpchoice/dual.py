@@ -20,6 +20,7 @@ over each block, without the full matrix.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,7 +106,8 @@ class DualProgram:
 
 
 def build_dual(s: StandardGp) -> DualProgram:
-    """Assemble the dual weight program of a standard-form GP."""
+    """Assemble the dual weight program of a standard-form GP; raises
+    GpDomainError on a term coefficient that is not finite and positive."""
     coeffs: list[float] = []
     blocks: list[int] = []
     exps: list[tuple[float, ...]] = []
@@ -114,6 +116,9 @@ def build_dual(s: StandardGp) -> DualProgram:
             where = f"constraint {i - 1}" if i else "objective"
             raise GpDomainError(f"{where} has no terms")
         for term in posy.terms:
+            if not 0.0 < term.coefficient < math.inf:
+                raise GpDomainError(f"term {len(coeffs)}: coefficient {term.coefficient!r} "
+                                    "is not finite and positive")
             coeffs.append(term.coefficient)
             blocks.append(i)
             exps.append(term.exponents)

@@ -8,6 +8,14 @@ k in {3, 5, 6, 7} are exactly those violating the published consistency
 constraints for that size; for k = 4 and k = 8 the published constraint would
 make the last candidate unreachable and is dropped, so all patterns are
 admissible.
+
+solve_choice enumerates the expansions of a template.  The pruned search
+solves them one at a time, skipping those that weak duality proves can
+neither win nor tie.  Keep-all solves every admissible combination in one
+solver batch and keeps its table as arrays from the assignment grid to the
+certificate: the grid of selected values, the rejection mask, the grouping
+into equality systems and each row's status and z are arrays, and a
+per-row report is built only for the expansion the result reports.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .certificate import FEASIBILITY_TOL, GAP_TOL
 from .dual import DualProgram, build_dual, log_dual_objective
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
 from .solver import SolveReport, Status
-from .solver import _project_onto_equalities, _solve_rows
+from .solver import _CODE, _STATUSES, _project_onto_equalities, _solve_rows
 
 BitPattern = tuple[int, ...]
 
@@ -181,7 +189,9 @@ def expand(cg: ChoiceGp, choice: Mapping[str, Sequence[int]]) -> GpProblem:
     """Replace every slot by its selected value, producing a plain GpProblem.
 
     Raises ExpansionRejected when a coefficient slot resolves to a
-    non-positive value (no posynomial exists for that choice).
+    non-positive value (no posynomial exists for that choice), and
+    GpDomainError when a constraint coefficient over its bound leaves the
+    doubles (standardize could not divide it).
     """
     return _expanded(cg, resolve_choice(cg, choice))
 
@@ -189,19 +199,22 @@ def expand(cg: ChoiceGp, choice: Mapping[str, Sequence[int]]) -> GpProblem:
 def _expanded(cg: ChoiceGp, values: Mapping[str, float]) -> GpProblem:
     """expand at the selected value of every set, by name."""
 
-    def build_terms(templates: tuple[TermTemplate, ...], where: str):
-        out = []
+    def build_terms(templates: tuple[TermTemplate, ...], where: str, bound):
+        out, scaled = [], bound is not None and 0.0 < bound < math.inf
         for t, tpl in enumerate(templates):
             coeff = _resolve(tpl.coefficient, values)
             if coeff <= 0.0:
                 raise ExpansionRejected(
                     f"{where} term {t}: coefficient resolves to {coeff}"
                 )
+            if scaled and not 0.0 < coeff / bound < math.inf:
+                raise GpDomainError(f"{where} term {t}: coefficient {coeff} over "
+                                    f"bound {bound} leaves the doubles")
             exps = tuple(_resolve(e, values) for e in tpl.exponents)
             out.append((coeff, exps))
         return out
 
-    posys = [(build_terms(ts, where), bound) for where, ts, bound in _sections(cg)]
+    posys = [(build_terms(ts, where, bound), bound) for where, ts, bound in _sections(cg)]
     return make_problem(posys[0][0], posys[1:], cg.variable_names)
 
 
@@ -223,6 +236,7 @@ def validate_choice_gp(cg: ChoiceGp) -> list[str]:
     if len(set(cg.variable_names)) != n:
         out.append("variable names are not unique")
     roles = {cs.name: cs.role for cs in cg.sets}
+    candidates = {cs.name: cs.candidates for cs in cg.sets}
     if len(roles) != len(cg.sets):
         out.append("candidate set names are not unique")
     for cs in cg.sets:
@@ -255,6 +269,7 @@ def validate_choice_gp(cg: ChoiceGp) -> list[str]:
     for where, templates, bound in _sections(cg):
         if not templates:
             out.append(f"{where}: has no terms")
+        scaled = bound is not None and 0.0 < bound < math.inf  # standardize divides by it
         for t, tpl in enumerate(templates):
             if len(tpl.exponents) != n:
                 out.append(f"{where} term {t}: {len(tpl.exponents)} exponents "
@@ -262,7 +277,12 @@ def validate_choice_gp(cg: ChoiceGp) -> list[str]:
             check_slot(tpl.coefficient, f"{where} term {t}", coefficient=True)
             for j, e in enumerate(tpl.exponents):
                 check_slot(e, f"{where} term {t} exponent {j}", coefficient=False)
-        if bound is not None and not 0.0 < bound < math.inf:
+            slot = tpl.coefficient
+            for v in candidates.get(slot.name, ()) if isinstance(slot, SetRef) else (slot,):
+                if scaled and 0.0 < v < math.inf and not 0.0 < v / bound < math.inf:
+                    out.append(f"{where} term {t}: coefficient {v} over bound {bound} "
+                               "leaves the doubles")
+        if bound is not None and not scaled:
             out.append(f"{where}: bound {bound} is not finite and positive")
     for name in roles:
         if name not in referenced:
@@ -323,8 +343,8 @@ _COMBINATION_CAP = 10**6
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
 
 Combo = tuple[int, ...]  # one candidate index per set, in declared order
-# an expansion's status value or "rejected", its z when OPTIMAL and its report
-Evaluated = tuple[str, float | None, SolveReport | None]
+# an expansion's status value, its z when OPTIMAL and its report
+Evaluated = tuple[str, float | None, SolveReport]
 
 
 @dataclass(frozen=True)
@@ -364,7 +384,7 @@ class _Template:
     duality (bound).
     """
 
-    dual: DualProgram  # with every slot at 1.0; at fills a copy of the slots
+    dual: DualProgram  # with every slot at a placeholder; at fills a copy of the slots
     exponent_slots: dict[int, tuple[list[int], list[int]]]  # set: terms, variables
     coefficient_slots: dict[int, list[int]]  # set: terms, in set order
     bounds: np.ndarray  # per term, its constraint's bound; 1.0 in the objective
@@ -372,7 +392,11 @@ class _Template:
     @classmethod
     def of(cls, cg: ChoiceGp) -> _Template:
         index = {cs.name: i for i, cs in enumerate(cg.sets)}
-        dual = build_dual(standardize(_expanded(cg, dict.fromkeys(index, 1.0))))
+        # each set's slots at its smallest positive candidate, which
+        # validation admits over every bound (at overwrites the slots)
+        placeholders = {cs.name: min((v for v in cs.candidates if v > 0.0), default=1.0)
+                        for cs in cg.sets}
+        dual = build_dual(standardize(_expanded(cg, placeholders)))
         exponents: dict[int, tuple[list[int], list[int]]] = {}
         # validate_choice_gp has every coefficient set fill a coefficient slot
         coefficients: dict[int, list[int]] = {
@@ -469,7 +493,7 @@ def _search(
             return None
         pick = tuple(combo.get(i, j) for i, j in enumerate(seed))
         values = tuple(map(tuple.__getitem__, table, pick))
-        [(status, z, report)] = evaluate([values])
+        status, z, report = evaluate(values)
         if values not in rows:
             bits = tuple(map(tuple.__getitem__, patterns, pick))
             rows[values] = AssignmentOutcome(bits, values, status, z)
@@ -515,6 +539,55 @@ def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
     return cg
 
 
+def _keep_all(table, coefficient_sets, exponent_sets, template):
+    """Every combination of the value table at its own bit patterns, in
+    product order: the rows, z (nan where not OPTIMAL), the stalled rows, and
+    the reports of one _solve_rows batch with each row's place in it (-1
+    where rejected).
+
+    A combination is rejected when a coefficient set selects v <= 0.  Equal
+    value tuples are solved once; the tuples that share exponent values,
+    which fix the equality system, are one system, and systems and their
+    tuples enter the batch in the order they are first seen.  Tuples are
+    told apart by integer codes: per set, each candidate stands for the
+    first with its value (the table holds no -0.0: selector_polynomial adds
+    to 0.0)."""
+    sizes = [len(values) for values in table]
+    total = math.prod(sizes)
+    pick = np.indices(sizes).reshape(len(sizes), total)  # each set's candidate
+    grid = np.array([np.array(values)[p] for values, p in zip(table, pick)])
+    same = [np.array([values.index(v) for v in values])[p] for values, p in zip(table, pick)]
+    live = np.flatnonzero(~(grid[coefficient_sets] <= 0.0).any(axis=0))
+
+    def first_seen(sets):  # per live row, the first live row of its values in sets
+        code = np.zeros(total, dtype=int)
+        for i in sets:
+            code = code * sizes[i] + same[i]
+        _, first, inverse = np.unique(code[live], return_index=True, return_inverse=True)
+        return first[inverse]
+
+    status, z, at = np.full(total, len(Status)), np.full(total, np.nan), np.full(total, -1)
+    batch = None  # no row is live
+    if live.size:
+        tuples, systems = first_seen(range(len(sizes))), first_seen(exponent_sets)
+        seen = np.flatnonzero(tuples == np.arange(live.size))
+        order = seen[np.lexsort((seen, systems[seen]))]  # the batch's rows, in order
+        at[live[order]] = np.arange(order.size)
+        at[live] = at[live[tuples]]
+        values = grid.reshape(len(sizes), total)[:, live[order]].T
+        groups = np.split(values, np.flatnonzero(np.diff(systems[order])) + 1)
+        batch = _solve_rows([(template.at(g[0]), template.coefficients(g)) for g in groups])
+        status[live], z[live] = batch.status[at[live]], batch.optimum()[at[live]]
+    objective = z.astype(object)
+    objective[np.isnan(z)] = None
+    labels = np.array([*(st.value for st in _STATUSES), "rejected"], dtype=object)[status]
+    patterns = itertools.product(*(PATTERNS[size] for size in sizes))
+    rows = list(map(AssignmentOutcome, patterns, itertools.product(*table), labels.tolist(),
+                    objective.tolist()))
+    stalled = np.flatnonzero(status == _CODE[Status.ITERATION_LIMIT]).tolist()
+    return rows, z, stalled, batch, at
+
+
 def solve_choice(
     model: ChoiceGp | GpProblem, *, keep_assignments: bool = False
 ) -> ChoiceSolveReport:
@@ -541,7 +614,11 @@ def solve_choice(
     _Skeleton, _Template.bound); keep_assignments solves them all, every
     system in one _solve_rows call (the systems of a template share one
     block layout), whose fast pass is one batch for all systems of one
-    nullity, as its table reports every z.
+    nullity, as its table reports every z.  Keep-all holds its table as
+    arrays (_keep_all): the value grid, the rejection mask, the grouping
+    into systems and each row's status and z, read from the batch's
+    columns; the winner and blocking scans read those arrays, and a report
+    is built for the reported expansion alone.
     ``solved`` counts the non-rejected combinations, skipped ones included.
     """
     cg = checked_choice_gp(model)
@@ -559,84 +636,75 @@ def solve_choice(
         sum(v > 0.0 for v in values) if i in coefficient_sets else len(values)
         for i, values in enumerate(table)
     )
-    template = _Template.of(cg)
-    cache: dict[tuple[float, ...], Evaluated] = {}
-    # the status strings, read once: Status.value goes through the enum
-    optimal, stalled = Status.OPTIMAL.value, Status.ITERATION_LIMIT.value
-    status_values = {status: status.value for status in Status}
-
-    def evaluate(tuples: Sequence[tuple[float, ...]]) -> list[Evaluated]:
-        """The status, z and report of each value tuple.  A tuple not yet
-        cached is solved here, with the tuples that share its exponent
-        values, which fix its equality system (the table holds no -0.0:
-        selector_polynomial adds to 0.0); every system of one call goes to
-        one _solve_rows batch."""
-        systems: dict[tuple[float, ...], dict[tuple[float, ...], None]] = {}
-        for values in tuples:
-            if values in cache:
-                continue
-            if all(values[i] > 0.0 for i in coefficient_sets):
-                key = tuple(values[i] for i in exponent_sets)
-                systems.setdefault(key, {})[values] = None
-            else:
-                cache[values] = "rejected", None, None
-        rows = [np.array(list(system)) for system in systems.values()]
-        batch = [(template.at(r[0]), template.coefficients(r)) for r in rows]
-        results = _solve_rows(batch) if batch else []
-        for system, reports in zip(systems.values(), results):
-            for values, report in zip(system, reports):
-                status = status_values[report.status]
-                # a row that is not OPTIMAL may carry f_0 at an infeasible x
-                z = report.objective_value if status == optimal else None
-                cache[values] = status, z, report
-        return [cache[values] for values in tuples]
-
+    template = _Template.of(cg) if solved else None  # unread when all are rejected
     if keep_assignments:  # each combination at its own bit patterns
-        tuples = list(itertools.product(*table))
-        rows = [
-            AssignmentOutcome(bits, values, status, z)
-            for bits, values, (status, z, _) in zip(
-                itertools.product(*(PATTERNS[cs.size] for cs in cg.sets)),
-                tuples, evaluate(tuples),
-            )
-        ]
+        rows, z, stalled, batch, at = _keep_all(table, coefficient_sets, exponent_sets,
+                                                template)
+
+        def read(i: int) -> SolveReport:  # the report of rows[i]
+            return batch[at[i]]
+
+        def dual_value(i: int) -> float:
+            return batch.duals.objective_value.item(at[i])
     else:
+        cache: dict[tuple[float, ...], Evaluated] = {}
+
+        def evaluate(values: tuple[float, ...]) -> Evaluated:
+            """The expansion at a value tuple, solved as a batch of one when
+            first asked for."""
+            if values not in cache:
+                r = np.array([values])
+                report = _solve_rows([(template.at(r[0]), template.coefficients(r))])[0]
+                # a row that is not OPTIMAL may carry f_0 at an infeasible x
+                z = report.objective_value if report.status is Status.OPTIMAL else None
+                cache[values] = report.status.value, z, report
+            return cache[values]
+
         rows = _search(cg, table, coefficient_sets, template, evaluate)
+        z = np.array([math.nan if r.objective_value is None else r.objective_value
+                      for r in rows])
+        stalled = [i for i, r in enumerate(rows) if r.status == Status.ITERATION_LIMIT.value]
 
-    def bit_str(row: AssignmentOutcome) -> str:
-        return "".join(str(b) for bits in row.bits for b in bits)
+        def read(i: int) -> SolveReport:
+            return cache[rows[i].values][2]
 
-    best: tuple[float, str, AssignmentOutcome] | None = None
-    for row in rows:
-        z = row.objective_value
-        if row.status != optimal or z is None:
+        def dual_value(i: int) -> float:
+            return read(i).dual.objective_value
+
+    # bits compare as their concatenated bit strings do: every row has the
+    # same pattern length per set.  The scan takes the OPTIMAL rows in order
+    # (z >= 0; nan elsewhere), and a row moves the best only when its z is
+    # at most best / (1 - window).  After the row with the lowest z so far the
+    # best is at most that z / (1 - window), and each later move raises it by
+    # that factor at most, so a row whose z exceeds the lowest z before it
+    # times (1 - window)^-(N + 2) leaves the best as it is, and is skipped
+    best: tuple[float, BitPattern, int] | None = None
+    lowest = np.fmin.accumulate(np.concatenate(([math.inf], z)))[:-1]
+    zs = z.tolist()
+    for i in (z <= lowest * (1.0 - _TIE_WINDOW) ** -(len(z) + 2)).nonzero()[0].tolist():
+        tied = best and abs(zs[i] - best[0]) <= _TIE_WINDOW * max(abs(zs[i]), abs(best[0]))
+        if best and not tied and not zs[i] < best[0]:
             continue
-        tied = best and abs(z - best[0]) <= _TIE_WINDOW * max(abs(z), abs(best[0]))
-        if best and not tied and not z < best[0]:
-            continue
-        if not best or not tied or bit_str(row) < best[1]:
-            best = (z, bit_str(row), row)
+        if not best or not tied or rows[i].bits < best[1]:
+            best = (zs[i], rows[i].bits, i)
 
     # a stalled expansion's dual value bounds its optimum from below (weak
     # duality); unless it clears the winner beyond the tie window, that
     # expansion may win, and the verdict is ITERATION_LIMIT
     ceiling = best[0] / (1.0 - _TIE_WINDOW) if best else math.inf
-    blocking = [
-        (cache[row.values][2].dual.objective_value, bit_str(row), row.values)
-        for row in rows if row.status == stalled
-    ]
+    blocking = [(dual_value(i), rows[i].bits, i) for i in stalled]
     blocking = [b for b in blocking if not b[0] > ceiling]
     kept, rejected = tuple(rows) if keep_assignments else None, total - solved
     chosen = None, None
     if blocking:
-        status, report = Status.ITERATION_LIMIT, cache[min(blocking)[2]][2]
+        status, report = Status.ITERATION_LIMIT, read(min(blocking)[2])
     elif best:
-        status, row = Status.OPTIMAL, best[2]
-        report = cache[row.values][2]
+        status, row, report = Status.OPTIMAL, rows[best[2]], read(best[2])
         chosen = tuple(zip(names, row.bits)), tuple(zip(names, row.values))
     else:  # every solved expansion is INFEASIBLE or UNBOUNDED
-        reports = [report for _, _, report in cache.values() if report is not None]
-        statuses = {report.status for report in reports}
-        status = statuses.pop() if len(statuses) == 1 else Status.INFEASIBLE
-        report = reports[0] if len(reports) == 1 else None  # as a plain solve
+        live = [i for i, row in enumerate(rows) if row.status != "rejected"]
+        statuses = {rows[i].status for i in live}
+        status = Status(statuses.pop()) if len(statuses) == 1 else Status.INFEASIBLE
+        # as a plain solve
+        report = read(live[0]) if len({rows[i].values for i in live}) == 1 else None
     return ChoiceSolveReport(status, report, *chosen, solved, rejected, kept)

@@ -60,8 +60,10 @@ the same batch, each row's equality residual taken against its own
 system's matrix; what stays per system is the start and, for a row that
 ends the fast pass short of the optimum, all that follows: it goes on in
 its own system from where the fast pass left it.  The call's solutions
-come back as one batch, in call order, with their weights, lambdas and
-dual values as arrays (_Duals).  Linear algebra is numpy only (an SVD
+come back as one batch, in call order, held as columns (_Duals): status
+codes, weights, lambdas, dual values, equality residuals, stationarity and
+iteration counts; a row's DualSolution is built only when the row is read.
+Linear algebra is numpy only (an SVD
 null space; a Newton step from one symmetric eigendecomposition of the
 reduced Hessian, its eigenvalues floored so that the step always ascends),
 so importing the package does not load scipy; scipy.optimize's nnls and
@@ -71,20 +73,25 @@ The primal minimizer is recovered from optimal weights through the log-linear
 relations: objective terms satisfy term_value = w_0t * Z, and terms of an
 active constraint block satisfy term_value = w_it / lambda_i.  The rows of
 one call are recovered and certified as one batch: rows of one system with
-the same such terms share one multi-column least-squares solve, and one
+the same such terms share one multi-column least-squares solve, whose
+points come back as one (B, n) array, nan on the rows that fail, and one
 certificate.optimal_claim call, with one exponent matrix per row, checks
 them all; solve_dual, recover_primal and solve are each the batch of one.
 solve reports OPTIMAL only where that claim holds at the recovered x and the
-dual weights, a check from the problem's terms alone.
+dual weights, a check from the problem's terms alone.  The certified batch
+holds its statuses and claims as columns too (_Reports), and a row's
+SolveReport is built only when the row is read, field for field as a
+report built at once would be.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -100,7 +107,7 @@ from .dual import (
     block_lambdas,
     build_dual,
 )
-from .certificate import FEASIBILITY_TOL, Terms, optimal_claim
+from .certificate import FEASIBILITY_TOL, Optimality, Terms, optimal_claim
 from .certificate import GAP_TOL, VIOLATION_TOL  # noqa: F401 (read from solver too)
 from .posynomial import StandardGp
 
@@ -133,6 +140,11 @@ class Status(str, enum.Enum):
     ITERATION_LIMIT = "iteration_limit"
 
 
+# a status column holds each row's Status as its index here
+_STATUSES = tuple(Status)
+_CODE = {status: code for code, status in enumerate(_STATUSES)}
+
+
 class ReconstructionError(RuntimeError):
     """Primal recovery system is inconsistent beyond tolerance."""
 
@@ -154,34 +166,49 @@ class DualSolution:
 
 @dataclass(eq=False)
 class _Duals:
-    """The DualSolutions of a batch, and their weights (B, K), lambdas (B, m)
-    and objective values (B,) as arrays, which the batch's recovery reads;
-    the rows _finish makes hold views of these arrays."""
+    """The duals of a batch as columns: status codes (_STATUSES), weights
+    (B, K), lambdas (B, m), dual values, equality residuals, stationarity
+    and iteration counts (B,).  A row's DualSolution, which holds views of
+    its weights and lambdas, is built when the row is read; rows iterate by
+    __getitem__, up to its IndexError."""
 
-    solutions: list[DualSolution]
+    status: np.ndarray
     weights: np.ndarray
     lambdas: np.ndarray
     objective_value: np.ndarray
+    equality_residual: np.ndarray
+    stationarity: np.ndarray
+    iterations: np.ndarray
 
     @classmethod
     def of(cls, solutions: Sequence[DualSolution]) -> _Duals:
         """The batch of DualSolutions made apart, stacked."""
-        return cls(list(solutions), np.array([ds.weights for ds in solutions]),
-                   np.array([ds.lambdas for ds in solutions]),
-                   np.array([ds.objective_value for ds in solutions]))
+        rows = ((_CODE[ds.status], ds.weights, ds.lambdas, ds.objective_value,
+                 ds.equality_residual, ds.stationarity, ds.iterations) for ds in solutions)
+        return cls(*map(np.array, zip(*rows)))
+
+    @classmethod
+    def joined(cls, parts: Sequence[tuple[list[int], _Duals]], b: int) -> _Duals:
+        """The rows of parts, each (its rows of a batch of b, their duals),
+        in row order."""
+        if len(parts) == 1 and parts[0][0] == list(range(b)):
+            return parts[0][1]
+        order = np.empty(b, dtype=int)
+        order[np.concatenate([rows for rows, _ in parts])] = np.arange(b)
+        return cls(*(np.concatenate([getattr(duals, f.name) for _, duals in parts])[order]
+                     for f in fields(cls)))
 
     def take(self, rows: slice | list[int]) -> _Duals:
         """The duals at rows, a slice or a list of rows."""
-        solutions = (self.solutions[rows] if isinstance(rows, slice)
-                     else [self.solutions[i] for i in rows])
-        return _Duals(solutions, self.weights[rows], self.lambdas[rows],
-                      self.objective_value[rows])
+        return _Duals(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def __getitem__(self, i: int) -> DualSolution:
+        return DualSolution(_STATUSES[self.status.item(i)], self.weights[i], self.lambdas[i],
+                            self.objective_value.item(i), self.equality_residual.item(i),
+                            self.stationarity.item(i), self.iterations.item(i))
 
     def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
+        return len(self.status)
 
 
 @dataclass(frozen=True)
@@ -199,6 +226,38 @@ class SolveReport:
     objective_value: float | None
     duality_gap: float | None
     kkt_residuals: KktResiduals | None
+
+
+@dataclass(eq=False)
+class _Reports:
+    """The SolveReports of a batch as columns: status codes (_STATUSES),
+    the duals, the rows whose dual is optimal (optimal, ascending), the x
+    recovered from each (nan where recovery fails, at the positions in
+    failures) and their optimal claim (None when no row has an x).  A row's
+    SolveReport is built when the row is read, as by _Duals."""
+
+    status: np.ndarray
+    duals: _Duals
+    optimal: list[int]
+    x: np.ndarray | None
+    failures: dict[int, ReconstructionError] | None
+    claim: Optimality | None
+
+    def __getitem__(self, i: int) -> SolveReport:
+        ds, status = self.duals[i], _STATUSES[self.status.item(i)]
+        k = bisect_left(self.optimal, i)
+        if self.claim is None or i not in self.optimal[k:k + 1] or k in self.failures:
+            return SolveReport(status, None, ds, None, None, None)
+        kkt = KktResiduals(ds.equality_residual, ds.stationarity, self.claim.violation[k])
+        return SolveReport(status, tuple(self.x[k].tolist()), ds, self.claim.objective[k],
+                           self.claim.gap[k], kkt)
+
+    def optimum(self) -> np.ndarray:
+        """f_0(x) of each OPTIMAL row, nan on the rest."""
+        out = np.full(len(self.status), np.nan)
+        out[self.optimal] = self.claim.objective if self.claim else np.nan
+        out[self.status != _CODE[Status.OPTIMAL]] = np.nan
+        return out
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -341,10 +400,7 @@ def _pad(d: DualProgram, keep: np.ndarray, inner: _Duals) -> _Duals:
     """inner, solved over d's kept weights, with the rest of d's weights zero."""
     weights = np.zeros((len(inner), d.term_count))
     weights[:, keep] = inner.weights
-    lambdas = block_lambdas(d, weights)
-    rows = zip(inner, weights, lambdas)
-    return _Duals([replace(ds, weights=w, lambdas=lam) for ds, w, lam in rows],
-                  weights, lambdas, inner.objective_value)
+    return replace(inner, weights=weights, lambdas=block_lambdas(d, weights))
 
 
 def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
@@ -382,15 +438,11 @@ def _finish(
     stationarity = _projected_norm(bases, grad)
     with np.errstate(over="ignore"):  # a pass out of budget may end past exp's range
         z = np.exp(value)
-    weights, lambdas = w.copy(), block_lambdas(d, w)
-    rows = zip(status, weights, lambdas, z.tolist(),
-               residual.tolist(), stationarity.tolist(), iterations)
-    out = []
-    for st, weights_row, lambdas_row, objective, res, stat, n in rows:
-        if st is Status.OPTIMAL and (res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL):
-            st = Status.ITERATION_LIMIT
-        out.append(DualSolution(st, weights_row, lambdas_row, objective, res, stat, n))
-    return _Duals(out, weights, lambdas, z)
+    rows = zip(status, residual.tolist(), stationarity.tolist())
+    codes = [_CODE[Status.ITERATION_LIMIT if st is Status.OPTIMAL and (
+        res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL) else st] for st, res, stat in rows]
+    return _Duals(np.array(codes), w.copy(), block_lambdas(d, w), z, residual, stationarity,
+                  np.array(iterations, dtype=int))
 
 
 def _barrier_eval(
@@ -531,7 +583,7 @@ def solve_dual(d: DualProgram) -> DualSolution:
     and ITERATION_LIMIT otherwise, including when the Newton passes together
     reach _MAX_ITERATIONS.
     """
-    return _solve_duals([(d, d.term_coefficients[None])]).solutions[0]
+    return _solve_duals([(d, d.term_coefficients[None])])[0]
 
 
 def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
@@ -607,13 +659,7 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
                     systems[s][0], coefficients[short], log_c[short], start, nullsp,
                     ends[short], [status[k] for k in short], [used[k] for k in short],
                 )))
-    if len(parts) == 1:  # it holds every row, in order
-        return parts[0][1]
-    out: list[DualSolution | None] = [None] * edges[-1]
-    for rows, duals in parts:
-        for j, ds in zip(rows, duals):
-            out[j] = ds
-    return _Duals.of(out)
+    return _Duals.joined(parts, edges[-1])
 
 
 def _settle(
@@ -622,20 +668,21 @@ def _settle(
 ) -> _Duals:
     """The duals of d's rows of coefficients whose fast pass from start ended
     short of the optimum, at ends with these statuses and iteration counts."""
-    budget = _MAX_ITERATIONS
-    out: list[DualSolution | None] = [None] * len(log_c)
-    spent = [0] * len(log_c)  # iterations of each dual so far
+    budget, b = _MAX_ITERATIONS, len(log_c)
+    parts: list[tuple[list[int], _Duals]] = []  # the rows ended so far, and their duals
+    spent = [0] * b  # iterations of each dual so far
 
     def record(rows, ends, status, used):
         """Count the iterations of a pass over these rows; the rows, end
         weights and statuses of all but the UNBOUNDED rows, which fail."""
-        for j, st, n in zip(rows, status, used):
+        for j, n in zip(rows, used):
             spent[j] += n
-            if st is Status.UNBOUNDED:
-                out[j] = _failure(d, st, spent[j])
         going = [i for i, st in enumerate(status) if st is not Status.UNBOUNDED]
         if len(going) == len(rows):
             return rows, ends, status
+        failed = [j for j, st in zip(rows, status) if st is Status.UNBOUNDED]
+        parts.append((failed, _Duals.of([_failure(d, Status.UNBOUNDED, spent[j])
+                                         for j in failed])))
         return [rows[i] for i in going], ends[going], [status[i] for i in going]
 
     def phase(rows, w, mu, cap, program=d, nullsp=nullsp, keep=slice(None)):
@@ -653,8 +700,7 @@ def _settle(
             return
         ends = _finish(program, log_c[rows][:, keep], nullsp, program.equality_matrix,
                        w, status, [spent[j] for j in rows])
-        for j, ds in zip(rows, ends if program is d else _pad(d, keep, ends)):
-            out[j] = ds
+        parts.append((rows, ends if program is d else _pad(d, keep, ends)))
 
     def on_faces(rows, w, cap):
         """One plain pass of each row of w over its face, capped: the program
@@ -691,18 +737,18 @@ def _settle(
     # like the fast pass; the face it reaches is kept where it certifies on
     # d's terms: dropping a constraint relaxes the primal, and a relaxed
     # optimum that meets the dropped constraint is optimal
-    rows, ends, _ = record(list(range(len(log_c))), ends, status, used)
+    rows, ends, _ = record(list(range(b)), ends, status, used)
     on_faces(rows, ends, 200)
     # _recover and the certificate read the padded weights; the UNBOUNDED
     # rows make no claim
-    settled = _Duals.of(out)
-    reports = _certify(_terms(d, coefficients), np.zeros(len(out), dtype=int), settled,
-                       _recover)
-    rows = [j for j in rows if reports[j].status is not Status.OPTIMAL]
+    settled = _Duals.joined(parts, b)
+    certified = _certify(_terms(d, coefficients), np.zeros(b, dtype=int), settled,
+                         _recover).status
+    rows = [j for j in rows if certified[j] != _CODE[Status.OPTIMAL]]
     if not rows:
         return settled
-    for j in rows:
-        out[j] = None
+    kept = sorted(set(range(b)) - set(rows))
+    parts[:] = [(kept, settled.take(kept))] if kept else []
     w = start[None].repeat(len(rows), axis=0)
 
     # the rows left failed their face step: aggressive early steps can lock
@@ -712,7 +758,7 @@ def _settle(
     # prediction, which is no Newton iteration and so not counted
     for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
         if not rows:
-            return _Duals.of(out)
+            return _Duals.joined(parts, b)
         rows, w, status = phase(rows, w, mu, 60)
         centred = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
         if mu_next is not None and centred:
@@ -722,7 +768,7 @@ def _settle(
     # the barrier leaves the weights that are zero at the optimum near its
     # last mu: the face step finishes there with the rest of the budget
     on_faces(rows, w, budget)
-    return _Duals.of(out)
+    return _Duals.joined(parts, b)
 
 
 def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:
@@ -732,25 +778,27 @@ def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:
 
 
 def _recover(
-    t: Terms, system: np.ndarray, duals: _Duals
-) -> list[np.ndarray | ReconstructionError]:
-    """recover_primal at each row of t, with its optimal dual in duals: x, or
-    the ReconstructionError it raises.  The rows of one system (equal entries
-    of system, which share their exponents) whose terms enter the same
-    relations share one multi-column least-squares solve."""
-    w, z = duals.weights, duals.objective_value[:, None]
+    t: Terms, system: np.ndarray, w: np.ndarray, z: np.ndarray, lambdas: np.ndarray
+) -> tuple[np.ndarray, dict[int, ReconstructionError]]:
+    """recover_primal at each row of t, with its optimal dual's weights w
+    (B, K), value z (B,) and lambdas (B, m): the points x (B, n), nan on
+    each row whose recovery fails, and the ReconstructionError each such row
+    raises, by row.  The rows of one system (equal entries of system, which
+    share their exponents) whose terms enter the same relations share one
+    multi-column least-squares solve."""
+    x, z = np.full((len(w), t.exponents.shape[-1]), np.nan), z[:, None]
     if t.exponents.shape[-1] == 0:
-        return [np.empty(0) for _ in w]
+        return x, {}
     # each term's block weight sum, 1 on the objective block; the terms of an
     # inactive constraint relate nothing (complementary slackness)
-    lam = np.concatenate((np.ones_like(z), duals.lambdas), axis=1)[:, t.blocks]
+    lam = np.concatenate((np.ones_like(z), lambdas), axis=1)[:, t.blocks]
     active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
     share = w * z  # w / lambda on constraint terms
     np.divide(w, lam, out=share, where=active & (t.blocks > 0))
     # w * z underflows to 0 with z, and then has no log to fit
     lost = np.logical_or.reduce(active & (share == 0.0), axis=1)
-    out: list = [ReconstructionError(f"w * z underflows at dual value {v}") if gone
-                 else None for v, gone in zip(z[:, 0].tolist(), lost.tolist())]
+    failures = {i: ReconstructionError(f"w * z underflows at dual value {v}")
+                for i, (v, gone) in enumerate(zip(z[:, 0].tolist(), lost.tolist())) if gone}
     left = (~lost).nonzero()[0]
     while left.size:  # the rows of one system and active set
         first, mask = system[left[0]], active[left[0]]
@@ -763,15 +811,21 @@ def _recover(
         rcond = np.finfo(float).eps * max(matrix.shape)
         with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
             y = _umath_linalg.lstsq(matrix, target.T, rcond, signature="ddd->ddid")[0].T
-            x = np.exp(y)
-        residual = np.maximum.reduce(np.abs(np.matvec(matrix, y) - target), axis=1,
-                                     initial=0.0)
-        inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1).tolist()
-        for i, res, ok, row in zip(group.tolist(), residual.tolist(), inside, x):
-            out[i] = row if ok and res <= 1e-6 else ReconstructionError(
-                f"log-linear recovery system inconsistent (residual {res:.3e})"
-                if res > 1e-6 else "recovered x = exp(y) overflows or underflows")
-    return out
+            points = np.exp(y)
+        # y is inf where the relations ask for an x beyond the doubles (a
+        # subnormal exponent, say); its residual is then nan, from inf * 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.maximum.reduce(np.abs(np.matvec(matrix, y) - target), axis=1,
+                                         initial=0.0)
+        inside = np.logical_and.reduce(np.isfinite(points) & (points > 0.0), axis=1)
+        x[group] = points
+        for i, res, ok in zip(group.tolist(), residual.tolist(), inside.tolist()):
+            if not ok or not res <= 1e-6:
+                x[i] = np.nan
+                failures[i] = ReconstructionError(
+                    f"log-linear recovery system inconsistent (residual {res:.3e})"
+                    if res > 1e-6 else "recovered x = exp(y) overflows or underflows")
+    return x, failures
 
 
 def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
@@ -784,49 +838,34 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     stacked system exceeds 1e-6 or when x = exp(y) leaves the doubles.
     """
     d = build_dual(s)
-    x = _recover(_terms(d, d.term_coefficients[None]), np.zeros(1, dtype=int),
-                 _Duals.of([ds]))[0]
-    if isinstance(x, ReconstructionError):
-        raise x
-    return x
+    x, failures = _recover(_terms(d, d.term_coefficients[None]), np.zeros(1, dtype=int),
+                           ds.weights[None], np.array([ds.objective_value]), ds.lambdas[None])
+    if failures:
+        raise failures[0]
+    return x[0]
 
 
-def _certify(
-    t: Terms, system: np.ndarray, duals: _Duals, recover
-) -> list[SolveReport]:
+def _certify(t: Terms, system: np.ndarray, duals: _Duals, recover) -> _Reports:
     """Recover x from each optimal dual by recover, which maps its arguments
     as _recover does; a row is OPTIMAL where certificate.optimal_claim holds
     at x and the dual's weights, and reports that claim's f_0(x), violation
     and gap.  There is one solve per dual: a row whose claim fails ends
-    ITERATION_LIMIT."""
-    solutions = duals.solutions
-    optimal = [i for i, ds in enumerate(solutions) if ds.status is Status.OPTIMAL]
-    claims = {}  # by row: x, f_0(x), the worst violation, the gap and if it holds
-    if optimal:
+    ITERATION_LIMIT, as does an optimal dual's row with no x (uncertified)."""
+    optimal = (duals.status == _CODE[Status.OPTIMAL]).nonzero()[0]
+    status = duals.status.copy()
+    status[optimal] = _CODE[Status.ITERATION_LIMIT]
+    x = failures = claim = None
+    if optimal.size:
         # every row optimal, as most often: views, not copies
-        rows = slice(None) if len(optimal) == len(solutions) else optimal
+        rows = slice(None) if optimal.size == len(status) else optimal
         terms = Terms(t.coefficients[rows], t.exponents[rows], t.blocks)
-        picked = duals.take(rows)
-        points = recover(terms, system[rows], picked)
-        found = [not isinstance(point, ReconstructionError) for point in points]
-        if any(found):
-            # a row with no point claims nothing: its x is nan
-            nan = np.full(t.exponents.shape[-1], np.nan)
-            x = np.array([point if ok else nan for point, ok in zip(points, found)])
-            check = optimal_claim(terms, x, picked.weights)
-            entries = zip(optimal, found, map(tuple, x.tolist()), *check)
-            claims = {i: claim for i, ok, *claim in entries if ok}
-    reports = []
-    for i, ds in enumerate(solutions):
-        if i not in claims:  # an optimal dual's row is ITERATION_LIMIT uncertified
-            status = Status.ITERATION_LIMIT if ds.status is Status.OPTIMAL else ds.status
-            reports.append(SolveReport(status, None, ds, None, None, None))
-            continue
-        point, primal, worst, gap, holds = claims[i]
-        kkt = KktResiduals(ds.equality_residual, ds.stationarity, worst)
-        status = Status.OPTIMAL if holds else Status.ITERATION_LIMIT
-        reports.append(SolveReport(status, point, ds, primal, gap, kkt))
-    return reports
+        w = duals.weights[rows]
+        x, failures = recover(terms, system[rows], w, duals.objective_value[rows],
+                              duals.lambdas[rows])
+        if len(failures) < optimal.size:  # a row with no x claims nothing
+            claim = optimal_claim(terms, x, w)
+            status[optimal[claim.holds]] = _CODE[Status.OPTIMAL]
+    return _Reports(status, duals, optimal.tolist(), x, failures, claim)
 
 
 def solve(s: StandardGp) -> SolveReport:
@@ -834,29 +873,26 @@ def solve(s: StandardGp) -> SolveReport:
     d = build_dual(s)
     ds = solve_dual(d)
 
-    def recover(_terms, _system, _duals):  # the batch of one, by name
+    def recover(*_):  # the batch of one, by name
         try:
-            return [recover_primal(s, ds)]
+            return recover_primal(s, ds)[None], {}
         except ReconstructionError as e:
-            return [e]
+            return np.full((1, d.variable_count), np.nan), {0: e}
 
     coefficients = d.term_coefficients[None]
     return _certify(_terms(d, coefficients), np.zeros(1, dtype=int), _Duals.of([ds]),
                     recover)[0]
 
 
-def _solve_rows(
-    systems: Sequence[tuple[DualProgram, np.ndarray]],
-) -> list[list[SolveReport]]:
+def _solve_rows(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Reports:
     """solve of each program d's problem at each of its rows of coefficients
     (B, K), as one batch (_solve_duals, so one block layout and variable
-    count), recovered and certified together."""
+    count), recovered and certified together: the reports of every row, in
+    call order."""
     duals = _solve_duals(systems)
     counts = [len(coefficients) for _, coefficients in systems]
     pick = np.repeat(np.arange(len(systems)), counts)
     exponents = np.array([d.exponent_matrix for d, _ in systems])[pick]
     coefficients = np.concatenate([coefficients for _, coefficients in systems])
     terms = Terms(coefficients, exponents, systems[0][0].block_index)
-    reports = _certify(terms, pick, duals, _recover)
-    edges = [0, *itertools.accumulate(counts)]
-    return [reports[i:j] for i, j in zip(edges, edges[1:])]
+    return _certify(terms, pick, duals, _recover)

@@ -431,6 +431,17 @@ def test_each_subcommand_takes_exactly_its_options():
         assert set(re.findall(r"--[a-z-]+", command)) == expected[name]
 
 
+# faults of scripts/fuzz_cli.py --count 2000 runs, by seed and case index:
+# an exponent candidate of 1e-320, whose recovery made y = inf and warned
+# "invalid value" on inf * 0 in its residual, and a constraint bound of
+# 1e-320, which overflowed a coefficient over it to inf, warned "overflow"
+# and left validate (exit 0) and solve (exit 4) apart
+@pytest.mark.parametrize("seed, case", [(3, 208), (4, 1305)])
+def test_fuzz_case_has_no_fault(seed, case, tmp_path):
+    fixture, text, assigns, mutations = list(fuzz_cases(seed, case + 1))[case]
+    assert cli_faults(text, tmp_path / "case.json", assigns) == [], (fixture, mutations)
+
+
 # ROADMAP item 11: 200 mutated fixtures, 10 per seed, in about 6 s; the
 # long sweeps are scripts/fuzz_cli.py's
 @pytest.mark.parametrize("seed", range(20))

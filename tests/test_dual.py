@@ -100,6 +100,17 @@ class TestBuildDual:
         with pytest.raises(GpDomainError, match=where):
             solve(s)
 
+    @pytest.mark.parametrize("coefficient", [0.0, -1.0, float("inf"), float("nan")])
+    def test_coefficient_outside_the_positive_doubles_is_a_domain_error(self, coefficient):
+        # a constraint coefficient of 0 ended ITERATION_LIMIT after numpy
+        # warned "divide by zero encountered in log"
+        s = standardize(make_problem([(1, (1,)), (1, (-1,))], [([(coefficient, (1,))], 1.0)]))
+        with pytest.raises(GpDomainError, match="^term 2: coefficient .* is not finite and "
+                                                "positive$"):
+            build_dual(s)
+        with pytest.raises(GpDomainError, match="term 2"):
+            solve(s)
+
     def test_residual_at_reference_weights_example2(self):
         d = build_dual(standardize(example2_problem()))
         residual = d.equality_matrix @ np.array(EX2_W) - d.equality_rhs

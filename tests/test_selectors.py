@@ -413,9 +413,30 @@ def small_choice_gps(draw):
     )
 
 
+def _scanned_winner(rows):
+    """The winner by a scan over the table in order: the lowest z, a z
+    within 1e-9 relative of the best so far tied with it and resolved
+    toward the smaller concatenated bit string."""
+    best = None
+    for row in rows:
+        z = row.objective_value
+        if row.status != Status.OPTIMAL.value:
+            continue
+        tied = best and abs(z - best[0]) <= 1e-9 * max(abs(z), abs(best[0]))
+        bits = "".join(str(b) for pattern in row.bits for b in pattern)
+        if not best or (not tied and z < best[0]) or (tied and bits < best[1]):
+            best = (z, bits, row)
+    return best and best[2]
+
+
 @given(small_choice_gps())
 def test_pruned_enumeration_matches_exhaustive(cg):
-    _same_choice_result(solve_choice(cg), solve_choice(cg, keep_assignments=True))
+    exhaustive = solve_choice(cg, keep_assignments=True)
+    _same_choice_result(solve_choice(cg), exhaustive)
+    # the table's winner is the scan's, row by row over every combination
+    if exhaustive.status is Status.OPTIMAL:
+        winner = _scanned_winner(exhaustive.assignments)
+        assert exhaustive.chosen_bits == tuple(zip([cs.name for cs in cg.sets], winner.bits))
 
 
 def test_expansions_tied_with_the_incumbent_are_solved():
@@ -511,6 +532,88 @@ def test_keep_all_finishes_and_certifies_each_fixture_in_one_batch(monkeypatch):
         solve_choice(cg)
     # the pruned search solves, and certifies, one expansion at a time
     assert claims == [1] * 23
+
+
+def _report_fields(report) -> tuple:
+    """Every field of a SolveReport and of its DualSolution, arrays by bytes."""
+    d = report.dual
+    floats = (report.primal_x, report.objective_value, report.duality_gap,
+              report.kkt_residuals, d.objective_value, d.equality_residual, d.stationarity)
+    return (report.status, d.status, repr(floats), d.weights.tobytes(), d.lambdas.tobytes(),
+            d.iterations)
+
+
+def test_keep_all_rows_read_on_demand_equal_batches_of_one(monkeypatch):
+    # keep-all holds each batch as columns and builds a row's report when it
+    # is read; every row of the 12 fixtures reads as the same expansion
+    # solved as a batch of one
+    calls = []
+    original = gpchoice.selectors._solve_rows
+
+    def solve_rows(systems):
+        calls.append((systems, original(systems)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        solve_choice(parse_problem(path), keep_assignments=True)
+    rows = 0
+    for systems, batch in calls:
+        alone = [original([(d, c[None])])[0] for d, coefficients in systems
+                 for c in coefficients]
+        assert [_report_fields(r) for r in batch] == [_report_fields(r) for r in alone]
+        rows += len(alone)
+    assert (len(calls), rows) == (12, 1002)
+
+
+def test_keep_all_first_seen_order(monkeypatch):
+    # the batch's systems, and the rows of each, in the order a loop over the
+    # combinations in product order first sees their exponent values and
+    # value tuples
+    seen = []
+    monkeypatch.setattr(gpchoice.selectors, "_solve_rows",
+                        lambda systems: seen.append(systems) or
+                        gpchoice.solver._solve_rows(systems))
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        cg = parse_problem(path)
+        solve_choice(cg, keep_assignments=True)
+        exponents = [i for i, cs in enumerate(cg.sets) if cs.role is Role.EXPONENT]
+        systems: dict = {}
+        for choice in itertools.product(*(valid_assignments(cs) for cs in cg.sets)):
+            values = tuple(resolve_choice(cg, dict(zip([cs.name for cs in cg.sets],
+                                                       choice))).values())
+            if all(values[i] > 0.0 for i in _coefficient_sets(cg)):
+                key = tuple(values[i] for i in exponents)
+                systems.setdefault(key, {})[values] = None
+        template = gpchoice.selectors._Template.of(cg)
+        batch, expected = seen[-1], [np.array(list(rows)) for rows in systems.values()]
+        assert len(batch) == len(expected)
+        for (d, coefficients), rows in zip(batch, expected):
+            assert np.array_equal(d.exponent_matrix, template.at(rows[0]).exponent_matrix)
+            assert np.array_equal(coefficients, template.coefficients(rows))
+
+
+@pytest.mark.parametrize("kind, stalled", [("wrong winner", True), ("excluded", False)])
+def test_keep_all_builds_reports_for_the_verdict_alone(monkeypatch, kind, stalled):
+    # one SolveReport, KktResiduals and DualSolution per keep-all pass: the
+    # winner's, or the blocking row's; 1002 of each were built for the 12
+    # fixtures, and 2 here
+    built = []
+    for name in ("SolveReport", "KktResiduals", "DualSolution"):
+        cls = getattr(gpchoice.solver, name)
+        monkeypatch.setattr(gpchoice.solver, name,
+                            lambda *args, _cls=cls: built.append(_cls) or _cls(*args))
+    models = [parse_problem(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
+    for cg in models:
+        built.clear()
+        result = solve_choice(cg, keep_assignments=True)
+        assert result.status is Status.OPTIMAL
+        assert sorted(cls.__name__ for cls in built) == [
+            "DualSolution", "KktResiduals", "SolveReport"]
+    built.clear()
+    result = solve_choice(stalled_choice_gp(kind), keep_assignments=True)
+    assert (result.status is Status.ITERATION_LIMIT) is stalled
+    assert [cls.__name__ for cls in built].count("SolveReport") == 1
 
 
 def _coefficient_sets(cg):

@@ -1021,7 +1021,8 @@ class TestLargeCoefficients:
 
         def spy(systems):
             out = original(systems)
-            for (d, coefficients), rows in zip(systems, out):
+            rows = iter(out)  # every system's reports, in call order
+            for d, coefficients in systems:
                 for c, report in zip(coefficients, rows):
                     reports[d.exponent_matrix.tobytes(), c.tobytes()] = report
             return out
@@ -1512,7 +1513,7 @@ class TestSiblingBatches:
     def _batch(family):
         d = build_dual(family[0])
         coefficients = np.array([build_dual(s).term_coefficients for s in family])
-        return _solve_rows([(d, coefficients)])[0]
+        return list(_solve_rows([(d, coefficients)]))
 
     # the paths a family reaches, by the function that marks each, besides
     # the face step after the fast pass
@@ -1539,14 +1540,13 @@ class TestSiblingBatches:
         recoveries = []
         original_recover = gpchoice.solver._recover
 
-        def recover(d, coefficients, solutions):
-            points = original_recover(d, coefficients, solutions)
+        def recover(d, coefficients, w, z, lambdas):
+            points, failures = original_recover(d, coefficients, w, z, lambdas)
             if batched[0]:
-                masks = ((ds.weights > 1e-12, ds.lambdas > 1e-12) for ds in solutions)
+                masks = zip(w > 1e-12, lambdas > 1e-12)
                 active = {w.tobytes() + lam.tobytes() for w, lam in masks}
-                failed = sum(isinstance(x, ReconstructionError) for x in points)
-                recoveries.append((len(active), failed))
-            return points
+                recoveries.append((len(active), len(failures)))
+            return points, failures
 
         monkeypatch.setattr(gpchoice.solver, "_recover", recover)
         _equality_start.cache_clear()
@@ -1683,8 +1683,9 @@ class TestMergedBatches:
         _equality_start.cache_clear()
         batched[0] = True
         for call in calls.values():
-            for i, reports in zip(call, _solve_rows([systems[i] for i in call])):
-                solved[i] = reports
+            reports = iter(_solve_rows([systems[i] for i in call]))
+            for i in call:  # the call's reports, in call order
+                solved[i] = list(itertools.islice(reports, len(systems[i][1])))
         batched[0] = False
         together = iter(solved)
         # families whose rows end apart; those with a row at the budget
