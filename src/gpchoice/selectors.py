@@ -10,10 +10,10 @@ make the last candidate unreachable and is dropped, so all patterns are
 admissible.
 
 solve_choice enumerates the expansions of a template.  The pruned search
-solves them one at a time, skipping those that weak duality proves can
-neither win nor tie.  Keep-all solves every admissible combination in one
-solver batch and keeps its table as arrays from the assignment grid to the
-certificate: the grid of selected values, the rejection mask, the grouping
+solves them in two solver batches: every exponent assignment's seed, then
+every expansion that weak duality does not prove can neither win nor tie.
+Keep-all solves every admissible combination in one solver batch and keeps
+its table as arrays from the assignment grid to the certificate: the grid of selected values, the rejection mask, the grouping
 into equality systems and each row's status and z are arrays, and a
 per-row report is built only for the expansion the result reports.
 """
@@ -28,11 +28,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .certificate import FEASIBILITY_TOL, GAP_TOL
-from .dual import DualProgram, build_dual, log_dual_objective
+from .certificate import GAP_TOL
+from .dual import DualProgram, build_dual
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
 from .solver import SolveReport, Status
-from .solver import _CODE, _STATUSES, _project_onto_equalities, _solve_rows
+from .solver import _CODE, _STATUSES, _Reports, _solve_rows
 
 BitPattern = tuple[int, ...]
 
@@ -334,17 +334,16 @@ _TIE_WINDOW = 1e-9
 # solve_choice refuses a template with more assignment combinations
 _COMBINATION_CAP = 10**6
 # solve() certifies z against the expansion's own dual value D with a gap of
-# at most GAP_TOL, and D is at least any bound B: a log dual value at weights
-# feasible for the expansion's equality system, whether they are a sibling's
-# optimal weights (_Skeleton) or another system's projected onto it
-# (_Template).  So z >= B / (1 + GAP_TOL).  Skipping needs that floor beyond
-# the tie window above the incumbent, z > incumbent / (1 - _TIE_WINDOW): then
-# the expansion can neither win nor tie.
+# at most GAP_TOL, and D is at least any bound B: a dual value at weights
+# feasible for the expansion's equality system, such as its seed's optimal
+# weights (_Skeleton).  So z >= B / (1 + GAP_TOL).  Skipping needs that floor
+# beyond the tie window above the incumbent, z > incumbent / (1 - _TIE_WINDOW):
+# then the expansion can neither win nor tie.
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
 
 Combo = tuple[int, ...]  # one candidate index per set, in declared order
-# an expansion's status value, its z when OPTIMAL and its report
-Evaluated = tuple[str, float | None, SolveReport]
+# an expansion's status value, its z when OPTIMAL, and its batch and row there
+Evaluated = tuple[str, float | None, _Reports, int]
 
 
 @dataclass(frozen=True)
@@ -353,21 +352,21 @@ class _Skeleton:
 
     Exponent values fix the dual's equality matrix, so weights w feasible for
     one expansion are feasible for every sibling with the same exponent
-    values: the expansion's optimal weights, or for a seed skipped by
-    _Template its projected ones.  At w the log dual is linear in log c, and
-    a coefficient set scales all of its terms alike, so a sibling with
-    coefficient values v' has log dual base + sum_s W_s (log v'_s - log v_s)
-    there, W_s the weight on set s's terms: by weak duality an O(K) lower
-    bound on its optimum.  _Template.skeleton builds each one.
+    values, such as the expansion's optimal weights.  At w the log dual is
+    linear in log c, and a coefficient set scales all of its terms alike, so
+    a sibling with coefficient values v' has log dual
+    base + sum_s W_s (log v'_s - log v_s) there, W_s the weight on set s's
+    terms: by weak duality an O(K) lower bound on its optimum.  _Template.skeleton builds each one.
     """
 
     base: float  # log dual value at w of the expansion itself
     weight: tuple[float, ...]  # W_s >= 0, one per coefficient set
     log_value: tuple[float, ...]  # log v_s, one per coefficient set
 
-    def bound(self, log_values: Sequence[float]) -> float:
-        steps = zip(self.weight, log_values, self.log_value)
-        return self.base + sum(w * (new - old) for w, new, old in steps)
+    def bound(self, log_values) -> float | np.ndarray:
+        """The bound at the coefficient sets' log values (C,), or at each
+        row of (P, C)."""
+        return self.base + np.subtract(log_values, self.log_value) @ self.weight
 
 
 @dataclass(frozen=True)
@@ -377,11 +376,8 @@ class _Template:
     Exponent values fix the equality system; coefficient values fix the
     standardized coefficients, a constraint term's over its bound as in
     standardize, of one expansion (at) or of a batch of siblings
-    (coefficients).  The least-squares correction w' = w + A'^+ (b - A'w) of
-    another system's optimal weights w is dual feasible for a seed with
-    equality matrix A' when w' >= 0 and A'w' = b within FEASIBILITY_TOL;
-    its log dual value is then a lower bound on the seed's optimum by weak
-    duality (bound).
+    (coefficients).  A solved expansion's weights compile to the skeleton
+    that bounds its siblings (skeleton).
     """
 
     dual: DualProgram  # with every slot at a placeholder; at fills a copy of the slots
@@ -439,36 +435,23 @@ class _Template:
         weight = (sum(float(weights[k]) for k in terms) for terms in slots.values())
         return _Skeleton(base, tuple(weight), tuple(math.log(values[i]) for i in slots))
 
-    def bound(
-        self, values: Sequence[float], weights
-    ) -> tuple[float, np.ndarray] | None:
-        """The best log dual value over the given optimal weight vectors
-        projected onto the equality system of the seed with these values,
-        with its weights; None when no projection is dual feasible there."""
-        seed = self.at(values)
-        a, b = seed.equality_matrix, seed.equality_rhs[:, None]
-        w = _project_onto_equalities(a, b, np.array(weights).T)  # one column each
-        residual = np.abs(a @ w - b).max(axis=0)
-        kept = w.T[(w >= 0.0).all(axis=0) & (residual <= FEASIBILITY_TOL)]
-        bounds = ((log_dual_objective(seed, v)[0], v) for v in kept)
-        return max(bounds, key=lambda pair: pair[0], default=None)
-
 
 def _search(
     cg: ChoiceGp, table, coefficient_sets, template, evaluate
 ) -> list[AssignmentOutcome]:
-    """Evaluate every expansion that may win or tie, one at a time; the row
+    """Evaluate every expansion that may win or tie, in two batches; the row
     of each, at the bit patterns it is first evaluated at.
 
     Each exponent assignment has a seed: its expansion at the smallest
-    positive value of every coefficient set.  Seeds go in product order.  A
-    seed is bounded first by the optimal weights of the seeds solved before
-    it, projected onto its equality system by the call's template; it is
-    solved only when that bound misses the margin, and skipped otherwise,
-    with the projected weights as its skeleton.  Then every choice of its
-    coefficient sets' distinct positive values is bounded by the
-    assignment's skeleton and solved only when the bound misses the margin.
-    Each solve is evaluate's batch of one, as the margin tightens after it.
+    positive value of every coefficient set.  The first batch holds every
+    seed, in product order.  A pick is one choice of the coefficient sets'
+    distinct positive values for a seed; a seed solved to a positive
+    optimum bounds its picks by its skeleton, and a pick whose bound
+    exceeds the lowest seed z by the margin is skipped.  The second batch
+    holds the rest, every pick of a seed with no skeleton included.  A
+    pick's coefficients are at least its seed's, so its optimum is at least
+    its seed's: solved one at a time, the picks of a seed with a skeleton
+    could lower the limit by a gap's rounding at most.
     """
     choices = []  # per set: distinct values, each at its smallest pattern
     for i, cs in enumerate(cg.sets):
@@ -478,49 +461,43 @@ def _search(
         if i in coefficient_sets:
             first = dict(sorted(item for item in first.items() if item[0] > 0.0))
         choices.append(list(first.values()))
-    skeletons: dict[Combo, _Skeleton] = {}  # by seed
-    limit = math.inf  # log of the lowest optimal z so far, plus the margin
     rows: dict[tuple[float, ...], AssignmentOutcome] = {}  # by value tuple
     patterns = [PATTERNS[cs.size] for cs in cg.sets]
 
-    def visit(seed: Combo, picks: Sequence[int]) -> SolveReport | None:
-        """The expansion's report when it is solved to a positive optimum."""
-        nonlocal limit
-        combo = dict(zip(coefficient_sets, picks))
-        log_values = [math.log(table[i][j]) for i, j in combo.items()]
-        sk = skeletons.get(seed)
-        if sk and sk.bound(log_values) > limit:
-            return None
-        pick = tuple(combo.get(i, j) for i, j in enumerate(seed))
-        values = tuple(map(tuple.__getitem__, table, pick))
-        status, z, report = evaluate(values)
-        if values not in rows:
-            bits = tuple(map(tuple.__getitem__, patterns, pick))
-            rows[values] = AssignmentOutcome(bits, values, status, z)
-        if z is None or z <= 0.0:  # z is set on OPTIMAL rows alone
-            return None
-        limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
-        if seed not in skeletons:
-            base, w = math.log(report.dual.objective_value), report.dual.weights
-            skeletons[seed] = template.skeleton(values, w, base)
-        return report
+    def solve(picks: list[Combo]) -> list[Evaluated]:
+        values = [tuple(map(tuple.__getitem__, table, pick)) for pick in picks]
+        out = evaluate(values)
+        for pick, v, (status, z, _, _) in zip(picks, values, out):
+            if v not in rows:
+                rows[v] = AssignmentOutcome(tuple(map(tuple.__getitem__, patterns, pick)),
+                                            v, status, z)
+        return out
 
     firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
     seeds = list(itertools.product(*firsts))
-    optimal = []  # the weights of every seed solved to a positive optimum
+    skeletons: dict[Combo, _Skeleton] = {}  # by seed
+    limit = math.inf  # log of the lowest optimal seed z, plus the margin
+    for seed, (_, z, batch, k) in zip(seeds, solve(seeds)):
+        if z is not None and z > 0.0:  # z is set on OPTIMAL rows alone
+            limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
+            base, w = math.log(batch.duals.objective_value.item(k)), batch.duals.weights[k]
+            skeletons[seed] = template.skeleton([t[j] for t, j in zip(table, seed)], w, base)
+    # each pick's candidate of every coefficient set (C, P), in product order
+    counts = [len(choices[i]) for i in coefficient_sets]
+    shape = len(counts), math.prod(counts)
+    grid = np.indices(counts).reshape(shape)
+    for c, i in enumerate(coefficient_sets):
+        grid[c] = np.array(choices[i])[grid[c]]
+    logs = np.log([np.array(table[i])[p] for i, p in zip(coefficient_sets, grid)])
+    logs = logs.reshape(shape).T  # (P, C)
+    picks = []
     for seed in seeds:
-        if optimal:
-            values = [t[j] for t, j in zip(table, seed)]
-            base, w = template.bound(values, optimal) or (-math.inf, None)
-            if base > limit:
-                skeletons[seed] = template.skeleton(values, w, base)
-                continue
-        report = visit(seed, [seed[i] for i in coefficient_sets])
-        if report:
-            optimal.append(report.dual.weights)
-    for seed in seeds:
-        for picks in itertools.product(*(choices[i] for i in coefficient_sets)):
-            visit(seed, picks)
+        sk = skeletons.get(seed)
+        keep = ~(sk.bound(logs) > limit) if sk else np.ones(shape[1], dtype=bool)
+        kept = np.array(seed)[:, None].repeat(keep.sum(), axis=1)
+        kept[coefficient_sets] = grid[:, keep]
+        picks += map(tuple, kept.T.tolist())
+    solve(picks)
     return list(rows.values())
 
 
@@ -607,18 +584,19 @@ def solve_choice(
 
     Pattern i selects candidate i, so the values come from a table built
     once.  The template's dual is compiled once (_Template); every
-    expansion is solved on a program filled from it, the siblings that share
-    an equality system as one batch (solver._solve_rows), and equal value
-    tuples once, at their smallest pattern per set.  Expansions that weak
-    duality proves can neither win nor tie are skipped unsolved (_search,
-    _Skeleton, _Template.bound); keep_assignments solves them all, every
-    system in one _solve_rows call (the systems of a template share one
-    block layout), whose fast pass is one batch for all systems of one
-    nullity, as its table reports every z.  Keep-all holds its table as
-    arrays (_keep_all): the value grid, the rejection mask, the grouping
-    into systems and each row's status and z, read from the batch's
-    columns; the winner and blocking scans read those arrays, and a report
-    is built for the reported expansion alone.
+    expansion is solved on a program filled from it (solver._solve_rows),
+    and equal value tuples once, at their smallest pattern per set.  The
+    pruned search makes two solver calls, one system per value tuple: the
+    seeds, then the expansions that they do not prove, by weak duality, can
+    neither win nor tie; the rest are skipped unsolved (_search,
+    _Skeleton).  keep_assignments solves them all in one call, the siblings
+    that share an equality system as one system (the systems of a template
+    share one block layout), whose fast pass is one batch for all systems
+    of one nullity, as its table reports every z.  Keep-all holds its table
+    as arrays (_keep_all): the value grid, the rejection mask, the grouping
+    into systems and each row's status and z.  Either way each row's status
+    and z are read from its batch's columns, and a report is built for the
+    reported expansion alone.
     ``solved`` counts the non-rejected combinations, skipped ones included.
     """
     cg = checked_choice_gp(model)
@@ -649,16 +627,18 @@ def solve_choice(
     else:
         cache: dict[tuple[float, ...], Evaluated] = {}
 
-        def evaluate(values: tuple[float, ...]) -> Evaluated:
-            """The expansion at a value tuple, solved as a batch of one when
-            first asked for."""
-            if values not in cache:
-                r = np.array([values])
-                report = _solve_rows([(template.at(r[0]), template.coefficients(r))])[0]
-                # a row that is not OPTIMAL may carry f_0 at an infeasible x
-                z = report.objective_value if report.status is Status.OPTIMAL else None
-                cache[values] = report.status.value, z, report
-            return cache[values]
+        def evaluate(picks: list[tuple[float, ...]]) -> list[Evaluated]:
+            """The expansion at each value tuple; the tuples not seen before
+            are solved as one batch, one system per tuple."""
+            new = [values for values in dict.fromkeys(picks) if values not in cache]
+            if new:
+                batch = _solve_rows([(template.at(r), template.coefficients(r[None]))
+                                     for r in np.array(new)])
+                z = batch.optimum().tolist()  # nan where not OPTIMAL
+                for k, values in enumerate(new):
+                    status = _STATUSES[batch.status.item(k)].value
+                    cache[values] = status, None if math.isnan(z[k]) else z[k], batch, k
+            return [cache[values] for values in picks]
 
         rows = _search(cg, table, coefficient_sets, template, evaluate)
         z = np.array([math.nan if r.objective_value is None else r.objective_value
@@ -666,10 +646,12 @@ def solve_choice(
         stalled = [i for i, r in enumerate(rows) if r.status == Status.ITERATION_LIMIT.value]
 
         def read(i: int) -> SolveReport:
-            return cache[rows[i].values][2]
+            _, _, batch, k = cache[rows[i].values]
+            return batch[k]
 
         def dual_value(i: int) -> float:
-            return read(i).dual.objective_value
+            _, _, batch, k = cache[rows[i].values]
+            return batch.duals.objective_value.item(k)
 
     # bits compare as their concatenated bit strings do: every row has the
     # same pattern length per set.  The scan takes the OPTIMAL rows in order

@@ -30,7 +30,6 @@ from gpchoice import (
     valid_assignments,
     validate_choice_gp,
 )
-from gpchoice.solver import FEASIBILITY_TOL
 from helpers import PROBLEM_DIR, example1_problem, stalled_choice_gp
 
 
@@ -482,6 +481,10 @@ def _count_rows(monkeypatch):
     return batches
 
 
+# the seeds of each fixture, in sorted file order: one per exponent assignment
+FIXTURE_SEEDS = (3, 4, 4, 5, 5, 5, 3, 4, 3, 4, 3, 3)
+
+
 def test_pruning_skips_most_fixture_solves(monkeypatch):
     # both modes solve every expansion through _solve_rows, expanding none
     batches = _count_rows(monkeypatch)
@@ -490,9 +493,9 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     assert len(fixtures) == 12
     models = [parse_problem(path) for path in fixtures]
     pruned = [solve_choice(cg) for cg in models]
-    # the pruned search solves one expansion at a time; 23 of them, 26 when
-    # GAP_TOL was 1e-6 and the pruning margin was wider by as much
-    assert batches == [[1]] * 23
+    # the pruned search solves each fixture's seeds, 46 in all, as one batch
+    # of one-row systems, and its seeds' skeletons skip every other expansion
+    assert batches == [[1] * seeds for seeds in FIXTURE_SEEDS]
     batches.clear()
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
     # keep-all solves 1002 expansions over 46 equality systems, every system
@@ -530,8 +533,9 @@ def test_keep_all_finishes_and_certifies_each_fixture_in_one_batch(monkeypatch):
     claims.clear()
     for cg in models:
         solve_choice(cg)
-    # the pruned search solves, and certifies, one expansion at a time
-    assert claims == [1] * 23
+    # the pruned search solves, and certifies, each fixture's seeds as one
+    # batch
+    assert claims == list(FIXTURE_SEEDS)
 
 
 def _report_fields(report) -> tuple:
@@ -852,50 +856,18 @@ def _seeds(cg):
                [v for v, _ in combo])
 
 
-def test_projected_seed_bounds_are_sound_on_every_fixture():
-    qualified = pairs = 0
+def test_template_fills_each_seeds_equality_matrix_as_build_dual_does():
+    checked = 0
     for path in sorted(PROBLEM_DIR.glob("*.json")):
         cg = parse_problem(path)
-        seeds = []
+        template = gpchoice.selectors._Template.of(cg)
         for choice, values in _seeds(cg):
-            s = standardize(expand(cg, choice))
-            report = solve(s)
-            if report.status is Status.OPTIMAL:
-                seeds.append((values, build_dual(s), report))
-        duals = gpchoice.selectors._Template.of(cg)
-        for values, dual, _ in seeds:
-            # each seed's system, filled in from the template, bit for bit
-            filled = duals.at(values).equality_matrix
-            assert filled.shape == dual.equality_matrix.shape
-            assert filled.tobytes() == dual.equality_matrix.tobytes()
-        for (_, _, source), (values, dual, target) in itertools.permutations(seeds, 2):
-            pairs += 1
-            found = duals.bound(values, [source.dual.weights])
-            if found is None:
-                continue
-            qualified += 1
-            bound, w = found
-            # w is dual feasible for the target, and bound is its log dual there
-            assert np.all(w >= 0.0)
-            residual = np.abs(dual.equality_matrix @ w - dual.equality_rhs).max()
-            assert residual <= FEASIBILITY_TOL
-            expected, _ = log_dual_objective(dual, w)
-            assert bound == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            assert bound <= math.log(target.objective_value) + 1e-12
-    assert (qualified, pairs) == (93, 138)
-
-
-def test_a_projection_that_misses_the_equalities_gives_no_bound():
-    # min x^p: at p = 0 the one weight is 1 and z = 1; at p = 1 normality
-    # and orthogonality ask w = 1 and w = 0, so least squares leaves a
-    # residual of 1/2
-    cg = ChoiceGp(("x",), (TermTemplate(1.0, (SetRef("p"),)),), (),
-                  (cset([0.0, 1.0], name="p"),))
-    duals = gpchoice.selectors._Template.of(cg)
-    weights = [np.array([1.0])]
-    bound, w = duals.bound([0.0], weights)
-    assert (bound, w.tolist()) == (0.0, [1.0])
-    assert duals.bound([1.0], weights) is None
+            expected = build_dual(standardize(expand(cg, choice))).equality_matrix
+            filled = template.at(values).equality_matrix
+            assert filled.shape == expected.shape
+            assert filled.tobytes() == expected.tobytes()
+            checked += 1
+    assert checked == sum(FIXTURE_SEEDS)
 
 
 def product_template(coefficients, exponents):
@@ -933,10 +905,9 @@ def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
     assert (result.solved, result.rejected) == (8**5 * 3, 0)
     assert result.status is Status.OPTIMAL
     assert result.chosen_values[:5] == tuple((f"c{k}", 0.5) for k in range(1, 6))
-    # every value tuple of the 98304 is distinct; the first seed's projected
-    # weights bound the other two seeds, and the O(K) bound skips the rest,
-    # all unexpanded
-    assert (batches, expands) == ([[1]], [])
+    # every value tuple of the 98304 is distinct; the three seeds are one
+    # batch, and their O(K) bounds skip the rest, all unexpanded
+    assert (batches, expands) == ([[1, 1, 1]], [])
 
 
 def test_bound_pruning_matches_exhaustive_enumeration():
@@ -950,3 +921,55 @@ def test_bound_pruning_matches_exhaustive_enumeration():
     exhaustive = solve_choice(cg, keep_assignments=True)
     assert len(exhaustive.assignments) == 4**4 * 2 * 2
     _same_choice_result(pruned, exhaustive)
+
+
+def _pruned_batches(cg):
+    """solve_choice(cg), and per _solve_rows call it makes, the number of
+    coefficient rows of each system."""
+    with pytest.MonkeyPatch.context() as mp:
+        batches = _count_rows(mp)
+        return solve_choice(cg), batches
+
+
+def test_a_pruned_search_makes_at_most_two_solver_calls_on_every_fixture():
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        _, batches = _pruned_batches(parse_problem(path))
+        assert 1 <= len(batches) <= 2
+
+
+@st.composite
+def product_templates(draw):
+    """product_template with one to three candidates per set; zero
+    candidates are rejected, repeated ones tie exactly."""
+    coefficients = [draw(candidates([3, 1, 0.5, 2, 0], 3)) for _ in range(5)]
+    return product_template(coefficients, draw(candidates([-1, -2, -3, -0.5], 3)))
+
+
+@given(product_templates())
+def test_a_pruned_search_makes_at_most_two_solver_calls(cg):
+    pruned, batches = _pruned_batches(cg)
+    assert len(batches) <= 2
+    assert all(rows == 1 for call in batches for rows in call)
+    _same_choice_result(pruned, solve_choice(cg, keep_assignments=True))
+
+
+def test_the_picks_of_a_seed_with_no_skeleton_are_the_second_batch(monkeypatch):
+    # min c x^p: at p = 1 normality and orthogonality ask w = 1 and w = 0, so
+    # that seed's dual is INFEASIBLE and it has no skeleton to bound its
+    # picks; the p = 0 seed's skeleton skips its own
+    cg = ChoiceGp(("x",), (TermTemplate(SetRef("c"), (SetRef("p"),)),), (),
+                  (cset([3.0, 1.0, 2.0], Role.OBJECTIVE_COEFFICIENT, "c"),
+                   cset([0.0, 1.0], name="p")))
+    calls = []
+    monkeypatch.setattr(gpchoice.selectors, "_solve_rows",
+                        lambda systems: calls.append(systems) or
+                        gpchoice.solver._solve_rows(systems))
+    pruned = solve_choice(cg)
+    seeds, picks = ([(d.exponent_matrix.item(), c.item()) for d, c in call] for call in calls)
+    assert sorted(seeds) == [(0.0, 1.0), (1.0, 1.0)]  # (p, c) of each row
+    assert sorted(picks) == [(1.0, 2.0), (1.0, 3.0)]
+    exhaustive = solve_choice(cg, keep_assignments=True)
+    assert [row.status for row in exhaustive.assignments if row.values[1] == 1.0] == [
+        Status.INFEASIBLE.value] * 3
+    _same_choice_result(pruned, exhaustive)
+    assert pruned.chosen_values == (("c", 1.0), ("p", 0.0))
