@@ -205,13 +205,9 @@ def _log_dual_objective(
 
 
 def _reduced_hessian(
-    basis: np.ndarray,
-    basis_sums: np.ndarray,
-    lam: np.ndarray,
-    w: np.ndarray,
-    mu: float = 0.0,
+    basis: np.ndarray, basis_sums: np.ndarray, lam: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """B^T H B for the Hessian H of the log dual, less mu / w^2 on its diagonal.
+    """B^T H B for the Hessian H of the log dual.
 
     H is sum_i s_i s_i^T / lambda_i - diag(1 / w), with s_i the indicator of
     constraint block i; basis_sums = member @ B stacks the s_i^T B, and lam
@@ -220,6 +216,5 @@ def _reduced_hessian(
     lam and w may stack rows along a leading axis, one reduced Hessian each,
     and so may basis and basis_sums, one basis per row.
     """
-    curvature = 1.0 / w if mu == 0.0 else 1.0 / w + mu / w**2
     sums = (basis_sums.mT / lam[..., None, 1:]) @ basis_sums
-    return sums - (basis.mT * curvature[..., None, :]) @ basis
+    return sums - (basis.mT * (1.0 / w)[..., None, :]) @ basis

@@ -137,6 +137,12 @@ def selector_polynomial(cset: CandidateSet, bits: Sequence[int]) -> float:
     return total
 
 
+def _selected_values(cset: CandidateSet) -> tuple[float, ...]:
+    """selector_polynomial at each admissible pattern in order, bit for bit:
+    pattern i selects candidate i, and + 0.0 reads -0.0 as 0.0."""
+    return tuple(v + 0.0 for v in cset.candidates)
+
+
 def case_constraint_violations(k: int, bits: Sequence[int]) -> tuple[str, ...]:
     """Published consistency constraints violated by a bit pattern.
 
@@ -527,8 +533,7 @@ def _keep_all(table, coefficient_sets, exponent_sets, template):
     which fix the equality system, are one system, and systems and their
     tuples enter the batch in the order they are first seen.  Tuples are
     told apart by integer codes: per set, each candidate stands for the
-    first with its value (the table holds no -0.0: selector_polynomial adds
-    to 0.0)."""
+    first with its value (the table holds no -0.0)."""
     sizes = [len(values) for values in table]
     total = math.prod(sizes)
     pick = np.indices(sizes).reshape(len(sizes), total)  # each set's candidate
@@ -602,9 +607,7 @@ def solve_choice(
     cg = checked_choice_gp(model)
     total = math.prod(cs.size for cs in cg.sets)
     names = [cs.name for cs in cg.sets]
-    table = [
-        tuple(selector_polynomial(cs, p) for p in PATTERNS[cs.size]) for cs in cg.sets
-    ]
+    table = [_selected_values(cs) for cs in cg.sets]
     coefficient_sets = [
         i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT
     ]

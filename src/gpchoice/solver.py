@@ -4,35 +4,35 @@ The dual of a posynomial GP maximizes a concave function over
 {A w = e1, w >= 0}.  We parameterize the affine set through an orthonormal
 null-space basis and run a damped Newton ascent with a fraction-to-boundary
 safeguard; equality residuals stay at rounding level because iterates never
-leave the affine set, and every pass stays strictly inside its program.  Each
+leave the affine set, and the pass stays strictly inside the program.  Each
 step runs the dual's vectorized kernels and assembles the reduced Hessian
-directly on the null-space basis.  A plain Newton pass, the fast pass, runs
-from the start and ends at its first boundary touch; an interior stationary
-point is accepted outright (global by concavity).  A zero weight at the
-optimum marks an inactive term (complementary slackness; Duffin, Peterson and
-Zener, Geometric Programming, 1967), so a boundary optimum is the interior
-optimum of a smaller dual, its face.  One face step finds it: the weights an
-iterate leaves near zero (single weights, and every block of an inactive
-constraint) are dropped, the iterate is projected onto the reduced
-equalities, one plain pass runs there, and the dropped weights are padded
-with zeros; a projection that is not strictly positive ends the row
-ITERATION_LIMIT where the iterate was.  A fast pass that ends short of the
-optimum, on the boundary or with no ascent left, takes the face step from its
-end, and the face stands where the x recovered from it and the zero-padded
-weights certify on the full problem's terms: dropping a constraint relaxes
-the primal, and a relaxed optimum that meets the dropped constraint is
-optimal (Boyd, Kim, Vandenberghe and Hassibi, A tutorial on geometric
-programming, 2007).  Where it fails, the fast pass may have locked onto a
-suboptimal face, and a log-barrier continuation from the start rides the
-central path to the optimal face.  Each barrier stage that ends centred
-hands the next stage a prediction along the central path's tangent, cut
-short of the boundary: a weight that is zero at the optimum sits near mu / v
-on the path, and from the last centre Newton could only about halve it per
-iteration after mu drops.  Predictions are not Newton iterations and do not
-count toward _MAX_ITERATIONS.  The barrier's last iterate takes the face step
-too.  All passes of one dual share _MAX_ITERATIONS.  When the equality
-system leaves no freedom (an empty null space, as with degree of difficulty
-zero) its single solution is the answer.
+directly on the null-space basis.  This plain Newton pass, the fast pass,
+runs from the start and ends at its first boundary touch; an interior
+stationary point is accepted outright (global by concavity).  When the
+equality system leaves no freedom (an empty null space, as with degree of
+difficulty zero) its single solution is the answer.
+
+A dual whose fast pass ends short of the optimum, on the boundary or with no
+ascent left, goes on to one interior-point method on the log primal
+(Kortanek, Xu and Ye, An infeasible interior-point algorithm for solving
+primal and dual geometric programs, Math. Prog. 76, 1997; Boyd, Kim,
+Vandenberghe and Hassibi, A tutorial on geometric programming, 2007): Newton
+on y = log x, slacks u >= 0 and multipliers lambda for min F_0(y) s.t.
+F_i(y) + u_i = 0, with F_b the log-sum-exp of block b's terms at y.  Its
+weights w are lambda_b times each block's softmax, so its dual residual is
+w's orthogonality residual, and its point is x = exp(y), read from the
+iterate, not recovered from w.  Each iteration solves one (n + m) square
+system in (dy, dlambda), du eliminated, whose first block is the
+lambda-weighted sum of the blocks' log-sum-exp Hessians; Mehrotra's
+affine step sets the centring.  It warm-starts from the fast pass's end (y
+from the end weights' log-linear relations, lambda their block sums), or
+cold at y = 0, lambda = 1 where that y is not finite, and ends OPTIMAL
+where every residual is at most _IPM_TOL.  A row that runs out of
+iterations, or whose line search finds no decrease, ends ITERATION_LIMIT
+where the fast pass left it, unless its constraint violations weight a ray
+that proves no x feasible: the dual, which has a start, is then UNBOUNDED.
+The fast pass and the method are each capped at _PASS_ITERATIONS, and the
+Newton iterations of one dual at _MAX_ITERATIONS.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -57,31 +57,31 @@ basis, stacked (B, r, K) in C order so that each row's basis is laid out,
 and rounds, as it does alone.  The Newton kernels read the exponents only
 through the basis.  The rows the fast pass ends OPTIMAL are finished as
 the same batch, each row's equality residual taken against its own
-system's matrix; what stays per system is the start and, for a row that
-ends the fast pass short of the optimum, all that follows: it goes on in
-its own system from where the fast pass left it.  The call's solutions
-come back as one batch, in call order, held as columns (_Duals): status
-codes, weights, lambdas, dual values, equality residuals, stationarity and
-iteration counts; a row's DualSolution is built only when the row is read.
-Linear algebra is numpy only (an SVD
-null space; a Newton step from one symmetric eigendecomposition of the
-reduced Hessian, its eigenvalues floored so that the step always ascends),
-so importing the package does not load scipy; scipy.optimize's nnls and
+system's matrix; what stays per system is the start, and per row the
+interior-point method.  The call's solutions come back as one batch, in
+call order, held as columns (_Duals): status codes, weights, lambdas, dual
+values, equality residuals, stationarity (the projected gradient of the
+log dual, or on an interior-point row the largest entry of its dual
+residual), iteration counts and y; a row's DualSolution is built only when
+the row is read.  The fast pass's linear algebra is numpy only (an SVD null
+space; a Newton step from one symmetric eigendecomposition of the reduced
+Hessian, its eigenvalues floored so that the step always ascends), so
+importing the package does not load scipy; scipy.optimize's nnls and
 linprog are imported on first use by the support point.
 
-The primal minimizer is recovered from optimal weights through the log-linear
-relations: objective terms satisfy term_value = w_0t * Z, and terms of an
-active constraint block satisfy term_value = w_it / lambda_i.  The rows of
-one call are recovered and certified as one batch: rows of one system with
-the same such terms share one multi-column least-squares solve, whose
-points come back as one (B, n) array, nan on the rows that fail, and one
-certificate.optimal_claim call, with one exponent matrix per row, checks
-them all; solve_dual, recover_primal and solve are each the batch of one.
-solve reports OPTIMAL only where that claim holds at the recovered x and the
-dual weights, a check from the problem's terms alone.  The certified batch
-holds its statuses and claims as columns too (_Reports), and a row's
-SolveReport is built only when the row is read, field for field as a
-report built at once would be.
+The primal minimizer of a fast-pass row is recovered from optimal weights
+through the log-linear relations: objective terms satisfy term_value = w_0t
+* Z, and terms of an active constraint block satisfy term_value = w_it /
+lambda_i.  The rows of one call are recovered and certified as one batch:
+rows of one system with the same such terms share one multi-column
+least-squares solve, whose points come back as one (B, n) array, nan on
+the rows that fail, and one certificate.optimal_claim call, with one
+exponent matrix per row, checks them all; solve_dual, recover_primal and
+solve are each the batch of one.  solve reports OPTIMAL only where that
+claim holds at x and the dual weights, a check from the problem's terms
+alone.  The certified batch holds its statuses and claims as columns too
+(_Reports), and a row's SolveReport is built only when the row is read,
+field for field as a report built at once would be.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ from numpy.linalg import _umath_linalg
 
 from .dual import (
     DualProgram,
-    _block_sums,
     _check_weights,
     _equality_system,
     _log_dual_objective,
@@ -108,18 +107,13 @@ from .dual import (
     build_dual,
 )
 from .certificate import FEASIBILITY_TOL, Optimality, Terms, optimal_claim
-from .certificate import GAP_TOL, VIOLATION_TOL  # noqa: F401 (read from solver too)
+from .certificate import GAP_TOL, VIOLATION_TOL  # noqa: F401 (GAP_TOL read from solver)
 from .posynomial import StandardGp
 
-# log value beyond which the dual is declared unbounded (exp would overflow)
+# log value beyond which the fast pass declares the dual unbounded (exp
+# would overflow)
 _LOG_VALUE_UNBOUNDED = 350.0
-# in the face step, a constraint block with lambda at or below this is
-# inactive (the barrier leaves inactive blocks near 1e-9 and active ones
-# above 1e-3), and a single weight at or below _DROPPED_WEIGHT is zero at the
-# optimum; both are dropped from the program before the step's pass
-_INACTIVE_LAMBDA = 1e-6
-_DROPPED_WEIGHT = 1e-8
-# a plain Newton pass ends at a weight this small; recovery ignores its term
+# the fast pass ends at a weight this small; recovery ignores its term
 _BOUNDARY_WEIGHT = 1e-12
 # trial weights are floored here, far below _BOUNDARY_WEIGHT, so that rounding
 # to zero keeps the log dual finite without affecting any contract
@@ -128,6 +122,16 @@ _WEIGHT_FLOOR = 1e-150
 _START_CACHE_SIZE = 256
 # Newton iterations of one dual, shared by all its passes
 _MAX_ITERATIONS = 10_000
+# within that, the cap of the fast pass, and of the interior-point method
+_PASS_ITERATIONS = 200
+# the interior-point method ends where every residual (w's orthogonality,
+# F_i + u_i and lambda_i u_i) is at most _IPM_TOL, so that its gaps sit with
+# the fast pass's, far inside GAP_TOL; its warm start lifts each slack and
+# multiplier to at least _IPM_SHIFT, and no step moves a log x by more than
+# _IPM_STEP, beyond which the blocks' softmax saturates
+_IPM_TOL = 1e-12
+_IPM_SHIFT = 1e-2
+_IPM_STEP = 10.0
 # largest projected gradient entry at which a dual is stationary; at 1e-8 the
 # x recovered from stress problem 1522 misses VIOLATION_TOL by 4e-10
 _STATIONARITY_TOL = 1e-10
@@ -158,19 +162,23 @@ class DualSolution:
     equality_residual: float
     stationarity: float
     iterations: int
+    # log x of the interior-point method's end, on its rows alone
+    y: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights.flags.writeable = False
-        self.lambdas.flags.writeable = False
+        for arr in (self.weights, self.lambdas, self.y):
+            if arr is not None:
+                arr.flags.writeable = False
 
 
 @dataclass(eq=False)
 class _Duals:
     """The duals of a batch as columns: status codes (_STATUSES), weights
     (B, K), lambdas (B, m), dual values, equality residuals, stationarity
-    and iteration counts (B,).  A row's DualSolution, which holds views of
-    its weights and lambdas, is built when the row is read; rows iterate by
-    __getitem__, up to its IndexError."""
+    and iteration counts (B,), and y (B, n), nan on the rows without one.
+    A row's DualSolution, which holds views of its weights, lambdas and y, is
+    built when the row is read; rows iterate by __getitem__, up to its
+    IndexError."""
 
     status: np.ndarray
     weights: np.ndarray
@@ -179,12 +187,14 @@ class _Duals:
     equality_residual: np.ndarray
     stationarity: np.ndarray
     iterations: np.ndarray
+    y: np.ndarray
 
     @classmethod
-    def of(cls, solutions: Sequence[DualSolution]) -> _Duals:
-        """The batch of DualSolutions made apart, stacked."""
+    def of(cls, solutions: Sequence[DualSolution], n: int) -> _Duals:
+        """The batch of DualSolutions made apart, over n variables, stacked."""
         rows = ((_CODE[ds.status], ds.weights, ds.lambdas, ds.objective_value,
-                 ds.equality_residual, ds.stationarity, ds.iterations) for ds in solutions)
+                 ds.equality_residual, ds.stationarity, ds.iterations,
+                 np.full(n, np.nan) if ds.y is None else ds.y) for ds in solutions)
         return cls(*map(np.array, zip(*rows)))
 
     @classmethod
@@ -198,14 +208,11 @@ class _Duals:
         return cls(*(np.concatenate([getattr(duals, f.name) for _, duals in parts])[order]
                      for f in fields(cls)))
 
-    def take(self, rows: slice | list[int]) -> _Duals:
-        """The duals at rows, a slice or a list of rows."""
-        return _Duals(*(getattr(self, f.name)[rows] for f in fields(self)))
-
     def __getitem__(self, i: int) -> DualSolution:
+        y = None if np.isnan(self.y[i]).all() else self.y[i]
         return DualSolution(_STATUSES[self.status.item(i)], self.weights[i], self.lambdas[i],
                             self.objective_value.item(i), self.equality_residual.item(i),
-                            self.stationarity.item(i), self.iterations.item(i))
+                            self.stationarity.item(i), self.iterations.item(i), y)
 
     def __len__(self) -> int:
         return len(self.status)
@@ -442,18 +449,7 @@ def _finish(
     codes = [_CODE[Status.ITERATION_LIMIT if st is Status.OPTIMAL and (
         res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL) else st] for st, res, stat in rows]
     return _Duals(np.array(codes), w.copy(), block_lambdas(d, w), z, residual, stationarity,
-                  np.array(iterations, dtype=int))
-
-
-def _barrier_eval(
-    d: DualProgram, w: np.ndarray, mu: float, log_c: np.ndarray | None = None
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(raw log dual value, barrier-augmented value, its gradient, block sums)."""
-    # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
-    raw, grad, logw, lam = _log_dual_objective(d, w, log_c)
-    if mu == 0.0:
-        return raw, raw, grad, lam
-    return raw, raw + mu * np.add.reduce(logw, axis=-1), grad + mu / w, lam
+                  np.array(iterations, dtype=int), np.full((len(w), d.variable_count), np.nan))
 
 
 def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -461,14 +457,15 @@ def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     positive: 0.9995 of the fraction to the boundary."""
     # -w / dw, exactly, where dw < 0, and inf elsewhere (w > 0)
     ratio = np.where(dw < 0.0, w, np.inf) / np.abs(dw)
-    return np.minimum(1.0, 0.9995 * np.minimum.reduce(ratio, axis=-1))
+    return np.minimum(1.0, 0.9995 * np.minimum.reduce(ratio, axis=-1, initial=np.inf))
 
 
 def _newton_phase(
     d: DualProgram, log_c: np.ndarray, bases: np.ndarray, basis_sums: np.ndarray,
-    w: np.ndarray, mu: float, tol: float, max_iterations: list[int],
+    w: np.ndarray, max_iterations: list[int],
 ) -> tuple[np.ndarray, list[Status], list[int]]:
-    """Damped Newton ascent of the (optionally barrier-augmented) log dual.
+    """The fast pass: damped Newton ascent of the log dual, each row ended at
+    its first weight at or below _BOUNDARY_WEIGHT.
 
     Each row of w (B, K) is a dual with d's block layout, its row of log_c
     and its own null-space basis, a slice of bases (B, K, r): the .mT view of
@@ -476,30 +473,29 @@ def _newton_phase(
     _null_space returns it.  basis_sums (B, m, r) holds each basis's sums
     over each constraint block.  A row has its own line search, end and
     iteration count (at most its max_iterations); the rows share one stacked
-    eigh per iteration.  The barrier keeps iterates inside; with mu = 0 a row
-    ends at its first weight at or below _BOUNDARY_WEIGHT.  Returns end
-    weights, statuses and counts.
+    eigh per iteration.  Returns end weights, statuses and counts.
     """
     end, used = np.empty_like(w), [0] * len(w)
     status = [Status.ITERATION_LIMIT] * len(w)
     rows, limits, stuck = list(range(len(w))), list(max_iterations), []  # live rows
-    raw, value, grad, lam = _barrier_eval(d, w, mu, log_c)
+    # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
+    value, grad, _, lam = _log_dual_objective(d, w, log_c)
     for k in itertools.count(1):
         gu = np.matvec(bases.mT, grad)
         # _projected_norm, from gu
         norms = np.maximum.reduce(np.abs(np.matvec(bases, gu)), axis=1).tolist()
-        low = np.minimum.reduce(w, axis=1).tolist() if mu == 0.0 else None
+        low = np.minimum.reduce(w, axis=1).tolist()
         live = []
-        for i, (j, r) in enumerate(zip(rows, raw.tolist())):
+        for i, (j, v) in enumerate(zip(rows, value.tolist())):
             # past its budget or with no progress a row ends at k - 1, else at
-            # k: unbounded, at the boundary of a plain pass, or stationary
+            # k: unbounded, at the boundary, or stationary
             if k > limits[i] or i in stuck:
                 used[j] = k - 1
-            elif r > _LOG_VALUE_UNBOUNDED:
+            elif v > _LOG_VALUE_UNBOUNDED:
                 status[j], used[j] = Status.UNBOUNDED, k
-            elif low is not None and low[i] <= _BOUNDARY_WEIGHT:
+            elif low[i] <= _BOUNDARY_WEIGHT:
                 used[j] = k
-            elif norms[i] <= tol:
+            elif norms[i] <= _STATIONARITY_TOL:
                 status[j], used[j] = Status.OPTIMAL, k
             else:
                 live.append(i)
@@ -508,13 +504,13 @@ def _newton_phase(
         if not live:
             break
         if len(live) < len(rows):
-            w, raw, value, grad, lam, log_c, gu, basis_sums = (
-                x[live] for x in (w, raw, value, grad, lam, log_c, gu, basis_sums)
+            w, value, grad, lam, log_c, gu, basis_sums = (
+                x[live] for x in (w, value, grad, lam, log_c, gu, basis_sums)
             )
             bases = bases.mT[live].mT  # compacted in the stack's own C order
             rows, limits, norms = ([x[i] for i in live] for x in (rows, limits, norms))
 
-        du = _newton_step(_reduced_hessian(bases, basis_sums, lam, w, mu), gu)
+        du = _newton_step(_reduced_hessian(bases, basis_sums, lam, w), gu)
         slopes, values = np.vecdot(gu, du).tolist(), value.tolist()
         dw = np.matvec(bases, du)
         step = _boundary_fraction(w, dw)
@@ -523,8 +519,8 @@ def _newton_phase(
         taken, stuck = [False] * len(w), []  # stuck: no progress at all
         for _ in range(60):
             trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
-            evaluated = _barrier_eval(d, trial, mu, log_c)
-            t_norms, sizes, t_values = None, step.tolist(), evaluated[1].tolist()
+            evaluated = _log_dual_objective(d, trial, log_c)
+            t_norms, sizes, t_values = None, step.tolist(), evaluated[0].tolist()
             for i, (size, t_value) in enumerate(zip(sizes, t_values)):
                 if taken[i]:
                     continue
@@ -536,7 +532,7 @@ def _newton_phase(
                     taken[i] = t_value >= values[i] + predicted
                     continue
                 if t_norms is None:
-                    t_norms = _projected_norm(bases, evaluated[2]).tolist()
+                    t_norms = _projected_norm(bases, evaluated[1]).tolist()
                 taken[i] = t_norms[i] < norms[i]
             if all(taken):
                 break
@@ -544,33 +540,10 @@ def _newton_phase(
         else:  # the rows that found no progress stay at w, and end
             stuck = [i for i, t in enumerate(taken) if not t]
             trial = np.where(np.array(taken)[:, None], trial, w)
-            evaluated = _barrier_eval(d, trial, mu, log_c)
-        w, (raw, value, grad, lam) = trial, evaluated
+            evaluated = _log_dual_objective(d, trial, log_c)
+        w, (value, grad, _, lam) = trial, evaluated
 
     return end, status, used
-
-
-# continuation schedule for the interior barrier; the central path guides
-# iterates to the optimal face before any weight is allowed to hit zero
-_BARRIER_SCHEDULE = (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
-
-
-def _tangent_prediction(
-    d: DualProgram, nullsp: np.ndarray, w: np.ndarray, mu: float, mu_next: float
-) -> np.ndarray:
-    """Rows of w, centred at mu, moved along the central path's tangent to mu_next.
-
-    Differentiating B^T grad phi_mu(w) = 0, for the barrier-augmented log
-    dual phi_mu and w = w0 + B u, gives du/dmu = (-H_u)^{-1} B^T (1 / w),
-    with H_u the reduced Hessian of phi_mu (Fiacco and McCormick, Nonlinear
-    Programming: Sequential Unconstrained Minimization Techniques, 1968,
-    ch. 5).  The step is cut by _boundary_fraction, so the prediction stays
-    strictly inside the program and on its affine set.
-    """
-    hu = _reduced_hessian(nullsp, d._layout.member @ nullsp, _block_sums(d, w), w, mu)
-    du = _newton_step(hu, np.matvec(nullsp.T, 1.0 / w))
-    dw = (mu_next - mu) * np.matvec(nullsp, du)
-    return w + _boundary_fraction(w, dw)[:, None] * dw
 
 
 def solve_dual(d: DualProgram) -> DualSolution:
@@ -578,10 +551,11 @@ def solve_dual(d: DualProgram) -> DualSolution:
 
     Returns a DualSolution whose status is OPTIMAL when the equality residual
     is at most FEASIBILITY_TOL and the projected-gradient stationarity measure
-    at most _STATIONARITY_TOL, INFEASIBLE when the feasible set is empty,
-    UNBOUNDED when the objective grows without bound along the feasible set,
-    and ITERATION_LIMIT otherwise, including when the Newton passes together
-    reach _MAX_ITERATIONS.
+    at most _STATIONARITY_TOL, or where the interior-point method after the
+    fast pass converges (its y then on the solution), INFEASIBLE when the
+    feasible set is empty, UNBOUNDED when the objective grows without bound
+    along the feasible set, and ITERATION_LIMIT otherwise, including when
+    the Newton iterations reach _PASS_ITERATIONS in both or _MAX_ITERATIONS.
     """
     return _solve_duals([(d, d.term_coefficients[None])])[0]
 
@@ -596,11 +570,10 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
     The rows of every system with an interior start run the fast pass as one
     batch per nullity, each row from its own system's start and on its own
     null-space basis, and the rows it ends OPTIMAL are finished as one batch.
-    The rest is per system (_settle): a row that ends short of the optimum
-    takes the face step from its end, kept where it certifies, then the
-    barrier from the start and the face step from the barrier's end.  A
-    system with forced zeros is solved over the rest of its weights, as a
-    call of its own."""
+    A row that ends short of the optimum goes on alone, from its end, by
+    _interior_point in its own system; an UNBOUNDED one fails.  A system with
+    forced zeros is solved over the rest of its weights, as a call of its
+    own."""
     layout, variables = systems[0][0].block_index, systems[0][0].variable_count
     if any(d.variable_count != variables or not np.array_equal(d.block_index, layout)
            for d, _ in systems[1:]):
@@ -616,7 +589,8 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
             inner = _reduced_program(d, support), coefficients[:, support]
             parts.append((rows, _pad(d, support, _solve_duals([inner]))))
         elif start is None:
-            parts.append((rows, _Duals.of([_failure(d, Status.INFEASIBLE) for _ in rows])))
+            parts.append((rows, _Duals.of([_failure(d, Status.INFEASIBLE) for _ in rows],
+                                          variables)))
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
             parts.append((rows, _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
                                         start[None].repeat(n, 0), [Status.OPTIMAL] * n,
@@ -640,8 +614,7 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         sums = np.array([d._layout.member @ nullsp for _, _, nullsp in group])[pick]
         w = np.array([start for _, start, _ in group])[pick]
         ends, status, used = _newton_phase(
-            d, log_c, stack.mT, sums, w, 0.0, _STATIONARITY_TOL,
-            [min(200, _MAX_ITERATIONS)] * len(w),
+            d, log_c, stack.mT, sums, w, [min(_PASS_ITERATIONS, _MAX_ITERATIONS)] * len(w),
         )
         done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
         if done:
@@ -651,124 +624,128 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
             parts.append(([rows[i] for i in done], _finish(
                 d, log_c[picked], stack[picked].mT, equalities[pick[picked]],
                 ends[picked], [status[i] for i in done], [used[i] for i in done])))
-        edges_in = [0, *itertools.accumulate(counts)]
-        for (s, start, nullsp), i, j in zip(group, edges_in, edges_in[1:]):
-            short = [k for k in range(i, j) if status[k] is not Status.OPTIMAL]
-            if short:
-                parts.append(([rows[k] for k in short], _settle(
-                    systems[s][0], coefficients[short], log_c[short], start, nullsp,
-                    ends[short], [status[k] for k in short], [used[k] for k in short],
-                )))
+        short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
+        if short:  # each goes on alone in its own system
+            parts.append(([rows[i] for i in short], _Duals.of([
+                _failure(d, status[i], used[i]) if status[i] is Status.UNBOUNDED
+                else _interior_point(systems[group[pick[i]][0]][0], log_c[i],
+                                     group[pick[i]][2], ends[i], used[i])
+                for i in short
+            ], variables)))
     return _Duals.joined(parts, edges[-1])
 
 
-def _settle(
-    d: DualProgram, coefficients: np.ndarray, log_c: np.ndarray, start: np.ndarray,
-    nullsp: np.ndarray, ends: np.ndarray, status: list[Status], used: list[int],
-) -> _Duals:
-    """The duals of d's rows of coefficients whose fast pass from start ended
-    short of the optimum, at ends with these statuses and iteration counts."""
-    budget, b = _MAX_ITERATIONS, len(log_c)
-    parts: list[tuple[list[int], _Duals]] = []  # the rows ended so far, and their duals
-    spent = [0] * b  # iterations of each dual so far
+def _interior_point(
+    d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, end: np.ndarray, used: int
+) -> DualSolution:
+    """The dual of d at log_c (K,) by the interior-point method on the log
+    primal, warm-started from the weights end at which the fast pass, on the
+    null-space basis nullsp, stopped short of the optimum after used
+    iterations.  An OPTIMAL dual carries the method's y.  A row out of
+    iterations, or whose line search finds no decrease, is UNBOUNDED where
+    its violations weight a ray (_is_ray), else ITERATION_LIMIT at end."""
+    e, blocks, n, m = d.exponent_matrix, d.block_index, d.variable_count, d.constraint_count
+    offsets = np.cumsum((0, *d.block_sizes[:-1]))
 
-    def record(rows, ends, status, used):
-        """Count the iterations of a pass over these rows; the rows, end
-        weights and statuses of all but the UNBOUNDED rows, which fail."""
-        for j, n in zip(rows, used):
-            spent[j] += n
-        going = [i for i, st in enumerate(status) if st is not Status.UNBOUNDED]
-        if len(going) == len(rows):
-            return rows, ends, status
-        failed = [j for j, st in zip(rows, status) if st is Status.UNBOUNDED]
-        parts.append((failed, _Duals.of([_failure(d, Status.UNBOUNDED, spent[j])
-                                         for j in failed])))
-        return [rows[i] for i in going], ends[going], [status[i] for i in going]
+    def evaluate(y, lam, u, target):
+        """The residuals (r_d, r_p, lambda u - target) at (y, lam, u), each
+        F_b(y) and its gradient, the weights lambda_b p and each term's
+        share p of its block."""
+        s = log_c + e @ y
+        top = np.maximum.reduceat(s, offsets)
+        ex = np.exp(s - top[blocks])
+        total = np.add.reduceat(ex, offsets)
+        f, p = top + np.log(total), ex / total[blocks]
+        w = np.concatenate(([1.0], lam))[blocks] * p
+        r = np.concatenate((w @ e, f[1:] + u, lam * u - target))
+        return r, f, np.add.reduceat(p[:, None] * e, offsets, axis=0), w, p
 
-    def phase(rows, w, mu, cap, program=d, nullsp=nullsp, keep=slice(None)):
-        """record of _newton_phase of these rows, capped."""
-        stack = nullsp.T[None].repeat(len(rows), axis=0)
-        sums = (program._layout.member @ nullsp)[None].repeat(len(rows), axis=0)
-        return record(rows, *_newton_phase(
-            program, log_c[rows][:, keep], stack.mT, sums, w, mu,
-            max(mu, _STATIONARITY_TOL), [min(cap, budget - spent[j]) for j in rows],
-        ))
+    # warm start: y from the end weights' log-linear relations, as _recover
+    # reads them, lambda their block sums; cold where y is not finite
+    value, _, _, sums = _log_dual_objective(d, end, log_c)
+    shift = np.concatenate(([value], -np.log(sums[1:])))
+    active = (end > _BOUNDARY_WEIGHT) & (sums[blocks] > _BOUNDARY_WEIGHT)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = np.log(end) - log_c + shift[blocks]
+        y = np.linalg.lstsq(e[active], target[active], rcond=None)[0]
+    lam = sums[1:]
+    if not np.isfinite(y).all():
+        y, lam = np.zeros(n), np.ones(m)
+    f = evaluate(y, lam, lam, 0.0)[1]
+    lam, u = np.maximum(lam, _IPM_SHIFT), np.maximum(-f[1:], _IPM_SHIFT)
 
-    def finish(rows, w, status, program=d, nullsp=nullsp, keep=slice(None)):
-        """_finish these rows of a last pass over program, d's kept weights."""
-        if not rows:
-            return
-        ends = _finish(program, log_c[rows][:, keep], nullsp, program.equality_matrix,
-                       w, status, [spent[j] for j in rows])
-        parts.append((rows, ends if program is d else _pad(d, keep, ends)))
+    budget, k = min(_PASS_ITERATIONS, _MAX_ITERATIONS - used), 0
+    while True:
+        r, f, g, w, p = evaluate(y, lam, u, 0.0)
+        r_d, r_p = r[:n], r[n:n + m]
+        if np.max(np.abs(r), initial=0.0) <= _IPM_TOL:
+            with np.errstate(over="ignore"):  # not _finish: w may hold exact zeros
+                z = float(np.exp(_log_dual_objective(d, w, log_c)[0]))
+            residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
+            return DualSolution(Status.OPTIMAL, w, block_lambdas(d, w), z, residual,
+                                float(np.max(np.abs(r_d), initial=0.0)), used + k, y)
+        if k == budget:
+            break
+        k += 1
+        # Newton's system in (dy, dlam), du eliminated: [H, J^T; J, -U / Lambda],
+        # with H the lambda-weighted sum of the blocks' log-sum-exp Hessians
+        jac = g[1:]
+        h = (e.T * w) @ e - (g.T * np.concatenate(([1.0], lam))) @ g
+        kkt = np.block([[h, jac.T], [jac, -np.diag(u / lam)]])
 
-    def on_faces(rows, w, cap):
-        """One plain pass of each row of w over its face, capped: the program
-        without the weights the row leaves near zero (single weights at or
-        below _DROPPED_WEIGHT, and every block whose lambda is at or below
-        _INACTIVE_LAMBDA), one batch per face, finished there and padded.  A
-        pass starts at the row projected onto its face's equalities, or at the
-        row itself where nothing is dropped; a projection that is not finite
-        and strictly positive ends the row ITERATION_LIMIT at w."""
-        inactive = _block_sums(d, w) <= _INACTIVE_LAMBDA
-        keeps = (w > _DROPPED_WEIGHT) & ~inactive[:, d.block_index]
-        groups: dict[bytes, list[int]] = {}
-        for i, keep in enumerate(keeps):
-            groups.setdefault(keep.tobytes(), []).append(i)
-        for group in groups.values():
-            keep, g_rows, g_w = keeps[group[0]], [rows[i] for i in group], w[group]
-            program, g_nullsp = d, nullsp
-            if not keep.all():
-                program = _reduced_program(d, keep)
-                a, b = program.equality_matrix, program.equality_rhs
-                g_nullsp = _null_space(a)
-                g_w = np.array([_project_onto_equalities(a, b, v) for v in g_w[:, keep]])
-                inside = ((g_w > 0.0) & (g_w < np.inf)).all(axis=1)
-                outside = np.flatnonzero(~inside)
-                finish([g_rows[i] for i in outside], w[group][outside],
-                       [Status.ITERATION_LIMIT] * len(outside))
-                g_rows, g_w = [j for j, ok in zip(g_rows, inside) if ok], g_w[inside]
-            if g_rows:
-                finish(*phase(g_rows, g_w, 0.0, cap, program, g_nullsp, keep),
-                       program, g_nullsp, keep)
+        def direction(r_c):
+            """(dy, dlam, du) of Newton's step whose complementarity row is
+            u dlam + lambda du = r_c."""
+            rhs = np.concatenate((-r_d, -r_p - r_c / lam))
+            try:
+                step = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                step = np.full(len(rhs), np.nan)
+            if not np.isfinite(step).all():  # a variable no term determines
+                step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            return step[:n], step[n:], (r_c - u * step[n:]) / lam
 
-    # the fast pass left each row short of the optimum, on the boundary or
-    # with no ascent left: it takes the face step from where it ended, capped
-    # like the fast pass; the face it reaches is kept where it certifies on
-    # d's terms: dropping a constraint relaxes the primal, and a relaxed
-    # optimum that meets the dropped constraint is optimal
-    rows, ends, _ = record(list(range(b)), ends, status, used)
-    on_faces(rows, ends, 200)
-    # _recover and the certificate read the padded weights; the UNBOUNDED
-    # rows make no claim
-    settled = _Duals.joined(parts, b)
-    certified = _certify(_terms(d, coefficients), np.zeros(b, dtype=int), settled,
-                         _recover).status
-    rows = [j for j in rows if certified[j] != _CODE[Status.OPTIMAL]]
-    if not rows:
-        return settled
-    kept = sorted(set(range(b)) - set(rows))
-    parts[:] = [(kept, settled.take(kept))] if kept else []
-    w = start[None].repeat(len(rows), axis=0)
+        # Mehrotra's centring: sigma from the affine step's complementarity
+        _, dlam, du = direction(-lam * u)
+        mu = lam @ u / max(m, 1)
+        step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
+        sigma = ((lam + step * dlam) @ (u + step * du) / max(m, 1) / mu) ** 3 if mu else 0.0
+        dy, dlam, du = direction(sigma * mu - lam * u)
+        step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
+        step = min(step, _IPM_STEP / max(np.max(np.abs(dy), initial=0.0), _IPM_STEP))
+        # backtrack until the residual norm, at the step's own target, drops
+        norm = np.linalg.norm(evaluate(y, lam, u, sigma * mu)[0])
+        for _ in range(60):
+            trial = y + step * dy, lam + step * dlam, u + step * du
+            if np.linalg.norm(evaluate(*trial, sigma * mu)[0]) <= (1.0 - 0.01 * step) * norm:
+                break
+            step *= 0.5
+        else:
+            break
+        y, lam, u = trial
+    # the violations weight each block's terms: where that is a ray, no x
+    # meets every constraint, and the dual, which has a start, is unbounded
+    if _is_ray(d, log_c, np.concatenate(([0.0], np.maximum(r_p, 0.0)))[blocks] * p):
+        return _failure(d, Status.UNBOUNDED, used + k)
+    return _finish(d, log_c[None], nullsp, d.equality_matrix, end[None],
+                   [Status.ITERATION_LIMIT], [used + k])[0]
 
-    # the rows left failed their face step: aggressive early steps can lock
-    # onto a suboptimal face; rerun from the start with barrier continuation,
-    # whose central path reaches the optimal face before any weight hits
-    # zero; a stage that ends centred hands the next one its tangent
-    # prediction, which is no Newton iteration and so not counted
-    for mu, mu_next in zip(_BARRIER_SCHEDULE, _BARRIER_SCHEDULE[1:] + (None,)):
-        if not rows:
-            return _Duals.joined(parts, b)
-        rows, w, status = phase(rows, w, mu, 60)
-        centred = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
-        if mu_next is not None and centred:
-            w = w.copy()  # the phase's end weights stay as it returned them
-            w[centred] = _tangent_prediction(d, nullsp, w[centred], mu, mu_next)
 
-    # the barrier leaves the weights that are zero at the optimum near its
-    # last mu: the face step finishes there with the rest of the budget
-    on_faces(rows, w, budget)
-    return _Duals.joined(parts, b)
+def _is_ray(d: DualProgram, log_c: np.ndarray, nu: np.ndarray) -> bool:
+    """True when nu (K), nonnegative on the constraint terms and zero on the
+    objective's, moved onto orthogonality by the least relative change and
+    scaled to sum to one, stays nonnegative and has sum_k nu_k log(c_k
+    lambda_i / nu_k) above VIOLATION_TOL, lambda_i its block sums: by
+    weighted AM-GM every x then has prod_i f_i(x)^lambda_i above
+    exp(VIOLATION_TOL), so it breaks some constraint beyond the claim's
+    tolerance (the theorem of alternatives, certificate.infeasible_claim)."""
+    a = d.equality_matrix
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = nu * (1.0 + np.linalg.lstsq(a * nu, -(a @ nu), rcond=None)[0])
+        nu = nu / nu.sum()
+    return bool((nu >= 0.0).all()
+                and np.max(np.abs(a @ nu)) <= FEASIBILITY_TOL
+                and _log_dual_objective(d, nu, log_c)[0] > VIOLATION_TOL)
 
 
 def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:
@@ -778,17 +755,19 @@ def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:
 
 
 def _recover(
-    t: Terms, system: np.ndarray, w: np.ndarray, z: np.ndarray, lambdas: np.ndarray
+    t: Terms, system: np.ndarray, w: np.ndarray, z: np.ndarray, lambdas: np.ndarray,
+    y: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, ReconstructionError]]:
     """recover_primal at each row of t, with its optimal dual's weights w
-    (B, K), value z (B,) and lambdas (B, m): the points x (B, n), nan on
-    each row whose recovery fails, and the ReconstructionError each such row
-    raises, by row.  The rows of one system (equal entries of system, which
-    share their exponents) whose terms enter the same relations share one
-    multi-column least-squares solve."""
-    x, z = np.full((len(w), t.exponents.shape[-1]), np.nan), z[:, None]
+    (B, K), value z (B,), lambdas (B, m) and y (B, n), nan on the rows
+    without one: the points x (B, n), nan on each row whose recovery fails,
+    and the ReconstructionError each such row raises, by row.  A row with a
+    y is at exp(y); the other rows of one system (equal entries of system,
+    which share their exponents) whose terms enter the same relations share
+    one multi-column least-squares solve for theirs."""
     if t.exponents.shape[-1] == 0:
-        return x, {}
+        return np.full((len(w), 0), np.nan), {}
+    y, z = y.copy(), z[:, None]
     # each term's block weight sum, 1 on the objective block; the terms of an
     # inactive constraint relate nothing (complementary slackness)
     lam = np.concatenate((np.ones_like(z), lambdas), axis=1)[:, t.blocks]
@@ -796,10 +775,10 @@ def _recover(
     share = w * z  # w / lambda on constraint terms
     np.divide(w, lam, out=share, where=active & (t.blocks > 0))
     # w * z underflows to 0 with z, and then has no log to fit
-    lost = np.logical_or.reduce(active & (share == 0.0), axis=1)
+    lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & np.isnan(y[:, 0])
     failures = {i: ReconstructionError(f"w * z underflows at dual value {v}")
                 for i, (v, gone) in enumerate(zip(z[:, 0].tolist(), lost.tolist())) if gone}
-    left = (~lost).nonzero()[0]
+    left = (~lost & np.isnan(y[:, 0])).nonzero()[0]
     while left.size:  # the rows of one system and active set
         first, mask = system[left[0]], active[left[0]]
         same = (system[left] == first) & np.logical_and.reduce(active[left] == mask, axis=1)
@@ -810,21 +789,21 @@ def _recover(
         # outcost the work; like lstsq, a failed SVD raises
         rcond = np.finfo(float).eps * max(matrix.shape)
         with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
-            y = _umath_linalg.lstsq(matrix, target.T, rcond, signature="ddd->ddid")[0].T
-            points = np.exp(y)
+            y[group] = _umath_linalg.lstsq(matrix, target.T, rcond, signature="ddd->ddid")[0].T
         # y is inf where the relations ask for an x beyond the doubles (a
         # subnormal exponent, say); its residual is then nan, from inf * 0
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = np.maximum.reduce(np.abs(np.matvec(matrix, y) - target), axis=1,
-                                         initial=0.0)
-        inside = np.logical_and.reduce(np.isfinite(points) & (points > 0.0), axis=1)
-        x[group] = points
-        for i, res, ok in zip(group.tolist(), residual.tolist(), inside.tolist()):
-            if not ok or not res <= 1e-6:
-                x[i] = np.nan
-                failures[i] = ReconstructionError(
-                    f"log-linear recovery system inconsistent (residual {res:.3e})"
-                    if res > 1e-6 else "recovered x = exp(y) overflows or underflows")
+            residual = np.maximum.reduce(np.abs(np.matvec(matrix, y[group]) - target),
+                                         axis=1, initial=0.0)
+        failures |= {i: ReconstructionError(
+            f"log-linear recovery system inconsistent (residual {res:.3e})")
+            for i, res in zip(group.tolist(), residual.tolist()) if res > 1e-6}
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.exp(y)
+    inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1)
+    for i in (~inside).nonzero()[0].tolist():
+        failures.setdefault(i, ReconstructionError("recovered x = exp(y) overflows or underflows"))
+    x[list(failures)] = np.nan
     return x, failures
 
 
@@ -833,13 +812,16 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
 
     Solves, in least squares over y = log x, the stacked log-linear relations
     of objective terms and of terms in active constraint blocks; weights at or
-    below _BOUNDARY_WEIGHT contribute no equation.  Raises ReconstructionError
-    when w z underflows to 0 on an objective term, when the residual of the
-    stacked system exceeds 1e-6 or when x = exp(y) leaves the doubles.
+    below _BOUNDARY_WEIGHT contribute no equation.  A dual that carries its
+    own y, the interior-point method's, gives x = exp(y) instead.  Raises
+    ReconstructionError when w z underflows to 0 on an objective term, when
+    the residual of the stacked system exceeds 1e-6 or when x = exp(y) leaves
+    the doubles.
     """
     d = build_dual(s)
+    y = np.full((1, d.variable_count), np.nan) if ds.y is None else ds.y[None]
     x, failures = _recover(_terms(d, d.term_coefficients[None]), np.zeros(1, dtype=int),
-                           ds.weights[None], np.array([ds.objective_value]), ds.lambdas[None])
+                           ds.weights[None], np.array([ds.objective_value]), ds.lambdas[None], y)
     if failures:
         raise failures[0]
     return x[0]
@@ -861,7 +843,7 @@ def _certify(t: Terms, system: np.ndarray, duals: _Duals, recover) -> _Reports:
         terms = Terms(t.coefficients[rows], t.exponents[rows], t.blocks)
         w = duals.weights[rows]
         x, failures = recover(terms, system[rows], w, duals.objective_value[rows],
-                              duals.lambdas[rows])
+                              duals.lambdas[rows], duals.y[rows])
         if len(failures) < optimal.size:  # a row with no x claims nothing
             claim = optimal_claim(terms, x, w)
             status[optimal[claim.holds]] = _CODE[Status.OPTIMAL]
@@ -880,8 +862,8 @@ def solve(s: StandardGp) -> SolveReport:
             return np.full((1, d.variable_count), np.nan), {0: e}
 
     coefficients = d.term_coefficients[None]
-    return _certify(_terms(d, coefficients), np.zeros(1, dtype=int), _Duals.of([ds]),
-                    recover)[0]
+    return _certify(_terms(d, coefficients), np.zeros(1, dtype=int),
+                    _Duals.of([ds], d.variable_count), recover)[0]
 
 
 def _solve_rows(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Reports:

@@ -284,8 +284,15 @@ def degenerate_minimax_gp(fixture: str) -> GpProblem:
     For every OPTIMAL keep-all row v of the fixture, with optimum z*(v),
     min t subject to f_0(x; v) / (z*(v) t) <= 1, and each distinct constraint
     of those expansions.  t* is about 1, and many blocks are active at once
-    with small lambda: a degenerate dual.
+    with small lambda: a degenerate dual.  random_minimax_gp with factor 1.
     """
+    return random_minimax_gp(None, fixture)
+
+
+def random_minimax_gp(rng, fixture: str) -> GpProblem:
+    """degenerate_minimax_gp with each z*(v) divided by its own factor, drawn
+    uniformly from [0.9, 1.1] by rng, row by row (ROADMAP item 2); rng None
+    draws factor 1.  t* is then the largest factor's share of its row."""
     cg = parse_problem(PROBLEM_DIR / f"{fixture}.json")
     names = [cs.name for cs in cg.sets]
     constraints = {}  # (terms, bound): None, in first-seen order
@@ -293,8 +300,8 @@ def degenerate_minimax_gp(fixture: str) -> GpProblem:
         if row.status != Status.OPTIMAL.value:
             continue
         g = expand(cg, dict(zip(names, row.bits)))
-        terms = ((m.coefficient / row.objective_value, (*m.exponents, -1.0))
-                 for m in g.objective.terms)
+        z = row.objective_value / (1.0 if rng is None else float(rng.uniform(0.9, 1.1)))
+        terms = ((m.coefficient / z, (*m.exponents, -1.0)) for m in g.objective.terms)
         constraints.setdefault((tuple(terms), 1.0), None)
         for posy, bound in g.constraints:
             terms = ((m.coefficient, (*m.exponents, 0.0)) for m in posy.terms)

@@ -95,7 +95,7 @@ class TestOptimalClaim:
     def test_the_gap_is_proven_to_1e_8(self):
         # 1e-6 before: four orders above the worst gap the solver delivers
         # (6.4e-11 over the stress sweep), so it proved less than it could;
-        # a face step that certifies is proven to this gap
+        # every certified row is proven to this gap
         assert GAP_TOL <= 1e-8
 
     def test_rows_are_judged_apart(self):

@@ -15,7 +15,6 @@ from gpchoice import (
 from gpchoice.dual import _block_sums, _log_dual_objective, _reduced_hessian
 from gpchoice.solver import (
     Status,
-    _barrier_eval,
     _null_space,
     _project_onto_equalities,
 )
@@ -348,13 +347,6 @@ def _full_hessian(d, w):
     return _reduced_hessian(eye, d._layout.member, _block_sums(d, w), w)
 
 
-def _loop_barrier_eval(d, w, mu):
-    raw, grad = _loop_log_dual_objective(d, w)
-    if mu == 0.0:
-        return raw, raw, grad
-    return raw, raw + mu * float(np.sum(np.log(w))), grad + mu / w
-
-
 def _bits(*values):
     return [np.asarray(v, dtype=float).tobytes() for v in values]
 
@@ -379,9 +371,6 @@ def _assert_rows_match_the_loops(d, batch, rng):
     dual, bit for bit; batch is a (B, K) weight array."""
     duals, log_c = _siblings(rng, d, len(batch))
     value, grad, logw, lam = _log_dual_objective(d, batch, log_c)
-    # the barrier runs on positive weights only
-    mus = (0.0, 1e-6, 1.0) if batch.all() else (0.0,)
-    barriers = {mu: _barrier_eval(d, batch, mu, log_c) for mu in mus}
     sums = _block_sums(d, batch)
     assert value.shape == (len(batch),) and grad.shape == batch.shape
     for b, (sibling, w) in enumerate(zip(duals, batch)):
@@ -391,10 +380,6 @@ def _assert_rows_match_the_loops(d, batch, rng):
         assert _bits(value[b], grad[b], logw[b]) == _bits(ref_value, ref_grad, ref_logw)
         ref_sums = [float(w[sl].sum()) for sl in _slices(d)]
         assert _bits(sums[b], lam[b]) == _bits(ref_sums, ref_sums)
-        for mu, evaluated in barriers.items():
-            assert _bits(*(x[b] for x in evaluated[:3])) == _bits(
-                *_loop_barrier_eval(sibling, w, mu)
-            )
     if batch.all():  # at B = I the batched Hessian is the entrywise loop's
         eye = np.eye(d.term_count)
         hess = _reduced_hessian(eye, d._layout.member, lam, batch)
@@ -418,10 +403,6 @@ class TestKernelsMatchBlockLoops:
             )
             hess = _full_hessian(d, w)
             assert _bits(hess) == _bits(_loop_log_dual_hessian(d, w))
-            for mu in (0.0, 1e-6, 1.0):
-                assert _bits(*_barrier_eval(d, w, mu)[:3]) == _bits(
-                    *_loop_barrier_eval(d, w, mu)
-                )
         for count in (1, 2, 7):
             batch = np.array([_positive_weights(rng, d.term_count)
                               for _ in range(count)])
@@ -443,9 +424,6 @@ class TestKernelsMatchBlockLoops:
             ref_value, ref_grad = _loop_log_dual_objective(d, w)
             assert _bits(value, grad) == _bits(ref_value, ref_grad)
             assert np.all(np.isposinf(grad[w == 0.0]))
-            assert _bits(*_barrier_eval(d, w, 0.0)[:3]) == _bits(
-                ref_value, ref_value, ref_grad
-            )
         # zero weights in some rows of a batch, positive ones in the others
         batch = np.array([_positive_weights(rng, d.term_count) for _ in range(6)])
         batch[1::2][rng.random((3, d.term_count)) < 0.3] = 0.0
@@ -475,24 +453,21 @@ class TestReducedHessian:
                 basis = _null_space(np.vstack([a, np.eye(d.term_count)[active]]))
             assert basis.shape[1] > 0
             lam = _log_dual_objective(d, w)[3]
-            for mu in (0.0, 1e-6, 1.0):
-                got = _reduced_hessian(basis, d._layout.member @ basis, lam, w, mu)
-                full = _full_hessian(d, w) - np.diag(mu / w**2)
-                want = basis.T @ full @ basis
-                # entries that cancel to near zero carry the rounding of
-                # their largest terms, so the error is measured on the scale
-                # of the largest entry
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            got = _reduced_hessian(basis, d._layout.member @ basis, lam, w)
+            want = basis.T @ _full_hessian(d, w) @ basis
+            # entries that cancel to near zero carry the rounding of their
+            # largest terms, so the error is measured on the scale of the
+            # largest entry
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             # a (B, K) stack: each row's reduced Hessian, bit for bit
             batch = w * 10.0 ** rng.uniform(-1.0, 1.0, (5, d.term_count))
             lams = _block_sums(d, batch)
             sums = d._layout.member @ basis
-            for mu in (0.0, 1e-6, 1.0):
-                got = _reduced_hessian(basis, sums, lams, batch, mu)
-                assert got.shape == (5, basis.shape[1], basis.shape[1])
-                for h, row_lam, row in zip(got, lams, batch):
-                    want = _reduced_hessian(basis, sums, row_lam, row, mu)
-                    assert _bits(h) == _bits(want)
+            got = _reduced_hessian(basis, sums, lams, batch)
+            assert got.shape == (5, basis.shape[1], basis.shape[1])
+            for h, row_lam, row in zip(got, lams, batch):
+                want = _reduced_hessian(basis, sums, row_lam, row)
+                assert _bits(h) == _bits(want)
 
 
 class TestLogDualHessian:

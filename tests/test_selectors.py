@@ -119,6 +119,22 @@ def test_selection_is_a_bijection_onto_candidate_positions(k, pool):
     assert selected == list(s.candidates)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_selected_values_are_the_selector_polynomial_bit_for_bit(k):
+    # solve_choice's value table reads each candidate + 0.0 in place of the
+    # polynomial at its pattern; signed zeros, subnormals and the largest
+    # doubles give the same bits either way
+    special = (-0.0, 0.0, 1e-320, -1e-320, 5e-324, 1e308, -1e308, 2.5, -3.0)
+    rng = np.random.default_rng(k)
+    sets = [cset(rng.choice(special, k)) for _ in range(200)]
+    sets += [cset([v] * k) for v in special]
+    for s in sets:
+        polynomial = [selector_polynomial(s, bits) for bits in valid_assignments(s)]
+        assert [v.hex() for v in gpchoice.selectors._selected_values(s)] == [
+            v.hex() for v in polynomial
+        ]
+
+
 def simple_choice_gp(candidates=(2.0, 1.0, 3.0)):
     return ChoiceGp(
         variable_names=("x1",),

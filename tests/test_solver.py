@@ -3,7 +3,7 @@ import math
 import subprocess
 import sys
 import threading
-from collections import Counter, namedtuple
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -31,18 +31,17 @@ from gpchoice.posynomial import Posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import expand, solve_choice
 from gpchoice.solver import (
-    _BARRIER_SCHEDULE,
+    _BOUNDARY_WEIGHT,
+    _PASS_ITERATIONS,
     _STATIONARITY_TOL,
     FEASIBILITY_TOL,
     GAP_TOL,
     DualSolution,
     ReconstructionError,
-    _barrier_eval,
     _dual_start,
     _equality_start,
     _newton_step,
     _null_space,
-    _projected_norm,
     _reduced_program,
     _solve_duals,
     _solve_rows,
@@ -68,6 +67,7 @@ from helpers import (
     negative_difficulty_gp,
     primal_infeasible_gp,
     random_feasible_gp,
+    random_minimax_gp,
     tiny_weight_gp,
     zero_difficulty_gp,
 )
@@ -427,10 +427,9 @@ class TestSolve:
 class TestSolverSettings:
     """The solver's constants, read at call time."""
 
-    # example 1 takes the fast path; stress problem 3 adds the barrier and a
-    # reduced last pass, 23 the support LP, 55 the drop of inactive blocks;
-    # 2 and 22 settle through the face step after the fast pass, 2 from the
-    # boundary and 22 from inside the program
+    # example 1 takes the fast path; stress problems 2, 3 and 55 go on to the
+    # interior-point method from the boundary, 22 from inside the program,
+    # and 23 starts at the support LP
     @pytest.mark.parametrize("index", [None, 2, 3, 22, 23, 55])
     def test_max_iterations_bounds_every_pass_of_a_solve(self, monkeypatch, index):
         g = example1_problem() if index is None else _stress_problems()[index]
@@ -711,8 +710,8 @@ class TestStressRegressions:
                 assert report.duality_gap <= 1e-9
                 assert report.kkt_residuals.primal_feasibility <= 1e-8
         # 67382 when each barrier stage started from the last centre, 41254
-        # before the face step followed the fast pass, 23929 when it ran only
-        # from the boundary with a start of its own, 23330 now
+        # before the face step followed the fast pass, 23330 with the face
+        # step and the barrier, 14371 with the interior-point method
         assert sum(report.dual.iterations for report in reports) <= 24500
 
     def test_overflowing_primal_recovery_gives_a_report(self):
@@ -742,8 +741,8 @@ class TestStressRegressions:
             assert claim.violation[0] == report.kkt_residuals.primal_feasibility
             assert report.duality_gap == claim.gap[0]
             with_x[report.status] += 1
-        # 187 of the stress problems and 45 of the free-variable draws
-        assert with_x == {Status.OPTIMAL: 187 + 45,
+        # 187 of the stress problems and 52 of the free-variable draws
+        assert with_x == {Status.OPTIMAL: 187 + 52,
                           Status.ITERATION_LIMIT: len(_FREE_VARIABLE_STALLS)}
 
     def test_choice_of_a_plain_problem_is_its_solve(self):
@@ -775,9 +774,9 @@ def _free_variable_draw(index: int):
     return free_variable_gp(np.random.default_rng((11, index)))
 
 
-# draws of free_variable_gp that solve ends ITERATION_LIMIT: the dual is
-# OPTIMAL at z, but recovery sets y = 1, where the constraint is violated
-_FREE_VARIABLE_STALLS = (0, 6, 8, 11, 17, 24, 28, 29, 34, 36, 44, 46, 47, 53, 57)
+# draws of free_variable_gp that solve ends ITERATION_LIMIT: the fast pass
+# ends OPTIMAL at z, but recovery sets y = 1, where the constraint is violated
+_FREE_VARIABLE_STALLS = (0, 17, 24, 28, 34, 36, 46, 53)
 
 
 class TestKnownWrongStatuses:
@@ -828,6 +827,18 @@ class TestKnownWrongStatuses:
         assert report.objective_value == pytest.approx(
             2.0 * math.sqrt(a * b), rel=2.0 * GAP_TOL
         )
+
+    def test_weakly_infeasible_constraint_ends_within_two_passes(self):
+        # min 5/x1 + 3/x2^3 + x1 x2 s.t. 3 x1 + 1 <= 1: no x is feasible, yet
+        # no ray proves it, and the dual grows like a logarithm; the fast
+        # pass and the interior-point method each run out of their cap, where
+        # the whole 10000-iteration budget ran before (ROADMAP item 1 gives
+        # it its status)
+        s = standardize(make_problem([(5, (-1, 0)), (3, (0, -3)), (1, (1, 1))],
+                                     [([(3, (1, 0)), (1, (0, 0))], 1.0)]))
+        report = solve(s)
+        assert report.status is Status.ITERATION_LIMIT
+        assert report.dual.iterations == 2 * _PASS_ITERATIONS
 
     def test_a_duplicate_monomial_changes_neither_status_nor_optimum(self):
         rng = np.random.default_rng(12)
@@ -963,14 +974,14 @@ class TestGateSizingChains:
                               [report.dual.weights])
         assert claim.holds[0]
 
-    def test_chain_at_80_takes_91_iterations(self):
-        # 86 before the face step followed the fast pass; it fails on this
-        # chain and then leaves the barrier its weight bytes; a face guess
-        # nested inside another, with its own barrier, took 1751
+    def test_chain_at_80_takes_18_iterations(self):
+        # the fast pass ends at the boundary, and the interior-point method
+        # certifies from there
         s = standardize(gate_sizing_chain(np.random.default_rng((17, 80, 0)), 80))
         report = solve(s)
         assert report.status is Status.OPTIMAL
-        assert report.dual.iterations == 91
+        assert report.dual.iterations == 18
+        assert report.dual.y is not None
 
 
 class TestLargeCoefficients:
@@ -978,8 +989,8 @@ class TestLargeCoefficients:
     barrier iterate onto the reduced equalities used to start the last pass
     outside the program, where the pass made a NaN weight and solve raised
     GpDomainError, the error of bad input; later that row ended
-    ITERATION_LIMIT after 79 iterations.  The face step after the fast pass
-    now certifies it in 15, without the barrier."""
+    ITERATION_LIMIT after 79 iterations, and the face step after the fast
+    pass certified it in 15.  The interior-point method certifies it in 13."""
 
     @pytest.mark.filterwarnings("error")
     def test_solve_ends_with_a_status_and_no_warning(self):
@@ -990,7 +1001,7 @@ class TestLargeCoefficients:
             claim = optimal_claim(problem_terms(s), [report.primal_x],
                                   [report.dual.weights])
             assert claim.holds[0]
-        else:  # the row ends where the barrier left it, inside the program
+        else:  # the row ends where the fast pass left it, inside the program
             assert report.dual.weights.min() > 0.0
             assert report.dual.equality_residual <= FEASIBILITY_TOL
 
@@ -998,7 +1009,7 @@ class TestLargeCoefficients:
         s = standardize(large_coefficient_gp())
         report = solve(s)
         assert report.status is Status.OPTIMAL
-        assert report.dual.iterations == 15
+        assert report.dual.iterations == 13
         claim = optimal_claim(problem_terms(s), [report.primal_x],
                               [report.dual.weights])
         assert claim.holds[0]
@@ -1046,8 +1057,8 @@ class TestDegenerateMinimax:
     """ROADMAP item 10's degenerate minimax GPs: on example2_case1, 128 terms
     in 38 blocks over 5 variables, with its optimum in [1.0751382,
     1.0751386]; on example2_case6, 218 terms in 62 blocks, with its optimum
-    in [1.0759840, 1.0759846].  The last dual iterate bounds each from below,
-    and a feasible point of a log-form solve from above."""
+    in [1.0759840, 1.0759846].  The dual bounds each from below, and a
+    feasible point of a log-form solve from above."""
 
     @staticmethod
     @lru_cache(maxsize=2)
@@ -1055,33 +1066,30 @@ class TestDegenerateMinimax:
         s = standardize(degenerate_minimax_gp(fixture))
         return s, solve(s)
 
-    def test_stalls_at_a_dual_value_below_the_optimum(self):
-        s, report = self._solved()
-        assert (s.variable_count, s.term_count, len(s.constraints)) == (5, 128, 37)
-        assert report.status is not Status.OPTIMAL
-        assert 1.0751381 <= report.dual.objective_value <= 1.0751386
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the barrier does not "
-                       "centre at mu <= 1e-8, and the reduction keeps a wrong support")
     def test_is_certified_optimal(self):
         s, report = self._solved()
+        assert (s.variable_count, s.term_count, len(s.constraints)) == (5, 128, 37)
         assert report.status is Status.OPTIMAL
         claim = optimal_claim(problem_terms(s), [report.primal_x],
                               [report.dual.weights])
         assert claim.holds[0]
         assert 1.0751382 <= report.objective_value <= 1.0751386
 
-    def test_case6_stalls_at_a_dual_value_below_the_optimum(self):
-        # 198 iterations, ending at dual value 1.0759840253
-        s, report = self._solved("example2_case6")
-        assert (s.variable_count, s.term_count, len(s.constraints)) == (5, 218, 61)
-        assert report.status is Status.ITERATION_LIMIT
-        assert 1.0759840 <= report.dual.objective_value <= 1.0759846
+    @pytest.mark.parametrize("fixture", ["example1_case1", "example2_case1",
+                                         "example2_case2"])
+    def test_random_draws_are_certified_optimal(self, fixture):
+        # ROADMAP item 2's family: each z*(v) scaled by its own factor
+        for index in range(8):
+            s = standardize(random_minimax_gp(np.random.default_rng((31, index)), fixture))
+            report = solve(s)
+            assert report.status is Status.OPTIMAL
+            claim = optimal_claim(problem_terms(s), [report.primal_x],
+                                  [report.dual.weights])
+            assert claim.holds[0]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the barrier does not "
-                       "centre at mu <= 1e-8, and the reduction keeps a wrong support")
     def test_case6_is_certified_optimal(self):
         s, report = self._solved("example2_case6")
+        assert (s.variable_count, s.term_count, len(s.constraints)) == (5, 218, 61)
         assert report.status is Status.OPTIMAL
         claim = optimal_claim(problem_terms(s), [report.primal_x],
                               [report.dual.weights])
@@ -1216,10 +1224,9 @@ class TestSharedStart:
         monkeypatch.setattr(gpchoice.solver, "_solve_duals", spy)
         original_phase = gpchoice.solver._newton_phase
 
-        def phase_spy(d, log_c, bases, basis_sums, w, mu, tol, max_iterations):
-            passes.append((len(w), mu))
-            return original_phase(d, log_c, bases, basis_sums, w, mu, tol,
-                                  max_iterations)
+        def phase_spy(d, log_c, bases, basis_sums, w, max_iterations):
+            passes.append(len(w))
+            return original_phase(d, log_c, bases, basis_sums, w, max_iterations)
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase_spy)
         _equality_start.cache_clear()
@@ -1229,10 +1236,8 @@ class TestSharedStart:
         assert sum(len(rows) for rows in systems) == 1002
         assert len(systems) == 46
         assert len(calls) == 12
-        # no fixture row reaches the boundary: the 12 fast passes are all
-        assert [mu for _, mu in passes] == [0.0] * 12
-        assert [n for n, _ in passes] == [27, 64, 100, 180, 180, 180,
-                                          27, 64, 36, 48, 48, 48]
+        # one fast pass per fixture
+        assert passes == [27, 64, 100, 180, 180, 180, 27, 64, 36, 48, 48, 48]
         assert _equality_start.cache_info().misses <= 10
         misses = _equality_start.cache_info().misses
         for cg in models:
@@ -1285,150 +1290,47 @@ class TestSharedStart:
         assert _equality_start.cache_info().currsize == systems
 
     def test_fast_pass_stops_at_the_first_boundary_touch(self, monkeypatch):
-        # a wrong face: the fast pass ends on block 1, but at the optimum
-        # block 2 is slack (lambda = (0.343, 0)), so the face step without
-        # block 1 fails its certificate in 5 iterations and the barrier takes
-        # over from the start; the weight the barrier leaves near 1e-13 is
-        # dropped and the last pass runs inside the reduced program, so it
-        # ends at an exact 0.0. The pinned weights are those of barrier
-        # stages started from their tangent predictions (34 iterations
-        # besides the first face step; 62 from the last centre, 72 when the
-        # fast pass ran on along the face); an independent solve of the
-        # reduced program agrees with them
-        passes = TestBarrierPredictor._spy_passes(monkeypatch)
-        d = build_dual(standardize(_stress_problems()[3]))
-        ds = solve_dual(d)
-        assert ds.status is Status.OPTIMAL
-        weights = ("0x1.315229a878730p-1", "0x1.a19c19823bfbap-4",
-                   "0x1.34f4a64e801b3p-2", "0x1.4c44ecf9b4177p-5",
-                   "0x1.35a4e9858554fp-2", "0x0.0p+0")
-        assert [w.hex() for w in ds.weights.tolist()] == list(weights)
-        assert ds.lambdas[1] == 0.0 < ds.lambdas[0]
-        # the fast pass, the face step from its end, six barrier stages, the
-        # face step from the barrier's end
-        assert [p.mu for p in passes] == [0.0, 0.0, *_BARRIER_SCHEDULE, 0.0]
-        face = passes[1]
-        assert face.start.shape[1] < d.term_count  # block 1 dropped
-        assert face.iterations == 5
-        assert ds.iterations == 39
-        assert ds.iterations - face.iterations <= 35
-        kept = ds.weights > 0.0
-        reduced = solve_dual(_reduced_program(d, kept))
-        assert reduced.status is Status.OPTIMAL
-        np.testing.assert_allclose(
-            ds.weights[kept], reduced.weights, rtol=1e-12, atol=0.0
-        )
-        assert ds.weights[~kept].tolist() == [0.0]
-
-    def test_a_face_guess_that_certifies_settles_the_dual(self, monkeypatch):
-        # stress problem 2's fast pass ends with its one constraint block at
-        # the boundary; the face step's pass on the program without it
-        # certifies on the full problem's terms, so no barrier runs (33
-        # iterations with the barrier, 5 + 5 now)
-        passes = TestBarrierPredictor._spy_passes(monkeypatch)
-        d = build_dual(standardize(_stress_problems()[2]))
-        ds = solve_dual(d)
-        assert ds.status is Status.OPTIMAL
-        assert [p.mu for p in passes] == [0.0, 0.0]
-        assert passes[1].start.shape[1] == d.term_count - 1
-        assert ds.iterations == 10
-        dropped = d.block_index == 1
-        assert ds.weights[dropped].tolist() == [0.0]
-        assert ds.lambdas.tolist() == [0.0]
-        # the barrier's dual value, before the face step followed the fast pass
-        barrier = float.fromhex("0x1.2332391c41381p+2")
-        assert ds.objective_value == pytest.approx(barrier, rel=1e-9, abs=0.0)
-
-    def test_a_fast_pass_with_no_ascent_left_takes_the_face_step(self, monkeypatch):
-        # stress problem 22's fast pass stops inside the program after 4
-        # iterations: its line search finds no ascent with block 1's one
-        # weight at 1.07e-10, above the boundary; the face step drops that
-        # block and certifies in 4 more, where the barrier took 37
-        passes = TestBarrierPredictor._spy_passes(monkeypatch)
-        d = build_dual(standardize(_stress_problems()[22]))
-        ds = solve_dual(d)
-        assert ds.status is Status.OPTIMAL
-        assert [p.mu for p in passes] == [0.0, 0.0]
-        fast, face = passes
-        assert fast.status is Status.ITERATION_LIMIT and fast.iterations == 4
-        assert 1e-12 < fast.end.min() <= 1e-9
-        assert face.start.shape[1] == d.term_count - 1
-        assert ds.iterations == 8
-        assert ds.weights[d.block_index == 1].tolist() == [0.0]
-
-    def test_the_face_step_computes_no_start_of_its_own(self):
-        # the face step starts from where the fast pass ended, projected onto
-        # its face, so stress problem 2 caches only its own system's start
-        _equality_start.cache_clear()
-        assert solve(standardize(_stress_problems()[2])).status is Status.OPTIMAL
-        assert _equality_start.cache_info().currsize == 1
-
-
-# one _newton_phase call on a batch of one: its null space, start and end
-# weights, (1, K) each, mu, and row 0's status and count
-_Pass = namedtuple("_Pass", "nullsp start mu end status iterations")
-
-
-class TestBarrierPredictor:
-    """Each barrier stage after a centred one starts from the tangent
-    prediction of the central path, not from the last centre."""
-
-    @staticmethod
-    def _spy_passes(monkeypatch) -> list[_Pass]:
+        # a wrong face: the fast pass ends on block 1 after 5 iterations, but
+        # at the optimum block 2 is slack (lambda = (0.343, 0)); the
+        # interior-point method goes on from that end and certifies in 7 more,
+        # and an independent solve of the program without block 2 agrees
+        # with its weights
         passes = []
         original = gpchoice.solver._newton_phase
 
-        def spy(d, log_c, nullsp, basis_sums, w, mu, tol, max_iterations):
-            out = original(d, log_c, nullsp, basis_sums, w, mu, tol, max_iterations)
-            end, status, iterations = out  # a batch of one: read row 0
-            passes.append(_Pass(nullsp, w, mu, end, status[0], iterations[0]))
-            return out
+        def spy(*args):
+            passes.append(original(*args))  # a batch of one: (end, status, count)
+            return passes[-1]
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", spy)
-        return passes
-
-    def test_prediction_is_closer_to_the_next_centre(self, monkeypatch):
-        # a weight that is zero at the optimum sits near mu / v on the central
-        # path; the last centre misses the next stage's stationarity by about
-        # 0.54 at each of the last three transitions, and the prediction by
-        # 1.3e-2, 1.3e-4 and 1.3e-6
-        passes = self._spy_passes(monkeypatch)
         d = build_dual(standardize(_stress_problems()[3]))
-        assert solve_dual(d).status is Status.OPTIMAL
-        stages = [p for p in passes if p.mu > 0.0]
-        assert [stage.mu for stage in stages] == list(_BARRIER_SCHEDULE)
-        for before, after in zip(stages[2:], stages[3:]):  # from mu = 1e-4 on
-            assert before.status is Status.OPTIMAL
+        ds = solve_dual(d)
+        [(end, status, iterations)] = passes
+        assert status == [Status.ITERATION_LIMIT] and iterations == [5]
+        assert end[0][d.block_index == 1].max() <= _BOUNDARY_WEIGHT < end[0].max()
+        assert ds.status is Status.OPTIMAL
+        assert ds.iterations == 12 and ds.y is not None
+        assert ds.lambdas[1] <= _BOUNDARY_WEIGHT < ds.lambdas[0]
+        kept = d.block_index < 2
+        reduced = solve_dual(_reduced_program(d, kept))
+        assert reduced.status is Status.OPTIMAL
+        np.testing.assert_allclose(ds.weights[kept], reduced.weights, rtol=1e-12, atol=0.0)
 
-            def stationarity(w):
-                grad = _barrier_eval(d, w[0], after.mu)[2]
-                return _projected_norm(before.nullsp, grad)
+    def test_no_fixture_row_reaches_the_interior_point_method(self, monkeypatch):
+        # every fixture row, pruned or keep-all, ends the fast pass OPTIMAL
+        calls = []
+        original = gpchoice.solver._interior_point
 
-            assert stationarity(after.start) <= 0.1 * stationarity(before.end)
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
 
-    def test_every_stage_starts_strictly_inside(self, monkeypatch):
-        passes = self._spy_passes(monkeypatch)
-        predicted = 0
-        # the face step after the fast pass settles most boundary optima
-        # without the barrier: 215 predictions in the first 300 problems, 190
-        # in the first 250 (240 in the first 100 before any face step)
-        for problem in _stress_problems()[:300]:
-            d = build_dual(standardize(problem))
-            passes.clear()
-            ds = solve_dual(d)
-            # predictions are no Newton iterations: the passes sum to the count
-            assert sum(p.iterations for p in passes) == ds.iterations
-            stages = [p for p in passes if p.mu > 0.0]
-            for stage in stages:
-                assert stage.start.min() > 0.0
-                residual = d.equality_matrix @ stage.start[0] - d.equality_rhs
-                assert np.abs(residual).max() <= FEASIBILITY_TOL
-            for before, after in zip(stages, stages[1:]):
-                # a centred stage hands on its prediction, a capped one its end
-                centred = before.status is Status.OPTIMAL
-                assert centred == (after.start is not before.end)
-                predicted += centred
-        assert predicted >= 200  # 215
+        monkeypatch.setattr(gpchoice.solver, "_interior_point", spy)
+        _equality_start.cache_clear()
+        for path in sorted(PROBLEM_DIR.glob("*.json")):
+            for keep in (False, True):
+                solve_choice(parse_problem(path), keep_assignments=keep)
+        assert calls == []
 
 
 def _scaled(s, rng):
@@ -1445,37 +1347,16 @@ def _scaled(s, rng):
                    constraints=tuple(scale(p) for p in s.constraints))
 
 
+# min x + 1/x s.t. 0.1 y + 0.1 y^2 <= 1: y's orthogonality row zeroes the
+# constraint's weights, so the dual is solved over the objective's alone
+_FORCED_ZEROS = make_problem([(1, (1, 0)), (1, (-1, 0))],
+                             [([(0.1, (0, 1)), (0.1, (0, 2))], 1.0)])
+
+
 def _report_fields(report) -> tuple:
     floats = (report.primal_x, report.objective_value, report.duality_gap,
               report.kkt_residuals)
     return (report.status, repr(floats), _solution_bytes(report.dual))
-
-
-def _spy_face_steps(monkeypatch, counting) -> list[int]:
-    """Count, while counting[0] holds, the face steps after a fast pass: the
-    plain _newton_phase passes of one _settle call on a program with fewer
-    terms than its own, before any barrier stage of that call."""
-    steps, settling = [0], []  # settling: the open call's term count, barrier
-    original_settle = gpchoice.solver._settle
-    original_phase = gpchoice.solver._newton_phase
-
-    def settle(d, *args):
-        settling[:] = [d.term_count, False]
-        try:
-            return original_settle(d, *args)
-        finally:
-            settling.clear()
-
-    def phase(d, log_c, bases, basis_sums, w, mu, tol, max_iterations):
-        if settling and mu > 0.0:
-            settling[1] = True
-        elif settling and not settling[1] and d.term_count < settling[0]:
-            steps[0] += counting[0]
-        return original_phase(d, log_c, bases, basis_sums, w, mu, tol, max_iterations)
-
-    monkeypatch.setattr(gpchoice.solver, "_settle", settle)
-    monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
-    return steps
 
 
 class TestSiblingBatches:
@@ -1487,10 +1368,11 @@ class TestSiblingBatches:
     @lru_cache(maxsize=1)
     def _families():
         # the first 60 stress problems, 1522 (whose x missed its certificate
-        # at a looser stationarity) and an infeasible primal (an unbounded
-        # dual), each with 6 scaled siblings
+        # at a looser stationarity), an infeasible primal (an unbounded dual)
+        # and _FORCED_ZEROS, each with 6 scaled siblings
         unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
-        problems = (*_stress_problems()[:60], _stress_problems()[1522], unbounded)
+        problems = (*_stress_problems()[:60], _stress_problems()[1522], unbounded,
+                    _FORCED_ZEROS)
         rng = np.random.default_rng(STRESS_SEED)
         families = [
             (s, *(_scaled(s, rng) for _ in range(6)))
@@ -1515,9 +1397,8 @@ class TestSiblingBatches:
         coefficients = np.array([build_dual(s).term_coefficients for s in family])
         return list(_solve_rows([(d, coefficients)]))
 
-    # the paths a family reaches, by the function that marks each, besides
-    # the face step after the fast pass
-    PATHS = {"_newton_phase": "barrier", "_reduced_program": "reduction",
+    # the paths a family reaches, by the function that marks each
+    PATHS = {"_interior_point": "interior point", "_reduced_program": "reduction",
              "_support_point": "support LP"}
 
     @pytest.mark.parametrize("max_iterations", [10_000, 5])
@@ -1528,20 +1409,17 @@ class TestSiblingBatches:
         for name, path in self.PATHS.items():
             original = getattr(gpchoice.solver, name)
 
-            # a barrier phase has mu > 0
             def spy(*args, _original=original, _path=path):
-                if batched[0] and (_path != "barrier" or args[5] > 0.0):
-                    reached[_path] += 1
+                reached[_path] += batched[0]
                 return _original(*args)
 
             monkeypatch.setattr(gpchoice.solver, name, spy)
-        faces = _spy_face_steps(monkeypatch, batched)
         # per recovery of a batch: its number of active sets and failed rows
         recoveries = []
         original_recover = gpchoice.solver._recover
 
-        def recover(d, coefficients, w, z, lambdas):
-            points, failures = original_recover(d, coefficients, w, z, lambdas)
+        def recover(d, coefficients, w, z, lambdas, y):
+            points, failures = original_recover(d, coefficients, w, z, lambdas, y)
             if batched[0]:
                 masks = zip(w > 1e-12, lambdas > 1e-12)
                 active = {w.tobytes() + lam.tobytes() for w, lam in masks}
@@ -1571,7 +1449,6 @@ class TestSiblingBatches:
             # rows stop at the budget while their siblings end otherwise
             assert capped >= 5
         else:
-            reached["face step"] = faces[0]
             assert all(reached.values()), reached
             assert mixed >= 30
             # a batch whose rows recover on several active sets, and one in
@@ -1630,13 +1507,14 @@ class TestMergedBatches:
         """Per family, its systems; per system, standardized problems with one
         set of exponents.  A family is a problem and two perturbed copies,
         each with two scaled siblings: the first 40 stress problems (the LP
-        starts 23, 27 and 33 among them) and an infeasible primal (an
-        unbounded dual).  One more family shares a block layout across two
-        nullities: y enters no term of its second system."""
+        starts 23, 27 and 33 among them), an infeasible primal (an unbounded
+        dual) and _FORCED_ZEROS.  One more family shares a block layout
+        across two nullities: y enters no term of its second system."""
         rng = np.random.default_rng(STRESS_SEED + 27)
         unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
         families = []
-        for s in (standardize(g) for g in (*_stress_problems()[:40], unbounded)):
+        for s in (standardize(g) for g in (*_stress_problems()[:40], unbounded,
+                                           _FORCED_ZEROS)):
             systems = (s, _perturbed(s, rng), _perturbed(s, rng))
             families.append(tuple((t, _scaled(t, rng), _scaled(t, rng)) for t in systems))
         families.append(tuple(
@@ -1652,17 +1530,15 @@ class TestMergedBatches:
         reached, batched = Counter(), [False]
         original_phase = gpchoice.solver._newton_phase
 
-        def phase(d, log_c, bases, basis_sums, w, mu, tol, max_iterations):
-            if batched[0] and mu > 0.0:
-                reached["barrier"] += 1
-            elif batched[0]:  # a plain pass whose rows hold several bases
+        def phase(d, log_c, bases, basis_sums, w, max_iterations):
+            if batched[0]:  # a fast pass whose rows hold several bases
                 reached["merged"] += len({b.tobytes() for b in bases.mT}) > 1
                 reached["largest"] = max(reached["largest"], len(w))
-            return original_phase(d, log_c, bases, basis_sums, w, mu, tol,
-                                  max_iterations)
+            return original_phase(d, log_c, bases, basis_sums, w, max_iterations)
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
-        paths = {"_reduced_program": "reduction", "_support_point": "support LP"}
+        paths = {"_interior_point": "interior point", "_reduced_program": "reduction",
+                 "_support_point": "support LP"}
         for name, path in paths.items():
             original = getattr(gpchoice.solver, name)
 
@@ -1671,7 +1547,6 @@ class TestMergedBatches:
                 return _original(*args)
 
             monkeypatch.setattr(gpchoice.solver, name, spy)
-        faces = _spy_face_steps(monkeypatch, batched)
         systems = [(build_dual(system[0]),
                     np.array([build_dual(s).term_coefficients for s in system]))
                    for family in families for system in family]
@@ -1710,6 +1585,5 @@ class TestMergedBatches:
             assert capped >= 3
         else:
             assert mixed >= 20
-            assert faces[0]
-            for path in ("barrier", "reduction", "support LP"):
+            for path in ("interior point", "reduction", "support LP"):
                 assert reached[path], path
