@@ -23,16 +23,24 @@ weights w are lambda_b times each block's softmax, so its dual residual is
 w's orthogonality residual, and its point is x = exp(y), read from the
 iterate, not recovered from w.  Each iteration solves one (n + m) square
 system in (dy, dlambda), du eliminated, whose first block is the
-lambda-weighted sum of the blocks' log-sum-exp Hessians; Mehrotra's
-affine step sets the centring.  It warm-starts from the fast pass's end (y
-from the end weights' log-linear relations, lambda their block sums), or
-cold at y = 0, lambda = 1 where that y is not finite, and ends OPTIMAL
-where every residual is at most _IPM_TOL.  A row that runs out of
+lambda-weighted sum of the blocks' log-sum-exp Hessians.  Its centring is
+Mehrotra's, raised to (1 - alpha)^3 where the affine step's length alpha is
+cut short, and its line search is Armijo's on the primal-dual potential
+(m + sqrt m) log(lambda u + |(r_d, r_p)|) - sum_i log(lambda_i u_i), which
+rises where a multiplier, or its slack, collapses ahead of the other pairs
+and of the residuals; no step moves a log x by more than _IPM_STEP, and a
+trial's slack u_i takes its constraint's own -F_i(y) where that is at least
+0.9 of u_i, so that F_i's curvature along the step leaves no primal
+residual there.  It starts from the fast pass's end (y from the end
+weights' log-linear relations, lambda their block sums) or cold at y = 0,
+lambda = 1, whichever has the smaller residuals, with u = -F(y) and every
+lambda_i and u_i lifted to at least that point's largest dual residual or
+violation, and ends OPTIMAL where every residual is at most _IPM_TOL.  A row that runs out of
 iterations, or whose line search finds no decrease, ends ITERATION_LIMIT
-where the fast pass left it, unless its constraint violations weight a ray
-that proves no x feasible: the dual, which has a start, is then UNBOUNDED.
-The fast pass and the method are each capped at _PASS_ITERATIONS, and the
-Newton iterations of one dual at _MAX_ITERATIONS.
+where the fast pass left it, unless its constraint weights make a ray that
+proves no x feasible: the dual, which has a start, is then UNBOUNDED.  The
+fast pass and the method are each capped at _PASS_ITERATIONS, so one dual
+takes at most _MAX_ITERATIONS = 2 _PASS_ITERATIONS Newton iterations.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -120,17 +128,16 @@ _BOUNDARY_WEIGHT = 1e-12
 _WEIGHT_FLOOR = 1e-150
 # equality systems whose start is kept; the shipped problems have 10 in all
 _START_CACHE_SIZE = 256
-# Newton iterations of one dual, shared by all its passes
-_MAX_ITERATIONS = 10_000
-# within that, the cap of the fast pass, and of the interior-point method
+# the cap of the fast pass, and of the interior-point method after it
 _PASS_ITERATIONS = 200
+# Newton iterations of one dual, both passes included
+_MAX_ITERATIONS = 2 * _PASS_ITERATIONS
 # the interior-point method ends where every residual (w's orthogonality,
 # F_i + u_i and lambda_i u_i) is at most _IPM_TOL, so that its gaps sit with
-# the fast pass's, far inside GAP_TOL; its warm start lifts each slack and
-# multiplier to at least _IPM_SHIFT, and no step moves a log x by more than
-# _IPM_STEP, beyond which the blocks' softmax saturates
+# the fast pass's, far inside GAP_TOL; no step moves a log x by more than
+# _IPM_STEP, a trust radius for the Newton steps that a saturated softmax
+# makes arbitrarily long (every status holds for any radius from 3 to 15)
 _IPM_TOL = 1e-12
-_IPM_SHIFT = 1e-2
 _IPM_STEP = 10.0
 # largest projected gradient entry at which a dual is stationary; at 1e-8 the
 # x recovered from stress problem 1522 misses VIOLATION_TOL by 4e-10
@@ -643,14 +650,14 @@ def _interior_point(
     null-space basis nullsp, stopped short of the optimum after used
     iterations.  An OPTIMAL dual carries the method's y.  A row out of
     iterations, or whose line search finds no decrease, is UNBOUNDED where
-    its violations weight a ray (_is_ray), else ITERATION_LIMIT at end."""
+    its constraint weights make a ray (_is_ray), else ITERATION_LIMIT at end."""
     e, blocks, n, m = d.exponent_matrix, d.block_index, d.variable_count, d.constraint_count
-    offsets = np.cumsum((0, *d.block_sizes[:-1]))
+    offsets, rho = np.cumsum((0, *d.block_sizes[:-1])), max(m + np.sqrt(m), 1.0)
 
     def evaluate(y, lam, u, target):
         """The residuals (r_d, r_p, lambda u - target) at (y, lam, u), each
         F_b(y) and its gradient, the weights lambda_b p and each term's
-        share p of its block."""
+        share p of its block; nan where a trial y leaves exp's range."""
         s = log_c + e @ y
         top = np.maximum.reduceat(s, offsets)
         ex = np.exp(s - top[blocks])
@@ -660,75 +667,96 @@ def _interior_point(
         r = np.concatenate((w @ e, f[1:] + u, lam * u - target))
         return r, f, np.add.reduceat(p[:, None] * e, offsets, axis=0), w, p
 
-    # warm start: y from the end weights' log-linear relations, as _recover
-    # reads them, lambda their block sums; cold where y is not finite
-    value, _, _, sums = _log_dual_objective(d, end, log_c)
-    shift = np.concatenate(([value], -np.log(sums[1:])))
-    active = (end > _BOUNDARY_WEIGHT) & (sums[blocks] > _BOUNDARY_WEIGHT)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    def begin(y, lam):
+        """(y, lambda, u) with slacks u = -F_i(y), every lambda_i and u_i
+        lifted to at least the largest dual residual or violation at y, so
+        that no complementarity pair starts below the infeasibility."""
+        r, f = evaluate(y, lam, lam, 0.0)[:2]
+        lift = max(np.max(np.abs(r[:n]), initial=_BOUNDARY_WEIGHT), np.max(f[1:], initial=0.0))
+        return y, np.maximum(lam, lift), np.maximum(-f[1:], lift)
+
+    def potential(lam, u, r_d, f):
+        """The primal-dual potential rho log(lambda u + |r_d, r_p|) - sum_i
+        log(lambda_i u_i), r_p = F_i + u_i with each F_b in f: it falls only
+        where no pair lambda_i u_i drops ahead of the others and of the
+        residuals."""
+        feasibility = np.hypot(np.linalg.norm(r_d), np.linalg.norm(f[1:] + u))
+        return rho * np.log(lam @ u + feasibility) - np.log(lam * u).sum()
+
+    # trial points may leave exp's range and lambda u the doubles' range:
+    # their residuals are then nan or inf, and the line search passes them by
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # warm start: y from the end weights' log-linear relations, as _recover
+        # reads them, lambda their block sums; the cold start y = 0, lambda = 1
+        # where its residuals are smaller, or y is not finite
+        value, _, _, sums = _log_dual_objective(d, end, log_c)
+        shift = np.concatenate(([value], -np.log(sums[1:])))
+        active = (end > _BOUNDARY_WEIGHT) & (sums[blocks] > _BOUNDARY_WEIGHT)
         target = np.log(end) - log_c + shift[blocks]
         y = np.linalg.lstsq(e[active], target[active], rcond=None)[0]
-    lam = sums[1:]
-    if not np.isfinite(y).all():
-        y, lam = np.zeros(n), np.ones(m)
-    f = evaluate(y, lam, lam, 0.0)[1]
-    lam, u = np.maximum(lam, _IPM_SHIFT), np.maximum(-f[1:], _IPM_SHIFT)
+        cold = begin(np.zeros(n), np.ones(m))
+        starts = [begin(y, sums[1:]), cold] if np.isfinite(y).all() else [cold]
+        y, lam, u = min(starts, key=lambda z: np.linalg.norm(evaluate(*z, 0.0)[0]))
 
-    budget, k = min(_PASS_ITERATIONS, _MAX_ITERATIONS - used), 0
-    while True:
-        r, f, g, w, p = evaluate(y, lam, u, 0.0)
-        r_d, r_p = r[:n], r[n:n + m]
-        if np.max(np.abs(r), initial=0.0) <= _IPM_TOL:
-            with np.errstate(over="ignore"):  # not _finish: w may hold exact zeros
-                z = float(np.exp(_log_dual_objective(d, w, log_c)[0]))
-            residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
-            return DualSolution(Status.OPTIMAL, w, block_lambdas(d, w), z, residual,
-                                float(np.max(np.abs(r_d), initial=0.0)), used + k, y)
-        if k == budget:
-            break
-        k += 1
-        # Newton's system in (dy, dlam), du eliminated: [H, J^T; J, -U / Lambda],
-        # with H the lambda-weighted sum of the blocks' log-sum-exp Hessians
-        jac = g[1:]
-        h = (e.T * w) @ e - (g.T * np.concatenate(([1.0], lam))) @ g
-        kkt = np.block([[h, jac.T], [jac, -np.diag(u / lam)]])
-
-        def direction(r_c):
-            """(dy, dlam, du) of Newton's step whose complementarity row is
-            u dlam + lambda du = r_c."""
-            rhs = np.concatenate((-r_d, -r_p - r_c / lam))
-            try:
-                step = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                step = np.full(len(rhs), np.nan)
-            if not np.isfinite(step).all():  # a variable no term determines
-                step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            return step[:n], step[n:], (r_c - u * step[n:]) / lam
-
-        # Mehrotra's centring: sigma from the affine step's complementarity
-        _, dlam, du = direction(-lam * u)
-        mu = lam @ u / max(m, 1)
-        step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
-        sigma = ((lam + step * dlam) @ (u + step * du) / max(m, 1) / mu) ** 3 if mu else 0.0
-        dy, dlam, du = direction(sigma * mu - lam * u)
-        step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
-        step = min(step, _IPM_STEP / max(np.max(np.abs(dy), initial=0.0), _IPM_STEP))
-        # backtrack until the residual norm, at the step's own target, drops
-        norm = np.linalg.norm(evaluate(y, lam, u, sigma * mu)[0])
-        for _ in range(60):
-            trial = y + step * dy, lam + step * dlam, u + step * du
-            if np.linalg.norm(evaluate(*trial, sigma * mu)[0]) <= (1.0 - 0.01 * step) * norm:
+        budget, k = min(_PASS_ITERATIONS, _MAX_ITERATIONS - used), 0
+        while True:
+            r, f, g, w, p = evaluate(y, lam, u, 0.0)
+            if np.max(np.abs(r), initial=0.0) <= _IPM_TOL:
+                z = float(np.exp(_log_dual_objective(d, w, log_c)[0]))  # w may hold 0s
+                residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
+                return DualSolution(Status.OPTIMAL, w, block_lambdas(d, w), z, residual,
+                                    float(np.max(np.abs(r[:n]), initial=0.0)), used + k, y)
+            if k == budget:
                 break
-            step *= 0.5
-        else:
-            break
-        y, lam, u = trial
-    # the violations weight each block's terms: where that is a ray, no x
-    # meets every constraint, and the dual, which has a start, is unbounded
-    if _is_ray(d, log_c, np.concatenate(([0.0], np.maximum(r_p, 0.0)))[blocks] * p):
-        return _failure(d, Status.UNBOUNDED, used + k)
-    return _finish(d, log_c[None], nullsp, d.equality_matrix, end[None],
-                   [Status.ITERATION_LIMIT], [used + k])[0]
+            k += 1
+            # Newton's system in (dy, dlam), du eliminated: [H, J^T; J, -U / Lambda],
+            # with H the lambda-weighted sum of the blocks' log-sum-exp Hessians
+            h = (e.T * w) @ e - (g.T * np.concatenate(([1.0], lam))) @ g
+            kkt = np.vstack((np.hstack((h, g[1:].T)), np.hstack((g[1:], -np.diag(u / lam)))))
+
+            def direction(r_c):
+                """(dy, dlam, du) of Newton's step whose complementarity row is
+                u dlam + lambda du = r_c; nan where no finite step solves it."""
+                rhs = np.concatenate((-r[:n], -r[n:n + m] - r_c / lam))
+                try:
+                    step = np.linalg.solve(kkt, rhs)
+                except np.linalg.LinAlgError:
+                    step = np.full(len(rhs), np.nan)
+                if not np.isfinite(step).all() and np.isfinite(kkt).all():
+                    step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]  # a free variable
+                return step[:n], step[n:], (r_c - u * step[n:]) / lam
+
+            # centring: Mehrotra's sigma from the affine step's complementarity,
+            # raised to (1 - its length)^3 where that step is cut short
+            _, dlam, du = direction(-lam * u)
+            mu = lam @ u / max(m, 1)
+            step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
+            sigma = ((lam + step * dlam) @ (u + step * du) / max(m, 1) / mu) ** 3 if mu else 0.0
+            dy, dlam, du = direction(max(sigma, (1.0 - step) ** 3) * mu - lam * u)
+            step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
+            step = min(step, _IPM_STEP / max(np.max(np.abs(dy), initial=0.0), _IPM_STEP))
+            # backtrack until the potential drops (Armijo); a trial slack takes
+            # its constraint's own -F_i where that is at least 0.9 of it, so
+            # that the curvature of F_i along dy leaves no primal residual
+            # there (every status holds for any factor from 0.7 to 0.99)
+            phi = potential(lam, u, r[:n], f)
+            for _ in range(60):
+                y_t, lam_t, u_t = y + step * dy, lam + step * dlam, u + step * du
+                r_t, f_t = evaluate(y_t, lam_t, u_t, 0.0)[:2]
+                u_t = np.where(-f_t[1:] >= 0.9 * u_t, -f_t[1:], u_t)
+                if potential(lam_t, u_t, r_t[:n], f_t) <= phi + rho * np.log1p(-0.01 * step):
+                    break
+                step *= 0.5
+            else:
+                break
+            y, lam, u = y_t, lam_t, u_t
+        # the constraint weights of a row whose lambda grows without bound
+        # approach a ray: then no x meets every constraint, and the dual, which
+        # has a start, is unbounded
+        if _is_ray(d, log_c, np.where(blocks > 0, w, 0.0)):
+            return _failure(d, Status.UNBOUNDED, used + k)
+        return _finish(d, log_c[None], nullsp, d.equality_matrix, end[None],
+                       [Status.ITERATION_LIMIT], [used + k])[0]
 
 
 def _is_ray(d: DualProgram, log_c: np.ndarray, nu: np.ndarray) -> bool:

@@ -974,14 +974,37 @@ class TestGateSizingChains:
                               [report.dual.weights])
         assert claim.holds[0]
 
-    def test_chain_at_80_takes_18_iterations(self):
+    def test_chain_at_80_takes_33_iterations(self):
         # the fast pass ends at the boundary, and the interior-point method
         # certifies from there
         s = standardize(gate_sizing_chain(np.random.default_rng((17, 80, 0)), 80))
         report = solve(s)
         assert report.status is Status.OPTIMAL
-        assert report.dual.iterations == 18
+        assert report.dual.iterations == 33
         assert report.dual.y is not None
+
+
+class TestCollapsedMultipliers:
+    """Feasible draws outside the stress sweep whose fast pass ends short of
+    the optimum with the objective's two terms nearly antiparallel and one
+    active constraint whose multiplier is small at the optimum (0.37, 0.069,
+    0.02).  A line search on the residual norm let the first Newton steps
+    drive that multiplier to about 1e-4 while the dual residual stayed near
+    1, and the method then crawled to its cap (ITERATION_LIMIT); the
+    potential's line search keeps the pair from collapsing ahead of the
+    residuals."""
+
+    @pytest.mark.parametrize("seed, index", [(4242, 659), (4242, 1247), (99, 652)])
+    def test_is_certified_optimal(self, seed, index):
+        rng = np.random.default_rng(seed)
+        problems = [random_feasible_gp(rng) for _ in range(index + 1)]
+        s = standardize(problems[index])
+        report = solve(s)
+        assert report.status is Status.OPTIMAL
+        assert report.dual.y is not None  # certified at the method's point
+        claim = optimal_claim(problem_terms(s), [report.primal_x],
+                              [report.dual.weights])
+        assert claim.holds[0]
 
 
 class TestLargeCoefficients:
@@ -990,7 +1013,7 @@ class TestLargeCoefficients:
     outside the program, where the pass made a NaN weight and solve raised
     GpDomainError, the error of bad input; later that row ended
     ITERATION_LIMIT after 79 iterations, and the face step after the fast
-    pass certified it in 15.  The interior-point method certifies it in 13."""
+    pass certified it in 15.  The interior-point method certifies it in 14."""
 
     @pytest.mark.filterwarnings("error")
     def test_solve_ends_with_a_status_and_no_warning(self):
@@ -1009,7 +1032,7 @@ class TestLargeCoefficients:
         s = standardize(large_coefficient_gp())
         report = solve(s)
         assert report.status is Status.OPTIMAL
-        assert report.dual.iterations == 13
+        assert report.dual.iterations == 14
         claim = optimal_claim(problem_terms(s), [report.primal_x],
                               [report.dual.weights])
         assert claim.holds[0]
@@ -1100,7 +1123,8 @@ class TestDegenerateMinimax:
 def _solution_bytes(ds: DualSolution) -> tuple:
     floats = (ds.objective_value, ds.equality_residual, ds.stationarity)
     return (ds.status, ds.weights.tobytes(), ds.lambdas.tobytes(),
-            tuple(float(v).hex() for v in floats), ds.iterations)
+            tuple(float(v).hex() for v in floats), ds.iterations,
+            None if ds.y is None else ds.y.tobytes())
 
 
 class TestSharedStart:
@@ -1292,7 +1316,7 @@ class TestSharedStart:
     def test_fast_pass_stops_at_the_first_boundary_touch(self, monkeypatch):
         # a wrong face: the fast pass ends on block 1 after 5 iterations, but
         # at the optimum block 2 is slack (lambda = (0.343, 0)); the
-        # interior-point method goes on from that end and certifies in 7 more,
+        # interior-point method goes on from that end and certifies in 10 more,
         # and an independent solve of the program without block 2 agrees
         # with its weights
         passes = []
@@ -1309,7 +1333,7 @@ class TestSharedStart:
         assert status == [Status.ITERATION_LIMIT] and iterations == [5]
         assert end[0][d.block_index == 1].max() <= _BOUNDARY_WEIGHT < end[0].max()
         assert ds.status is Status.OPTIMAL
-        assert ds.iterations == 12 and ds.y is not None
+        assert ds.iterations == 15 and ds.y is not None
         assert ds.lambdas[1] <= _BOUNDARY_WEIGHT < ds.lambdas[0]
         kept = d.block_index < 2
         reduced = solve_dual(_reduced_program(d, kept))
