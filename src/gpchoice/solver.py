@@ -677,8 +677,8 @@ def _interior_point(
 
     def potential(lam, u, r_d, f):
         """The primal-dual potential rho log(lambda u + |r_d, r_p|) - sum_i
-        log(lambda_i u_i), r_p = F_i + u_i with each F_b in f: it falls only
-        where no pair lambda_i u_i drops ahead of the others and of the
+        log(lambda_i u_i), r_p = F_i + u_i with each F_b in f: it rises
+        where one pair lambda_i u_i drops ahead of the others and of the
         residuals."""
         feasibility = np.hypot(np.linalg.norm(r_d), np.linalg.norm(f[1:] + u))
         return rho * np.log(lam @ u + feasibility) - np.log(lam * u).sum()

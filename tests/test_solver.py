@@ -989,10 +989,10 @@ class TestCollapsedMultipliers:
     the optimum with the objective's two terms nearly antiparallel and one
     active constraint whose multiplier is small at the optimum (0.37, 0.069,
     0.02).  A line search on the residual norm let the first Newton steps
-    drive that multiplier to about 1e-4 while the dual residual stayed near
-    1, and the method then crawled to its cap (ITERATION_LIMIT); the
-    potential's line search keeps the pair from collapsing ahead of the
-    residuals."""
+    drive that multiplier far below its optimum (to 1e-4 on problem 1247)
+    while the dual residual was still 0.25 to 1.24, and the method then
+    crawled to its cap (ITERATION_LIMIT); the potential's line search keeps
+    the pair from collapsing ahead of the residuals."""
 
     @pytest.mark.parametrize("seed, index", [(4242, 659), (4242, 1247), (99, 652)])
     def test_is_certified_optimal(self, seed, index):
