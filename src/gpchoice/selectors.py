@@ -9,13 +9,14 @@ constraints for that size; for k = 4 and k = 8 the published constraint would
 make the last candidate unreachable and is dropped, so all patterns are
 admissible.
 
-solve_choice enumerates the expansions of a template.  The pruned search
-solves them in two solver batches: every exponent assignment's seed, then
-every expansion that weak duality does not prove can neither win nor tie.
-Keep-all solves every admissible combination in one solver batch and keeps
-its table as arrays from the assignment grid to the certificate: the grid of selected values, the rejection mask, the grouping
-into equality systems and each row's status and z are arrays, and a
-per-row report is built only for the expansion the result reports.
+solve_choice enumerates the expansions of a template.  An expansion depends
+on its selected values alone, so both modes work on one array table of the
+distinct value tuples, each with its status, z and place in a solver batch.
+Keep-all solves every tuple in one solver batch and expands the table into
+one row per combination.  The pruned search solves them in two solver
+batches: every exponent assignment's seed, then every tuple that weak
+duality does not prove can neither win nor tie.  A report is built only for
+the expansion the result reports.
 """
 
 from __future__ import annotations
@@ -347,11 +348,6 @@ _COMBINATION_CAP = 10**6
 # then the expansion can neither win nor tie.
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
 
-Combo = tuple[int, ...]  # one candidate index per set, in declared order
-# an expansion's status value, its z when OPTIMAL, and its batch and row there
-Evaluated = tuple[str, float | None, _Reports, int]
-
-
 @dataclass(frozen=True)
 class _Skeleton:
     """Dual feasible weights of one expansion, compiled to bound its siblings.
@@ -362,7 +358,9 @@ class _Skeleton:
     linear in log c, and a coefficient set scales all of its terms alike, so
     a sibling with coefficient values v' has log dual
     base + sum_s W_s (log v'_s - log v_s) there, W_s the weight on set s's
-    terms: by weak duality an O(K) lower bound on its optimum.  _Template.skeleton builds each one.
+    terms: by weak duality an O(K) lower bound on its optimum.  The pruned
+    search of solve_choice builds one from each seed's optimal weights
+    (_Template.skeleton) and bounds every tuple of the seed's system by it.
     """
 
     base: float  # log dual value at w of the expansion itself
@@ -442,71 +440,6 @@ class _Template:
         return _Skeleton(base, tuple(weight), tuple(math.log(values[i]) for i in slots))
 
 
-def _search(
-    cg: ChoiceGp, table, coefficient_sets, template, evaluate
-) -> list[AssignmentOutcome]:
-    """Evaluate every expansion that may win or tie, in two batches; the row
-    of each, at the bit patterns it is first evaluated at.
-
-    Each exponent assignment has a seed: its expansion at the smallest
-    positive value of every coefficient set.  The first batch holds every
-    seed, in product order.  A pick is one choice of the coefficient sets'
-    distinct positive values for a seed; a seed solved to a positive
-    optimum bounds its picks by its skeleton, and a pick whose bound
-    exceeds the lowest seed z by the margin is skipped.  The second batch
-    holds the rest, every pick of a seed with no skeleton included.  A
-    pick's coefficients are at least its seed's, so its optimum is at least
-    its seed's: solved one at a time, the picks of a seed with a skeleton
-    could lower the limit by a gap's rounding at most.
-    """
-    choices = []  # per set: distinct values, each at its smallest pattern
-    for i, cs in enumerate(cg.sets):
-        first: dict[float, int] = {}
-        for j in sorted(range(cs.size), key=lambda j: PATTERNS[cs.size][j]):
-            first.setdefault(table[i][j], j)
-        if i in coefficient_sets:
-            first = dict(sorted(item for item in first.items() if item[0] > 0.0))
-        choices.append(list(first.values()))
-    rows: dict[tuple[float, ...], AssignmentOutcome] = {}  # by value tuple
-    patterns = [PATTERNS[cs.size] for cs in cg.sets]
-
-    def solve(picks: list[Combo]) -> list[Evaluated]:
-        values = [tuple(map(tuple.__getitem__, table, pick)) for pick in picks]
-        out = evaluate(values)
-        for pick, v, (status, z, _, _) in zip(picks, values, out):
-            if v not in rows:
-                rows[v] = AssignmentOutcome(tuple(map(tuple.__getitem__, patterns, pick)),
-                                            v, status, z)
-        return out
-
-    firsts = (c[:1] if i in coefficient_sets else c for i, c in enumerate(choices))
-    seeds = list(itertools.product(*firsts))
-    skeletons: dict[Combo, _Skeleton] = {}  # by seed
-    limit = math.inf  # log of the lowest optimal seed z, plus the margin
-    for seed, (_, z, batch, k) in zip(seeds, solve(seeds)):
-        if z is not None and z > 0.0:  # z is set on OPTIMAL rows alone
-            limit = min(limit, math.log(z) + _PRUNE_LOG_MARGIN)
-            base, w = math.log(batch.duals.objective_value.item(k)), batch.duals.weights[k]
-            skeletons[seed] = template.skeleton([t[j] for t, j in zip(table, seed)], w, base)
-    # each pick's candidate of every coefficient set (C, P), in product order
-    counts = [len(choices[i]) for i in coefficient_sets]
-    shape = len(counts), math.prod(counts)
-    grid = np.indices(counts).reshape(shape)
-    for c, i in enumerate(coefficient_sets):
-        grid[c] = np.array(choices[i])[grid[c]]
-    logs = np.log([np.array(table[i])[p] for i, p in zip(coefficient_sets, grid)])
-    logs = logs.reshape(shape).T  # (P, C)
-    picks = []
-    for seed in seeds:
-        sk = skeletons.get(seed)
-        keep = ~(sk.bound(logs) > limit) if sk else np.ones(shape[1], dtype=bool)
-        kept = np.array(seed)[:, None].repeat(keep.sum(), axis=1)
-        kept[coefficient_sets] = grid[:, keep]
-        picks += map(tuple, kept.T.tolist())
-    solve(picks)
-    return list(rows.values())
-
-
 def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
     """as_choice_gp(model); raises GpDomainError when solve_choice cannot
     enumerate it: an invalid template, or more combinations than the cap."""
@@ -522,52 +455,6 @@ def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
     return cg
 
 
-def _keep_all(table, coefficient_sets, exponent_sets, template):
-    """Every combination of the value table at its own bit patterns, in
-    product order: the rows, z (nan where not OPTIMAL), the stalled rows, and
-    the reports of one _solve_rows batch with each row's place in it (-1
-    where rejected).
-
-    A combination is rejected when a coefficient set selects v <= 0.  Equal
-    value tuples are solved once; the tuples that share exponent values,
-    which fix the equality system, are one system, and systems and their
-    tuples enter the batch in the order they are first seen.  Tuples are
-    told apart by integer codes: per set, each candidate stands for the
-    first with its value (the table holds no -0.0)."""
-    sizes = [len(values) for values in table]
-    total = math.prod(sizes)
-    pick = np.indices(sizes).reshape(len(sizes), total)  # each set's candidate
-    grid = np.array([np.array(values)[p] for values, p in zip(table, pick)])
-    same = [np.array([values.index(v) for v in values])[p] for values, p in zip(table, pick)]
-    live = np.flatnonzero(~(grid[coefficient_sets] <= 0.0).any(axis=0))
-
-    def first_seen(sets):  # per live row, the first live row of its values in sets
-        code = np.zeros(total, dtype=int)
-        for i in sets:
-            code = code * sizes[i] + same[i]
-        _, first, inverse = np.unique(code[live], return_index=True, return_inverse=True)
-        return first[inverse]
-
-    status, z, at = np.full(total, len(Status)), np.full(total, np.nan), np.full(total, -1)
-    batch = None  # no row is live
-    if live.size:
-        tuples, systems = first_seen(range(len(sizes))), first_seen(exponent_sets)
-        seen = np.flatnonzero(tuples == np.arange(live.size))
-        order = seen[np.lexsort((seen, systems[seen]))]  # the batch's rows, in order
-        at[live[order]] = np.arange(order.size)
-        at[live] = at[live[tuples]]
-        values = grid.reshape(len(sizes), total)[:, live[order]].T
-        groups = np.split(values, np.flatnonzero(np.diff(systems[order])) + 1)
-        batch = _solve_rows([(template.at(g[0]), template.coefficients(g)) for g in groups])
-        status[live], z[live] = batch.status[at[live]], batch.optimum()[at[live]]
-    objective = z.astype(object)
-    objective[np.isnan(z)] = None
-    labels = np.array([*(st.value for st in _STATUSES), "rejected"], dtype=object)[status]
-    patterns = itertools.product(*(PATTERNS[size] for size in sizes))
-    rows = list(map(AssignmentOutcome, patterns, itertools.product(*table), labels.tolist(),
-                    objective.tolist()))
-    stalled = np.flatnonzero(status == _CODE[Status.ITERATION_LIMIT]).tolist()
-    return rows, z, stalled, batch, at
 
 
 def solve_choice(
@@ -587,109 +474,142 @@ def solve_choice(
     shares, else INFEASIBLE.  A plain problem is a template with no sets
     (as_choice_gp): its one expansion is solved and reported as solve does.
 
-    Pattern i selects candidate i, so the values come from a table built
-    once.  The template's dual is compiled once (_Template); every
-    expansion is solved on a program filled from it (solver._solve_rows),
-    and equal value tuples once, at their smallest pattern per set.  The
-    pruned search makes two solver calls, one system per value tuple: the
-    seeds, then the expansions that they do not prove, by weak duality, can
-    neither win nor tie; the rest are skipped unsolved (_search,
-    _Skeleton).  keep_assignments solves them all in one call, the siblings
-    that share an equality system as one system (the systems of a template
-    share one block layout), whose fast pass is one batch for all systems
-    of one nullity, as its table reports every z.  Keep-all holds its table
-    as arrays (_keep_all): the value grid, the rejection mask, the grouping
-    into systems and each row's status and z.  Either way each row's status
-    and z are read from its batch's columns, and a report is built for the
-    reported expansion alone.
-    ``solved`` counts the non-rejected combinations, skipped ones included.
+    An expansion depends on its value tuple alone, so both modes work on
+    one table of the distinct value tuples: per set its distinct values (a
+    coefficient set's positive ones alone) in the order of their first
+    candidates, so the tuples, in product order, come in the order a loop
+    over the combinations first sees them.  Each tuple stands at the
+    smallest pattern per set among its values' candidates, and holds its
+    status, z and place in a solver batch.  A call of run solves tuples as
+    one _solve_rows batch on programs filled from the template's dual,
+    compiled once (_Template): the tuples that share exponent values, which
+    fix the equality system, are one system.  keep_assignments runs every
+    tuple, and expands the table into one row per combination at its own
+    bit patterns.  The pruned search runs the seeds, each system's tuple at
+    the smallest value of every coefficient set, then every tuple that its
+    seed's skeleton (_Skeleton) does not prove can neither win nor tie; the
+    rest are skipped unsolved.  A report is built for the reported
+    expansion alone.  ``solved`` counts the non-rejected combinations,
+    skipped ones included.
     """
     cg = checked_choice_gp(model)
-    total = math.prod(cs.size for cs in cg.sets)
     names = [cs.name for cs in cg.sets]
-    table = [_selected_values(cs) for cs in cg.sets]
-    coefficient_sets = [
-        i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT
-    ]
     exponent_sets = [i for i, cs in enumerate(cg.sets) if cs.role is Role.EXPONENT]
-    # an expansion is rejected exactly when a coefficient set selects v <= 0
-    solved = math.prod(
-        sum(v > 0.0 for v in values) if i in coefficient_sets else len(values)
-        for i, values in enumerate(table)
-    )
-    template = _Template.of(cg) if solved else None  # unread when all are rejected
-    if keep_assignments:  # each combination at its own bit patterns
-        rows, z, stalled, batch, at = _keep_all(table, coefficient_sets, exponent_sets,
-                                                template)
+    coefficient_sets = [i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT]
+    candidates = [_selected_values(cs) for cs in cg.sets]
+    # per set: its distinct values in first-candidate order, each one's
+    # smallest pattern, and each candidate's position among them (-1: rejected)
+    values, smallest, position = [], [], []
+    for cs, table in zip(cg.sets, candidates):
+        values.append([v for v in dict.fromkeys(table) if v > 0.0 or cs.role is Role.EXPONENT])
+        position.append([values[-1].index(v) if v in values[-1] else -1 for v in table])
+        first: dict[float, BitPattern] = {}  # each value's smallest pattern
+        for pattern, v in sorted(zip(PATTERNS[cs.size], table)):
+            first.setdefault(v, pattern)
+        smallest.append([first[v] for v in values[-1]])
+    sizes = [len(v) for v in values]
+    count = math.prod(sizes)
+    pick = np.indices(sizes).reshape(len(sizes), count)  # each tuple's value positions
+    offsets = np.array(list(itertools.accumulate(sizes, initial=0))[:-1], dtype=int)
+    grid = np.array([v for vs in values for v in vs])[pick.T + offsets]  # each tuple's values
+    system = np.zeros(count, dtype=int)  # each tuple's exponent positions, as one code
+    for i in exponent_sets:
+        system = system * sizes[i] + pick[i]
+    codes, batch, row = np.full((3, count), -1)  # status code, -1 while unsolved
+    z = np.full(count, math.nan)  # nan where not OPTIMAL
+    template = _Template.of(cg) if count else None  # unread when all are rejected
+    reports: list[_Reports] = []
 
-        def read(i: int) -> SolveReport:  # the report of rows[i]
-            return batch[at[i]]
+    def run(tuples: np.ndarray) -> None:
+        """Solve these tuples in one _solve_rows call: the tuples that share
+        exponent values as one system, systems in the order first seen."""
+        systems: dict[int, list[int]] = {}
+        for t, code in zip(tuples.tolist(), system[tuples].tolist()):
+            systems.setdefault(code, []).append(t)
+        out = _solve_rows([(template.at(grid[ts[0]]), template.coefficients(grid[ts]))
+                           for ts in systems.values()])
+        tuples = np.array([t for ts in systems.values() for t in ts])
+        codes[tuples], z[tuples] = out.status, out.optimum()
+        batch[tuples], row[tuples] = len(reports), np.arange(len(tuples))
+        reports.append(out)
 
-        def dual_value(i: int) -> float:
-            return batch.duals.objective_value.item(at[i])
-    else:
-        cache: dict[tuple[float, ...], Evaluated] = {}
+    if count and keep_assignments:
+        run(np.arange(count))
+    elif count:
+        lowest = [values[i].index(min(values[i])) for i in coefficient_sets]
+        seeds = (pick[coefficient_sets].T == lowest).all(axis=1).nonzero()[0]
+        run(seeds)
+        # a tuple's coefficients are at least its seed's, so its optimum is
+        # at least its seed's (up to a gap's rounding): the seeds set the limit
+        optimal = [s for s in seeds.tolist() if z[s] > 0.0]
+        limit = math.log(z[optimal].min()) + _PRUNE_LOG_MARGIN if optimal else math.inf
+        logs = np.log(grid[:, coefficient_sets])
+        unsolved = codes < 0
+        for s in optimal:
+            duals, k = reports[0].duals, row[s]
+            base = math.log(duals.objective_value.item(k))
+            sk = template.skeleton(grid[s], duals.weights[k], base)
+            members = system == system[s]
+            unsolved[members] &= ~(sk.bound(logs[members]) > limit)
+        if unsolved.any():
+            run(unsolved.nonzero()[0])
 
-        def evaluate(picks: list[tuple[float, ...]]) -> list[Evaluated]:
-            """The expansion at each value tuple; the tuples not seen before
-            are solved as one batch, one system per tuple."""
-            new = [values for values in dict.fromkeys(picks) if values not in cache]
-            if new:
-                batch = _solve_rows([(template.at(r), template.coefficients(r[None]))
-                                     for r in np.array(new)])
-                z = batch.optimum().tolist()  # nan where not OPTIMAL
-                for k, values in enumerate(new):
-                    status = _STATUSES[batch.status.item(k)].value
-                    cache[values] = status, None if math.isnan(z[k]) else z[k], batch, k
-            return [cache[values] for values in picks]
+    def bits(t: int) -> tuple[BitPattern, ...]:
+        return tuple(map(list.__getitem__, smallest, pick[:, t].tolist()))
 
-        rows = _search(cg, table, coefficient_sets, template, evaluate)
-        z = np.array([math.nan if r.objective_value is None else r.objective_value
-                      for r in rows])
-        stalled = [i for i, r in enumerate(rows) if r.status == Status.ITERATION_LIMIT.value]
+    def read(t: int) -> SolveReport:
+        return reports[batch[t]][row[t]]
 
-        def read(i: int) -> SolveReport:
-            _, _, batch, k = cache[rows[i].values]
-            return batch[k]
-
-        def dual_value(i: int) -> float:
-            _, _, batch, k = cache[rows[i].values]
-            return batch.duals.objective_value.item(k)
-
-    # bits compare as their concatenated bit strings do: every row has the
-    # same pattern length per set.  The scan takes the OPTIMAL rows in order
-    # (z >= 0; nan elsewhere), and a row moves the best only when its z is
-    # at most best / (1 - window).  After the row with the lowest z so far the
-    # best is at most that z / (1 - window), and each later move raises it by
-    # that factor at most, so a row whose z exceeds the lowest z before it
-    # times (1 - window)^-(N + 2) leaves the best as it is, and is skipped
-    best: tuple[float, BitPattern, int] | None = None
+    # bits compare as their concatenated bit strings do: every tuple has the
+    # same pattern length per set.  The scan takes the OPTIMAL tuples in order
+    # (z >= 0; nan elsewhere), and a tuple moves the best only when its z is
+    # at most best / (1 - window).  After the tuple with the lowest z so far
+    # the best is at most that z / (1 - window), and each later move raises it
+    # by that factor at most, so a tuple whose z exceeds the lowest z before
+    # it times (1 - window)^-(N + 2) leaves the best as it is, and is skipped
+    best: tuple[float, tuple[BitPattern, ...], int] | None = None
     lowest = np.fmin.accumulate(np.concatenate(([math.inf], z)))[:-1]
     zs = z.tolist()
-    for i in (z <= lowest * (1.0 - _TIE_WINDOW) ** -(len(z) + 2)).nonzero()[0].tolist():
-        tied = best and abs(zs[i] - best[0]) <= _TIE_WINDOW * max(abs(zs[i]), abs(best[0]))
-        if best and not tied and not zs[i] < best[0]:
+    for t in (z <= lowest * (1.0 - _TIE_WINDOW) ** -(count + 2)).nonzero()[0].tolist():
+        tied = best and abs(zs[t] - best[0]) <= _TIE_WINDOW * max(abs(zs[t]), abs(best[0]))
+        if best and not tied and not zs[t] < best[0]:
             continue
-        if not best or not tied or rows[i].bits < best[1]:
-            best = (zs[i], rows[i].bits, i)
+        if not best or not tied or bits(t) < best[1]:
+            best = (zs[t], bits(t), t)
 
     # a stalled expansion's dual value bounds its optimum from below (weak
     # duality); unless it clears the winner beyond the tie window, that
     # expansion may win, and the verdict is ITERATION_LIMIT
     ceiling = best[0] / (1.0 - _TIE_WINDOW) if best else math.inf
-    blocking = [(dual_value(i), rows[i].bits, i) for i in stalled]
+    stalled = (codes == _CODE[Status.ITERATION_LIMIT]).nonzero()[0].tolist()
+    blocking = [(reports[batch[t]].duals.objective_value.item(row[t]), bits(t), t)
+                for t in stalled]
     blocking = [b for b in blocking if not b[0] > ceiling]
-    kept, rejected = tuple(rows) if keep_assignments else None, total - solved
     chosen = None, None
     if blocking:
         status, report = Status.ITERATION_LIMIT, read(min(blocking)[2])
     elif best:
-        status, row, report = Status.OPTIMAL, rows[best[2]], read(best[2])
-        chosen = tuple(zip(names, row.bits)), tuple(zip(names, row.values))
+        status, report = Status.OPTIMAL, read(best[2])
+        chosen = tuple(zip(names, best[1])), tuple(zip(names, grid[best[2]].tolist()))
     else:  # every solved expansion is INFEASIBLE or UNBOUNDED
-        live = [i for i, row in enumerate(rows) if row.status != "rejected"]
-        statuses = {rows[i].status for i in live}
-        status = Status(statuses.pop()) if len(statuses) == 1 else Status.INFEASIBLE
-        # as a plain solve
-        report = read(live[0]) if len({rows[i].values for i in live}) == 1 else None
-    return ChoiceSolveReport(status, report, *chosen, solved, rejected, kept)
+        statuses = set(codes[codes >= 0].tolist())
+        status = _STATUSES[statuses.pop()] if len(statuses) == 1 else Status.INFEASIBLE
+        report = read(0) if count == 1 else None  # as a plain solve
+    total = math.prod(cs.size for cs in cg.sets)
+    solved = math.prod(sum(k >= 0 for k in at) for at in position)
+    kept = None
+    if keep_assignments:  # each combination, in product order, reads its tuple
+        combos = np.indices([cs.size for cs in cg.sets]).reshape(len(sizes), total)
+        tuple_of, live = np.zeros(total, dtype=int), np.ones(total, dtype=bool)
+        for i, size in enumerate(sizes):
+            at = np.take(position[i], combos[i])
+            tuple_of, live = tuple_of * size + at, live & (at >= 0)
+        label, objective = np.full(total, len(Status)), np.full(total, math.nan)
+        label[live], objective[live] = codes[tuple_of[live]], z[tuple_of[live]]
+        objectives = objective.astype(object)
+        objectives[np.isnan(objective)] = None
+        labels = np.array([*(st.value for st in _STATUSES), "rejected"], dtype=object)[label]
+        patterns = itertools.product(*(PATTERNS[cs.size] for cs in cg.sets))
+        kept = tuple(map(AssignmentOutcome, patterns, itertools.product(*candidates),
+                         labels.tolist(), objectives.tolist()))
+    return ChoiceSolveReport(status, report, *chosen, solved, total - solved, kept)

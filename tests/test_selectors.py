@@ -940,11 +940,12 @@ def test_bound_pruning_matches_exhaustive_enumeration():
 
 
 def _pruned_batches(cg):
-    """solve_choice(cg), and per _solve_rows call it makes, the number of
-    coefficient rows of each system."""
+    """solve_choice(cg), and the systems of each _solve_rows call it makes."""
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        batches = _count_rows(mp)
-        return solve_choice(cg), batches
+        mp.setattr(gpchoice.selectors, "_solve_rows",
+                   lambda systems: calls.append(systems) or gpchoice.solver._solve_rows(systems))
+        return solve_choice(cg), calls
 
 
 def test_a_pruned_search_makes_at_most_two_solver_calls_on_every_fixture():
@@ -965,7 +966,10 @@ def product_templates(draw):
 def test_a_pruned_search_makes_at_most_two_solver_calls(cg):
     pruned, batches = _pruned_batches(cg)
     assert len(batches) <= 2
-    assert all(rows == 1 for call in batches for rows in call)
+    # the tuples that share exponent values are one system
+    for call in batches:
+        exponents = [d.exponent_matrix.tobytes() for d, _ in call]
+        assert len(set(exponents)) == len(exponents)
     _same_choice_result(pruned, solve_choice(cg, keep_assignments=True))
 
 
@@ -981,7 +985,8 @@ def test_the_picks_of_a_seed_with_no_skeleton_are_the_second_batch(monkeypatch):
                         lambda systems: calls.append(systems) or
                         gpchoice.solver._solve_rows(systems))
     pruned = solve_choice(cg)
-    seeds, picks = ([(d.exponent_matrix.item(), c.item()) for d, c in call] for call in calls)
+    seeds, picks = ([(d.exponent_matrix.item(), c.item()) for d, rows in call for c in rows]
+                    for call in calls)
     assert sorted(seeds) == [(0.0, 1.0), (1.0, 1.0)]  # (p, c) of each row
     assert sorted(picks) == [(1.0, 2.0), (1.0, 3.0)]
     exhaustive = solve_choice(cg, keep_assignments=True)
@@ -989,3 +994,41 @@ def test_the_picks_of_a_seed_with_no_skeleton_are_the_second_batch(monkeypatch):
         Status.INFEASIBLE.value] * 3
     _same_choice_result(pruned, exhaustive)
     assert pruned.chosen_values == (("c", 1.0), ("p", 0.0))
+
+
+def _solved_tuples(cg, keep):
+    """solve_choice(cg, keep_assignments=keep), and the (status, z or None)
+    of each value tuple that its solver calls solve, by value tuple, read
+    in product_template's term layout; no tuple is solved twice."""
+    solved = {}
+    original = gpchoice.selectors._solve_rows
+
+    def solve_rows(systems):
+        out = original(systems)
+        rows = [(*c[:5].tolist(), d.exponent_matrix[4, 0].item())
+                for d, coefficients in systems for c in coefficients]
+        for k, (values, z) in enumerate(zip(rows, out.optimum().tolist())):
+            assert values not in solved
+            status = gpchoice.solver._STATUSES[out.status[k]].value
+            solved[values] = status, None if math.isnan(z) else z
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
+        return solve_choice(cg, keep_assignments=keep), solved
+
+
+@given(product_templates())
+def test_every_combination_reads_its_value_tuple(cg):
+    exhaustive, table = _solved_tuples(cg, keep=True)
+    coefficient_sets = _coefficient_sets(cg)
+    for row in exhaustive.assignments:
+        if any(row.values[i] <= 0.0 for i in coefficient_sets):
+            assert (row.status, row.objective_value) == ("rejected", None)
+        else:
+            assert (row.status, row.objective_value) == table[row.values]
+    assert len(table) == len({row.values for row in exhaustive.assignments
+                              if row.status != "rejected"})
+    # the pruned search solves each tuple as keep-all does, z bit for bit
+    _, solved = _solved_tuples(cg, keep=False)
+    assert {values: table[values] for values in solved} == solved

@@ -1007,6 +1007,17 @@ class TestCollapsedMultipliers:
         assert claim.holds[0]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the interior-point method "
+                   "crawls along the ray to an optimum at log x = (464, -612) and ends "
+                   "ITERATION_LIMIT")
+def test_a_feasible_draw_with_a_far_optimum_is_certified():
+    # random_feasible_gp seed 6 problem 338: both blocks saturate at the
+    # optimum, and the Newton system in y is singular there
+    rng = np.random.default_rng(6)
+    problems = [random_feasible_gp(rng) for _ in range(339)]
+    assert solve(standardize(problems[338])).status is Status.OPTIMAL
+
+
 class TestLargeCoefficients:
     """ROADMAP item 11's large coefficients.  The projection of the GP's
     barrier iterate onto the reduced equalities used to start the last pass
