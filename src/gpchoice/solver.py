@@ -35,12 +35,14 @@ residual there.  It starts from the fast pass's end (y from the end
 weights' log-linear relations, lambda their block sums) or cold at y = 0,
 lambda = 1, whichever has the smaller residuals, with u = -F(y) and every
 lambda_i and u_i lifted to at least that point's largest dual residual or
-violation, and ends OPTIMAL where every residual is at most _IPM_TOL.  A row that runs out of
-iterations, or whose line search finds no decrease, ends ITERATION_LIMIT
-where the fast pass left it, unless its constraint weights make a ray that
-proves no x feasible: the dual, which has a start, is then UNBOUNDED.  The
-fast pass and the method are each capped at _PASS_ITERATIONS, so one dual
-takes at most _MAX_ITERATIONS = 2 _PASS_ITERATIONS Newton iterations.
+violation, and ends OPTIMAL where every residual is at most _IPM_TOL.  A
+row whose constraint weights make a ray that proves no x feasible is
+UNBOUNDED (the dual has a start); the method tests for one every _RAY_EVERY
+iterations and where it ends.  A row that runs out of iterations, or whose
+line search finds no decrease, with no ray, ends ITERATION_LIMIT where the
+fast pass left it.  The fast pass and the method are each capped at
+_PASS_ITERATIONS, so one dual takes at most _MAX_ITERATIONS = 2
+_PASS_ITERATIONS Newton iterations.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -71,11 +73,16 @@ call order, held as columns (_Duals): status codes, weights, lambdas, dual
 values, equality residuals, stationarity (the projected gradient of the
 log dual, or on an interior-point row the largest entry of its dual
 residual), iteration counts and y; a row's DualSolution is built only when
-the row is read.  The fast pass's linear algebra is numpy only (an SVD null
-space; a Newton step from one symmetric eigendecomposition of the reduced
-Hessian, its eigenvalues floored so that the step always ascends), so
-importing the package does not load scipy; scipy.optimize's nnls and
-linprog are imported on first use by the support point.
+the row is read.  The linear algebra is numpy only (an SVD null space; a
+fast-pass Newton step from one symmetric eigendecomposition of the reduced
+Hessian, its eigenvalues floored so that the step always ascends; least
+squares; the method's LU solve), so importing the package does not load
+scipy; scipy.optimize's nnls and linprog are imported on first use by the
+support point.  The per-row paths call numpy.linalg's gufuncs directly, whose
+checks outcost the work on systems this small, with numpy's rcond and edge
+cases: x = 0 where a least-squares system has no rows, LinAlgError where an
+SVD fails, and nan where the LU solve meets a singular matrix, where
+np.linalg.solve raises.
 
 The primal minimizer of a fast-pass row is recovered from optimal weights
 through the log-linear relations: objective terms satisfy term_value = w_0t
@@ -142,6 +149,10 @@ _IPM_STEP = 10.0
 # largest projected gradient entry at which a dual is stationary; at 1e-8 the
 # x recovered from stress problem 1522 misses VIOLATION_TOL by 4e-10
 _STATIONARITY_TOL = 1e-10
+# the interior-point method tests for a ray every _RAY_EVERY iterations, as
+# well as where it ends
+_RAY_EVERY = 10
+_EPS = np.finfo(float).eps
 
 
 class Status(str, enum.Enum):
@@ -274,21 +285,45 @@ class _Reports:
         return out
 
 
+def _linalg_error(*_):
+    """Raise numpy.linalg's error.  numpy.linalg runs each gufunc under
+    np.errstate(all="ignore", invalid="call", call=...), and a gufunc flags
+    invalid where LAPACK fails, and only there."""
+    raise np.linalg.LinAlgError("LAPACK did not converge")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b, rcond=None)[0] for float a (m, k) and b (m,) or
+    (m, p), p > 0, bit for bit: the gufunc under it, at its rcond, with its
+    x = 0 where m == 0 and its LinAlgError where the SVD fails."""
+    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
+        x = _umath_linalg.lstsq(a, b[:, None] if b.ndim == 1 else b, _EPS * max(a.shape),
+                                signature="ddd->ddid")[0]
+    if len(a) == 0:
+        x[...] = 0.0
+    return x[:, 0] if b.ndim == 1 else x
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of the float vector v, as np.linalg.norm computes it."""
+    return np.sqrt(v @ v)
+
+
 def _null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of a, as columns.
 
     Keeps the rank rule of scipy.linalg.null_space: singular values above
-    max(s) * eps * max(a.shape) count toward the rank.
+    max(s) * eps * max(a.shape) count toward the rank.  It calls the gufunc
+    under np.linalg.svd(a, full_matrices=True).
     """
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T
+    with np.errstate(all="ignore", invalid="call", call=_linalg_error):
+        _, s, vh = _umath_linalg.svd_f(a, signature="d->ddd")
+    tol = np.maximum.reduce(s, initial=0.0) * _EPS * max(a.shape)
+    return vh[np.count_nonzero(s > tol):].T
 
 
 def _project_onto_equalities(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    delta, *_ = np.linalg.lstsq(a, b - a @ w, rcond=None)
-    return w + delta
+    return w + _lstsq(a, b - a @ w)
 
 
 def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -318,7 +353,7 @@ def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     except RuntimeError:  # past its iteration cap; the LP decides
         pass
     else:
-        if np.max(np.abs(a @ w - b)) > 1e-8:
+        if np.maximum.reduce(np.abs(a @ w - b)) > 1e-8:
             return None
     m, k = a.shape
     c = np.concatenate([np.zeros(k), -np.ones(k), [0.0]])
@@ -349,7 +384,7 @@ def _pocs_interior(
     for _ in range(60):
         w = np.maximum(w, margin)
         w = w - pinv @ (a @ w) + particular
-        if np.min(w) >= 0.5 * margin:
+        if np.minimum.reduce(w) >= 0.5 * margin:
             return w
     return None
 
@@ -379,13 +414,13 @@ def _equality_start(exponent_key, block_key) -> _Start:
     )
     a, b, block_sizes = _equality_system(exponents, block)
     w = _project_onto_equalities(a, b, 1.0 / np.array(block_sizes, dtype=float)[block])
-    if np.max(np.abs(a @ w - b)) > 1e-8:
+    if np.maximum.reduce(np.abs(a @ w - b)) > 1e-8:
         return _Start(None, None, None)  # A w = b has no solution
     nullsp, support = _null_space(a), None
     if nullsp.shape[1] == 0:  # the affine set is the single point w
-        w = np.maximum(w, 0.0) if np.min(w) >= -1e-9 else None
+        w = np.maximum(w, 0.0) if np.minimum.reduce(w) >= -1e-9 else None
     else:
-        if np.min(w) < 1e-6:
+        if np.minimum.reduce(w) < 1e-6:
             w = _pocs_interior(a, b, w, 1e-2)
             if w is None:
                 w = _support_point(a, b)
@@ -648,40 +683,50 @@ def _interior_point(
     """The dual of d at log_c (K,) by the interior-point method on the log
     primal, warm-started from the weights end at which the fast pass, on the
     null-space basis nullsp, stopped short of the optimum after used
-    iterations.  An OPTIMAL dual carries the method's y.  A row out of
-    iterations, or whose line search finds no decrease, is UNBOUNDED where
-    its constraint weights make a ray (_is_ray), else ITERATION_LIMIT at end."""
+    iterations.  An OPTIMAL dual carries the method's y.  A row is UNBOUNDED
+    where its constraint weights make a ray (_is_ray), tested every
+    _RAY_EVERY iterations and where the method ends; a row out of
+    iterations, or whose line search finds no decrease, is otherwise
+    ITERATION_LIMIT at end."""
     e, blocks, n, m = d.exponent_matrix, d.block_index, d.variable_count, d.constraint_count
     offsets, rho = np.cumsum((0, *d.block_sizes[:-1])), max(m + np.sqrt(m), 1.0)
+    # Newton's system, filled in place each iteration; its lower right block
+    # is -U / Lambda, whose zeros are -0.0 as from -np.diag
+    kkt = np.full((n + m, n + m), -0.0)
 
-    def evaluate(y, lam, u, target):
-        """The residuals (r_d, r_p, lambda u - target) at (y, lam, u), each
-        F_b(y) and its gradient, the weights lambda_b p and each term's
-        share p of its block; nan where a trial y leaves exp's range."""
+    def shares(y):
+        """Each F_b(y) and each term's share p of its block, which depend on
+        y alone; nan where y leaves exp's range."""
         s = log_c + e @ y
         top = np.maximum.reduceat(s, offsets)
         ex = np.exp(s - top[blocks])
         total = np.add.reduceat(ex, offsets)
-        f, p = top + np.log(total), ex / total[blocks]
+        return top + np.log(total), ex / total[blocks]
+
+    def residuals(lam, u, f, p):
+        """The residuals (r_d, r_p, lambda u) at lam and u, with F and the
+        shares p at y, and the weights lambda_b p."""
         w = np.concatenate(([1.0], lam))[blocks] * p
-        r = np.concatenate((w @ e, f[1:] + u, lam * u - target))
-        return r, f, np.add.reduceat(p[:, None] * e, offsets, axis=0), w, p
+        return np.concatenate((w @ e, f[1:] + u, lam * u)), w
 
     def begin(y, lam):
         """(y, lambda, u) with slacks u = -F_i(y), every lambda_i and u_i
         lifted to at least the largest dual residual or violation at y, so
-        that no complementarity pair starts below the infeasibility."""
-        r, f = evaluate(y, lam, lam, 0.0)[:2]
-        lift = max(np.max(np.abs(r[:n]), initial=_BOUNDARY_WEIGHT), np.max(f[1:], initial=0.0))
-        return y, np.maximum(lam, lift), np.maximum(-f[1:], lift)
+        that no complementarity pair starts below the infeasibility; then F
+        and p at y."""
+        f, p = shares(y)
+        r = residuals(lam, lam, f, p)[0]
+        lift = max(np.maximum.reduce(np.abs(r[:n]), initial=_BOUNDARY_WEIGHT),
+                   np.maximum.reduce(f[1:], initial=0.0))
+        return y, np.maximum(lam, lift), np.maximum(-f[1:], lift), f, p
 
-    def potential(lam, u, r_d, f):
+    def potential(lam, u, r):
         """The primal-dual potential rho log(lambda u + |r_d, r_p|) - sum_i
-        log(lambda_i u_i), r_p = F_i + u_i with each F_b in f: it rises
-        where one pair lambda_i u_i drops ahead of the others and of the
+        log(lambda_i u_i), from the residuals r at lam and u: it rises where
+        one pair lambda_i u_i drops ahead of the others and of the
         residuals."""
-        feasibility = np.hypot(np.linalg.norm(r_d), np.linalg.norm(f[1:] + u))
-        return rho * np.log(lam @ u + feasibility) - np.log(lam * u).sum()
+        feasibility = np.hypot(_norm(r[:n]), _norm(r[n:n + m]))
+        return rho * np.log(lam @ u + feasibility) - np.add.reduce(np.log(r[n + m:]))
 
     # trial points may leave exp's range and lambda u the doubles' range:
     # their residuals are then nan or inf, and the line search passes them by
@@ -693,63 +738,69 @@ def _interior_point(
         shift = np.concatenate(([value], -np.log(sums[1:])))
         active = (end > _BOUNDARY_WEIGHT) & (sums[blocks] > _BOUNDARY_WEIGHT)
         target = np.log(end) - log_c + shift[blocks]
-        y = np.linalg.lstsq(e[active], target[active], rcond=None)[0]
+        y = _lstsq(e[active], target[active])
         cold = begin(np.zeros(n), np.ones(m))
         starts = [begin(y, sums[1:]), cold] if np.isfinite(y).all() else [cold]
-        y, lam, u = min(starts, key=lambda z: np.linalg.norm(evaluate(*z, 0.0)[0]))
+        y, lam, u, f, p = min(starts, key=lambda z: _norm(residuals(*z[1:])[0]))
 
         budget, k = min(_PASS_ITERATIONS, _MAX_ITERATIONS - used), 0
         while True:
-            r, f, g, w, p = evaluate(y, lam, u, 0.0)
-            if np.max(np.abs(r), initial=0.0) <= _IPM_TOL:
+            r, w = residuals(lam, u, f, p)
+            if np.maximum.reduce(np.abs(r), initial=0.0) <= _IPM_TOL:
                 z = float(np.exp(_log_dual_objective(d, w, log_c)[0]))  # w may hold 0s
                 residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
                 return DualSolution(Status.OPTIMAL, w, block_lambdas(d, w), z, residual,
                                     float(np.max(np.abs(r[:n]), initial=0.0)), used + k, y)
             if k == budget:
                 break
+            # a ray (see below) found at every _RAY_EVERY-th iteration ends
+            # the row at once
+            if k % _RAY_EVERY == 0 < k and _is_ray(d, log_c, np.where(blocks > 0, w, 0.0)):
+                return _failure(d, Status.UNBOUNDED, used + k)
             k += 1
             # Newton's system in (dy, dlam), du eliminated: [H, J^T; J, -U / Lambda],
             # with H the lambda-weighted sum of the blocks' log-sum-exp Hessians
-            h = (e.T * w) @ e - (g.T * np.concatenate(([1.0], lam))) @ g
-            kkt = np.vstack((np.hstack((h, g[1:].T)), np.hstack((g[1:], -np.diag(u / lam)))))
+            g = np.add.reduceat(p[:, None] * e, offsets, axis=0)
+            np.subtract((e.T * w) @ e, (g.T * np.concatenate(([1.0], lam))) @ g, out=kkt[:n, :n])
+            kkt[:n, n:], kkt[n:, :n] = g[1:].T, g[1:]
+            np.fill_diagonal(kkt[n:, n:], -(u / lam))
 
             def direction(r_c):
                 """(dy, dlam, du) of Newton's step whose complementarity row is
-                u dlam + lambda du = r_c; nan where no finite step solves it."""
+                u dlam + lambda du = r_c; nan where no finite step solves it.
+                It calls the gufunc under np.linalg.solve, which gives nan
+                where that raises LinAlgError."""
                 rhs = np.concatenate((-r[:n], -r[n:n + m] - r_c / lam))
-                try:
-                    step = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    step = np.full(len(rhs), np.nan)
+                step = _umath_linalg.solve1(kkt, rhs, signature="dd->d")
                 if not np.isfinite(step).all() and np.isfinite(kkt).all():
-                    step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]  # a free variable
+                    step = _lstsq(kkt, rhs)  # a free variable
                 return step[:n], step[n:], (r_c - u * step[n:]) / lam
 
             # centring: Mehrotra's sigma from the affine step's complementarity,
             # raised to (1 - its length)^3 where that step is cut short
             _, dlam, du = direction(-lam * u)
-            mu = lam @ u / max(m, 1)
-            step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
+            mu, pairs = lam @ u / max(m, 1), np.concatenate((lam, u))
+            step = _boundary_fraction(pairs, np.concatenate((dlam, du)))
             sigma = ((lam + step * dlam) @ (u + step * du) / max(m, 1) / mu) ** 3 if mu else 0.0
             dy, dlam, du = direction(max(sigma, (1.0 - step) ** 3) * mu - lam * u)
-            step = _boundary_fraction(np.concatenate((lam, u)), np.concatenate((dlam, du)))
-            step = min(step, _IPM_STEP / max(np.max(np.abs(dy), initial=0.0), _IPM_STEP))
+            step = _boundary_fraction(pairs, np.concatenate((dlam, du)))
+            step = min(step, _IPM_STEP / np.maximum.reduce(np.abs(dy), initial=_IPM_STEP))
             # backtrack until the potential drops (Armijo); a trial slack takes
             # its constraint's own -F_i where that is at least 0.9 of it, so
             # that the curvature of F_i along dy leaves no primal residual
             # there (every status holds for any factor from 0.7 to 0.99)
-            phi = potential(lam, u, r[:n], f)
+            phi = potential(lam, u, r)
             for _ in range(60):
                 y_t, lam_t, u_t = y + step * dy, lam + step * dlam, u + step * du
-                r_t, f_t = evaluate(y_t, lam_t, u_t, 0.0)[:2]
+                f_t, p_t = shares(y_t)
                 u_t = np.where(-f_t[1:] >= 0.9 * u_t, -f_t[1:], u_t)
-                if potential(lam_t, u_t, r_t[:n], f_t) <= phi + rho * np.log1p(-0.01 * step):
+                r_t = residuals(lam_t, u_t, f_t, p_t)[0]
+                if potential(lam_t, u_t, r_t) <= phi + rho * np.log1p(-0.01 * step):
                     break
                 step *= 0.5
             else:
                 break
-            y, lam, u = y_t, lam_t, u_t
+            y, lam, u, f, p = y_t, lam_t, u_t, f_t, p_t
         # the constraint weights of a row whose lambda grows without bound
         # approach a ray: then no x meets every constraint, and the dual, which
         # has a start, is unbounded
@@ -769,10 +820,10 @@ def _is_ray(d: DualProgram, log_c: np.ndarray, nu: np.ndarray) -> bool:
     tolerance (the theorem of alternatives, certificate.infeasible_claim)."""
     a = d.equality_matrix
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu = nu * (1.0 + np.linalg.lstsq(a * nu, -(a @ nu), rcond=None)[0])
+        nu = nu * (1.0 + _lstsq(a * nu, -(a @ nu)))
         nu = nu / nu.sum()
     return bool((nu >= 0.0).all()
-                and np.max(np.abs(a @ nu)) <= FEASIBILITY_TOL
+                and np.maximum.reduce(np.abs(a @ nu)) <= FEASIBILITY_TOL
                 and _log_dual_objective(d, nu, log_c)[0] > VIOLATION_TOL)
 
 
@@ -813,11 +864,7 @@ def _recover(
         group, left = left[same], left[~same]
         matrix = t.exponents[group[0]][mask]
         target = np.log(share[group][:, mask]) - np.log(t.coefficients[group][:, mask])
-        # the gufunc under numpy.linalg.lstsq, at its rcond, whose checks
-        # outcost the work; like lstsq, a failed SVD raises
-        rcond = np.finfo(float).eps * max(matrix.shape)
-        with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="raise"):
-            y[group] = _umath_linalg.lstsq(matrix, target.T, rcond, signature="ddd->ddid")[0].T
+        y[group] = _lstsq(matrix, target.T).T
         # y is inf where the relations ask for an x beyond the doubles (a
         # subnormal exponent, say); its residual is then nan, from inf * 0
         with np.errstate(over="ignore", invalid="ignore"):

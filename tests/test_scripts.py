@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +44,34 @@ def test_script_runs_without_pythonpath(script, args):
     )
     assert out.returncode == 0, out.stderr
     assert re.search(EXPECTED[script], out.stdout), out.stdout
+
+
+def _interleave(*args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "interleave.py"), *map(str, args)],
+        capture_output=True, text=True, env=env, cwd=REPO / "scripts",
+    )
+
+
+def test_interleave_runs_a_tree_against_itself():
+    out = _interleave(REPO / "src", REPO / "src", "--workload", "stress", "--count", "20")
+    assert out.returncode == 0, out.stderr
+    assert re.fullmatch(
+        r"stress: 2 groups of up to 10 calls, outputs bit-identical, in \d+\.\ds\n"
+        r"median time ratio change/parent \d+\.\d{3} \(parent/change \d+\.\d{3}\)\n",
+        out.stdout), out.stdout
+
+
+def test_interleave_names_the_first_call_whose_outputs_differ(tmp_path):
+    # a tree whose interior-point method stops at a looser tolerance gives
+    # other bits on the stress problems that reach it
+    shutil.copytree(REPO / "src" / "gpchoice", tmp_path / "gpchoice",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver = tmp_path / "gpchoice" / "solver.py"
+    text = solver.read_text()
+    assert "\n_IPM_TOL = 1e-12\n" in text
+    solver.write_text(text.replace("\n_IPM_TOL = 1e-12\n", "\n_IPM_TOL = 1e-9\n"))
+    out = _interleave(REPO / "src", tmp_path, "--workload", "stress", "--count", "20")
+    assert out.returncode == 1
+    assert re.fullmatch(r"call \d+ of round 0: outputs differ\n", out.stderr), out.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import subprocess
@@ -40,6 +41,7 @@ from gpchoice.solver import (
     ReconstructionError,
     _dual_start,
     _equality_start,
+    _lstsq,
     _newton_step,
     _null_space,
     _reduced_program,
@@ -451,7 +453,8 @@ class TestSolverSettings:
 
 
 class TestNumpyLinearAlgebra:
-    """The numpy null space and Newton step agree with their scipy originals."""
+    """The numpy null space and Newton step agree with their scipy originals,
+    and the direct gufunc calls with numpy.linalg, bit for bit."""
 
     @staticmethod
     def _rank_deficient(rng):
@@ -476,6 +479,56 @@ class TestNumpyLinearAlgebra:
 
     def test_null_space_of_full_column_rank_is_empty(self):
         assert _null_space(np.eye(3)).shape == (3, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_null_space_is_the_numpy_svd_form_bit_for_bit(self, seed):
+        # _null_space calls the gufunc under np.linalg.svd directly
+        a = self._rank_deficient(np.random.default_rng(seed))
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        tol = np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+        expected = vh[int(np.sum(s > tol)):].T
+        got = _null_space(a)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape, rank", [
+        ((6, 3), 3), ((3, 6), 3), ((4, 4), 4), ((5, 4), 2), ((4, 4), 3), ((0, 3), 0),
+    ], ids=["tall", "wide", "square", "rank-deficient", "singular", "no-rows"])
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_lstsq_is_numpy_lstsq_bit_for_bit(self, shape, rank, columns):
+        # np.linalg.lstsq(a, b, rcond=None)[0], its x = 0 without rows included
+        rng = np.random.default_rng([shape[0], shape[1], rank])
+        a = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+        b = rng.normal(size=shape[:1] if columns is None else (shape[0], columns))
+        expected = np.linalg.lstsq(a, b, rcond=None)[0]
+        got = _lstsq(a, b)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_lstsq_raises_as_numpy_where_the_svd_fails(self):
+        a = np.array([[np.nan, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(a, np.ones(3), rcond=None)
+        with pytest.raises(np.linalg.LinAlgError):
+            _lstsq(a, np.ones(3))
+
+    def test_a_singular_newton_system_takes_least_squares(self, monkeypatch):
+        # z appears in no term, so its row and column of the interior-point
+        # method's Newton system are zero: np.linalg.solve would raise, the
+        # gufunc gives nan, and the step comes from least squares
+        systems = []
+        original = gpchoice.solver._lstsq
+
+        def spy(a, b):
+            if a.shape == (5, 5):  # (n + m) square: only the Newton system
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(a, b)
+                systems.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(gpchoice.solver, "_lstsq", spy)
+        report = solve(standardize(_FREE_Z))
+        assert len(systems) == 2  # both steps of the method's one iteration
+        assert report.status is Status.OPTIMAL and report.dual.iterations == 5
+        assert report.objective_value == 2.0
 
     @staticmethod
     def _scipy_newton_step(hu, gu):
@@ -800,6 +853,15 @@ class TestKnownWrongStatuses:
     ])
     def test_primal_infeasible_draw_is_unbounded(self, index):
         assert solve(standardize(_infeasible_draw(index))).status is Status.UNBOUNDED
+
+    @pytest.mark.parametrize("index, iterations", [(3, 45), (7, 25), (56, 15)])
+    def test_a_ray_ends_the_method_where_it_is_tested(self, index, iterations):
+        # the fast pass takes 5 iterations; the constraint weights make a ray
+        # at the method's first test for one (every _RAY_EVERY iterations),
+        # where all 200 of its iterations ran before (205 in all)
+        report = solve(standardize(_infeasible_draw(index)))
+        assert report.status is Status.UNBOUNDED
+        assert report.dual.iterations == iterations
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: recover_primal takes "
                        "the least-squares y = 0 for the free variable")
@@ -1367,6 +1429,29 @@ class TestSharedStart:
                 solve_choice(parse_problem(path), keep_assignments=keep)
         assert calls == []
 
+    def test_interior_point_rows_are_pinned(self, monkeypatch):
+        # every row of the first 300 stress problems that reaches the method
+        # ends as the method first shipped it: status, iterations, weight
+        # and y bytes, hashed (bit-exact under the numpy the CI pins, as the
+        # golden reports are)
+        digest, rows = hashlib.sha256(), []
+        original = gpchoice.solver._interior_point
+
+        def spy(*args):
+            ds = original(*args)
+            rows.append(ds.status)
+            digest.update(repr((ds.status.value, ds.iterations)).encode())
+            digest.update(ds.weights.tobytes())
+            digest.update(b"" if ds.y is None else ds.y.tobytes())
+            return ds
+
+        monkeypatch.setattr(gpchoice.solver, "_interior_point", spy)
+        for g in _stress_problems()[:300]:
+            solve(standardize(g))
+        assert rows == [Status.OPTIMAL] * 148
+        assert digest.hexdigest() == (
+            "e099f09698fc48403ce6f92aa93053e4fe963f39b3002cab0d64ce97fd0d687e")
+
 
 def _scaled(s, rng):
     """s with every term coefficient scaled by its own factor in [0.5, 2]:
@@ -1380,6 +1465,11 @@ def _scaled(s, rng):
 
     return replace(s, objective=scale(s.objective),
                    constraints=tuple(scale(p) for p in s.constraints))
+
+
+# min x + 1/x s.t. y / 2 <= 1 and 1 / (2 y) <= 1, over (x, y, z): z is free
+_FREE_Z = make_problem([(1, (1, 0, 0)), (1, (-1, 0, 0))],
+                       [([(0.5, (0, 1, 0))], 1.0), ([(0.5, (0, -1, 0))], 1.0)])
 
 
 # min x + 1/x s.t. 0.1 y + 0.1 y^2 <= 1: y's orthogonality row zeroes the
