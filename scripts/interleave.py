@@ -6,18 +6,17 @@
 Each SRC is the directory that holds a tree's gpchoice package (a checkout's
 src/).  Each package is copied to a temporary directory under a name of its
 own, gpchoice_parent and gpchoice_change, and imported from there, so both
-load in one interpreter.  The workload's calls run in groups: each group
-runs on one package, then on the other, the order alternating from group to
-group, and every call's outputs on the two must be equal bit for bit (floats
-and arrays compared by their bytes), else the script names the first call
-that differs and exits 1.  It prints the median, over groups, of the
+load in one interpreter.  The workload's calls run in groups of
+bench/run.py's STRESS_GROUP: each group runs on one package, then on the
+other, the order alternating from group to group, and every call's outputs
+on the two must be equal bit for bit (floats and arrays compared by their
+bytes), else the script names the first call that differs and exits 1.  It prints the median, over groups, of the
 change's time over the parent's (and the parent's over the change's).
 
 Workloads: ``stress`` solves the first --count problems of the benchmark's
-stress set (bench/generator.py at its seed); ``enumerate`` and
-``enumerate-all`` run solve_choice on the 12 fixtures, pruned and keep-all,
-after one untimed pass.  --rounds repeats the workload; a later round of
-``stress`` finds every problem's start cached.  Comparing a tree with itself
+stress set (bench/generator.py at bench/run.py's STRESS_GENERATOR_SEED);
+``enumerate`` and ``enumerate-all`` run solve_choice on the 12 fixtures,
+pruned and keep-all, after one untimed pass.  Comparing a tree with itself
 measures the noise.
 """
 
@@ -38,9 +37,9 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "bench"))
 
-from generator import random_feasible_gp  # noqa: E402
+from generator import random_problems  # noqa: E402
+from run import STRESS_GENERATOR_SEED, STRESS_GROUP  # noqa: E402
 
-STRESS_SEED = 20260808
 NAMES = ("parent", "change")
 
 
@@ -73,8 +72,8 @@ def bits(value):
 def calls(pkg, workload: str, count: int) -> list:
     """The workload's calls on pkg, each a function of no arguments."""
     if workload == "stress":
-        rng = np.random.default_rng(STRESS_SEED)
-        problems = [pkg.make_problem(*random_feasible_gp(rng)) for _ in range(count)]
+        problems = [pkg.make_problem(*raw)
+                    for raw in random_problems(STRESS_GENERATOR_SEED, count)]
         return [lambda p=p: pkg.solve(pkg.standardize(p)) for p in problems]
     keep = workload == "enumerate-all"
     models = [pkg.as_choice_gp(pkg.parse_problem(path))
@@ -97,10 +96,6 @@ def main(argv: list[str] | None = None) -> int:
                         required=True)
     parser.add_argument("--count", type=int, default=300,
                         help="stress problems (default 300)")
-    parser.add_argument("--group", type=int, default=10,
-                        help="calls per timed group (default 10)")
-    parser.add_argument("--rounds", type=int, default=1,
-                        help="passes over the workload (default 1)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,18 +107,17 @@ def main(argv: list[str] | None = None) -> int:
             for pkg_calls in work:
                 run_group(pkg_calls)
         ratios, started = [], time.perf_counter()
-        for r in range(args.rounds):
-            for g, first in enumerate(range(0, len(work[0]), args.group)):
-                groups = [pkg_calls[first:first + args.group] for pkg_calls in work]
-                order = (0, 1) if (r + g) % 2 == 0 else (1, 0)
-                timed = {i: run_group(groups[i]) for i in order}
-                for k, (a, b) in enumerate(zip(timed[0][1], timed[1][1])):
-                    if bits(a) != bits(b):
-                        print(f"call {first + k} of round {r}: outputs differ", file=sys.stderr)
-                        return 1
-                ratios.append(timed[1][0] / timed[0][0])
+        for g, first in enumerate(range(0, len(work[0]), STRESS_GROUP)):
+            groups = [pkg_calls[first:first + STRESS_GROUP] for pkg_calls in work]
+            order = (0, 1) if g % 2 == 0 else (1, 0)
+            timed = {i: run_group(groups[i]) for i in order}
+            for k, (a, b) in enumerate(zip(timed[0][1], timed[1][1])):
+                if bits(a) != bits(b):
+                    print(f"call {first + k}: outputs differ", file=sys.stderr)
+                    return 1
+            ratios.append(timed[1][0] / timed[0][0])
     change = statistics.median(ratios)
-    print(f"{args.workload}: {len(ratios)} groups of up to {args.group} calls, "
+    print(f"{args.workload}: {len(ratios)} groups of up to {STRESS_GROUP} calls, "
           f"outputs bit-identical, in {time.perf_counter() - started:.1f}s")
     print(f"median time ratio change/parent {change:.3f} (parent/change "
           f"{statistics.median(1.0 / x for x in ratios):.3f})")

@@ -1069,15 +1069,26 @@ class TestCollapsedMultipliers:
         assert claim.holds[0]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the interior-point method "
-                   "crawls along the ray to an optimum at log x = (464, -612) and ends "
-                   "ITERATION_LIMIT")
-def test_a_feasible_draw_with_a_far_optimum_is_certified():
+def _far_optimum_draw():
     # random_feasible_gp seed 6 problem 338: both blocks saturate at the
     # optimum, and the Newton system in y is singular there
     rng = np.random.default_rng(6)
     problems = [random_feasible_gp(rng) for _ in range(339)]
-    assert solve(standardize(problems[338])).status is Status.OPTIMAL
+    return standardize(problems[338])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the interior-point method "
+                   "crawls along the ray to an optimum at log x = (464, -612) and ends "
+                   "ITERATION_LIMIT")
+def test_a_feasible_draw_with_a_far_optimum_is_certified():
+    assert solve(_far_optimum_draw()).status is Status.OPTIMAL
+
+
+def test_a_feasible_draw_with_a_far_optimum_is_not_called_unbounded():
+    # its lambda grows to 178 while the method crawls along the ray, where
+    # the ray test every _RAY_EVERY iterations runs; the draw is feasible,
+    # so a claim of UNBOUNDED or INFEASIBLE would be false
+    assert solve(_far_optimum_draw()).status in (Status.OPTIMAL, Status.ITERATION_LIMIT)
 
 
 class TestLargeCoefficients:
