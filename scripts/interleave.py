@@ -13,11 +13,11 @@ on the two must be equal bit for bit (floats and arrays compared by their
 bytes), else the script names the first call that differs and exits 1.  It prints the median, over groups, of the
 change's time over the parent's (and the parent's over the change's).
 
-Workloads: ``stress`` solves the first --count problems of the benchmark's
-stress set (bench/generator.py at bench/run.py's STRESS_GENERATOR_SEED);
-``enumerate`` and ``enumerate-all`` run solve_choice on the 12 fixtures,
-pruned and keep-all, after one untimed pass.  Comparing a tree with itself
-measures the noise.
+Each workload makes --count calls.  ``stress`` solves the first --count
+problems of the benchmark's stress set (bench/generator.py at bench/run.py's
+STRESS_GENERATOR_SEED); ``enumerate`` and ``enumerate-all`` run solve_choice,
+pruned and keep-all, on the 12 fixtures in sorted order, cycled, after one
+untimed pass over them.  Comparing a tree with itself measures the noise.
 """
 
 import argparse
@@ -41,6 +41,7 @@ from generator import random_problems  # noqa: E402
 from run import STRESS_GENERATOR_SEED, STRESS_GROUP  # noqa: E402
 
 NAMES = ("parent", "change")
+FIXTURES = sorted((REPO / "problems").glob("*.json"))
 
 
 def load(src: str, name: str, into: Path):
@@ -76,9 +77,9 @@ def calls(pkg, workload: str, count: int) -> list:
                     for raw in random_problems(STRESS_GENERATOR_SEED, count)]
         return [lambda p=p: pkg.solve(pkg.standardize(p)) for p in problems]
     keep = workload == "enumerate-all"
-    models = [pkg.as_choice_gp(pkg.parse_problem(path))
-              for path in sorted((REPO / "problems").glob("*.json"))]
-    return [lambda m=m: pkg.solve_choice(m, keep_assignments=keep) for m in models]
+    models = [pkg.as_choice_gp(pkg.parse_problem(path)) for path in FIXTURES]
+    return [lambda m=models[i % len(models)]: pkg.solve_choice(m, keep_assignments=keep)
+            for i in range(count)]
 
 
 def run_group(group: list) -> tuple[float, list]:
@@ -95,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=("stress", "enumerate", "enumerate-all"),
                         required=True)
     parser.add_argument("--count", type=int, default=300,
-                        help="stress problems (default 300)")
+                        help="calls (default 300)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         work = [calls(pkg, args.workload, args.count) for pkg in packages]
         if args.workload != "stress":  # warm the start caches, as the benchmark does
             for pkg_calls in work:
-                run_group(pkg_calls)
+                run_group(pkg_calls[:len(FIXTURES)])
         ratios, started = [], time.perf_counter()
         for g, first in enumerate(range(0, len(work[0]), STRESS_GROUP)):
             groups = [pkg_calls[first:first + STRESS_GROUP] for pkg_calls in work]

@@ -25,24 +25,26 @@ iterate, not recovered from w.  Each iteration solves one (n + m) square
 system in (dy, dlambda), du eliminated, whose first block is the
 lambda-weighted sum of the blocks' log-sum-exp Hessians.  Its centring is
 Mehrotra's, raised to (1 - alpha)^3 where the affine step's length alpha is
-cut short, and its line search is Armijo's on the primal-dual potential
-(m + sqrt m) log(lambda u + |(r_d, r_p)|) - sum_i log(lambda_i u_i), which
-rises where a multiplier, or its slack, collapses ahead of the other pairs
-and of the residuals; no step moves a log x by more than _IPM_STEP, and a
-trial's slack u_i takes its constraint's own -F_i(y) where that is at least
-0.9 of u_i, so that F_i's curvature along the step leaves no primal
-residual there.  It starts from the fast pass's end (y from the end
-weights' log-linear relations, lambda their block sums) or cold at y = 0,
-lambda = 1, whichever has the smaller residuals, with u = -F(y) and every
-lambda_i and u_i lifted to at least that point's largest dual residual or
-violation, and ends OPTIMAL where every residual is at most _IPM_TOL.  A
-row whose constraint weights make a ray that proves no x feasible is
-UNBOUNDED (the dual has a start); the method tests for one every _RAY_EVERY
-iterations and where it ends.  A row that runs out of iterations, or whose
-line search finds no decrease, with no ray, ends ITERATION_LIMIT where the
-fast pass left it.  The fast pass and the method are each capped at
-_PASS_ITERATIONS, so one dual takes at most _MAX_ITERATIONS = 2
-_PASS_ITERATIONS Newton iterations.
+cut short, and its line search is Armijo's on the norm of the residuals
+(r_d, r_p, lambda u), the merit function of an infeasible path-following
+method (S. Wright, Primal-Dual Interior-Point Methods, 1997, ch. 6); no
+step moves a log x by more than _IPM_STEP, and a trial's slack u_i takes
+its constraint's own -F_i(y) where that is at least 0.8 of u_i, so that
+F_i's curvature along the step leaves no primal residual there.  Each
+iterate is evaluated once: the accepted trial's residuals are the next
+iteration's.  It starts from the fast pass's end (y from the end weights'
+log-linear relations, lambda their block sums) or cold at y = 0, lambda =
+1, whichever has the smaller residuals, with u = -F(y) and every lambda_i
+and u_i lifted to at least that point's largest dual residual or
+violation, so that no complementarity pair starts below the infeasibility
+it must outlast, and ends OPTIMAL where every residual is at most
+_IPM_TOL.  A row whose constraint weights make a ray that proves no x
+feasible is UNBOUNDED (the dual has a start); the method tests for one
+every _RAY_EVERY iterations and where it ends.  A row that runs out of
+iterations, or whose line search finds no decrease, with no ray, ends
+ITERATION_LIMIT where the fast pass left it.  The fast pass and the method
+are each capped at _PASS_ITERATIONS, so one dual takes at most
+_MAX_ITERATIONS = 2 _PASS_ITERATIONS Newton iterations.
 
 The start point is the projection of equal block weights onto the affine
 set, else one pass of alternating projections (POCS) toward the interior,
@@ -143,7 +145,7 @@ _MAX_ITERATIONS = 2 * _PASS_ITERATIONS
 # F_i + u_i and lambda_i u_i) is at most _IPM_TOL, so that its gaps sit with
 # the fast pass's, far inside GAP_TOL; no step moves a log x by more than
 # _IPM_STEP, a trust radius for the Newton steps that a saturated softmax
-# makes arbitrarily long (every status holds for any radius from 3 to 15)
+# makes arbitrarily long (no tested status is lost at radii from 3 to 20)
 _IPM_TOL = 1e-12
 _IPM_STEP = 10.0
 # largest projected gradient entry at which a dual is stationary; at 1e-8 the
@@ -689,7 +691,7 @@ def _interior_point(
     iterations, or whose line search finds no decrease, is otherwise
     ITERATION_LIMIT at end."""
     e, blocks, n, m = d.exponent_matrix, d.block_index, d.variable_count, d.constraint_count
-    offsets, rho = np.cumsum((0, *d.block_sizes[:-1])), max(m + np.sqrt(m), 1.0)
+    offsets = np.cumsum((0, *d.block_sizes[:-1]))
     # Newton's system, filled in place each iteration; its lower right block
     # is -U / Lambda, whose zeros are -0.0 as from -np.diag
     kkt = np.full((n + m, n + m), -0.0)
@@ -710,23 +712,17 @@ def _interior_point(
         return np.concatenate((w @ e, f[1:] + u, lam * u)), w
 
     def begin(y, lam):
-        """(y, lambda, u) with slacks u = -F_i(y), every lambda_i and u_i
-        lifted to at least the largest dual residual or violation at y, so
-        that no complementarity pair starts below the infeasibility; then F
-        and p at y."""
+        """The residual norm, y, lambda and slacks u = -F_i(y), every lambda_i
+        and u_i lifted to at least the largest dual residual or violation at
+        y, so that no complementarity pair starts below the infeasibility;
+        then F and p at y, and the residuals and weights there."""
         f, p = shares(y)
         r = residuals(lam, lam, f, p)[0]
         lift = max(np.maximum.reduce(np.abs(r[:n]), initial=_BOUNDARY_WEIGHT),
                    np.maximum.reduce(f[1:], initial=0.0))
-        return y, np.maximum(lam, lift), np.maximum(-f[1:], lift), f, p
-
-    def potential(lam, u, r):
-        """The primal-dual potential rho log(lambda u + |r_d, r_p|) - sum_i
-        log(lambda_i u_i), from the residuals r at lam and u: it rises where
-        one pair lambda_i u_i drops ahead of the others and of the
-        residuals."""
-        feasibility = np.hypot(_norm(r[:n]), _norm(r[n:n + m]))
-        return rho * np.log(lam @ u + feasibility) - np.add.reduce(np.log(r[n + m:]))
+        lam, u = np.maximum(lam, lift), np.maximum(-f[1:], lift)
+        r, w = residuals(lam, u, f, p)
+        return _norm(r), y, lam, u, f, p, r, w
 
     # trial points may leave exp's range and lambda u the doubles' range:
     # their residuals are then nan or inf, and the line search passes them by
@@ -741,11 +737,10 @@ def _interior_point(
         y = _lstsq(e[active], target[active])
         cold = begin(np.zeros(n), np.ones(m))
         starts = [begin(y, sums[1:]), cold] if np.isfinite(y).all() else [cold]
-        y, lam, u, f, p = min(starts, key=lambda z: _norm(residuals(*z[1:])[0]))
+        norm, y, lam, u, f, p, r, w = min(starts, key=lambda start: start[0])
 
         budget, k = min(_PASS_ITERATIONS, _MAX_ITERATIONS - used), 0
         while True:
-            r, w = residuals(lam, u, f, p)
             if np.maximum.reduce(np.abs(r), initial=0.0) <= _IPM_TOL:
                 z = float(np.exp(_log_dual_objective(d, w, log_c)[0]))  # w may hold 0s
                 residual = float(np.max(np.abs(d.equality_matrix @ w - d.equality_rhs)))
@@ -785,22 +780,22 @@ def _interior_point(
             dy, dlam, du = direction(max(sigma, (1.0 - step) ** 3) * mu - lam * u)
             step = _boundary_fraction(pairs, np.concatenate((dlam, du)))
             step = min(step, _IPM_STEP / np.maximum.reduce(np.abs(dy), initial=_IPM_STEP))
-            # backtrack until the potential drops (Armijo); a trial slack takes
-            # its constraint's own -F_i where that is at least 0.9 of it, so
-            # that the curvature of F_i along dy leaves no primal residual
-            # there (every status holds for any factor from 0.7 to 0.99)
-            phi = potential(lam, u, r)
+            # backtrack until the residual norm drops (Armijo); a trial slack
+            # takes its constraint's own -F_i where that is at least 0.8 of
+            # it, so that the curvature of F_i along dy leaves no primal
+            # residual there; the accepted trial's residuals carry over
             for _ in range(60):
                 y_t, lam_t, u_t = y + step * dy, lam + step * dlam, u + step * du
                 f_t, p_t = shares(y_t)
-                u_t = np.where(-f_t[1:] >= 0.9 * u_t, -f_t[1:], u_t)
-                r_t = residuals(lam_t, u_t, f_t, p_t)[0]
-                if potential(lam_t, u_t, r_t) <= phi + rho * np.log1p(-0.01 * step):
+                u_t = np.where(-f_t[1:] >= 0.8 * u_t, -f_t[1:], u_t)
+                r_t, w_t = residuals(lam_t, u_t, f_t, p_t)
+                norm_t = _norm(r_t)
+                if norm_t <= (1.0 - 0.01 * step) * norm:
                     break
                 step *= 0.5
             else:
                 break
-            y, lam, u, f, p = y_t, lam_t, u_t, f_t, p_t
+            y, lam, u, f, p, r, w, norm = y_t, lam_t, u_t, f_t, p_t, r_t, w_t, norm_t
         # the constraint weights of a row whose lambda grows without bound
         # approach a ray: then no x meets every constraint, and the dual, which
         # has a start, is unbounded
@@ -843,36 +838,39 @@ def _recover(
     and the ReconstructionError each such row raises, by row.  A row with a
     y is at exp(y); the other rows of one system (equal entries of system,
     which share their exponents) whose terms enter the same relations share
-    one multi-column least-squares solve for theirs."""
+    one multi-column least-squares solve for theirs; a batch whose rows all
+    have a y fits nothing."""
     if t.exponents.shape[-1] == 0:
         return np.full((len(w), 0), np.nan), {}
-    y, z = y.copy(), z[:, None]
-    # each term's block weight sum, 1 on the objective block; the terms of an
-    # inactive constraint relate nothing (complementary slackness)
-    lam = np.concatenate((np.ones_like(z), lambdas), axis=1)[:, t.blocks]
-    active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
-    share = w * z  # w / lambda on constraint terms
-    np.divide(w, lam, out=share, where=active & (t.blocks > 0))
-    # w * z underflows to 0 with z, and then has no log to fit
-    lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & np.isnan(y[:, 0])
-    failures = {i: ReconstructionError(f"w * z underflows at dual value {v}")
-                for i, (v, gone) in enumerate(zip(z[:, 0].tolist(), lost.tolist())) if gone}
-    left = (~lost & np.isnan(y[:, 0])).nonzero()[0]
-    while left.size:  # the rows of one system and active set
-        first, mask = system[left[0]], active[left[0]]
-        same = (system[left] == first) & np.logical_and.reduce(active[left] == mask, axis=1)
-        group, left = left[same], left[~same]
-        matrix = t.exponents[group[0]][mask]
-        target = np.log(share[group][:, mask]) - np.log(t.coefficients[group][:, mask])
-        y[group] = _lstsq(matrix, target.T).T
-        # y is inf where the relations ask for an x beyond the doubles (a
-        # subnormal exponent, say); its residual is then nan, from inf * 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = np.maximum.reduce(np.abs(np.matvec(matrix, y[group]) - target),
-                                         axis=1, initial=0.0)
-        failures |= {i: ReconstructionError(
-            f"log-linear recovery system inconsistent (residual {res:.3e})")
-            for i, res in zip(group.tolist(), residual.tolist()) if res > 1e-6}
+    y, z, failures = y.copy(), z[:, None], {}
+    fit = np.isnan(y[:, 0])  # the rows without the method's y
+    if fit.any():
+        # each term's block weight sum, 1 on the objective block; the terms of
+        # an inactive constraint relate nothing (complementary slackness)
+        lam = np.concatenate((np.ones_like(z), lambdas), axis=1)[:, t.blocks]
+        active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
+        share = w * z  # w / lambda on constraint terms
+        np.divide(w, lam, out=share, where=active & (t.blocks > 0))
+        # w * z underflows to 0 with z, and then has no log to fit
+        lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & fit
+        failures = {i: ReconstructionError(f"w * z underflows at dual value {v}")
+                    for i, (v, gone) in enumerate(zip(z[:, 0].tolist(), lost.tolist())) if gone}
+        left = (~lost & fit).nonzero()[0]
+        while left.size:  # the rows of one system and active set
+            first, mask = system[left[0]], active[left[0]]
+            same = (system[left] == first) & np.logical_and.reduce(active[left] == mask, axis=1)
+            group, left = left[same], left[~same]
+            matrix = t.exponents[group[0]][mask]
+            target = np.log(share[group][:, mask]) - np.log(t.coefficients[group][:, mask])
+            y[group] = _lstsq(matrix, target.T).T
+            # y is inf where the relations ask for an x beyond the doubles (a
+            # subnormal exponent, say); its residual is then nan, from inf * 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = np.maximum.reduce(np.abs(np.matvec(matrix, y[group]) - target),
+                                             axis=1, initial=0.0)
+            failures |= {i: ReconstructionError(
+                f"log-linear recovery system inconsistent (residual {res:.3e})")
+                for i, res in zip(group.tolist(), residual.tolist()) if res > 1e-6}
     with np.errstate(over="ignore", under="ignore"):
         x = np.exp(y)
     inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1)

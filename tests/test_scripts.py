@@ -55,12 +55,15 @@ def _interleave(*args):
 
 
 def test_interleave_runs_a_tree_against_itself():
-    out = _interleave(REPO / "src", REPO / "src", "--workload", "stress", "--count", "20")
-    assert out.returncode == 0, out.stderr
-    assert re.fullmatch(
-        r"stress: 2 groups of up to 10 calls, outputs bit-identical, in \d+\.\ds\n"
-        r"median time ratio change/parent \d+\.\d{3} \(parent/change \d+\.\d{3}\)\n",
-        out.stdout), out.stdout
+    # --count calls on every workload: 24 fixture calls cycle the 12 fixtures twice
+    for workload, count, groups in (("stress", 20, 2), ("enumerate", 24, 3)):
+        out = _interleave(REPO / "src", REPO / "src", "--workload", workload, "--count", count)
+        assert out.returncode == 0, out.stderr
+        assert re.fullmatch(
+            rf"{workload}: {groups} groups of up to 10 calls, outputs bit-identical, "
+            r"in \d+\.\ds\n"
+            r"median time ratio change/parent \d+\.\d{3} \(parent/change \d+\.\d{3}\)\n",
+            out.stdout), out.stdout
 
 
 def test_interleave_names_the_first_call_whose_outputs_differ(tmp_path):

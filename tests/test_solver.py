@@ -41,6 +41,7 @@ from gpchoice.solver import (
     ReconstructionError,
     _dual_start,
     _equality_start,
+    _interior_point,
     _lstsq,
     _newton_step,
     _null_space,
@@ -764,7 +765,9 @@ class TestStressRegressions:
                 assert report.kkt_residuals.primal_feasibility <= 1e-8
         # 67382 when each barrier stage started from the last centre, 41254
         # before the face step followed the fast pass, 23330 with the face
-        # step and the barrier, 14371 with the interior-point method
+        # step and the barrier, 14371 with the interior-point method, 15362
+        # with its search on the primal-dual potential, 13669 with its search
+        # on the residual norm
         assert sum(report.dual.iterations for report in reports) <= 24500
 
     def test_overflowing_primal_recovery_gives_a_report(self):
@@ -854,11 +857,13 @@ class TestKnownWrongStatuses:
     def test_primal_infeasible_draw_is_unbounded(self, index):
         assert solve(standardize(_infeasible_draw(index))).status is Status.UNBOUNDED
 
-    @pytest.mark.parametrize("index, iterations", [(3, 45), (7, 25), (56, 15)])
+    @pytest.mark.parametrize("index, iterations", [(3, 15), (7, 15), (56, 15)])
     def test_a_ray_ends_the_method_where_it_is_tested(self, index, iterations):
         # the fast pass takes 5 iterations; the constraint weights make a ray
         # at the method's first test for one (every _RAY_EVERY iterations),
-        # where all 200 of its iterations ran before (205 in all)
+        # where all 200 of its iterations ran before (205 in all), and at its
+        # third (45) and second (25) on draws 3 and 7 under the potential's
+        # line search
         report = solve(standardize(_infeasible_draw(index)))
         assert report.status is Status.UNBOUNDED
         assert report.dual.iterations == iterations
@@ -1003,6 +1008,22 @@ class TestDegreeOfDifficulty:
         assert report.status is Status.OPTIMAL
         assert report.objective_value == pytest.approx(z, rel=1e-9)
 
+    def test_the_method_certifies_tiny_weight_draw_59_from_its_dual(self):
+        # the dual is the drawn point, OPTIMAL at 0 iterations, but recovery
+        # drops a weight's relation and the claim fails (ROADMAP item 18);
+        # the interior-point method, warm-started from that dual, reads its
+        # own y (it ran all 200 iterations under the potential's search)
+        g, _ = _tiny_weight_draw(59)
+        s = standardize(g)
+        d = build_dual(s)
+        ds = solve_dual(d)
+        assert ds.status is Status.OPTIMAL and ds.iterations == 0
+        ipm = _interior_point(d, np.log(d.term_coefficients), _dual_start(d).nullsp,
+                              ds.weights, ds.iterations)
+        assert ipm.status is Status.OPTIMAL and ipm.iterations < _PASS_ITERATIONS
+        claim = optimal_claim(problem_terms(s), [np.exp(ipm.y)], [ipm.weights])
+        assert claim.holds[0]
+
     def test_negative_difficulty_is_infeasible_at_the_projection(self):
         # K <= n weights cannot meet n + 1 generic equalities: the start's
         # projection leaves a residual, and no Newton step is taken
@@ -1036,37 +1057,51 @@ class TestGateSizingChains:
                               [report.dual.weights])
         assert claim.holds[0]
 
-    def test_chain_at_80_takes_33_iterations(self):
+    def test_chain_at_80_takes_22_iterations(self):
         # the fast pass ends at the boundary, and the interior-point method
-        # certifies from there
+        # certifies from there (33 iterations under the potential's search)
         s = standardize(gate_sizing_chain(np.random.default_rng((17, 80, 0)), 80))
         report = solve(s)
         assert report.status is Status.OPTIMAL
-        assert report.dual.iterations == 33
+        assert report.dual.iterations == 22
         assert report.dual.y is not None
+
+
+def _assert_certified_at_the_methods_point(seed: int, index: int):
+    """random_feasible_gp draw index at seed ends OPTIMAL at the
+    interior-point method's y, and its optimal claim holds."""
+    rng = np.random.default_rng(seed)
+    problems = [random_feasible_gp(rng) for _ in range(index + 1)]
+    s = standardize(problems[index])
+    report = solve(s)
+    assert report.status is Status.OPTIMAL
+    assert report.dual.y is not None  # certified at the method's point
+    claim = optimal_claim(problem_terms(s), [report.primal_x],
+                          [report.dual.weights])
+    assert claim.holds[0]
 
 
 class TestCollapsedMultipliers:
     """Feasible draws outside the stress sweep whose fast pass ends short of
     the optimum with the objective's two terms nearly antiparallel and one
     active constraint whose multiplier is small at the optimum (0.37, 0.069,
-    0.02).  A line search on the residual norm let the first Newton steps
-    drive that multiplier far below its optimum (to 1e-4 on problem 1247)
-    while the dual residual was still 0.25 to 1.24, and the method then
-    crawled to its cap (ITERATION_LIMIT); the potential's line search keeps
-    the pair from collapsing ahead of the residuals."""
+    0.02).  From a start that shifted every multiplier and slack by one
+    constant, the first Newton steps drove that multiplier far below its
+    optimum (to 1e-4 on problem 1247) while the dual residual was still 0.25
+    to 1.24, and the method then crawled to its cap (ITERATION_LIMIT); the
+    start lifts each pair to at least the dual residual, so that none starts
+    below the infeasibility it must outlast."""
 
     @pytest.mark.parametrize("seed, index", [(4242, 659), (4242, 1247), (99, 652)])
     def test_is_certified_optimal(self, seed, index):
-        rng = np.random.default_rng(seed)
-        problems = [random_feasible_gp(rng) for _ in range(index + 1)]
-        s = standardize(problems[index])
-        report = solve(s)
-        assert report.status is Status.OPTIMAL
-        assert report.dual.y is not None  # certified at the method's point
-        claim = optimal_claim(problem_terms(s), [report.primal_x],
-                              [report.dual.weights])
-        assert claim.holds[0]
+        _assert_certified_at_the_methods_point(seed, index)
+
+
+@pytest.mark.parametrize("seed, index", [(STRESS_SEED, 149), (31337, 678)])
+def test_a_draw_at_the_slack_factors_window_edge_is_certified_optimal(seed, index):
+    # the residual-norm line search loses these two at a trial-slack factor
+    # of 0.95, one step past the window in which every tested status holds
+    _assert_certified_at_the_methods_point(seed, index)
 
 
 def _far_optimum_draw():
@@ -1097,7 +1132,7 @@ class TestLargeCoefficients:
     outside the program, where the pass made a NaN weight and solve raised
     GpDomainError, the error of bad input; later that row ended
     ITERATION_LIMIT after 79 iterations, and the face step after the fast
-    pass certified it in 15.  The interior-point method certifies it in 14."""
+    pass certified it in 15.  The interior-point method certifies it in 13."""
 
     @pytest.mark.filterwarnings("error")
     def test_solve_ends_with_a_status_and_no_warning(self):
@@ -1116,7 +1151,7 @@ class TestLargeCoefficients:
         s = standardize(large_coefficient_gp())
         report = solve(s)
         assert report.status is Status.OPTIMAL
-        assert report.dual.iterations == 14
+        assert report.dual.iterations == 13
         claim = optimal_claim(problem_terms(s), [report.primal_x],
                               [report.dual.weights])
         assert claim.holds[0]
@@ -1400,7 +1435,7 @@ class TestSharedStart:
     def test_fast_pass_stops_at_the_first_boundary_touch(self, monkeypatch):
         # a wrong face: the fast pass ends on block 1 after 5 iterations, but
         # at the optimum block 2 is slack (lambda = (0.343, 0)); the
-        # interior-point method goes on from that end and certifies in 10 more,
+        # interior-point method goes on from that end and certifies in 6 more,
         # and an independent solve of the program without block 2 agrees
         # with its weights
         passes = []
@@ -1417,7 +1452,7 @@ class TestSharedStart:
         assert status == [Status.ITERATION_LIMIT] and iterations == [5]
         assert end[0][d.block_index == 1].max() <= _BOUNDARY_WEIGHT < end[0].max()
         assert ds.status is Status.OPTIMAL
-        assert ds.iterations == 15 and ds.y is not None
+        assert ds.iterations == 11 and ds.y is not None
         assert ds.lambdas[1] <= _BOUNDARY_WEIGHT < ds.lambdas[0]
         kept = d.block_index < 2
         reduced = solve_dual(_reduced_program(d, kept))
@@ -1442,9 +1477,9 @@ class TestSharedStart:
 
     def test_interior_point_rows_are_pinned(self, monkeypatch):
         # every row of the first 300 stress problems that reaches the method
-        # ends as the method first shipped it: status, iterations, weight
-        # and y bytes, hashed (bit-exact under the numpy the CI pins, as the
-        # golden reports are)
+        # ends as recorded with the residual-norm line search: status,
+        # iterations, weight and y bytes, hashed (bit-exact under the numpy
+        # the CI pins, as the golden reports are)
         digest, rows = hashlib.sha256(), []
         original = gpchoice.solver._interior_point
 
@@ -1461,7 +1496,7 @@ class TestSharedStart:
             solve(standardize(g))
         assert rows == [Status.OPTIMAL] * 148
         assert digest.hexdigest() == (
-            "e099f09698fc48403ce6f92aa93053e4fe963f39b3002cab0d64ce97fd0d687e")
+            "8cf938ddae7deda7b7325155ff1116259902eed99b2f83be1d8dff9fe1f8b4da")
 
 
 def _scaled(s, rng):
