@@ -107,7 +107,9 @@ class DualProgram:
 
 def build_dual(s: StandardGp) -> DualProgram:
     """Assemble the dual weight program of a standard-form GP; raises
-    GpDomainError on a term coefficient that is not finite and positive."""
+    GpDomainError on a term coefficient that is not finite and positive, on
+    a term whose exponents are not one per variable, and on an exponent
+    that is not finite."""
     coeffs: list[float] = []
     blocks: list[int] = []
     exps: list[tuple[float, ...]] = []
@@ -119,15 +121,21 @@ def build_dual(s: StandardGp) -> DualProgram:
             if not 0.0 < term.coefficient < math.inf:
                 raise GpDomainError(f"term {len(coeffs)}: coefficient {term.coefficient!r} "
                                     "is not finite and positive")
+            if len(term.exponents) != s.variable_count:
+                raise GpDomainError(f"term {len(coeffs)}: {len(term.exponents)} exponents "
+                                    f"for {s.variable_count} variables")
             coeffs.append(term.coefficient)
             blocks.append(i)
             exps.append(term.exponents)
+    exponents = np.array(exps, dtype=float)
+    finite = np.isfinite(exponents)
+    if not finite.all():
+        k = int(finite.all(axis=1).argmin())
+        raise GpDomainError(f"term {k}: exponents {exps[k]!r} are not all finite")
     return DualProgram(
         term_coefficients=np.array(coeffs, dtype=float),
         block_index=np.array(blocks, dtype=int),
-        exponent_matrix=np.array(exps, dtype=float).reshape(
-            len(coeffs), s.variable_count
-        ),
+        exponent_matrix=exponents,
     )
 
 

@@ -343,34 +343,10 @@ _COMBINATION_CAP = 10**6
 # solve() certifies z against the expansion's own dual value D with a gap of
 # at most GAP_TOL, and D is at least any bound B: a dual value at weights
 # feasible for the expansion's equality system, such as its seed's optimal
-# weights (_Skeleton).  So z >= B / (1 + GAP_TOL).  Skipping needs that floor
-# beyond the tie window above the incumbent, z > incumbent / (1 - _TIE_WINDOW):
+# weights (_Template.bound).  So z >= B / (1 + GAP_TOL).  Skipping needs that
+# floor beyond the tie window above the incumbent, z > incumbent / (1 - _TIE_WINDOW):
 # then the expansion can neither win nor tie.
 _PRUNE_LOG_MARGIN = math.log1p(GAP_TOL) - math.log1p(-_TIE_WINDOW)
-
-@dataclass(frozen=True)
-class _Skeleton:
-    """Dual feasible weights of one expansion, compiled to bound its siblings.
-
-    Exponent values fix the dual's equality matrix, so weights w feasible for
-    one expansion are feasible for every sibling with the same exponent
-    values, such as the expansion's optimal weights.  At w the log dual is
-    linear in log c, and a coefficient set scales all of its terms alike, so
-    a sibling with coefficient values v' has log dual
-    base + sum_s W_s (log v'_s - log v_s) there, W_s the weight on set s's
-    terms: by weak duality an O(K) lower bound on its optimum.  The pruned
-    search of solve_choice builds one from each seed's optimal weights
-    (_Template.skeleton) and bounds every tuple of the seed's system by it.
-    """
-
-    base: float  # log dual value at w of the expansion itself
-    weight: tuple[float, ...]  # W_s >= 0, one per coefficient set
-    log_value: tuple[float, ...]  # log v_s, one per coefficient set
-
-    def bound(self, log_values) -> float | np.ndarray:
-        """The bound at the coefficient sets' log values (C,), or at each
-        row of (P, C)."""
-        return self.base + np.subtract(log_values, self.log_value) @ self.weight
 
 
 @dataclass(frozen=True)
@@ -380,13 +356,13 @@ class _Template:
     Exponent values fix the equality system; coefficient values fix the
     standardized coefficients, a constraint term's over its bound as in
     standardize, of one expansion (at) or of a batch of siblings
-    (coefficients).  A solved expansion's weights compile to the skeleton
-    that bounds its siblings (skeleton).
+    (coefficients).  A solved expansion's optimal weights bound the optimum
+    of each sibling with its exponent values (bound).
     """
 
     dual: DualProgram  # with every slot at a placeholder; at fills a copy of the slots
-    exponent_slots: dict[int, tuple[list[int], list[int]]]  # set: terms, variables
-    coefficient_slots: dict[int, list[int]]  # set: terms, in set order
+    exponent_slots: np.ndarray  # (3, E): each slot's term, variable and set
+    coefficient_slots: np.ndarray  # (2, C): each slot's term and set, in term order
     bounds: np.ndarray  # per term, its constraint's bound; 1.0 in the objective
 
     @classmethod
@@ -397,28 +373,20 @@ class _Template:
         placeholders = {cs.name: min((v for v in cs.candidates if v > 0.0), default=1.0)
                         for cs in cg.sets}
         dual = build_dual(standardize(_expanded(cg, placeholders)))
-        exponents: dict[int, tuple[list[int], list[int]]] = {}
-        # validate_choice_gp has every coefficient set fill a coefficient slot
-        coefficients: dict[int, list[int]] = {
-            i: [] for i, cs in enumerate(cg.sets) if cs.role in COEFFICIENT_ROLES
-        }
-        templates = (t for _, ts, _ in _sections(cg) for t in ts)
-        for k, tpl in enumerate(templates):
-            if isinstance(tpl.coefficient, SetRef):
-                coefficients[index[tpl.coefficient.name]].append(k)
-            for j, e in enumerate(tpl.exponents):
-                if isinstance(e, SetRef):
-                    terms, variables = exponents.setdefault(index[e.name], ([], []))
-                    terms.append(k)
-                    variables.append(j)
+        templates = [t for _, ts, _ in _sections(cg) for t in ts]
+        exponents = [(k, j, index[e.name]) for k, tpl in enumerate(templates)
+                     for j, e in enumerate(tpl.exponents) if isinstance(e, SetRef)]
+        coefficients = [(k, index[tpl.coefficient.name]) for k, tpl in enumerate(templates)
+                        if isinstance(tpl.coefficient, SetRef)]
         bounds = np.array([1.0, *(b for _, b in cg.constraints)])[dual.block_index]
-        return cls(dual, exponents, coefficients, bounds)
+        return cls(dual, np.array(exponents, dtype=int).reshape(-1, 3).T,
+                   np.array(coefficients, dtype=int).reshape(-1, 2).T, bounds)
 
     def at(self, values: Sequence[float]) -> DualProgram:
         """The dual at these values, one per set."""
         exponents = self.dual.exponent_matrix.copy()
-        for i, slot in self.exponent_slots.items():
-            exponents[slot] = values[i]
+        terms, variables, sets = self.exponent_slots
+        exponents[terms, variables] = np.asarray(values, dtype=float)[sets]
         coefficients = self.coefficients(np.array([values]))[0]
         return replace(self.dual, exponent_matrix=exponents,
                        term_coefficients=coefficients)
@@ -426,18 +394,30 @@ class _Template:
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """(B, K) standardized term coefficients at each row of values (B, S)."""
         out = self.dual.term_coefficients[None].repeat(len(values), axis=0)
-        for i, terms in self.coefficient_slots.items():
-            out[:, terms] = values[:, i, None] / self.bounds[terms]
+        terms, sets = self.coefficient_slots
+        out[:, terms] = values[:, sets] / self.bounds[terms]
         return out
 
-    def skeleton(self, values: Sequence[float], weights, base: float) -> _Skeleton:
-        """The skeleton of dual feasible weights, with log dual value base,
-        at these values, one per set."""
-        if len(weights) != self.dual.term_count:
-            raise ValueError(f"{len(weights)} weights for {self.dual.term_count} terms")
-        slots = self.coefficient_slots
-        weight = (sum(float(weights[k]) for k in terms) for terms in slots.values())
-        return _Skeleton(base, tuple(weight), tuple(math.log(values[i]) for i in slots))
+    def bound(self, weights: np.ndarray, log_duals: np.ndarray, values: np.ndarray,
+              siblings: np.ndarray) -> np.ndarray:
+        """Each sibling's lower bound on its log optimum, from a solved
+        expansion with its exponent values: that expansion's optimal weights
+        (P, K) and log dual value (P,), and the values (P, S) of both.
+
+        Exponent values fix the equality matrix, so the weights are feasible
+        for the sibling too.  At fixed weights the log dual is linear in
+        log c, and a coefficient set scales all of its terms alike, so the
+        sibling's log dual there is log_dual + sum_s W_s (log v'_s - log v_s),
+        W_s the weight on set s's terms: by weak duality a lower bound.
+        """
+        if weights.shape[-1] != self.dual.term_count:
+            raise ValueError(f"{weights.shape[-1]} weights for {self.dual.term_count} terms")
+        terms, sets = self.coefficient_slots
+        weight = np.zeros((values.shape[1], len(weights)))  # W_s by set, per row
+        for k, s in zip(terms.tolist(), sets.tolist()):  # in slot order, as np.add.at (slower)
+            weight[s] += weights[:, k]
+        sets = np.unique(sets)
+        return log_duals + (np.log(siblings.T[sets] / values.T[sets]) * weight[sets]).sum(axis=0)
 
 
 def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
@@ -486,9 +466,10 @@ def solve_choice(
     fix the equality system, are one system.  keep_assignments runs every
     tuple, and expands the table into one row per combination at its own
     bit patterns.  The pruned search runs the seeds, each system's tuple at
-    the smallest value of every coefficient set, then every tuple that its
-    seed's skeleton (_Skeleton) does not prove can neither win nor tie; the
-    rest are skipped unsolved.  A report is built for the reported
+    the smallest value of every coefficient set, then every tuple that the
+    bound from its seed's optimal weights (_Template.bound), computed for
+    all tuples at once, does not prove can neither win nor tie; the rest
+    are skipped unsolved.  A report is built for the reported
     expansion alone.  ``solved`` counts the non-rejected combinations,
     skipped ones included.
     """
@@ -540,17 +521,17 @@ def solve_choice(
         seeds = (pick[coefficient_sets].T == lowest).all(axis=1).nonzero()[0]
         run(seeds)
         # a tuple's coefficients are at least its seed's, so its optimum is
-        # at least its seed's (up to a gap's rounding): the seeds set the limit
-        optimal = [s for s in seeds.tolist() if z[s] > 0.0]
-        limit = math.log(z[optimal].min()) + _PRUNE_LOG_MARGIN if optimal else math.inf
-        logs = np.log(grid[:, coefficient_sets])
+        # at least its seed's (up to a gap's rounding): the seeds set the
+        # limit.  A seed solved to a positive optimum bounds its system's
+        # tuples; ascending, the seeds come in system order.
+        seed = seeds[system]
+        bounded = (z[seed] > 0.0).nonzero()[0]
         unsolved = codes < 0
-        for s in optimal:
-            duals, k = reports[0].duals, row[s]
-            base = math.log(duals.objective_value.item(k))
-            sk = template.skeleton(grid[s], duals.weights[k], base)
-            members = system == system[s]
-            unsolved[members] &= ~(sk.bound(logs[members]) > limit)
+        if len(bounded):
+            s, duals = seed[bounded], reports[0].duals
+            bound = template.bound(duals.weights[row[s]], np.log(duals.objective_value[row[s]]),
+                                   grid[s], grid[bounded])
+            unsolved[bounded[bound > math.log(z[s].min()) + _PRUNE_LOG_MARGIN]] = False
         if unsolved.any():
             run(unsolved.nonzero()[0])
 

@@ -506,7 +506,7 @@ def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 def _newton_phase(
     d: DualProgram, log_c: np.ndarray, bases: np.ndarray, basis_sums: np.ndarray,
-    w: np.ndarray, max_iterations: list[int],
+    w: np.ndarray, max_iterations: int,
 ) -> tuple[np.ndarray, list[Status], list[int]]:
     """The fast pass: damped Newton ascent of the log dual, each row ended at
     its first weight at or below _BOUNDARY_WEIGHT.
@@ -516,12 +516,12 @@ def _newton_phase(
     a C-ordered (B, r, K) stack, so that each slice is laid out as
     _null_space returns it.  basis_sums (B, m, r) holds each basis's sums
     over each constraint block.  A row has its own line search, end and
-    iteration count (at most its max_iterations); the rows share one stacked
+    iteration count (at most max_iterations); the rows share one stacked
     eigh per iteration.  Returns end weights, statuses and counts.
     """
     end, used = np.empty_like(w), [0] * len(w)
     status = [Status.ITERATION_LIMIT] * len(w)
-    rows, limits, stuck = list(range(len(w))), list(max_iterations), []  # live rows
+    rows, stuck = list(range(len(w))), []  # live rows
     # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
     value, grad, _, lam = _log_dual_objective(d, w, log_c)
     for k in itertools.count(1):
@@ -533,7 +533,7 @@ def _newton_phase(
         for i, (j, v) in enumerate(zip(rows, value.tolist())):
             # past its budget or with no progress a row ends at k - 1, else at
             # k: unbounded, at the boundary, or stationary
-            if k > limits[i] or i in stuck:
+            if k > max_iterations or i in stuck:
                 used[j] = k - 1
             elif v > _LOG_VALUE_UNBOUNDED:
                 status[j], used[j] = Status.UNBOUNDED, k
@@ -552,7 +552,7 @@ def _newton_phase(
                 x[live] for x in (w, value, grad, lam, log_c, gu, basis_sums)
             )
             bases = bases.mT[live].mT  # compacted in the stack's own C order
-            rows, limits, norms = ([x[i] for i in live] for x in (rows, limits, norms))
+            rows, norms = [rows[i] for i in live], [norms[i] for i in live]
 
         du = _newton_step(_reduced_hessian(bases, basis_sums, lam, w), gu)
         slopes, values = np.vecdot(gu, du).tolist(), value.tolist()
@@ -658,7 +658,7 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         sums = np.array([d._layout.member @ nullsp for _, _, nullsp in group])[pick]
         w = np.array([start for _, start, _ in group])[pick]
         ends, status, used = _newton_phase(
-            d, log_c, stack.mT, sums, w, [min(_PASS_ITERATIONS, _MAX_ITERATIONS)] * len(w),
+            d, log_c, stack.mT, sums, w, min(_PASS_ITERATIONS, _MAX_ITERATIONS),
         )
         done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
         if done:

@@ -110,6 +110,29 @@ class TestBuildDual:
         with pytest.raises(GpDomainError, match="term 2"):
             solve(s)
 
+    @pytest.mark.parametrize("exponent", [float("inf"), float("-inf"), float("nan")])
+    def test_exponent_that_is_not_finite_is_a_domain_error(self, exponent):
+        # a nan exponent made LAPACK print "On entry to DLASCL parameter
+        # number 4 had an illegal value" and solve raise LinAlgError
+        s = standardize(make_problem([(1, (1, 1)), (1, (-1, -1))],
+                                     [([(1, (1, 0)), (1, (0, exponent))], 1.0)]))
+        with pytest.raises(GpDomainError, match=r"^term 3: exponents \(0\.0, .*\) are "
+                                                "not all finite$"):
+            build_dual(s)
+        with pytest.raises(GpDomainError, match="term 3"):
+            solve(s)
+
+    @pytest.mark.parametrize("exponents", [(1.0, 1.0), ()])
+    def test_term_with_the_wrong_number_of_exponents_is_a_domain_error(self, exponents):
+        # numpy refused to reshape the exponent rows, or to stack rows of
+        # unequal length
+        s = standardize(make_problem([(1, (1,)), (1, (-1,))], [([(1, exponents)], 1.0)]))
+        with pytest.raises(GpDomainError, match=f"^term 2: {len(exponents)} exponents "
+                                                "for 1 variables$"):
+            build_dual(s)
+        with pytest.raises(GpDomainError, match="term 2"):
+            solve(s)
+
     def test_residual_at_reference_weights_example2(self):
         d = build_dual(standardize(example2_problem()))
         residual = d.equality_matrix @ np.array(EX2_W) - d.equality_rhs

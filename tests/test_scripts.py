@@ -17,11 +17,14 @@ REPO = Path(__file__).resolve().parent.parent
 # number of fast-pass batches, one per fixture on the shipped problems; the
 # stress sweep reports its iteration count and solve time per iteration, so
 # a kernel change reads as "same iterations, less time each", and ends with
-# a digest of its statuses alone and a digest of its results
+# a digest of its statuses alone and a digest of its results; the line
+# counter prints raw and code lines per library file, then the totals
 EXPECTED = {
     "run_paper_examples.py": r"(\nexample[12]_case[1-6] +z = .* \d+\.\d ms  "
     r"keep-all +\d+\.\d ms  systems = [1-9]\d*  batches = 1){12}\n",
     "fuzz_cli.py": r"^20 cases at seed 1 in \d+\.\ds: 0 faulty\n$",
+    "code_lines.py": r"^file +raw +code\n(\w+\.py +[1-9]\d* +[1-9]\d*\n)+"
+    r"total +[1-9]\d* +[1-9]\d*\n$",
     "stress_random.py": r"\n  [1-9]\d* Newton iterations, \d+\.\d us each "
     r"\(\d+\.\d\ds in solve\)\n[\s\S]*\nstatus digest {12}[0-9a-f]{64}\n"
     r"sweep digest {13}[0-9a-f]{64}\n$",
@@ -34,6 +37,7 @@ EXPECTED = {
         ("run_paper_examples.py", []),
         ("stress_random.py", ["--count", "20"]),
         ("fuzz_cli.py", ["--count", "20", "--seed", "1"]),
+        ("code_lines.py", []),
     ],
 )
 def test_script_runs_without_pythonpath(script, args):

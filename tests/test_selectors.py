@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -510,7 +511,8 @@ def test_pruning_skips_most_fixture_solves(monkeypatch):
     models = [parse_problem(path) for path in fixtures]
     pruned = [solve_choice(cg) for cg in models]
     # the pruned search solves each fixture's seeds, 46 in all, as one batch
-    # of one-row systems, and its seeds' skeletons skip every other expansion
+    # of one-row systems, and the bounds from its seeds' optimal weights
+    # skip every other expansion
     assert batches == [[1] * seeds for seeds in FIXTURE_SEEDS]
     batches.clear()
     exhaustive = [solve_choice(cg, keep_assignments=True) for cg in models]
@@ -641,8 +643,8 @@ def _coefficient_sets(cg):
 
 
 def _expansions(cg):
-    """(exponent values, values, coefficient log values, standardized GP) for
-    every combination whose coefficients are all positive, in product order."""
+    """(exponent values, values, standardized GP) for every combination whose
+    coefficients are all positive, in product order."""
     coefficient_sets = _coefficient_sets(cg)
     for combo in itertools.product(*[valid_assignments(cs) for cs in cg.sets]):
         choice = {cs.name: bits for cs, bits in zip(cg.sets, combo)}
@@ -650,44 +652,37 @@ def _expansions(cg):
         if any(values[i] <= 0.0 for i in coefficient_sets):
             continue
         key = tuple(v for i, v in enumerate(values) if i not in coefficient_sets)
-        logs = [math.log(values[i]) for i in coefficient_sets]
-        yield key, values, logs, standardize(expand(cg, choice))
-
-
-def _skeleton(template, values, weights, report):
-    """The skeleton of a solved expansion, at these weights."""
-    base = math.log(report.dual.objective_value)
-    return template.skeleton(values, weights, base)
+        yield key, values, standardize(expand(cg, choice))
 
 
 def _assert_bounds_match_the_dual(cg, all_siblings):
-    """The O(K) skeleton bound against build_dual and log_dual_objective.
+    """_Template.bound against build_dual and log_dual_objective.
 
-    The siblings of an expansion are the optimal expansions with its
-    exponent values: all of them, or only the first in product order, which
-    is the one solve_choice keeps.
+    Each expansion is bounded from the optimal expansions with its exponent
+    values, all of them or only the first in product order, every pair a
+    row of one stacked call.
     """
-    siblings = {}
+    solved = {}
     template = gpchoice.selectors._Template.of(cg)
     expansions = list(_expansions(cg))
-    for key, values, _, s in expansions:
-        if all_siblings or key not in siblings:
+    for key, values, s in expansions:
+        if all_siblings or key not in solved:
             report = solve(s)
             if report.status is Status.OPTIMAL:
-                weights = report.dual.weights
-                skeleton = _skeleton(template, values, weights, report)
-                siblings.setdefault(key, []).append((skeleton, weights))
-    checked = 0
-    for key, _, logs, s in expansions:
-        dual = build_dual(s)
-        for skeleton, weights in siblings.get(key, []):
-            expected, _ = log_dual_objective(dual, weights)
-            assert skeleton.bound(logs) == pytest.approx(expected, rel=1e-12)
-            checked += 1
-    return checked
+                solved.setdefault(key, []).append((values, report.dual))
+    pairs = [(values, dual, sibling, s) for key, sibling, s in expansions
+             for values, dual in solved.get(key, [])]
+    values, duals, siblings, programs = zip(*pairs)
+    bounds = template.bound(np.array([d.weights for d in duals]),
+                            np.log([d.objective_value for d in duals]),
+                            np.array(values), np.array(siblings))
+    for bound, dual, s in zip(bounds, duals, programs):
+        expected, _ = log_dual_objective(build_dual(s), dual.weights)
+        assert bound == pytest.approx(expected, rel=1e-12)
+    return len(pairs)
 
 
-def test_skeleton_bound_matches_the_dual_on_every_fixture():
+def test_bound_matches_the_dual_on_every_fixture():
     checked = 0
     for path in sorted(PROBLEM_DIR.glob("*.json")):
         checked += _assert_bounds_match_the_dual(parse_problem(path), False)
@@ -716,7 +711,7 @@ def scaled_bound_template():
     )
 
 
-def test_skeleton_bound_with_a_set_in_two_terms_and_a_scaled_bound():
+def test_bound_with_a_set_in_two_terms_and_a_scaled_bound():
     assert _assert_bounds_match_the_dual(scaled_bound_template(), True) == 4 * 6 * 6
 
 
@@ -901,15 +896,16 @@ def product_template(coefficients, exponents):
     return ChoiceGp(("x1", "x2"), objective, (), sets)
 
 
-def test_skeleton_refuses_weights_of_the_wrong_length():
+def test_bound_refuses_weights_of_the_wrong_length():
     cg = simple_choice_gp()
     report = solve(standardize(expand(cg, {"c": (1, 0)})))
     template = gpchoice.selectors._Template.of(cg)
-    weights = report.dual.weights
-    assert template.dual.term_count == len(weights)
-    _skeleton(template, [1.0], weights, report)
+    weights = report.dual.weights[None]
+    assert weights.shape == (1, template.dual.term_count)
+    rest = np.zeros(1), np.array([[1.0]]), np.array([[2.0]])
+    template.bound(weights, *rest)
     with pytest.raises(ValueError):
-        _skeleton(template, [1.0], weights[1:], report)
+        template.bound(weights[:, 1:], *rest)
 
 
 def test_bound_pruning_solves_a_fraction_of_a_large_product(monkeypatch):
@@ -975,8 +971,8 @@ def test_a_pruned_search_makes_at_most_two_solver_calls(cg):
 
 def test_the_picks_of_a_seed_with_no_skeleton_are_the_second_batch(monkeypatch):
     # min c x^p: at p = 1 normality and orthogonality ask w = 1 and w = 0, so
-    # that seed's dual is INFEASIBLE and it has no skeleton to bound its
-    # picks; the p = 0 seed's skeleton skips its own
+    # that seed's dual is INFEASIBLE and it has no weights to bound its
+    # picks; the p = 0 seed's optimal weights skip its own
     cg = ChoiceGp(("x",), (TermTemplate(SetRef("c"), (SetRef("p"),)),), (),
                   (cset([3.0, 1.0, 2.0], Role.OBJECTIVE_COEFFICIENT, "c"),
                    cset([0.0, 1.0], name="p")))
@@ -995,6 +991,45 @@ def test_the_picks_of_a_seed_with_no_skeleton_are_the_second_batch(monkeypatch):
     _same_choice_result(pruned, exhaustive)
     assert pruned.chosen_values == (("c", 1.0), ("p", 0.0))
 
+
+def _drawn_product_templates(count=300, seed=20261020):
+    """A fixed list of product_templates from a fixed RNG: one to three
+    candidates per coefficient set from 3, 1, 0.5, 2, 0, 1.5 and 4, and one
+    to three exponent values from -1, -2, -3, -0.5 and 0, repeats allowed."""
+    rng = np.random.default_rng(seed)
+
+    def draw(pool):
+        return tuple(rng.choice(pool, size=rng.integers(1, 4)).tolist())
+
+    return [product_template([draw([3.0, 1.0, 0.5, 2.0, 0.0, 1.5, 4.0]) for _ in range(5)],
+                             draw([-1.0, -2.0, -3.0, -0.5, 0.0]))
+            for _ in range(count)]
+
+
+def test_the_pruned_search_solves_the_pinned_tuples(monkeypatch):
+    # which tuples the pruned search solves, and in which call and system,
+    # hashed: a bound that lets through more or fewer tuples moves the digest
+    # even where every winner stays the same
+    digest, calls = hashlib.sha256(), []
+
+    def solve_rows(systems):
+        digest.update(b"call")
+        calls[-1] += 1
+        for d, coefficients in systems:
+            digest.update(repr(coefficients.shape).encode())
+            digest.update(d.exponent_matrix.tobytes())
+            digest.update(coefficients.tobytes())
+        return gpchoice.solver._solve_rows(systems)
+
+    monkeypatch.setattr(gpchoice.selectors, "_solve_rows", solve_rows)
+    for cg in _drawn_product_templates():
+        calls.append(0)
+        solve_choice(cg)
+    # 93 templates reject every tuple; the seeds' bounds skip every other
+    # tuple of the rest, so none makes a second call
+    assert [calls.count(k) for k in range(3)] == [93, 207, 0]
+    assert digest.hexdigest() == (
+        "063f798e5c6e38f2deab802b0b1cff5b778320a37d17c14673bdd22c74aad76f")
 
 def _solved_tuples(cg, keep):
     """solve_choice(cg, keep_assignments=keep), and the (status, z or None)
