@@ -399,25 +399,28 @@ class _Template:
         return out
 
     def bound(self, weights: np.ndarray, log_duals: np.ndarray, values: np.ndarray,
-              siblings: np.ndarray) -> np.ndarray:
+              siblings: np.ndarray, seed: np.ndarray) -> np.ndarray:
         """Each sibling's lower bound on its log optimum, from a solved
-        expansion with its exponent values: that expansion's optimal weights
-        (P, K) and log dual value (P,), and the values (P, S) of both.
+        expansion with its exponent values, its seed: the seeds' optimal
+        weights (Q, K), log dual values (Q,) and values (Q, S), and each
+        sibling's values (P, S) and seed, a row of those (P,).
 
         Exponent values fix the equality matrix, so the weights are feasible
         for the sibling too.  At fixed weights the log dual is linear in
         log c, and a coefficient set scales all of its terms alike, so the
         sibling's log dual there is log_dual + sum_s W_s (log v'_s - log v_s),
-        W_s the weight on set s's terms: by weak duality a lower bound.
+        W_s the weight on set s's terms, summed once per seed: by weak
+        duality a lower bound.
         """
         if weights.shape[-1] != self.dual.term_count:
             raise ValueError(f"{weights.shape[-1]} weights for {self.dual.term_count} terms")
         terms, sets = self.coefficient_slots
-        weight = np.zeros((values.shape[1], len(weights)))  # W_s by set, per row
+        weight = np.zeros((values.shape[1], len(weights)))  # W_s by set, per seed
         for k, s in zip(terms.tolist(), sets.tolist()):  # in slot order, as np.add.at (slower)
             weight[s] += weights[:, k]
         sets = np.unique(sets)
-        return log_duals + (np.log(siblings.T[sets] / values.T[sets]) * weight[sets]).sum(axis=0)
+        steps = np.log(siblings.T[sets] / values.T[sets].take(seed, axis=1))
+        return log_duals[seed] + (steps * weight[sets].take(seed, axis=1)).sum(axis=0)
 
 
 def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
@@ -524,14 +527,15 @@ def solve_choice(
         # at least its seed's (up to a gap's rounding): the seeds set the
         # limit.  A seed solved to a positive optimum bounds its system's
         # tuples; ascending, the seeds come in system order.
-        seed = seeds[system]
+        seed, live = seeds[system], seeds[z[seeds] > 0.0]
         bounded = (z[seed] > 0.0).nonzero()[0]
         unsolved = codes < 0
         if len(bounded):
-            s, duals = seed[bounded], reports[0].duals
-            bound = template.bound(duals.weights[row[s]], np.log(duals.objective_value[row[s]]),
-                                   grid[s], grid[bounded])
-            unsolved[bounded[bound > math.log(z[s].min()) + _PRUNE_LOG_MARGIN]] = False
+            duals = reports[0].duals
+            bound = template.bound(duals.weights[row[live]],
+                                   np.log(duals.objective_value[row[live]]), grid[live],
+                                   grid[bounded], np.searchsorted(live, seed[bounded]))
+            unsolved[bounded[bound > math.log(z[live].min()) + _PRUNE_LOG_MARGIN]] = False
         if unsolved.any():
             run(unsolved.nonzero()[0])
 

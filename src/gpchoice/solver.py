@@ -7,10 +7,12 @@ safeguard; equality residuals stay at rounding level because iterates never
 leave the affine set, and the pass stays strictly inside the program.  Each
 step runs the dual's vectorized kernels and assembles the reduced Hessian
 directly on the null-space basis.  This plain Newton pass, the fast pass,
-runs from the start and ends at its first boundary touch; an interior
-stationary point is accepted outright (global by concavity).  When the
-equality system leaves no freedom (an empty null space, as with degree of
-difficulty zero) its single solution is the answer.
+runs from the start and ends at its first boundary touch: a step whose
+first trial puts a weight at or below _BOUNDARY_WEIGHT is taken as it is,
+with no ascent test, and the row ends there.  An interior stationary point
+is accepted outright (global by concavity).  When the equality system
+leaves no freedom (an empty null space, as with degree of difficulty zero)
+its single solution is the answer.
 
 A dual whose fast pass ends short of the optimum, on the boundary or with no
 ascent left, goes on to one interior-point method on the log primal
@@ -32,13 +34,14 @@ step moves a log x by more than _IPM_STEP, and a trial's slack u_i takes
 its constraint's own -F_i(y) where that is at least 0.8 of u_i, so that
 F_i's curvature along the step leaves no primal residual there.  Each
 iterate is evaluated once: the accepted trial's residuals are the next
-iteration's.  It starts from the fast pass's end (y from the end weights'
-log-linear relations, lambda their block sums) or cold at y = 0, lambda =
-1, whichever has the smaller residuals, with u = -F(y) and every lambda_i
-and u_i lifted to at least that point's largest dual residual or
-violation, so that no complementarity pair starts below the infeasibility
-it must outlast, and ends OPTIMAL where every residual is at most
-_IPM_TOL.  A row whose constraint weights make a ray that proves no x
+iteration's.  It starts from the fast pass's end (y from the log-linear
+relations of the end weights above _BOUNDARY_WEIGHT, so that the weights a
+touch zeroes start inactive, lambda their block sums) or cold at y = 0,
+lambda = 1, whichever has the smaller residuals, with u = -F(y) and
+every lambda_i and u_i lifted to at least that point's largest dual
+residual or violation, so that no complementarity pair starts below the
+infeasibility it must outlast, and ends OPTIMAL where every residual is at
+most _IPM_TOL.  A row whose constraint weights make a ray that proves no x
 feasible is UNBOUNDED (the dual has a start); the method tests for one
 every _RAY_EVERY iterations and where it ends.  A row that runs out of
 iterations, or whose line search finds no decrease, with no ray, ends
@@ -47,13 +50,14 @@ are each capped at _PASS_ITERATIONS, so one dual takes at most
 _MAX_ITERATIONS = 2 _PASS_ITERATIONS Newton iterations.
 
 The start point is the projection of equal block weights onto the affine
-set, else one pass of alternating projections (POCS) toward the interior,
-else the support point: one non-negative least-squares solve decides
-whether {A w = b, w >= 0} is empty, its residual the witness, and only a
-nonempty set goes on to one LP that finds a feasible point positive on
-every weight some feasible point can make positive.  Weights that LP leaves
-at zero are zero at every feasible point; they are dropped and the dual is
-re-solved on the rest.  The start and the null space depend only on the
+set.  Where that leaves a weight below 1e-6, one non-negative least-squares
+solve (numpy, _nnls) first decides whether {A w = b, w >= 0} is empty, its
+residual the witness; a nonempty set goes on to one pass of alternating
+projections (POCS) toward the interior, and where that fails to the support
+point: one LP that finds a feasible point positive on every weight some
+feasible point can make positive.  Weights that LP leaves at zero are
+zero at every feasible point; they are dropped and the dual is re-solved
+on the rest.  The start and the null space depend only on the
 equality system, which the exponents and blocks of the terms fix, so they
 are computed once per system and shared, through a bounded cache, by every
 dual with that system.  Duals are solved as one batch, a row of a (B, K)
@@ -78,13 +82,13 @@ residual), iteration counts and y; a row's DualSolution is built only when
 the row is read.  The linear algebra is numpy only (an SVD null space; a
 fast-pass Newton step from one symmetric eigendecomposition of the reduced
 Hessian, its eigenvalues floored so that the step always ascends; least
-squares; the method's LU solve), so importing the package does not load
-scipy; scipy.optimize's nnls and linprog are imported on first use by the
-support point.  The per-row paths call numpy.linalg's gufuncs directly, whose
-checks outcost the work on systems this small, with numpy's rcond and edge
-cases: x = 0 where a least-squares system has no rows, LinAlgError where an
-SVD fails, and nan where the LU solve meets a singular matrix, where
-np.linalg.solve raises.
+squares, which NNLS's solves use too; the method's LU solve), so importing
+the package does not load scipy; scipy.optimize's linprog is imported on
+first use by the support point.  The per-row paths call numpy.linalg's
+gufuncs directly, whose checks outcost the work on systems this small,
+with numpy's rcond and edge cases: x = 0 where a least-squares system has
+no rows, LinAlgError where an SVD fails, and nan where the LU solve meets a
+singular matrix, where np.linalg.solve raises.
 
 The primal minimizer of a fast-pass row is recovered from optimal weights
 through the log-linear relations: objective terms satisfy term_value = w_0t
@@ -335,28 +339,59 @@ def _projected_norm(basis: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.abs(projected), axis=-1)
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The w >= 0 nearest to solving A w = b, by Lawson and Hanson's
+    active-set method (Solving Least Squares Problems, 1974, ch. 23); None
+    past 3 K least-squares solves, scipy's cap.
+
+    The free weight with the largest gain, A^T (b - A w), joins the passive
+    set P, and w becomes the least-squares solution s over P; a weight that
+    s does not make positive as it joins gains only by rounding and stays
+    out until w moves.  Where s leaves another passive weight at or below
+    zero, w steps toward s as far as w >= 0 allows and the weight that step
+    zeroes leaves P.  At the end A_P^T r = 0 and A^T r <= tol for r = b -
+    A w, so y = -r has A^T y >= -tol and b^T y = -|r|^2: a residual above
+    rounding is a Farkas witness that {A w = b, w >= 0} is empty."""
+    k = a.shape[1]
+    w, (passive, out), solved = np.zeros(k), np.zeros((2, k), dtype=bool), True
+    tol = 10.0 * _EPS * max(a.shape) * np.maximum.reduce(np.abs(a), axis=None, initial=1.0)
+    for _ in range(3 * k):
+        if solved:  # w solves P: the weight with the largest gain joins it
+            gain = np.where(passive | out, -np.inf, a.T @ (b - a @ w))
+            j = np.argmax(gain)
+            if gain[j] <= tol:
+                return w
+            passive[j] = True
+        s = np.zeros(k)
+        s[passive] = _lstsq(a[:, passive], b)
+        if solved and s[j] <= 0.0:  # j gains only by rounding: out until w moves
+            passive[j], out[j] = False, True
+            continue
+        solved = (s[passive] > 0.0).all()
+        if solved:
+            w, out[:] = s, False
+        else:  # toward s, to the first passive weight it zeroes
+            ratio = np.where(passive & (s <= 0.0), w, np.inf) / np.abs(w - s)
+            i = np.argmin(ratio)
+            w = np.maximum(w + ratio[i] * (s - w), 0.0)
+            w[i] = 0.0
+            passive &= w > 0.0
+    return None
+
+
 def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Feasible point of {A w = b, w >= 0} with the largest support; None if empty.
+    """Feasible point of {A w = b, w >= 0} with the largest support; None
+    where the LP finds none.
 
-    Non-negative least squares (Lawson and Hanson, Solving Least Squares
-    Problems, 1974, ch. 23) decides emptiness: its active-set method ends
-    finitely at the w >= 0 nearest to solving A w = b, and a residual above
-    1e-8 proves the set empty (y = A w - b has A^T y >= 0 and b^T y < 0,
-    a Farkas witness).  Otherwise one LP (Freund, Roundy and Todd, 1985)
-    finds the support: maximize sum(t) subject to A w = b tau, t <= w,
-    0 <= t <= 1, w >= 0, tau >= 1.  Scaling (w, tau) up lets t_k reach 1 on
-    every weight that some feasible point makes positive, so the support is
-    {t > 1/2}; off it the weights are zero at every feasible point.
+    One LP (Freund, Roundy and Todd, 1985) finds the support: maximize
+    sum(t) subject to A w = b tau, t <= w, 0 <= t <= 1, w >= 0, tau >= 1.
+    Scaling (w, tau) up lets t_k reach 1 on every weight that some feasible
+    point makes positive, so the support is {t > 1/2}; off it the weights
+    are zero at every feasible point.  Emptiness is decided before, by
+    _nnls, so the LP runs on a nonempty set, or where _nnls ran out.
     """
-    from scipy.optimize import linprog, nnls  # only this fallback needs scipy
+    from scipy.optimize import linprog  # only this fallback needs scipy
 
-    try:
-        w, _ = nnls(a, b)
-    except RuntimeError:  # past its iteration cap; the LP decides
-        pass
-    else:
-        if np.maximum.reduce(np.abs(a @ w - b)) > 1e-8:
-            return None
     m, k = a.shape
     c = np.concatenate([np.zeros(k), -np.ones(k), [0.0]])
     a_eq = np.hstack([a, np.zeros((m, k)), -b[:, None]])
@@ -423,9 +458,14 @@ def _equality_start(exponent_key, block_key) -> _Start:
         w = np.maximum(w, 0.0) if np.minimum.reduce(w) >= -1e-9 else None
     else:
         if np.minimum.reduce(w) < 1e-6:
-            w = _pocs_interior(a, b, w, 1e-2)
-            if w is None:
-                w = _support_point(a, b)
+            # NNLS decides emptiness first: a residual above 1e-8 proves it
+            nearest = _nnls(a, b)
+            if nearest is not None and np.maximum.reduce(np.abs(a @ nearest - b)) > 1e-8:
+                w = None
+            else:
+                w = _pocs_interior(a, b, w, 1e-2)
+                if w is None:
+                    w = _support_point(a, b)
         if w is not None and (w > 0.0).all():
             w = _project_onto_equalities(a, b, w)
         elif w is not None:  # the rest are zero at every feasible point
@@ -509,7 +549,11 @@ def _newton_phase(
     w: np.ndarray, max_iterations: int,
 ) -> tuple[np.ndarray, list[Status], list[int]]:
     """The fast pass: damped Newton ascent of the log dual, each row ended at
-    its first weight at or below _BOUNDARY_WEIGHT.
+    its first weight at or below _BOUNDARY_WEIGHT.  A step whose first
+    trial (the Newton step, cut to 0.9995 of the way to the boundary) has
+    such a weight is taken without the Armijo or stationarity test, so that
+    a row touching the boundary ends there at once instead of halving its
+    step in vain.
 
     Each row of w (B, K) is a dual with d's block layout, its row of log_c
     and its own null-space basis, a slice of bases (B, K, r): the .mT view of
@@ -524,12 +568,12 @@ def _newton_phase(
     rows, stuck = list(range(len(w))), []  # live rows
     # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
     value, grad, _, lam = _log_dual_objective(d, w, log_c)
+    low = np.minimum.reduce(w, axis=1)  # each row's least weight, kept with w
     for k in itertools.count(1):
         gu = np.matvec(bases.mT, grad)
         # _projected_norm, from gu
         norms = np.maximum.reduce(np.abs(np.matvec(bases, gu)), axis=1).tolist()
-        low = np.minimum.reduce(w, axis=1).tolist()
-        live = []
+        lows, live = low.tolist(), []
         for i, (j, v) in enumerate(zip(rows, value.tolist())):
             # past its budget or with no progress a row ends at k - 1, else at
             # k: unbounded, at the boundary, or stationary
@@ -537,7 +581,7 @@ def _newton_phase(
                 used[j] = k - 1
             elif v > _LOG_VALUE_UNBOUNDED:
                 status[j], used[j] = Status.UNBOUNDED, k
-            elif low[i] <= _BOUNDARY_WEIGHT:
+            elif lows[i] <= _BOUNDARY_WEIGHT:
                 used[j] = k
             elif norms[i] <= _STATIONARITY_TOL:
                 status[j], used[j] = Status.OPTIMAL, k
@@ -559,10 +603,13 @@ def _newton_phase(
         dw = np.matvec(bases, du)
         step = _boundary_fraction(w, dw)
         # each row halves its step until it takes its trial; a taken row's
-        # trial comes out the same at every later halving
-        taken, stuck = [False] * len(w), []  # stuck: no progress at all
-        for _ in range(60):
-            trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
+        # trial comes out the same at every later halving.  A first trial
+        # with a weight at or below _BOUNDARY_WEIGHT is taken untested: the
+        # next status check ends its row at that boundary touch
+        trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
+        low = np.minimum.reduce(trial, axis=1)
+        taken, stuck = (low <= _BOUNDARY_WEIGHT).tolist(), []  # stuck: no progress at all
+        for halving in range(60):
             evaluated = _log_dual_objective(d, trial, log_c)
             t_norms, sizes, t_values = None, step.tolist(), evaluated[0].tolist()
             for i, (size, t_value) in enumerate(zip(sizes, t_values)):
@@ -581,11 +628,14 @@ def _newton_phase(
             if all(taken):
                 break
             step = np.where(taken, step, 0.5 * step)
+            trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
         else:  # the rows that found no progress stay at w, and end
             stuck = [i for i, t in enumerate(taken) if not t]
             trial = np.where(np.array(taken)[:, None], trial, w)
             evaluated = _log_dual_objective(d, trial, log_c)
         w, (value, grad, _, lam) = trial, evaluated
+        if halving:  # else the first trial's least weights are w's
+            low = np.minimum.reduce(w, axis=1)
 
     return end, status, used
 

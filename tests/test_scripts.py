@@ -82,3 +82,10 @@ def test_interleave_names_the_first_call_whose_outputs_differ(tmp_path):
     out = _interleave(REPO / "src", tmp_path, "--workload", "stress", "--count", "20")
     assert out.returncode == 1
     assert re.fullmatch(r"call \d+: outputs differ\n", out.stderr), out.stderr
+    # every group still runs and is timed; the looser tree moves the bits of
+    # 10 of the 11 calls that reach the method, and the status of 2
+    assert re.fullmatch(
+        r"stress: 2 groups of up to 10 calls, 10 of 20 calls differ in bits, "
+        r"2 in status, in \d+\.\ds\n"
+        r"median time ratio change/parent \d+\.\d{3} \(parent/change \d+\.\d{3}\)\n",
+        out.stdout), out.stdout

@@ -660,7 +660,7 @@ def _assert_bounds_match_the_dual(cg, all_siblings):
 
     Each expansion is bounded from the optimal expansions with its exponent
     values, all of them or only the first in product order, every pair a
-    row of one stacked call.
+    row of one stacked call that holds each optimal expansion once.
     """
     solved = {}
     template = gpchoice.selectors._Template.of(cg)
@@ -670,14 +670,17 @@ def _assert_bounds_match_the_dual(cg, all_siblings):
             report = solve(s)
             if report.status is Status.OPTIMAL:
                 solved.setdefault(key, []).append((values, report.dual))
-    pairs = [(values, dual, sibling, s) for key, sibling, s in expansions
-             for values, dual in solved.get(key, [])]
-    values, duals, siblings, programs = zip(*pairs)
-    bounds = template.bound(np.array([d.weights for d in duals]),
-                            np.log([d.objective_value for d in duals]),
-                            np.array(values), np.array(siblings))
-    for bound, dual, s in zip(bounds, duals, programs):
-        expected, _ = log_dual_objective(build_dual(s), dual.weights)
+    seeds = [seed for key in solved for seed in solved[key]]
+    firsts = dict(zip(solved, itertools.accumulate(map(len, solved.values()), initial=0)))
+    pairs = [(firsts[key] + i, sibling, s) for key, sibling, s in expansions
+             for i in range(len(solved.get(key, [])))]
+    which, siblings, programs = zip(*pairs)
+    bounds = template.bound(np.array([dual.weights for _, dual in seeds]),
+                            np.log([dual.objective_value for _, dual in seeds]),
+                            np.array([values for values, _ in seeds]), np.array(siblings),
+                            np.array(which))
+    for bound, i, s in zip(bounds, which, programs):
+        expected, _ = log_dual_objective(build_dual(s), seeds[i][1].weights)
         assert bound == pytest.approx(expected, rel=1e-12)
     return len(pairs)
 
@@ -902,7 +905,7 @@ def test_bound_refuses_weights_of_the_wrong_length():
     template = gpchoice.selectors._Template.of(cg)
     weights = report.dual.weights[None]
     assert weights.shape == (1, template.dual.term_count)
-    rest = np.zeros(1), np.array([[1.0]]), np.array([[2.0]])
+    rest = np.zeros(1), np.array([[1.0]]), np.array([[2.0]]), np.zeros(1, dtype=int)
     template.bound(weights, *rest)
     with pytest.raises(ValueError):
         template.bound(weights[:, 1:], *rest)

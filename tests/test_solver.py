@@ -43,7 +43,9 @@ from gpchoice.solver import (
     _equality_start,
     _interior_point,
     _lstsq,
+    _newton_phase,
     _newton_step,
+    _nnls,
     _null_space,
     _reduced_program,
     _solve_duals,
@@ -201,52 +203,42 @@ def _start_bytes(start) -> tuple:
 
 
 class TestSupportPoint:
-    """One NNLS solve proves {A w = b, w >= 0} empty; the LP finds the
-    support of the rest."""
+    """One numpy NNLS solve proves {A w = b, w >= 0} empty before alternating
+    projections run; the LP finds the support of the rest."""
 
     @staticmethod
     def _count_lp(monkeypatch) -> list[str]:
         import scipy.optimize
 
         calls = []
-        for name in ("linprog", "nnls"):
-            original = getattr(scipy.optimize, name)
+        for module, name, label in ((scipy.optimize, "linprog", "linprog"),
+                                    (gpchoice.solver, "_nnls", "nnls")):
+            original = getattr(module, name)
 
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
+            def spy(*args, _label=label, _original=original, **kwargs):
+                calls.append(_label)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.optimize, name, spy)
+            monkeypatch.setattr(module, name, spy)
         return calls
 
     @staticmethod
-    def _replace_nnls(monkeypatch, nnls):
-        import scipy.optimize
-
-        monkeypatch.setattr(scipy.optimize, "nnls", nnls)
-
-    @staticmethod
-    def _capped(a, b):
-        raise RuntimeError("Maximum number of iterations reached.")
+    def _capped(monkeypatch):
+        # an NNLS past its iteration cap decides nothing
+        monkeypatch.setattr(gpchoice.solver, "_nnls", lambda a, b: None)
 
     @staticmethod
-    def _no_residual(a, b):
-        # a solution of A w = b that may be negative: the gate never fires,
-        # so the LP alone decides
-        return np.linalg.lstsq(a, b, rcond=None)[0], 0.0
-
-    @staticmethod
-    def _support_calls(monkeypatch, indices) -> list[tuple]:
-        """(system key, a, b, w) of each _support_point call that the cold
-        starts of these stress problems make."""
-        calls, original = [], gpchoice.solver._support_point
+    def _nnls_calls(monkeypatch, indices) -> list[tuple]:
+        """(system key, a, b, w) of each _nnls call that the cold starts of
+        these stress problems make."""
+        calls, original = [], gpchoice.solver._nnls
 
         def spy(a, b):
             w = original(a, b)
             calls.append((a, b, w))
             return w
 
-        monkeypatch.setattr(gpchoice.solver, "_support_point", spy)
+        monkeypatch.setattr(gpchoice.solver, "_nnls", spy)
         out = []
         for index in indices:
             key = _system_key(build_dual(standardize(_stress_problems()[index])))
@@ -255,66 +247,101 @@ class TestSupportPoint:
             calls.clear()
         return out
 
+    @staticmethod
+    def _empty(a, b, w) -> bool:
+        return np.maximum.reduce(np.abs(a @ w - b)) > 1e-8
+
     def test_forced_zeros_are_exact_and_the_rest_positive(self, monkeypatch):
         calls = self._count_lp(monkeypatch)
         a, b = _forced_zeros()
         w = _support_point(a, b)
-        assert calls == ["nnls", "linprog"]
+        assert calls == ["linprog"]
         assert np.all(w[:3] > 0.0)
         np.testing.assert_array_equal(w[3:], [0.0, 0.0])
         np.testing.assert_allclose(a @ w, b, rtol=0, atol=1e-9)
-        self._replace_nnls(monkeypatch, self._no_residual)
-        assert _support_point(a, b).tobytes() == w.tobytes()
+        assert not self._empty(a, b, _nnls(a, b))
 
     def test_empty_set_gives_none(self, monkeypatch):
+        a, b = _empty_set()
+        assert self._empty(a, b, _nnls(a, b))
         calls = self._count_lp(monkeypatch)
-        assert _support_point(*_empty_set()) is None
-        assert calls == ["nnls"]
+        assert _support_point(a, b) is None
+        assert calls == ["linprog"]
 
     def test_the_nnls_residual_is_a_farkas_witness(self, monkeypatch):
         # w >= 0 nearest to A w = b leaves y = A w - b with A^T y >= 0 and
-        # b^T y = -|y|^2 < 0, so no w >= 0 solves A w = b
+        # b^T y = -|y|^2 < 0, so no w >= 0 solves A w = b; scipy's NNLS
+        # gives every system the same verdict
         from scipy.optimize import nnls
 
-        empty = [(a, b) for _, a, b, w in self._support_calls(monkeypatch, range(300))
-                 if w is None]
+        systems = [(a, b, w) for _, a, b, w in self._nnls_calls(monkeypatch, range(300))]
+        empty = [(a, b, w) for a, b, w in systems if self._empty(a, b, w)]
         assert len(empty) == 44
-        for a, b in [_empty_set(), *empty]:
-            w, _ = nnls(a, b)
+        for a, b, w in [(*_empty_set(), _nnls(*_empty_set())), *empty]:
+            assert (w >= 0.0).all()
             y = a @ w - b
             y /= np.linalg.norm(y)
             assert (a.T @ y).min() >= -1e-10
             assert b @ y <= -1e-8
+        for a, b, w in systems:
+            assert self._empty(a, b, w) == self._empty(a, b, nnls(a, b)[0])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nnls_reaches_the_least_residual(self, seed):
+        # random systems, some with a nonnegative solution and some without:
+        # the residual is scipy's, and the verdict with it
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(seed)
+        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        a = rng.normal(size=(m, k))
+        b = a @ np.abs(rng.normal(size=k)) if seed % 2 else rng.normal(size=m)
+        w, (expected, _) = _nnls(a, b), nnls(a, b)
+        assert (w >= 0.0).all()
+        assert np.linalg.norm(a @ w - b) == pytest.approx(np.linalg.norm(a @ expected - b),
+                                                           rel=1e-9, abs=1e-12)
 
     def test_an_nnls_past_its_iteration_cap_falls_back_to_the_lp(self, monkeypatch):
-        a, b = _forced_zeros()
-        gated = _support_point(a, b)
-        self._replace_nnls(monkeypatch, self._capped)
+        # undecided, a set goes on to alternating projections, and where they
+        # fail to the LP, which finds the empty sets empty
+        keys = {key for key, a, b, w in self._nnls_calls(monkeypatch, range(300))
+                if self._empty(a, b, w)}
+        assert len(keys) == 44
+        self._capped(monkeypatch)
         calls = self._count_lp(monkeypatch)
-        assert _support_point(a, b).tobytes() == gated.tobytes()
-        assert _support_point(*_empty_set()) is None
-        assert calls.count("linprog") == 2
+        for key in keys:
+            start = _equality_start.__wrapped__(*key)
+            assert start.w is None and start.support is None
+        assert calls == ["nnls", "linprog"] * len(keys)
 
     def test_the_lp_alone_gives_the_same_starts(self, monkeypatch):
         indices = [*range(300), *TestStressRegressions.LP_STARTS]
-        support = self._support_calls(monkeypatch, indices)
-        keys = {key: w is None for key, *_, w in support}
-        # 44 empty sets and the LP_STARTS
+        keys = {key: self._empty(a, b, w)
+                for key, a, b, w in self._nnls_calls(monkeypatch, indices)}
+        # 44 empty sets, the LP_STARTS and the sets alternating projections start
         assert sum(keys.values()) == 44
-        assert len(keys) == 44 + len(TestStressRegressions.LP_STARTS)
         gated = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
-        self._replace_nnls(monkeypatch, self._no_residual)
+        self._capped(monkeypatch)
         calls = self._count_lp(monkeypatch)
         alone = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
         assert alone == gated
-        assert calls.count("linprog") == len(keys)
+        assert calls.count("linprog") == 44 + len(TestStressRegressions.LP_STARTS)
 
     def test_first_300_stress_problems_make_8_lp_calls(self, monkeypatch):
         calls = self._count_lp(monkeypatch)
         _equality_start.cache_clear()
         for g in _stress_problems()[:300]:
             solve(standardize(g))
-        assert Counter(calls) == {"nnls": 52, "linprog": 8}
+        assert Counter(calls) == {"nnls": 112, "linprog": 8}
+
+    def test_scipy_nnls_is_imported_nowhere(self):
+        import ast
+
+        src = Path(gpchoice.solver.__file__).parent
+        names = {alias.name for path in src.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "linprog" in names and "nnls" not in names
 
 
 class TestRecoverPrimal:
@@ -514,7 +541,22 @@ class TestNumpyLinearAlgebra:
     def test_a_singular_newton_system_takes_least_squares(self, monkeypatch):
         # z appears in no term, so its row and column of the interior-point
         # method's Newton system are zero: np.linalg.solve would raise, the
-        # gufunc gives nan, and the step comes from least squares
+        # gufunc gives nan, and the step comes from least squares.  A solve
+        # now certifies at the method's warm start, after the fast pass's
+        # boundary touch, with no Newton step; the method runs here from the
+        # fast pass's end after 3 iterations, where its 4th search stalled
+        # before boundary touches were taken
+        s = standardize(_FREE_Z)
+        d = build_dual(s)
+        report = solve(s)
+        assert report.status is Status.OPTIMAL and report.dual.iterations == 5
+        assert report.objective_value == 2.0
+        start, nullsp, _ = _dual_start(d)
+        log_c = np.log(d.term_coefficients)
+        sums = d._layout.member @ nullsp
+        end, _, used = _newton_phase(d, log_c[None], np.array([nullsp.T]).mT, sums[None],
+                                     start[None], 3)
+        assert used == [3] and end.min() == pytest.approx(1.25e-10, rel=1e-9)
         systems = []
         original = gpchoice.solver._lstsq
 
@@ -526,10 +568,11 @@ class TestNumpyLinearAlgebra:
             return original(a, b)
 
         monkeypatch.setattr(gpchoice.solver, "_lstsq", spy)
-        report = solve(standardize(_FREE_Z))
+        ipm = _interior_point(d, log_c, nullsp, end[0], 3)
         assert len(systems) == 2  # both steps of the method's one iteration
-        assert report.status is Status.OPTIMAL and report.dual.iterations == 5
-        assert report.objective_value == 2.0
+        assert ipm.status is Status.OPTIMAL and ipm.iterations == 4
+        claim = optimal_claim(problem_terms(s), [np.exp(ipm.y)], [ipm.weights])
+        assert claim.holds[0] and claim.objective[0] == 2.0
 
     @staticmethod
     def _scipy_newton_step(hu, gu):
@@ -1475,6 +1518,58 @@ class TestSharedStart:
                 solve_choice(parse_problem(path), keep_assignments=keep)
         assert calls == []
 
+    @staticmethod
+    def _line_searches(monkeypatch) -> list[list[int]]:
+        """[rows, trials] of each fast-pass line search made from now on: its
+        batch's rows and the log dual evaluations it makes, 1 where every
+        row takes its first trial, and 61 where a row runs out its 60
+        halvings (60 trials, then its end re-evaluated)."""
+        searches, current = [], []
+        phase, step, objective = (getattr(gpchoice.solver, name) for name in (
+            "_newton_phase", "_newton_step", "_log_dual_objective"))
+
+        def newton_phase(*args):
+            current.append([])
+            try:
+                return phase(*args)
+            finally:
+                searches.extend(current.pop())
+
+        def newton_step(hu, gu):
+            current[-1].append([len(gu), 0])
+            return step(hu, gu)
+
+        def log_dual_objective(*args):
+            if current and current[-1]:  # the pass's start is no search
+                current[-1][-1][1] += 1
+            return objective(*args)
+
+        for name, spy in (("_newton_phase", newton_phase), ("_newton_step", newton_step),
+                          ("_log_dual_objective", log_dual_objective)):
+            monkeypatch.setattr(gpchoice.solver, name, spy)
+        return searches
+
+    def test_no_fixture_step_is_halved(self, monkeypatch):
+        # every fast-pass row of the fixtures, pruned and keep-all, takes its
+        # first trial and none touches the boundary, so neither the touch
+        # rule nor the line search can move a golden report
+        searches = self._line_searches(monkeypatch)
+        _equality_start.cache_clear()
+        for path in sorted(PROBLEM_DIR.glob("*.json")):
+            for keep in (False, True):
+                solve_choice(parse_problem(path), keep_assignments=keep)
+        assert {trials for _, trials in searches} == {1}
+        assert sum(rows for rows, _ in searches) == 7784
+
+    def test_no_stress_line_search_runs_out_of_halvings(self, monkeypatch):
+        # a first trial that touches the boundary is taken: in the first 300
+        # stress problems 15 searches ran out their 60 halvings before
+        searches = self._line_searches(monkeypatch)
+        for g in _stress_problems()[:300]:
+            solve(standardize(g))
+        assert len(searches) == 1011
+        assert max(trials for _, trials in searches) == 1
+
     def test_interior_point_rows_are_pinned(self, monkeypatch):
         # every row of the first 300 stress problems that reaches the method
         # ends as recorded with the residual-norm line search: status,
@@ -1496,7 +1591,7 @@ class TestSharedStart:
             solve(standardize(g))
         assert rows == [Status.OPTIMAL] * 148
         assert digest.hexdigest() == (
-            "8cf938ddae7deda7b7325155ff1116259902eed99b2f83be1d8dff9fe1f8b4da")
+            "63a0594595ede956107da86727c442e3d8dc4e5b5aefb4d7a8aed87bfb301158")
 
 
 def _scaled(s, rng):
