@@ -2,22 +2,25 @@
 
 The dual of a posynomial GP maximizes a concave function over
 {A w = e1, w >= 0}.  We parameterize the affine set through an orthonormal
-null-space basis and run a damped Newton ascent with a fraction-to-boundary
-safeguard; equality residuals stay at rounding level because iterates never
-leave the affine set, and the pass stays strictly inside the program.  Each
-step runs the dual's vectorized kernels and assembles the reduced Hessian
-directly on the null-space basis.  This plain Newton pass, the fast pass,
-runs from the start and ends at its first boundary touch: a step whose
-first trial puts a weight at or below _BOUNDARY_WEIGHT is taken as it is,
-with no ascent test, and the row ends there.  An interior stationary point
-is accepted outright (global by concavity).  When the equality system
-leaves no freedom (an empty null space, as with degree of difficulty zero)
-its single solution is the answer.
+null-space basis and run Newton ascent, each step cut to 0.9995 of the way
+to the boundary and tried once; equality residuals stay at rounding level
+because iterates never leave the affine set, and the pass stays strictly
+inside the program.  Each step runs the dual's vectorized kernels and
+assembles the reduced Hessian directly on the null-space basis.  This plain
+Newton pass, the fast pass, runs from the start and ends at its first
+boundary touch: a step that puts a weight at or below _BOUNDARY_WEIGHT is
+taken as it is, with no ascent test, and the row ends there.  Any other
+step must ascend, by Armijo's test or, where its predicted gain is below
+value resolution, to a smaller projected gradient; a row whose step does
+not ends at the point before it.  An interior stationary point is accepted
+outright (global by concavity).  When the equality system leaves no
+freedom (an empty null space, as with degree of difficulty zero) its
+single solution is the answer.
 
-A dual whose fast pass ends short of the optimum, on the boundary or with no
-ascent left, goes on to one interior-point method on the log primal
-(Kortanek, Xu and Ye, An infeasible interior-point algorithm for solving
-primal and dual geometric programs, Math. Prog. 76, 1997; Boyd, Kim,
+A dual whose fast pass ends short of the optimum, on the boundary or before
+a step that does not ascend, goes on to one interior-point method on the log
+primal (Kortanek, Xu and Ye, An infeasible interior-point algorithm for
+solving primal and dual geometric programs, Math. Prog. 76, 1997; Boyd, Kim,
 Vandenberghe and Hassibi, A tutorial on geometric programming, 2007): Newton
 on y = log x, slacks u >= 0 and multipliers lambda for min F_0(y) s.t.
 F_i(y) + u_i = 0, with F_b the log-sum-exp of block b's terms at y.  Its
@@ -548,24 +551,27 @@ def _newton_phase(
     d: DualProgram, log_c: np.ndarray, bases: np.ndarray, basis_sums: np.ndarray,
     w: np.ndarray, max_iterations: int,
 ) -> tuple[np.ndarray, list[Status], list[int]]:
-    """The fast pass: damped Newton ascent of the log dual, each row ended at
-    its first weight at or below _BOUNDARY_WEIGHT.  A step whose first
-    trial (the Newton step, cut to 0.9995 of the way to the boundary) has
-    such a weight is taken without the Armijo or stationarity test, so that
-    a row touching the boundary ends there at once instead of halving its
-    step in vain.
+    """The fast pass: Newton ascent of the log dual, one trial a step (the
+    Newton step, cut to 0.9995 of the way to the boundary), each row ended
+    at its first weight at or below _BOUNDARY_WEIGHT.  A step with such a
+    weight is taken untested; the next status check ends its row there.
+    Any other step is tested at the next status check, which computes the
+    projected gradient at the trial anyway: it must pass Armijo's test or,
+    where its predicted gain is below value resolution, lower the projected
+    gradient.  A step that fails ends its row at the point before it, to be
+    taken on by the interior-point method.
 
     Each row of w (B, K) is a dual with d's block layout, its row of log_c
     and its own null-space basis, a slice of bases (B, K, r): the .mT view of
     a C-ordered (B, r, K) stack, so that each slice is laid out as
     _null_space returns it.  basis_sums (B, m, r) holds each basis's sums
-    over each constraint block.  A row has its own line search, end and
+    over each constraint block.  A row has its own ascent test, end and
     iteration count (at most max_iterations); the rows share one stacked
     eigh per iteration.  Returns end weights, statuses and counts.
     """
     end, used = np.empty_like(w), [0] * len(w)
     status = [Status.ITERATION_LIMIT] * len(w)
-    rows, stuck = list(range(len(w))), []  # live rows
+    rows = list(range(len(w)))  # live rows
     # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
     value, grad, _, lam = _log_dual_objective(d, w, log_c)
     low = np.minimum.reduce(w, axis=1)  # each row's least weight, kept with w
@@ -575,9 +581,16 @@ def _newton_phase(
         norms = np.maximum.reduce(np.abs(np.matvec(bases, gu)), axis=1).tolist()
         lows, live = low.tolist(), []
         for i, (j, v) in enumerate(zip(rows, value.tolist())):
-            # past its budget or with no progress a row ends at k - 1, else at
-            # k: unbounded, at the boundary, or stationary
-            if k > max_iterations or i in stuck:
+            # a step off the boundary that does not ascend ends its row
+            # before it, at k - 1
+            if k > 1 and lows[i] > _BOUNDARY_WEIGHT and not (
+                    v >= last_v[i] + gains[i] if gains[i] > 1e-13 * (1.0 + abs(last_v[i]))
+                    else norms[i] < last_norms[i]):
+                used[j], end[j] = k - 1, last_w[i]
+                continue
+            # past its budget a row ends at k - 1, else at k: unbounded, at the
+            # boundary, or stationary
+            if k > max_iterations:
                 used[j] = k - 1
             elif v > _LOG_VALUE_UNBOUNDED:
                 status[j], used[j] = Status.UNBOUNDED, k
@@ -599,43 +612,14 @@ def _newton_phase(
             rows, norms = [rows[i] for i in live], [norms[i] for i in live]
 
         du = _newton_step(_reduced_hessian(bases, basis_sums, lam, w), gu)
-        slopes, values = np.vecdot(gu, du).tolist(), value.tolist()
         dw = np.matvec(bases, du)
         step = _boundary_fraction(w, dw)
-        # each row halves its step until it takes its trial; a taken row's
-        # trial comes out the same at every later halving.  A first trial
-        # with a weight at or below _BOUNDARY_WEIGHT is taken untested: the
-        # next status check ends its row at that boundary touch
-        trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
-        low = np.minimum.reduce(trial, axis=1)
-        taken, stuck = (low <= _BOUNDARY_WEIGHT).tolist(), []  # stuck: no progress at all
-        for halving in range(60):
-            evaluated = _log_dual_objective(d, trial, log_c)
-            t_norms, sizes, t_values = None, step.tolist(), evaluated[0].tolist()
-            for i, (size, t_value) in enumerate(zip(sizes, t_values)):
-                if taken[i]:
-                    continue
-                predicted = 1e-4 * size * slopes[i]
-                # once the predicted gain sinks below value resolution,
-                # sufficient decrease cannot be observed; judge trial steps
-                # by stationarity instead
-                if predicted > 1e-13 * (1.0 + abs(values[i])):
-                    taken[i] = t_value >= values[i] + predicted
-                    continue
-                if t_norms is None:
-                    t_norms = _projected_norm(bases, evaluated[1]).tolist()
-                taken[i] = t_norms[i] < norms[i]
-            if all(taken):
-                break
-            step = np.where(taken, step, 0.5 * step)
-            trial = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
-        else:  # the rows that found no progress stay at w, and end
-            stuck = [i for i, t in enumerate(taken) if not t]
-            trial = np.where(np.array(taken)[:, None], trial, w)
-            evaluated = _log_dual_objective(d, trial, log_c)
-        w, (value, grad, _, lam) = trial, evaluated
-        if halving:  # else the first trial's least weights are w's
-            low = np.minimum.reduce(w, axis=1)
+        # one trial a step, tested at the next status check
+        gains = (1e-4 * step * np.vecdot(gu, du)).tolist()
+        last_w, last_v, last_norms = w, value.tolist(), norms
+        w = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
+        value, grad, _, lam = _log_dual_objective(d, w, log_c)
+        low = np.minimum.reduce(w, axis=1)
 
     return end, status, used
 

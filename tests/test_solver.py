@@ -459,8 +459,9 @@ class TestSolverSettings:
 
     # example 1 takes the fast path; stress problems 2, 3 and 55 go on to the
     # interior-point method from the boundary, 22 from inside the program,
-    # and 23 starts at the support LP
-    @pytest.mark.parametrize("index", [None, 2, 3, 22, 23, 55])
+    # 773 from a fast-pass step that does not ascend, and 23 starts at the
+    # support LP
+    @pytest.mark.parametrize("index", [None, 2, 3, 22, 23, 55, 773])
     def test_max_iterations_bounds_every_pass_of_a_solve(self, monkeypatch, index):
         g = example1_problem() if index is None else _stress_problems()[index]
         d = build_dual(standardize(g))
@@ -1503,7 +1504,10 @@ class TestSharedStart:
         np.testing.assert_allclose(ds.weights[kept], reduced.weights, rtol=1e-12, atol=0.0)
 
     def test_no_fixture_row_reaches_the_interior_point_method(self, monkeypatch):
-        # every fixture row, pruned or keep-all, ends the fast pass OPTIMAL
+        # every fixture row, pruned or keep-all, ends the fast pass OPTIMAL:
+        # none touches the boundary or takes a step that does not ascend, so
+        # neither rule, each of which hands a row to the interior-point
+        # method, can move a golden report
         calls = []
         original = gpchoice.solver._interior_point
 
@@ -1519,56 +1523,37 @@ class TestSharedStart:
         assert calls == []
 
     @staticmethod
-    def _line_searches(monkeypatch) -> list[list[int]]:
-        """[rows, trials] of each fast-pass line search made from now on: its
-        batch's rows and the log dual evaluations it makes, 1 where every
-        row takes its first trial, and 61 where a row runs out its 60
-        halvings (60 trials, then its end re-evaluated)."""
-        searches, current = [], []
-        phase, step, objective = (getattr(gpchoice.solver, name) for name in (
-            "_newton_phase", "_newton_step", "_log_dual_objective"))
+    def _failed_steps(monkeypatch) -> list[list[int]]:
+        """Per fast pass made from now on, its rows that end on a step that
+        does not ascend: inside the program and within the budget, neither
+        OPTIMAL nor UNBOUNDED."""
+        passes, original = [], gpchoice.solver._newton_phase
 
-        def newton_phase(*args):
-            current.append([])
-            try:
-                return phase(*args)
-            finally:
-                searches.extend(current.pop())
+        def spy(*args):
+            end, status, used = original(*args)
+            passes.append([i for i, (st, k) in enumerate(zip(status, used))
+                           if st is Status.ITERATION_LIMIT and k < args[-1]
+                           and end[i].min() > _BOUNDARY_WEIGHT])
+            return end, status, used
 
-        def newton_step(hu, gu):
-            current[-1].append([len(gu), 0])
-            return step(hu, gu)
+        monkeypatch.setattr(gpchoice.solver, "_newton_phase", spy)
+        return passes
 
-        def log_dual_objective(*args):
-            if current and current[-1]:  # the pass's start is no search
-                current[-1][-1][1] += 1
-            return objective(*args)
-
-        for name, spy in (("_newton_phase", newton_phase), ("_newton_step", newton_step),
-                          ("_log_dual_objective", log_dual_objective)):
-            monkeypatch.setattr(gpchoice.solver, name, spy)
-        return searches
-
-    def test_no_fixture_step_is_halved(self, monkeypatch):
-        # every fast-pass row of the fixtures, pruned and keep-all, takes its
-        # first trial and none touches the boundary, so neither the touch
-        # rule nor the line search can move a golden report
-        searches = self._line_searches(monkeypatch)
-        _equality_start.cache_clear()
-        for path in sorted(PROBLEM_DIR.glob("*.json")):
-            for keep in (False, True):
-                solve_choice(parse_problem(path), keep_assignments=keep)
-        assert {trials for _, trials in searches} == {1}
-        assert sum(rows for rows, _ in searches) == 7784
-
-    def test_no_stress_line_search_runs_out_of_halvings(self, monkeypatch):
-        # a first trial that touches the boundary is taken: in the first 300
-        # stress problems 15 searches ran out their 60 halvings before
-        searches = self._line_searches(monkeypatch)
-        for g in _stress_problems()[:300]:
-            solve(standardize(g))
-        assert len(searches) == 1011
-        assert max(trials for _, trials in searches) == 1
+    def test_two_stress_rows_end_the_fast_pass_on_a_failed_step(self, monkeypatch):
+        # of the bench's 1500 stress problems only 773 and 1273 take a step
+        # that does not ascend; each ends before it and the interior-point
+        # method certifies it from there
+        passes, failed = self._failed_steps(monkeypatch), {}
+        for index, g in enumerate(_stress_problems()[:1500]):
+            passes.clear()
+            report = solve(standardize(g))
+            if any(passes):
+                failed[index] = report
+        assert sorted(failed) == [773, 1273]
+        for index, iterations in ((773, 9), (1273, 13)):
+            report = failed[index]
+            assert report.status is Status.OPTIMAL and report.dual.y is not None
+            assert report.dual.iterations == iterations
 
     def test_interior_point_rows_are_pinned(self, monkeypatch):
         # every row of the first 300 stress problems that reaches the method
@@ -1722,6 +1707,19 @@ class TestSiblingBatches:
             assert max(sets for sets, _ in recoveries) >= 2
             assert (1, 2) in recoveries
             assert statuses[-1] == {Status.OPTIMAL, Status.ITERATION_LIMIT}
+
+    def test_a_failed_step_ends_its_row_as_alone(self, monkeypatch):
+        # stress problem 773 takes a fast-pass step that does not ascend and
+        # goes on to the interior-point method; its six scaled siblings, in
+        # the same fast pass, end it OPTIMAL
+        passes = TestSharedStart._failed_steps(monkeypatch)
+        s = standardize(_stress_problems()[773])
+        rng = np.random.default_rng(STRESS_SEED)
+        family = (s, *(_scaled(s, rng) for _ in range(6)))
+        together = self._batch(family)
+        assert passes == [[0]]
+        alone = [solve(s) for s in family]
+        assert [_report_fields(r) for r in together] == [_report_fields(r) for r in alone]
 
     def test_each_row_owns_its_arrays(self):
         for family in self._families():
