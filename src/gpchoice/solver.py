@@ -57,41 +57,43 @@ set.  Where that leaves a weight below 1e-6, one non-negative least-squares
 solve (numpy, _nnls) first decides whether {A w = b, w >= 0} is empty, its
 residual the witness; a nonempty set goes on to one pass of alternating
 projections (POCS) toward the interior, and where that fails to the support
-point: one LP that finds a feasible point positive on every weight some
-feasible point can make positive.  Weights that LP leaves at zero are
-zero at every feasible point; they are dropped and the dual is re-solved
-on the rest.  The start and the null space depend only on the
-equality system, which the exponents and blocks of the terms fix, so they
-are computed once per system and shared, through a bounded cache, by every
-dual with that system.  Duals are solved as one batch, a row of a (B, K)
-weight array each, and each row ends bit for bit as it would alone;
-solve_dual is the batch of one.  Duals that differ only in their
-coefficients share an equality system, and its start and null space.  The
-systems of one call share one block layout (so K and the kernels' block
-sums) and variable count: a template's selectors change the values in its
-slots, never which terms sit in which posynomial.  The fast pass takes
-more: the duals of the call's systems that share a nullity r are one
-batch, each row from its own system's start and with its own null-space
+point: a feasible point positive on every weight some feasible point can
+make positive, found by one more _nnls solve on the cone {A w = tau b, w >=
+0, tau >= 0} per weight that no point found yet makes positive.  Weights
+that it leaves at zero are zero at every feasible point; they are dropped
+and the dual is re-solved on the rest.  A set that _nnls cannot decide
+(past its iteration cap) and POCS cannot start has no start, as has one
+whose support a cone solve cannot decide.  The start and the null space
+depend only on the equality system, which the exponents and blocks of the
+terms fix, so they are computed once per system and shared, through a
+bounded cache, by every dual with that system.  Duals are solved as one
+batch, a row of a (B, K) weight array each, and each row ends bit for bit
+as it would alone; solve_dual is the batch of one.  Duals that differ only
+in their coefficients share an equality system, and its start and null
+space.  The systems of one call share one block layout (so K and the
+kernels' block sums) and variable count: a template's selectors change the
+values in its slots, never which terms sit in which posynomial.  The fast
+pass takes more: the duals of the call's systems that share a nullity r are
+one batch, each row from its own system's start and with its own null-space
 basis, stacked (B, r, K) in C order so that each row's basis is laid out,
 and rounds, as it does alone.  The Newton kernels read the exponents only
-through the basis.  The rows the fast pass ends OPTIMAL are finished as
-the same batch, each row's equality residual taken against its own
-system's matrix; what stays per system is the start, and per row the
-interior-point method.  The call's solutions come back as one batch, in
-call order, held as columns (_Duals): status codes, weights, lambdas, dual
-values, equality residuals, stationarity (the projected gradient of the
-log dual, or on an interior-point row the largest entry of its dual
-residual), iteration counts and y; a row's DualSolution is built only when
-the row is read.  The linear algebra is numpy only (an SVD null space; a
-fast-pass Newton step from one symmetric eigendecomposition of the reduced
-Hessian, its eigenvalues floored so that the step always ascends; least
-squares, which NNLS's solves use too; the method's LU solve), so importing
-the package does not load scipy; scipy.optimize's linprog is imported on
-first use by the support point.  The per-row paths call numpy.linalg's
-gufuncs directly, whose checks outcost the work on systems this small,
-with numpy's rcond and edge cases: x = 0 where a least-squares system has
-no rows, LinAlgError where an SVD fails, and nan where the LU solve meets a
-singular matrix, where np.linalg.solve raises.
+through the basis.  The rows the fast pass ends OPTIMAL are finished as the
+same batch, each row's equality residual taken against its own system's
+matrix; what stays per system is the start, and per row the interior-point
+method.  The call's solutions come back as one batch, in call order, held
+as columns (_Duals): status codes, weights, lambdas, dual values, equality
+residuals, stationarity (the projected gradient of the log dual, or on an
+interior-point row the largest entry of its dual residual), iteration
+counts and y; a row's DualSolution is built only when the row is read.  The
+linear algebra is numpy only (an SVD null space; a fast-pass Newton step
+from one symmetric eigendecomposition of the reduced Hessian, its
+eigenvalues floored so that the step always ascends; least squares, which
+NNLS's solves use too; the method's LU solve): the package needs no scipy.
+The per-row paths call numpy.linalg's gufuncs directly, whose checks
+outcost the work on systems this small, with numpy's rcond and edge cases:
+x = 0 where a least-squares system has no rows, LinAlgError where an SVD
+fails, and nan where the LU solve meets a singular matrix, where
+np.linalg.solve raises.
 
 The primal minimizer of a fast-pass row is recovered from optimal weights
 through the log-linear relations: objective terms satisfy term_value = w_0t
@@ -382,36 +384,33 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _support_point(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Feasible point of {A w = b, w >= 0} with the largest support; None
-    where the LP finds none.
+def _support_point(a: np.ndarray, b: np.ndarray, nearest: np.ndarray) -> np.ndarray | None:
+    """Feasible point of the nonempty {A w = b, w >= 0}, of which nearest is
+    a point, with the largest support; None where an _nnls solve runs out.
 
-    One LP (Freund, Roundy and Todd, 1985) finds the support: maximize
-    sum(t) subject to A w = b tau, t <= w, 0 <= t <= 1, w >= 0, tau >= 1.
-    Scaling (w, tau) up lets t_k reach 1 on every weight that some feasible
-    point makes positive, so the support is {t > 1/2}; off it the weights
-    are zero at every feasible point.  Emptiness is decided before, by
-    _nnls, so the LP runs on a nonempty set, or where _nnls ran out.
+    w_j is positive at some feasible point exactly where the cone {A w = tau
+    b, w >= 0, tau >= 0} holds a point with w_j = 1 (one with tau = 0 is a
+    ray of the set), which one _nnls solve of [[A, -b], [e_j^T, 0]] (w, tau)
+    = (0, 1) finds or refutes.  Each point found, scaled to tau <= 1, is
+    added to (nearest, 1), so the sum (W, T) has A W = T b: W / T is
+    feasible, and positive on every weight found.  A weight above 1e-9 T is
+    positive already and skips its solve; the weights at or below it at the
+    end, rounding on a forced zero among them, are zero at every feasible
+    point.
     """
-    from scipy.optimize import linprog  # only this fallback needs scipy
-
     m, k = a.shape
-    c = np.concatenate([np.zeros(k), -np.ones(k), [0.0]])
-    a_eq = np.hstack([a, np.zeros((m, k)), -b[:, None]])
-    a_ub = np.hstack([-np.eye(k), np.eye(k), np.zeros((k, 1))])  # t - w <= 0
-    bounds = [(0.0, None)] * k + [(0.0, 1.0)] * k + [(1.0, None)]
-    res = linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(k), A_eq=a_eq, b_eq=np.zeros(m),
-        bounds=bounds, method="highs",
-    )
-    if not res.success:
-        return None
-    support = res.x[k:2 * k] > 0.5
-    w = np.zeros(k)
-    # linprog meets the equalities only to its own tolerance
-    w[support] = _project_onto_equalities(
-        a[:, support], b, res.x[:k][support] / res.x[-1]
-    )
+    cone, rhs, total = np.zeros((m + 1, k + 1)), np.zeros(m + 1), np.append(nearest, 1.0)
+    cone[:m, :k], cone[:m, k], rhs[m] = a, -b, 1.0
+    for j in range(k):
+        if total[j] <= 1e-9 * total[k]:
+            cone[m] = np.arange(k + 1) == j
+            point = _nnls(cone, rhs)
+            if point is None:
+                return None
+            if np.maximum.reduce(np.abs(cone @ point - rhs)) <= 1e-8:
+                total += point / max(point[k], 1.0)
+    support, w = total[:k] > 1e-9 * total[k], np.zeros(k)
+    w[support] = _project_onto_equalities(a[:, support], b, total[:k][support] / total[k])
     return w
 
 
@@ -429,8 +428,9 @@ def _pocs_interior(
     return None
 
 
-# w: start point, None when {A w = b, w >= 0} is empty or support is set;
-# support: the weights some feasible point makes positive, if not all
+# w: start point, None when {A w = b, w >= 0} is empty or undecided or
+# support is set; support: the weights some feasible point makes positive,
+# if not all
 _Start = namedtuple("_Start", "w nullsp support")
 
 
@@ -467,8 +467,8 @@ def _equality_start(exponent_key, block_key) -> _Start:
                 w = None
             else:
                 w = _pocs_interior(a, b, w, 1e-2)
-                if w is None:
-                    w = _support_point(a, b)
+                if w is None and nearest is not None:
+                    w = _support_point(a, b, nearest)
         if w is not None and (w > 0.0).all():
             w = _project_onto_equalities(a, b, w)
         elif w is not None:  # the rest are zero at every feasible point

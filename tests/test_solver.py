@@ -198,75 +198,113 @@ def _forced_zeros() -> tuple[np.ndarray, np.ndarray]:
     return a, np.array([1.0, 0.0, 0.0])
 
 
-def _start_bytes(start) -> tuple:
-    return tuple(None if arr is None else arr.tobytes() for arr in start)
+def _lp_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The support of {A w = b, w >= 0} by scipy's LP (Freund, Roundy and
+    Todd, 1985), the reference: maximize sum(t) subject to A w = b tau,
+    t <= w, 0 <= t <= 1, w >= 0, tau >= 1; the support is {t > 1/2}."""
+    from scipy.optimize import linprog
+
+    m, k = a.shape
+    res = linprog(
+        np.concatenate([np.zeros(k), -np.ones(k), [0.0]]),
+        A_ub=np.hstack([-np.eye(k), np.eye(k), np.zeros((k, 1))]), b_ub=np.zeros(k),
+        A_eq=np.hstack([a, np.zeros((m, k)), -b[:, None]]), b_eq=np.zeros(m),
+        bounds=[(0.0, None)] * k + [(0.0, 1.0)] * k + [(1.0, None)], method="highs",
+    )
+    assert res.success
+    return res.x[k:2 * k] > 0.5
 
 
 class TestSupportPoint:
     """One numpy NNLS solve proves {A w = b, w >= 0} empty before alternating
-    projections run; the LP finds the support of the rest."""
+    projections run; where they fail, NNLS solves on the cone find the
+    support of the rest.  scipy's LP is the reference."""
 
     @staticmethod
-    def _count_lp(monkeypatch) -> list[str]:
-        import scipy.optimize
-
+    def _count(monkeypatch) -> list[str]:
         calls = []
-        for module, name, label in ((scipy.optimize, "linprog", "linprog"),
-                                    (gpchoice.solver, "_nnls", "nnls")):
-            original = getattr(module, name)
+        for name in ("_support_point", "_nnls"):
+            original = getattr(gpchoice.solver, name)
 
-            def spy(*args, _label=label, _original=original, **kwargs):
-                calls.append(_label)
-                return _original(*args, **kwargs)
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
 
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(gpchoice.solver, name, spy)
         return calls
 
     @staticmethod
-    def _capped(monkeypatch):
-        # an NNLS past its iteration cap decides nothing
-        monkeypatch.setattr(gpchoice.solver, "_nnls", lambda a, b: None)
-
-    @staticmethod
     def _nnls_calls(monkeypatch, indices) -> list[tuple]:
-        """(system key, a, b, w) of each _nnls call that the cold starts of
-        these stress problems make."""
-        calls, original = [], gpchoice.solver._nnls
+        """(system key, a, b, w) of the _nnls call that decides emptiness in
+        the cold start of each of these stress problems that makes one."""
+        calls, original, out = [], gpchoice.solver._nnls, []
 
         def spy(a, b):
             w = original(a, b)
             calls.append((a, b, w))
             return w
 
-        monkeypatch.setattr(gpchoice.solver, "_nnls", spy)
-        out = []
-        for index in indices:
-            key = _system_key(build_dual(standardize(_stress_problems()[index])))
-            _equality_start.__wrapped__(*key)
-            out += [(key, *call) for call in calls]
-            calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(gpchoice.solver, "_nnls", spy)
+            for index in indices:
+                key = _system_key(build_dual(standardize(_stress_problems()[index])))
+                _equality_start.__wrapped__(*key)
+                out += [(key, *calls[0])] if calls else []
+                calls.clear()
         return out
 
     @staticmethod
     def _empty(a, b, w) -> bool:
         return np.maximum.reduce(np.abs(a @ w - b)) > 1e-8
 
-    def test_forced_zeros_are_exact_and_the_rest_positive(self, monkeypatch):
-        calls = self._count_lp(monkeypatch)
+    def _empty_keys(self, monkeypatch) -> list[tuple]:
+        """The system keys of the 44 empty sets of the first 300 stress problems."""
+        keys = list(dict.fromkeys(key for key, a, b, w in
+                                  self._nnls_calls(monkeypatch, range(300))
+                                  if self._empty(a, b, w)))
+        assert len(keys) == 44
+        return keys
+
+    def test_forced_zeros_are_exact_and_the_rest_positive(self):
         a, b = _forced_zeros()
-        w = _support_point(a, b)
-        assert calls == ["linprog"]
+        nearest = _nnls(a, b)
+        assert not self._empty(a, b, nearest)
+        w = _support_point(a, b, nearest)
         assert np.all(w[:3] > 0.0)
         np.testing.assert_array_equal(w[3:], [0.0, 0.0])
         np.testing.assert_allclose(a @ w, b, rtol=0, atol=1e-9)
-        assert not self._empty(a, b, _nnls(a, b))
+
+    def test_the_support_is_the_lps(self):
+        # the forced zeros, each stress system whose start needs the support
+        # point, and both emptied-block problems (the first a single point,
+        # the second reduced)
+        systems = [_forced_zeros()]
+        problems = [_stress_problems()[i] for i in TestStressRegressions.LP_STARTS]
+        problems += [make_problem([(1, (1, 0)), (1, (-1, 0))], [(constraint, 1.0)])
+                     for constraint in ([(1, (0, 1))], [(0.25, (0, 1)), (0.25, (0, 2))])]
+        for g in problems:
+            d = build_dual(standardize(g))
+            systems.append((d.equality_matrix, d.equality_rhs))
+        full = []
+        for a, b in systems:
+            w = _support_point(a, b, _nnls(a, b))
+            np.testing.assert_array_equal(w > 0.0, _lp_support(a, b))
+            np.testing.assert_allclose(a @ w, b, rtol=0, atol=1e-12)
+            full.append(bool((w > 0.0).all()))
+        # every stress system has full support; the other three have zeros
+        assert full == [False] + [True] * 42 + [False, False]
 
     def test_empty_set_gives_none(self, monkeypatch):
-        a, b = _empty_set()
-        assert self._empty(a, b, _nnls(a, b))
-        calls = self._count_lp(monkeypatch)
-        assert _support_point(a, b) is None
-        assert calls == ["linprog"]
+        # NNLS proves each empty set empty, and no support point is sought;
+        # the single point of _empty_set() has a negative weight
+        keys = [*self._empty_keys(monkeypatch),
+                _system_key(build_dual(standardize(make_problem(
+                    [(1, (1, 1))], [([(1, (1, 1))], 1.0)]))))]
+        calls = self._count(monkeypatch)
+        for key in keys:
+            start = _equality_start.__wrapped__(*key)
+            assert start.w is None and start.support is None
+        assert calls == ["_nnls"] * 44
 
     def test_the_nnls_residual_is_a_farkas_witness(self, monkeypatch):
         # w >= 0 nearest to A w = b leaves y = A w - b with A^T y >= 0 and
@@ -301,47 +339,56 @@ class TestSupportPoint:
         assert np.linalg.norm(a @ w - b) == pytest.approx(np.linalg.norm(a @ expected - b),
                                                            rel=1e-9, abs=1e-12)
 
-    def test_an_nnls_past_its_iteration_cap_falls_back_to_the_lp(self, monkeypatch):
+    def test_an_nnls_past_its_iteration_cap_leaves_no_start(self, monkeypatch):
         # undecided, a set goes on to alternating projections, and where they
-        # fail to the LP, which finds the empty sets empty
-        keys = {key for key, a, b, w in self._nnls_calls(monkeypatch, range(300))
-                if self._empty(a, b, w)}
-        assert len(keys) == 44
-        self._capped(monkeypatch)
-        calls = self._count_lp(monkeypatch)
+        # fail it has no start: the empty sets, and the sets whose start
+        # needs the support point, which it is not asked for
+        keys = self._empty_keys(monkeypatch)
+        keys += [_system_key(build_dual(standardize(_stress_problems()[i])))
+                 for i in TestStressRegressions.LP_STARTS]
+        monkeypatch.setattr(gpchoice.solver, "_nnls", lambda a, b: None)
+        calls = self._count(monkeypatch)
         for key in keys:
             start = _equality_start.__wrapped__(*key)
             assert start.w is None and start.support is None
-        assert calls == ["nnls", "linprog"] * len(keys)
+        assert calls == ["_nnls"] * len(keys)
 
-    def test_the_lp_alone_gives_the_same_starts(self, monkeypatch):
-        indices = [*range(300), *TestStressRegressions.LP_STARTS]
-        keys = {key: self._empty(a, b, w)
-                for key, a, b, w in self._nnls_calls(monkeypatch, indices)}
-        # 44 empty sets, the LP_STARTS and the sets alternating projections start
-        assert sum(keys.values()) == 44
-        gated = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
-        self._capped(monkeypatch)
-        calls = self._count_lp(monkeypatch)
-        alone = [_start_bytes(_equality_start.__wrapped__(*key)) for key in keys]
-        assert alone == gated
-        assert calls.count("linprog") == 44 + len(TestStressRegressions.LP_STARTS)
+    def test_a_cone_solve_past_its_cap_leaves_no_start(self, monkeypatch):
+        # the first solve proves the set nonempty; a cone solve that runs out
+        # leaves the support undecided, and the set without a start (a cone
+        # solve's right side ends in 1, the system's in 0)
+        original = gpchoice.solver._nnls
+        monkeypatch.setattr(gpchoice.solver, "_nnls",
+                            lambda a, b: original(a, b) if b[-1] == 0.0 else None)
+        calls = self._count(monkeypatch)
+        for i in TestStressRegressions.LP_STARTS:
+            key = _system_key(build_dual(standardize(_stress_problems()[i])))
+            start = _equality_start.__wrapped__(*key)
+            assert start.w is None and start.support is None
+        assert calls.count("_support_point") == len(TestStressRegressions.LP_STARTS)
+        a, b = _forced_zeros()
+        assert _support_point(a, b, original(a, b)) is None
 
-    def test_first_300_stress_problems_make_8_lp_calls(self, monkeypatch):
-        calls = self._count_lp(monkeypatch)
+    def test_first_300_stress_problems_make_8_support_point_calls(self, monkeypatch):
+        calls = self._count(monkeypatch)
         _equality_start.cache_clear()
         for g in _stress_problems()[:300]:
             solve(standardize(g))
-        assert Counter(calls) == {"nnls": 112, "linprog": 8}
+        assert Counter(calls) == {"_nnls": 128, "_support_point": 8}
 
     def test_scipy_nnls_is_imported_nowhere(self):
+        # no module of the package imports scipy, its NNLS and LP included
         import ast
 
         src = Path(gpchoice.solver.__file__).parent
-        names = {alias.name for path in src.glob("*.py")
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-        assert "linprog" in names and "nnls" not in names
+        nodes = [node for path in src.rglob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))]
+        modules = {alias.name for node in nodes if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in nodes
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        assert "numpy" in modules
+        assert not [name for name in modules if name.split(".")[0] == "scipy"]
 
 
 class TestRecoverPrimal:
@@ -460,7 +507,7 @@ class TestSolverSettings:
     # example 1 takes the fast path; stress problems 2, 3 and 55 go on to the
     # interior-point method from the boundary, 22 from inside the program,
     # 773 from a fast-pass step that does not ascend, and 23 starts at the
-    # support LP
+    # support point
     @pytest.mark.parametrize("index", [None, 2, 3, 22, 23, 55, 773])
     def test_max_iterations_bounds_every_pass_of_a_solve(self, monkeypatch, index):
         g = example1_problem() if index is None else _stress_problems()[index]
@@ -647,22 +694,37 @@ class TestNumpyLinearAlgebra:
         assert out.stdout.strip() == "[]"
 
     def test_shipped_problems_never_reach_the_lp(self):
-        # every expansion of the 12 fixtures starts from the projection or
-        # from alternating projections, so a cold CLI never loads scipy
+        # with scipy unimportable, every start path solves as it does here:
+        # the fixtures, keep-all, the forced-zero problems and the stress
+        # problems whose start needs the support point
         src = Path(__import__("gpchoice").__file__).resolve().parent.parent
-        code = (
-            "import sys, pathlib; "
-            "from gpchoice import parse_problem, solve_choice; "
-            f"paths = sorted(pathlib.Path({str(PROBLEM_DIR)!r}).glob('*.json')); "
-            "assert len(paths) == 12; "
-            "[solve_choice(parse_problem(p), keep_assignments=True) for p in paths]; "
-            "print('scipy.optimize' in sys.modules)"
-        )
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from test_solver import _start_path_statuses; "
+                "print(_start_path_statuses())")
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env={"PYTHONPATH": str(src)},
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": f"{src}:{Path(__file__).parent}"},
         )
-        assert out.stdout.strip() == "False"
+        statuses = _start_path_statuses()
+        assert len(statuses) == 2574 + 3 + 42  # 2574 fixture assignments
+        assert statuses[2574:] == ["iteration_limit", "optimal", "optimal"] + ["optimal"] * 42
+        assert out.stdout.strip() == repr(statuses)
+
+
+def _start_path_statuses() -> list[str]:
+    """The status of each keep-all assignment of the 12 fixtures, of each
+    forced-zero problem of TestSolveDual and of each stress problem whose
+    start needs the support point (TestStressRegressions.LP_STARTS)."""
+    statuses = []
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        result = solve_choice(parse_problem(path), keep_assignments=True)
+        statuses += [outcome.status for outcome in result.assignments]
+    objective = [(1, (1, 0)), (1, (-1, 0))]
+    problems = [make_problem([*objective, (1, (1, 1)), (1, (-1, 1))])]
+    problems += [make_problem(objective, [(constraint, 1.0)])
+                 for constraint in ([(1, (0, 1))], [(0.25, (0, 1)), (0.25, (0, 2))])]
+    problems += [_stress_problems()[i] for i in TestStressRegressions.LP_STARTS]
+    return statuses + [solve(standardize(g)).status.value for g in problems]
 
 
 STRESS_SEED = 20260808
@@ -1163,6 +1225,33 @@ def test_a_feasible_draw_with_a_far_optimum_is_certified():
     assert solve(_far_optimum_draw()).status is Status.OPTIMAL
 
 
+def _support_point_draw():
+    # random_feasible_gp seed 4242 problem 1324, whose start is the support point
+    rng = np.random.default_rng(4242)
+    return standardize([random_feasible_gp(rng) for _ in range(1325)][1324])
+
+
+def test_a_draw_that_starts_at_the_support_point_is_certified():
+    # the support point scales each cone point to tau <= 1 before it adds it;
+    # the sum of the unscaled points starts the fast pass elsewhere, and the
+    # interior-point method stalls from its end (below)
+    assert solve(_support_point_draw()).status is Status.OPTIMAL
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: from this end the interior-point "
+                   "method's residual norm stalls at 4.22, each iteration about 15 "
+                   "halvings, and it ends ITERATION_LIMIT after 200 iterations")
+def test_the_method_certifies_a_draw_from_a_nearby_fast_pass_end():
+    # the fast pass's end, after 5 iterations, from the sum of unscaled cone
+    # points; from today's end, (0.689, 0.311, 0.158, 3.571, 8.5e-15), the
+    # method certifies in 10 iterations
+    d = build_dual(_support_point_draw())
+    end = np.array([8.21623442e-01, 1.78376558e-01, 2.46936786e-01, 4.52490759e+00,
+                    1.00889362e-14])
+    ds = _interior_point(d, np.log(d.term_coefficients), _dual_start(d).nullsp, end, 5)
+    assert ds.status is Status.OPTIMAL
+
+
 def test_a_feasible_draw_with_a_far_optimum_is_not_called_unbounded():
     # its lambda grows to 178 while the method crawls along the ray, where
     # the ray test every _RAY_EVERY iterations runs; the draw is feasible,
@@ -1293,7 +1382,8 @@ def _solution_bytes(ds: DualSolution) -> tuple:
 class TestSharedStart:
     """One start point and null space per equality system, for every dual."""
 
-    # start kind: (problem, POCS calls, LP calls when the cache is cold)
+    # start kind: (problem, POCS calls, support point calls when the cache
+    # is cold)
     KINDS = {
         "projection": (example1_problem(), 0, 0),
         "pocs": (example2_problem(), 1, 0),
@@ -1576,7 +1666,7 @@ class TestSharedStart:
             solve(standardize(g))
         assert rows == [Status.OPTIMAL] * 148
         assert digest.hexdigest() == (
-            "63a0594595ede956107da86727c442e3d8dc4e5b5aefb4d7a8aed87bfb301158")
+            "b086e38f0367831da6aa37dce9bb6df99edac107fa4e7aad159798b166ba25b3")
 
 
 def _scaled(s, rng):
@@ -1650,7 +1740,7 @@ class TestSiblingBatches:
 
     # the paths a family reaches, by the function that marks each
     PATHS = {"_interior_point": "interior point", "_reduced_program": "reduction",
-             "_support_point": "support LP"}
+             "_support_point": "support point"}
 
     @pytest.mark.parametrize("max_iterations", [10_000, 5])
     def test_rows_end_as_solved_alone(self, monkeypatch, max_iterations):
@@ -1770,10 +1860,11 @@ class TestMergedBatches:
     def _families():
         """Per family, its systems; per system, standardized problems with one
         set of exponents.  A family is a problem and two perturbed copies,
-        each with two scaled siblings: the first 40 stress problems (the LP
-        starts 23, 27 and 33 among them), an infeasible primal (an unbounded
-        dual) and _FORCED_ZEROS.  One more family shares a block layout
-        across two nullities: y enters no term of its second system."""
+        each with two scaled siblings: the first 40 stress problems (the
+        support-point starts 23, 27 and 33 among them), an infeasible primal
+        (an unbounded dual) and _FORCED_ZEROS.  One more family shares a
+        block layout across two nullities: y enters no term of its second
+        system."""
         rng = np.random.default_rng(STRESS_SEED + 27)
         unbounded = make_problem([(1, (1,))], [([(2, (1,)), (3, (-1,))], 1.0)])
         families = []
@@ -1802,7 +1893,7 @@ class TestMergedBatches:
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
         paths = {"_interior_point": "interior point", "_reduced_program": "reduction",
-                 "_support_point": "support LP"}
+                 "_support_point": "support point"}
         for name, path in paths.items():
             original = getattr(gpchoice.solver, name)
 
@@ -1849,5 +1940,5 @@ class TestMergedBatches:
             assert capped >= 3
         else:
             assert mixed >= 20
-            for path in ("interior point", "reduction", "support LP"):
+            for path in ("interior point", "reduction", "support point"):
                 assert reached[path], path
