@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time two trees' packages side by side in one process, output for output.
+"""Time two trees' packages side by side, output for output.
 
     python scripts/interleave.py PARENT_SRC CHANGE_SRC --workload stress
 
 Each SRC is the directory that holds a tree's gpchoice package (a checkout's
 src/).  Each package is copied to a temporary directory under a name of its
 own, gpchoice_parent and gpchoice_change, and imported from there, so both
-load in one interpreter.  The workload's calls run in groups of
+load in one interpreter; the cli workload copies each as gpchoice into a
+directory of its own and runs it in fresh processes.  The workload's calls
+run in groups of
 bench/run.py's STRESS_GROUP: each group runs on one package, then on the
 other, the order alternating from group to group, and every call's outputs
 on the two are compared bit for bit (floats and arrays compared by their
@@ -20,18 +22,27 @@ Each workload makes --count calls.  ``stress`` solves the first --count
 problems of the benchmark's stress set (bench/generator.py at bench/run.py's
 STRESS_GENERATOR_SEED); ``enumerate`` and ``enumerate-all`` run solve_choice,
 pruned and keep-all, on the 12 fixtures in sorted order, cycled, after one
-untimed pass over them.  Comparing a tree with itself measures the noise.
+untimed pass over them.  ``cli`` runs one fresh ``gpchoice solve FIXTURE
+--format machine`` process a call, over the fixtures in the same order and
+with no untimed pass, each cold as a user's; both trees run with -B and no
+__pycache__, so that each process compiles its package from source, and
+each call's output is its exit code and its report without timing_ms.
+Comparing a tree with itself measures the noise.
 """
 
 import argparse
 import dataclasses
 import enum
 import importlib
+import json
+import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -41,20 +52,42 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "bench"))
 
 from generator import random_problems  # noqa: E402
-from run import STRESS_GENERATOR_SEED, STRESS_GROUP  # noqa: E402
+from run import CLI_MAIN, STRESS_GENERATOR_SEED, STRESS_GROUP  # noqa: E402
 
 NAMES = ("parent", "change")
 FIXTURES = sorted((REPO / "problems").glob("*.json"))
+# a cli call's output: the exit code, and the machine report without
+# timing_ms (the process's stdout where it is no report)
+CliRun = namedtuple("CliRun", "status report")
+
+
+def copy(src: str, to: Path) -> Path:
+    """The gpchoice package under src, copied to `to` without bytecode."""
+    package = Path(src) / "gpchoice"
+    if not (package / "__init__.py").is_file():
+        raise SystemExit(f"interleave: no gpchoice package in {src}")
+    shutil.copytree(package, to, ignore=shutil.ignore_patterns("__pycache__"))
+    return to
 
 
 def load(src: str, name: str, into: Path):
     """The gpchoice package under src, imported as gpchoice_<name>."""
-    package = Path(src) / "gpchoice"
-    if not (package / "__init__.py").is_file():
-        raise SystemExit(f"interleave: no gpchoice package in {src}")
-    shutil.copytree(package, into / f"gpchoice_{name}",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    copy(src, into / f"gpchoice_{name}")
     return importlib.import_module(f"gpchoice_{name}")
+
+
+def cli_run(path: Path, fixture: Path) -> CliRun:
+    """One cold gpchoice solve of fixture, importing the package under path."""
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    run = subprocess.run([sys.executable, "-B", "-c", CLI_MAIN, "solve", str(fixture),
+                          "--format", "machine"], capture_output=True, text=True,
+                         env=env, stdin=subprocess.DEVNULL)
+    try:
+        report = json.loads(run.stdout)
+        report.pop("timing_ms", None)
+    except json.JSONDecodeError:
+        report = run.stdout
+    return CliRun(run.returncode, report)
 
 
 def bits(value):
@@ -74,7 +107,10 @@ def bits(value):
 
 
 def calls(pkg, workload: str, count: int) -> list:
-    """The workload's calls on pkg, each a function of no arguments."""
+    """The workload's calls on pkg, each a function of no arguments; for the
+    cli workload pkg is the directory that holds the package."""
+    if workload == "cli":
+        return [lambda f=FIXTURES[i % len(FIXTURES)]: cli_run(pkg, f) for i in range(count)]
     if workload == "stress":
         problems = [pkg.make_problem(*raw)
                     for raw in random_problems(STRESS_GENERATOR_SEED, count)]
@@ -96,7 +132,8 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--workload", choices=("stress", "enumerate", "enumerate-all"),
+    parser.add_argument("--workload",
+                        choices=("stress", "enumerate", "enumerate-all", "cli"),
                         required=True)
     parser.add_argument("--count", type=int, default=300,
                         help="calls (default 300)")
@@ -104,10 +141,14 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        packages = [load(src, name, Path(tmp))
-                    for src, name in zip((args.parent_src, args.change_src), NAMES)]
+        trees = zip((args.parent_src, args.change_src), NAMES)
+        if args.workload == "cli":
+            packages = [copy(src, Path(tmp, name, "gpchoice")).parent for src, name in trees]
+        else:
+            packages = [load(src, name, Path(tmp)) for src, name in trees]
         work = [calls(pkg, args.workload, args.count) for pkg in packages]
-        if args.workload != "stress":  # warm the start caches, as the benchmark does
+        if args.workload in ("enumerate", "enumerate-all"):
+            # warm the start caches, as the benchmark does
             for pkg_calls in work:
                 run_group(pkg_calls[:len(FIXTURES)])
         ratios, started = [], time.perf_counter()

@@ -26,7 +26,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .posynomial import StandardGp, _sum_monomials
+from .posynomial import StandardGp, _block, _sum_monomials
 
 # an optimal claim holds within these: the relative gap between f_0(x) and
 # v(w), the largest constraint violation f_i(x) - 1, and each normality and
@@ -63,7 +63,10 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
     n columns), its w is finite and nonnegative and meets normality and
     orthogonality within FEASIBILITY_TOL, no f_i(x) exceeds 1 by more than
     VIOLATION_TOL, and f_0(x) is within GAP_TOL of v(w), relative.  Each
-    f_i(x) adds its terms one by one in Python floats, as evaluate does.
+    distinct exponent matrix of the call is read once, into a plan: per
+    block, each term's index and its nonzero (variable, exponent) pairs.
+    Each f_i(x) is summed over its block by evaluate's routine, in Python
+    floats, so that it equals evaluate's value bit for bit.
     """
     w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
     coefficients = np.asarray(t.coefficients, dtype=float)
@@ -80,25 +83,28 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.log(coefficients * lam[:, blocks] / w)
         dual_value = np.exp(np.add.reduce(w * ratio, axis=1, where=w > 0.0)).tolist()
-    # the primal side, each posynomial at each row's x, when x is a point
-    rows, powers = coefficients.tolist(), exponents.tolist()
+    # the primal side, each posynomial at each row's x, when x is a point,
+    # summed over the plan of the row's exponent matrix: its blocks, read
+    # once per distinct matrix of the call
+    rows = coefficients.tolist()
     if coefficients.ndim == 1:
         rows = itertools.repeat(rows)
-    if exponents.ndim == 2:
-        powers = itertools.repeat(powers)
+    matrices = itertools.repeat(exponents) if exponents.ndim == 2 else exponents
     positive = []  # one entry per row when x has one point per row
     if x.shape == (len(w), exponents.shape[-1]):
         positive = np.logical_and.reduce((x > 0.0) & (x < np.inf), axis=1).tolist()
-    nan = math.nan
+    nan, plans = math.nan, {}
     out = [(nan, nan, nan, False)] * len(w)
-    for i, (xs, row, ok, row_powers) in enumerate(zip(x.tolist(), rows, positive, powers)):
+    for i, (xs, row, ok, matrix) in enumerate(zip(x.tolist(), rows, positive, matrices)):
         if not ok:
             continue
-        terms = list(zip(row, row_powers))
+        key = matrix.tobytes()  # one shape in a call: the bytes tell matrices apart
+        plan = plans.get(key)
+        if plan is None:
+            powers = matrix.tolist()
+            plan = plans[key] = [_block(powers[a:b], a) for a, b in zip(starts, starts[1:])]
         try:
-            primal, *values = (
-                _sum_monomials(terms[a:b], xs) for a, b in zip(starts, starts[1:])
-            )
+            primal, *values = [_sum_monomials(row, block, xs) for block in plan]
             gap = abs(primal - dual_value[i]) / primal
         except (OverflowError, ZeroDivisionError):  # beyond the doubles: no claim
             continue

@@ -85,29 +85,40 @@ def make_problem(
 def evaluate(p: Posynomial, x: Sequence[float]) -> float:
     """Evaluate a posynomial at a strictly positive point.
 
-    Raises GpDomainError when x has the wrong arity or any component is
-    non-positive or non-finite.
+    Raises GpDomainError when x has the wrong arity for any term or any
+    component is non-positive or non-finite.
     """
     xs = [float(v) for v in x]
-    if p.terms and len(xs) != len(p.terms[0].exponents):
-        raise GpDomainError(
-            f"point has {len(xs)} components, posynomial expects "
-            f"{len(p.terms[0].exponents)}"
-        )
+    for t in p.terms:
+        if len(t.exponents) != len(xs):
+            raise GpDomainError(
+                f"point has {len(xs)} components, posynomial expects {len(t.exponents)}"
+            )
     for j, v in enumerate(xs):
         if not math.isfinite(v) or v <= 0.0:
             raise GpDomainError(f"x[{j}] = {v!r} is not a finite positive number")
-    return _sum_monomials(((t.coefficient, t.exponents) for t in p.terms), xs)
+    return _sum_monomials([t.coefficient for t in p.terms],
+                          _block(t.exponents for t in p.terms), xs)
 
 
-def _sum_monomials(terms: Iterable[tuple[float, Sequence[float]]], xs) -> float:
-    """Sum of c * prod_j xs[j]**e_j over (c, e) pairs, term by term in Python
-    floats: numpy's power differs from ** in the last bit."""
+def _block(exponents: Iterable[Sequence[float]], first: int = 0) -> list:
+    """The block of these exponent rows, numbered from first: each term's
+    index and its nonzero (variable, exponent) pairs in variable order."""
+    return [(k, [(j, e) for j, e in enumerate(row) if e != 0.0])
+            for k, row in enumerate(exponents, first)]
+
+
+def _sum_monomials(coefficients: Sequence[float], block: list, xs) -> float:
+    """Sum over the block's terms (k, pairs) of coefficients[k] times
+    xs[j]**e for each pair, multiplied left to right, the terms added to 0.0
+    one by one, in Python floats: numpy's power differs from ** in the last
+    bit.  Every caller that needs a posynomial's value bit for bit sums it
+    here."""
     total = 0.0
-    for prod, exponents in terms:
-        for e, v in zip(exponents, xs):
-            if e != 0.0:
-                prod *= v**e
+    for k, pairs in block:
+        prod = coefficients[k]
+        for j, e in pairs:
+            prod *= xs[j] ** e
         total += prod
     return total
 

@@ -418,7 +418,7 @@ class _Template:
         weight = np.zeros((values.shape[1], len(weights)))  # W_s by set, per seed
         for k, s in zip(terms.tolist(), sets.tolist()):  # in slot order, as np.add.at (slower)
             weight[s] += weights[:, k]
-        sets = np.unique(sets)
+        sets = np.flatnonzero(np.bincount(sets))  # np.unique, without numpy.ma
         steps = np.log(siblings.T[sets] / values.T[sets].take(seed, axis=1))
         return log_duals[seed] + (steps * weight[sets].take(seed, axis=1)).sum(axis=0)
 

@@ -63,7 +63,9 @@ make positive, found by one more _nnls solve on the cone {A w = tau b, w >=
 that it leaves at zero are zero at every feasible point; they are dropped
 and the dual is re-solved on the rest.  A set that _nnls cannot decide
 (past its iteration cap) and POCS cannot start has no start, as has one
-whose support a cone solve cannot decide.  The start and the null space
+whose support a cone solve cannot decide; the duals of such a set end
+ITERATION_LIMIT in 0 iterations, undecided, where those of a set proven
+empty end INFEASIBLE.  The start and the null space
 depend only on the equality system, which the exponents and blocks of the
 terms fix, so they are computed once per system and shared, through a
 bounded cache, by every dual with that system.  Duals are solved as one
@@ -429,8 +431,9 @@ def _pocs_interior(
 
 
 # w: start point, None when {A w = b, w >= 0} is empty or undecided or
-# support is set; support: the weights some feasible point makes positive,
-# if not all
+# support is set; nullsp: A's null space, None when the set is proven empty,
+# so that a start with a null space but neither w nor support is undecided;
+# support: the weights some feasible point makes positive, if not all
 _Start = namedtuple("_Start", "w nullsp support")
 
 
@@ -458,17 +461,18 @@ def _equality_start(exponent_key, block_key) -> _Start:
         return _Start(None, None, None)  # A w = b has no solution
     nullsp, support = _null_space(a), None
     if nullsp.shape[1] == 0:  # the affine set is the single point w
-        w = np.maximum(w, 0.0) if np.minimum.reduce(w) >= -1e-9 else None
+        if not np.minimum.reduce(w) >= -1e-9:  # a negative (or nan) weight
+            return _Start(None, None, None)
+        w = np.maximum(w, 0.0)
     else:
         if np.minimum.reduce(w) < 1e-6:
             # NNLS decides emptiness first: a residual above 1e-8 proves it
             nearest = _nnls(a, b)
             if nearest is not None and np.maximum.reduce(np.abs(a @ nearest - b)) > 1e-8:
-                w = None
-            else:
-                w = _pocs_interior(a, b, w, 1e-2)
-                if w is None and nearest is not None:
-                    w = _support_point(a, b, nearest)
+                return _Start(None, None, None)
+            w = _pocs_interior(a, b, w, 1e-2)
+            if w is None and nearest is not None:  # else undecided, or started
+                w = _support_point(a, b, nearest)
         if w is not None and (w > 0.0).all():
             w = _project_onto_equalities(a, b, w)
         elif w is not None:  # the rest are zero at every feasible point
@@ -633,7 +637,8 @@ def solve_dual(d: DualProgram) -> DualSolution:
     fast pass converges (its y then on the solution), INFEASIBLE when the
     feasible set is empty, UNBOUNDED when the objective grows without bound
     along the feasible set, and ITERATION_LIMIT otherwise, including when
-    the Newton iterations reach _PASS_ITERATIONS in both or _MAX_ITERATIONS.
+    the Newton iterations reach _PASS_ITERATIONS in both or _MAX_ITERATIONS,
+    or when _nnls runs past its cap and leaves the set undecided.
     """
     return _solve_duals([(d, d.term_coefficients[None])])[0]
 
@@ -666,9 +671,9 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         if support is not None:
             inner = _reduced_program(d, support), coefficients[:, support]
             parts.append((rows, _pad(d, support, _solve_duals([inner]))))
-        elif start is None:
-            parts.append((rows, _Duals.of([_failure(d, Status.INFEASIBLE) for _ in rows],
-                                          variables)))
+        elif start is None:  # proven empty, or undecided where it has a null space
+            failure = Status.INFEASIBLE if nullsp is None else Status.ITERATION_LIMIT
+            parts.append((rows, _Duals.of([_failure(d, failure) for _ in rows], variables)))
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
             parts.append((rows, _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
                                         start[None].repeat(n, 0), [Status.OPTIMAL] * n,

@@ -4,15 +4,19 @@ pass, and each perturbed one fails on the check it breaks."""
 import ast
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gpchoice.certificate
+import gpchoice.solver
 import test_solver
 from gpchoice import (
+    evaluate,
     infeasible_claim,
+    make_posynomial,
     make_problem,
     optimal_claim,
     problem_terms,
@@ -20,7 +24,14 @@ from gpchoice import (
     standardize,
 )
 from gpchoice.certificate import GAP_TOL, VIOLATION_TOL, Terms
-from helpers import example1_problem, example2_problem, first_term_multipliers
+from gpchoice.problem_io import as_choice_gp, parse_problem
+from gpchoice.selectors import solve_choice
+from helpers import (
+    PROBLEM_DIR,
+    example1_problem,
+    example2_problem,
+    first_term_multipliers,
+)
 
 # min x + 1/x s.t. 0.5*y + 0.5/y <= 1: z = 2 at x = y = 1; for any a >= 0
 # the weights (1/2, 1/2, a, a) meet normality and orthogonality, and give
@@ -40,6 +51,64 @@ def _claim_bits(claim) -> list[tuple]:
     """Per row, the claim's objective, violation and gap as hex, and holds."""
     return [(*(float(v).hex() for v in floats), holds)
             for *floats, holds in zip(*claim)]
+
+
+@lru_cache(maxsize=1)
+def _keep_all_calls() -> tuple:
+    """(terms, x, w) of every optimal_claim call of a keep-all solve of each
+    fixture: one exponent matrix per row, several matrices a call."""
+    calls = []
+
+    def spy(t, x, w):
+        calls.append((t, np.asarray(x), np.asarray(w)))
+        return optimal_claim(t, x, w)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpchoice.solver, "optimal_claim", spy)
+        for path in sorted(PROBLEM_DIR.glob("*.json")):
+            solve_choice(as_choice_gp(parse_problem(path)), keep_assignments=True)
+    return tuple(calls)
+
+
+def _posynomials(t: Terms, row: int) -> list:
+    """Each block of row's terms as a posynomial, objective first."""
+    coefficients = t.coefficients if t.coefficients.ndim == 1 else t.coefficients[row]
+    exponents = t.exponents if t.exponents.ndim == 2 else t.exponents[row]
+    return [make_posynomial(zip(coefficients[t.blocks == b].tolist(),
+                                exponents[t.blocks == b].tolist()))
+            for b in range(t.blocks.max() + 1)]
+
+
+def _random_terms(rng, rows: int, shared: bool) -> tuple[Terms, np.ndarray, np.ndarray]:
+    """Terms of rows random points over three blocks, with zero, negative
+    and fractional exponents, and weights that need not meet any equation."""
+    blocks = np.array([0, 0, 0, 1, 1, 2, 2, 2])
+    shape = (len(blocks), 4) if shared else (rows, len(blocks), 4)
+    exponents = rng.choice([0.0, 0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -1.5, 1 / 3, 2.7], shape)
+    coefficients = np.exp(rng.normal(size=(rows, len(blocks))))
+    x = np.exp(rng.normal(size=(rows, 4)))
+    w = rng.uniform(0.0, 1.0, size=(rows, len(blocks)))
+    return Terms(coefficients, exponents, blocks), x, w
+
+
+def _each_posynomial_bits(t: Terms, x, w) -> None:
+    """The claim's f_0(x), and each f_i(x) behind its violation, are
+    evaluate's values bit for bit: the worst violation, then each block as
+    the only constraint (violation max(0, f_i(x) - 1)) and as the objective."""
+    claim = optimal_claim(t, x, w)
+    values = [[evaluate(p, xs) for p in _posynomials(t, i)] for i, xs in enumerate(x)]
+    assert [v.hex() for v in claim.objective] == [f[0].hex() for f in values]
+    assert [v.hex() for v in claim.violation] == [
+        max([0.0, *(f_i - 1.0 for f_i in f[1:])]).hex() for f in values]
+    for b in range(1, t.blocks.max() + 1):
+        sole = (t.blocks == 0) | (t.blocks == b)
+        part = optimal_claim(Terms(t.coefficients[:, sole], t.exponents[..., sole, :],
+                                   np.minimum(t.blocks[sole], 1)), x, w[:, sole])
+        assert [v.hex() for v in part.violation] == [max(0.0, f[b] - 1.0).hex() for f in values]
+        alone = t.blocks == b
+        part = optimal_claim(Terms(t.coefficients[:, alone], t.exponents[..., alone, :],
+                                   t.blocks[alone] * 0), x, w[:, alone])
+        assert [v.hex() for v in part.objective] == [f[b].hex() for f in values]
 
 
 def _objective_at(value):
@@ -137,6 +206,58 @@ class TestOptimalClaim:
             longer = np.hstack([x, np.ones((len(x), 1))])
             assert optimal_claim(batch, longer, w).holds == [False] * len(rows)
         assert batches >= 25  # 29 families, 251 rows
+
+    def test_keep_all_claims_sum_as_evaluate(self):
+        # every keep-all row of every fixture, as the solver certifies it
+        rows = 0
+        for t, x, w in _keep_all_calls():
+            _each_posynomial_bits(t, x, w)
+            rows += len(x)
+        assert rows == 1002
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_points_sum_as_evaluate(self, seed, shared):
+        _each_posynomial_bits(*_random_terms(np.random.default_rng(seed), 40, shared))
+
+    def test_rows_of_two_matrices_out_of_order_are_judged_as_alone(self):
+        # a keep-all call's rows mix its expansions' exponent matrices; taken
+        # in a shuffled order, and with random rows of two matrices
+        # interleaved, each row's claim is its claim alone
+        t, x, w = max(_keep_all_calls(), key=lambda call: len(call[1]))
+        assert len({m.tobytes() for m in t.exponents}) >= 2
+        order = np.random.default_rng(1).permutation(len(x))
+        batches = [(Terms(t.coefficients[order], t.exponents[order], t.blocks),
+                    x[order], w[order])]
+        rng = np.random.default_rng(2)
+        (a, xa, wa), (b, xb, wb) = (_random_terms(rng, 8, True) for _ in range(2))
+        pick = np.array([1, 0, 0, 1, 0, 1, 1, 0], dtype=bool)[:, None]  # b's rows
+        batches.append((Terms(np.where(pick, b.coefficients, a.coefficients),
+                              np.where(pick[..., None], b.exponents, a.exponents), a.blocks),
+                        np.where(pick, xb, xa), np.where(pick, wb, wa)))
+        for terms, points, weights in batches:
+            alone = [optimal_claim(Terms(terms.coefficients[i:i + 1],
+                                         terms.exponents[i], terms.blocks),
+                                   points[i:i + 1], weights[i:i + 1])
+                     for i in range(len(points))]
+            assert _claim_bits(optimal_claim(terms, points, weights)) == [
+                bits for claim in alone for bits in _claim_bits(claim)]
+        assert sum(optimal_claim(*batches[0]).holds) > len(x) // 2
+
+    def test_a_shared_matrix_claims_as_one_matrix_a_row(self):
+        # the rows of each exponent matrix of the keep-all calls, with the
+        # matrix shared (K, n) and repeated (B, K, n)
+        groups = 0
+        for t, x, w in _keep_all_calls():
+            keys = [m.tobytes() for m in t.exponents]
+            for key in dict.fromkeys(keys):
+                rows = [i for i, k in enumerate(keys) if k == key]
+                per_row = Terms(t.coefficients[rows], t.exponents[rows], t.blocks)
+                shared = per_row._replace(exponents=t.exponents[rows[0]])
+                assert _claim_bits(optimal_claim(shared, x[rows], w[rows])) == _claim_bits(
+                    optimal_claim(per_row, x[rows], w[rows]))
+                groups += 1
+        assert groups > len(_keep_all_calls())
 
     def test_an_overflowing_term_is_no_certificate(self):
         s = standardize(make_problem([(1, (300,)), (1, (-1,))]))

@@ -449,3 +449,30 @@ def test_mutated_fixtures_exit_as_validation_says(seed, tmp_path):
     for fixture, text, assigns, mutations in fuzz_cases(seed, 10):
         faults = cli_faults(text, tmp_path / "case.json", assigns)
         assert not faults, (fixture, mutations, faults)
+
+
+def test_every_command_loads_neither_numpy_ma_nor_scipy():
+    # np.unique imports numpy.ma (numpy 2.4), 12 ms of a cold solve; one
+    # process runs every fixture, pruned and keep-all, in both formats, then
+    # dual and validate, and neither numpy.ma nor scipy is loaded after
+    src = Path(gpchoice.__file__).resolve().parent.parent
+    code = f"""
+import contextlib, io, sys
+from pathlib import Path
+from gpchoice.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in sorted(Path({str(PROBLEM_DIR)!r}).glob("*.json")):
+        for keep in ([], ["--all-assignments"]):
+            for form in ("machine", "text"):
+                codes.append(main(["solve", str(path), "--format", form, *keep]))
+    codes.append(main(["dual", {EX1_CASE1!r}, "--assign", "c=01", "--assign", "p=10",
+                       "--assign", "a=01"]))
+    codes.append(main(["validate", {EX1_CASE1!r}]))
+print(len(codes), set(codes))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout == "50 {0}\n[]\n", out.stdout

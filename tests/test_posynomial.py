@@ -40,6 +40,12 @@ class TestEvaluate:
         with pytest.raises(GpDomainError):
             evaluate(p, (1.0,))
 
+    def test_rejects_a_later_term_of_another_arity(self):
+        # every term is checked, not the first alone
+        p = make_posynomial([(1.0, (1.0,)), (1.0, (1.0, 2.0))])
+        with pytest.raises(GpDomainError):
+            evaluate(p, (1.0,))
+
 
 class TestStandardize:
     def test_unit_bounds_leave_problem_unchanged(self):

@@ -59,8 +59,9 @@ def _interleave(*args):
 
 
 def test_interleave_runs_a_tree_against_itself():
-    # --count calls on every workload: 24 fixture calls cycle the 12 fixtures twice
-    for workload, count, groups in (("stress", 20, 2), ("enumerate", 24, 3)):
+    # --count calls on every workload: 24 fixture calls cycle the 12 fixtures
+    # twice; 12 cli calls run each fixture once a tree, in fresh processes
+    for workload, count, groups in (("stress", 20, 2), ("enumerate", 24, 3), ("cli", 12, 2)):
         out = _interleave(REPO / "src", REPO / "src", "--workload", workload, "--count", count)
         assert out.returncode == 0, out.stderr
         assert re.fullmatch(

@@ -303,7 +303,7 @@ class TestSupportPoint:
         calls = self._count(monkeypatch)
         for key in keys:
             start = _equality_start.__wrapped__(*key)
-            assert start.w is None and start.support is None
+            assert start == (None, None, None)  # proven empty: no null space kept
         assert calls == ["_nnls"] * 44
 
     def test_the_nnls_residual_is_a_farkas_witness(self, monkeypatch):
@@ -351,7 +351,25 @@ class TestSupportPoint:
         for key in keys:
             start = _equality_start.__wrapped__(*key)
             assert start.w is None and start.support is None
+            assert start.nullsp is not None  # undecided, not proven empty
         assert calls == ["_nnls"] * len(keys)
+
+    def test_an_undecided_start_ends_iteration_limit(self, monkeypatch):
+        # stress problem 23 is feasible by construction; with _nnls past its
+        # cap its set is undecided, and its dual ends ITERATION_LIMIT, as
+        # does its solve, never INFEASIBLE
+        s = standardize(_stress_problems()[23])
+        report = solve(s)
+        assert report.status is Status.OPTIMAL and report.dual.iterations == 6
+        monkeypatch.setattr(gpchoice.solver, "_nnls", lambda a, b: None)
+        _equality_start.cache_clear()
+        try:
+            report = solve(s)
+        finally:
+            _equality_start.cache_clear()
+        assert report.status is Status.ITERATION_LIMIT
+        assert report.dual.status is Status.ITERATION_LIMIT
+        assert report.dual.iterations == 0
 
     def test_a_cone_solve_past_its_cap_leaves_no_start(self, monkeypatch):
         # the first solve proves the set nonempty; a cone solve that runs out
@@ -365,6 +383,7 @@ class TestSupportPoint:
             key = _system_key(build_dual(standardize(_stress_problems()[i])))
             start = _equality_start.__wrapped__(*key)
             assert start.w is None and start.support is None
+            assert start.nullsp is not None  # undecided, not proven empty
         assert calls.count("_support_point") == len(TestStressRegressions.LP_STARTS)
         a, b = _forced_zeros()
         assert _support_point(a, b, original(a, b)) is None
