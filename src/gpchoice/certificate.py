@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,15 +64,17 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
     n columns), its w is finite and nonnegative and meets normality and
     orthogonality within FEASIBILITY_TOL, no f_i(x) exceeds 1 by more than
     VIOLATION_TOL, and f_0(x) is within GAP_TOL of v(w), relative.  Each
-    distinct exponent matrix of the call is read once, into a plan: per
-    block, each term's index and its nonzero (variable, exponent) pairs.
-    Each f_i(x) is summed over its block by evaluate's routine, in Python
-    floats, so that it equals evaluate's value bit for bit.
+    row's exponent matrix is read through its plan (_plan): per block, each
+    term's index and its nonzero (variable, exponent) pairs, built once per
+    distinct matrix and kept, so that a search that claims on the same
+    matrices call after call reads each once.  Each f_i(x) is summed over
+    its block by evaluate's routine, in Python floats, so that it equals
+    evaluate's value bit for bit.
     """
     w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
     coefficients = np.asarray(t.coefficients, dtype=float)
     exponents, blocks = np.asarray(t.exponents, dtype=float), t.blocks
-    starts = [0, *itertools.accumulate(np.bincount(blocks).tolist())]
+    starts = (0, *itertools.accumulate(np.bincount(blocks).tolist()))
     # the dual side, in one pass over the batch; each row's orthogonality
     # sums alone, as it does in a batch of one
     lowest = np.minimum.reduce(w, axis=1).tolist()
@@ -84,8 +87,7 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
         ratio = np.log(coefficients * lam[:, blocks] / w)
         dual_value = np.exp(np.add.reduce(w * ratio, axis=1, where=w > 0.0)).tolist()
     # the primal side, each posynomial at each row's x, when x is a point,
-    # summed over the plan of the row's exponent matrix: its blocks, read
-    # once per distinct matrix of the call
+    # summed over the plan of the row's exponent matrix
     rows = coefficients.tolist()
     if coefficients.ndim == 1:
         rows = itertools.repeat(rows)
@@ -93,16 +95,12 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
     positive = []  # one entry per row when x has one point per row
     if x.shape == (len(w), exponents.shape[-1]):
         positive = np.logical_and.reduce((x > 0.0) & (x < np.inf), axis=1).tolist()
-    nan, plans = math.nan, {}
+    nan = math.nan
     out = [(nan, nan, nan, False)] * len(w)
     for i, (xs, row, ok, matrix) in enumerate(zip(x.tolist(), rows, positive, matrices)):
         if not ok:
             continue
-        key = matrix.tobytes()  # one shape in a call: the bytes tell matrices apart
-        plan = plans.get(key)
-        if plan is None:
-            powers = matrix.tolist()
-            plan = plans[key] = [_block(powers[a:b], a) for a, b in zip(starts, starts[1:])]
+        plan = _plan(matrix.shape, matrix.tobytes(), starts)
         try:
             primal, *values = [_sum_monomials(row, block, xs) for block in plan]
             gap = abs(primal - dual_value[i]) / primal
@@ -115,6 +113,15 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
                  and worst <= VIOLATION_TOL and sum(values) < math.inf)
         out[i] = (primal, worst, gap, holds)
     return Optimality(*map(list, zip(*out))) if out else Optimality([], [], [], [])
+
+
+@lru_cache(maxsize=256)
+def _plan(shape: tuple[int, int], data: bytes, starts: tuple[int, ...]) -> tuple:
+    """The plan of the float exponent matrix of this shape and these bytes,
+    its blocks starting at starts: per block, posynomial._block of its rows.
+    lru_cache shares plans between calls; they are tuples."""
+    powers = np.frombuffer(data).reshape(shape).tolist()
+    return tuple([_block(powers[a:b], a) for a, b in zip(starts, starts[1:])])
 
 
 def infeasible_claim(t: Terms, nu) -> bool:

@@ -101,14 +101,15 @@ def evaluate(p: Posynomial, x: Sequence[float]) -> float:
                           _block(t.exponents for t in p.terms), xs)
 
 
-def _block(exponents: Iterable[Sequence[float]], first: int = 0) -> list:
+def _block(exponents: Iterable[Sequence[float]], first: int = 0) -> tuple:
     """The block of these exponent rows, numbered from first: each term's
-    index and its nonzero (variable, exponent) pairs in variable order."""
-    return [(k, [(j, e) for j, e in enumerate(row) if e != 0.0])
-            for k, row in enumerate(exponents, first)]
+    index and its nonzero (variable, exponent) pairs in variable order, as
+    tuples, which a block kept and shared needs."""
+    return tuple([(k, tuple([(j, e) for j, e in enumerate(row) if e != 0.0]))
+                  for k, row in enumerate(exponents, first)])
 
 
-def _sum_monomials(coefficients: Sequence[float], block: list, xs) -> float:
+def _sum_monomials(coefficients: Sequence[float], block: tuple, xs) -> float:
     """Sum over the block's terms (k, pairs) of coefficients[k] times
     xs[j]**e for each pair, multiplied left to right, the terms added to 0.0
     one by one, in Python floats: numpy's power differs from ** in the last

@@ -382,12 +382,15 @@ class _Template:
         return cls(dual, np.array(exponents, dtype=int).reshape(-1, 3).T,
                    np.array(coefficients, dtype=int).reshape(-1, 2).T, bounds)
 
-    def at(self, values: Sequence[float]) -> DualProgram:
-        """The dual at these values, one per set."""
+    def at(self, values: Sequence[float], coefficients: np.ndarray | None = None
+           ) -> DualProgram:
+        """The dual at these values, one per set; coefficients, where given,
+        is their row of coefficients, already filled."""
         exponents = self.dual.exponent_matrix.copy()
         terms, variables, sets = self.exponent_slots
         exponents[terms, variables] = np.asarray(values, dtype=float)[sets]
-        coefficients = self.coefficients(np.array([values]))[0]
+        if coefficients is None:
+            coefficients = self.coefficients(np.array([values]))[0]
         return replace(self.dual, exponent_matrix=exponents,
                        term_coefficients=coefficients)
 
@@ -510,8 +513,9 @@ def solve_choice(
         systems: dict[int, list[int]] = {}
         for t, code in zip(tuples.tolist(), system[tuples].tolist()):
             systems.setdefault(code, []).append(t)
-        out = _solve_rows([(template.at(grid[ts[0]]), template.coefficients(grid[ts]))
-                           for ts in systems.values()])
+        filled = [template.coefficients(grid[ts]) for ts in systems.values()]
+        out = _solve_rows([(template.at(grid[ts[0]], rows[0]), rows)
+                           for ts, rows in zip(systems.values(), filled)])
         tuples = np.array([t for ts in systems.values() for t in ts])
         codes[tuples], z[tuples] = out.status, out.optimum()
         batch[tuples], row[tuples] = len(reports), np.arange(len(tuples))

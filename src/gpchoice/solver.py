@@ -101,15 +101,17 @@ The primal minimizer of a fast-pass row is recovered from optimal weights
 through the log-linear relations: objective terms satisfy term_value = w_0t
 * Z, and terms of an active constraint block satisfy term_value = w_it /
 lambda_i.  The rows of one call are recovered and certified as one batch:
-rows of one system with the same such terms share one multi-column
-least-squares solve, whose points come back as one (B, n) array, nan on
-the rows that fail, and one certificate.optimal_claim call, with one
-exponent matrix per row, checks them all; solve_dual, recover_primal and
-solve are each the batch of one.  solve reports OPTIMAL only where that
-claim holds at x and the dual weights, a check from the problem's terms
-alone.  The certified batch holds its statuses and claims as columns too
-(_Reports), and a row's SolveReport is built only when the row is read,
-field for field as a report built at once would be.
+rows of one system with the same such terms are one group, the columns of
+one least-squares solve, and the groups of one shape (relations, rows) are
+one stacked solve, each matrix's bit for bit as alone; the points come
+back as one (B, n) array, nan on the rows that fail, and one
+certificate.optimal_claim call, with one exponent matrix per row, checks
+them all; solve_dual, recover_primal and solve are each the batch of one.
+solve reports OPTIMAL only where that claim holds at x and the dual
+weights, a check from the problem's terms alone.  The certified batch holds
+its statuses and claims as columns too (_Reports), and a row's SolveReport
+is built only when the row is read, field for field as a report built at
+once would be.
 """
 
 from __future__ import annotations
@@ -308,11 +310,13 @@ def _linalg_error(*_):
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.lstsq(a, b, rcond=None)[0] for float a (m, k) and b (m,) or
     (m, p), p > 0, bit for bit: the gufunc under it, at its rcond, with its
-    x = 0 where m == 0 and its LinAlgError where the SVD fails."""
+    x = 0 where m == 0 and its LinAlgError where the SVD fails.  A stack a
+    (G, m, k), b (G, m, p) gives each matrix's solution as alone: the gufunc
+    solves each in the same LAPACK workspace."""
     with np.errstate(all="ignore", invalid="call", call=_linalg_error):
-        x = _umath_linalg.lstsq(a, b[:, None] if b.ndim == 1 else b, _EPS * max(a.shape),
-                                signature="ddd->ddid")[0]
-    if len(a) == 0:
+        x = _umath_linalg.lstsq(a, b[:, None] if b.ndim == 1 else b,
+                                _EPS * max(a.shape[-2:]), signature="ddd->ddid")[0]
+    if a.shape[-2] == 0:
         x[...] = 0.0
     return x[:, 0] if b.ndim == 1 else x
 
@@ -543,6 +547,16 @@ def _finish(
                   np.array(iterations, dtype=int), np.full((len(w), d.variable_count), np.nan))
 
 
+def _equality_stack(normality: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The equality matrices (G, n + 1, K) of the exponent matrices (G, K, n)
+    of one block layout, whose normality row (K,) they share: each the
+    equality_matrix of its program, bit for bit."""
+    g, k, n = exponents.shape
+    out = np.empty((g, n + 1, k))
+    out[:, 0], out[:, 1:] = normality, exponents.mT
+    return out
+
+
 def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """Per row, the longest step along dw, at most 1, that keeps w strictly
     positive: 0.9995 of the fraction to the boundary."""
@@ -658,10 +672,12 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
     forced zeros is solved over the rest of its weights, as a call of its
     own."""
     layout, variables = systems[0][0].block_index, systems[0][0].variable_count
-    if any(d.variable_count != variables or not np.array_equal(d.block_index, layout)
-           for d, _ in systems[1:]):
+    if any(d.variable_count != variables or d.block_index is not layout
+           and not np.array_equal(d.block_index, layout) for d, _ in systems[1:]):
         raise ValueError("the systems of one call must share one block layout "
                          "and variable count")
+    # every system's normality row is the layout's
+    normality = systems[0][0].equality_matrix[0]
     edges = [0, *itertools.accumulate(len(coefficients) for _, coefficients in systems)]
     parts: list[tuple[list[int], _Duals]] = []  # the call's rows and their duals
     fast: dict[int, list] = {}  # fast pass batches, by nullity
@@ -675,7 +691,8 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
             failure = Status.INFEASIBLE if nullsp is None else Status.ITERATION_LIMIT
             parts.append((rows, _Duals.of([_failure(d, failure) for _ in rows], variables)))
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
-            parts.append((rows, _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
+            equalities = _equality_stack(normality, d.exponent_matrix[None])[0]
+            parts.append((rows, _finish(d, np.log(coefficients), nullsp, equalities,
                                         start[None].repeat(n, 0), [Status.OPTIMAL] * n,
                                         [0] * n)))
         else:
@@ -703,9 +720,10 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         if done:
             # every row done, as most often: views, not copies
             picked = slice(None) if len(done) == len(status) else done
-            equalities = np.array([systems[s][0].equality_matrix for s, _, _ in group])
+            exponents = np.array([systems[s][0].exponent_matrix for s, _, _ in group])
             parts.append(([rows[i] for i in done], _finish(
-                d, log_c[picked], stack[picked].mT, equalities[pick[picked]],
+                d, log_c[picked], stack[picked].mT,
+                _equality_stack(normality, exponents)[pick[picked]],
                 ends[picked], [status[i] for i in done], [used[i] for i in done])))
         short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
         if short:  # each goes on alone in its own system
@@ -876,10 +894,13 @@ def _recover(
     without one: the points x (B, n), nan on each row whose recovery fails,
     and the ReconstructionError each such row raises, by row.  A row with a
     y is at exp(y); the other rows of one system (equal entries of system,
-    which share their exponents) whose terms enter the same relations share
-    one multi-column least-squares solve for theirs; a batch whose rows all
-    have a y fits nothing."""
-    if t.exponents.shape[-1] == 0:
+    which share their exponents) whose terms enter the same relations are
+    one group, whose rows are the columns of one least-squares solve.  The
+    groups of one shape (relations, rows) are one stacked solve, each
+    matrix's bit for bit as alone; a batch whose rows all have a y fits
+    nothing."""
+    n = t.exponents.shape[-1]
+    if n == 0:
         return np.full((len(w), 0), np.nan), {}
     y, z, failures = y.copy(), z[:, None], {}
     fit = np.isnan(y[:, 0])  # the rows without the method's y
@@ -894,22 +915,29 @@ def _recover(
         lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & fit
         failures = {i: ReconstructionError(f"w * z underflows at dual value {v}")
                     for i, (v, gone) in enumerate(zip(z[:, 0].tolist(), lost.tolist())) if gone}
-        left = (~lost & fit).nonzero()[0]
-        while left.size:  # the rows of one system and active set
-            first, mask = system[left[0]], active[left[0]]
-            same = (system[left] == first) & np.logical_and.reduce(active[left] == mask, axis=1)
-            group, left = left[same], left[~same]
-            matrix = t.exponents[group[0]][mask]
-            target = np.log(share[group][:, mask]) - np.log(t.coefficients[group][:, mask])
-            y[group] = _lstsq(matrix, target.T).T
+        codes, masks = system.tolist(), active.tolist()
+        groups: dict[tuple, list[int]] = {}  # the rows of one system and active set
+        for i in (~lost & fit).nonzero()[0].tolist():
+            groups.setdefault((codes[i], *masks[i]), []).append(i)
+        shapes: dict[tuple[int, int], list[list[int]]] = {}  # the groups of one shape
+        for group in groups.values():
+            shapes.setdefault((sum(masks[group[0]]), len(group)), []).append(group)
+        for (relations, columns), stack in shapes.items():
+            rows = np.array(stack)  # (G, columns)
+            # each group's active terms, ascending, (G, relations)
+            terms = active[rows[:, 0]].nonzero()[1].reshape(len(stack), relations)
+            matrices = t.exponents[rows[:, :1], terms]  # (G, relations, n)
+            at = rows[..., None], terms[:, None]  # (G, columns, relations)
+            target = np.log(share[at]) - np.log(t.coefficients[at])
+            y[rows] = _lstsq(matrices, target.mT).mT
             # y is inf where the relations ask for an x beyond the doubles (a
             # subnormal exponent, say); its residual is then nan, from inf * 0
             with np.errstate(over="ignore", invalid="ignore"):
-                residual = np.maximum.reduce(np.abs(np.matvec(matrix, y[group]) - target),
-                                             axis=1, initial=0.0)
+                residual = np.maximum.reduce(
+                    np.abs(np.matvec(matrices[:, None], y[rows]) - target), axis=-1, initial=0.0)
             failures |= {i: ReconstructionError(
                 f"log-linear recovery system inconsistent (residual {res:.3e})")
-                for i, res in zip(group.tolist(), residual.tolist()) if res > 1e-6}
+                for i, res in zip(rows.ravel().tolist(), residual.ravel().tolist()) if res > 1e-6}
     with np.errstate(over="ignore", under="ignore"):
         x = np.exp(y)
     inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1)

@@ -259,6 +259,22 @@ class TestOptimalClaim:
                 groups += 1
         assert groups > len(_keep_all_calls())
 
+    def test_a_plan_is_built_once_per_matrix_and_block_layout(self):
+        # plans are kept between calls: a claim repeated builds none, and a
+        # matrix's bytes under another block layout get a plan of their own
+        plan = gpchoice.certificate._plan
+        t, x, w = _random_terms(np.random.default_rng(3), 6, False)
+        plan.cache_clear()
+        first = _claim_bits(optimal_claim(t, x, w))
+        built = plan.cache_info().misses
+        assert built == 6
+        assert _claim_bits(optimal_claim(t, x, w)) == first
+        assert plan.cache_info().misses == built
+        other = t._replace(blocks=np.array([0, 0, 1, 1, 1, 2, 2, 2]))
+        optimal_claim(other, x, w)
+        assert plan.cache_info().misses == 2 * built
+        _each_posynomial_bits(other, x, w)
+
     def test_an_overflowing_term_is_no_certificate(self):
         s = standardize(make_problem([(1, (300,)), (1, (-1,))]))
         claim = _claim((1e3,), (0.5, 0.5), s)

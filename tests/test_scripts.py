@@ -1,5 +1,6 @@
 """The scripts run from a checkout with no PYTHONPATH and no install."""
 
+import json
 import os
 import re
 import shutil
@@ -90,3 +91,53 @@ def test_interleave_names_the_first_call_whose_outputs_differ(tmp_path):
         r"2 in status, in \d+\.\ds\n"
         r"median time ratio change/parent \d+\.\d{3} \(parent/change \d+\.\d{3}\)\n",
         out.stdout), out.stdout
+
+
+def _bench_pairs(*args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench_pairs.py"), *map(str, args)],
+        capture_output=True, text=True, env=env, cwd=REPO / "scripts",
+    )
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=REPO, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+needs_git = pytest.mark.skipif(not (REPO / ".git").exists(),
+                               reason="bench_pairs compares a commit with a git work tree")
+
+
+@needs_git
+def test_bench_pairs_runs_a_tree_against_itself(tmp_path):
+    out = tmp_path / "BENCH.json"
+    run = _bench_pairs("HEAD", "--workload", "enumerate", "--pairs", 1, "--seconds", 1,
+                       "--seed", 7, "--out", out)
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch(r"pair 1 of 1 \(seed 7\): ops_per_s parent \d+\.\d, "
+                        r"change \d+\.\d\n", run.stdout), run.stdout
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["command", "machine", "parent", "pairs", "claim", "notes", "seeds",
+                         "summary"]
+    assert doc["parent"] == _git("rev-parse", "HEAD")
+    assert doc["seeds"] == {"enumerate": [7, 7]}
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    summary = doc["summary"]["enumerate"]
+    assert list(summary) == [metric["name"] for metric in benchmark["end_to_end"]]
+    for metric in summary.values():
+        assert metric["change_better"] in ("0 of 1", "1 of 1")
+        for side in ("parent", "change"):
+            assert metric[f"{side}_quartiles"] == [metric[f"{side}_median"]] * 2
+
+
+@needs_git
+def test_bench_pairs_refuses_trees_whose_bench_differs(tmp_path):
+    # the commit before the last change to bench/ has another bench/
+    before = _git("log", "-1", "--format=%H", "--", "bench") + "^"
+    out = tmp_path / "BENCH.json"
+    run = _bench_pairs(before, "--workload", "enumerate", "--pairs", 1, "--out", out)
+    assert run.returncode == 2
+    assert run.stderr == "bench_pairs: bench/ differs between the parent and the change\n"
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -753,6 +754,24 @@ def test_compiled_template_matches_each_expansions_dual():
     assert sum(checked[:-1]) == 1002
     assert checked[-1] == 3 * 2 * 2 * 2
 
+
+
+def test_a_filled_coefficient_row_gives_the_dual_at_fills():
+    # run fills each system's coefficients once and hands at the system's
+    # first row; every field is the bytes at fills itself
+    checked = 0
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        cg = parse_problem(path)
+        template = gpchoice.selectors._Template.of(cg)
+        values = np.array([v for v, _ in _distinct_expansions(cg)])
+        for row, filled in zip(values, template.coefficients(values)):
+            given, own = template.at(row, filled), template.at(row)
+            for field in dataclasses.fields(own):
+                got, want = getattr(given, field.name), getattr(own, field.name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            checked += 1
+    assert checked == 1002
 
 def test_keep_all_reports_a_row_whose_point_underflows():
     # min x^0.01 + c / x^0.01 is optimal at x = c^50: 0 in doubles for

@@ -28,7 +28,8 @@ from gpchoice import (
     solve_dual,
     standardize,
 )
-from gpchoice.posynomial import Posynomial
+from gpchoice.certificate import Terms
+from gpchoice.posynomial import GpDomainError, Posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import expand, solve_choice
 from gpchoice.solver import (
@@ -47,6 +48,7 @@ from gpchoice.solver import (
     _newton_step,
     _nnls,
     _null_space,
+    _recover,
     _reduced_program,
     _solve_duals,
     _solve_rows,
@@ -442,7 +444,104 @@ class TestRecoverPrimal:
             recover_primal(s, corrupted)
 
 
+def _optimal_rows(systems, first_system):
+    """_recover's arguments at the OPTIMAL rows of _solve_duals(systems),
+    their systems numbered from first_system: coefficients (B, K),
+    exponents (B, K, n), system codes, weights, dual values, lambdas and y."""
+    duals = _solve_duals(systems)
+    pick = np.repeat(np.arange(len(systems)), [len(c) for _, c in systems])
+    exponents = np.array([d.exponent_matrix for d, _ in systems])[pick]
+    coefficients = np.concatenate([c for _, c in systems])
+    optimal = duals.status == gpchoice.solver._CODE[Status.OPTIMAL]
+    return [a[optimal] for a in (coefficients, exponents, pick + first_system, duals.weights,
+                                 duals.objective_value, duals.lambdas, duals.y)]
+
+
+class TestStackedRecovery:
+    """_recover solves the groups of rows (one system, one active set) that
+    share a shape as one stacked least-squares solve; every row's x and
+    failure are those of a call on that row alone."""
+
+    @staticmethod
+    def _batches(cg):
+        """The systems of the pruned search's seed batch and of keep-all."""
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gpchoice.selectors, "_solve_rows",
+                       lambda systems: calls.append(systems) or _solve_rows(systems))
+            solve_choice(cg)
+            seeds = calls[0]
+            calls.clear()
+            solve_choice(cg, keep_assignments=True)
+        return seeds, calls[0]
+
+    @pytest.mark.parametrize("fixture", sorted(p.stem for p in PROBLEM_DIR.glob("*.json")))
+    def test_a_mixed_batch_recovers_as_one_call_per_row(self, monkeypatch, fixture):
+        seeds, keep_all = self._batches(parse_problem(PROBLEM_DIR / f"{fixture}.json"))
+        parts = [_optimal_rows(seeds, 0), _optimal_rows(keep_all[:2], 100)]
+        # copies of the first seed row, each a system of its own: one whose
+        # relations are inconsistent (every coefficient moved), one whose
+        # w z underflows (z = 0), one carrying the method's y and one whose
+        # y leaves exp's range
+        rng = np.random.default_rng(42)
+        c, e, _, w, z, lam, y = (a[:1].repeat(4, axis=0) for a in parts[0])
+        c[0] *= np.exp(rng.normal(size=c.shape[1]))
+        z[1] = 0.0
+        y[2], y[3] = rng.normal(size=y.shape[1]), 1000.0
+        parts.append([c, e, np.arange(200, 204), w, z, lam, y])
+        coefficients, exponents, system, w, z, lam, y = map(np.concatenate, zip(*parts))
+        blocks = seeds[0][0].block_index
+
+        def recover(rows):
+            t = Terms(coefficients[rows], exponents[rows], blocks)
+            return _recover(t, system[rows], w[rows], z[rows], lam[rows], y[rows])
+
+        shapes = []
+        linalg = gpchoice.solver._umath_linalg
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(linalg, name)
+
+            def lstsq(self, a, *args, **kwargs):
+                shapes.append(a.shape)
+                return linalg.lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(gpchoice.solver, "_umath_linalg", Spy())
+        x, failures = recover(slice(None))
+        stacked, shapes[:] = list(shapes), []
+        messages = {}
+        for i in range(len(w)):
+            xi, fi = recover([i])
+            assert x[i].tobytes() == xi[0].tobytes(), i
+            messages |= {i: str(e) for e in fi.values()}
+        assert {i: str(e) for i, e in failures.items()} == messages
+        # one solve per shape, fewer than the groups solved alone, and one
+        # stack of several matrices
+        assert len(stacked) == len(set(stacked)) < len(shapes)
+        assert max(shape[0] for shape in stacked) > 1
+        last = len(w) - 4
+        assert "inconsistent" in messages[last]
+        assert messages[last + 1] == "w * z underflows at dual value 0.0"
+        assert last + 2 not in messages
+        assert x[last + 2].tobytes() == np.exp(y[last + 2]).tobytes()
+        assert "overflows or underflows" in messages[last + 3]
+
+
 class TestSolve:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coefficient", [0.0, math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("place", ["objective", "constraint"])
+    def test_a_coefficient_that_is_not_finite_and_positive_raises(self, coefficient, place):
+        # solve checks its input through build_dual: no numpy warning, no status
+        term = [(coefficient, (-1.0,))]
+        if place == "objective":
+            s = standardize(make_problem([(1.0, (1.0,)), *term]))
+        else:
+            s = standardize(make_problem([(1.0, (1.0,))], [(term, 1.0)]))
+        with pytest.raises(GpDomainError, match="term 1: coefficient .* is not finite and positive"):
+            solve(s)
+
     def test_underflowing_primal_recovery_gives_a_report(self):
         # the dual is optimal at z = 2e-10, but x = 1e-1000 underflows to 0;
         # the report says so as the overflowing twin does, instead of raising
@@ -597,6 +696,19 @@ class TestNumpyLinearAlgebra:
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
         got = _lstsq(a, b)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape, rank", [
+        ((6, 3), 3), ((3, 6), 3), ((5, 4), 2), ((0, 3), 0),
+    ], ids=["tall", "wide", "rank-deficient", "no-rows"])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_a_stacked_lstsq_solves_each_matrix_as_alone(self, shape, rank, columns):
+        rng = np.random.default_rng([shape[0], shape[1], rank, columns])
+        a = rng.normal(size=(4, shape[0], rank)) @ rng.normal(size=(4, rank, shape[1]))
+        b = rng.normal(size=(4, shape[0], columns))
+        got = _lstsq(a, b)
+        assert got.shape == (4, shape[1], columns)
+        for matrix, rhs, x in zip(a, b, got):
+            assert x.tobytes() == _lstsq(matrix, rhs).tobytes()
 
     def test_lstsq_raises_as_numpy_where_the_svd_fails(self):
         a = np.array([[np.nan, 1.0], [1.0, 1.0], [2.0, 0.0]])
