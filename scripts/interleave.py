@@ -22,12 +22,15 @@ Each workload makes --count calls.  ``stress`` solves the first --count
 problems of the benchmark's stress set (bench/generator.py at bench/run.py's
 STRESS_GENERATOR_SEED); ``enumerate`` and ``enumerate-all`` run solve_choice,
 pruned and keep-all, on the 12 fixtures in sorted order, cycled, after one
-untimed pass over them.  ``cli`` runs one fresh ``gpchoice solve FIXTURE
---format machine`` process a call, over the fixtures in the same order and
-with no untimed pass, each cold as a user's; both trees run with -B and no
-__pycache__, so that each process compiles its package from source, and
-each call's output is its exit code and its report without timing_ms.
-Comparing a tree with itself measures the noise.
+untimed pass over them.  Each fixture is parsed once and its model object
+solved call after call, as bench/run.py's enumerate workloads do, so a call
+after the first reads the template that solve_choice compiled and kept on that
+object.  ``cli`` runs one fresh ``gpchoice solve FIXTURE --format machine``
+process a call, over the fixtures in the same order and with no untimed pass,
+each cold as a user's, so every call compiles its template; both trees run
+with -B and no __pycache__, so that each process compiles its package from
+source, and each call's output is its exit code and its report without
+timing_ms.  Comparing a tree with itself measures the noise.
 """
 
 import argparse

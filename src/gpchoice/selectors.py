@@ -17,6 +17,11 @@ one row per combination.  The pruned search solves them in two solver
 batches: every exponent assignment's seed, then every tuple that weak
 duality does not prove can neither win nor tie.  A report is built only for
 the expansion the result reports.
+
+What depends on the template alone, its validation, the table, the
+template's dual and the seeds' solver batch, is compiled once per model
+object and kept on it (ChoiceGp._compiled, read-only) where the model can
+be hashed; each call checks the combination cap and solves.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -102,6 +108,16 @@ class ChoiceGp:
     objective: tuple[TermTemplate, ...]
     constraints: tuple[tuple[tuple[TermTemplate, ...], float], ...]
     sets: tuple[CandidateSet, ...]
+
+    @cached_property
+    def _compiled(self) -> _Compiled:
+        """solve_choice's compile of this template, kept as long as the model
+        is; solve_choice reads it only where hash(self) succeeds."""
+        return _Compiled.of(self)
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled model compiles its own
+        return {k: v for k, v in vars(self).items() if k != "_compiled"}
 
 
 class ExpansionRejected(Exception):
@@ -379,8 +395,12 @@ class _Template:
         coefficients = [(k, index[tpl.coefficient.name]) for k, tpl in enumerate(templates)
                         if isinstance(tpl.coefficient, SetRef)]
         bounds = np.array([1.0, *(b for _, b in cg.constraints)])[dual.block_index]
-        return cls(dual, np.array(exponents, dtype=int).reshape(-1, 3).T,
-                   np.array(coefficients, dtype=int).reshape(-1, 2).T, bounds)
+        out = cls(dual, np.array(exponents, dtype=int).reshape(-1, 3).T,
+                  np.array(coefficients, dtype=int).reshape(-1, 2).T, bounds)
+        # a compiled template is shared by every call on its model
+        for arr in (out.exponent_slots, out.coefficient_slots, out.bounds, *dual._layout):
+            arr.flags.writeable = False
+        return out
 
     def at(self, values: Sequence[float], coefficients: np.ndarray | None = None
            ) -> DualProgram:
@@ -391,8 +411,11 @@ class _Template:
         exponents[terms, variables] = np.asarray(values, dtype=float)[sets]
         if coefficients is None:
             coefficients = self.coefficients(np.array([values]))[0]
-        return replace(self.dual, exponent_matrix=exponents,
-                       term_coefficients=coefficients)
+        program = replace(self.dual, exponent_matrix=exponents,
+                          term_coefficients=coefficients)
+        # the block layout is the template's: set where the cached_property keeps it
+        program.__dict__["_layout"] = self.dual._layout
+        return program
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """(B, K) standardized term coefficients at each row of values (B, S)."""
@@ -433,14 +456,98 @@ def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
     problems = validate_choice_gp(cg)
     if problems:
         raise GpDomainError("invalid template: " + "; ".join(problems))
-    total = math.prod(cs.size for cs in cg.sets)
+    _check_cap(math.prod(cs.size for cs in cg.sets))
+    return cg
+
+
+def _check_cap(total: int) -> None:
     if total > _COMBINATION_CAP:
         raise GpDomainError(
             f"{total} assignment combinations exceed the cap of {_COMBINATION_CAP}"
         )
-    return cg
 
 
+# a _solve_rows batch, (program, coefficient rows) per system, and the
+# tuples in the order of its rows
+_Batch = tuple[np.ndarray, list[tuple[DualProgram, np.ndarray]]]
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """What solve_choice reads of a valid template alone, its arrays
+    read-only: the table of distinct value tuples, the template's dual and
+    the pruned search's seeds with their solver batch.  Per set: the value
+    at each pattern, its distinct values (a coefficient set's positive ones
+    alone) in the order of their first candidates, each one's smallest
+    pattern, and each candidate's position among them (-1: rejected)."""
+
+    names: tuple[str, ...]
+    candidates: tuple[tuple[float, ...], ...]  # per set, its value at each pattern
+    sizes: tuple[int, ...]  # per set, its distinct values
+    smallest: tuple[tuple[BitPattern, ...], ...]
+    position: tuple[tuple[int, ...], ...]
+    pick: np.ndarray  # (S, count): each tuple's value positions
+    grid: np.ndarray  # (count, S): each tuple's values
+    system: np.ndarray  # (count,): each tuple's exponent positions, as one code
+    # None where every tuple is rejected (count 0), as is all that follows
+    template: _Template | None
+    seeds: np.ndarray | None  # each system's tuple at every coefficient set's smallest value
+    seed: np.ndarray | None  # (count,): each tuple's seed
+    seed_batch: _Batch | None  # batch(seeds)
+
+    @classmethod
+    def of(cls, cg: ChoiceGp) -> _Compiled:
+        checked_choice_gp(cg)
+        candidates = tuple(_selected_values(cs) for cs in cg.sets)
+        values, smallest, position = [], [], []
+        for cs, table in zip(cg.sets, candidates):
+            values.append([v for v in dict.fromkeys(table)
+                           if v > 0.0 or cs.role is Role.EXPONENT])
+            position.append(tuple(values[-1].index(v) if v in values[-1] else -1
+                                  for v in table))
+            first: dict[float, BitPattern] = {}  # each value's smallest pattern
+            for pattern, v in sorted(zip(PATTERNS[cs.size], table)):
+                first.setdefault(v, pattern)
+            smallest.append(tuple(first[v] for v in values[-1]))
+        sizes = [len(v) for v in values]
+        count = math.prod(sizes)
+        pick = np.indices(sizes).reshape(len(sizes), count)
+        offsets = np.array(list(itertools.accumulate(sizes, initial=0))[:-1], dtype=int)
+        grid = np.array([v for vs in values for v in vs])[pick.T + offsets]
+        system = np.zeros(count, dtype=int)
+        for i, cs in enumerate(cg.sets):
+            if cs.role is Role.EXPONENT:
+                system = system * sizes[i] + pick[i]
+        template = seeds = seed = None
+        if count:
+            template = _Template.of(cg)
+            coefficient_sets = [i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT]
+            lowest = [values[i].index(min(values[i])) for i in coefficient_sets]
+            seeds = (pick[coefficient_sets].T == lowest).all(axis=1).nonzero()[0]
+            seed = seeds[system]  # ascending, the seeds come in system order
+            seeds.flags.writeable = seed.flags.writeable = False
+        for arr in (pick, grid, system):
+            arr.flags.writeable = False
+        out = cls(tuple(cs.name for cs in cg.sets), candidates, tuple(sizes),
+                  tuple(smallest), tuple(position), pick, grid, system, template, seeds,
+                  seed, None)
+        return replace(out, seed_batch=out.batch(seeds)) if count else out
+
+    def batch(self, tuples: np.ndarray) -> _Batch:
+        """These tuples as one _solve_rows batch on programs filled from the
+        template's dual: the tuples that share exponent values, which fix the
+        equality system, are one system, systems in the order first seen."""
+        systems: dict[int, list[int]] = {}
+        for t, code in zip(tuples.tolist(), self.system[tuples].tolist()):
+            systems.setdefault(code, []).append(t)
+        batch = []
+        for ts in systems.values():
+            rows = self.template.coefficients(self.grid[ts])
+            rows.flags.writeable = False
+            batch.append((self.template.at(self.grid[ts[0]], rows[0]), rows))
+        order = np.array([t for ts in systems.values() for t in ts])
+        order.flags.writeable = False
+        return order, batch
 
 
 def solve_choice(
@@ -466,9 +573,13 @@ def solve_choice(
     candidates, so the tuples, in product order, come in the order a loop
     over the combinations first sees them.  Each tuple stands at the
     smallest pattern per set among its values' candidates, and holds its
-    status, z and place in a solver batch.  A call of run solves tuples as
-    one _solve_rows batch on programs filled from the template's dual,
-    compiled once (_Template): the tuples that share exponent values, which
+    status, z and place in a solver batch.  The template is compiled once
+    per model object (_Compiled, kept as ChoiceGp._compiled where the model
+    can be hashed, else made afresh for the call): validation, the table,
+    the template's dual (_Template) and the seeds' solver batch.  Each call
+    checks the combination cap, solves its batches and certifies every row.
+    A call of run solves tuples as one _solve_rows batch on programs filled
+    from the template's dual: the tuples that share exponent values, which
     fix the equality system, are one system.  keep_assignments runs every
     tuple, and expands the table into one row per combination at its own
     bit patterns.  The pruned search runs the seeds, each system's tuple at
@@ -479,72 +590,52 @@ def solve_choice(
     expansion alone.  ``solved`` counts the non-rejected combinations,
     skipped ones included.
     """
-    cg = checked_choice_gp(model)
-    names = [cs.name for cs in cg.sets]
-    exponent_sets = [i for i, cs in enumerate(cg.sets) if cs.role is Role.EXPONENT]
-    coefficient_sets = [i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT]
-    candidates = [_selected_values(cs) for cs in cg.sets]
-    # per set: its distinct values in first-candidate order, each one's
-    # smallest pattern, and each candidate's position among them (-1: rejected)
-    values, smallest, position = [], [], []
-    for cs, table in zip(cg.sets, candidates):
-        values.append([v for v in dict.fromkeys(table) if v > 0.0 or cs.role is Role.EXPONENT])
-        position.append([values[-1].index(v) if v in values[-1] else -1 for v in table])
-        first: dict[float, BitPattern] = {}  # each value's smallest pattern
-        for pattern, v in sorted(zip(PATTERNS[cs.size], table)):
-            first.setdefault(v, pattern)
-        smallest.append([first[v] for v in values[-1]])
-    sizes = [len(v) for v in values]
-    count = math.prod(sizes)
-    pick = np.indices(sizes).reshape(len(sizes), count)  # each tuple's value positions
-    offsets = np.array(list(itertools.accumulate(sizes, initial=0))[:-1], dtype=int)
-    grid = np.array([v for vs in values for v in vs])[pick.T + offsets]  # each tuple's values
-    system = np.zeros(count, dtype=int)  # each tuple's exponent positions, as one code
-    for i in exponent_sets:
-        system = system * sizes[i] + pick[i]
+    cg = as_choice_gp(model)
+    try:
+        hash(cg)
+    except TypeError:  # a field that can change between calls: compiled for this call
+        table = _Compiled.of(cg)
+    else:
+        table = cg._compiled
+    total = math.prod(map(len, table.candidates))
+    _check_cap(total)  # per call: the cap may have fallen since the compile
+    names, smallest, pick, grid = table.names, table.smallest, table.pick, table.grid
+    count = len(grid)
     codes, batch, row = np.full((3, count), -1)  # status code, -1 while unsolved
     z = np.full(count, math.nan)  # nan where not OPTIMAL
-    template = _Template.of(cg) if count else None  # unread when all are rejected
     reports: list[_Reports] = []
 
-    def run(tuples: np.ndarray) -> None:
-        """Solve these tuples in one _solve_rows call: the tuples that share
-        exponent values as one system, systems in the order first seen."""
-        systems: dict[int, list[int]] = {}
-        for t, code in zip(tuples.tolist(), system[tuples].tolist()):
-            systems.setdefault(code, []).append(t)
-        filled = [template.coefficients(grid[ts]) for ts in systems.values()]
-        out = _solve_rows([(template.at(grid[ts[0]], rows[0]), rows)
-                           for ts, rows in zip(systems.values(), filled)])
-        tuples = np.array([t for ts in systems.values() for t in ts])
+    def run(tuples: np.ndarray, systems: list[tuple[DualProgram, np.ndarray]]) -> None:
+        """Solve a batch of the table (_Compiled.batch) in one _solve_rows call."""
+        out = _solve_rows(systems)
         codes[tuples], z[tuples] = out.status, out.optimum()
         batch[tuples], row[tuples] = len(reports), np.arange(len(tuples))
         reports.append(out)
 
     if count and keep_assignments:
-        run(np.arange(count))
+        run(*table.batch(np.arange(count)))
     elif count:
-        lowest = [values[i].index(min(values[i])) for i in coefficient_sets]
-        seeds = (pick[coefficient_sets].T == lowest).all(axis=1).nonzero()[0]
-        run(seeds)
+        run(*table.seed_batch)
         # a tuple's coefficients are at least its seed's, so its optimum is
         # at least its seed's (up to a gap's rounding): the seeds set the
         # limit.  A seed solved to a positive optimum bounds its system's
-        # tuples; ascending, the seeds come in system order.
-        seed, live = seeds[system], seeds[z[seeds] > 0.0]
+        # tuples.
+        seeds, seed = table.seeds, table.seed
+        live = seeds[z[seeds] > 0.0]
         bounded = (z[seed] > 0.0).nonzero()[0]
         unsolved = codes < 0
         if len(bounded):
             duals = reports[0].duals
-            bound = template.bound(duals.weights[row[live]],
-                                   np.log(duals.objective_value[row[live]]), grid[live],
-                                   grid[bounded], np.searchsorted(live, seed[bounded]))
+            bound = table.template.bound(duals.weights[row[live]],
+                                         np.log(duals.objective_value[row[live]]),
+                                         grid[live], grid[bounded],
+                                         np.searchsorted(live, seed[bounded]))
             unsolved[bounded[bound > math.log(z[live].min()) + _PRUNE_LOG_MARGIN]] = False
         if unsolved.any():
-            run(unsolved.nonzero()[0])
+            run(*table.batch(unsolved.nonzero()[0]))
 
     def bits(t: int) -> tuple[BitPattern, ...]:
-        return tuple(map(list.__getitem__, smallest, pick[:, t].tolist()))
+        return tuple(map(tuple.__getitem__, smallest, pick[:, t].tolist()))
 
     def read(t: int) -> SolveReport:
         return reports[batch[t]][row[t]]
@@ -584,21 +675,21 @@ def solve_choice(
         statuses = set(codes[codes >= 0].tolist())
         status = _STATUSES[statuses.pop()] if len(statuses) == 1 else Status.INFEASIBLE
         report = read(0) if count == 1 else None  # as a plain solve
-    total = math.prod(cs.size for cs in cg.sets)
-    solved = math.prod(sum(k >= 0 for k in at) for at in position)
+    solved = math.prod(sum(k >= 0 for k in at) for at in table.position)
     kept = None
     if keep_assignments:  # each combination, in product order, reads its tuple
-        combos = np.indices([cs.size for cs in cg.sets]).reshape(len(sizes), total)
+        candidates = table.candidates
+        combos = np.indices(list(map(len, candidates))).reshape(len(candidates), total)
         tuple_of, live = np.zeros(total, dtype=int), np.ones(total, dtype=bool)
-        for i, size in enumerate(sizes):
-            at = np.take(position[i], combos[i])
+        for i, size in enumerate(table.sizes):
+            at = np.take(table.position[i], combos[i])
             tuple_of, live = tuple_of * size + at, live & (at >= 0)
         label, objective = np.full(total, len(Status)), np.full(total, math.nan)
         label[live], objective[live] = codes[tuple_of[live]], z[tuple_of[live]]
         objectives = objective.astype(object)
         objectives[np.isnan(objective)] = None
         labels = np.array([*(st.value for st in _STATUSES), "rejected"], dtype=object)[label]
-        patterns = itertools.product(*(PATTERNS[cs.size] for cs in cg.sets))
+        patterns = itertools.product(*(PATTERNS[len(c)] for c in candidates))
         kept = tuple(map(AssignmentOutcome, patterns, itertools.product(*candidates),
                          labels.tolist(), objectives.tolist()))
     return ChoiceSolveReport(status, report, *chosen, solved, total - solved, kept)

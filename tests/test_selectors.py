@@ -1,7 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -277,8 +280,12 @@ class TestValidateChoiceGp:
             sets=(),
         )
         assert any(message in v for v in validate_choice_gp(cg))
-        with pytest.raises(GpDomainError, match="invalid template"):
-            solve_choice(cg)
+        errors = []
+        for _ in range(2):  # a template that fails to compile keeps nothing
+            with pytest.raises(GpDomainError, match="invalid template") as error:
+                solve_choice(cg)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1] and "_compiled" not in vars(cg)
 
 
 class TestSolveChoice:
@@ -350,9 +357,13 @@ class TestSolveChoice:
 
     def test_combination_cap_is_enforced(self, monkeypatch):
         cg = parse_problem(PROBLEM_DIR / "example1_case1.json")
+        solved = parse_problem(PROBLEM_DIR / "example1_case1.json")
+        assert solve_choice(solved).status is Status.OPTIMAL
+        # every call reads the cap, on a model compiled before it fell too
         monkeypatch.setattr(gpchoice.selectors, "_COMBINATION_CAP", 26)
-        with pytest.raises(GpDomainError):
-            solve_choice(cg)
+        for model in (cg, solved):
+            with pytest.raises(GpDomainError, match="27 assignment combinations exceed"):
+                solve_choice(model)
 
     def test_no_optimal_expansion_is_infeasible(self):
         cg = ChoiceGp(
@@ -1089,3 +1100,145 @@ def test_every_combination_reads_its_value_tuple(cg):
     # the pruned search solves each tuple as keep-all does, z bit for bit
     _, solved = _solved_tuples(cg, keep=False)
     assert {values: table[values] for values in solved} == solved
+
+
+def _choice_fields(result) -> tuple:
+    """Every field of a ChoiceSolveReport: floats by repr, the report's
+    arrays by bytes, every assignment row."""
+    report = result.report and _report_fields(result.report)
+    return (result.status, report, result.chosen_bits, repr(result.chosen_values),
+            result.solved, result.rejected, repr(result.assignments))
+
+
+def _spy(monkeypatch, target, name):
+    """The first argument of each call to target.name from now on."""
+    seen, original = [], getattr(target, name)
+
+    def spy(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(target, name, staticmethod(spy) if isinstance(target, type) else spy)
+    return seen
+
+
+def _compiled_arrays(table):
+    """Every array that a compiled template keeps: its table, its seeds and
+    their batch, the template's slots and its dual with its block layout."""
+    yield from (table.pick, table.grid, table.system, table.seeds, table.seed)
+    order, systems = table.seed_batch
+    yield order
+    for d, rows in systems:
+        yield from (rows, d.term_coefficients, d.block_index, d.exponent_matrix)
+    template = table.template
+    yield from (template.exponent_slots, template.coefficient_slots, template.bounds)
+    dual = template.dual
+    yield from (dual.term_coefficients, dual.block_index, dual.exponent_matrix, *dual._layout)
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["pruned", "keep-all"])
+def test_a_model_compiles_once_and_reuse_equals_fresh(monkeypatch, keep):
+    # solve_choice compiles a model once and keeps it on the object; a third
+    # call reads as the first, and as a deep copy, which compiles its own
+    templates = _spy(monkeypatch, gpchoice.selectors._Template, "of")
+    validated = _spy(monkeypatch, gpchoice.selectors, "validate_choice_gp")
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        templates.clear()
+        validated.clear()
+        cg = parse_problem(path)
+        results = [_choice_fields(solve_choice(cg, keep_assignments=keep)) for _ in range(3)]
+        twin = copy.deepcopy(cg)
+        assert "_compiled" in vars(cg) and "_compiled" not in vars(twin)
+        results.append(_choice_fields(solve_choice(twin, keep_assignments=keep)))
+        assert results[1:] == results[:1] * 3
+        assert [id(m) for m in templates] == [id(m) for m in validated] == [id(cg), id(twin)]
+        for arr in _compiled_arrays(vars(cg)["_compiled"]):
+            assert not arr.flags.writeable
+            if arr.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 0
+
+
+@given(small_choice_gps())
+def test_a_model_solved_twice_equals_a_copy_solved_once(cg):
+    for keep in (False, True):
+        twin = copy.deepcopy(cg)
+        first, second = (_choice_fields(solve_choice(cg, keep_assignments=keep))
+                         for _ in range(2))
+        assert first == second == _choice_fields(solve_choice(twin, keep_assignments=keep))
+
+
+def test_every_program_of_a_call_carries_the_template_layout(monkeypatch):
+    # each system's program, in the seeds' batch, the second batch and
+    # keep-all's batch alike, holds the template dual's layout object, so
+    # one _Layout is built per template however often its model is solved
+    layouts, programs = [], []
+    original = gpchoice.dual._Layout
+    monkeypatch.setattr(gpchoice.dual, "_Layout",
+                        lambda *args, **kwargs: layouts.append(1) or original(*args, **kwargs))
+    monkeypatch.setattr(gpchoice.selectors, "_solve_rows",
+                        lambda systems: programs.extend(d for d, _ in systems) or
+                        gpchoice.solver._solve_rows(systems))
+    tied = ChoiceGp(  # its pruned search solves a second batch
+        variable_names=("x1",),
+        objective=(TermTemplate(SetRef("c"), (1.0,)), TermTemplate(1.0, (-1.0,))),
+        constraints=(((TermTemplate(SetRef("b"), (1.0,)),), 100.0),),
+        sets=(
+            CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1.0, 2.0)),
+            CandidateSet("b", Role.CONSTRAINT_COEFFICIENT, (1.0, 3.0)),
+        ),
+    )
+    models = [parse_problem(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
+    for cg in [*models, tied]:
+        calls = []
+        for keep in (False, True, False):
+            programs.clear()
+            solve_choice(cg, keep_assignments=keep)
+            calls.append(len(programs))
+            layout = vars(cg)["_compiled"].template.dual._layout
+            assert all(vars(d)["_layout"] is layout for d in programs)
+        if cg is tied:
+            # pruned: the seed's system, then again for the tied sibling;
+            # keep-all: its one system
+            assert calls == [2, 1, 2]
+    assert len(layouts) == len(models) + 1
+
+
+def test_a_model_that_cannot_be_hashed_compiles_every_call(monkeypatch):
+    # a list may change between calls, so nothing is kept: each call
+    # compiles, and follows the change
+    templates = _spy(monkeypatch, gpchoice.selectors._Template, "of")
+    objective = [TermTemplate(SetRef("c"), (1.0,)), TermTemplate(1.0, (-1.0,))]
+    cg = ChoiceGp(("x",), objective, (),
+                  (CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (2.0, 1.0)),))
+    with pytest.raises(TypeError):
+        hash(cg)
+    assert solve_choice(cg).report.objective_value == pytest.approx(2.0, rel=1e-9)
+    objective[1] = TermTemplate(4.0, (-1.0,))  # min x + 4 / x: 2 sqrt(4)
+    assert solve_choice(cg).report.objective_value == pytest.approx(4.0, rel=1e-9)
+    assert templates == [cg, cg] and "_compiled" not in vars(cg)
+
+
+def test_threads_share_one_model_and_get_sequential_results():
+    paths = sorted(PROBLEM_DIR.glob("*.json"))
+    expected = [_choice_fields(solve_choice(parse_problem(path), keep_assignments=keep))
+                for path in paths for keep in (False, True)]
+    models = [parse_problem(path) for path in paths]  # not yet compiled
+    results = {}
+
+    def work(k):
+        results[k] = [_choice_fields(solve_choice(cg, keep_assignments=keep))
+                      for cg in models for keep in (False, True)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {k: expected for k in range(4)}
