@@ -7,9 +7,13 @@ normality (the objective block sums to one) and orthogonality
 v(w) = exp sum_k w_k log(c_k lambda_b(k) / w_k), with lambda_b(k) the weight
 sum of term k's constraint block (1 on the objective) and terms with w_k = 0
 adding nothing.  The theorem of alternatives: multipliers nu >= 0 on the
-constraint terms with sum_k nu_k a_k = 0 give prod_i f_i(x)^lambda_i >=
-exp sum_k nu_k log(c_k lambda_i / nu_k) at every x (weighted AM-GM), so a
-positive sum leaves no x with every f_i(x) <= 1.  Neither check solves a thing.
+constraint terms give prod_i f_i(x)^lambda_i >= exp(S + delta . log x) at
+every x (weighted AM-GM), with S = sum_k nu_k log(c_k lambda_i / nu_k) and
+delta = sum_k nu_k a_k, so where delta = 0 a positive S leaves no x with
+every f_i(x) <= 1.  A floating-point nu leaves delta at rounding level, not
+0; every positive finite double has |log x| <= _LOG_RANGE, so S -
+_LOG_RANGE |delta|_1 bounds the exponent over every x in the doubles.
+Neither check solves a thing.
 
 An optimal claim holds within fixed tolerances: GAP_TOL = 1e-8 on the
 relative gap, VIOLATION_TOL = 1e-8 on each constraint and FEASIBILITY_TOL =
@@ -35,6 +39,9 @@ from .posynomial import StandardGp, _block, _sum_monomials
 GAP_TOL = 1e-8
 VIOLATION_TOL = 1e-8
 FEASIBILITY_TOL = 1e-10
+# no positive finite double is farther from 1 in log than the smallest,
+# math.ulp(0.0): a fact of the number format, about 744.4
+_LOG_RANGE = -math.log(math.ulp(0.0))
 
 # a standard-form GP's terms, objective block first: coefficients (K,) or one
 # row per claim (B, K), exponents (K, n) or one matrix per claim (B, K, n),
@@ -126,14 +133,19 @@ def _plan(shape: tuple[int, int], data: bytes, starts: tuple[int, ...]) -> tuple
 
 def infeasible_claim(t: Terms, nu) -> bool:
     """True when nu, one multiplier per constraint term in order, proves that
-    no x is feasible: nu >= 0, sum_k nu_k a_k = 0 exactly, and
-    sum_k nu_k log(c_k lambda_i / nu_k) > 0 with lambda_i the sum of nu over
-    constraint i's terms."""
+    no x in the doubles meets every constraint within VIOLATION_TOL, the
+    tolerance optimal_claim allows: nu is finite and nonnegative and
+    S - _LOG_RANGE |delta|_1 > sum(nu) log1p(VIOLATION_TOL), with
+    delta = sum_k nu_k a_k, S = sum_k nu_k log(c_k lambda_i / nu_k) and
+    lambda_i the sum of nu over constraint i's terms.  By weighted AM-GM,
+    sum_i lambda_i log f_i(x) >= S + delta . log x at every x, and each
+    |log x_j| is at most _LOG_RANGE, so some f_i(x) exceeds
+    1 + VIOLATION_TOL."""
     nu, on = np.asarray(nu, dtype=float), t.blocks > 0
     coefficients, exponents, blocks = t.coefficients[on], t.exponents[on], t.blocks[on]
     if nu.shape != blocks.shape or not (np.isfinite(nu) & (nu >= 0.0)).all():
         return False
-    if (nu @ exponents).any():
-        return False
     lam, live = np.bincount(blocks, weights=nu)[blocks], nu > 0.0
-    return bool(nu[live] @ np.log(coefficients[live] * lam[live] / nu[live]) > 0.0)
+    value = nu[live] @ np.log(coefficients[live] * lam[live] / nu[live])
+    slack = _LOG_RANGE * np.abs(nu @ exponents).sum()
+    return bool(value - slack > nu.sum() * math.log1p(VIOLATION_TOL))

@@ -44,13 +44,15 @@ lambda = 1, whichever has the smaller residuals, with u = -F(y) and
 every lambda_i and u_i lifted to at least that point's largest dual
 residual or violation, so that no complementarity pair starts below the
 infeasibility it must outlast, and ends OPTIMAL where every residual is at
-most _IPM_TOL.  A row whose constraint weights make a ray that proves no x
-feasible is UNBOUNDED (the dual has a start); the method tests for one
-every _RAY_EVERY iterations and where it ends.  A row that runs out of
-iterations, or whose line search finds no decrease, with no ray, ends
-ITERATION_LIMIT where the fast pass left it.  The fast pass and the method
-are each capped at _PASS_ITERATIONS, so one dual takes at most
-_MAX_ITERATIONS = 2 _PASS_ITERATIONS Newton iterations.
+most _IPM_TOL.  A row whose constraint weights make a ray is UNBOUNDED
+(the dual has a start): projected onto orthogonality, they are a witness
+that certificate.infeasible_claim accepts, so no x in the doubles meets
+every constraint within VIOLATION_TOL, the tolerance of the optimal claim.
+The method tests for one every _RAY_EVERY iterations and where it ends.
+A row that runs out of iterations, or whose line search finds no decrease,
+with no ray, ends ITERATION_LIMIT where the fast pass left it.  The fast
+pass and the method are each capped at _PASS_ITERATIONS, so one dual takes
+at most _MAX_ITERATIONS = 2 _PASS_ITERATIONS Newton iterations.
 
 The start point is the projection of equal block weights onto the affine
 set.  Where that leaves a weight below 1e-6, one non-negative least-squares
@@ -136,8 +138,8 @@ from .dual import (
     block_lambdas,
     build_dual,
 )
-from .certificate import FEASIBILITY_TOL, Optimality, Terms, optimal_claim
-from .certificate import GAP_TOL, VIOLATION_TOL  # noqa: F401 (GAP_TOL read from solver)
+from .certificate import FEASIBILITY_TOL, Optimality, Terms, infeasible_claim, optimal_claim
+from .certificate import GAP_TOL  # noqa: F401 (read from solver)
 from .posynomial import StandardGp
 
 # log value beyond which the fast pass declares the dual unbounded (exp
@@ -729,7 +731,7 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         if short:  # each goes on alone in its own system
             parts.append(([rows[i] for i in short], _Duals.of([
                 _failure(d, status[i], used[i]) if status[i] is Status.UNBOUNDED
-                else _interior_point(systems[group[pick[i]][0]][0], log_c[i],
+                else _interior_point(systems[group[pick[i]][0]][0], coefficients[i],
                                      group[pick[i]][2], ends[i], used[i])
                 for i in short
             ], variables)))
@@ -737,18 +739,20 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
 
 
 def _interior_point(
-    d: DualProgram, log_c: np.ndarray, nullsp: np.ndarray, end: np.ndarray, used: int
+    d: DualProgram, c: np.ndarray, nullsp: np.ndarray, end: np.ndarray, used: int
 ) -> DualSolution:
-    """The dual of d at log_c (K,) by the interior-point method on the log
-    primal, warm-started from the weights end at which the fast pass, on the
-    null-space basis nullsp, stopped short of the optimum after used
-    iterations.  An OPTIMAL dual carries the method's y.  A row is UNBOUNDED
-    where its constraint weights make a ray (_is_ray), tested every
+    """The dual of d at coefficients c (K,) by the interior-point method on
+    the log primal, warm-started from the weights end at which the fast
+    pass, on the null-space basis nullsp, stopped short of the optimum after
+    used iterations.  An OPTIMAL dual carries the method's y.  A row is
+    UNBOUNDED where its constraint weights give a witness that
+    certificate.infeasible_claim accepts (_is_ray): no x in the doubles
+    meets every constraint within VIOLATION_TOL.  That is tested every
     _RAY_EVERY iterations and where the method ends; a row out of
     iterations, or whose line search finds no decrease, is otherwise
     ITERATION_LIMIT at end."""
     e, blocks, n, m = d.exponent_matrix, d.block_index, d.variable_count, d.constraint_count
-    offsets = np.cumsum((0, *d.block_sizes[:-1]))
+    log_c, offsets = np.log(c), np.cumsum((0, *d.block_sizes[:-1]))
     # Newton's system, filled in place each iteration; its lower right block
     # is -U / Lambda, whose zeros are -0.0 as from -np.diag
     kkt = np.full((n + m, n + m), -0.0)
@@ -807,7 +811,7 @@ def _interior_point(
                 break
             # a ray (see below) found at every _RAY_EVERY-th iteration ends
             # the row at once
-            if k % _RAY_EVERY == 0 < k and _is_ray(d, log_c, np.where(blocks > 0, w, 0.0)):
+            if k % _RAY_EVERY == 0 < k and _is_ray(d, c, w):
                 return _failure(d, Status.UNBOUNDED, used + k)
             k += 1
             # Newton's system in (dy, dlam), du eliminated: [H, J^T; J, -U / Lambda],
@@ -854,29 +858,24 @@ def _interior_point(
                 break
             y, lam, u, f, p, r, w, norm = y_t, lam_t, u_t, f_t, p_t, r_t, w_t, norm_t
         # the constraint weights of a row whose lambda grows without bound
-        # approach a ray: then no x meets every constraint, and the dual, which
-        # has a start, is unbounded
-        if _is_ray(d, log_c, np.where(blocks > 0, w, 0.0)):
+        # approach a ray: then no x in the doubles meets every constraint, and
+        # the dual, which has a start, is unbounded
+        if _is_ray(d, c, w):
             return _failure(d, Status.UNBOUNDED, used + k)
         return _finish(d, log_c[None], nullsp, d.equality_matrix, end[None],
                        [Status.ITERATION_LIMIT], [used + k])[0]
 
 
-def _is_ray(d: DualProgram, log_c: np.ndarray, nu: np.ndarray) -> bool:
-    """True when nu (K), nonnegative on the constraint terms and zero on the
-    objective's, moved onto orthogonality by the least relative change and
-    scaled to sum to one, stays nonnegative and has sum_k nu_k log(c_k
-    lambda_i / nu_k) above VIOLATION_TOL, lambda_i its block sums: by
-    weighted AM-GM every x then has prod_i f_i(x)^lambda_i above
-    exp(VIOLATION_TOL), so it breaks some constraint beyond the claim's
-    tolerance (the theorem of alternatives, certificate.infeasible_claim)."""
-    a = d.equality_matrix
+def _is_ray(d: DualProgram, c: np.ndarray, w: np.ndarray) -> bool:
+    """certificate.infeasible_claim on d's constraint terms at coefficients c
+    (K), with the witness nu: w's constraint weights, moved onto
+    orthogonality by the least relative change and scaled to sum to one."""
+    a, on = d.equality_matrix, d.block_index > 0
+    nu = np.where(on, w, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         nu = nu * (1.0 + _lstsq(a * nu, -(a @ nu)))
         nu = nu / nu.sum()
-    return bool((nu >= 0.0).all()
-                and np.maximum.reduce(np.abs(a @ nu)) <= FEASIBILITY_TOL
-                and _log_dual_objective(d, nu, log_c)[0] > VIOLATION_TOL)
+    return infeasible_claim(Terms(c, d.exponent_matrix, d.block_index), nu[on])
 
 
 def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:

@@ -315,6 +315,22 @@ class TestInfeasibleClaim:
         s = standardize(make_problem([(1, (1,))], [([(2, (1,))], 1.0),
                                                    ([(0.5, (1,))], 1.0)]))
         assert not infeasible_claim(problem_terms(s), (1, -1))
+        # 2x^0.1 <= 1 and 3x^-0.3 <= 1: (3, 1) cancels the exponents to
+        # rounding, 3 * 0.1 - 0.3 = 5.55e-17, which no x in the doubles can use
+        s = standardize(make_problem([(1, (1,))], [([(2, (0.1,))], 1.0),
+                                                   ([(3, (-0.3,))], 1.0)]))
+        assert infeasible_claim(problem_terms(s), (3, 1))
+        # e^600 x <= 1 and e^-599.5 x^-a <= 1, with (1, 1): the product asks
+        # 0.5 + (1 - a) log x <= 0.  At a = 0.999 it leaves log x <= -500, and
+        # x = e^-600.05 meets both; at a = 0.9999 it asks log x <= -5000,
+        # beyond the doubles
+        for a, holds in ((0.999, False), (0.9999, True)):
+            s = standardize(make_problem([(1, (1,))], [([(math.exp(600), (1,))], 1.0),
+                                                       ([(math.exp(-599.5), (-a,))], 1.0)]))
+            x = math.exp(-600.05)
+            assert (evaluate(s.constraints[0], (x,)) <= 1.0
+                    and evaluate(s.constraints[1], (x,)) <= 1.0) is not holds
+            assert infeasible_claim(problem_terms(s), (1, 1)) is holds
 
 
 def test_the_checker_depends_on_no_solver():

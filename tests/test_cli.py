@@ -155,6 +155,20 @@ class TestSolveCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceed the cap of 26" in err
 
+    def test_solve_validates_the_template_once(self, capsys, monkeypatch):
+        # solve_choice's compile validates the template; the command does not
+        # validate it again before
+        seen, original = [], gpchoice.selectors.validate_choice_gp
+
+        def spy(cg):
+            seen.append(cg)
+            return original(cg)
+
+        monkeypatch.setattr(gpchoice.selectors, "validate_choice_gp", spy)
+        code, _, _ = run(capsys, "solve", EX1_CASE1)
+        assert code == 0
+        assert len(seen) == 1
+
     def test_unreachable_tolerance_exits_5_with_residuals(self, capsys, tmp_path):
         # the free-variable problem min x + 1/x s.t. y + y^2 <= 1 stalls
         # (ROADMAP item 1)

@@ -747,7 +747,7 @@ class TestNumpyLinearAlgebra:
             return original(a, b)
 
         monkeypatch.setattr(gpchoice.solver, "_lstsq", spy)
-        ipm = _interior_point(d, log_c, nullsp, end[0], 3)
+        ipm = _interior_point(d, d.term_coefficients, nullsp, end[0], 3)
         assert len(systems) == 2  # both steps of the method's one iteration
         assert ipm.status is Status.OPTIMAL and ipm.iterations == 4
         claim = optimal_claim(problem_terms(s), [np.exp(ipm.y)], [ipm.weights])
@@ -1105,6 +1105,25 @@ class TestKnownWrongStatuses:
         assert report.status is Status.UNBOUNDED
         assert report.dual.iterations == iterations
 
+    @pytest.mark.parametrize("index", [3, 7, 56])
+    def test_the_method_s_ray_is_the_infeasibility_claim(self, monkeypatch, index):
+        # the method's UNBOUNDED verdict is certificate.infeasible_claim's
+        # True, on a floating-point witness whose exponents cancel to
+        # rounding alone; the witness holds on terms the solver did not build
+        calls, original = [], gpchoice.solver.infeasible_claim
+
+        def spy(t, nu):
+            calls.append((nu, original(t, nu)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(gpchoice.solver, "infeasible_claim", spy)
+        s = standardize(_infeasible_draw(index))
+        assert solve(s).status is Status.UNBOUNDED
+        assert [holds for _, holds in calls] == [False] * (len(calls) - 1) + [True]
+        nu, terms = calls[-1][0], problem_terms(s)
+        assert infeasible_claim(terms, nu)
+        assert 0.0 < np.abs(nu @ terms.exponents[terms.blocks > 0]).max() < 1e-15
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: recover_primal takes "
                        "the least-squares y = 0 for the free variable")
     def test_free_variable_is_optimal(self):
@@ -1255,7 +1274,7 @@ class TestDegreeOfDifficulty:
         d = build_dual(s)
         ds = solve_dual(d)
         assert ds.status is Status.OPTIMAL and ds.iterations == 0
-        ipm = _interior_point(d, np.log(d.term_coefficients), _dual_start(d).nullsp,
+        ipm = _interior_point(d, d.term_coefficients, _dual_start(d).nullsp,
                               ds.weights, ds.iterations)
         assert ipm.status is Status.OPTIMAL and ipm.iterations < _PASS_ITERATIONS
         claim = optimal_claim(problem_terms(s), [np.exp(ipm.y)], [ipm.weights])
@@ -1379,7 +1398,7 @@ def test_the_method_certifies_a_draw_from_a_nearby_fast_pass_end():
     d = build_dual(_support_point_draw())
     end = np.array([8.21623442e-01, 1.78376558e-01, 2.46936786e-01, 4.52490759e+00,
                     1.00889362e-14])
-    ds = _interior_point(d, np.log(d.term_coefficients), _dual_start(d).nullsp, end, 5)
+    ds = _interior_point(d, d.term_coefficients, _dual_start(d).nullsp, end, 5)
     assert ds.status is Status.OPTIMAL
 
 
