@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             packages = [load(src, name, Path(tmp)) for src, name in trees]
         work = [calls(pkg, args.workload, args.count) for pkg in packages]
         if args.workload in ("enumerate", "enumerate-all"):
-            # warm the start caches, as the benchmark does
+            # compile each model and start its programs, as the benchmark does
             for pkg_calls in work:
                 run_group(pkg_calls[:len(FIXTURES)])
         ratios, started = [], time.perf_counter()

@@ -11,11 +11,11 @@ with c_k the standardized term coefficients and lambda_i the weight sum of
 constraint block i.  Factors with w_k = 0 or lambda_i = 0 take their
 continuous limit, one.
 
-Each DualProgram stores its terms alone and derives its equality system and
-block layout from them once; the kernels use the layout to treat all blocks
-at once.  The log dual, its gradient and the full Hessian add in the order of
-a block-by-block loop; the Hessian on a basis B is assembled from B's sums
-over each block, without the full matrix.
+Each DualProgram stores its terms alone and derives its equality system,
+block layout and solver start from them once; the kernels use the layout to
+treat all blocks at once.  The log dual, its gradient and the full Hessian
+add in the order of a block-by-block loop; the Hessian on a basis B is
+assembled from B's sums over each block, without the full matrix.
 """
 
 from __future__ import annotations
@@ -91,11 +91,22 @@ class DualProgram:
     def _layout(self) -> _Layout:
         offsets = np.cumsum((0, *self.block_sizes[:-1]))
         block = self.block_index
-        return _Layout(
+        layout = _Layout(
             scatter=np.arange(block.size) + block + 1,
             starts=offsets + np.arange(len(self.block_sizes)),
             member=(block == np.arange(1, len(self.block_sizes))[:, None]) * 1.0,
         )
+        for arr in layout:
+            arr.flags.writeable = False
+        return layout
+
+    @cached_property
+    def _start(self):
+        """The start point and null space of the equality system, read-only
+        (solver._equality_start): every solve of this program reads them."""
+        from .solver import _equality_start  # solver imports dual
+
+        return _equality_start(self)
 
     def weight_labels(self) -> tuple[str, ...]:
         """Labels w{block}{term}, objective block first, 1-based term index."""

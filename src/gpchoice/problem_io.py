@@ -3,8 +3,8 @@
 Files are JSON objects with explicit per-variable exponent maps; no
 expression syntax.  Coefficient and exponent slots are either numeric
 literals or references of the form {"set": "<name>"} into the declared
-candidate sets.  Unknown fields are rejected so files stay diffable and
-mistakes surface early.
+candidate sets.  Unknown fields and repeated keys are rejected so files
+stay diffable and mistakes surface early.
 
 The parser checks the document's shape only: JSON syntax, types, known and
 required fields, the format tag, variable and role names.  The values (signs,
@@ -125,13 +125,24 @@ def parse_problem_text(text: str, source: str = "<string>") -> ChoiceGp | GpProb
     """Parse a problem document; returns a plain GpProblem when no sets exist.
 
     Raises ProblemSyntaxError for malformed JSON and ProblemSemanticError for
-    a schema violation or, all listed together, invalid values; messages
-    carry the offending location.
+    a key repeated in one object (JSON would keep its last value), a schema
+    violation or, all listed together, invalid values; messages carry the
+    offending location or key.
     """
     if not text.strip():
         raise ProblemSyntaxError(f"{source}: file is empty")
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for k in keys if keys.count(k) > 1)
+            raise ProblemSemanticError(f"{source}: key {key!r} appears more than once "
+                                       "in one object")
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as e:
         raise ProblemSyntaxError(
             f"{source}:{e.lineno}:{e.colno}: {e.msg}"

@@ -19,9 +19,11 @@ duality does not prove can neither win nor tie.  A report is built only for
 the expansion the result reports.
 
 What depends on the template alone, its validation, the table, the
-template's dual and the seeds' solver batch, is compiled once per model
-object and kept on it (ChoiceGp._compiled, read-only) where the model can
-be hashed; each call checks the combination cap and solves.
+template's dual, one dual program per equality system and the seeds' solver
+batch, is compiled once per model object and kept on it (ChoiceGp._compiled,
+read-only) where the model can be hashed; each call checks the combination
+cap and solves.  Each program keeps its system's solver start, so a model
+computes each start once, however often it is solved.
 """
 
 from __future__ import annotations
@@ -164,11 +166,16 @@ def case_constraint_violations(k: int, bits: Sequence[int]) -> tuple[str, ...]:
     """Published consistency constraints violated by a bit pattern.
 
     Sizes 4 and 8 carry no constraints here: the published ones would make
-    the all-ones candidate unreachable and are dropped.
+    the all-ones candidate unreachable and are dropped.  Raises GpDomainError
+    unless bits has k's pattern length, 2 for k <= 4 and 3 otherwise, each
+    bit 0 or 1.
     """
     if not 1 <= k <= 8:
         raise GpDomainError(f"unsupported candidate count {k}")
-    z = [int(b) for b in bits]
+    z = [int(b) for b in bits if b in (0, 1)]
+    if len(z) != len(bits) or len(z) != len(PATTERNS[k][0]):
+        raise GpDomainError(f"bits {tuple(bits)!r}: {k} candidates take "
+                            f"{len(PATTERNS[k][0])} bits, each 0 or 1")
     out: list[str] = []
     if k == 3 and z[0] + z[1] > 1:
         out.append("z1 + z2 <= 1")
@@ -398,24 +405,17 @@ class _Template:
         out = cls(dual, np.array(exponents, dtype=int).reshape(-1, 3).T,
                   np.array(coefficients, dtype=int).reshape(-1, 2).T, bounds)
         # a compiled template is shared by every call on its model
-        for arr in (out.exponent_slots, out.coefficient_slots, out.bounds, *dual._layout):
+        for arr in (out.exponent_slots, out.coefficient_slots, out.bounds):
             arr.flags.writeable = False
         return out
 
-    def at(self, values: Sequence[float], coefficients: np.ndarray | None = None
-           ) -> DualProgram:
-        """The dual at these values, one per set; coefficients, where given,
-        is their row of coefficients, already filled."""
+    def at(self, values: Sequence[float]) -> DualProgram:
+        """A new program: the dual at these values, one per set."""
         exponents = self.dual.exponent_matrix.copy()
         terms, variables, sets = self.exponent_slots
         exponents[terms, variables] = np.asarray(values, dtype=float)[sets]
-        if coefficients is None:
-            coefficients = self.coefficients(np.array([values]))[0]
-        program = replace(self.dual, exponent_matrix=exponents,
-                          term_coefficients=coefficients)
-        # the block layout is the template's: set where the cached_property keeps it
-        program.__dict__["_layout"] = self.dual._layout
-        return program
+        return replace(self.dual, exponent_matrix=exponents,
+                       term_coefficients=self.coefficients(np.array([values]))[0])
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """(B, K) standardized term coefficients at each row of values (B, S)."""
@@ -475,8 +475,10 @@ _Batch = tuple[np.ndarray, list[tuple[DualProgram, np.ndarray]]]
 @dataclass(frozen=True)
 class _Compiled:
     """What solve_choice reads of a valid template alone, its arrays
-    read-only: the table of distinct value tuples, the template's dual and
-    the pruned search's seeds with their solver batch.  Per set: the value
+    read-only: the table of distinct value tuples, the template's dual, the
+    pruned search's seeds with their solver batch, and one program per
+    equality system, the seed's, on which every call solves that system's
+    tuples, so that the program's start is computed once.  Per set: the value
     at each pattern, its distinct values (a coefficient set's positive ones
     alone) in the order of their first candidates, each one's smallest
     pattern, and each candidate's position among them (-1: rejected)."""
@@ -493,6 +495,7 @@ class _Compiled:
     template: _Template | None
     seeds: np.ndarray | None  # each system's tuple at every coefficient set's smallest value
     seed: np.ndarray | None  # (count,): each tuple's seed
+    programs: tuple[DualProgram, ...] | None  # per system code, its seed's program
     seed_batch: _Batch | None  # batch(seeds)
 
     @classmethod
@@ -518,7 +521,7 @@ class _Compiled:
         for i, cs in enumerate(cg.sets):
             if cs.role is Role.EXPONENT:
                 system = system * sizes[i] + pick[i]
-        template = seeds = seed = None
+        template = seeds = seed = programs = None
         if count:
             template = _Template.of(cg)
             coefficient_sets = [i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT]
@@ -526,25 +529,26 @@ class _Compiled:
             seeds = (pick[coefficient_sets].T == lowest).all(axis=1).nonzero()[0]
             seed = seeds[system]  # ascending, the seeds come in system order
             seeds.flags.writeable = seed.flags.writeable = False
+            programs = tuple(map(template.at, grid[seeds]))
         for arr in (pick, grid, system):
             arr.flags.writeable = False
         out = cls(tuple(cs.name for cs in cg.sets), candidates, tuple(sizes),
                   tuple(smallest), tuple(position), pick, grid, system, template, seeds,
-                  seed, None)
+                  seed, programs, None)
         return replace(out, seed_batch=out.batch(seeds)) if count else out
 
     def batch(self, tuples: np.ndarray) -> _Batch:
-        """These tuples as one _solve_rows batch on programs filled from the
-        template's dual: the tuples that share exponent values, which fix the
-        equality system, are one system, systems in the order first seen."""
+        """These tuples as one _solve_rows batch: the tuples that share
+        exponent values, which fix the equality system, are one system, on
+        that system's program, systems in the order first seen."""
         systems: dict[int, list[int]] = {}
         for t, code in zip(tuples.tolist(), self.system[tuples].tolist()):
             systems.setdefault(code, []).append(t)
         batch = []
-        for ts in systems.values():
+        for code, ts in systems.items():
             rows = self.template.coefficients(self.grid[ts])
             rows.flags.writeable = False
-            batch.append((self.template.at(self.grid[ts[0]], rows[0]), rows))
+            batch.append((self.programs[code], rows))
         order = np.array([t for ts in systems.values() for t in ts])
         order.flags.writeable = False
         return order, batch
@@ -576,11 +580,12 @@ def solve_choice(
     status, z and place in a solver batch.  The template is compiled once
     per model object (_Compiled, kept as ChoiceGp._compiled where the model
     can be hashed, else made afresh for the call): validation, the table,
-    the template's dual (_Template) and the seeds' solver batch.  Each call
+    the template's dual (_Template), one program per equality system, which
+    keeps that system's start, and the seeds' solver batch.  Each call
     checks the combination cap, solves its batches and certifies every row.
-    A call of run solves tuples as one _solve_rows batch on programs filled
-    from the template's dual: the tuples that share exponent values, which
-    fix the equality system, are one system.  keep_assignments runs every
+    A call of run solves tuples as one _solve_rows batch: the tuples that
+    share exponent values, which fix the equality system, are one system,
+    solved on the compile's program for it.  keep_assignments runs every
     tuple, and expands the table into one row per combination at its own
     bit patterns.  The pruned search runs the seeds, each system's tuple at
     the smallest value of every coefficient set, then every tuple that the

@@ -69,9 +69,9 @@ whose support a cone solve cannot decide; the duals of such a set end
 ITERATION_LIMIT in 0 iterations, undecided, where those of a set proven
 empty end INFEASIBLE.  The start and the null space
 depend only on the equality system, which the exponents and blocks of the
-terms fix, so they are computed once per system and shared, through a
-bounded cache, by every dual with that system.  Duals are solved as one
-batch, a row of a (B, K) weight array each, and each row ends bit for bit
+terms fix, so they are computed once per program and kept on it
+(DualProgram._start) for every solve of that program.  Duals are solved as
+one batch, a row of a (B, K) weight array each, and each row ends bit for bit
 as it would alone; solve_dual is the batch of one.  Duals that differ only
 in their coefficients share an equality system, and its start and null
 space.  The systems of one call share one block layout (so K and the
@@ -124,7 +124,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -132,7 +131,6 @@ from numpy.linalg import _umath_linalg
 from .dual import (
     DualProgram,
     _check_weights,
-    _equality_system,
     _log_dual_objective,
     _reduced_hessian,
     block_lambdas,
@@ -150,8 +148,6 @@ _BOUNDARY_WEIGHT = 1e-12
 # trial weights are floored here, far below _BOUNDARY_WEIGHT, so that rounding
 # to zero keeps the log dual finite without affecting any contract
 _WEIGHT_FLOOR = 1e-150
-# equality systems whose start is kept; the shipped problems have 10 in all
-_START_CACHE_SIZE = 256
 # the cap of the fast pass, and of the interior-point method after it
 _PASS_ITERATIONS = 200
 # Newton iterations of one dual, both passes included
@@ -443,26 +439,10 @@ def _pocs_interior(
 _Start = namedtuple("_Start", "w nullsp support")
 
 
-def _system_key(d: DualProgram) -> tuple:
-    """d's exponents and blocks, which fix its equality system, as a key."""
-    arrays = (d.exponent_matrix, d.block_index)
-    return tuple((x.shape, x.dtype.str, x.tobytes()) for x in arrays)
-
-
-def _dual_start(d: DualProgram) -> _Start:
-    """The start of d's equality system, computed once per _system_key."""
-    return _equality_start(*_system_key(d))
-
-
-@lru_cache(maxsize=_START_CACHE_SIZE)
-def _equality_start(exponent_key, block_key) -> _Start:
-    """Start point and null space of {A w = b, w >= 0}, read from the key alone."""
-    exponents, block = (
-        np.frombuffer(data, dtype).reshape(shape)
-        for shape, dtype, data in (exponent_key, block_key)
-    )
-    a, b, block_sizes = _equality_system(exponents, block)
-    w = _project_onto_equalities(a, b, 1.0 / np.array(block_sizes, dtype=float)[block])
+def _equality_start(d: DualProgram) -> _Start:
+    """Start point and null space of d's {A w = b, w >= 0}; d._start keeps them."""
+    a, b, block = d.equality_matrix, d.equality_rhs, d.block_index
+    w = _project_onto_equalities(a, b, 1.0 / np.array(d.block_sizes, dtype=float)[block])
     if np.maximum.reduce(np.abs(a @ w - b)) > 1e-8:
         return _Start(None, None, None)  # A w = b has no solution
     nullsp, support = _null_space(a), None
@@ -483,7 +463,7 @@ def _equality_start(exponent_key, block_key) -> _Start:
             w = _project_onto_equalities(a, b, w)
         elif w is not None:  # the rest are zero at every feasible point
             w, support = None, w > 0.0
-    # lru_cache is thread-safe; what it keeps is shared, hence read-only
+    # every solve of the program reads them: read-only
     for arr in (arr for arr in (w, nullsp, support) if arr is not None):
         arr.flags.writeable = False
     return _Start(w, nullsp, support)
@@ -547,16 +527,6 @@ def _finish(
         res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL) else st] for st, res, stat in rows]
     return _Duals(np.array(codes), w.copy(), block_lambdas(d, w), z, residual, stationarity,
                   np.array(iterations, dtype=int), np.full((len(w), d.variable_count), np.nan))
-
-
-def _equality_stack(normality: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """The equality matrices (G, n + 1, K) of the exponent matrices (G, K, n)
-    of one block layout, whose normality row (K,) they share: each the
-    equality_matrix of its program, bit for bit."""
-    g, k, n = exponents.shape
-    out = np.empty((g, n + 1, k))
-    out[:, 0], out[:, 1:] = normality, exponents.mT
-    return out
 
 
 def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -678,13 +648,11 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
            and not np.array_equal(d.block_index, layout) for d, _ in systems[1:]):
         raise ValueError("the systems of one call must share one block layout "
                          "and variable count")
-    # every system's normality row is the layout's
-    normality = systems[0][0].equality_matrix[0]
     edges = [0, *itertools.accumulate(len(coefficients) for _, coefficients in systems)]
     parts: list[tuple[list[int], _Duals]] = []  # the call's rows and their duals
     fast: dict[int, list] = {}  # fast pass batches, by nullity
     for s, (d, coefficients) in enumerate(systems):
-        start, nullsp, support = _dual_start(d)
+        start, nullsp, support = d._start
         rows, n = list(range(edges[s], edges[s + 1])), len(coefficients)
         if support is not None:
             inner = _reduced_program(d, support), coefficients[:, support]
@@ -693,8 +661,7 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
             failure = Status.INFEASIBLE if nullsp is None else Status.ITERATION_LIMIT
             parts.append((rows, _Duals.of([_failure(d, failure) for _ in rows], variables)))
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
-            equalities = _equality_stack(normality, d.exponent_matrix[None])[0]
-            parts.append((rows, _finish(d, np.log(coefficients), nullsp, equalities,
+            parts.append((rows, _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
                                         start[None].repeat(n, 0), [Status.OPTIMAL] * n,
                                         [0] * n)))
         else:
@@ -722,10 +689,9 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         if done:
             # every row done, as most often: views, not copies
             picked = slice(None) if len(done) == len(status) else done
-            exponents = np.array([systems[s][0].exponent_matrix for s, _, _ in group])
+            equalities = np.array([systems[s][0].equality_matrix for s, _, _ in group])
             parts.append(([rows[i] for i in done], _finish(
-                d, log_c[picked], stack[picked].mT,
-                _equality_stack(normality, exponents)[pick[picked]],
+                d, log_c[picked], stack[picked].mT, equalities[pick[picked]],
                 ends[picked], [status[i] for i in done], [used[i] for i in done])))
         short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
         if short:  # each goes on alone in its own system

@@ -134,6 +134,17 @@ class TestSolveCommand:
         assert out == ""
         assert "a" in err
 
+    def test_repeated_key_exits_3_and_names_it(self, capsys, tmp_path):
+        # refused even where both values are equal
+        line = '"format": "gp-problem/1",'
+        text = (PROBLEM_DIR / "example1_case1.json").read_text()
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(line, line * 2, 1))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: key 'format' appears more than once in one object\n"
+
     def test_plain_problem_without_sets(self, capsys, tmp_path):
         doc = json.loads((PROBLEM_DIR / "example1_case1.json").read_text())
         doc["objective"][0]["coefficient"] = 1

@@ -101,6 +101,16 @@ def test_unknown_field_is_rejected_by_name():
     assert "banana" in str(err.value)
 
 
+def test_a_repeated_key_is_rejected_by_name():
+    # json.loads alone would keep the last value, the set reference
+    text = json.dumps(PLAIN_DOC).replace(
+        '"coefficient": 3,', '"coefficient": 99, "coefficient": {"set": "c"},', 1)
+    assert text.count('"coefficient": 99') == 1
+    with pytest.raises(ProblemSemanticError, match="x.json: key 'coefficient' appears more "
+                                                   "than once"):
+        parse_problem_text(text, source="x.json")
+
+
 def test_wrong_format_tag_is_rejected():
     with pytest.raises(ProblemSemanticError):
         parse_doc(dict(PLAIN_DOC, format="gp-problem/999"))

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -112,6 +111,15 @@ class TestCaseConstraints:
         bits_len = 2 if k <= 4 else 3
         for bits in itertools.product((0, 1), repeat=bits_len):
             assert case_constraint_violations(k, bits) == ()
+
+    # short, long and non-binary patterns alike
+    @pytest.mark.parametrize("k, bits", [
+        (5, (1, 0)), (3, (1,)), (1, ()), (7, (1, 1, 1, 1)), (4, (0, 0, 0)),
+        (3, (2, 0)), (8, (1, 0, -1)), (2, (0.5, 0)),
+    ])
+    def test_a_pattern_of_the_wrong_length_or_not_binary_is_refused(self, k, bits):
+        with pytest.raises(GpDomainError, match=f"{k} candidates take {2 if k <= 4 else 3} bits"):
+            case_constraint_violations(k, bits)
 
 
 @given(
@@ -767,23 +775,6 @@ def test_compiled_template_matches_each_expansions_dual():
 
 
 
-def test_a_filled_coefficient_row_gives_the_dual_at_fills():
-    # run fills each system's coefficients once and hands at the system's
-    # first row; every field is the bytes at fills itself
-    checked = 0
-    for path in sorted(PROBLEM_DIR.glob("*.json")):
-        cg = parse_problem(path)
-        template = gpchoice.selectors._Template.of(cg)
-        values = np.array([v for v, _ in _distinct_expansions(cg)])
-        for row, filled in zip(values, template.coefficients(values)):
-            given, own = template.at(row, filled), template.at(row)
-            for field in dataclasses.fields(own):
-                got, want = getattr(given, field.name), getattr(own, field.name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
-            checked += 1
-    assert checked == 1002
-
 def test_keep_all_reports_a_row_whose_point_underflows():
     # min x^0.01 + c / x^0.01 is optimal at x = c^50: 0 in doubles for
     # c = 1e-20, so that row ends ITERATION_LIMIT and its siblings solve
@@ -1124,16 +1115,19 @@ def _spy(monkeypatch, target, name):
 
 def _compiled_arrays(table):
     """Every array that a compiled template keeps: its table, its seeds and
-    their batch, the template's slots and its dual with its block layout."""
+    their batch, the template's slots and dual, and each system's program
+    with its equality system, block layout and start."""
     yield from (table.pick, table.grid, table.system, table.seeds, table.seed)
     order, systems = table.seed_batch
     yield order
-    for d, rows in systems:
-        yield from (rows, d.term_coefficients, d.block_index, d.exponent_matrix)
+    yield from (rows for _, rows in systems)
     template = table.template
     yield from (template.exponent_slots, template.coefficient_slots, template.bounds)
-    dual = template.dual
-    yield from (dual.term_coefficients, dual.block_index, dual.exponent_matrix, *dual._layout)
+    for d in (template.dual, *table.programs):
+        yield from (d.term_coefficients, d.block_index, d.exponent_matrix)
+    for d in table.programs:
+        yield from (d.equality_matrix, d.equality_rhs, *d._layout)
+        yield from (arr for arr in d._start if arr is not None)
 
 
 @pytest.mark.parametrize("keep", [False, True], ids=["pruned", "keep-all"])
@@ -1168,14 +1162,18 @@ def test_a_model_solved_twice_equals_a_copy_solved_once(cg):
         assert first == second == _choice_fields(solve_choice(twin, keep_assignments=keep))
 
 
-def test_every_program_of_a_call_carries_the_template_layout(monkeypatch):
-    # each system's program, in the seeds' batch, the second batch and
-    # keep-all's batch alike, holds the template dual's layout object, so
-    # one _Layout is built per template however often its model is solved
-    layouts, programs = [], []
+def test_each_program_builds_its_layout_and_start_once(monkeypatch):
+    # each system's program, the compile's, builds its start when the seeds'
+    # batch first solves it; a call's kernels read the block layout of its
+    # first system's program, system 0 in every batch here.  The second
+    # batch, keep-all's batch and later calls build neither again
+    layouts, starts, programs = [], [], []
     original = gpchoice.dual._Layout
     monkeypatch.setattr(gpchoice.dual, "_Layout",
                         lambda *args, **kwargs: layouts.append(1) or original(*args, **kwargs))
+    start = gpchoice.solver._equality_start
+    monkeypatch.setattr(gpchoice.solver, "_equality_start",
+                        lambda d: starts.append(d) or start(d))
     monkeypatch.setattr(gpchoice.selectors, "_solve_rows",
                         lambda systems: programs.extend(d for d, _ in systems) or
                         gpchoice.solver._solve_rows(systems))
@@ -1190,18 +1188,22 @@ def test_every_program_of_a_call_carries_the_template_layout(monkeypatch):
     )
     models = [parse_problem(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
     for cg in [*models, tied]:
-        calls = []
+        calls, built = [], []
+        layouts.clear()
+        starts.clear()
         for keep in (False, True, False):
             programs.clear()
             solve_choice(cg, keep_assignments=keep)
             calls.append(len(programs))
-            layout = vars(cg)["_compiled"].template.dual._layout
-            assert all(vars(d)["_layout"] is layout for d in programs)
+            built.append(len(layouts))
+            # the seeds' batch takes every system, in system order
+            own = [id(d) for d in vars(cg)["_compiled"].programs]
+            assert [id(d) for d in starts] == own
+        assert built == [1, 1, 1]
         if cg is tied:
             # pruned: the seed's system, then again for the tied sibling;
             # keep-all: its one system
             assert calls == [2, 1, 2]
-    assert len(layouts) == len(models) + 1
 
 
 def test_a_model_that_cannot_be_hashed_compiles_every_call(monkeypatch):

@@ -31,7 +31,15 @@ from gpchoice import (
 from gpchoice.certificate import Terms
 from gpchoice.posynomial import GpDomainError, Posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
-from gpchoice.selectors import expand, solve_choice
+from gpchoice.selectors import (
+    CandidateSet,
+    ChoiceGp,
+    Role,
+    SetRef,
+    TermTemplate,
+    expand,
+    solve_choice,
+)
 from gpchoice.solver import (
     _BOUNDARY_WEIGHT,
     _PASS_ITERATIONS,
@@ -40,7 +48,6 @@ from gpchoice.solver import (
     GAP_TOL,
     DualSolution,
     ReconstructionError,
-    _dual_start,
     _equality_start,
     _interior_point,
     _lstsq,
@@ -53,7 +60,6 @@ from gpchoice.solver import (
     _solve_duals,
     _solve_rows,
     _support_point,
-    _system_key,
 )
 from helpers import (
     EX1_W,
@@ -237,8 +243,8 @@ class TestSupportPoint:
 
     @staticmethod
     def _nnls_calls(monkeypatch, indices) -> list[tuple]:
-        """(system key, a, b, w) of the _nnls call that decides emptiness in
-        the cold start of each of these stress problems that makes one."""
+        """(program, a, b, w) of the _nnls call that decides emptiness in the
+        start of each of these stress problems that makes one."""
         calls, original, out = [], gpchoice.solver._nnls, []
 
         def spy(a, b):
@@ -249,9 +255,9 @@ class TestSupportPoint:
         with monkeypatch.context() as patch:
             patch.setattr(gpchoice.solver, "_nnls", spy)
             for index in indices:
-                key = _system_key(build_dual(standardize(_stress_problems()[index])))
-                _equality_start.__wrapped__(*key)
-                out += [(key, *calls[0])] if calls else []
+                d = build_dual(standardize(_stress_problems()[index]))
+                _equality_start(d)
+                out += [(d, *calls[0])] if calls else []
                 calls.clear()
         return out
 
@@ -259,13 +265,12 @@ class TestSupportPoint:
     def _empty(a, b, w) -> bool:
         return np.maximum.reduce(np.abs(a @ w - b)) > 1e-8
 
-    def _empty_keys(self, monkeypatch) -> list[tuple]:
-        """The system keys of the 44 empty sets of the first 300 stress problems."""
-        keys = list(dict.fromkeys(key for key, a, b, w in
-                                  self._nnls_calls(monkeypatch, range(300))
-                                  if self._empty(a, b, w)))
-        assert len(keys) == 44
-        return keys
+    def _empty_programs(self, monkeypatch) -> list:
+        """The programs of the 44 empty sets of the first 300 stress problems."""
+        programs = [d for d, a, b, w in self._nnls_calls(monkeypatch, range(300))
+                    if self._empty(a, b, w)]
+        assert len(programs) == 44
+        return programs
 
     def test_forced_zeros_are_exact_and_the_rest_positive(self):
         a, b = _forced_zeros()
@@ -299,12 +304,11 @@ class TestSupportPoint:
     def test_empty_set_gives_none(self, monkeypatch):
         # NNLS proves each empty set empty, and no support point is sought;
         # the single point of _empty_set() has a negative weight
-        keys = [*self._empty_keys(monkeypatch),
-                _system_key(build_dual(standardize(make_problem(
-                    [(1, (1, 1))], [([(1, (1, 1))], 1.0)]))))]
+        programs = [*self._empty_programs(monkeypatch), build_dual(standardize(make_problem(
+            [(1, (1, 1))], [([(1, (1, 1))], 1.0)])))]
         calls = self._count(monkeypatch)
-        for key in keys:
-            start = _equality_start.__wrapped__(*key)
+        for d in programs:
+            start = _equality_start(d)
             assert start == (None, None, None)  # proven empty: no null space kept
         assert calls == ["_nnls"] * 44
 
@@ -345,16 +349,16 @@ class TestSupportPoint:
         # undecided, a set goes on to alternating projections, and where they
         # fail it has no start: the empty sets, and the sets whose start
         # needs the support point, which it is not asked for
-        keys = self._empty_keys(monkeypatch)
-        keys += [_system_key(build_dual(standardize(_stress_problems()[i])))
-                 for i in TestStressRegressions.LP_STARTS]
+        programs = self._empty_programs(monkeypatch)
+        programs += [build_dual(standardize(_stress_problems()[i]))
+                     for i in TestStressRegressions.LP_STARTS]
         monkeypatch.setattr(gpchoice.solver, "_nnls", lambda a, b: None)
         calls = self._count(monkeypatch)
-        for key in keys:
-            start = _equality_start.__wrapped__(*key)
+        for d in programs:
+            start = _equality_start(d)
             assert start.w is None and start.support is None
             assert start.nullsp is not None  # undecided, not proven empty
-        assert calls == ["_nnls"] * len(keys)
+        assert calls == ["_nnls"] * len(programs)
 
     def test_an_undecided_start_ends_iteration_limit(self, monkeypatch):
         # stress problem 23 is feasible by construction; with _nnls past its
@@ -364,11 +368,7 @@ class TestSupportPoint:
         report = solve(s)
         assert report.status is Status.OPTIMAL and report.dual.iterations == 6
         monkeypatch.setattr(gpchoice.solver, "_nnls", lambda a, b: None)
-        _equality_start.cache_clear()
-        try:
-            report = solve(s)
-        finally:
-            _equality_start.cache_clear()
+        report = solve(s)  # on a program of its own, whose start is computed anew
         assert report.status is Status.ITERATION_LIMIT
         assert report.dual.status is Status.ITERATION_LIMIT
         assert report.dual.iterations == 0
@@ -382,8 +382,7 @@ class TestSupportPoint:
                             lambda a, b: original(a, b) if b[-1] == 0.0 else None)
         calls = self._count(monkeypatch)
         for i in TestStressRegressions.LP_STARTS:
-            key = _system_key(build_dual(standardize(_stress_problems()[i])))
-            start = _equality_start.__wrapped__(*key)
+            start = _equality_start(build_dual(standardize(_stress_problems()[i])))
             assert start.w is None and start.support is None
             assert start.nullsp is not None  # undecided, not proven empty
         assert calls.count("_support_point") == len(TestStressRegressions.LP_STARTS)
@@ -392,7 +391,6 @@ class TestSupportPoint:
 
     def test_first_300_stress_problems_make_8_support_point_calls(self, monkeypatch):
         calls = self._count(monkeypatch)
-        _equality_start.cache_clear()
         for g in _stress_problems()[:300]:
             solve(standardize(g))
         assert Counter(calls) == {"_nnls": 128, "_support_point": 8}
@@ -730,7 +728,7 @@ class TestNumpyLinearAlgebra:
         report = solve(s)
         assert report.status is Status.OPTIMAL and report.dual.iterations == 5
         assert report.objective_value == 2.0
-        start, nullsp, _ = _dual_start(d)
+        start, nullsp, _ = d._start
         log_c = np.log(d.term_coefficients)
         sums = d._layout.member @ nullsp
         end, _, used = _newton_phase(d, log_c[None], np.array([nullsp.T]).mT, sums[None],
@@ -1274,7 +1272,7 @@ class TestDegreeOfDifficulty:
         d = build_dual(s)
         ds = solve_dual(d)
         assert ds.status is Status.OPTIMAL and ds.iterations == 0
-        ipm = _interior_point(d, d.term_coefficients, _dual_start(d).nullsp,
+        ipm = _interior_point(d, d.term_coefficients, d._start.nullsp,
                               ds.weights, ds.iterations)
         assert ipm.status is Status.OPTIMAL and ipm.iterations < _PASS_ITERATIONS
         claim = optimal_claim(problem_terms(s), [np.exp(ipm.y)], [ipm.weights])
@@ -1286,7 +1284,7 @@ class TestDegreeOfDifficulty:
         for index in range(200):
             d = build_dual(standardize(negative_difficulty_gp(
                 np.random.default_rng((23, index)))))
-            assert all(arr is None for arr in _dual_start(d))
+            assert all(arr is None for arr in d._start)
             ds = solve_dual(d)
             assert ds.status is Status.INFEASIBLE
             assert ds.iterations == 0
@@ -1398,7 +1396,7 @@ def test_the_method_certifies_a_draw_from_a_nearby_fast_pass_end():
     d = build_dual(_support_point_draw())
     end = np.array([8.21623442e-01, 1.78376558e-01, 2.46936786e-01, 4.52490759e+00,
                     1.00889362e-14])
-    ds = _interior_point(d, d.term_coefficients, _dual_start(d).nullsp, end, 5)
+    ds = _interior_point(d, d.term_coefficients, d._start.nullsp, end, 5)
     assert ds.status is Status.OPTIMAL
 
 
@@ -1530,10 +1528,10 @@ def _solution_bytes(ds: DualSolution) -> tuple:
 
 
 class TestSharedStart:
-    """One start point and null space per equality system, for every dual."""
+    """One start point and null space per program (DualProgram._start), for
+    every solve of it."""
 
-    # start kind: (problem, POCS calls, support point calls when the cache
-    # is cold)
+    # start kind: (problem, POCS calls, support point calls of the first solve)
     KINDS = {
         "projection": (example1_problem(), 0, 0),
         "pocs": (example2_problem(), 1, 0),
@@ -1561,20 +1559,32 @@ class TestSharedStart:
             monkeypatch.setattr(gpchoice.solver, name, spy)
         return calls
 
+    @staticmethod
+    def _started(monkeypatch) -> list:
+        """The programs whose start is computed from now on, in order."""
+        started, original = [], gpchoice.solver._equality_start
+        monkeypatch.setattr(gpchoice.solver, "_equality_start",
+                            lambda d: started.append(d) or original(d))
+        return started
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_warm_start_equals_cold_start(self, monkeypatch, kind):
         problem, pocs, lp = self.KINDS[kind]
         d = build_dual(standardize(problem))
         calls = self._count_fallbacks(monkeypatch)
-        _equality_start.cache_clear()
+        started = self._started(monkeypatch)
         cold = solve_dual(d)
         assert calls.count("_pocs_interior") == pocs
         assert calls.count("_support_point") == lp
-        misses = _equality_start.cache_info().misses
+        assert started[0] is d
         calls.clear()
+        started.clear()
         warm = solve_dual(d)
         assert calls == []
-        assert _equality_start.cache_info().misses == misses
+        # d keeps its start; the program over its support is built, and
+        # started, by each solve: a single point here, with no fallback
+        assert not any(p is d for p in started)
+        assert len(started) == (kind == "support")
         assert _solution_bytes(warm) == _solution_bytes(cold)
         expected = Status.INFEASIBLE if kind == "inconsistent" else Status.OPTIMAL
         assert cold.status is expected
@@ -1585,20 +1595,15 @@ class TestSharedStart:
         first = build_dual(standardize(example1_problem(c=1.0)))
         second = build_dual(standardize(example1_problem(c=5.0)))
         assert np.array_equal(first.equality_matrix, second.equality_matrix)
-        _equality_start.cache_clear()
         cold = solve_dual(second)
-        _equality_start.cache_clear()
-        solve_dual(first)
-        misses = _equality_start.cache_info().misses
-        warm = solve_dual(second)
-        assert _equality_start.cache_info().misses == misses
+        # second's coefficients on first's program, from first's start
+        warm = _solve_duals([(first, second.term_coefficients[None])])[0]
         assert _solution_bytes(warm) == _solution_bytes(cold)
-        assert _dual_start(first) is _dual_start(second)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_cached_arrays_are_read_only(self, kind):
         d = build_dual(standardize(self.KINDS[kind][0]))
-        start = _dual_start(d)
+        start = d._start
         arrays = [arr for arr in start if arr is not None]
         assert arrays or kind == "inconsistent"
         for arr in arrays:
@@ -1635,10 +1640,11 @@ class TestSharedStart:
 
     def test_keep_all_pass_computes_each_start_once(self, monkeypatch):
         # 1002 duals over the 12 fixtures; exponent values alone fix each
-        # equality system, so there are 10 distinct ones, 46 fixture by
-        # fixture, and keep-all solves each fixture's systems in one call,
-        # whose fast pass is one batch: the systems of a fixture share their
-        # block layout and nullity
+        # equality system, so there are 46, fixture by fixture, and keep-all
+        # solves each fixture's systems in one call, whose fast pass is one
+        # batch: the systems of a fixture share their block layout and
+        # nullity.  Each system's program, kept by the model's compile,
+        # computes its start on the first pass alone
         paths = sorted(PROBLEM_DIR.glob("*.json"))
         models = [as_choice_gp(parse_problem(p)) for p in paths]
         calls, passes = [], []
@@ -1656,7 +1662,7 @@ class TestSharedStart:
             return original_phase(d, log_c, bases, basis_sums, w, max_iterations)
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase_spy)
-        _equality_start.cache_clear()
+        started = self._started(monkeypatch)
         for cg in models:
             solve_choice(cg, keep_assignments=True)
         systems = [rows for call in calls for rows in call]
@@ -1665,35 +1671,43 @@ class TestSharedStart:
         assert len(calls) == 12
         # one fast pass per fixture
         assert passes == [27, 64, 100, 180, 180, 180, 27, 64, 36, 48, 48, 48]
-        assert _equality_start.cache_info().misses <= 10
-        misses = _equality_start.cache_info().misses
+        assert len(started) == len({id(d) for d in started}) == 46
+        started.clear()
         for cg in models:
             solve_choice(cg, keep_assignments=True)
-        assert _equality_start.cache_info().misses == misses
-        per_fixture = 0
-        for cg in models:
-            _equality_start.cache_clear()
-            solve_choice(cg, keep_assignments=True)
-            per_fixture += _equality_start.cache_info().misses
-        assert per_fixture <= 46
+        assert started == []
 
-    def test_cache_stays_within_its_bound(self):
-        size = _equality_start.cache_info().maxsize
-        problems = _stress_problems()[:size + 20]
-        _equality_start.cache_clear()
-        for problem in problems:
-            _dual_start(build_dual(standardize(problem)))
-        info = _equality_start.cache_info()
-        assert info.misses > size  # more distinct systems than the cache holds
-        assert info.currsize <= size
+    def test_every_call_solves_on_the_compiles_programs(self, monkeypatch):
+        # the seeds' batch, the pruned search's second batch and keep-all
+        # hand _solve_rows the programs the model's compile keeps, one per
+        # equality system, call after call
+        tied = ChoiceGp(  # its pruned search solves a second batch
+            variable_names=("x1",),
+            objective=(TermTemplate(SetRef("c"), (1.0,)), TermTemplate(1.0, (-1.0,))),
+            constraints=(((TermTemplate(SetRef("b"), (1.0,)),), 100.0),),
+            sets=(CandidateSet("c", Role.OBJECTIVE_COEFFICIENT, (1.0, 2.0)),
+                  CandidateSet("b", Role.CONSTRAINT_COEFFICIENT, (1.0, 3.0))),
+        )
+        calls = []
+        monkeypatch.setattr(gpchoice.selectors, "_solve_rows",
+                            lambda systems: calls.append(systems) or _solve_rows(systems))
+        paths = sorted(PROBLEM_DIR.glob("*.json"))
+        for cg in [*(parse_problem(p) for p in paths), tied]:
+            calls.clear()
+            for keep in (False, True, False, True):
+                solve_choice(cg, keep_assignments=keep)
+            programs = vars(cg)["_compiled"].programs
+            assert len(calls) == (6 if cg is tied else 4)
+            for systems in calls:
+                assert all(any(d is p for p in programs) for d, _ in systems)
+            keep_all = {id(d) for d, _ in calls[-1]}
+            assert keep_all == {id(p) for p in programs}
 
-    def test_threads_share_the_cache_and_get_cold_results(self):
-        duals = [build_dual(standardize(p)) for p, _, _ in self.KINDS.values()]
-        duals += [build_dual(standardize(p)) for p in _stress_problems()[:10]]
-        _equality_start.cache_clear()
-        cold = [_solution_bytes(solve_dual(d)) for d in duals]
-        systems = _equality_start.cache_info().currsize
-        _equality_start.cache_clear()
+    def test_threads_sharing_programs_get_cold_results(self):
+        problems = [*(p for p, _, _ in self.KINDS.values()), *_stress_problems()[:10]]
+        # each result from a program of its own, started cold
+        cold = [_solution_bytes(solve_dual(build_dual(standardize(p)))) for p in problems]
+        duals = [build_dual(standardize(p)) for p in problems]  # not yet started
         results = {}
 
         def work(offset):
@@ -1714,7 +1728,6 @@ class TestSharedStart:
         for offset, got in results.items():
             assert got == cold[offset:] + cold[:offset]
         assert len(results) == len(threads)
-        assert _equality_start.cache_info().currsize == systems
 
     def test_fast_pass_stops_at_the_first_boundary_touch(self, monkeypatch):
         # a wrong face: the fast pass ends on block 1 after 5 iterations, but
@@ -1756,7 +1769,6 @@ class TestSharedStart:
             return original(*args)
 
         monkeypatch.setattr(gpchoice.solver, "_interior_point", spy)
-        _equality_start.cache_clear()
         for path in sorted(PROBLEM_DIR.glob("*.json")):
             for keep in (False, True):
                 solve_choice(parse_problem(path), keep_assignments=keep)
@@ -1918,7 +1930,6 @@ class TestSiblingBatches:
             return points, failures
 
         monkeypatch.setattr(gpchoice.solver, "_recover", recover)
-        _equality_start.cache_clear()
         statuses, mixed, capped = [], 0, 0  # each family's; families that end apart
         for family in self._families():
             batched[0] = True
@@ -2060,7 +2071,6 @@ class TestMergedBatches:
         for i, (d, _) in enumerate(systems):
             calls.setdefault((d.block_index.tobytes(), d.variable_count), []).append(i)
         solved = [None] * len(systems)
-        _equality_start.cache_clear()
         batched[0] = True
         for call in calls.values():
             reports = iter(_solve_rows([systems[i] for i in call]))
