@@ -193,26 +193,38 @@ def _log_dual_objective(
     """log_dual_objective, log w and the block sums, on checked weights; on
     a (B, K) stack w, with log_c per row, each row bit for bit as alone."""
     log_c = np.log(d.term_coefficients) if log_c is None else log_c
-    lam = _block_sums(d, w)
     pos = w > 0.0
     if np.count_nonzero(pos) == pos.size:
-        logw, log_lam = np.log(w), np.log(lam)
-        ratio = log_c - logw
-        value = np.add.reduce(w * ratio, axis=-1)
-        terms = lam * log_lam
-    elif w.ndim > 1:  # zero weights compact each row apart
+        return _positive_log_dual(d, w, log_c)
+    if w.ndim > 1:  # zero weights compact each row apart
         log_c = np.broadcast_to(log_c, w.shape)
         rows = zip(*map(_log_dual_objective, [d] * len(w), w, log_c))
         return tuple(np.array(x) for x in rows)
-    else:  # 0 log 0 = 0: zero weights and emptied blocks add nothing
-        with np.errstate(divide="ignore"):
-            logw, log_lam = np.log(w), np.log(lam)
-        ratio = log_c - logw
-        value = np.add.reduce(w[pos] * ratio[pos])
-        live = lam > 0.0
-        terms = np.zeros_like(lam)
-        terms[live] = lam[live] * log_lam[live]
-        log_lam[~live] = np.inf  # an emptied block's gradient is +inf
+    # 0 log 0 = 0: zero weights and emptied blocks add nothing
+    lam = _block_sums(d, w)
+    with np.errstate(divide="ignore"):
+        logw, log_lam = np.log(w), np.log(lam)
+    ratio = log_c - logw
+    live = lam > 0.0
+    terms = np.zeros_like(lam)
+    terms[live] = lam[live] * log_lam[live]
+    log_lam[~live] = np.inf  # an emptied block's gradient is +inf
+    return _assembled(d, np.add.reduce(w[pos] * ratio[pos]), terms, ratio, logw, log_lam, lam)
+
+
+def _positive_log_dual(d: DualProgram, w: np.ndarray, log_c: np.ndarray) -> tuple:
+    """_log_dual_objective where every weight is positive, none nan, which
+    it does not check: the kernel of the fast pass, whose weights keep a floor."""
+    lam = _block_sums(d, w)
+    logw, log_lam = np.log(w), np.log(lam)
+    ratio = log_c - logw
+    return _assembled(d, np.add.reduce(w * ratio, axis=-1), lam * log_lam, ratio, logw,
+                      log_lam, lam)
+
+
+def _assembled(d: DualProgram, value, terms, ratio, logw, log_lam, lam) -> tuple:
+    """_log_dual_objective's result from the weight part of the value, the
+    blocks' lam log lam (terms, overwritten) and ratio = log c - log w."""
     # add each constraint block's term to value in turn, as accumulate does
     terms[..., 0] = value
     value = np.add.accumulate(terms, axis=-1).T[-1]

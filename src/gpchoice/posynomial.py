@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -42,6 +43,19 @@ class GpProblem:
     variable_names: tuple[str, ...]
     objective: Posynomial
     constraints: tuple[tuple[Posynomial, float], ...]
+
+    @cached_property
+    def _choice_gp(self):
+        """selectors.as_choice_gp(self), kept as long as the problem is, and
+        with it the view's compile; solve_choice reads it only where
+        hash(self) succeeds."""
+        from .selectors import as_choice_gp  # selectors imports posynomial
+
+        return as_choice_gp(self)
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled problem builds its own view
+        return {k: v for k, v in vars(self).items() if k != "_choice_gp"}
 
 
 @dataclass(frozen=True)

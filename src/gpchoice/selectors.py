@@ -21,9 +21,10 @@ the expansion the result reports.
 What depends on the template alone, its validation, the table, the
 template's dual, one dual program per equality system and the seeds' solver
 batch, is compiled once per model object and kept on it (ChoiceGp._compiled,
-read-only) where the model can be hashed; each call checks the combination
-cap and solves.  Each program keeps its system's solver start, so a model
-computes each start once, however often it is solved.
+read-only; a plain problem keeps its view, GpProblem._choice_gp) where the
+model can be hashed; each call checks the combination cap and solves.  Each
+program keeps its system's solver start, so a model computes each start
+once, however often it is solved.
 """
 
 from __future__ import annotations
@@ -578,8 +579,9 @@ def solve_choice(
     over the combinations first sees them.  Each tuple stands at the
     smallest pattern per set among its values' candidates, and holds its
     status, z and place in a solver batch.  The template is compiled once
-    per model object (_Compiled, kept as ChoiceGp._compiled where the model
-    can be hashed, else made afresh for the call): validation, the table,
+    per model object (_Compiled, kept as ChoiceGp._compiled, a plain
+    problem's on its view, GpProblem._choice_gp, where the model can be
+    hashed, else made afresh for the call): validation, the table,
     the template's dual (_Template), one program per equality system, which
     keeps that system's start, and the seeds' solver batch.  Each call
     checks the combination cap, solves its batches and certifies every row.
@@ -595,12 +597,12 @@ def solve_choice(
     expansion alone.  ``solved`` counts the non-rejected combinations,
     skipped ones included.
     """
-    cg = as_choice_gp(model)
     try:
-        hash(cg)
+        hash(model)
     except TypeError:  # a field that can change between calls: compiled for this call
-        table = _Compiled.of(cg)
-    else:
+        table = _Compiled.of(as_choice_gp(model))
+    else:  # kept on the model, or on a plain problem's view of it
+        cg = model._choice_gp if isinstance(model, GpProblem) else as_choice_gp(model)
         table = cg._compiled
     total = math.prod(map(len, table.candidates))
     _check_cap(total)  # per call: the cap may have fallen since the compile

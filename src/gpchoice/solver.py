@@ -81,10 +81,16 @@ pass takes more: the duals of the call's systems that share a nullity r are
 one batch, each row from its own system's start and with its own null-space
 basis, stacked (B, r, K) in C order so that each row's basis is laid out,
 and rounds, as it does alone.  The Newton kernels read the exponents only
-through the basis.  The rows the fast pass ends OPTIMAL are finished as the
-same batch, each row's equality residual taken against its own system's
-matrix; what stays per system is the start, and per row the interior-point
-method.  The call's solutions come back as one batch, in call order, held
+through the basis.  The fast pass evaluates the log dual by its kernel for
+positive weights (dual._positive_log_dual), which skips the general
+function's check for zero weights: from a start inside the program, with
+steps floored at _WEIGHT_FLOOR, only a nan weight could fail it, and a batch
+with one takes the general function.  Each point is evaluated once: the rows
+the fast pass ends OPTIMAL are finished as the same batch from its last
+evaluation of each, the log dual value, stationarity and block sums at the
+row's end, and only each row's equality residual is taken anew, against its
+own system's matrix.  What stays per system is the start, and per row the
+interior-point method.  The call's solutions come back as one batch, in call order, held
 as columns (_Duals): status codes, weights, lambdas, dual values, equality
 residuals, stationarity (the projected gradient of the log dual, or on an
 interior-point row the largest entry of its dual residual), iteration
@@ -132,6 +138,7 @@ from .dual import (
     DualProgram,
     _check_weights,
     _log_dual_objective,
+    _positive_log_dual,
     _reduced_hessian,
     block_lambdas,
     build_dual,
@@ -497,8 +504,7 @@ def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
     It calls the gufunc under numpy.linalg.eigh, whose checks outcost the work.
     """
     lam, vec = _umath_linalg.eigh_lo((hu + hu.mT) / -2.0, signature="d->dd")
-    scale = np.maximum.reduce(np.abs(lam), axis=-1, keepdims=True)
-    floor = 1e-12 * np.maximum(1.0, scale)
+    floor = 1e-12 * np.maximum.reduce(np.abs(lam), axis=-1, keepdims=True, initial=1.0)
     return np.matvec(vec, np.matvec(vec.mT, gu) / np.maximum(lam, floor))
 
 
@@ -508,24 +514,23 @@ def _failure(d: DualProgram, status: Status, iterations: int = 0) -> DualSolutio
 
 
 def _finish(
-    d: DualProgram, log_c: np.ndarray, bases: np.ndarray, equalities: np.ndarray,
-    w: np.ndarray, status: list[Status], iterations: list[int],
+    d: DualProgram, value: np.ndarray, stationarity: np.ndarray, sums: np.ndarray,
+    equalities: np.ndarray, w: np.ndarray, status: list[Status], iterations: list[int],
 ) -> _Duals:
-    """The duals of the rows of w (B, K), each with d's block layout and its
-    row of log_c, null-space basis and equality matrix: bases (K, r) and
-    equalities (n + 1, K) are shared, or (B, K, r) and (B, n + 1, K) hold
-    one per row.  An OPTIMAL row that misses FEASIBILITY_TOL or
-    _STATIONARITY_TOL ends ITERATION_LIMIT."""
+    """The duals of the rows of w (B, K), each with d's block layout, its
+    log dual value, stationarity (_projected_norm of the gradient on its
+    null space, which vanishes at a maximizer inside the program) and block
+    sums, objective first, at its row of w, and its equality matrix:
+    equalities (n + 1, K) is shared, or (B, n + 1, K) holds one per row.  An
+    OPTIMAL row that misses FEASIBILITY_TOL or _STATIONARITY_TOL ends
+    ITERATION_LIMIT."""
     residual = np.maximum.reduce(np.abs(np.matvec(equalities, w) - d.equality_rhs), axis=1)
-    value, grad = _log_dual_objective(d, _check_weights(d, w, len(w)), log_c)[:2]
-    # at a maximizer inside the program the gradient vanishes on its null space
-    stationarity = _projected_norm(bases, grad)
     with np.errstate(over="ignore"):  # a pass out of budget may end past exp's range
         z = np.exp(value)
     rows = zip(status, residual.tolist(), stationarity.tolist())
     codes = [_CODE[Status.ITERATION_LIMIT if st is Status.OPTIMAL and (
         res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL) else st] for st, res, stat in rows]
-    return _Duals(np.array(codes), w.copy(), block_lambdas(d, w), z, residual, stationarity,
+    return _Duals(np.array(codes), w.copy(), sums[:, 1:], z, residual, stationarity,
                   np.array(iterations, dtype=int), np.full((len(w), d.variable_count), np.nan))
 
 
@@ -540,7 +545,7 @@ def _boundary_fraction(w: np.ndarray, dw: np.ndarray) -> np.ndarray:
 def _newton_phase(
     d: DualProgram, log_c: np.ndarray, bases: np.ndarray, basis_sums: np.ndarray,
     w: np.ndarray, max_iterations: int,
-) -> tuple[np.ndarray, list[Status], list[int]]:
+) -> tuple[np.ndarray, list[Status], list[int], tuple[np.ndarray, ...]]:
     """The fast pass: Newton ascent of the log dual, one trial a step (the
     Newton step, cut to 0.9995 of the way to the boundary), each row ended
     at its first weight at or below _BOUNDARY_WEIGHT.  A step with such a
@@ -557,20 +562,28 @@ def _newton_phase(
     _null_space returns it.  basis_sums (B, m, r) holds each basis's sums
     over each constraint block.  A row has its own ascent test, end and
     iteration count (at most max_iterations); the rows share one stacked
-    eigh per iteration.  Returns end weights, statuses and counts.
+    eigh per iteration.  Returns end weights, statuses and counts, and the
+    last evaluation at each end: log dual values, stationarity
+    (_projected_norm) and block sums, objective first, nan on the rows that
+    end before a step that fails.
     """
-    end, used = np.empty_like(w), [0] * len(w)
-    status = [Status.ITERATION_LIMIT] * len(w)
-    rows = list(range(len(w)))  # live rows
-    # Newton starts inside and floors steps at _WEIGHT_FLOOR: no weight check
-    value, grad, _, lam = _log_dual_objective(d, w, log_c)
-    low = np.minimum.reduce(w, axis=1)  # each row's least weight, kept with w
+    b = len(w)
+    end, used, status = np.empty_like(w), [0] * b, [Status.ITERATION_LIMIT] * b
+    at_value, at_norm = [np.nan] * b, [np.nan] * b
+    at_sums = np.full((b, len(d.block_sizes)), np.nan)
+    rows, stack = list(range(b)), bases.mT  # live rows; stack (B, r, K)
     for k in itertools.count(1):
-        gu = np.matvec(bases.mT, grad)
+        lows = np.minimum.reduce(w, axis=1).tolist()  # each row's least weight
+        # from an interior start, with steps floored at _WEIGHT_FLOOR, every
+        # weight is positive save a nan (from an eigh that fails, say): only
+        # then, or at a start that is not interior, the general branch runs
+        evaluate = _positive_log_dual if all(x > 0.0 for x in lows) else _log_dual_objective
+        value, grad, _, lam = evaluate(d, w, log_c)
+        gu = np.matvec(stack, grad)
         # _projected_norm, from gu
         norms = np.maximum.reduce(np.abs(np.matvec(bases, gu)), axis=1).tolist()
-        lows, live = low.tolist(), []
-        for i, (j, v) in enumerate(zip(rows, value.tolist())):
+        values, live = value.tolist(), []
+        for i, (j, v) in enumerate(zip(rows, values)):
             # a step off the boundary that does not ascend ends its row
             # before it, at k - 1
             if k > 1 and lows[i] > _BOUNDARY_WEIGHT and not (
@@ -591,27 +604,26 @@ def _newton_phase(
             else:
                 live.append(i)
                 continue
-            end[j] = w[i]
+            end[j], at_value[j], at_norm[j], at_sums[j] = w[i], v, norms[i], lam[i]
         if not live:
             break
         if len(live) < len(rows):
-            w, value, grad, lam, log_c, gu, basis_sums = (
-                x[live] for x in (w, value, grad, lam, log_c, gu, basis_sums)
+            keep = np.array(live)
+            w, lam, log_c, gu, basis_sums, stack = (
+                x.take(keep, 0) for x in (w, lam, log_c, gu, basis_sums, stack)
             )
-            bases = bases.mT[live].mT  # compacted in the stack's own C order
-            rows, norms = [rows[i] for i in live], [norms[i] for i in live]
+            bases = stack.mT  # compacted in the stack's own C order
+            rows, values, norms = ([x[i] for i in live] for x in (rows, values, norms))
 
         du = _newton_step(_reduced_hessian(bases, basis_sums, lam, w), gu)
         dw = np.matvec(bases, du)
         step = _boundary_fraction(w, dw)
         # one trial a step, tested at the next status check
         gains = (1e-4 * step * np.vecdot(gu, du)).tolist()
-        last_w, last_v, last_norms = w, value.tolist(), norms
+        last_w, last_v, last_norms = w, values, norms
         w = np.maximum(w + step[:, None] * dw, _WEIGHT_FLOOR)
-        value, grad, _, lam = _log_dual_objective(d, w, log_c)
-        low = np.minimum.reduce(w, axis=1)
 
-    return end, status, used
+    return end, status, used, (np.array(at_value), np.array(at_norm), at_sums)
 
 
 def solve_dual(d: DualProgram) -> DualSolution:
@@ -661,9 +673,11 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
             failure = Status.INFEASIBLE if nullsp is None else Status.ITERATION_LIMIT
             parts.append((rows, _Duals.of([_failure(d, failure) for _ in rows], variables)))
         elif nullsp.shape[1] == 0:  # the affine set is the single point start
-            parts.append((rows, _finish(d, np.log(coefficients), nullsp, d.equality_matrix,
-                                        start[None].repeat(n, 0), [Status.OPTIMAL] * n,
-                                        [0] * n)))
+            w = start[None].repeat(n, 0)
+            value, grad, _, sums = _log_dual_objective(d, _check_weights(d, w, n),
+                                                       np.log(coefficients))
+            parts.append((rows, _finish(d, value, _projected_norm(nullsp, grad), sums,
+                                        d.equality_matrix, w, [Status.OPTIMAL] * n, [0] * n)))
         else:
             fast.setdefault(nullsp.shape[1], []).append((s, start, nullsp))
 
@@ -678,21 +692,23 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
         coefficients = np.concatenate([systems[s][1] for s, _, _ in group])
         log_c = np.log(coefficients)
         # (B, r, K) in C order: each row's basis.mT is laid out as its own
-        # _null_space's, so every row keeps the bits it gets alone
-        stack = np.array([nullsp.T for _, _, nullsp in group])[pick]
-        sums = np.array([d._layout.member @ nullsp for _, _, nullsp in group])[pick]
-        w = np.array([start for _, start, _ in group])[pick]
-        ends, status, used = _newton_phase(
+        # _null_space's, so every row keeps the bits it gets alone, and so
+        # does each system's member @ nullsp in the one stacked product
+        stack = np.array([nullsp.T for _, _, nullsp in group])
+        sums = (d._layout.member @ stack.mT).take(pick, 0)
+        stack = stack.take(pick, 0)
+        w = np.array([start for _, start, _ in group]).take(pick, 0)
+        ends, status, used, at_end = _newton_phase(
             d, log_c, stack.mT, sums, w, min(_PASS_ITERATIONS, _MAX_ITERATIONS),
         )
         done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
-        if done:
+        if done:  # finished from the fast pass's last evaluation of each
             # every row done, as most often: views, not copies
             picked = slice(None) if len(done) == len(status) else done
             equalities = np.array([systems[s][0].equality_matrix for s, _, _ in group])
             parts.append(([rows[i] for i in done], _finish(
-                d, log_c[picked], stack[picked].mT, equalities[pick[picked]],
-                ends[picked], [status[i] for i in done], [used[i] for i in done])))
+                d, *(x[picked] for x in at_end), equalities.take(pick[picked], 0), ends[picked],
+                [status[i] for i in done], [used[i] for i in done])))
         short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
         if short:  # each goes on alone in its own system
             parts.append(([rows[i] for i in short], _Duals.of([
@@ -828,8 +844,10 @@ def _interior_point(
         # the dual, which has a start, is unbounded
         if _is_ray(d, c, w):
             return _failure(d, Status.UNBOUNDED, used + k)
-        return _finish(d, log_c[None], nullsp, d.equality_matrix, end[None],
-                       [Status.ITERATION_LIMIT], [used + k])[0]
+        value, grad, _, sums = _log_dual_objective(d, _check_weights(d, end[None], 1),
+                                                   log_c[None])
+        return _finish(d, value, _projected_norm(nullsp, grad), sums, d.equality_matrix,
+                       end[None], [Status.ITERATION_LIMIT], [used + k])[0]
 
 
 def _is_ray(d: DualProgram, c: np.ndarray, w: np.ndarray) -> bool:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import math
+import pickle
 import sys
 import threading
 
@@ -1151,6 +1152,22 @@ def test_a_model_compiles_once_and_reuse_equals_fresh(monkeypatch, keep):
             if arr.size:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[0] = 0
+
+
+def test_a_plain_problem_compiles_once_per_object(monkeypatch):
+    # a plain problem keeps its template view, and so the view's compile:
+    # two calls on one object compile once and report alike; a copy and an
+    # unpickled problem carry no view and compile their own
+    compiled = _spy(monkeypatch, gpchoice.selectors._Compiled, "of")
+    cg = parse_problem(PROBLEM_DIR / "example2_case3.json")
+    g = expand(cg, {cs.name: valid_assignments(cs)[0] for cs in cg.sets})
+    results = [_choice_fields(solve_choice(g)) for _ in range(2)]
+    assert len(compiled) == 1 and results[1] == results[0]
+    assert results[0][0] is Status.OPTIMAL
+    for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert "_choice_gp" in vars(g) and "_choice_gp" not in vars(twin)
+        assert _choice_fields(solve_choice(twin)) == results[0]
+    assert len(compiled) == 3
 
 
 @given(small_choice_gps())

@@ -29,6 +29,7 @@ from gpchoice import (
     standardize,
 )
 from gpchoice.certificate import Terms
+from gpchoice.dual import block_lambdas
 from gpchoice.posynomial import GpDomainError, Posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import (
@@ -48,13 +49,16 @@ from gpchoice.solver import (
     GAP_TOL,
     DualSolution,
     ReconstructionError,
+    _check_weights,
     _equality_start,
     _interior_point,
+    _log_dual_objective,
     _lstsq,
     _newton_phase,
     _newton_step,
     _nnls,
     _null_space,
+    _projected_norm,
     _recover,
     _reduced_program,
     _solve_duals,
@@ -731,8 +735,8 @@ class TestNumpyLinearAlgebra:
         start, nullsp, _ = d._start
         log_c = np.log(d.term_coefficients)
         sums = d._layout.member @ nullsp
-        end, _, used = _newton_phase(d, log_c[None], np.array([nullsp.T]).mT, sums[None],
-                                     start[None], 3)
+        end, _, used, _ = _newton_phase(d, log_c[None], np.array([nullsp.T]).mT, sums[None],
+                                        start[None], 3)
         assert used == [3] and end.min() == pytest.approx(1.25e-10, rel=1e-9)
         systems = []
         original = gpchoice.solver._lstsq
@@ -1739,13 +1743,14 @@ class TestSharedStart:
         original = gpchoice.solver._newton_phase
 
         def spy(*args):
-            passes.append(original(*args))  # a batch of one: (end, status, count)
+            # a batch of one: (end, status, count, last evaluation)
+            passes.append(original(*args))
             return passes[-1]
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", spy)
         d = build_dual(standardize(_stress_problems()[3]))
         ds = solve_dual(d)
-        [(end, status, iterations)] = passes
+        [(end, status, iterations, _)] = passes
         assert status == [Status.ITERATION_LIMIT] and iterations == [5]
         assert end[0][d.block_index == 1].max() <= _BOUNDARY_WEIGHT < end[0].max()
         assert ds.status is Status.OPTIMAL
@@ -1782,11 +1787,11 @@ class TestSharedStart:
         passes, original = [], gpchoice.solver._newton_phase
 
         def spy(*args):
-            end, status, used = original(*args)
+            end, status, used, at_end = original(*args)
             passes.append([i for i, (st, k) in enumerate(zip(status, used))
                            if st is Status.ITERATION_LIMIT and k < args[-1]
                            and end[i].min() > _BOUNDARY_WEIGHT])
-            return end, status, used
+            return end, status, used, at_end
 
         monkeypatch.setattr(gpchoice.solver, "_newton_phase", spy)
         return passes
@@ -1984,6 +1989,74 @@ class TestSiblingBatches:
                 assert not np.shares_memory(a, b)
 
 
+class TestFinishFromTheLastEvaluation:
+    """_finish reads the fast pass's last evaluation of each row it ends
+    OPTIMAL: its value, stationarity and lambda columns equal, byte for
+    byte, a fresh evaluation at the row's end weights on its own basis."""
+
+    @staticmethod
+    def _checked(monkeypatch) -> list[int]:
+        """Per fast pass from now on that ends a row OPTIMAL, how many rows
+        _finish then checked against a fresh evaluation; the fast pass's
+        kernel must see positive weights alone."""
+        checked, pending = [], []
+        original_phase, original_finish = gpchoice.solver._newton_phase, gpchoice.solver._finish
+        original_kernel = gpchoice.solver._positive_log_dual
+
+        def kernel(d, w, log_c):
+            assert (w > 0.0).all()  # so no nan either
+            return original_kernel(d, w, log_c)
+
+        def phase(d, log_c, bases, basis_sums, w, max_iterations):
+            out = original_phase(d, log_c, bases, basis_sums, w, max_iterations)
+            ends, status = out[:2]
+            fresh = []
+            for i in (i for i, st in enumerate(status) if st is Status.OPTIMAL):
+                value, grad, _, _ = _log_dual_objective(d, _check_weights(d, ends[i]),
+                                                        log_c[i])
+                fresh.append((np.exp(value), _projected_norm(bases[i], grad),
+                              block_lambdas(d, ends[i])))
+            pending[:] = [fresh] if fresh else []
+            return out
+
+        def finish(*args):
+            duals = original_finish(*args)
+            if pending:  # this fast pass's finish
+                fresh = pending.pop()
+                assert len(duals) == len(fresh)
+                for k, (z, stationarity, lambdas) in enumerate(fresh):
+                    assert duals.objective_value[k].tobytes() == z.tobytes()
+                    assert duals.stationarity[k].tobytes() == stationarity.tobytes()
+                    assert duals.lambdas[k].tobytes() == lambdas.tobytes()
+                checked.append(len(fresh))
+            return duals
+
+        monkeypatch.setattr(gpchoice.solver, "_positive_log_dual", kernel)
+        monkeypatch.setattr(gpchoice.solver, "_newton_phase", phase)
+        monkeypatch.setattr(gpchoice.solver, "_finish", finish)
+        return checked
+
+    def test_keep_all_passes_over_the_fixtures(self, monkeypatch):
+        checked = self._checked(monkeypatch)
+        for path in sorted(PROBLEM_DIR.glob("*.json")):
+            solve_choice(parse_problem(path), keep_assignments=True)
+        assert checked == [27, 64, 100, 180, 180, 180, 27, 64, 36, 48, 48, 48]
+
+    def test_first_300_stress_problems(self, monkeypatch):
+        checked = self._checked(monkeypatch)
+        for g in _stress_problems()[:300]:
+            solve(standardize(g))
+        # 54 of them end the fast pass OPTIMAL, each a batch of one
+        assert checked == [1] * 54
+
+    def test_sibling_batches(self, monkeypatch):
+        checked = self._checked(monkeypatch)
+        for family in TestSiblingBatches._families():
+            TestSiblingBatches._batch(family)
+        # 17 families end rows of their fast pass OPTIMAL, 102 rows in all
+        assert checked == [7, 7, 1, 7, 5, 7, 7, 2, 7, 7, 7, 7, 7, 6, 7, 7, 4]
+
+
 def _perturbed(s, rng):
     """s with every nonzero exponent scaled by its own factor in [0.9, 1.1]:
     the same blocks, so the same block layout, on another equality system."""
@@ -2102,3 +2175,42 @@ class TestMergedBatches:
             assert mixed >= 20
             for path in ("interior point", "reduction", "support point"):
                 assert reached[path], path
+
+
+def _permuted(g, draw):
+    """g with its variables, the terms of each posynomial and its
+    constraints in drawn orders; with each new variable's old index, and
+    each new term's old index in the standard form's term order."""
+    n = len(g.variable_names)
+    variables = draw(st.permutations(range(n)))
+    sections = [list(g.objective.terms), *(list(p.terms) for p, _ in g.constraints)]
+    firsts = list(itertools.accumulate(map(len, sections), initial=0))
+    constraints = draw(st.permutations(range(len(g.constraints))))
+    source, posynomials = [], []
+    for i in (0, *(c + 1 for c in constraints)):
+        order = draw(st.permutations(range(len(sections[i]))))
+        source.extend(firsts[i] + t for t in order)
+        posynomials.append([(sections[i][t].coefficient,
+                             [sections[i][t].exponents[j] for j in variables]) for t in order])
+    bounds = [g.constraints[c][1] for c in constraints]
+    h = make_problem(posynomials[0], list(zip(posynomials[1:], bounds)),
+                     [g.variable_names[j] for j in variables])
+    return h, np.array(variables), np.array(source)
+
+
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_permuting_a_problem_keeps_its_solution(seed, data):
+    # ROADMAP item 26's first relation: how a problem is written must not
+    # move its status; an optimum keeps z within 2 GAP_TOL, and its x and
+    # weights, mapped back, pass the optimal claim on the original
+    g = random_feasible_gp(np.random.default_rng(seed))
+    h, variables, source = _permuted(g, data.draw)
+    s = standardize(g)
+    original, permuted = solve(s), solve(standardize(h))
+    assert permuted.status is original.status
+    if original.status is Status.OPTIMAL:
+        z = original.objective_value
+        assert abs(permuted.objective_value - z) <= 2 * GAP_TOL * z
+        x, w = np.empty(len(variables)), np.empty(len(source))
+        x[variables], w[source] = permuted.primal_x, permuted.dual.weights
+        assert optimal_claim(problem_terms(s), [x], [w]).holds[0]
