@@ -18,10 +18,13 @@ For each end-to-end metric of BENCHMARK.json the summary gives the median
 and the two quartiles of each side's runs, the number of pairs in which the
 change is better (by the metric's direction) and the relative change of the
 medians.  --out is written as JSON with the keys command, machine, parent,
-pairs, claim, notes, seeds and summary; where the file exists with the same
-parent, the workload's seeds and summary are replaced and the rest kept, so
-that one file collects several workloads.  Running a commit against its own
-work tree measures the noise.
+pairs, claim, notes, seeds, summary and runs.  runs keeps, per workload,
+every run of the script: its seeds and, per pair, the seed and each side's
+end-to-end metrics.  Where the file exists with the same parent, the
+workload's seeds and summary are replaced by this run's, its pairs are
+appended to its runs and the rest is kept, so that one file collects several
+workloads and every run made on each.  Running a commit against its own work
+tree measures the noise.
 """
 
 import argparse
@@ -164,7 +167,15 @@ def main(argv: list[str] | None = None) -> int:
     out["seeds"] = {**out.get("seeds", {}), args.workload: [args.seed, last]}
     out["summary"] = {**out.get("summary", {}),
                       args.workload: summarize(runs, metrics)}
-    order = ("command", "machine", "parent", "pairs", "claim", "notes", "seeds", "summary")
+    names = [metric["name"] for metric in metrics]
+    pairs = [{"seed": seed, **{side: {name: runs[side][i][name] for name in names}
+                               for side in NAMES}}
+             for i, seed in enumerate(range(args.seed, last + 1))]
+    out["runs"] = out.get("runs", {})
+    out["runs"][args.workload] = [*out["runs"].get(args.workload, []),
+                                  {"seeds": [args.seed, last], "pairs": pairs}]
+    order = ("command", "machine", "parent", "pairs", "claim", "notes", "seeds", "summary",
+             "runs")
     args.out.write_text(json.dumps({key: out[key] for key in order}, indent=4) + "\n")
     return 0
 

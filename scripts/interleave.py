@@ -25,7 +25,7 @@ pruned and keep-all, on the 12 fixtures in sorted order, cycled, after one
 untimed pass over them.  Each fixture is parsed once and its model object
 solved call after call, as bench/run.py's enumerate workloads do, so a call
 after the first reads the template that solve_choice compiled and kept on that
-object.  ``cli`` runs one fresh ``gpchoice solve FIXTURE --format machine``
+object, with its seeds' solver batch, prepared on the first call.  ``cli`` runs one fresh ``gpchoice solve FIXTURE --format machine``
 process a call, over the fixtures in the same order and with no untimed pass,
 each cold as a user's, so every call compiles its template; both trees run
 with -B and no __pycache__, so that each process compiles its package from
@@ -151,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
             packages = [load(src, name, Path(tmp)) for src, name in trees]
         work = [calls(pkg, args.workload, args.count) for pkg in packages]
         if args.workload in ("enumerate", "enumerate-all"):
-            # compile each model and start its programs, as the benchmark does
+            # compile each model, start its programs and build its seeds'
+            # batch's solver arrays, which the compile keeps, as the benchmark does
             for pkg_calls in work:
                 run_group(pkg_calls[:len(FIXTURES)])
         ratios, started = [], time.perf_counter()

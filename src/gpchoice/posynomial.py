@@ -47,8 +47,8 @@ class GpProblem:
     @cached_property
     def _choice_gp(self):
         """selectors.as_choice_gp(self), kept as long as the problem is, and
-        with it the view's compile; solve_choice reads it only where
-        hash(self) succeeds."""
+        with it the view's compile; solve_choice makes it only where
+        hash(self) succeeds, and once it is kept reads it without hashing."""
         from .selectors import as_choice_gp  # selectors imports posynomial
 
         return as_choice_gp(self)

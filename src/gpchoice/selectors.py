@@ -23,8 +23,9 @@ template's dual, one dual program per equality system and the seeds' solver
 batch, is compiled once per model object and kept on it (ChoiceGp._compiled,
 read-only; a plain problem keeps its view, GpProblem._choice_gp) where the
 model can be hashed; each call checks the combination cap and solves.  Each
-program keeps its system's solver start, so a model computes each start
-once, however often it is solved.
+program keeps its system's solver start, and the seeds' batch the solver
+arrays its first solve builds (solver._Batch), so a model computes each
+start, and prepares its seeds, once, however often it is solved.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .certificate import GAP_TOL
 from .dual import DualProgram, build_dual
 from .posynomial import GpDomainError, GpProblem, make_problem, standardize
 from .solver import SolveReport, Status
-from .solver import _CODE, _STATUSES, _Reports, _solve_rows
+from .solver import _CODE, _STATUSES, _Batch, _Reports, _solve_rows
 
 BitPattern = tuple[int, ...]
 
@@ -115,7 +116,8 @@ class ChoiceGp:
     @cached_property
     def _compiled(self) -> _Compiled:
         """solve_choice's compile of this template, kept as long as the model
-        is; solve_choice reads it only where hash(self) succeeds."""
+        is; solve_choice makes it only where hash(self) succeeds, and once it
+        is kept reads it without hashing again."""
         return _Compiled.of(self)
 
     def __getstate__(self) -> dict:
@@ -468,9 +470,9 @@ def _check_cap(total: int) -> None:
         )
 
 
-# a _solve_rows batch, (program, coefficient rows) per system, and the
-# tuples in the order of its rows
-_Batch = tuple[np.ndarray, list[tuple[DualProgram, np.ndarray]]]
+# the tuples of a _solve_rows batch in the order of its rows, and the batch,
+# (program, coefficient rows) per system
+_Tuples = tuple[np.ndarray, _Batch]
 
 
 @dataclass(frozen=True)
@@ -479,10 +481,14 @@ class _Compiled:
     read-only: the table of distinct value tuples, the template's dual, the
     pruned search's seeds with their solver batch, and one program per
     equality system, the seed's, on which every call solves that system's
-    tuples, so that the program's start is computed once.  Per set: the value
-    at each pattern, its distinct values (a coefficient set's positive ones
-    alone) in the order of their first candidates, each one's smallest
-    pattern, and each candidate's position among them (-1: rejected)."""
+    tuples, so that the program's start is computed once.  The seeds' batch
+    (solver._Batch) builds its solver arrays on the model's first call and
+    keeps them for every later one; keep-all's batch and a second pruned
+    batch, which can be far larger, are built per call and dropped.  Per
+    set: the value at each pattern, its distinct values (a coefficient set's
+    positive ones alone) in the order of their first candidates, each one's
+    smallest pattern, and each candidate's position among them (-1:
+    rejected)."""
 
     names: tuple[str, ...]
     candidates: tuple[tuple[float, ...], ...]  # per set, its value at each pattern
@@ -497,7 +503,7 @@ class _Compiled:
     seeds: np.ndarray | None  # each system's tuple at every coefficient set's smallest value
     seed: np.ndarray | None  # (count,): each tuple's seed
     programs: tuple[DualProgram, ...] | None  # per system code, its seed's program
-    seed_batch: _Batch | None  # batch(seeds)
+    seed_batch: _Tuples | None  # batch(seeds), its solver arrays built on its first solve
 
     @classmethod
     def of(cls, cg: ChoiceGp) -> _Compiled:
@@ -538,10 +544,10 @@ class _Compiled:
                   seed, programs, None)
         return replace(out, seed_batch=out.batch(seeds)) if count else out
 
-    def batch(self, tuples: np.ndarray) -> _Batch:
-        """These tuples as one _solve_rows batch: the tuples that share
-        exponent values, which fix the equality system, are one system, on
-        that system's program, systems in the order first seen."""
+    def batch(self, tuples: np.ndarray) -> _Tuples:
+        """These tuples as one _solve_rows batch (solver._Batch): the tuples
+        that share exponent values, which fix the equality system, are one
+        system, on that system's program, systems in the order first seen."""
         systems: dict[int, list[int]] = {}
         for t, code in zip(tuples.tolist(), self.system[tuples].tolist()):
             systems.setdefault(code, []).append(t)
@@ -552,7 +558,7 @@ class _Compiled:
             batch.append((self.programs[code], rows))
         order = np.array([t for ts in systems.values() for t in ts])
         order.flags.writeable = False
-        return order, batch
+        return order, _Batch(batch)
 
 
 def solve_choice(
@@ -581,13 +587,15 @@ def solve_choice(
     status, z and place in a solver batch.  The template is compiled once
     per model object (_Compiled, kept as ChoiceGp._compiled, a plain
     problem's on its view, GpProblem._choice_gp, where the model can be
-    hashed, else made afresh for the call): validation, the table,
-    the template's dual (_Template), one program per equality system, which
-    keeps that system's start, and the seeds' solver batch.  Each call
-    checks the combination cap, solves its batches and certifies every row.
-    A call of run solves tuples as one _solve_rows batch: the tuples that
-    share exponent values, which fix the equality system, are one system,
-    solved on the compile's program for it.  keep_assignments runs every
+    hashed, else made afresh for the call; a call finds a kept compile
+    before it hashes the model): validation, the table, the template's dual
+    (_Template), one program per equality system, which keeps that system's
+    start, and the seeds' solver batch, which keeps the solver arrays its
+    first solve builds.  Each call checks the combination cap, solves its
+    batches and certifies every row.  A call of run solves tuples as one
+    _solve_rows batch: the tuples that share exponent values, which fix the
+    equality system, are one system, solved on the compile's program for
+    it.  keep_assignments runs every
     tuple, and expands the table into one row per combination at its own
     bit patterns.  The pruned search runs the seeds, each system's tuple at
     the smallest value of every coefficient set, then every tuple that the
@@ -597,13 +605,17 @@ def solve_choice(
     expansion alone.  ``solved`` counts the non-rejected combinations,
     skipped ones included.
     """
-    try:
-        hash(model)
-    except TypeError:  # a field that can change between calls: compiled for this call
-        table = _Compiled.of(as_choice_gp(model))
-    else:  # kept on the model, or on a plain problem's view of it
-        cg = model._choice_gp if isinstance(model, GpProblem) else as_choice_gp(model)
-        table = cg._compiled
+    # a compile kept on the model, or on a plain problem's view of it: the
+    # model could be hashed when it compiled, and its frozen fields are as then
+    table = vars(vars(model).get("_choice_gp", model)).get("_compiled")
+    if table is None:
+        try:
+            hash(model)
+        except TypeError:  # a field that can change between calls: compiled for this call
+            table = _Compiled.of(as_choice_gp(model))
+        else:  # compiled now, and kept as above
+            cg = model._choice_gp if isinstance(model, GpProblem) else as_choice_gp(model)
+            table = cg._compiled
     total = math.prod(map(len, table.candidates))
     _check_cap(total)  # per call: the cap may have fallen since the compile
     names, smallest, pick, grid = table.names, table.smallest, table.pick, table.grid
@@ -612,7 +624,7 @@ def solve_choice(
     z = np.full(count, math.nan)  # nan where not OPTIMAL
     reports: list[_Reports] = []
 
-    def run(tuples: np.ndarray, systems: list[tuple[DualProgram, np.ndarray]]) -> None:
+    def run(tuples: np.ndarray, systems: _Batch) -> None:
         """Solve a batch of the table (_Compiled.batch) in one _solve_rows call."""
         out = _solve_rows(systems)
         codes[tuples], z[tuples] = out.status, out.optimum()

@@ -90,12 +90,20 @@ the fast pass ends OPTIMAL are finished as the same batch from its last
 evaluation of each, the log dual value, stationarity and block sums at the
 row's end, and only each row's equality residual is taken anew, against its
 own system's matrix.  What stays per system is the start, and per row the
-interior-point method.  The call's solutions come back as one batch, in call order, held
-as columns (_Duals): status codes, weights, lambdas, dual values, equality
-residuals, stationarity (the projected gradient of the log dual, or on an
-interior-point row the largest entry of its dual residual), iteration
-counts and y; a row's DualSolution is built only when the row is read.  The
-linear algebra is numpy only (an SVD null space; a fast-pass Newton step
+interior-point method.  A call's (program, coefficient rows) pairs are a
+_Batch.  On its first solve it checks the shared layout and builds,
+read-only, what every solve of it reads of its systems alone: each system's
+route (forced zeros, no start, a single point or the fast pass), each
+fast-pass batch's rows, coefficients and their log, stacked bases and their
+block sums, start weights and equality matrices, and each row's system and
+terms for certification.  A batch solved again, as the seeds' batch that
+selectors keeps with a model's compile, builds none of them again; nothing a
+solve computes is kept.  The call's solutions come back as one batch, in
+call order, held as columns (_Duals): status codes, weights, lambdas, dual
+values, equality residuals, stationarity (the projected gradient of the log
+dual, or on an interior-point row the largest entry of its dual residual),
+iteration counts and y; a row's DualSolution is built only when the row is
+read.  The linear algebra is numpy only (an SVD null space; a fast-pass Newton step
 from one symmetric eigendecomposition of the reduced Hessian, its
 eigenvalues floored so that the step always ascends; least squares, which
 NNLS's solves use too; the method's LU solve): the package needs no scipy.
@@ -130,6 +138,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -626,6 +635,77 @@ def _newton_phase(
     return end, status, used, (np.array(at_value), np.array(at_norm), at_sums)
 
 
+# a batch's plan (_Batch._plan): its row count, the routes of the systems off
+# the fast pass, (rows, system, route), route the reduced _Batch of a system
+# with forced zeros, the failure Status of one with no start, or None for a
+# single point; and one fast-pass _Group per nullity
+_Plan = namedtuple("_Plan", "size routes groups")
+# a fast-pass batch: its rows of the call and each row's program, coefficients
+# (B, K) and their log, null-space bases stacked (B, r, K) in C order and their
+# block sums (B, m, r), start weights (B, K) and equality matrices (B, n + 1, K)
+_Group = namedtuple("_Group", "rows programs coefficients log_c stack sums w equalities")
+
+
+class _Batch(tuple):
+    """(program, coefficient rows (B, K)) per system, a batch of
+    _solve_duals or _solve_rows: each row a dual of its system's program at
+    those coefficients.  What every solve of the batch reads of its systems
+    alone is built on its first use and kept, read-only: the routing of its
+    systems and the fast pass's arrays (_plan), and its rows' systems and
+    terms (_terms), which _certify reads.  Nothing a solve computes is kept."""
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """The routes of the systems and the fast pass's groups; ValueError
+        where two systems differ in block layout or variable count."""
+        d, edges = self[0][0], [0, *itertools.accumulate(len(c) for _, c in self)]
+        if any(p.variable_count != d.variable_count or p.block_index is not d.block_index
+               and not np.array_equal(p.block_index, d.block_index) for p, _ in self[1:]):
+            raise ValueError("the systems of one call must share one block layout "
+                             "and variable count")
+        routes, fast = [], {}  # fast: the systems of the fast pass, by nullity
+        for s, (p, coefficients) in enumerate(self):
+            (start, nullsp, support), route = p._start, None  # None: a single point
+            if support is not None:  # solved over the rest of its weights
+                route = _Batch([(_reduced_program(p, support), coefficients[:, support])])
+                route[0][1].flags.writeable = False
+            elif start is None:  # proven empty, or undecided where it has a null space
+                route = Status.INFEASIBLE if nullsp is None else Status.ITERATION_LIMIT
+            elif nullsp.shape[1]:
+                fast.setdefault(nullsp.shape[1], []).append(s)
+                continue
+            routes.append((list(range(edges[s], edges[s + 1])), s, route))
+        groups = []
+        for group in fast.values():
+            pick = np.repeat(np.arange(len(group)), [len(self[s][1]) for s in group])
+            coefficients = np.concatenate([self[s][1] for s in group])
+            # (B, r, K) in C order: each row's basis.mT is laid out as its own
+            # _null_space's, so every row keeps the bits it gets alone, and so
+            # does each system's member @ nullsp in the one stacked product
+            programs = [self[s][0] for s in group]
+            stack = np.array([p._start.nullsp.T for p in programs])
+            groups.append(_Group(
+                [j for s in group for j in range(edges[s], edges[s + 1])],
+                [programs[i] for i in pick.tolist()], coefficients, np.log(coefficients),
+                stack.take(pick, 0), (d._layout.member @ stack.mT).take(pick, 0),
+                np.array([p._start.w for p in programs]).take(pick, 0),
+                np.array([p.equality_matrix for p in programs]).take(pick, 0)))
+            for arr in groups[-1][2:]:
+                arr.flags.writeable = False
+        return _Plan(edges[-1], routes, groups)
+
+    @cached_property
+    def _terms(self) -> tuple[Terms, np.ndarray]:
+        """The rows' Terms, each with its system's exponents, and each row's
+        system."""
+        pick = np.repeat(np.arange(len(self)), [len(c) for _, c in self])
+        terms = Terms(np.concatenate([c for _, c in self]),
+                      np.array([d.exponent_matrix for d, _ in self])[pick], self[0][0].block_index)
+        for arr in (pick, *terms):
+            arr.flags.writeable = False
+        return terms, pick
+
+
 def solve_dual(d: DualProgram) -> DualSolution:
     """Maximize the log dual objective over {A w = e1, w >= 0}.
 
@@ -646,7 +726,9 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
     (B, K): per system, the duals of d's equality system that differ only in
     their terms' coefficients.  Every system of one call has one block
     layout and variable count, else ValueError; the duals come back as one
-    batch, in call order.
+    batch, in call order.  systems is a _Batch, which keeps the arrays that
+    every solve of it reads (_Batch._plan), or is wrapped in one for this
+    call.
 
     The rows of every system with an interior start run the fast pass as one
     batch per nullity, each row from its own system's start and on its own
@@ -654,70 +736,47 @@ def _solve_duals(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Duals:
     A row that ends short of the optimum goes on alone, from its end, by
     _interior_point in its own system; an UNBOUNDED one fails.  A system with
     forced zeros is solved over the rest of its weights, as a call of its
-    own."""
-    layout, variables = systems[0][0].block_index, systems[0][0].variable_count
-    if any(d.variable_count != variables or d.block_index is not layout
-           and not np.array_equal(d.block_index, layout) for d, _ in systems[1:]):
-        raise ValueError("the systems of one call must share one block layout "
-                         "and variable count")
-    edges = [0, *itertools.accumulate(len(coefficients) for _, coefficients in systems)]
+    own, on the reduced batch its plan keeps."""
+    batch = systems if isinstance(systems, _Batch) else _Batch(systems)
     parts: list[tuple[list[int], _Duals]] = []  # the call's rows and their duals
-    fast: dict[int, list] = {}  # fast pass batches, by nullity
-    for s, (d, coefficients) in enumerate(systems):
-        start, nullsp, support = d._start
-        rows, n = list(range(edges[s], edges[s + 1])), len(coefficients)
-        if support is not None:
-            inner = _reduced_program(d, support), coefficients[:, support]
-            parts.append((rows, _pad(d, support, _solve_duals([inner]))))
-        elif start is None:  # proven empty, or undecided where it has a null space
-            failure = Status.INFEASIBLE if nullsp is None else Status.ITERATION_LIMIT
-            parts.append((rows, _Duals.of([_failure(d, failure) for _ in rows], variables)))
-        elif nullsp.shape[1] == 0:  # the affine set is the single point start
+    for rows, s, route in batch._plan.routes:
+        d, coefficients = batch[s]
+        if isinstance(route, _Batch):  # forced zeros
+            parts.append((rows, _pad(d, d._start.support, _solve_duals(route))))
+        elif route is not None:  # no start: every row fails with status route
+            parts.append((rows, _Duals.of([_failure(d, route) for _ in rows], d.variable_count)))
+        else:  # the affine set is the single point start
+            (start, nullsp, _), n = d._start, len(rows)
             w = start[None].repeat(n, 0)
             value, grad, _, sums = _log_dual_objective(d, _check_weights(d, w, n),
                                                        np.log(coefficients))
             parts.append((rows, _finish(d, value, _projected_norm(nullsp, grad), sums,
                                         d.equality_matrix, w, [Status.OPTIMAL] * n, [0] * n)))
-        else:
-            fast.setdefault(nullsp.shape[1], []).append((s, start, nullsp))
 
     # fast path: plain Newton from the interior start, ended at its first
     # boundary touch; an interior stationary point is the global maximum by
     # concavity, so it can be accepted outright
-    d = systems[0][0]  # the layout and the kernels are shared
-    for group in fast.values():
-        counts = [len(systems[s][1]) for s, _, _ in group]
-        pick = np.repeat(np.arange(len(group)), counts)
-        rows = [j for s, _, _ in group for j in range(edges[s], edges[s + 1])]
-        coefficients = np.concatenate([systems[s][1] for s, _, _ in group])
-        log_c = np.log(coefficients)
-        # (B, r, K) in C order: each row's basis.mT is laid out as its own
-        # _null_space's, so every row keeps the bits it gets alone, and so
-        # does each system's member @ nullsp in the one stacked product
-        stack = np.array([nullsp.T for _, _, nullsp in group])
-        sums = (d._layout.member @ stack.mT).take(pick, 0)
-        stack = stack.take(pick, 0)
-        w = np.array([start for _, start, _ in group]).take(pick, 0)
+    d = batch[0][0]  # the layout and the kernels are shared
+    for g in batch._plan.groups:
         ends, status, used, at_end = _newton_phase(
-            d, log_c, stack.mT, sums, w, min(_PASS_ITERATIONS, _MAX_ITERATIONS),
+            d, g.log_c, g.stack.mT, g.sums, g.w, min(_PASS_ITERATIONS, _MAX_ITERATIONS),
         )
         done = [i for i, st in enumerate(status) if st is Status.OPTIMAL]
         if done:  # finished from the fast pass's last evaluation of each
             # every row done, as most often: views, not copies
             picked = slice(None) if len(done) == len(status) else done
-            equalities = np.array([systems[s][0].equality_matrix for s, _, _ in group])
-            parts.append(([rows[i] for i in done], _finish(
-                d, *(x[picked] for x in at_end), equalities.take(pick[picked], 0), ends[picked],
+            parts.append(([g.rows[i] for i in done], _finish(
+                d, *(x[picked] for x in at_end), g.equalities[picked], ends[picked],
                 [status[i] for i in done], [used[i] for i in done])))
         short = [i for i, st in enumerate(status) if st is not Status.OPTIMAL]
         if short:  # each goes on alone in its own system
-            parts.append(([rows[i] for i in short], _Duals.of([
+            parts.append(([g.rows[i] for i in short], _Duals.of([
                 _failure(d, status[i], used[i]) if status[i] is Status.UNBOUNDED
-                else _interior_point(systems[group[pick[i]][0]][0], coefficients[i],
-                                     group[pick[i]][2], ends[i], used[i])
+                else _interior_point(g.programs[i], g.coefficients[i],
+                                     g.programs[i]._start.nullsp, ends[i], used[i])
                 for i in short
-            ], variables)))
-    return _Duals.joined(parts, edges[-1])
+            ], d.variable_count)))
+    return _Duals.joined(parts, batch._plan.size)
 
 
 def _interior_point(
@@ -862,12 +921,6 @@ def _is_ray(d: DualProgram, c: np.ndarray, w: np.ndarray) -> bool:
     return infeasible_claim(Terms(c, d.exponent_matrix, d.block_index), nu[on])
 
 
-def _terms(d: DualProgram, coefficients: np.ndarray) -> Terms:
-    """d's terms at each row of coefficients (B, K), each with d's exponents."""
-    exponents = d.exponent_matrix[None].repeat(len(coefficients), axis=0)
-    return Terms(coefficients, exponents, d.block_index)
-
-
 def _recover(
     t: Terms, system: np.ndarray, w: np.ndarray, z: np.ndarray, lambdas: np.ndarray,
     y: np.ndarray,
@@ -896,8 +949,8 @@ def _recover(
         np.divide(w, lam, out=share, where=active & (t.blocks > 0))
         # w * z underflows to 0 with z, and then has no log to fit
         lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & fit
-        failures = {i: ReconstructionError(f"w * z underflows at dual value {v}")
-                    for i, (v, gone) in enumerate(zip(z[:, 0].tolist(), lost.tolist())) if gone}
+        failures = {i: ReconstructionError(f"w * z underflows at dual value {z.item(i)}")
+                    for i in lost.nonzero()[0].tolist()}
         codes, masks = system.tolist(), active.tolist()
         groups: dict[tuple, list[int]] = {}  # the rows of one system and active set
         for i in (~lost & fit).nonzero()[0].tolist():
@@ -918,15 +971,16 @@ def _recover(
             with np.errstate(over="ignore", invalid="ignore"):
                 residual = np.maximum.reduce(
                     np.abs(np.matvec(matrices[:, None], y[rows]) - target), axis=-1, initial=0.0)
-            failures |= {i: ReconstructionError(
-                f"log-linear recovery system inconsistent (residual {res:.3e})")
-                for i, res in zip(rows.ravel().tolist(), residual.ravel().tolist()) if res > 1e-6}
+            failures |= {rows.item(j): ReconstructionError(
+                f"log-linear recovery system inconsistent (residual {residual.item(j):.3e})")
+                for j in (residual > 1e-6).ravel().nonzero()[0].tolist()}
     with np.errstate(over="ignore", under="ignore"):
         x = np.exp(y)
     inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1)
-    for i in (~inside).nonzero()[0].tolist():
-        failures.setdefault(i, ReconstructionError("recovered x = exp(y) overflows or underflows"))
-    x[list(failures)] = np.nan
+    failures |= {i: ReconstructionError("recovered x = exp(y) overflows or underflows")
+                 for i in (~inside).nonzero()[0].tolist() if i not in failures}
+    if failures:  # most often no row fails
+        x[list(failures)] = np.nan
     return x, failures
 
 
@@ -943,8 +997,9 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     """
     d = build_dual(s)
     y = np.full((1, d.variable_count), np.nan) if ds.y is None else ds.y[None]
-    x, failures = _recover(_terms(d, d.term_coefficients[None]), np.zeros(1, dtype=int),
-                           ds.weights[None], np.array([ds.objective_value]), ds.lambdas[None], y)
+    t = Terms(d.term_coefficients[None], d.exponent_matrix[None], d.block_index)  # a batch of one
+    x, failures = _recover(t, np.zeros(1, dtype=int), ds.weights[None],
+                           np.array([ds.objective_value]), ds.lambdas[None], y)
     if failures:
         raise failures[0]
     return x[0]
@@ -984,20 +1039,16 @@ def solve(s: StandardGp) -> SolveReport:
         except ReconstructionError as e:
             return np.full((1, d.variable_count), np.nan), {0: e}
 
-    coefficients = d.term_coefficients[None]
-    return _certify(_terms(d, coefficients), np.zeros(1, dtype=int),
-                    _Duals.of([ds], d.variable_count), recover)[0]
+    t = Terms(d.term_coefficients[None], d.exponent_matrix[None], d.block_index)
+    return _certify(t, np.zeros(1, dtype=int), _Duals.of([ds], d.variable_count), recover)[0]
 
 
 def _solve_rows(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Reports:
     """solve of each program d's problem at each of its rows of coefficients
     (B, K), as one batch (_solve_duals, so one block layout and variable
-    count), recovered and certified together: the reports of every row, in
-    call order."""
-    duals = _solve_duals(systems)
-    counts = [len(coefficients) for _, coefficients in systems]
-    pick = np.repeat(np.arange(len(systems)), counts)
-    exponents = np.array([d.exponent_matrix for d, _ in systems])[pick]
-    coefficients = np.concatenate([coefficients for _, coefficients in systems])
-    terms = Terms(coefficients, exponents, systems[0][0].block_index)
-    return _certify(terms, pick, duals, _recover)
+    count), recovered and certified together, on the rows' systems and terms
+    that a _Batch keeps (_Batch._terms): the reports of every row, in call
+    order."""
+    batch = systems if isinstance(systems, _Batch) else _Batch(systems)
+    duals = _solve_duals(batch)
+    return _certify(*batch._terms, duals, _recover)

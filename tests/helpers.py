@@ -1,6 +1,7 @@
 """Shared builders and reference values for the test suite."""
 
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -53,6 +54,33 @@ EX2_Z = 50.60611
 EX2_X = (16.86890, 1.405717, 4.217114, 1.405791)
 EX2_W = (0.3333372, 0.2777762, 0.3333285, 0.05555811, 0.2903339e-05,
          0.02777615, 0.3333285)
+
+
+def report_columns(reports) -> tuple:
+    """Every column of a batch's solver._Reports: arrays by bytes, floats by
+    repr, each failure by row and message."""
+    duals, failures = reports.duals, reports.failures
+    return (reports.status.tobytes(),
+            *(getattr(duals, f.name).tobytes() for f in dataclasses.fields(duals)),
+            reports.optimal, None if reports.x is None else reports.x.tobytes(),
+            None if failures is None else [(k, str(e)) for k, e in failures.items()],
+            repr(reports.claim))
+
+
+def batch_arrays(batch):
+    """Every array that a solver._Batch prepared and keeps: the fast pass's
+    groups, its rows' terms and each reduced batch's coefficient rows and
+    arrays, recursively; the caller's coefficient rows are not among them."""
+    plan, terms = vars(batch).get("_plan"), vars(batch).get("_terms")
+    if plan is not None:
+        for group in plan.groups:
+            yield from (arr for arr in group if isinstance(arr, np.ndarray))
+        for _, _, route in plan.routes:
+            if isinstance(route, tuple):  # a reduced batch
+                yield from (rows for _, rows in route)
+                yield from batch_arrays(route)
+    if terms is not None:
+        yield from (*terms[0], terms[1])
 
 
 def example1_problem(c=1.0, p=-1.0, a=1.0) -> GpProblem:

@@ -120,16 +120,36 @@ def test_bench_pairs_runs_a_tree_against_itself(tmp_path):
                         r"change \d+\.\d\n", run.stdout), run.stdout
     doc = json.loads(out.read_text())
     assert list(doc) == ["command", "machine", "parent", "pairs", "claim", "notes", "seeds",
-                         "summary"]
+                         "summary", "runs"]
     assert doc["parent"] == _git("rev-parse", "HEAD")
     assert doc["seeds"] == {"enumerate": [7, 7]}
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in benchmark["end_to_end"]]
     summary = doc["summary"]["enumerate"]
-    assert list(summary) == [metric["name"] for metric in benchmark["end_to_end"]]
+    assert list(summary) == names
     for metric in summary.values():
         assert metric["change_better"] in ("0 of 1", "1 of 1")
         for side in ("parent", "change"):
             assert metric[f"{side}_quartiles"] == [metric[f"{side}_median"]] * 2
+    [run] = doc["runs"]["enumerate"]
+    assert run["seeds"] == [7, 7] and [pair["seed"] for pair in run["pairs"]] == [7]
+    for side in ("parent", "change"):
+        pair = run["pairs"][0][side]
+        assert list(pair) == names
+        assert [pair[name] for name in names] == [summary[name][f"{side}_median"]
+                                                  for name in names]
+
+    # a rerun into the same file appends its pairs; the summary is its own
+    rerun = _bench_pairs("HEAD", "--workload", "enumerate", "--pairs", 1, "--seconds", 1,
+                         "--seed", 8, "--out", out)
+    assert rerun.returncode == 0, rerun.stderr
+    again = json.loads(out.read_text())
+    assert again["seeds"] == {"enumerate": [8, 8]}
+    assert again["runs"]["enumerate"][0] == run
+    [_, latest] = again["runs"]["enumerate"]
+    assert latest["seeds"] == [8, 8] and [pair["seed"] for pair in latest["pairs"]] == [8]
+    assert [latest["pairs"][0]["change"][name] for name in names] == [
+        again["summary"]["enumerate"][name]["change_median"] for name in names]
 
 
 @needs_git

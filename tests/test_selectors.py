@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import math
@@ -17,6 +18,7 @@ from gpchoice import (
     ChoiceGp,
     ExpansionRejected,
     GpDomainError,
+    GpProblem,
     Role,
     SetRef,
     Status,
@@ -35,7 +37,13 @@ from gpchoice import (
     valid_assignments,
     validate_choice_gp,
 )
-from helpers import PROBLEM_DIR, example1_problem, stalled_choice_gp
+from helpers import (
+    PROBLEM_DIR,
+    batch_arrays,
+    example1_problem,
+    report_columns,
+    stalled_choice_gp,
+)
 
 
 def cset(values, role=Role.EXPONENT, name="s"):
@@ -1116,12 +1124,14 @@ def _spy(monkeypatch, target, name):
 
 def _compiled_arrays(table):
     """Every array that a compiled template keeps: its table, its seeds and
-    their batch, the template's slots and dual, and each system's program
-    with its equality system, block layout and start."""
+    their batch with the solver arrays it prepared, the template's slots and
+    dual, and each system's program with its equality system, block layout
+    and start."""
     yield from (table.pick, table.grid, table.system, table.seeds, table.seed)
     order, systems = table.seed_batch
     yield order
     yield from (rows for _, rows in systems)
+    yield from batch_arrays(systems)
     template = table.template
     yield from (template.exponent_slots, template.coefficient_slots, template.bounds)
     for d in (template.dual, *table.programs):
@@ -1236,6 +1246,112 @@ def test_a_model_that_cannot_be_hashed_compiles_every_call(monkeypatch):
     objective[1] = TermTemplate(4.0, (-1.0,))  # min x + 4 / x: 2 sqrt(4)
     assert solve_choice(cg).report.objective_value == pytest.approx(4.0, rel=1e-9)
     assert templates == [cg, cg] and "_compiled" not in vars(cg)
+
+
+def test_a_second_call_does_not_hash_the_model(monkeypatch):
+    # a compile kept on the model, or on a plain problem's view, is found
+    # before the model is hashed: only the first call hashes it
+    hashed = []
+    for cls in (ChoiceGp, GpProblem):
+        monkeypatch.setattr(cls, "__hash__", lambda self, _original=cls.__hash__:
+                            hashed.append(self) or _original(self))
+    cg = parse_problem(PROBLEM_DIR / "example2_case3.json")
+    g = expand(cg, {cs.name: valid_assignments(cs)[0] for cs in cg.sets})
+    for model in (cg, g):
+        hashed.clear()
+        first = _choice_fields(solve_choice(model))
+        assert [m is model for m in hashed] == [True]
+        hashed.clear()
+        assert _choice_fields(solve_choice(model)) == first
+        assert _choice_fields(solve_choice(model, keep_assignments=True))
+        assert hashed == []
+
+
+def _spy_prepared(monkeypatch, name):
+    """Each solver._Batch whose cached property name is computed from now on."""
+    seen, original = [], getattr(gpchoice.solver._Batch, name).func
+    prop = functools.cached_property(lambda batch: seen.append(batch) or original(batch))
+    prop.__set_name__(gpchoice.solver._Batch, name)
+    monkeypatch.setattr(gpchoice.solver._Batch, name, prop)
+    return seen
+
+
+def test_a_model_prepares_its_seed_batch_once(monkeypatch):
+    # the compile keeps the seeds' batch, whose first solve builds its solver
+    # arrays (read-only: _compiled_arrays); later calls read them, and a
+    # second pruned batch is built and prepared per call
+    plans, terms = (_spy_prepared(monkeypatch, name) for name in ("_plan", "_terms"))
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        plans.clear()
+        terms.clear()
+        cg = parse_problem(path)
+        results = [_choice_fields(solve_choice(cg)) for _ in range(3)]
+        assert results[1:] == results[:1] * 2
+        seeds = vars(cg)["_compiled"].seed_batch[1]
+        assert [b is seeds for b in plans].count(True) == 1
+        assert [b is seeds for b in terms].count(True) == 1
+        assert len(plans) == len(terms) and len(plans) in (1, 4)  # two batches a call
+        # a fast-pass group's six arrays and the terms' four
+        assert len(list(batch_arrays(seeds))) >= 10
+
+
+def _assert_kept_batches_solve_as_fresh(cg):
+    """The seeds' and the keep-all batch of cg's compile, each solved twice,
+    give byte for byte what a fresh list of the same pairs gives."""
+    table = gpchoice.selectors._Compiled.of(cg)
+    if table.seed_batch is None:  # every tuple rejected
+        return
+    for _, batch in (table.seed_batch, table.batch(np.arange(len(table.grid)))):
+        fresh = report_columns(gpchoice.solver._solve_rows(list(batch)))
+        for _ in range(2):
+            assert report_columns(gpchoice.solver._solve_rows(batch)) == fresh
+        assert "_plan" in vars(batch)
+
+
+def test_kept_batches_solve_as_fresh_lists_on_every_fixture():
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        _assert_kept_batches_solve_as_fresh(parse_problem(path))
+
+
+@given(product_templates())
+def test_kept_product_template_batches_solve_as_fresh_lists(cg):
+    _assert_kept_batches_solve_as_fresh(cg)
+
+
+@given(small_choice_gps())
+def test_kept_small_template_batches_solve_as_fresh_lists(cg):
+    _assert_kept_batches_solve_as_fresh(cg)
+
+
+def _held_batches(obj, seen):
+    """Every solver._Batch that obj holds, through containers and the
+    package's objects' attributes."""
+    if id(obj) in seen or isinstance(obj, (type, np.ndarray, str, bytes, int, float)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, gpchoice.solver._Batch):
+        yield obj
+    children = [*(obj.values() if isinstance(obj, dict) else ()),
+                *(obj if isinstance(obj, (list, tuple)) else ()),
+                *(vars(obj).values() if hasattr(obj, "__dict__") else ())]
+    for child in children:
+        yield from _held_batches(child, seen)
+
+
+def test_a_keep_all_call_keeps_no_batch_but_the_seeds(monkeypatch):
+    # keep-all's batch, which can reach _COMBINATION_CAP rows, and a second
+    # pruned batch are built per call and dropped
+    batches = _spy(monkeypatch, gpchoice.selectors, "_solve_rows")
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        batches.clear()
+        cg = parse_problem(path)
+        solve_choice(cg)
+        solve_choice(cg, keep_assignments=True)
+        table = vars(cg)["_compiled"]
+        assert len(batches) in (2, 3) and batches[-1] is not table.seed_batch[1]
+        assert "_plan" in vars(batches[-1])  # prepared, then dropped
+        held = list(_held_batches(cg, set()))
+        assert len(held) == 1 and held[0] is table.seed_batch[1]
 
 
 def test_threads_share_one_model_and_get_sequential_results():

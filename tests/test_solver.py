@@ -49,6 +49,7 @@ from gpchoice.solver import (
     GAP_TOL,
     DualSolution,
     ReconstructionError,
+    _Batch,
     _check_weights,
     _equality_start,
     _interior_point,
@@ -73,11 +74,13 @@ from helpers import (
     EX2_X,
     EX2_Z,
     PROBLEM_DIR,
+    batch_arrays,
     degenerate_minimax_gp,
     example1_problem,
     example2_problem,
     first_term_multipliers,
     first_term_split,
+    report_columns,
     free_variable_gp,
     gate_sizing_chain,
     large_coefficient_gp,
@@ -2085,9 +2088,10 @@ class TestMergedBatches:
         for other in ([(1, (1,)), (1, (2,)), (1, (-1,))], [(1, (1, 0)), (1, (-1, 1))]):
             systems = [(d, d.term_coefficients[None])
                        for d in (build_dual(standardize(make_problem(t))) for t in (x, other))]
-            for solve_all in (_solve_duals, _solve_rows):
+            for solve_all, batch in itertools.product((_solve_duals, _solve_rows),
+                                                      (systems, _Batch(systems))):
                 with pytest.raises(ValueError, match="one block layout"):
-                    solve_all(systems)
+                    solve_all(batch)
 
     @staticmethod
     @lru_cache(maxsize=1)
@@ -2175,6 +2179,38 @@ class TestMergedBatches:
             assert mixed >= 20
             for path in ("interior point", "reduction", "support point"):
                 assert reached[path], path
+
+    def test_a_kept_batch_solves_as_a_fresh_list(self, monkeypatch):
+        # a _Batch prepares its arrays on its first solve and keeps them,
+        # read-only, with each forced-zero system's reduced batch; solved
+        # twice it gives, byte for byte, what a plain list of its pairs gives
+        reductions = []
+        original = gpchoice.solver._reduced_program
+        monkeypatch.setattr(gpchoice.solver, "_reduced_program",
+                            lambda *args: reductions.append(1) or original(*args))
+        systems = [(build_dual(system[0]),
+                    np.array([build_dual(s).term_coefficients for s in system]))
+                   for family in self._families() for system in family]
+        calls: dict[tuple, list] = {}  # one call per block layout and variable count
+        for d, coefficients in systems:
+            calls.setdefault((d.block_index.tobytes(), d.variable_count), []).append(
+                (d, coefficients))
+        total = 0  # reduced systems
+        for call in calls.values():
+            fresh = report_columns(_solve_rows(call))
+            reductions.clear()
+            kept = _Batch(call)
+            assert [report_columns(_solve_rows(kept)) for _ in range(2)] == [fresh] * 2
+            assert report_columns(_solve_rows(kept)) == fresh
+            routes = kept._plan.routes
+            reduced = [route for _, _, route in routes if isinstance(route, _Batch)]
+            assert len(reductions) == len(reduced)  # each built once, on the first solve
+            total += len(reduced)
+            arrays = list(batch_arrays(kept))
+            assert len(arrays) >= 4 * len(kept._plan.groups) + 4
+            for arr in arrays:
+                assert not arr.flags.writeable
+        assert total  # _FORCED_ZEROS's systems are reduced
 
 
 def _permuted(g, draw):
