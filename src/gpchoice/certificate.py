@@ -91,7 +91,7 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
                                       initial=0.0).tolist()
     lam[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.log(coefficients * lam[:, blocks] / w)
+        ratio = np.log(coefficients * lam.take(blocks, 1) / w)
         dual_value = np.exp(np.add.reduce(w * ratio, axis=1, where=w > 0.0)).tolist()
     # the primal side, each posynomial at each row's x, when x is a point,
     # summed over the plan of the row's exponent matrix

@@ -13,14 +13,15 @@ solve_choice enumerates the expansions of a template.  An expansion depends
 on its selected values alone, so both modes work on one array table of the
 distinct value tuples, each with its status, z and place in a solver batch.
 Keep-all solves every tuple in one solver batch and expands the table into
-one row per combination.  The pruned search solves them in two solver
-batches: every exponent assignment's seed, then every tuple that weak
-duality does not prove can neither win nor tie.  A report is built only for
-the expansion the result reports.
+one row per combination.  The pruned search solves them in at most two
+solver batches: every exponent assignment's seed, then every tuple that
+weak duality does not prove can neither win nor tie.  A report is built
+only for the expansion the result reports.
 
 What depends on the template alone, its validation, the table, the
-template's dual, one dual program per equality system and the seeds' solver
-batch, is compiled once per model object and kept on it (ChoiceGp._compiled,
+template's dual, one dual program per equality system, the seeds' solver
+batch and each tuple's steps from its seed for the pruning bound, is
+compiled once per model object and kept on it (ChoiceGp._compiled,
 read-only; a plain problem keeps its view, GpProblem._choice_gp) where the
 model can be hashed; each call checks the combination cap and solves.  Each
 program keeps its system's solver start, and the seeds' batch the solver
@@ -383,7 +384,8 @@ class _Template:
     standardized coefficients, a constraint term's over its bound as in
     standardize, of one expansion (at) or of a batch of siblings
     (coefficients).  A solved expansion's optimal weights bound the optimum
-    of each sibling with its exponent values (bound).
+    of each sibling with its exponent values (bound), from the sibling's
+    steps from it, which depend on the values alone (steps).
     """
 
     dual: DualProgram  # with every slot at a placeholder; at fills a copy of the slots
@@ -427,12 +429,23 @@ class _Template:
         out[:, terms] = values[:, sets] / self.bounds[terms]
         return out
 
-    def bound(self, weights: np.ndarray, log_duals: np.ndarray, values: np.ndarray,
-              siblings: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    def steps(self, values: np.ndarray, siblings: np.ndarray, seed: np.ndarray) -> np.ndarray:
+        """Each sibling's step from its seed by set, (S, P): log(v'_s / v_s)
+        on the sets with coefficient slots, 0 on the rest, from the seeds'
+        values (Q, S), each sibling's values (P, S) and seed, a row of
+        those (P,)."""
+        # the sets with slots: np.unique, without numpy.ma
+        sets = np.flatnonzero(np.bincount(self.coefficient_slots[1]))
+        out = np.zeros(siblings.shape[::-1])
+        out[sets] = np.log(siblings.T[sets] / values.T[sets].take(seed, axis=1))
+        return out
+
+    def bound(self, weights: np.ndarray, log_duals: np.ndarray, steps: np.ndarray,
+              seed: np.ndarray) -> np.ndarray:
         """Each sibling's lower bound on its log optimum, from a solved
         expansion with its exponent values, its seed: the seeds' optimal
-        weights (Q, K), log dual values (Q,) and values (Q, S), and each
-        sibling's values (P, S) and seed, a row of those (P,).
+        weights (Q, K) and log dual values (Q,), and each sibling's steps
+        from its seed (S, P; steps) and seed, a row of those (P,).
 
         Exponent values fix the equality matrix, so the weights are feasible
         for the sibling too.  At fixed weights the log dual is linear in
@@ -444,12 +457,10 @@ class _Template:
         if weights.shape[-1] != self.dual.term_count:
             raise ValueError(f"{weights.shape[-1]} weights for {self.dual.term_count} terms")
         terms, sets = self.coefficient_slots
-        weight = np.zeros((values.shape[1], len(weights)))  # W_s by set, per seed
+        weight = np.zeros((len(steps), len(weights)))  # W_s by set, per seed
         for k, s in zip(terms.tolist(), sets.tolist()):  # in slot order, as np.add.at (slower)
             weight[s] += weights[:, k]
-        sets = np.flatnonzero(np.bincount(sets))  # np.unique, without numpy.ma
-        steps = np.log(siblings.T[sets] / values.T[sets].take(seed, axis=1))
-        return log_duals[seed] + (steps * weight[sets].take(seed, axis=1)).sum(axis=0)
+        return log_duals[seed] + np.add.reduce(steps * weight.take(seed, axis=1))
 
 
 def checked_choice_gp(model: ChoiceGp | GpProblem) -> ChoiceGp:
@@ -479,9 +490,10 @@ _Tuples = tuple[np.ndarray, _Batch]
 class _Compiled:
     """What solve_choice reads of a valid template alone, its arrays
     read-only: the table of distinct value tuples, the template's dual, the
-    pruned search's seeds with their solver batch, and one program per
-    equality system, the seed's, on which every call solves that system's
-    tuples, so that the program's start is computed once.  The seeds' batch
+    pruned search's seeds with their solver batch and each tuple's steps
+    from its seed (_Template.steps), and one program per equality system,
+    the seed's, on which every call solves that system's tuples, so that
+    the program's start is computed once.  The seeds' batch
     (solver._Batch) builds its solver arrays on the model's first call and
     keeps them for every later one; keep-all's batch and a second pruned
     batch, which can be far larger, are built per call and dropped.  Per
@@ -500,10 +512,12 @@ class _Compiled:
     system: np.ndarray  # (count,): each tuple's exponent positions, as one code
     # None where every tuple is rejected (count 0), as is all that follows
     template: _Template | None
-    seeds: np.ndarray | None  # each system's tuple at every coefficient set's smallest value
-    seed: np.ndarray | None  # (count,): each tuple's seed
+    # each system's tuple at every coefficient set's smallest value, ascending:
+    # the seeds come in system order, so seeds[system] is each tuple's seed
+    seeds: np.ndarray | None
     programs: tuple[DualProgram, ...] | None  # per system code, its seed's program
     seed_batch: _Tuples | None  # batch(seeds), its solver arrays built on its first solve
+    steps: np.ndarray | None  # (S, count): each tuple's steps from its seed (_Template.steps)
 
     @classmethod
     def of(cls, cg: ChoiceGp) -> _Compiled:
@@ -528,20 +542,21 @@ class _Compiled:
         for i, cs in enumerate(cg.sets):
             if cs.role is Role.EXPONENT:
                 system = system * sizes[i] + pick[i]
-        template = seeds = seed = programs = None
+        template = seeds = programs = steps = None
         if count:
             template = _Template.of(cg)
             coefficient_sets = [i for i, cs in enumerate(cg.sets) if cs.role is not Role.EXPONENT]
             lowest = [values[i].index(min(values[i])) for i in coefficient_sets]
             seeds = (pick[coefficient_sets].T == lowest).all(axis=1).nonzero()[0]
-            seed = seeds[system]  # ascending, the seeds come in system order
-            seeds.flags.writeable = seed.flags.writeable = False
+            seeds.flags.writeable = False
             programs = tuple(map(template.at, grid[seeds]))
+            steps = template.steps(grid, grid, seeds[system])
+            steps.flags.writeable = False
         for arr in (pick, grid, system):
             arr.flags.writeable = False
         out = cls(tuple(cs.name for cs in cg.sets), candidates, tuple(sizes),
                   tuple(smallest), tuple(position), pick, grid, system, template, seeds,
-                  seed, programs, None)
+                  programs, None, steps)
         return replace(out, seed_batch=out.batch(seeds)) if count else out
 
     def batch(self, tuples: np.ndarray) -> _Tuples:
@@ -590,20 +605,20 @@ def solve_choice(
     hashed, else made afresh for the call; a call finds a kept compile
     before it hashes the model): validation, the table, the template's dual
     (_Template), one program per equality system, which keeps that system's
-    start, and the seeds' solver batch, which keeps the solver arrays its
-    first solve builds.  Each call checks the combination cap, solves its
-    batches and certifies every row.  A call of run solves tuples as one
-    _solve_rows batch: the tuples that share exponent values, which fix the
-    equality system, are one system, solved on the compile's program for
-    it.  keep_assignments runs every
-    tuple, and expands the table into one row per combination at its own
-    bit patterns.  The pruned search runs the seeds, each system's tuple at
-    the smallest value of every coefficient set, then every tuple that the
-    bound from its seed's optimal weights (_Template.bound), computed for
-    all tuples at once, does not prove can neither win nor tie; the rest
-    are skipped unsolved.  A report is built for the reported
-    expansion alone.  ``solved`` counts the non-rejected combinations,
-    skipped ones included.
+    start, the seeds' solver batch, which keeps the solver arrays its
+    first solve builds, and each tuple's steps from its seed.  Each call
+    checks the combination cap, solves its batches and certifies every
+    row.  A call of run solves tuples as one _solve_rows batch: the tuples
+    that share exponent values, which fix the equality system, are one
+    system, solved on the compile's program for it.  keep_assignments runs
+    every tuple, and expands the table into one row per combination at its
+    own bit patterns.  The pruned search runs the seeds, each system's
+    tuple at the smallest value of every coefficient set, then every tuple
+    that the bound from its seed's optimal weights (_Template.bound),
+    computed for all tuples at once from their compiled steps, does not
+    prove can neither win nor tie; the rest are skipped unsolved.  A report
+    is built for the reported expansion alone.  ``solved`` counts the
+    non-rejected combinations, skipped ones included.
     """
     # a compile kept on the model, or on a plain problem's view of it: the
     # model could be hashed when it compiled, and its frozen fields are as then
@@ -638,18 +653,19 @@ def solve_choice(
         # a tuple's coefficients are at least its seed's, so its optimum is
         # at least its seed's (up to a gap's rounding): the seeds set the
         # limit.  A seed solved to a positive optimum bounds its system's
-        # tuples.
-        seeds, seed = table.seeds, table.seed
-        live = seeds[z[seeds] > 0.0]
-        bounded = (z[seed] > 0.0).nonzero()[0]
+        # tuples; the others' log dual values are nan, and so are their
+        # tuples' bounds.  The seeds' batch holds each system's seed at the
+        # row of its code, the seeds coming in system order.
+        optimum = z[table.seeds]  # the seeds' z by system
+        positive = optimum > 0.0
         unsolved = codes < 0
-        if len(bounded):
+        if positive.any():
             duals = reports[0].duals
-            bound = table.template.bound(duals.weights[row[live]],
-                                         np.log(duals.objective_value[row[live]]),
-                                         grid[live], grid[bounded],
-                                         np.searchsorted(live, seed[bounded]))
-            unsolved[bounded[bound > math.log(z[live].min()) + _PRUNE_LOG_MARGIN]] = False
+            log_duals = np.log(duals.objective_value, out=np.full(len(optimum), np.nan),
+                               where=positive)
+            bound = table.template.bound(duals.weights, log_duals, table.steps, table.system)
+            limit = math.log(np.minimum.reduce(optimum[positive])) + _PRUNE_LOG_MARGIN
+            unsolved[bound > limit] = False
         if unsolved.any():
             run(*table.batch(unsolved.nonzero()[0]))
 
@@ -657,24 +673,24 @@ def solve_choice(
         return tuple(map(tuple.__getitem__, smallest, pick[:, t].tolist()))
 
     def read(t: int) -> SolveReport:
-        return reports[batch[t]][row[t]]
+        return reports[batch.item(t)][row.item(t)]
 
     # bits compare as their concatenated bit strings do: every tuple has the
     # same pattern length per set.  The scan takes the OPTIMAL tuples in order
     # (z >= 0; nan elsewhere), and a tuple moves the best only when its z is
     # at most best / (1 - window).  After the tuple with the lowest z so far
     # the best is at most that z / (1 - window), and each later move raises it
-    # by that factor at most, so a tuple whose z exceeds the lowest z before
-    # it times (1 - window)^-(N + 2) leaves the best as it is, and is skipped
+    # by that factor at most, so a tuple whose z exceeds the lowest z up to it
+    # (itself included: z >= 0) times (1 - window)^-(N + 2) leaves the best as
+    # it is, and is skipped
     best: tuple[float, tuple[BitPattern, ...], int] | None = None
-    lowest = np.fmin.accumulate(np.concatenate(([math.inf], z)))[:-1]
-    zs = z.tolist()
-    for t in (z <= lowest * (1.0 - _TIE_WINDOW) ** -(count + 2)).nonzero()[0].tolist():
-        tied = best and abs(zs[t] - best[0]) <= _TIE_WINDOW * max(abs(zs[t]), abs(best[0]))
-        if best and not tied and not zs[t] < best[0]:
+    scan = (z <= np.fmin.accumulate(z) * (1.0 - _TIE_WINDOW) ** -(count + 2)).nonzero()[0]
+    for t, zt in zip(scan.tolist(), z[scan].tolist()):
+        tied = best and abs(zt - best[0]) <= _TIE_WINDOW * max(abs(zt), abs(best[0]))
+        if best and not tied and not zt < best[0]:
             continue
         if not best or not tied or bits(t) < best[1]:
-            best = (zs[t], bits(t), t)
+            best = (zt, bits(t), t)
 
     # a stalled expansion's dual value bounds its optimum from below (weak
     # duality); unless it clears the winner beyond the tie window, that
@@ -694,7 +710,7 @@ def solve_choice(
         statuses = set(codes[codes >= 0].tolist())
         status = _STATUSES[statuses.pop()] if len(statuses) == 1 else Status.INFEASIBLE
         report = read(0) if count == 1 else None  # as a plain solve
-    solved = math.prod(sum(k >= 0 for k in at) for at in table.position)
+    solved = math.prod(len(at) - at.count(-1) for at in table.position)
     kept = None
     if keep_assignments:  # each combination, in product order, reads its tuple
         candidates = table.candidates

@@ -116,11 +116,15 @@ np.linalg.solve raises.
 The primal minimizer of a fast-pass row is recovered from optimal weights
 through the log-linear relations: objective terms satisfy term_value = w_0t
 * Z, and terms of an active constraint block satisfy term_value = w_it /
-lambda_i.  The rows of one call are recovered and certified as one batch:
-rows of one system with the same such terms are one group, the columns of
-one least-squares solve, and the groups of one shape (relations, rows) are
-one stacked solve, each matrix's bit for bit as alone; the points come
-back as one (B, n) array, nan on the rows that fail, and one
+lambda_i.  The rows of one call are recovered and certified as one batch.
+A row the fast pass ends OPTIMAL has every weight above _BOUNDARY_WEIGHT,
+so all its terms relate: such rows are fitted on their systems' exponent
+matrices as they are, the rows of one system one group, the columns of one
+least-squares solve, with no mask or gather per row; a row with an
+inactive term groups with its system's rows of the same active terms.  The
+groups of one shape (relations, rows) are one stacked solve, each matrix's
+bit for bit as alone; the points come back as one (B, n) array, nan on the
+rows that fail, which one scan of the batch finds, and one
 certificate.optimal_claim call, with one exponent matrix per row, checks
 them all; solve_dual, recover_primal and solve are each the batch of one.
 solve reports OPTIMAL only where that claim holds at x and the dual
@@ -134,6 +138,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
@@ -154,7 +159,7 @@ from .dual import (
 )
 from .certificate import FEASIBILITY_TOL, Optimality, Terms, infeasible_claim, optimal_claim
 from .certificate import GAP_TOL  # noqa: F401 (read from solver)
-from .posynomial import StandardGp
+from .posynomial import GpDomainError, StandardGp
 
 # log value beyond which the fast pass declares the dual unbounded (exp
 # would overflow)
@@ -256,7 +261,7 @@ class _Duals:
                      for f in fields(cls)))
 
     def __getitem__(self, i: int) -> DualSolution:
-        y = None if np.isnan(self.y[i]).all() else self.y[i]
+        y = None if all(map(math.isnan, self.y[i].tolist())) else self.y[i]
         return DualSolution(_STATUSES[self.status.item(i)], self.weights[i], self.lambdas[i],
                             self.objective_value.item(i), self.equality_residual.item(i),
                             self.stationarity.item(i), self.iterations.item(i), y)
@@ -532,14 +537,14 @@ def _finish(
     sums, objective first, at its row of w, and its equality matrix:
     equalities (n + 1, K) is shared, or (B, n + 1, K) holds one per row.  An
     OPTIMAL row that misses FEASIBILITY_TOL or _STATIONARITY_TOL ends
-    ITERATION_LIMIT."""
+    ITERATION_LIMIT.  The batch holds w itself, which no caller writes."""
     residual = np.maximum.reduce(np.abs(np.matvec(equalities, w) - d.equality_rhs), axis=1)
     with np.errstate(over="ignore"):  # a pass out of budget may end past exp's range
         z = np.exp(value)
     rows = zip(status, residual.tolist(), stationarity.tolist())
     codes = [_CODE[Status.ITERATION_LIMIT if st is Status.OPTIMAL and (
         res > FEASIBILITY_TOL or stat > _STATIONARITY_TOL) else st] for st, res, stat in rows]
-    return _Duals(np.array(codes), w.copy(), sums[:, 1:], z, residual, stationarity,
+    return _Duals(np.array(codes), w, sums[:, 1:], z, residual, stationarity,
                   np.array(iterations, dtype=int), np.full((len(w), d.variable_count), np.nan))
 
 
@@ -929,58 +934,64 @@ def _recover(
     (B, K), value z (B,), lambdas (B, m) and y (B, n), nan on the rows
     without one: the points x (B, n), nan on each row whose recovery fails,
     and the ReconstructionError each such row raises, by row.  A row with a
-    y is at exp(y); the other rows of one system (equal entries of system,
-    which share their exponents) whose terms enter the same relations are
-    one group, whose rows are the columns of one least-squares solve.  The
-    groups of one shape (relations, rows) are one stacked solve, each
-    matrix's bit for bit as alone; a batch whose rows all have a y fits
-    nothing."""
-    n = t.exponents.shape[-1]
-    if n == 0:
-        return np.full((len(w), 0), np.nan), {}
-    y, z, failures = y.copy(), z[:, None], {}
+    y is at exp(y).  The other rows of one system (equal entries of system,
+    which share their exponents) whose terms all relate are one group, on
+    the system's exponent matrix as it is, and those whose terms enter the
+    same fewer relations are another; a group's rows are the columns of one
+    least-squares solve.  The groups of one shape (relations, rows) are one
+    stacked solve, each matrix's bit for bit as alone; a batch whose rows
+    all have a y fits nothing."""
+    b, k = w.shape
+    if t.exponents.shape[-1] == 0:
+        return np.full((b, 0), np.nan), {}
+    y, residual, lost = y.copy(), np.zeros(b), np.zeros(b, dtype=bool)
     fit = np.isnan(y[:, 0])  # the rows without the method's y
-    if fit.any():
-        # each term's block weight sum, 1 on the objective block; the terms of
-        # an inactive constraint relate nothing (complementary slackness)
-        lam = np.concatenate((np.ones_like(z), lambdas), axis=1)[:, t.blocks]
-        active = (w > _BOUNDARY_WEIGHT) & (lam > _BOUNDARY_WEIGHT)
-        share = w * z  # w / lambda on constraint terms
-        np.divide(w, lam, out=share, where=active & (t.blocks > 0))
-        # w * z underflows to 0 with z, and then has no log to fit
-        lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & fit
-        failures = {i: ReconstructionError(f"w * z underflows at dual value {z.item(i)}")
-                    for i in lost.nonzero()[0].tolist()}
-        codes, masks = system.tolist(), active.tolist()
-        groups: dict[tuple, list[int]] = {}  # the rows of one system and active set
-        for i in (~lost & fit).nonzero()[0].tolist():
-            groups.setdefault((codes[i], *masks[i]), []).append(i)
-        shapes: dict[tuple[int, int], list[list[int]]] = {}  # the groups of one shape
-        for group in groups.values():
-            shapes.setdefault((sum(masks[group[0]]), len(group)), []).append(group)
-        for (relations, columns), stack in shapes.items():
-            rows = np.array(stack)  # (G, columns)
-            # each group's active terms, ascending, (G, relations)
-            terms = active[rows[:, 0]].nonzero()[1].reshape(len(stack), relations)
-            matrices = t.exponents[rows[:, :1], terms]  # (G, relations, n)
-            at = rows[..., None], terms[:, None]  # (G, columns, relations)
-            target = np.log(share[at]) - np.log(t.coefficients[at])
-            y[rows] = _lstsq(matrices, target.mT).mT
-            # y is inf where the relations ask for an x beyond the doubles (a
-            # subnormal exponent, say); its residual is then nan, from inf * 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                residual = np.maximum.reduce(
-                    np.abs(np.matvec(matrices[:, None], y[rows]) - target), axis=-1, initial=0.0)
-            failures |= {rows.item(j): ReconstructionError(
-                f"log-linear recovery system inconsistent (residual {residual.item(j):.3e})")
-                for j in (residual > 1e-6).ravel().nonzero()[0].tolist()}
-    with np.errstate(over="ignore", under="ignore"):
+    # the logs of a lost row and of inactive terms, inf * 0 in the residual
+    # of a y beyond the doubles and x = exp(y) out of range are all read below
+    with np.errstate(all="ignore"):
+        if np.count_nonzero(fit):
+            # each term's block weight sum, 1 on the objective block; the terms
+            # of an inactive constraint relate nothing (complementary slackness)
+            lam = np.concatenate((np.ones((b, 1)), lambdas), axis=1).take(t.blocks, 1)
+            active = np.minimum(w, lam) > _BOUNDARY_WEIGHT
+            share = w * z[:, None]  # w / lambda on constraint terms
+            np.divide(w, lam, out=share, where=t.blocks > 0)
+            # w * z underflows to 0 with z, and then has no log to fit
+            lost = np.logical_or.reduce(active & (share == 0.0), axis=1) & fit
+            target = np.log(share) - np.log(t.coefficients)
+            codes, full = system.tolist(), np.logical_and.reduce(active, axis=1).tolist()
+            # the rows of one system whose terms all relate are one group; a row
+            # with an inactive term groups with those of its system and terms
+            groups: dict[tuple, list[int]] = {}
+            for i in (fit & ~lost).nonzero()[0].tolist():
+                key = (codes[i],) if full[i] else (codes[i], *active[i].tolist())
+                groups.setdefault(key, []).append(i)
+            shapes: dict[tuple[int, int], list[list[int]]] = {}  # the groups of one shape
+            for key, group in groups.items():
+                shapes.setdefault((sum(key[1:]) if key[1:] else k, len(group)), []).append(group)
+            for (relations, _), stack in shapes.items():
+                rows = np.array(stack)  # (G, columns)
+                if relations == k:  # every term, on each system's exponents as they are
+                    matrices, at = t.exponents.take(rows[:, 0], 0), target.take(rows, 0)
+                else:  # each group's active terms, ascending, (G, relations)
+                    terms = active[rows[:, 0]].nonzero()[1].reshape(len(stack), relations)
+                    matrices = t.exponents[rows[:, :1], terms]  # (G, relations, n)
+                    at = target[rows[..., None], terms[:, None]]  # (G, columns, relations)
+                y[rows] = _lstsq(matrices, at.mT).mT
+                # y is inf where the relations ask for an x beyond the doubles (a
+                # subnormal exponent, say); its residual is then nan, from inf * 0
+                residual[rows] = np.maximum.reduce(
+                    np.abs(np.matvec(matrices[:, None], y[rows]) - at), axis=-1, initial=0.0)
         x = np.exp(y)
-    inside = np.logical_and.reduce(np.isfinite(x) & (x > 0.0), axis=1)
-    failures |= {i: ReconstructionError("recovered x = exp(y) overflows or underflows")
-                 for i in (~inside).nonzero()[0].tolist() if i not in failures}
-    if failures:  # most often no row fails
-        x[list(failures)] = np.nan
+    # a lost row keeps y nan, so its x fails too
+    failed = (residual > 1e-6) | ~np.logical_and.reduce((x > 0.0) & (x < np.inf), axis=1)
+    failures = {}
+    for i in failed.nonzero()[0].tolist():  # most often no row fails
+        failures[i] = ReconstructionError(
+            f"w * z underflows at dual value {z.item(i)}" if lost[i] else
+            f"log-linear recovery system inconsistent (residual {residual.item(i):.3e})"
+            if residual[i] > 1e-6 else "recovered x = exp(y) overflows or underflows")
+        x[i] = np.nan
     return x, failures
 
 
@@ -991,11 +1002,17 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     of objective terms and of terms in active constraint blocks; weights at or
     below _BOUNDARY_WEIGHT contribute no equation.  A dual that carries its
     own y, the interior-point method's, gives x = exp(y) instead.  Raises
-    ReconstructionError when w z underflows to 0 on an objective term, when
-    the residual of the stacked system exceeds 1e-6 or when x = exp(y) leaves
-    the doubles.
+    GpDomainError when the weights, lambdas or y (where present) do not have
+    one entry per term, constraint or variable of s, and ReconstructionError
+    when w z underflows to 0 on an objective term, when the residual of the
+    stacked system exceeds 1e-6 or when x = exp(y) leaves the doubles.
     """
     d = build_dual(s)
+    for name, arr, size in (("weights", ds.weights, d.term_count),
+                            ("lambdas", ds.lambdas, d.constraint_count),
+                            ("y", ds.y, d.variable_count)):
+        if arr is not None and arr.shape != (size,):
+            raise GpDomainError(f"dual {name} of shape {arr.shape}, expected {(size,)}")
     y = np.full((1, d.variable_count), np.nan) if ds.y is None else ds.y[None]
     t = Terms(d.term_coefficients[None], d.exponent_matrix[None], d.block_index)  # a batch of one
     x, failures = _recover(t, np.zeros(1, dtype=int), ds.weights[None],

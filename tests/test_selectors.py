@@ -704,9 +704,10 @@ def _assert_bounds_match_the_dual(cg, all_siblings):
     pairs = [(firsts[key] + i, sibling, s) for key, sibling, s in expansions
              for i in range(len(solved.get(key, [])))]
     which, siblings, programs = zip(*pairs)
+    steps = template.steps(np.array([values for values, _ in seeds]), np.array(siblings),
+                           np.array(which))
     bounds = template.bound(np.array([dual.weights for _, dual in seeds]),
-                            np.log([dual.objective_value for _, dual in seeds]),
-                            np.array([values for values, _ in seeds]), np.array(siblings),
+                            np.log([dual.objective_value for _, dual in seeds]), steps,
                             np.array(which))
     for bound, i, s in zip(bounds, which, programs):
         expected, _ = log_dual_objective(build_dual(s), seeds[i][1].weights)
@@ -935,7 +936,8 @@ def test_bound_refuses_weights_of_the_wrong_length():
     template = gpchoice.selectors._Template.of(cg)
     weights = report.dual.weights[None]
     assert weights.shape == (1, template.dual.term_count)
-    rest = np.zeros(1), np.array([[1.0]]), np.array([[2.0]]), np.zeros(1, dtype=int)
+    seed = np.zeros(1, dtype=int)
+    rest = np.zeros(1), template.steps(np.array([[1.0]]), np.array([[2.0]]), seed), seed
     template.bound(weights, *rest)
     with pytest.raises(ValueError):
         template.bound(weights[:, 1:], *rest)
@@ -1123,11 +1125,11 @@ def _spy(monkeypatch, target, name):
 
 
 def _compiled_arrays(table):
-    """Every array that a compiled template keeps: its table, its seeds and
-    their batch with the solver arrays it prepared, the template's slots and
-    dual, and each system's program with its equality system, block layout
-    and start."""
-    yield from (table.pick, table.grid, table.system, table.seeds, table.seed)
+    """Every array that a compiled template keeps: its table, its seeds,
+    each tuple's steps from its seed, the seeds' batch with the solver
+    arrays it prepared, the template's slots and dual, and each system's
+    program with its equality system, block layout and start."""
+    yield from (table.pick, table.grid, table.system, table.seeds, table.steps)
     order, systems = table.seed_batch
     yield order
     yield from (rows for _, rows in systems)

@@ -30,7 +30,7 @@ from gpchoice import (
 )
 from gpchoice.certificate import Terms
 from gpchoice.dual import block_lambdas
-from gpchoice.posynomial import GpDomainError, Posynomial
+from gpchoice.posynomial import GpDomainError, Posynomial, StandardGp, make_posynomial
 from gpchoice.problem_io import as_choice_gp, parse_problem
 from gpchoice.selectors import (
     CandidateSet,
@@ -448,6 +448,19 @@ class TestRecoverPrimal:
         with pytest.raises(ReconstructionError):
             recover_primal(s, corrupted)
 
+    @pytest.mark.parametrize("field", ["weights", "lambdas", "y"])
+    def test_a_dual_of_the_wrong_shape_raises(self, field):
+        # the README's example: 5 terms, 1 constraint and 2 variables; a y one
+        # entry short gave a 1-entry x, short weights numpy's broadcast error
+        # and empty lambdas an IndexError
+        s = standardize(make_problem(objective=[(1, (-1, 0)), (3, (0, -3)), (1, (1, 1))],
+                                     constraints=[([(1, (1, 0)), (1, (0, 1))], 1.0)]))
+        ds = replace(solve_dual(build_dual(s)), y=np.zeros(2))
+        assert recover_primal(s, ds).tolist() == [1.0, 1.0]  # x = exp(y)
+        wrong = {"weights": ds.weights[:-1], "lambdas": ds.lambdas[:0], "y": np.zeros(1)}
+        with pytest.raises(GpDomainError, match=f"dual {field} of shape"):
+            recover_primal(s, replace(ds, **{field: wrong[field]}))
+
 
 def _optimal_rows(systems, first_system):
     """_recover's arguments at the OPTIMAL rows of _solve_duals(systems),
@@ -531,6 +544,121 @@ class TestStackedRecovery:
         assert last + 2 not in messages
         assert x[last + 2].tobytes() == np.exp(y[last + 2]).tobytes()
         assert "overflows or underflows" in messages[last + 3]
+
+
+def _standard_gp(coefficients, exponents, blocks) -> StandardGp:
+    """The StandardGp whose dual build_dual builds with these coefficients
+    (K,), exponents (K, n) and ascending block index (K,)."""
+    posynomials = [make_posynomial(zip(coefficients[blocks == i].tolist(),
+                                       exponents[blocks == i].tolist()))
+                   for i in range(int(blocks.max()) + 1)]
+    names = tuple(f"x{j + 1}" for j in range(exponents.shape[1]))
+    return StandardGp(names, posynomials[0], tuple(posynomials[1:]))
+
+
+def _one_system(s, coefficient_rows):
+    """_optimal_rows of s's program at each of coefficient_rows, as one system."""
+    d = build_dual(s)
+    return _optimal_rows([(d, np.array(coefficient_rows, dtype=float))], 0)
+
+
+class TestFullMaskRecovery:
+    """_recover fits each row without a y whose relations are all active on
+    its system's exponent matrix as it is, the rows of one system the columns
+    of one least-squares solve; a row with an inactive relation keeps the
+    group of its system and active terms.  Either way every row's x, or its
+    ReconstructionError and message, is recover_primal's on that row alone,
+    byte for byte."""
+
+    @staticmethod
+    def _recover_as_alone(rows, blocks, monkeypatch):
+        """_recover over rows (_optimal_rows' arrays) against recover_primal
+        on each row alone; returns the (matrices, targets) shapes of the
+        batch's least-squares solves."""
+        coefficients, exponents, system, w, z, lam, y = rows
+        shapes = []
+        lstsq = gpchoice.solver._lstsq
+        with monkeypatch.context() as mp:
+            mp.setattr(gpchoice.solver, "_lstsq",
+                       lambda a, b: shapes.append((a.shape, b.shape)) or lstsq(a, b))
+            x, failures = _recover(Terms(coefficients, exponents, blocks), system, w, z, lam, y)
+        for i in range(len(w)):
+            ds = DualSolution(Status.OPTIMAL, w[i], lam[i], z.item(i), 0.0, 0.0, 0,
+                              None if np.isnan(y[i]).all() else y[i])
+            s = _standard_gp(coefficients[i], exponents[i], blocks)
+            try:
+                alone = recover_primal(s, ds)
+            except ReconstructionError as e:
+                assert str(failures.pop(i)) == str(e), i
+                assert np.isnan(x[i]).all()
+            else:
+                assert x[i].tobytes() == alone.tobytes(), i
+        assert not failures
+        return shapes
+
+    @pytest.mark.parametrize("fixture", sorted(p.stem for p in PROBLEM_DIR.glob("*.json")))
+    def test_fixture_batches_take_the_full_mask_fit(self, monkeypatch, fixture):
+        cg = parse_problem(PROBLEM_DIR / f"{fixture}.json")
+        seeds, keep_all = TestStackedRecovery._batches(cg)
+        k = seeds[0][0].term_count
+        for systems in (seeds, keep_all):
+            rows = _optimal_rows(systems, 0)
+            assert len(rows[0]) == sum(len(c) for _, c in systems)  # every row OPTIMAL
+            shapes = self._recover_as_alone(rows, seeds[0][0].block_index, monkeypatch)
+            # every row's relations are all its system's terms, and each
+            # system's rows are the columns of one solve
+            assert {a[1] for a, _ in shapes} == {k}
+            assert sorted(c for a, (_, _, c) in shapes for _ in range(a[0])) == sorted(
+                len(c) for _, c in systems)
+        # a call's recoveries fit every row by its full mask: no partial fit
+        calls = []
+        recover = gpchoice.solver._recover
+
+        def spy(t, system, w, z, lambdas, y):
+            calls.append((np.isnan(y[:, 0]).all(), (w > _BOUNDARY_WEIGHT).all(),
+                          (lambdas > _BOUNDARY_WEIGHT).all()))
+            return recover(t, system, w, z, lambdas, y)
+
+        monkeypatch.setattr(gpchoice.solver, "_recover", spy)
+        solve_choice(cg)
+        solve_choice(cg, keep_assignments=True)
+        assert len(calls) == 2 and all(all(call) for call in calls)
+
+    def test_partial_masks_recover_as_alone(self, monkeypatch):
+        # the forced-zero problem (its last two weights are zero), single
+        # points of zero_difficulty_gp and tiny_weight_gp draws (weights down
+        # to 1e-30), each at three coefficient rows: one system, one group
+        forced = standardize(make_problem([(1, (1, 0)), (1, (-1, 0)), (1, (1, 1)),
+                                           (1, (-1, 1))]))
+        problems = [forced] + [standardize(_zero_difficulty_draw(i)[0]) for i in range(5)]
+        problems += [standardize(_tiny_weight_draw(i)[0]) for i in (0, 1, 4, 8, 13)]
+        partial = 0
+        for s in problems:
+            c = build_dual(s).term_coefficients
+            rows = _one_system(s, [c, 2.0 * c, np.sqrt(c)])
+            partial += not (rows[3] > _BOUNDARY_WEIGHT).all()
+            shapes = self._recover_as_alone(rows, build_dual(s).block_index, monkeypatch)
+            assert len(shapes) == 1 and shapes[0][1][-1] == 3
+        assert partial >= 5
+
+    def test_a_mixed_batch_recovers_as_alone(self, monkeypatch):
+        # min c0 x s.t. c1 / x <= 1, at the optimum w = (1, 1): a row whose
+        # w z underflows (z = 1e-330 is 0 in doubles), full-mask rows, a row
+        # whose constraint is inactive and one carrying the method's y
+        s = standardize(make_problem([(1e-300, (1.0,))], [([(1e-30, (-1.0,))], 1.0)]))
+        rows = _one_system(s, [[1e-300, 1e-30], [2.0, 3.0], [0.5, 0.25], [1.0, 1.0],
+                               [4.0, 0.5]])
+        coefficients, exponents, system, w, z, lam, y = rows
+        assert z[0] == 0.0
+        w[3], lam[3] = (1.0, 0.0), (0.0,)  # the constraint inactive
+        y[4] = 0.25
+        blocks = build_dual(s).block_index
+        shapes = self._recover_as_alone(rows, blocks, monkeypatch)
+        # rows 1 and 2 (full masks) in one solve of 2 columns, row 3 alone
+        assert sorted(shapes) == [((1, 1, 1), (1, 1, 1)), ((1, 2, 1), (1, 2, 2))]
+        x, failures = _recover(Terms(coefficients, exponents, blocks), system, w, z, lam, y)
+        assert [str(e) for e in failures.values()] == ["w * z underflows at dual value 0.0"]
+        assert x[4].tolist() == [math.exp(0.25)]
 
 
 class TestSolve:
@@ -2250,3 +2378,22 @@ def test_permuting_a_problem_keeps_its_solution(seed, data):
         x, w = np.empty(len(variables)), np.empty(len(source))
         x[variables], w[source] = permuted.primal_x, permuted.dual.weights
         assert optimal_claim(problem_terms(s), [x], [w]).holds[0]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([7.3, 1e-3, 1e4]))
+def test_scaling_the_objective_keeps_its_solution(seed, alpha):
+    # ROADMAP item 26, one more relation: alpha f_0 has f_0's minimizers, so
+    # scaling the objective by a positive constant must not move the status;
+    # an optimum scales z within 2 GAP_TOL, and the scaled solve's x and
+    # weights pass the optimal claim on the original
+    g = random_feasible_gp(np.random.default_rng(seed))
+    h = replace(g, objective=Posynomial(tuple(replace(t, coefficient=alpha * t.coefficient)
+                                              for t in g.objective.terms)))
+    s = standardize(g)
+    original, scaled = solve(s), solve(standardize(h))
+    assert scaled.status is original.status
+    if original.status is Status.OPTIMAL:
+        z = alpha * original.objective_value
+        assert abs(scaled.objective_value - z) <= 2 * GAP_TOL * z
+        claim = optimal_claim(problem_terms(s), [scaled.primal_x], [scaled.dual.weights])
+        assert claim.holds[0]
