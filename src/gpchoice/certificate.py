@@ -15,11 +15,16 @@ every f_i(x) <= 1.  A floating-point nu leaves delta at rounding level, not
 _LOG_RANGE |delta|_1 bounds the exponent over every x in the doubles.
 Neither check solves a thing.
 
-An optimal claim holds within fixed tolerances: GAP_TOL = 1e-8 on the
-relative gap, VIOLATION_TOL = 1e-8 on each constraint and FEASIBILITY_TOL =
-1e-10 on each dual equation.  The solver's optimal reports sit well inside
-the gap bound (the worst gap of the 2000-problem stress sweep is 4.9e-11),
-so the claim proves each optimum to 1e-8.
+An optimal claim checks fixed tolerances: GAP_TOL = 1e-8 on the relative
+gap between f_0(x) and v(w), VIOLATION_TOL = 1e-8 on each constraint and
+FEASIBILITY_TOL = 1e-10 on each dual equation.  It takes v(w) as the lower
+bound wherever w meets the equations within FEASIBILITY_TOL, though weak
+duality holds only where orthogonality holds exactly, so a claim that holds
+does not prove x within GAP_TOL of the optimum: min x s.t. e^-300 / x <= 1
+passes a point 2.7e-8 above it (ROADMAP item 24, a bound that counts the
+orthogonality residual).  Measured, the solver's optimal reports sit well
+inside the gap tolerance: the worst gap of the 2000-problem stress sweep is
+5.16e-11.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
-from .posynomial import StandardGp, _block, _sum_monomials
+from .posynomial import GpDomainError, StandardGp, _block, _sum_monomials
 
 # an optimal claim holds within these: the relative gap between f_0(x) and
 # v(w), the largest constraint violation f_i(x) - 1, and each normality and
@@ -71,43 +75,50 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
     n columns), its w is finite and nonnegative and meets normality and
     orthogonality within FEASIBILITY_TOL, no f_i(x) exceeds 1 by more than
     VIOLATION_TOL, and f_0(x) is within GAP_TOL of v(w), relative.  Each
-    row's exponent matrix is read through its plan (_plan): per block, each
-    term's index and its nonzero (variable, exponent) pairs, built once per
-    distinct matrix and kept, so that a search that claims on the same
-    matrices call after call reads each once.  Each f_i(x) is summed over
-    its block by evaluate's routine, in Python floats, so that it equals
-    evaluate's value bit for bit.
+    f_i(x) is summed over its block by evaluate's routine, in Python floats,
+    so that it equals evaluate's value bit for bit; the exponents are read
+    through plans (_plan) built for this call, one for a shared matrix or
+    one per row of a stack.  Raises GpDomainError when w is not (B, K) or x
+    does not have B rows.
     """
     w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
-    coefficients = np.asarray(t.coefficients, dtype=float)
-    exponents, blocks = np.asarray(t.exponents, dtype=float), t.blocks
-    starts = (0, *itertools.accumulate(np.bincount(blocks).tolist()))
+    if w.ndim != 2 or w.shape[1] != len(t.blocks) or x.ndim != 2 or len(x) != len(w):
+        raise GpDomainError(f"w of shape {w.shape} and x of shape {x.shape}, expected "
+                            f"(B, {len(t.blocks)}) and (B, n)")
+    exponents, sizes = np.asarray(t.exponents, dtype=float), np.bincount(t.blocks).tolist()
+    plans = ([_plan(matrix, sizes) for matrix in exponents] if exponents.ndim == 3
+             else itertools.repeat(_plan(exponents, sizes)))
+    t = Terms(np.asarray(t.coefficients, dtype=float), exponents, t.blocks)
+    return _optimal_claim(t, x, w, plans)
+
+
+def _optimal_claim(t: Terms, x: np.ndarray, w: np.ndarray, plans) -> Optimality:
+    """optimal_claim on float arrays of its shapes, each row's exponent
+    matrix read through the next of plans (_plan), one per row: the solver's
+    batch builds each system's plan once and hands each row its system's."""
+    starts = (0, *itertools.accumulate(np.bincount(t.blocks).tolist()))
     # the dual side, in one pass over the batch; each row's orthogonality
     # sums alone, as it does in a batch of one
     lowest = np.minimum.reduce(w, axis=1).tolist()
     lam = np.add.reduceat(w, starts[:-1], axis=1)
     normality = lam[:, 0].tolist()
-    orthogonality = np.maximum.reduce(np.abs(np.vecmat(w, exponents)), axis=1,
+    orthogonality = np.maximum.reduce(np.abs(np.vecmat(w, t.exponents)), axis=1,
                                       initial=0.0).tolist()
     lam[:, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.log(coefficients * lam.take(blocks, 1) / w)
+        ratio = np.log(t.coefficients * lam.take(t.blocks, 1) / w)
         dual_value = np.exp(np.add.reduce(w * ratio, axis=1, where=w > 0.0)).tolist()
     # the primal side, each posynomial at each row's x, when x is a point,
-    # summed over the plan of the row's exponent matrix
-    rows = coefficients.tolist()
-    if coefficients.ndim == 1:
-        rows = itertools.repeat(rows)
-    matrices = itertools.repeat(exponents) if exponents.ndim == 2 else exponents
-    positive = []  # one entry per row when x has one point per row
-    if x.shape == (len(w), exponents.shape[-1]):
-        positive = np.logical_and.reduce((x > 0.0) & (x < np.inf), axis=1).tolist()
-    nan = math.nan
-    out = [(nan, nan, nan, False)] * len(w)
-    for i, (xs, row, ok, matrix) in enumerate(zip(x.tolist(), rows, positive, matrices)):
+    # summed over the row's plan
+    rows = t.coefficients.tolist() if t.coefficients.ndim == 2 else itertools.repeat(
+        t.coefficients.tolist())
+    # one entry per row when x has n columns
+    positive = np.logical_and.reduce((x > 0.0) & (x < np.inf), axis=1).tolist() if (
+        x.shape[1] == t.exponents.shape[-1]) else []
+    out = [(math.nan, math.nan, math.nan, False)] * len(w)
+    for i, (xs, row, ok, plan) in enumerate(zip(x.tolist(), rows, positive, plans)):
         if not ok:
             continue
-        plan = _plan(matrix.shape, matrix.tobytes(), starts)
         try:
             primal, *values = [_sum_monomials(row, block, xs) for block in plan]
             gap = abs(primal - dual_value[i]) / primal
@@ -122,12 +133,11 @@ def optimal_claim(t: Terms, x, w) -> Optimality:
     return Optimality(*map(list, zip(*out))) if out else Optimality([], [], [], [])
 
 
-@lru_cache(maxsize=256)
-def _plan(shape: tuple[int, int], data: bytes, starts: tuple[int, ...]) -> tuple:
-    """The plan of the float exponent matrix of this shape and these bytes,
-    its blocks starting at starts: per block, posynomial._block of its rows.
-    lru_cache shares plans between calls; they are tuples."""
-    powers = np.frombuffer(data).reshape(shape).tolist()
+def _plan(exponents: np.ndarray, sizes) -> tuple:
+    """The plan of the float exponent matrix exponents (K, n), its blocks of
+    these sizes: per block, posynomial._block of its rows, a tuple.  Built
+    by whoever holds the matrix, for as long as it does."""
+    powers, starts = exponents.tolist(), (0, *itertools.accumulate(sizes))
     return tuple([_block(powers[a:b], a) for a, b in zip(starts, starts[1:])])
 
 

@@ -95,10 +95,10 @@ _Batch.  On its first solve it checks the shared layout and builds,
 read-only, what every solve of it reads of its systems alone: each system's
 route (forced zeros, no start, a single point or the fast pass), each
 fast-pass batch's rows, coefficients and their log, stacked bases and their
-block sums, start weights and equality matrices, and each row's system and
-terms for certification.  A batch solved again, as the seeds' batch that
-selectors keeps with a model's compile, builds none of them again; nothing a
-solve computes is kept.  The call's solutions come back as one batch, in
+block sums, start weights and equality matrices, and for certification each
+row's system and terms and each system's claim plan.  A batch solved again,
+as the seeds' batch that selectors keeps with a model's compile, builds none
+of them again; nothing a solve computes is kept.  The call's solutions come back as one batch, in
 call order, held as columns (_Duals): status codes, weights, lambdas, dual
 values, equality residuals, stationarity (the projected gradient of the log
 dual, or on an interior-point row the largest entry of its dual residual),
@@ -124,9 +124,10 @@ least-squares solve, with no mask or gather per row; a row with an
 inactive term groups with its system's rows of the same active terms.  The
 groups of one shape (relations, rows) are one stacked solve, each matrix's
 bit for bit as alone; the points come back as one (B, n) array, nan on the
-rows that fail, which one scan of the batch finds, and one
-certificate.optimal_claim call, with one exponent matrix per row, checks
-them all; solve_dual, recover_primal and solve are each the batch of one.
+rows that fail, which one scan of the batch finds, and one claim
+(certificate.optimal_claim's private entry), with one exponent matrix per
+row read through its system's plan, checks them all; solve_dual,
+recover_primal and solve are each the batch of one.
 solve reports OPTIMAL only where that claim holds at x and the dual
 weights, a check from the problem's terms alone.  The certified batch holds
 its statuses and claims as columns too (_Reports), and a row's SolveReport
@@ -157,8 +158,9 @@ from .dual import (
     block_lambdas,
     build_dual,
 )
-from .certificate import FEASIBILITY_TOL, Optimality, Terms, infeasible_claim, optimal_claim
+from .certificate import FEASIBILITY_TOL, Optimality, Terms, _optimal_claim, infeasible_claim
 from .certificate import GAP_TOL  # noqa: F401 (read from solver)
+from .certificate import _plan as _claim_plan
 from .posynomial import GpDomainError, StandardGp
 
 # log value beyond which the fast pass declares the dual unbounded (exp
@@ -657,7 +659,9 @@ class _Batch(tuple):
     those coefficients.  What every solve of the batch reads of its systems
     alone is built on its first use and kept, read-only: the routing of its
     systems and the fast pass's arrays (_plan), and its rows' systems and
-    terms (_terms), which _certify reads.  Nothing a solve computes is kept."""
+    terms with each system's claim plan (_terms), which _certify reads.  A
+    system's claim plan lives here, built once per batch; nothing outside
+    the batch keeps one.  Nothing a solve computes is kept."""
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -700,15 +704,17 @@ class _Batch(tuple):
         return _Plan(edges[-1], routes, groups)
 
     @cached_property
-    def _terms(self) -> tuple[Terms, np.ndarray]:
-        """The rows' Terms, each with its system's exponents, and each row's
-        system."""
+    def _terms(self) -> tuple[Terms, np.ndarray, tuple]:
+        """The rows' Terms, each with its system's exponents, each row's
+        system, and each system's claim plan (certificate._plan), its blocks
+        the shared layout's."""
         pick = np.repeat(np.arange(len(self)), [len(c) for _, c in self])
         terms = Terms(np.concatenate([c for _, c in self]),
                       np.array([d.exponent_matrix for d, _ in self])[pick], self[0][0].block_index)
         for arr in (pick, *terms):
             arr.flags.writeable = False
-        return terms, pick
+        sizes = self[0][0].block_sizes
+        return terms, pick, tuple([_claim_plan(d.exponent_matrix, sizes) for d, _ in self])
 
 
 def solve_dual(d: DualProgram) -> DualSolution:
@@ -1022,12 +1028,14 @@ def recover_primal(s: StandardGp, ds: DualSolution) -> np.ndarray:
     return x[0]
 
 
-def _certify(t: Terms, system: np.ndarray, duals: _Duals, recover) -> _Reports:
+def _certify(t: Terms, system: np.ndarray, plans: tuple, duals: _Duals, recover) -> _Reports:
     """Recover x from each optimal dual by recover, which maps its arguments
     as _recover does; a row is OPTIMAL where certificate.optimal_claim holds
-    at x and the dual's weights, and reports that claim's f_0(x), violation
-    and gap.  There is one solve per dual: a row whose claim fails ends
-    ITERATION_LIMIT, as does an optimal dual's row with no x (uncertified)."""
+    at x and the dual's weights, each row read through its system's entry
+    of plans (certificate._plan), and reports that claim's f_0(x),
+    violation and gap.  There is one solve per dual: a row whose claim
+    fails ends ITERATION_LIMIT, as does an optimal dual's row with no x
+    (uncertified)."""
     optimal = (duals.status == _CODE[Status.OPTIMAL]).nonzero()[0]
     status = duals.status.copy()
     status[optimal] = _CODE[Status.ITERATION_LIMIT]
@@ -1040,7 +1048,7 @@ def _certify(t: Terms, system: np.ndarray, duals: _Duals, recover) -> _Reports:
         x, failures = recover(terms, system[rows], w, duals.objective_value[rows],
                               duals.lambdas[rows], duals.y[rows])
         if len(failures) < optimal.size:  # a row with no x claims nothing
-            claim = optimal_claim(terms, x, w)
+            claim = _optimal_claim(terms, x, w, [plans[s] for s in system[rows].tolist()])
             status[optimal[claim.holds]] = _CODE[Status.OPTIMAL]
     return _Reports(status, duals, optimal.tolist(), x, failures, claim)
 
@@ -1057,7 +1065,8 @@ def solve(s: StandardGp) -> SolveReport:
             return np.full((1, d.variable_count), np.nan), {0: e}
 
     t = Terms(d.term_coefficients[None], d.exponent_matrix[None], d.block_index)
-    return _certify(t, np.zeros(1, dtype=int), _Duals.of([ds], d.variable_count), recover)[0]
+    return _certify(t, np.zeros(1, dtype=int), (_claim_plan(d.exponent_matrix, d.block_sizes),),
+                    _Duals.of([ds], d.variable_count), recover)[0]
 
 
 def _solve_rows(systems: Sequence[tuple[DualProgram, np.ndarray]]) -> _Reports:

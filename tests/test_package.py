@@ -1,5 +1,8 @@
 """The package's public surface: a new export is a decision, made here."""
 
+import ast
+from pathlib import Path
+
 import gpchoice
 
 PUBLIC = {
@@ -28,3 +31,13 @@ def test_all_is_the_listed_set():
     assert set(gpchoice.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(gpchoice, name)
+
+
+def test_no_module_keeps_a_process_wide_cache():
+    # what the package derives is kept on what it is derived from (a model,
+    # its compile, a program or a batch) and goes with it: no functools cache
+    for path in sorted(Path(gpchoice.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            assert not names & {"lru_cache", "cache"}, path.name

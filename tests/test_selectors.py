@@ -559,18 +559,18 @@ def test_keep_all_finishes_and_certifies_each_fixture_in_one_batch(monkeypatch):
     # finishes and certifies that batch with one call each, 12 in all, where
     # one call per equality system would make 46
     claims, finishes = [], []
-    original_claim = gpchoice.solver.optimal_claim
+    original_claim = gpchoice.solver._optimal_claim
     original_finish = gpchoice.solver._finish
 
-    def claim(terms, x, w):
+    def claim(terms, x, w, plans):
         claims.append(len(w))
-        return original_claim(terms, x, w)
+        return original_claim(terms, x, w, plans)
 
     def finish(d, log_c, *args):
         finishes.append(len(log_c))
         return original_finish(d, log_c, *args)
 
-    monkeypatch.setattr(gpchoice.solver, "optimal_claim", claim)
+    monkeypatch.setattr(gpchoice.solver, "_optimal_claim", claim)
     monkeypatch.setattr(gpchoice.solver, "_finish", finish)
     models = [parse_problem(path) for path in sorted(PROBLEM_DIR.glob("*.json"))]
     for cg in models:
@@ -1295,6 +1295,37 @@ def test_a_model_prepares_its_seed_batch_once(monkeypatch):
         assert len(plans) == len(terms) and len(plans) in (1, 4)  # two batches a call
         # a fast-pass group's six arrays and the terms' four
         assert len(list(batch_arrays(seeds))) >= 10
+
+
+def test_a_batch_builds_each_system_claim_plan_once(monkeypatch):
+    # a batch builds its systems' claim plans with its rows' terms, one per
+    # system, and hands each row's claim its system's: the compile's seed
+    # batch once per model over repeated calls, and a keep-all call one per
+    # system of its batch, 46 over the fixtures
+    built = _spy(monkeypatch, gpchoice.solver, "_claim_plan")
+    terms = _spy_prepared(monkeypatch, "_terms")
+    handed, original = [], gpchoice.solver._optimal_claim
+    monkeypatch.setattr(gpchoice.solver, "_optimal_claim", lambda t, x, w, plans: (
+        handed.extend(plans) or original(t, x, w, plans)))
+    keep_all = 0
+    for path in sorted(PROBLEM_DIR.glob("*.json")):
+        cg = parse_problem(path)
+        built.clear(), terms.clear(), handed.clear()
+        for _ in range(3):
+            solve_choice(cg)
+        seeds = vars(cg)["_compiled"].seed_batch[1]
+        assert [b is seeds for b in terms].count(True) == 1
+        assert len(built) == sum(len(b) for b in terms)
+        kept = {id(plan) for b in terms for plan in vars(b)["_terms"][2]}
+        assert handed and {id(plan) for plan in handed} <= kept
+        built.clear(), terms.clear(), handed.clear()
+        solve_choice(cg, keep_assignments=True)
+        assert all(b is not seeds for b in terms)
+        assert len(built) == sum(len(b) for b in terms)
+        kept |= {id(plan) for b in terms for plan in vars(b)["_terms"][2]}
+        assert handed and {id(plan) for plan in handed} <= kept
+        keep_all += len(terms[-1])
+    assert keep_all == 46
 
 
 def _assert_kept_batches_solve_as_fresh(cg):

@@ -461,6 +461,23 @@ class TestRecoverPrimal:
         with pytest.raises(GpDomainError, match=f"dual {field} of shape"):
             recover_primal(s, replace(ds, **{field: wrong[field]}))
 
+    @pytest.mark.parametrize("case", ["1-D w", "long w", "x rows"])
+    def test_a_claim_on_input_of_the_wrong_shape_raises(self, case):
+        # optimal_claim on the same example: a 1-D w raised numpy's
+        # AxisError, a w one column too long vecmat's ValueError, and an x
+        # with another row count than w's claimed nothing on every row
+        s = standardize(make_problem(objective=[(1, (-1, 0)), (3, (0, -3)), (1, (1, 1))],
+                                     constraints=[([(1, (1, 0)), (1, (0, 1))], 1.0)]))
+        report, t = solve(s), problem_terms(s)
+        x, w = np.array([report.primal_x]), report.dual.weights[None]
+        assert optimal_claim(t, x, w).holds == [True]
+        # an x of the wrong column count is no point: no claim, no error
+        assert optimal_claim(t, np.ones((1, 3)), w).holds == [False]
+        wrong = {"1-D w": (x, w[0]), "long w": (x, np.hstack([w, [[0.0]]])),
+                 "x rows": (np.vstack([x, x]), w)}[case]
+        with pytest.raises(GpDomainError, match=r"w of shape .* expected \(B, 5\) and \(B, n\)"):
+            optimal_claim(t, *wrong)
+
 
 def _optimal_rows(systems, first_system):
     """_recover's arguments at the OPTIMAL rows of _solve_duals(systems),
@@ -2397,3 +2414,37 @@ def test_scaling_the_objective_keeps_its_solution(seed, alpha):
         assert abs(scaled.objective_value - z) <= 2 * GAP_TOL * z
         claim = optimal_claim(problem_terms(s), [scaled.primal_x], [scaled.dual.weights])
         assert claim.holds[0]
+
+
+def _assert_duplicating_a_constraint_keeps_the_solution(g):
+    """g with its first constraint appended again keeps its status; an
+    optimum keeps z within 2 GAP_TOL, and its x, with each copy's weights
+    added to its original's, passes the optimal claim on g."""
+    h = replace(g, constraints=(*g.constraints, g.constraints[0]))
+    s = standardize(g)
+    original, duplicated = solve(s), solve(standardize(h))
+    assert duplicated.status is original.status
+    if original.status is Status.OPTIMAL:
+        z = original.objective_value
+        assert abs(duplicated.objective_value - z) <= 2 * GAP_TOL * z
+        k, first = s.term_count, s.objective.term_count
+        w = duplicated.dual.weights[:k].copy()
+        w[first:first + s.constraints[0].term_count] += duplicated.dual.weights[k:]
+        assert optimal_claim(problem_terms(s), [duplicated.primal_x], [w]).holds[0]
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_duplicating_a_constraint_keeps_its_solution(seed):
+    # ROADMAP item 26, one more relation: a constraint written twice bounds
+    # the same set (on the sweep's 2000 problems every claim held, and two
+    # statuses moved: the expected failures below)
+    _assert_duplicating_a_constraint_keeps_the_solution(
+        random_feasible_gp(np.random.default_rng(seed)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: duplicated, the fast pass touches "
+                   "the boundary at iteration 5 and the interior-point method stalls for "
+                   "200 iterations, ending ITERATION_LIMIT where the problem is OPTIMAL")
+@pytest.mark.parametrize("index", [148, 1518])
+def test_duplicating_a_constraint_of_a_sweep_problem_keeps_its_solution(index):
+    _assert_duplicating_a_constraint_keeps_the_solution(_stress_problems()[index])
